@@ -34,6 +34,7 @@ without it degrades gracefully to the python backend (with a warning).
 from __future__ import annotations
 
 import os
+import random
 import warnings
 from contextlib import contextmanager
 from functools import lru_cache
@@ -193,6 +194,15 @@ class ArithmeticBackend:
     # always allocate their outputs.  The base implementations below loop
     # over the per-limb scalar kernels and are therefore the bit-exact
     # golden reference for every vectorized override.
+    #
+    # Two kernels *create* stores, so key generation and encryption never
+    # build per-coefficient Python lists around the arithmetic:
+    # ``reduce_limbs`` (signed integers -> residue rows, one dispatch) and
+    # ``sample_uniform_limbs`` (uniform residues drawn from a
+    # ``random.Random``).  The sampler's contract is stronger than
+    # bit-exact output: every override must also leave the generator in the
+    # state the golden ``randrange`` loop leaves it in, so keys and
+    # ciphertexts are identical across backends for one seed.
 
     @staticmethod
     def store_rows(store) -> List[List[int]]:
@@ -233,6 +243,29 @@ class ArithmeticBackend:
         backend pick a narrower storage dtype; values are zero either way.
         """
         return [[0] * length for _ in range(count)]
+
+    def reduce_limbs(self, coefficients, moduli, length: int) -> object:
+        """Signed integers reduced under every modulus: an ``(L, length)`` store.
+
+        ``coefficients`` may be negative, unreduced or arbitrarily large;
+        fewer than ``length`` of them are zero-padded, more raise
+        ``ValueError``.
+        """
+        if len(coefficients) > length:
+            raise ValueError(
+                f"too many coefficients: {len(coefficients)} > {length}"
+            )
+        padding = [0] * (length - len(coefficients))
+        return [[int(c) % q for c in coefficients] + padding for q in moduli]
+
+    def sample_uniform_limbs(self, rng, moduli, length: int) -> object:
+        """A store of uniform residues: row ``i`` drawn from ``[0, moduli[i])``.
+
+        The golden path is ``rng.randrange(q)``, ``length`` times per limb,
+        limb after limb.  Overrides must return the same values *and* leave
+        ``rng`` in the same state.
+        """
+        return [[rng.randrange(q) for _ in range(length)] for q in moduli]
 
     def limbs_add(self, a, b, moduli):
         return [
@@ -1302,10 +1335,7 @@ class NumpyBackend(ArithmeticBackend):
     def _limbs_ok(self, moduli, matrix) -> bool:
         if matrix is None:
             return False
-        return (
-            all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
-            and matrix.size >= self.min_vector_length
-        )
+        return self._moduli_fit(moduli) and matrix.size >= self.min_vector_length
 
     @staticmethod
     def _row_shoup(scalars, moduli):
@@ -1337,6 +1367,11 @@ class NumpyBackend(ArithmeticBackend):
         )
 
     @staticmethod
+    def _moduli_fit(moduli) -> bool:
+        """Every modulus is within the vectorized word cap."""
+        return all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
+
+    @staticmethod
     def _moduli_u32(moduli) -> bool:
         return all(int(q).bit_length() <= 32 for q in moduli)
 
@@ -1351,7 +1386,7 @@ class NumpyBackend(ArithmeticBackend):
         return mont
 
     def pack_limbs(self, rows, moduli):
-        if any(int(q).bit_length() > NUMPY_MAX_MODULUS_BITS for q in moduli):
+        if not self._moduli_fit(moduli):
             return super().pack_limbs(rows, moduli)
         matrix = self._matrix(rows)
         if matrix is None:
@@ -1362,6 +1397,51 @@ class NumpyBackend(ArithmeticBackend):
         if moduli is not None and self.store_uint32 and self._moduli_u32(moduli):
             return _np.zeros((count, length), dtype=_np.uint32)
         return _np.zeros((count, length), dtype=_np.uint64)
+
+    def reduce_limbs(self, coefficients, moduli, length):
+        if len(coefficients) > length or not self._moduli_fit(moduli):
+            return super().reduce_limbs(coefficients, moduli, length)
+        column = _np.zeros(length, dtype=_np.int64)
+        try:
+            column[:len(coefficients)] = coefficients
+        except (OverflowError, TypeError, ValueError):
+            return super().reduce_limbs(coefficients, moduli, length)
+        # int64 ``%`` with a positive divisor is non-negative, like python's.
+        residues = column[None, :] % self._q_col(moduli).astype(_np.int64)
+        return self._finalize(residues.astype(_np.uint64), moduli)
+
+    def sample_uniform_limbs(self, rng, moduli, length):
+        # ``randrange(q)`` on a stock ``random.Random`` is: draw
+        # ``getrandbits(q.bit_length())`` until the value is below ``q``,
+        # and ``getrandbits(k)`` consumes ``ceil(k / 32)`` 32-bit generator
+        # words, least significant first, keeping the *top* bits of the
+        # last one.  Drawing exactly as many candidates as values are still
+        # missing can never run past the word the scalar loop would stop
+        # at, so the block draw below consumes the identical stream — the
+        # rejected share (< 1/2, far less for near-power-of-two primes) is
+        # simply re-drawn in ever smaller blocks.
+        if type(rng) is not random.Random or not self._moduli_fit(moduli):
+            return super().sample_uniform_limbs(rng, moduli, length)
+        out = _np.empty((len(moduli), length), dtype=_np.uint64)
+        for row, q in zip(out, moduli):
+            q = int(q)
+            bits = q.bit_length()
+            filled = 0
+            while filled < length:
+                count = length - filled
+                if bits <= 32:
+                    raw = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+                    values = _np.frombuffer(raw, dtype="<u4") >> (32 - bits)
+                else:
+                    raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+                    pairs = _np.frombuffer(raw, dtype="<u8")
+                    values = (pairs & _np.uint64(0xFFFFFFFF)) | (
+                        pairs >> _np.uint64(96 - bits) << _np.uint64(32)
+                    )
+                values = values[values < q]
+                row[filled:filled + values.size] = values
+                filled += values.size
+        return self._finalize(out, moduli)
 
     def limbs_add(self, a, b, moduli):
         x = self._matrix(a)

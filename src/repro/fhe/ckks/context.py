@@ -11,12 +11,12 @@ from typing import List, Sequence
 
 from ..backend import ArithmeticBackend, use_backend
 from ..params import CKKSParameters
-from ..polynomial import sample_gaussian, sample_ternary, sample_uniform
+from ..polynomial import sample_ternary
 from ..rns import RNSPolynomial
 from .ciphertext import CKKSCiphertext, CKKSPlaintext
 from .encoder import CKKSEncoder
 from .evaluator import CKKSEvaluator
-from .keys import CKKSKeyGenerator, CKKSKeySet
+from .keys import CKKSKeyGenerator, CKKSKeySet, sample_error
 
 __all__ = ["CKKSContext"]
 
@@ -59,11 +59,14 @@ class CKKSContext:
         pk_b = self.keys.public.b.keep_limbs(plaintext.level + 1)
         pk_a = self.keys.public.a.keep_limbs(plaintext.level + 1)
         v = sample_ternary(n, 3, self.rng)
-        v_rns = RNSPolynomial.from_integer_coefficients(n, basis, v.centered_coefficients())
-        e0 = self._error(basis)
-        e1 = self._error(basis)
-        c0 = pk_b * v_rns + e0 + plaintext.poly
-        c1 = pk_a * v_rns + e1
+        # One forward transform of v serves both products.
+        v_eval = RNSPolynomial.from_integer_coefficients(
+            n, basis, v.centered_coefficients()
+        ).to_eval()
+        e0 = sample_error(n, basis, self.rng, self.error_stddev)
+        e1 = sample_error(n, basis, self.rng, self.error_stddev)
+        c0 = (pk_b.to_eval() * v_eval).to_coeff() + e0 + plaintext.poly
+        c1 = (pk_a.to_eval() * v_eval).to_coeff() + e1
         return CKKSCiphertext(c0=c0, c1=c1, level=plaintext.level, scale=plaintext.scale)
 
     def encrypt_symmetric(self, plaintext: CKKSPlaintext) -> CKKSCiphertext:
@@ -73,19 +76,10 @@ class CKKSContext:
         basis = params.basis(plaintext.level)
         with use_backend(self.backend):
             s = self.keys.secret.as_rns(n, basis)
-            a_limbs = [sample_uniform(n, q, self.rng) for q in basis]
-            a = RNSPolynomial(n, basis, a_limbs)
-            e = self._error(basis)
+            a = RNSPolynomial.sample_uniform(n, basis, self.rng)
+            e = sample_error(n, basis, self.rng, self.error_stddev)
             c0 = -(a * s) + e + plaintext.poly
         return CKKSCiphertext(c0=c0, c1=a, level=plaintext.level, scale=plaintext.scale)
-
-    def _error(self, basis) -> RNSPolynomial:
-        n = self.params.ring_degree
-        coeffs = [
-            round(self.rng.gauss(0.0, self.error_stddev)) if self.error_stddev > 0 else 0
-            for _ in range(n)
-        ]
-        return RNSPolynomial.from_integer_coefficients(n, basis, coeffs)
 
     # -- decryption ------------------------------------------------------------
     def decrypt(self, ciphertext: CKKSCiphertext) -> CKKSPlaintext:

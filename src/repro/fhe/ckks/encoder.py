@@ -13,6 +13,7 @@ hardware model never calls it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence
 
 try:  # numpy is an optional extra; the encoder is the only hard consumer.
@@ -27,6 +28,31 @@ from ..rns import RNSPolynomial
 from .ciphertext import CKKSPlaintext
 
 __all__ = ["CKKSEncoder"]
+
+
+# The tables depend on the ring degree alone, and the (N/2) x N complex power
+# is the most expensive part of building a context, so every encoder of one
+# ring degree shares one read-only copy.  Bounded: a matrix is 8 * N^2 bytes
+# (32 MB at N = 2048).
+@lru_cache(maxsize=4)
+def _embedding_tables(ring_degree: int):
+    """``(rotation group, decode matrix)`` of one ring degree, both read-only."""
+    n = ring_degree // 2
+    # Rotation group: powers of 5 modulo 2N; one root per slot.
+    group = np.empty(n, dtype=np.int64)
+    value = 1
+    for j in range(n):
+        group[j] = value
+        value = (value * 5) % (2 * ring_degree)
+    # Evaluation points zeta_j and the n x N Vandermonde-style matrix
+    # A[j, k] = zeta_j^k used for decoding (and its conjugate for encoding).
+    angles = np.pi * group.astype(np.float64) / ring_degree
+    zetas = np.exp(1j * angles)
+    powers = np.arange(ring_degree, dtype=np.float64)
+    matrix = zetas[:, None] ** powers[None, :]
+    group.setflags(write=False)
+    matrix.setflags(write=False)
+    return group, matrix
 
 
 class CKKSEncoder:
@@ -46,21 +72,7 @@ class CKKSEncoder:
             )
         self.params = params
         self.backend = backend
-        n = params.slots
-        ring_degree = params.ring_degree
-        # Rotation group: powers of 5 modulo 2N; one root per slot.
-        group = np.empty(n, dtype=np.int64)
-        value = 1
-        for j in range(n):
-            group[j] = value
-            value = (value * 5) % (2 * ring_degree)
-        self._rotation_group = group
-        # Evaluation points zeta_j and the n x N Vandermonde-style matrix
-        # A[j, k] = zeta_j^k used for decoding (and its conjugate for encoding).
-        angles = np.pi * group.astype(np.float64) / ring_degree
-        zetas = np.exp(1j * angles)
-        powers = np.arange(ring_degree, dtype=np.float64)
-        self._eval_matrix = zetas[:, None] ** powers[None, :]
+        self._rotation_group, self._eval_matrix = _embedding_tables(params.ring_degree)
 
     # -- encoding ---------------------------------------------------------
     def encode(self, values: Sequence[complex], level: int | None = None,

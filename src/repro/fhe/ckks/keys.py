@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..modmath import mod_inverse
 from ..params import CKKSParameters
-from ..polynomial import Polynomial, sample_gaussian, sample_ternary, sample_uniform
+from ..polynomial import sample_ternary
 from ..rns import RNSBasis, RNSPolynomial
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "KeySwitchKey",
     "CKKSKeySet",
     "CKKSKeyGenerator",
+    "sample_error",
     "galois_element_for_rotation",
     "galois_element_for_conjugation",
 ]
@@ -43,6 +44,22 @@ def galois_element_for_conjugation(ring_degree: int) -> int:
     """The Galois element ``2N - 1`` (i.e. ``X -> X^-1``) implementing
     slot-wise complex conjugation."""
     return 2 * ring_degree - 1
+
+
+def sample_error(ring_degree: int, basis: RNSBasis, rng: random.Random,
+                 stddev: float) -> RNSPolynomial:
+    """Rounded-gaussian error polynomial over ``basis`` (zero when ``stddev <= 0``).
+
+    The gauss draw stays a scalar ``rng.gauss`` loop on every backend: a
+    vectorized ``log``/``cos``/``sin`` is not guaranteed bit-equal to
+    ``math.*``, and keys must not depend on the backend.  Only the residue
+    reduction is a backend dispatch.
+    """
+    if stddev > 0:
+        coefficients = [round(rng.gauss(0.0, stddev)) for _ in range(ring_degree)]
+    else:
+        coefficients = [0] * ring_degree
+    return RNSPolynomial.from_integer_coefficients(ring_degree, basis, coefficients)
 
 
 @dataclass
@@ -237,19 +254,10 @@ class CKKSKeyGenerator:
         basis = params.basis()
         n = params.ring_degree
         s = secret.as_rns(n, basis)
-        a_limbs = [sample_uniform(n, q, self.rng) for q in basis]
-        a = RNSPolynomial(n, basis, a_limbs)
-        error = self._sample_error(basis)
+        a = RNSPolynomial.sample_uniform(n, basis, self.rng)
+        error = sample_error(n, basis, self.rng, self.error_stddev)
         b = -(a * s) + error
         return CKKSPublicKey(b=b, a=a)
-
-    def _sample_error(self, basis: RNSBasis) -> RNSPolynomial:
-        n = self.params.ring_degree
-        error_coeffs = [
-            round(self.rng.gauss(0.0, self.error_stddev)) if self.error_stddev > 0 else 0
-            for _ in range(n)
-        ]
-        return RNSPolynomial.from_integer_coefficients(n, basis, error_coeffs)
 
     # -- hybrid keyswitch keys -----------------------------------------------
     def digit_slices(self, level: int) -> List[Tuple[int, int]]:
@@ -274,11 +282,12 @@ class CKKSKeyGenerator:
         params = self.params
         n = params.ring_degree
         moduli = list(params.moduli[: level + 1])
-        special = list(params.special_moduli)
-        extended = RNSBasis(moduli + special)
+        extended = params.extended_basis(level)
         q_level = math.prod(moduli)
-        p_product = math.prod(special)
-        secret_ext = key_set.secret.as_rns(n, extended)
+        p_product = math.prod(params.special_moduli)
+        # Reduced / transformed once per key; every digit reuses them.
+        secret_eval = key_set.secret.as_rns(n, extended).to_eval()
+        target = RNSPolynomial.from_integer_coefficients(n, extended, target_coefficients)
         digit_keys: List[Tuple[RNSPolynomial, RNSPolynomial]] = []
         for start, stop in self.digit_slices(level):
             digit_moduli = moduli[start:stop]
@@ -287,15 +296,9 @@ class CKKSKeyGenerator:
             factor = (p_product * q_hat * mod_inverse(q_hat % q_digit, q_digit)) % (
                 q_level * p_product
             )
-            a_limbs = [sample_uniform(n, q, self.rng) for q in extended]
-            a = RNSPolynomial(n, extended, a_limbs)
-            error = self._sample_error(extended)
-            payload_limbs = [
-                Polynomial(n, q, [(factor % q) * (c % q) % q for c in target_coefficients])
-                for q in extended
-            ]
-            payload = RNSPolynomial(n, extended, payload_limbs)
-            b = -(a * secret_ext) + error + payload
+            a = RNSPolynomial.sample_uniform(n, extended, self.rng)
+            error = sample_error(n, extended, self.rng, self.error_stddev)
+            b = -(a.to_eval() * secret_eval).to_coeff() + error + target * factor
             digit_keys.append((b, a))
         return KeySwitchKey(level=level, digit_keys=digit_keys)
 

@@ -360,10 +360,14 @@ class Polynomial:
 # -- random sampling -----------------------------------------------------------
 
 def sample_uniform(ring_degree: int, modulus: int, rng: random.Random) -> Polynomial:
-    """Uniformly random ring element (used for ciphertext masks and keys)."""
-    return Polynomial(
-        ring_degree, modulus, [rng.randrange(modulus) for _ in range(ring_degree)]
-    )
+    """Uniformly random ring element (used for ciphertext masks and keys).
+
+    The one-limb case of the backend sampler, so every backend consumes
+    ``rng`` exactly like ``rng.randrange(modulus)`` per coefficient.
+    """
+    backend = active_backend()
+    store = backend.sample_uniform_limbs(rng, (modulus,), ring_degree)
+    return Polynomial._from_reduced(ring_degree, modulus, backend.store_rows(store)[0])
 
 
 def sample_ternary(ring_degree: int, modulus: int, rng: random.Random, hamming_weight: int | None = None) -> Polynomial:
@@ -372,10 +376,10 @@ def sample_ternary(ring_degree: int, modulus: int, rng: random.Random, hamming_w
     When ``hamming_weight`` is given, exactly that many coefficients are
     non-zero (the sparse-ternary secrets used by CKKS bootstrapping papers).
     """
-    coeffs = [0] * ring_degree
     if hamming_weight is None:
         coeffs = [rng.choice((-1, 0, 1)) for _ in range(ring_degree)]
     else:
+        coeffs = [0] * ring_degree
         hamming_weight = min(hamming_weight, ring_degree)
         positions = rng.sample(range(ring_degree), hamming_weight)
         for pos in positions:

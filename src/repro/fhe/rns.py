@@ -289,18 +289,34 @@ class RNSPolynomial:
     def from_integer_coefficients(
         cls, ring_degree: int, basis: RNSBasis, coefficients: Sequence[int]
     ) -> "RNSPolynomial":
-        """Decompose big-integer coefficients into residue limbs."""
-        limbs = [
-            Polynomial(ring_degree, q, [int(c) % q for c in coefficients]) for q in basis
-        ]
-        return cls(ring_degree, basis, limbs)
+        """Decompose big-integer coefficients into residue limbs.
+
+        One ``reduce_limbs`` dispatch; short inputs are zero-padded and
+        over-long ones raise ``ValueError``.
+        """
+        store = active_backend().reduce_limbs(
+            coefficients, tuple(basis.moduli), ring_degree
+        )
+        return cls._from_store(ring_degree, basis, store)
+
+    @classmethod
+    def sample_uniform(cls, ring_degree: int, basis: RNSBasis, rng) -> "RNSPolynomial":
+        """Uniformly random element of R_Q (ciphertext masks, key ``a`` parts).
+
+        Consumes ``rng`` exactly like ``rng.randrange(q)`` per coefficient,
+        limb after limb, on every backend.
+        """
+        store = active_backend().sample_uniform_limbs(
+            rng, tuple(basis.moduli), ring_degree
+        )
+        return cls._from_store(ring_degree, basis, store)
 
     @classmethod
     def from_polynomial(cls, poly: Polynomial, basis: RNSBasis) -> "RNSPolynomial":
         """Lift a single-modulus polynomial into an RNS basis (centred lift)."""
-        centred = poly.centered_coefficients()
-        limbs = [Polynomial(poly.ring_degree, q, [c % q for c in centred]) for q in basis]
-        return cls(poly.ring_degree, basis, limbs)
+        return cls.from_integer_coefficients(
+            poly.ring_degree, basis, poly.centered_coefficients()
+        )
 
     def to_integer_coefficients(self) -> List[int]:
         """CRT-reconstruct the big-integer coefficients in ``[0, Q)``.
@@ -521,10 +537,9 @@ def exact_basis_conversion(
     # Centre the value in (-Q/2, Q/2] before reducing into the new basis so
     # that negative values survive the conversion.
     centred = [c - source_product if c > source_product // 2 else c for c in coeffs]
-    limbs = [
-        Polynomial(poly.ring_degree, q, [c % q for c in centred]) for q in target_basis
-    ]
-    return RNSPolynomial(poly.ring_degree, target_basis, limbs)
+    return RNSPolynomial.from_integer_coefficients(
+        poly.ring_degree, target_basis, centred
+    )
 
 
 def fast_basis_conversion(

@@ -13,9 +13,17 @@ at 0 so the vectorized code paths are exercised even at tiny ring degrees
 fallback and the comparison would be vacuous).
 """
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+try:
+    import numpy as np
+except ImportError:  # the whole module is skipped below
+    np = None
 
 from repro.fhe import modmath
 from repro.fhe.backend import (
@@ -27,9 +35,11 @@ from repro.fhe.backend import (
     use_backend,
 )
 from repro.fhe.ckks.context import CKKSContext
+from repro.fhe.ckks.encoder import CKKSEncoder
+from repro.fhe.ckks.keys import galois_element_for_rotation
 from repro.fhe.ntt import NTTContext, four_step_intt, four_step_ntt
 from repro.fhe.params import CKKSParameters, TFHEParameters
-from repro.fhe.polynomial import Polynomial
+from repro.fhe.polynomial import Polynomial, sample_uniform
 from repro.fhe.rns import RNSBasis, RNSPolynomial, exact_basis_conversion, fast_basis_conversion
 from repro.fhe.tfhe.pbs import TFHEContext
 
@@ -221,6 +231,191 @@ class TestRNSParity:
         with use_backend(NUMPY):
             actual = (a + b, a - b, -a, a * b, a.scalar_multiply(12345))
         assert actual == expected
+
+
+def _sampler_moduli_sets():
+    """Every modulus tuple the parameter sets sample under, plus edge cases."""
+    sets = []
+    for params in (CKKSParameters.toy(), CKKSParameters.small(ring_degree=256)):
+        sets.append(tuple(params.moduli) + tuple(params.special_moduli))
+    for params in (TFHEParameters.toy(), TFHEParameters.small()):
+        sets.append((params.modulus,))
+    # One- and two-word draws, the worst acceptance rate (a power of two
+    # rejects half the candidates), and the word cap.
+    sets += [(2,), (3,), (1 << 32,), (modmath.find_ntt_prime(36, 64),),
+             (modmath.find_ntt_prime(62, 64),)]
+    return sets
+
+
+class _SubclassedRandom(random.Random):
+    """A subclass may override the primitives, so it must take the golden loop."""
+
+
+class TestSamplerParity:
+    """``sample_uniform_limbs``: same values *and* same generator state."""
+
+    @pytest.mark.parametrize("length", [1, 7, 256])
+    @pytest.mark.parametrize("moduli", _sampler_moduli_sets(),
+                             ids=lambda m: f"{len(m)}x{max(m).bit_length()}b")
+    def test_values_and_stream_match_golden(self, moduli, length):
+        fast_rng, golden_rng = random.Random(length), random.Random(length)
+        actual = NUMPY.sample_uniform_limbs(fast_rng, moduli, length)
+        expected = PYTHON.sample_uniform_limbs(golden_rng, moduli, length)
+        assert isinstance(actual, np.ndarray)       # not the silent fallback
+        assert actual.tolist() == expected
+        assert fast_rng.getstate() == golden_rng.getstate()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), q=st.integers(2, 2**62 - 1),
+           length=st.integers(0, 48))
+    def test_any_seed_modulus_length(self, seed, q, length):
+        fast_rng, golden_rng = random.Random(seed), random.Random(seed)
+        actual = NUMPY.sample_uniform_limbs(fast_rng, (q, q), length)
+        assert actual.tolist() == PYTHON.sample_uniform_limbs(golden_rng, (q, q), length)
+        assert fast_rng.getstate() == golden_rng.getstate()
+
+    @pytest.mark.parametrize("rng_type,q", [
+        (_SubclassedRandom, 97),
+        (random.Random, (1 << 62) + 57),            # 63 bits: above the word cap
+    ])
+    def test_fallback_is_the_golden_loop(self, rng_type, q):
+        fast_rng, golden_rng = rng_type(5), rng_type(5)
+        actual = NUMPY.sample_uniform_limbs(fast_rng, (q,), 33)
+        assert actual == PYTHON.sample_uniform_limbs(golden_rng, (q,), 33)
+        assert fast_rng.getstate() == golden_rng.getstate()
+
+    def test_polynomial_sampler_shares_the_kernel(self):
+        q = TFHEParameters.small().modulus
+        golden_rng = random.Random(8)
+        expected = Polynomial(64, q, [golden_rng.randrange(q) for _ in range(64)])
+        for backend in (PYTHON, NUMPY):
+            with use_backend(backend):
+                assert sample_uniform(64, q, random.Random(8)) == expected
+
+
+class TestReduceLimbsParity:
+    MODULI = (97, modmath.find_ntt_prime(30, 64), modmath.find_ntt_prime(61, 128))
+
+    def _both(self, coefficients, length=16):
+        actual = NUMPY.reduce_limbs(coefficients, self.MODULI, length)
+        expected = PYTHON.reduce_limbs(coefficients, self.MODULI, length)
+        assert NUMPY.store_rows(actual) == expected
+        return actual, expected
+
+    def test_negative_and_unreduced_inputs(self):
+        rng = random.Random(21)
+        coefficients = [rng.randrange(-(1 << 63), 1 << 63) for _ in range(14)]
+        coefficients += [-(1 << 63), (1 << 63) - 1]
+        actual, expected = self._both(coefficients)
+        assert isinstance(actual, np.ndarray)
+        assert expected[0][:3] == [c % 97 for c in coefficients[:3]]
+
+    def test_short_input_is_zero_padded(self):
+        actual, expected = self._both([-1, 2, -3])
+        assert isinstance(actual, np.ndarray)
+        assert [row[3:] for row in expected] == [[0] * 13] * 3
+        self._both(())
+
+    def test_beyond_int64_falls_back_exactly(self):
+        actual, _ = self._both([1 << 63, -(1 << 63) - 1, 3**80, -(5**60)])
+        assert isinstance(actual, list)
+
+    def test_over_long_input_raises(self):
+        for backend in (NUMPY, PYTHON):
+            with pytest.raises(ValueError, match="too many coefficients"):
+                backend.reduce_limbs([1] * 17, self.MODULI, 16)
+        with pytest.raises(ValueError, match="too many coefficients"):
+            RNSPolynomial.from_integer_coefficients(4, RNSBasis([97, 193]), [1] * 5)
+
+
+def _key_material_digest(params, backend):
+    """sha256 over the coefficient rows of everything ``seed=11`` generates.
+
+    Plaintexts are exact integer coefficients, so nothing float-derived
+    (and therefore nothing BLAS- or libm-dependent) enters a pinned value.
+    """
+    with use_backend(backend):
+        ctx = CKKSContext(params, seed=11, backend=backend)
+        element = galois_element_for_rotation(params.ring_degree, 1)
+        galois = ctx.keys.galois_key(element, params.max_level)
+        relin = ctx.keys.relinearization_key(1)
+        fresh = ctx.encrypt(ctx.encoder.encode_coefficients(list(range(-8, 9))))
+        symmetric = ctx.encrypt_symmetric(
+            ctx.encoder.encode_coefficients([3, -1, 4, -1, 5], level=1))
+        polys = [ctx.keys.public.b, ctx.keys.public.a]
+        for key in (galois, relin):
+            for b, a in key.digit_keys:
+                polys += [b, a]
+        polys += [fresh.c0, fresh.c1, symmetric.c0, symmetric.c1]
+        digest = hashlib.sha256()
+        for poly in polys:
+            digest.update(repr(poly.coefficient_rows()).encode())
+    return digest.hexdigest()
+
+
+class TestKeyMaterialPinned:
+    """Keys and fresh ciphertexts did not change — as a test, not a claim.
+
+    The digests were recorded at the commit *before* key generation and
+    encryption moved onto ``sample_uniform_limbs``/``reduce_limbs`` (scalar
+    ``randrange`` loops, per-limb comprehensions, ``limbs_convolution`` per
+    digit), where both backends already agreed.
+    """
+
+    PINNED = {
+        "small-40bit": (
+            CKKSParameters.small(ring_degree=256, max_level=3),
+            "b94931408241816a54031b6497a7ba0ad313db25df0eacc2244b613f4715686d",
+        ),
+        "word-30bit": (
+            CKKSParameters(ring_degree=256, max_level=4, dnum=2, scale_bits=26,
+                           modulus_bits=30, special_modulus_bits=32,
+                           security_bits=0),
+            "2c3344b237b0c8bef67f782b452f8febdbbe83fe1cbc7b923a8d8dae5da44a7a",
+        ),
+    }
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_matches_parent_commit(self, name, backend):
+        params, expected = self.PINNED[name]
+        assert _key_material_digest(params, backend) == expected
+
+
+class TestSharedEncoderTables:
+    def test_one_read_only_matrix_per_ring_degree(self):
+        params = CKKSParameters.toy(ring_degree=64)
+        first = CKKSEncoder(params)
+        second = CKKSEncoder(CKKSParameters.small(ring_degree=64, max_level=2))
+        assert first._eval_matrix is second._eval_matrix
+        assert first._rotation_group is second._rotation_group
+        assert not first._eval_matrix.flags.writeable
+        assert not first._rotation_group.flags.writeable
+        with pytest.raises(ValueError):
+            first._eval_matrix[0, 0] = 0
+        assert CKKSEncoder(CKKSParameters.toy(ring_degree=128))._eval_matrix.shape == (64, 128)
+
+    def test_encode_decode_unchanged(self):
+        """Against the per-context formula the shared table replaced."""
+        params = CKKSParameters.toy(ring_degree=64)
+        n, degree = params.slots, params.ring_degree
+        group = np.array([pow(5, j, 2 * degree) for j in range(n)], dtype=np.float64)
+        reference = np.exp(1j * (np.pi * group / degree))[:, None] ** \
+            np.arange(degree, dtype=np.float64)[None, :]
+        encoder = CKKSEncoder(params)
+        assert np.array_equal(encoder._eval_matrix, reference)
+
+        values = [1.5 - 0.5j, -2.0, 0.25j, 3.0]
+        vector = np.zeros(n, dtype=np.complex128)
+        vector[: len(values)] = values
+        coefficients = (2.0 / degree) * np.real(np.conj(reference).T @ vector)
+        integers = [int(c) for c in np.rint(coefficients * params.scale).astype(object)]
+        plaintext = encoder.encode(values)
+        assert plaintext.poly.coefficient_rows() == [
+            [c % q for c in integers] for q in params.basis()
+        ]
+        slots = reference @ np.array(integers, dtype=np.float64) / plaintext.scale
+        assert encoder.decode(plaintext, num_values=4) == [complex(v) for v in slots[:4]]
 
 
 class TestEndToEndParity:
