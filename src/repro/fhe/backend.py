@@ -203,6 +203,14 @@ class ArithmeticBackend:
     # bit-exact output: every override must also leave the generator in the
     # state the golden ``randrange`` loop leaves it in, so keys and
     # ciphertexts are identical across backends for one seed.
+    #
+    # The family is not CKKS-only: nothing requires the row moduli to
+    # differ.  A TFHE PBS wave is the same store with ``moduli = (q,) *
+    # rows`` — ``limbs_add`` / ``limbs_sub`` / ``limbs_signed_permute``
+    # serve it unchanged, and the wave-specific kernels (per-block monomial
+    # rotation, row-wise gadget decomposition, the external-product MAC,
+    # store-preserving same-modulus NTT batches, ``mat_mulmod``) live in the
+    # "same-modulus row stores" section below.
 
     @staticmethod
     def store_rows(store) -> List[List[int]]:
@@ -519,14 +527,92 @@ class ArithmeticBackend:
         src = spec.src
         return [[row[j] for j in src] for row in self.store_rows(store)]
 
-    # -- same-modulus row batches (TFHE external product) ------------------
+    # -- same-modulus row stores (TFHE blind rotation) ---------------------
+    #
+    # A PBS wave is one ``(M * (k + 1), N)`` store whose rows all share the
+    # TFHE modulus (``moduli = (q,) * rows``), member-major: rows
+    # ``[m * (k + 1), (m + 1) * (k + 1))`` are member ``m``'s GLWE
+    # components.  The kernels below, with ``limbs_add`` / ``limbs_sub``,
+    # are one CMux step on the whole wave; every one of them maps a store
+    # to a store, so the accumulator never becomes Python lists between
+    # the initial rotation and SampleExtract.
+
     def ntt_forward_batch(self, context, rows):
-        """Independent forward NTTs of several rows under one modulus."""
+        """Independent forward NTTs of several rows under one modulus.
+
+        Store-preserving: a store comes back as a store, a list of rows as
+        a list of rows.
+        """
         return [self.ntt_forward(context, row) for row in rows]
 
     def ntt_inverse_batch(self, context, rows):
         """Independent inverse NTTs of several rows under one modulus."""
         return [self.ntt_inverse(context, row) for row in rows]
+
+    def rows_monomial_multiply(self, store, q: int, degrees, group: int):
+        """Multiply row block ``g`` of ``store`` by ``X^degrees[g]`` (negacyclic).
+
+        The many-degree sibling of :meth:`limbs_signed_permute`: rows
+        ``[g * group, (g + 1) * group)`` all rotate by ``degrees[g]`` (any
+        integer, taken modulo ``2N``) — one blind-rotation step rotates
+        every wave member by its own ``a_i``.
+        """
+        rows = self.store_rows(store)
+        if len(rows) != len(degrees) * group:
+            raise ValueError(
+                f"{len(rows)} rows do not split into {len(degrees)} "
+                f"blocks of {group}"
+            )
+        out = []
+        for index, row in enumerate(rows):
+            n = len(row)
+            shift = int(degrees[index // group]) % (2 * n)
+            split = n - shift % n
+            # row[split:] wraps past X^N and picks up a sign; a shift of N or
+            # more is a further factor X^N = -1, which flips the other part.
+            flipped, kept = row[split:], row[:split]
+            if shift >= n:
+                out.append(flipped + [(q - v) % q for v in kept])
+            else:
+                out.append([(q - v) % q for v in flipped] + kept)
+        return out
+
+    def gadget_decompose_rows(self, store, q: int, factors):
+        """Signed gadget decomposition of every row: ``R`` rows in,
+        ``R * len(factors)`` rows out (row ``r``'s digits, most significant
+        first, at ``[r * levels, (r + 1) * levels)``) — exactly the stacked
+        :meth:`gadget_decompose` of each row.
+        """
+        out = []
+        for row in self.store_rows(store):
+            out.extend(self.gadget_decompose(row, q, factors))
+        return out
+
+    def external_product_mac(self, fwd, key_rows, members: int, q: int):
+        """Evaluation-domain MAC of a whole wave against one GGSW key slice.
+
+        ``fwd`` holds the ``members * R`` transformed digit rows
+        (member-major) and ``key_rows`` the ``R * (k + 1)`` transformed key
+        rows of one GGSW ciphertext (row ``r * (k + 1) + c`` is component
+        ``c`` of GLWE row ``r``).  Returns the ``members * (k + 1)`` rows
+        ``out[m, c] = sum_r fwd[m, r] * key[r, c] mod q`` — per member, the
+        :meth:`pointwise_mac_many` of the external product.
+        """
+        digits = self.store_rows(fwd)
+        key = self.store_rows(key_rows)
+        per_member = len(digits) // members
+        width = len(key) // per_member
+        if per_member * members != len(digits) or width * per_member != len(key):
+            raise ValueError("external_product_mac: row counts do not match")
+        groups = [
+            [key[r * width + c] for r in range(per_member)] for c in range(width)
+        ]
+        out = []
+        for m in range(members):
+            out.extend(self.pointwise_mac_many(
+                digits[m * per_member:(m + 1) * per_member], groups, q
+            ))
+        return out
 
     def pointwise_mac(self, rows_a, rows_b, q: int) -> List[int]:
         """``sum_i rows_a[i] * rows_b[i] mod q`` element-wise (NTT-domain MAC)."""
@@ -550,17 +636,35 @@ class ArithmeticBackend:
         """
         return [self.pointwise_mac(rows_a, group, q) for group in groups]
 
-    def mat_mulmod(self, rows, matrix, q: int) -> List[List[int]]:
-        """Exact ``rows @ matrix mod q`` over python-int row lists.
+    def mat_mulmod(self, rows, matrix, q: int):
+        """Exact ``rows @ matrix mod q``; a store in gives a store out.
 
         The batched-keyswitch shape: ``rows`` holds one weight vector per
-        PBS-wave member (its negated gadget digits) and ``matrix`` the
-        flattened key-switching rows they all share.  The base
-        implementation reduces each output row to one :meth:`weighted_sum`
-        over the non-zero weights, so it is the bit-exact golden reference
-        for vectorized overrides.
+        PBS-wave member (its gadget digits) and ``matrix`` the flattened
+        key-switching rows they all share — either may be a store, so a
+        cached key matrix is converted once, not per call.  Rows narrower
+        than ``matrix`` is tall concatenate, consecutive rows forming one
+        weight vector: the ``(M * levels, W)`` output of
+        :meth:`gadget_decompose_rows` multiplies a ``(levels * W, C)`` key
+        as it stands.  The base implementation reduces each output row to
+        one :meth:`weighted_sum` over the non-zero weights, so it is the
+        bit-exact golden reference for vectorized overrides.
         """
+        matrix = self.store_rows(matrix)
+        rows = self.store_rows(rows)
+        inner = len(matrix)
         width = len(matrix[0]) if matrix else 0
+        if inner and rows and len(rows[0]) != inner:
+            span, rest = divmod(inner, len(rows[0]))
+            if rest or len(rows) % span:
+                raise ValueError(
+                    f"{len(rows)} rows of {len(rows[0])} do not concatenate "
+                    f"to weight vectors of {inner}"
+                )
+            rows = [
+                [w for part in rows[r:r + span] for w in part]
+                for r in range(0, len(rows), span)
+            ]
         out: List[List[int]] = []
         for row in rows:
             live = [(w % q, m) for w, m in zip(row, matrix) if w % q]
@@ -1268,38 +1372,36 @@ class NumpyBackend(ArithmeticBackend):
         # Split the right operand into ``width``-bit limbs so every integer
         # matmul stays exact in uint64: each partial product is below
         # ``q * 2^width``, and the guard checks the inner-dimension sum
-        # cannot wrap.  The per-limb partials are small (members x columns),
-        # so recombining them with python ints costs nothing.
+        # cannot wrap.  The partials recombine most significant limb first
+        # (Horner): ``acc * 2^width + partial < q * 2^width + q`` stays
+        # under the same guard.
         inner = len(matrix)
         width = 16 if q <= (1 << 31) else 8
         if (
-            not rows or not matrix
+            not len(rows) or not inner
             or q.bit_length() + width + (inner - 1).bit_length() > 64
         ):
             return super().mat_mulmod(rows, matrix, q)
-        try:
-            lhs = _np.array(rows, dtype=_np.uint64)
-            rhs = _np.array(matrix, dtype=_np.uint64)
-        except (OverflowError, TypeError, ValueError):
+        lhs = self._matrix(rows)
+        rhs = self._matrix(matrix)
+        if lhs is None or rhs is None or lhs.size % inner:
             return super().mat_mulmod(rows, matrix, q)
         q_u = _np.uint64(q)
-        lhs %= q_u
-        rhs %= q_u
+        # Stores hold reduced rows by contract; plain lists may not.
+        if not isinstance(rows, _np.ndarray):
+            lhs %= q_u
+        if not isinstance(matrix, _np.ndarray):
+            rhs %= q_u
+        lhs = lhs.reshape(-1, inner)
         mask = _np.uint64((1 << width) - 1)
-        partials = []
-        for _ in range(-(-q.bit_length() // width)):
-            partials.append(((lhs @ (rhs & mask)) % q_u).tolist())
-            rhs = rhs >> _np.uint64(width)
-        out: List[List[int]] = []
-        for r in range(len(partials[0])):
-            out.append([
-                sum(
-                    partial[r][c] << (limb * width)
-                    for limb, partial in enumerate(partials)
-                ) % q
-                for c in range(len(partials[0][r]))
-            ])
-        return out
+        shift = _np.uint64(width)
+        acc = None
+        for limb in reversed(range(-(-q.bit_length() // width))):
+            partial = (lhs @ ((rhs >> _np.uint64(limb * width)) & mask)) % q_u
+            acc = partial if acc is None else ((acc << shift) + partial) % q_u
+        if isinstance(rows, _np.ndarray):
+            return self._finalize(acc, (q,))
+        return acc.tolist()
 
     # -- packed limb-major (RNS) overrides ---------------------------------
     def _matrix(self, store):
@@ -1905,6 +2007,28 @@ class NumpyBackend(ArithmeticBackend):
             acc = _np.minimum(acc, acc - q_u)
         return acc.tolist()
 
+    @staticmethod
+    def _decompose_digits(values, modulus, factors) -> list:
+        """One digit array per factor for reduced int64 ``values`` (any shape).
+
+        The greedy residual walk of the golden :meth:`gadget_decompose`,
+        vectorized; digits come out reduced into ``[0, modulus)``.
+        """
+        q64 = _np.int64(modulus)
+        # Centring into (-q/2, q/2], matching modmath.centered exactly.
+        residual = _np.where(values > _np.int64(modulus // 2), values - q64, values)
+        digits = []
+        for factor in factors:
+            if factor == 0:
+                digits.append(_np.zeros_like(values))
+                continue
+            f = _np.int64(factor)
+            digit = (2 * residual + f) // (2 * f)
+            residual = residual - digit * f
+            # |digit| <= q/2 + 1, so one conditional add is the exact ``% q``.
+            digits.append(_np.where(digit < 0, digit + q64, digit))
+        return digits
+
     def gadget_decompose(self, coefficients, modulus, factors):
         if (
             modulus.bit_length() > NUMPY_MAX_MODULUS_BITS
@@ -1915,21 +2039,8 @@ class NumpyBackend(ArithmeticBackend):
             arr = _np.array(coefficients, dtype=_np.int64)
         except (OverflowError, TypeError, ValueError):
             return super().gadget_decompose(coefficients, modulus, factors)
-        q64 = _np.int64(modulus)
-        arr = arr % q64
-        # Centring into (-q/2, q/2], matching modmath.centered exactly.
-        threshold = _np.int64(modulus // 2)
-        residual = _np.where(arr > threshold, arr - q64, arr)
-        rows = []
-        for factor in factors:
-            if factor == 0:
-                rows.append([0] * len(coefficients))
-                continue
-            f = _np.int64(factor)
-            digit = (2 * residual + f) // (2 * f)
-            residual = residual - digit * f
-            rows.append((digit % q64).tolist())
-        return rows
+        digits = self._decompose_digits(arr % _np.int64(modulus), modulus, factors)
+        return [digit.tolist() for digit in digits]
 
     # -- NTT ---------------------------------------------------------------
     def _tables(self, context) -> "_NumpyNTTTables":
@@ -2001,34 +2112,99 @@ class NumpyBackend(ArithmeticBackend):
         y = self._inverse_stages(n, prod, tables)
         return self._exit_scale(y, tables).tolist()
 
+    def _batch_rows(self, rows, q):
+        """A fresh ``(B, n)`` uint64 array the in-place stage loops may own."""
+        if isinstance(rows, _np.ndarray):
+            return rows.astype(_np.uint64)          # always copies
+        return _np.stack([self._to_array(row, q) for row in rows])
+
+    def _batch_result(self, x, rows, q):
+        """Store in -> store out, lists in -> lists out."""
+        if isinstance(rows, _np.ndarray):
+            return self._finalize(x, (q,))
+        return x.tolist()
+
     def ntt_forward_batch(self, context, rows):
-        if not rows:
+        if not len(rows):
             return []
         if not self._ntt_ok(context):
             return super().ntt_forward_batch(context, rows)
         tables = self._tables(context)
         n = context.ring_degree
         q = context.modulus
-        x = _np.stack([self._to_array(row, q) for row in rows])
+        x = self._batch_rows(rows, q)
         if tables.use32:
-            return self._forward_stages_u32(n, x, tables).tolist()
-        x = self._forward_stages(n, x, tables)
-        return self._reduce_4q(x, tables).tolist()
+            x = self._forward_stages_u32(n, x, tables)
+        else:
+            x = self._reduce_4q(self._forward_stages(n, x, tables), tables)
+        return self._batch_result(x, rows, q)
 
     def ntt_inverse_batch(self, context, rows):
-        if not rows:
+        if not len(rows):
             return []
         if not self._ntt_ok(context):
             return super().ntt_inverse_batch(context, rows)
         tables = self._tables(context)
         n = context.ring_degree
         q = context.modulus
-        x = _np.stack([self._to_array(row, q) for row in rows])
+        x = self._batch_rows(rows, q)
         if tables.use32:
             x = self._inverse_stages_u32(n, x, tables)
-            return _shoup32_mul(x, tables.n_inv_w, tables.n_inv_s32, tables.q_u).tolist()
-        x = self._inverse_stages(n, x, tables)
-        return self._exit_scale(x, tables).tolist()
+            x = _shoup32_mul(x, tables.n_inv_w, tables.n_inv_s32, tables.q_u)
+        else:
+            x = self._exit_scale(self._inverse_stages(n, x, tables), tables)
+        return self._batch_result(x, rows, q)
+
+    def rows_monomial_multiply(self, store, q, degrees, group):
+        x = self._matrix(store)
+        if not self._limbs_ok((q,), x) or len(x) != len(degrees) * group:
+            return super().rows_monomial_multiply(store, q, degrees, group)
+        n = x.shape[1]
+        shifts = _np.array([int(d) % (2 * n) for d in degrees], dtype=_np.int64)
+        # out[j] = +-in[(j - shift) mod 2N]: sources in [N, 2N) are the
+        # coefficients that wrapped past X^N and changed sign.
+        src = (_np.arange(n, dtype=_np.int64)[None, :] - shifts[:, None]) % (2 * n)
+        wrapped = (src >= n)[:, None, :]
+        src = (src % n)[:, None, :]
+        picked = _np.take_along_axis(x.reshape(len(degrees), group, n), src, axis=2)
+        q_u = _np.uint64(q)
+        flipped = _np.where(picked == _np.uint64(0), picked, q_u - picked)
+        out = _np.where(wrapped, flipped, picked).reshape(x.shape)
+        return self._finalize(out, (q,))
+
+    def gadget_decompose_rows(self, store, q, factors):
+        x = self._matrix(store)
+        if not self._limbs_ok((q,), x):
+            return super().gadget_decompose_rows(store, q, factors)
+        digits = self._decompose_digits(x.astype(_np.int64), q, factors)
+        # Stack level-innermost: row r's digits at [r * levels, (r + 1) * levels).
+        out = _np.stack(digits, axis=1).reshape(-1, x.shape[1])
+        return self._finalize(out.astype(_np.uint64), (q,))
+
+    def external_product_mac(self, fwd, key_rows, members, q):
+        x = self._matrix(fwd)
+        y = self._matrix(key_rows)
+        if (
+            x is None or y is None or not self._mul_ok(q)
+            or x.size < self.min_vector_length
+            or len(x) % members or len(y) % (len(x) // members)
+        ):
+            return super().external_product_mac(fwd, key_rows, members, q)
+        n = x.shape[1]
+        per_member = len(x) // members
+        x = x.reshape(members, per_member, 1, n)
+        y = y.reshape(1, per_member, -1, n)
+        q_u = _np.uint64(q)
+        if self._direct_ok(q):
+            # Reduced terms are < 2^32, so the R-term sum cannot wrap.
+            acc = ((x * y) % q_u).sum(axis=1) % q_u
+        else:
+            terms = self._mont(q).mulmod(x, y)
+            acc = terms[:, 0]
+            for idx in range(1, per_member):
+                acc = acc + terms[:, idx]
+                acc = _np.minimum(acc, acc - q_u)
+        return self._finalize(acc.reshape(-1, n), (q,))
 
     def pointwise_mac(self, rows_a, rows_b, q):
         if len(rows_a) != len(rows_b):
@@ -2460,6 +2636,9 @@ class PerLimbNumpyBackend(NumpyBackend):
     replicate_row = ArithmeticBackend.replicate_row
     ntt_forward_batch = ArithmeticBackend.ntt_forward_batch
     ntt_inverse_batch = ArithmeticBackend.ntt_inverse_batch
+    rows_monomial_multiply = ArithmeticBackend.rows_monomial_multiply
+    gadget_decompose_rows = ArithmeticBackend.gadget_decompose_rows
+    external_product_mac = ArithmeticBackend.external_product_mac
     pointwise_mac = ArithmeticBackend.pointwise_mac
     pointwise_mac_many = ArithmeticBackend.pointwise_mac_many
     signed_permute = ArithmeticBackend.signed_permute

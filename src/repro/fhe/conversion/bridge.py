@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 from ..params import CKKSParameters
 from ..tfhe.ggsw import gadget_factors
-from ..tfhe.lwe import LWECiphertext
+from ..tfhe.lwe import LWECiphertext, sample_mask
 from ..tfhe.pbs import KeySwitchingKey, TFHEContext, lwe_keyswitch, modulus_switch
 
 __all__ = ["SchemeBridge", "exact_gadget"]
@@ -95,7 +95,7 @@ class SchemeBridge:
         for bit in self.tfhe.lwe.secret.coefficients:
             row = []
             for factor in factors:
-                a = [self.rng.randrange(q) for _ in key]
+                a = sample_mask(self.rng, q, len(key))
                 e = round(self.rng.gauss(0.0, noise)) if noise > 0 else 0
                 b = (sum(x * s for x, s in zip(a, key)) + bit * factor + e) % q
                 row.append(LWECiphertext(a=a, b=b, modulus=q))

@@ -649,10 +649,10 @@ def _schedule_pbs_waves(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
     (extract, switch, bootstrap per slot) therefore still batch: the sort
     pulls the independent bootstraps together.
 
-    Members of a group run as *one* batched blind rotation: per CMux
-    iteration the gadget decompositions of every member are concatenated
-    into a single ``ntt_forward_batch``/``ntt_inverse_batch`` pair against
-    the shared bootstrapping-key row (``repro.fhe.tfhe.batched``).  ``pbs``
+    Members of a group run as *one* array-resident blind rotation: the
+    wave's accumulators are a single backend store, and each CMux iteration
+    is a fixed handful of whole-wave dispatches against the shared
+    evaluation-domain bootstrapping key (``repro.fhe.tfhe.batched``).  ``pbs``
     and ``gate_bootstrap`` nodes mix freely in one group (they differ only
     in their test vectors).
 

@@ -1,32 +1,33 @@
-"""Batched programmable bootstrapping: many PBS sharing each NTT dispatch.
+"""Batched programmable bootstrapping: a wave of PBS in one backend store.
 
 The planner groups independent ``pbs``/``gate_bootstrap`` nodes into one
 dispatch (``attrs["pbs_group"]``); this module is the execution side.  All
-members share the bootstrapping key, so blind rotation iterates the key rows
-*once* and, at each CMux, concatenates every member's gadget-decomposed
-digit rows into a single ``ntt_forward_batch`` / ``ntt_inverse_batch`` pair
-instead of one pair per member — the same stacking the conversion planner
-applies to domain conversions, and the batching the paper's hardware gets
-for free from its wide NTT units.
+members share the bootstrapping key, so the wave's ``M * (k + 1)``
+accumulator rows ride :func:`~repro.fhe.tfhe.pbs.blind_rotate_wave` as a
+single store — every CMux iteration is a fixed handful of whole-wave kernel
+dispatches — and the tail stays in the backend too: SampleExtract at index 0
+is one signed permutation of the mask rows, and the keyswitch decomposes
+that store and multiplies it against the cached flattened key in one
+``digits @ ksk`` product (:func:`batched_lwe_keyswitch` is the same product
+for ciphertexts that arrive as lists, e.g. at the scheme bridge).
+``LWECiphertext`` objects are built once, from the final sums.
 
 The result is bit-identical to running :meth:`TFHEContext.programmable_bootstrap`
-per ciphertext: decomposition, MAC reduction, and the inverse transform are
-exact integer operations applied row-wise, and members whose ``a_i`` is zero
-at an iteration are skipped exactly like the sequential loop skips them.
+per ciphertext: decomposition, MAC reduction, the transforms and the
+keyswitch sum are exact integer operations applied row-wise.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence
 
-from ..backend import active_backend, use_backend
-from ..polynomial import Polynomial, _ntt_context
-from .ggsw import GGSWCiphertext, _ggsw_eval_rows, cmux, gadget_factors
+from ..backend import ArithmeticBackend, PermSpec, active_backend, use_backend
+from ..polynomial import Polynomial
+from .ggsw import gadget_factors
 from .glwe import GLWECiphertext
 from .lwe import LWECiphertext
-from .pbs import (
-    KeySwitchingKey, TFHEContext, modulus_switch, sample_extract,
-)
+from .pbs import KeySwitchingKey, TFHEContext, blind_rotate_wave, modulus_switch
 
 __all__ = [
     "sign_test_vector",
@@ -59,62 +60,41 @@ def gate_bootstrap(context: TFHEContext, ciphertext: LWECiphertext,
     return out.add_constant(amplitude)
 
 
-def _batched_external_products(
-    ggsw: GGSWCiphertext, glwes: Sequence[GLWECiphertext], context, backend,
-) -> List[GLWECiphertext]:
-    """External products of one GGSW against many GLWEs, stacked per dispatch.
+@lru_cache(maxsize=None)
+def _extract_spec(ring_degree: int) -> PermSpec:
+    """SampleExtract at index 0 as a signed permutation of one mask row.
 
-    Mirrors :func:`~repro.fhe.tfhe.ggsw.external_product` exactly, but the
-    forward and inverse NTT batches carry every member's rows at once (the
-    MAC reduction stays per-member: each pairs its own digit transforms with
-    the shared cached key-row transforms).
+    ``a[0] = A[0]`` and ``a[j] = -A[N - j]`` for ``j > 0`` (see
+    :func:`~repro.fhe.tfhe.pbs.sample_extract`).
     """
-    base, levels, k = ggsw.base, ggsw.levels, ggsw.glwe_dimension
-    n = glwes[0].ring_degree
-    q = glwes[0].modulus
-    factors = gadget_factors(q, base, levels)
-    digit_rows: List[List[int]] = []
-    for glwe in glwes:
-        for component in list(glwe.mask) + [glwe.body]:
-            digit_rows.extend(
-                backend.gadget_decompose(component.coefficients, q, factors)
-            )
-    fwd = backend.ntt_forward_batch(context, digit_rows)
-    key_eval = _ggsw_eval_rows(ggsw, context, backend)
-    per_member = (k + 1) * levels
-    groups = [[key_eval[r][m] for r in range(per_member)] for m in range(k + 1)]
-    out_rows: List[List[int]] = []
-    for g in range(len(glwes)):
-        member_fwd = fwd[g * per_member:(g + 1) * per_member]
-        out_rows.extend(backend.pointwise_mac_many(member_fwd, groups, q))
-    inv = backend.ntt_inverse_batch(context, out_rows)
-    results = []
-    for g in range(len(glwes)):
-        polys = [
-            Polynomial._from_reduced(n, q, row)
-            for row in inv[g * (k + 1):(g + 1) * (k + 1)]
-        ]
-        results.append(GLWECiphertext(mask=polys[:k], body=polys[k]))
-    return results
+    n = ring_degree
+    return PermSpec([(n - i) % n for i in range(n)], [i != 0 for i in range(n)])
 
 
-def _ksk_flat_rows(ksk: KeySwitchingKey) -> List[List[int]]:
-    """Flatten ``ksk`` into one ``(levels * n_in) x (n_out + 1)`` matrix.
+def _keyswitch_wave(components, bodies: Sequence[int], ksk: KeySwitchingKey,
+                    output_dimension: int,
+                    backend: ArithmeticBackend) -> List[LWECiphertext]:
+    """``(0, .., 0, b) - sum_ij Decomp(a_i)_j * ksk[i][j]`` for a whole wave.
 
-    Row ``j * n_in + i`` is ``ksk.rows[i][j].a + [ksk.rows[i][j].b]`` —
-    level-major to match :meth:`Backend.gadget_decompose` output order,
-    with the body riding along as the final column.  Cached on the key:
-    every PBS wave under one key reuses the same matrix.
+    ``components`` are ``(M, W)`` mask stores that side by side make up the
+    wave's ``(M, input_dimension)`` mask (one store for plain LWE inputs,
+    ``k`` for a GLWE-extracted wave); ``bodies`` the ``M`` input bodies.
     """
-    matrix = getattr(ksk, "_flat_rows", None)
-    if matrix is None:
-        matrix = [
-            list(ksk.rows[i][j].a) + [ksk.rows[i][j].b]
-            for j in range(ksk.levels)
-            for i in range(ksk.input_dimension)
-        ]
-        ksk._flat_rows = matrix
-    return matrix
+    q = ksk.modulus
+    factors = gadget_factors(q, ksk.base, ksk.levels)
+    width = ksk.input_dimension // len(components)
+    moduli = (q,) * len(bodies)
+    sums = None
+    for store, key in zip(components, ksk.flat_stores(width, backend)):
+        digits = backend.gadget_decompose_rows(store, q, factors)
+        partial = backend.mat_mulmod(digits, key, q)
+        sums = partial if sums is None else backend.limbs_add(sums, partial, moduli)
+    return [
+        LWECiphertext(
+            a=row[:output_dimension], b=(b + row[output_dimension]) % q, modulus=q
+        )
+        for b, row in zip(bodies, backend.unpack_limbs(sums))
+    ]
 
 
 def batched_lwe_keyswitch(
@@ -127,38 +107,29 @@ def batched_lwe_keyswitch(
     Bit-identical to calling :func:`~repro.fhe.tfhe.pbs.lwe_keyswitch` per
     ciphertext: the accumulation is the same exact modular sum
     ``(0, .., 0, b') - sum_ij Decomp(a'_i)_j * ksk[i][j]``, evaluated as a
-    single ``digits @ ksk`` matrix product over every member at once
+    single ``digits @ (-ksk)`` matrix product over every member at once
     instead of one per-row ``weighted_sum`` walk per member.  Zero digits
     contribute nothing either way, so skipping the sparsity filter changes
     no output bit.
     """
     if not ciphertexts:
         return []
-    q = ciphertexts[0].modulus
+    q = ksk.modulus
     for ciphertext in ciphertexts:
-        if len(ciphertext.a) != ksk.input_dimension:
+        if len(ciphertext.a) != ksk.input_dimension or ciphertext.modulus != q:
             raise ValueError(
-                f"keyswitch input has dimension {len(ciphertext.a)}, "
-                f"key expects {ksk.input_dimension}"
+                f"keyswitch input has dimension {len(ciphertext.a)} and "
+                f"modulus {ciphertext.modulus}, key expects "
+                f"{ksk.input_dimension} and {q}"
             )
     backend = active_backend()
-    factors = gadget_factors(q, ksk.base, ksk.levels)
-    digit_rows: List[List[int]] = []
-    for ciphertext in ciphertexts:
-        levels = backend.gadget_decompose(ciphertext.a, q, factors)
-        negated: List[int] = []
-        for level_row in levels:
-            negated.extend((q - digit) % q for digit in level_row)
-        digit_rows.append(negated)
-    sums = backend.mat_mulmod(digit_rows, _ksk_flat_rows(ksk), q)
-    return [
-        LWECiphertext(
-            a=[value % q for value in acc[:output_dimension]],
-            b=(ciphertext.b + acc[output_dimension]) % q,
-            modulus=q,
-        )
-        for ciphertext, acc in zip(ciphertexts, sums)
-    ]
+    masks = backend.pack_limbs(
+        [ciphertext.a for ciphertext in ciphertexts], (q,) * len(ciphertexts)
+    )
+    return _keyswitch_wave(
+        [masks], [ciphertext.b for ciphertext in ciphertexts], ksk,
+        output_dimension, backend,
+    )
 
 
 def batched_programmable_bootstrap(
@@ -166,7 +137,7 @@ def batched_programmable_bootstrap(
     ciphertexts: Sequence[LWECiphertext],
     test_vectors: "Sequence[GLWECiphertext] | None" = None,
 ) -> List[LWECiphertext]:
-    """Run PBS on every ciphertext, sharing blind-rotation NTT dispatches.
+    """Run PBS on every ciphertext as one array-resident wave.
 
     ``test_vectors`` may differ per member (a LUT per ``pbs`` node, a sign
     table per ``gate_bootstrap``); defaults to the identity table.  Returns
@@ -175,39 +146,26 @@ def batched_programmable_bootstrap(
     params = context.params
     with use_backend(context.backend):
         if test_vectors is None:
-            identity = context.identity_test_vector()
-            test_vectors = [identity] * len(ciphertexts)
+            test_vectors = [context.identity_test_vector()] * len(ciphertexts)
         if len(test_vectors) != len(ciphertexts):
             raise ValueError("need one test vector per ciphertext")
-        n, q = params.polynomial_size, params.modulus
+        if not ciphertexts:
+            return []
+        n, k = params.polynomial_size, params.glwe_dimension
         switched = [modulus_switch(ct, 2 * n) for ct in ciphertexts]
-        accumulators = [
-            tv.multiply_by_monomial(-sw.b)
-            for tv, sw in zip(test_vectors, switched)
-        ]
-        ntt = _ntt_context(n, q)
+        accumulator = blind_rotate_wave(
+            test_vectors, switched, context.bootstrapping_key
+        )
+        # Component c of every member is the strided row slice [c::k+1].
         backend = active_backend()
-        for i, ggsw in enumerate(context.bootstrapping_key.ggsw_rows):
-            active = [
-                m for m in range(len(accumulators)) if switched[m].a[i] != 0
-            ]
-            if not active:
-                continue
-            if ntt is None or len(active) == 1:
-                # Non-NTT ring (or nothing to stack): plain per-member CMux.
-                for m in active:
-                    rotated = accumulators[m].multiply_by_monomial(switched[m].a[i])
-                    accumulators[m] = cmux(ggsw, rotated, accumulators[m])
-                continue
-            differences = [
-                accumulators[m].multiply_by_monomial(switched[m].a[i])
-                - accumulators[m]
-                for m in active
-            ]
-            products = _batched_external_products(ggsw, differences, ntt, backend)
-            for m, product in zip(active, products):
-                accumulators[m] = accumulators[m] + product
-        return batched_lwe_keyswitch(
-            [sample_extract(acc, 0) for acc in accumulators],
-            context.keyswitching_key, params.lwe_dimension,
+        moduli = (params.modulus,) * len(ciphertexts)
+        masks = [
+            backend.limbs_signed_permute(
+                accumulator[c::k + 1], moduli, _extract_spec(n)
+            )
+            for c in range(k)
+        ]
+        bodies = [row[0] for row in backend.unpack_limbs(accumulator[k::k + 1])]
+        return _keyswitch_wave(
+            masks, bodies, context.keyswitching_key, params.lwe_dimension, backend
         )

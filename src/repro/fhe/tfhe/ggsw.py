@@ -10,19 +10,29 @@ lines 7-10) multiplies a GLWE ciphertext by a GGSW ciphertext: decompose each
 GLWE component into ``l_b`` digits, then multiply-accumulate the digits
 against the GGSW rows.  In hardware this is ``(k+1) * l_b`` NTTs plus a MAC
 reduction — exactly the kernel split the Trinity CU balances.
+
+:func:`external_product` and :func:`cmux` here are the *list-level* API: one
+GLWE in, one GLWE out, nothing cached, the GGSW rows transformed on every
+call.  Bootstrapping does not go through them — blind rotation keeps a whole
+wave in one backend store against an evaluation-domain key handle (see
+:func:`repro.fhe.tfhe.pbs.blind_rotate_wave`) — and the tests use them as
+the independent reference that loop must match bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 from ..backend import active_backend
 from ..params import TFHEParameters
 from ..polynomial import Polynomial, _ntt_context
 from .glwe import GLWECiphertext, GLWEContext
 
-__all__ = ["gadget_factors", "GGSWCiphertext", "GGSWContext", "external_product", "cmux"]
+__all__ = [
+    "gadget_factors", "GGSWCiphertext", "GGSWContext", "ggsw_coefficient_rows",
+    "external_product", "cmux",
+]
 
 
 def gadget_factors(modulus: int, base: int, levels: int) -> List[int]:
@@ -37,10 +47,6 @@ class GGSWCiphertext:
     rows: List[List[GLWECiphertext]]   # rows[i][j]: component i, level j
     base: int
     levels: int
-    # Evaluation-domain (forward-NTT) images of the key rows, computed once
-    # per ring and reused by every external product against this ciphertext.
-    # The transforms are exact integers, so the cache is backend-independent.
-    _eval_cache: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def glwe_dimension(self) -> int:
@@ -104,38 +110,31 @@ class GGSWContext:
         return GGSWCiphertext(rows=rows, base=base, levels=levels)
 
 
-def _ggsw_eval_rows(ggsw: GGSWCiphertext, context, backend) -> list:
-    """Forward-NTT images of every GGSW row component, cached on the ciphertext.
+def ggsw_coefficient_rows(ggsw: GGSWCiphertext) -> List[List[int]]:
+    """Every GGSW row component as one coefficient row.
 
-    Returns a flat list indexed ``i * levels + j`` (matching the digit order
-    of :func:`external_product`), each entry holding the ``k + 1`` component
-    rows of GLWE row ``(i, j)`` in evaluation representation.
+    Row ``(i * levels + j) * (k + 1) + c`` is component ``c`` of GLWE row
+    ``(i, j)`` — the digit order of :func:`external_product`, components
+    innermost.
     """
-    key = (context.ring_degree, context.modulus)
-    cached = ggsw._eval_cache.get(key)
-    if cached is None:
-        flat: List[List[int]] = []
-        for component_rows in ggsw.rows:
-            for row in component_rows:
-                for poly in list(row.mask) + [row.body]:
-                    flat.append(poly.coefficients)
-        fwd = backend.ntt_forward_batch(context, flat)
-        width = ggsw.glwe_dimension + 1
-        cached = [fwd[r * width:(r + 1) * width] for r in range(len(fwd) // width)]
-        ggsw._eval_cache[key] = cached
-    return cached
+    return [
+        poly.coefficients
+        for component_rows in ggsw.rows
+        for row in component_rows
+        for poly in list(row.mask) + [row.body]
+    ]
 
 
 def external_product(ggsw: GGSWCiphertext, glwe: GLWECiphertext) -> GLWECiphertext:
     """GGSW ⊡ GLWE: returns a GLWE encryption of ``m_ggsw * m_glwe``.
 
     Runs exactly the workload the hardware model charges: ``(k+1)*l_b``
-    forward NTTs of the decomposition digits (one batched dispatch), a MAC
-    reduction over the GGSW rows in the evaluation domain (against the
-    cached key-row transforms), and ``k+1`` inverse NTTs (one batched
-    dispatch).  Summing in the evaluation domain before the single inverse
-    transform is exact, so the result is bit-identical to the per-row
-    convolution formulation.
+    forward NTTs of the decomposition digits (one batched dispatch, which
+    here also carries the GGSW rows), a MAC reduction over the GGSW rows in
+    the evaluation domain, and ``k+1`` inverse NTTs (one batched dispatch).
+    Summing in the evaluation domain before the single inverse transform is
+    exact, so the result is bit-identical to the per-row convolution
+    formulation.
     """
     if ggsw.ring_degree != glwe.ring_degree or ggsw.modulus != glwe.modulus:
         raise ValueError("GGSW and GLWE ciphertexts are incompatible")
@@ -160,12 +159,15 @@ def external_product(ggsw: GGSWCiphertext, glwe: GLWECiphertext) -> GLWECipherte
     digit_rows: List[List[int]] = []
     for component in components:
         digit_rows.extend(backend.gadget_decompose(component.coefficients, q, factors))
-    fwd = backend.ntt_forward_batch(context, digit_rows)
-    key_eval = _ggsw_eval_rows(ggsw, context, backend)
+    count = len(digit_rows)
+    fwd = backend.ntt_forward_batch(
+        context, digit_rows + ggsw_coefficient_rows(ggsw)
+    )
+    key_eval = fwd[count:]
     groups = [
-        [key_eval[r][m] for r in range(len(fwd))] for m in range(k + 1)
+        [key_eval[r * (k + 1) + m] for r in range(count)] for m in range(k + 1)
     ]
-    out_rows = backend.pointwise_mac_many(fwd, groups, q)
+    out_rows = backend.pointwise_mac_many(fwd[:count], groups, q)
     inv = backend.ntt_inverse_batch(context, out_rows)
     polys = [Polynomial._from_reduced(n, q, row) for row in inv]
     return GLWECiphertext(mask=polys[:k], body=polys[k])

@@ -90,12 +90,22 @@ class GLWECiphertext:
         q = self.modulus
         backend = active_backend()
         spec = monomial_spec(n, degree % (2 * n))
-        rows = [poly.coefficients for poly in self.mask] + [self.body.coefficients]
+        rows = self.coefficient_rows()
         out = backend.unpack_limbs(
             backend.limbs_signed_permute(rows, (q,) * len(rows), spec)
         )
-        polys = [Polynomial._from_reduced(n, q, row) for row in out]
-        return GLWECiphertext(mask=polys[:-1], body=polys[-1])
+        return GLWECiphertext.from_rows(n, q, out)
+
+    def coefficient_rows(self) -> List[List[int]]:
+        """The ``k + 1`` component rows, mask first — a ciphertext's block of
+        a blind-rotation wave store."""
+        return [poly.coefficients for poly in self.mask] + [self.body.coefficients]
+
+    @classmethod
+    def from_rows(cls, ring_degree: int, modulus: int, rows) -> "GLWECiphertext":
+        """Inverse of :meth:`coefficient_rows` (rows already reduced)."""
+        polys = [Polynomial._from_reduced(ring_degree, modulus, row) for row in rows]
+        return cls(mask=polys[:-1], body=polys[-1])
 
     def multiply_by_polynomial(self, poly: Polynomial) -> "GLWECiphertext":
         """Multiply every component by a public plaintext polynomial."""

@@ -16,10 +16,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ..backend import active_backend
 from ..modmath import centered
 from ..params import TFHEParameters
 
-__all__ = ["LWESecretKey", "LWECiphertext", "LWEContext"]
+__all__ = ["LWESecretKey", "LWECiphertext", "LWEContext", "sample_mask"]
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,18 @@ class LWECiphertext:
             raise ValueError("LWE ciphertexts are incompatible")
 
 
+def sample_mask(rng: random.Random, modulus: int, dimension: int) -> List[int]:
+    """A uniform LWE mask, drawn by the active backend's block sampler.
+
+    Consumes ``rng`` exactly like ``dimension`` calls of
+    ``rng.randrange(modulus)`` (the sampler's contract), so key material is
+    the same on every backend.
+    """
+    backend = active_backend()
+    store = backend.sample_uniform_limbs(rng, (modulus,), dimension)
+    return backend.store_rows(store)[0]
+
+
 class LWEContext:
     """Encrypt/decrypt scalar messages under a TFHE parameter set."""
 
@@ -118,7 +131,7 @@ class LWEContext:
         secret = secret or self.secret
         q = self.params.modulus
         stddev = self.params.noise_stddev if noise_stddev is None else noise_stddev
-        a = [self.rng.randrange(q) for _ in range(secret.dimension)]
+        a = sample_mask(self.rng, q, secret.dimension)
         noise = round(self.rng.gauss(0.0, stddev)) if stddev > 0 else 0
         b = (sum(x * s for x, s in zip(a, secret.coefficients)) + encoded + noise) % q
         return LWECiphertext(a=a, b=b, modulus=q)

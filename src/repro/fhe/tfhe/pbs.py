@@ -12,20 +12,27 @@ lists, each of which becomes a kernel group in the hardware model:
 4. **TFHE KeySwitch** — switch back to the small LWE key using the
    key-switching key ``ksk``.
 
-The functional code below is exact (pure Python integers); the tests verify
-end-to-end PBS correctness on the toy and small parameter sets.
+Blind rotation is array-resident: :func:`blind_rotate_wave` keeps the
+accumulators of a whole wave of bootstraps (a wave of one for
+:func:`blind_rotate`) in a single backend store for all ``n_lwe`` CMux
+iterations and streams the evaluation-domain bootstrapping key past them,
+the way the paper's TFHE mode keeps the accumulators on chip.  Every step is
+exact integer arithmetic; the tests check the loop bit for bit against the
+list-level :func:`~repro.fhe.tfhe.ggsw.cmux` reference.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence
 
 from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import TFHEParameters
-from ..polynomial import Polynomial
-from .ggsw import GGSWCiphertext, GGSWContext, cmux, gadget_factors
+from ..polynomial import Polynomial, _ntt_context
+from .ggsw import (
+    GGSWCiphertext, GGSWContext, cmux, gadget_factors, ggsw_coefficient_rows,
+)
 from .glwe import GLWECiphertext, GLWEContext, GLWESecretKey
 from .lwe import LWECiphertext, LWEContext, LWESecretKey
 
@@ -33,6 +40,7 @@ __all__ = [
     "BootstrappingKey",
     "KeySwitchingKey",
     "modulus_switch",
+    "blind_rotate_wave",
     "blind_rotate",
     "sample_extract",
     "lwe_keyswitch",
@@ -50,10 +58,31 @@ class BootstrappingKey:
     """``bsk[i]`` = GGSW encryption of the i-th LWE secret bit under the GLWE key."""
 
     ggsw_rows: List[GGSWCiphertext]
+    # The whole key in evaluation representation, one store per backend
+    # name (like ``KeySwitchKey``'s ``limbs_eval_key`` handles in CKKS).
+    _eval_cache: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def lwe_dimension(self) -> int:
         return len(self.ggsw_rows)
+
+    def eval_store(self, context, backend: ArithmeticBackend):
+        """Forward NTT of every key row: one ``(n_lwe * R * (k+1), N)`` store.
+
+        ``R = (k + 1) * l_b`` GLWE rows per GGSW, components innermost, so
+        GGSW ``i`` is the row slice ``[i * R * (k+1), (i+1) * R * (k+1))``
+        that :meth:`ArithmeticBackend.external_product_mac` contracts.
+        Built by a single forward batch, once per backend.
+        """
+        store = self._eval_cache.get(backend.name)
+        if store is None:
+            rows = [
+                row for ggsw in self.ggsw_rows for row in ggsw_coefficient_rows(ggsw)
+            ]
+            packed = backend.pack_limbs(rows, (context.modulus,) * len(rows))
+            store = backend.ntt_forward_batch(context, packed)
+            self._eval_cache[backend.name] = store
+        return store
 
 
 @dataclass
@@ -64,10 +93,40 @@ class KeySwitchingKey:
     base: int
     levels: int
     modulus: int
+    # Flattened (negated) key matrices as backend stores, per
+    # ``(backend name, input row width)`` — see :meth:`flat_stores`.
+    _flat_cache: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def input_dimension(self) -> int:
         return len(self.rows)
+
+    def flat_stores(self, width: int, backend: ArithmeticBackend) -> list:
+        """``-ksk`` flattened for input rows of ``width``, one store per component.
+
+        Input component ``c`` covers key rows ``[c * width, (c + 1) * width)``;
+        its matrix row ``j * width + i`` is ``-(rows[c * width + i][j].a +
+        [b])`` — level-major to match
+        :meth:`ArithmeticBackend.gadget_decompose_rows` output order, the
+        body riding along as the final column, negated once here so the
+        keyswitch sum needs no per-call negation.  Built once per backend:
+        every wave under one key reuses the same stores.
+        """
+        key = (backend.name, width)
+        stores = self._flat_cache.get(key)
+        if stores is None:
+            q = self.modulus
+            stores = []
+            for start in range(0, self.input_dimension, width):
+                rows = [
+                    [(q - v) % q for v in self.rows[start + i][j].a]
+                    + [(q - self.rows[start + i][j].b) % q]
+                    for j in range(self.levels)
+                    for i in range(width)
+                ]
+                stores.append(backend.pack_limbs(rows, (q,) * len(rows)))
+            self._flat_cache[key] = stores
+        return stores
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +143,79 @@ def modulus_switch(ciphertext: LWECiphertext, new_modulus: int) -> LWECiphertext
     )
 
 
+def blind_rotate_wave(
+    test_vectors: Sequence[GLWECiphertext],
+    switched: Sequence[LWECiphertext],
+    bootstrapping_key: BootstrappingKey,
+):
+    """Blind-rotate a wave of test vectors, resident in one backend store.
+
+    ``switched[m]`` (already modulus-switched to ``2N``) rotates
+    ``test_vectors[m]``.  Returns the ``(M * (k + 1), N)`` accumulator store,
+    member-major: rows ``[m * (k+1), (m+1) * (k+1))`` are the GLWE
+    components of ``X^{-phase_m} * tv_m``.
+
+    The store is created once from the test vectors and never leaves the
+    backend: each CMux step ``acc += bsk_i ⊡ (X^{a_i} * acc - acc)`` is
+    seven whole-wave dispatches (rotate, subtract, decompose, forward NTT,
+    MAC against GGSW ``i``'s slice of the evaluation-domain key, inverse
+    NTT, add).  A member whose ``a_i`` is zero rotates by ``X^0``: its
+    difference rows are zero and so is its external product, so the step
+    leaves it unchanged bit for bit, exactly as if it had been skipped; an
+    iteration is skipped outright when every member's ``a_i`` is zero.
+    """
+    first = test_vectors[0]
+    n, q, group = first.ring_degree, first.modulus, first.glwe_dimension + 1
+    for lwe in switched:
+        if lwe.dimension != bootstrapping_key.lwe_dimension or lwe.modulus != 2 * n:
+            raise ValueError(
+                f"blind rotation expects LWE ciphertexts of dimension "
+                f"{bootstrapping_key.lwe_dimension} modulus-switched to 2N = "
+                f"{2 * n}, got dimension {lwe.dimension} and modulus {lwe.modulus}"
+            )
+    backend = active_backend()
+    moduli = (q,) * (len(switched) * group)
+    context = _ntt_context(n, q)
+    if context is None:
+        # Non-NTT ring: there is no evaluation domain to stay resident in.
+        rows = []
+        for accumulator, lwe in zip(test_vectors, switched):
+            accumulator = accumulator.multiply_by_monomial(-lwe.b)
+            for a_i, ggsw in zip(lwe.a, bootstrapping_key.ggsw_rows):
+                if a_i:
+                    accumulator = cmux(
+                        ggsw, accumulator.multiply_by_monomial(a_i), accumulator
+                    )
+            rows.extend(accumulator.coefficient_rows())
+        return backend.pack_limbs(rows, moduli)
+    ggsw = bootstrapping_key.ggsw_rows[0]
+    factors = gadget_factors(q, ggsw.base, ggsw.levels)
+    span = group * ggsw.levels * group
+    key = bootstrapping_key.eval_store(context, backend)
+    accumulator = backend.pack_limbs(
+        [row for tv in test_vectors for row in tv.coefficient_rows()], moduli
+    )
+    accumulator = backend.rows_monomial_multiply(
+        accumulator, q, [-lwe.b for lwe in switched], group
+    )
+    for i in range(bootstrapping_key.lwe_dimension):
+        degrees = [lwe.a[i] for lwe in switched]
+        if not any(degrees):
+            continue
+        rotated = backend.rows_monomial_multiply(accumulator, q, degrees, group)
+        digits = backend.gadget_decompose_rows(
+            backend.limbs_sub(rotated, accumulator, moduli), q, factors
+        )
+        product = backend.external_product_mac(
+            backend.ntt_forward_batch(context, digits),
+            key[i * span:(i + 1) * span], len(switched), q,
+        )
+        accumulator = backend.limbs_add(
+            accumulator, backend.ntt_inverse_batch(context, product), moduli
+        )
+    return accumulator
+
+
 def blind_rotate(
     test_vector: GLWECiphertext,
     switched: LWECiphertext,
@@ -92,18 +224,14 @@ def blind_rotate(
     """Rotate the test vector by the (encrypted) phase of ``switched``.
 
     ``switched`` must already be modulus-switched to ``2N``.  The result is a
-    GLWE ciphertext whose plaintext is ``X^{-phase} * tv``.
+    GLWE ciphertext whose plaintext is ``X^{-phase} * tv`` — the wave-of-one
+    case of :func:`blind_rotate_wave`, read back as a ciphertext.
     """
-    ring_degree = test_vector.ring_degree
-    if switched.modulus != 2 * ring_degree:
-        raise ValueError("blind_rotate expects a ciphertext modulus-switched to 2N")
-    accumulator = test_vector.multiply_by_monomial(-switched.b)
-    for a_i, ggsw in zip(switched.a, bootstrapping_key.ggsw_rows):
-        if a_i == 0:
-            continue
-        rotated = accumulator.multiply_by_monomial(a_i)
-        accumulator = cmux(ggsw, rotated, accumulator)
-    return accumulator
+    store = blind_rotate_wave([test_vector], [switched], bootstrapping_key)
+    return GLWECiphertext.from_rows(
+        test_vector.ring_degree, test_vector.modulus,
+        active_backend().unpack_limbs(store),
+    )
 
 
 def sample_extract(glwe: GLWECiphertext, index: int = 0) -> LWECiphertext:

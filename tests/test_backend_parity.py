@@ -328,6 +328,159 @@ class TestReduceLimbsParity:
             RNSPolynomial.from_integer_coefficients(4, RNSBasis([97, 193]), [1] * 5)
 
 
+#: (modulus, ring degree) pairs the wave kernels must agree on: the TFHE
+#: word sizes (31 and 32 bit, direct products), a 36-bit prime on the
+#: Montgomery path, and a 63-bit one above ``NUMPY_MAX_MODULUS_BITS`` that
+#: must take the golden loops.
+WAVE_COMBOS = [
+    (TFHEParameters.hybrid().modulus, 256),
+    (TFHEParameters.toy().modulus, 64),
+    (modmath.find_ntt_prime(36, 64), 64),
+    (modmath.find_ntt_prime(63, 32), 32),
+]
+
+
+def _wave_store(q, n, rows, seed):
+    rng = random.Random(seed * 7919 + q % 1009 + n)
+    return [[rng.randrange(q) for _ in range(n)] for _ in range(rows)]
+
+
+def _rows(store):
+    return PYTHON.store_rows(store)
+
+
+@pytest.mark.parametrize("q,n", WAVE_COMBOS)
+class TestWaveKernelParity:
+    """The store-in/store-out kernels of one blind-rotation step."""
+
+    def test_rows_monomial_multiply_matches_the_ring(self, q, n):
+        rows = _wave_store(q, n, 6, 1)
+        edge = [0, n, 2 * n - 1, -1, 5 * n + 3, -(2 * n) - 7]
+        for group, degs in ((2, edge[:3]), (2, edge[3:]), (1, edge)):
+            expected = [
+                Polynomial(n, q, rows[i]).multiply_by_monomial(degs[i // group]).coefficients
+                for i in range(len(rows))
+            ]
+            assert PYTHON.rows_monomial_multiply(rows, q, degs, group) == expected
+            packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
+            assert _rows(NUMPY.rows_monomial_multiply(packed, q, degs, group)) == expected
+
+    @given(st.lists(st.integers(min_value=-(1 << 20), max_value=1 << 20),
+                    min_size=1, max_size=5),
+           st.integers(min_value=1, max_value=3), st.integers(0, 1 << 16))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_monomial_multiply_any_degrees(self, q, n, degrees, group, seed):
+        rows = _wave_store(q, n, len(degrees) * group, seed)
+        expected = PYTHON.rows_monomial_multiply(rows, q, degrees, group)
+        packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
+        assert _rows(NUMPY.rows_monomial_multiply(packed, q, degrees, group)) == expected
+        assert expected == [
+            Polynomial(n, q, row).multiply_by_monomial(degrees[i // group]).coefficients
+            for i, row in enumerate(rows)
+        ]
+
+    def test_rows_monomial_multiply_rejects_ragged_blocks(self, q, n):
+        rows = _wave_store(q, n, 3, 2)
+        for backend in (PYTHON, NUMPY):
+            with pytest.raises(ValueError, match="do not split"):
+                backend.rows_monomial_multiply(rows, q, [1, 2], 2)
+
+    def test_gadget_decompose_rows_is_stacked_gadget_decompose(self, q, n):
+        rows = _wave_store(q, n, 4, 3)
+        rows[0][:3] = [0, q - 1, q // 2]
+        factors = [q // (1 << (6 * (j + 1))) for j in range(5)] + [0]
+        expected = [
+            digits for row in rows
+            for digits in PYTHON.gadget_decompose(row, q, factors)
+        ]
+        assert PYTHON.gadget_decompose_rows(rows, q, factors) == expected
+        packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
+        assert _rows(NUMPY.gadget_decompose_rows(packed, q, factors)) == expected
+
+    def test_external_product_mac_is_pointwise_mac_many_per_member(self, q, n):
+        members, per_member, width = 3, 4, 2
+        fwd = _wave_store(q, n, members * per_member, 4)
+        key = _wave_store(q, n, per_member * width, 5)
+        groups = [[key[r * width + c] for r in range(per_member)]
+                  for c in range(width)]
+        expected = [
+            row for m in range(members)
+            for row in PYTHON.pointwise_mac_many(
+                fwd[m * per_member:(m + 1) * per_member], groups, q)
+        ]
+        assert PYTHON.external_product_mac(fwd, key, members, q) == expected
+        out = NUMPY.external_product_mac(
+            NUMPY.pack_limbs(fwd, (q,) * len(fwd)),
+            NUMPY.pack_limbs(key, (q,) * len(key)), members, q)
+        assert _rows(out) == expected
+        with pytest.raises(ValueError, match="row counts"):
+            NUMPY.external_product_mac(fwd, key, 5, q)
+
+    def test_ntt_batches_preserve_the_container(self, q, n):
+        context = NTTContext(n, q)
+        rows = _wave_store(q, n, 5, 6)
+        forward = PYTHON.ntt_forward_batch(context, rows)
+        assert NUMPY.ntt_forward_batch(context, rows) == forward       # lists -> lists
+        packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
+        before = _rows(packed)
+        out = NUMPY.ntt_forward_batch(context, packed)
+        assert _rows(out) == forward and _rows(packed) == before       # input untouched
+        assert _rows(NUMPY.ntt_inverse_batch(context, out)) == rows
+        assert NUMPY.ntt_inverse_batch(context, forward) == rows
+        if q.bit_length() <= 62:
+            assert isinstance(out, np.ndarray)                          # store -> store
+            assert isinstance(NUMPY.ntt_inverse_batch(context, out), np.ndarray)
+
+    def test_mat_mulmod_store_in_equals_list_in(self, q, n):
+        members, levels, width, columns = 3, 4, 8, 5
+        digits = _wave_store(q, width, members * levels, 7)
+        digits[1] = [0] * width
+        matrix = _wave_store(q, columns, levels * width, 8)
+        joined = [
+            [w for part in digits[m * levels:(m + 1) * levels] for w in part]
+            for m in range(members)
+        ]
+        expected = PYTHON.mat_mulmod(joined, matrix, q)
+        assert expected == [
+            [sum(w * row[c] for w, row in zip(weights, matrix)) % q
+             for c in range(columns)]
+            for weights in joined
+        ]
+        assert NUMPY.mat_mulmod(joined, matrix, q) == expected          # lists -> lists
+        assert PYTHON.mat_mulmod(digits, matrix, q) == expected         # rows concatenate
+        out = NUMPY.mat_mulmod(
+            NUMPY.pack_limbs(digits, (q,) * len(digits)),
+            NUMPY.pack_limbs(matrix, (q,) * len(matrix)), q)
+        assert _rows(out) == expected
+        for backend in (PYTHON, NUMPY):
+            with pytest.raises(ValueError, match="do not concatenate"):
+                backend.mat_mulmod(digits[:-1], matrix, q)
+
+
+def test_wave_kernels_agree_in_uint32_store_mode():
+    """Narrow storage changes the dtype at rest, never a value."""
+    q, n = TFHEParameters.hybrid().modulus, 256
+    narrow = NumpyBackend(min_vector_length=0, min_ntt_length=0, store_uint32=True)
+    rows = _wave_store(q, n, 4, 9)
+    packed = narrow.pack_limbs(rows, (q,) * 4)
+    assert packed.dtype == np.uint32
+    context = NTTContext(n, q)
+    factors = [q // (1 << (6 * (j + 1))) for j in range(5)]
+    for name, args in (
+        ("rows_monomial_multiply", (q, [3, -5], 2)),
+        ("gadget_decompose_rows", (q, factors)),
+    ):
+        out = getattr(narrow, name)(packed, *args)
+        assert out.dtype == np.uint32
+        assert _rows(out) == getattr(PYTHON, name)(rows, *args)
+    out = narrow.ntt_forward_batch(context, packed)
+    assert out.dtype == np.uint32
+    assert _rows(out) == PYTHON.ntt_forward_batch(context, rows)
+    mac = narrow.external_product_mac(out, out, 2, q)
+    assert mac.dtype == np.uint32
+    assert _rows(mac) == PYTHON.external_product_mac(_rows(out), _rows(out), 2, q)
+
+
 def _key_material_digest(params, backend):
     """sha256 over the coefficient rows of everything ``seed=11`` generates.
 

@@ -1,28 +1,48 @@
 """Unit and integration tests for the functional TFHE implementation."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from repro.fhe.backend import (
+    ArithmeticBackend,
+    NumpyBackend,
+    PythonBackend,
+    active_backend,
+    available_backends,
+    use_backend,
+)
+from repro.fhe.ckks.keys import CKKSKeyGenerator
+from repro.fhe.conversion.bridge import SchemeBridge
 from repro.fhe.params import TFHEParameters
 from repro.fhe.polynomial import Polynomial
 from repro.fhe.tfhe import (
+    LWECiphertext,
     LWEContext,
     TFHEContext,
     TFHEGateEvaluator,
     external_product,
     gadget_factors,
 )
-from repro.fhe.tfhe.ggsw import GGSWContext, cmux
+from repro.fhe.tfhe.batched import (
+    batched_lwe_keyswitch,
+    batched_programmable_bootstrap,
+    sign_test_vector,
+)
+from repro.fhe.tfhe.ggsw import GGSWContext, cmux, ggsw_coefficient_rows
 from repro.fhe.tfhe.glwe import GLWEContext
 from repro.fhe.tfhe.pbs import (
+    BootstrappingKey,
     blind_rotate,
+    blind_rotate_wave,
     lwe_keyswitch,
     modulus_switch,
     sample_extract,
     signed_decompose,
 )
+from repro.workloads.hybrid_workloads import hybrid_query_parameters
 
 
 @pytest.fixture(scope="module")
@@ -305,8 +325,6 @@ class TestBatchedBootstrap:
         return TFHEContext(TFHEParameters.hybrid(), seed=3)
 
     def test_batched_pbs_is_bit_identical_to_sequential(self, hybrid_context):
-        from repro.fhe.tfhe.batched import batched_programmable_bootstrap
-
         context = hybrid_context
         messages = [0, 1, 2, 3, 1]
         ciphertexts = [context.encrypt(m) for m in messages]
@@ -319,11 +337,6 @@ class TestBatchedBootstrap:
     def test_batched_pbs_with_mixed_test_vectors(self, hybrid_context):
         """A sign table and a LUT in one batch (how `pbs` and
         `gate_bootstrap` nodes share a wave) still match sequential PBS."""
-        from repro.fhe.tfhe.batched import (
-            batched_programmable_bootstrap,
-            sign_test_vector,
-        )
-
         context = hybrid_context
         ciphertexts = [context.encrypt(1), context.encrypt(3)]
         vectors = [sign_test_vector(context, 8), context.identity_test_vector()]
@@ -333,8 +346,374 @@ class TestBatchedBootstrap:
             assert out.a == reference.a and out.b == reference.b
 
     def test_batched_pbs_rejects_mismatched_vectors(self, hybrid_context):
-        from repro.fhe.tfhe.batched import batched_programmable_bootstrap
-
         with pytest.raises(ValueError, match="one test vector"):
             batched_programmable_bootstrap(
                 hybrid_context, [hybrid_context.encrypt(0)], [])
+
+
+# ---------------------------------------------------------------------------
+# Array-resident blind rotation
+# ---------------------------------------------------------------------------
+
+def _numpy_backends():
+    """Named numpy instances (empty without numpy): vectorized at every size,
+    default crossovers, and the narrow-storage mode."""
+    if "numpy" not in available_backends():
+        return {}
+    return {
+        "numpy": NumpyBackend(min_vector_length=0, min_ntt_length=0),
+        "numpy-default": NumpyBackend(),
+        "numpy-u32": NumpyBackend(min_vector_length=0, min_ntt_length=0,
+                                  store_uint32=True),
+    }
+
+
+NUMPY_BACKENDS = _numpy_backends()
+#: The list-API reference runs on the fastest exact backend available.
+REFERENCE_BACKEND = NUMPY_BACKENDS.get("numpy", PythonBackend())
+WAVE_PARAMS = {
+    "hybrid": TFHEParameters.hybrid(),   # 31-bit modulus
+    "toy": TFHEParameters.toy(),         # 32-bit
+    "small": TFHEParameters.small(),     # 32-bit, n_lwe = 32
+}
+
+
+class _Wave:
+    """Sixteen inputs of one parameter set and their list-API references."""
+
+    def __init__(self, params):
+        self.params = params
+        self.context = context = TFHEContext(params, seed=5)
+        n = params.polynomial_size
+        rng = random.Random(17)
+        self.ciphertexts = [
+            context.encrypt(rng.randrange(params.plaintext_modulus))
+            for _ in range(16)
+        ]
+        # A zero mask coefficient modulus-switches to a_i == 0: member 1 sits
+        # out iteration 3 (and, alone in a wave of one, skips it outright).
+        self.ciphertexts[1].a[3] = 0
+        self.vectors = [
+            (sign_test_vector(context, 1 << 10), context.identity_test_vector(),
+             context.make_test_vector(lambda m: (3 * m + 1) % 4))[i % 3]
+            for i in range(16)
+        ]
+        self.switched = [modulus_switch(ct, 2 * n) for ct in self.ciphertexts]
+        assert self.switched[1].a[3] == 0
+        self._accumulators = {}
+
+    def reference(self, member):
+        """``tv * X^-b`` then one list-level ``cmux`` per non-zero ``a_i``."""
+        if member not in self._accumulators:
+            lwe = self.switched[member]
+            with use_backend(REFERENCE_BACKEND):
+                accumulator = self.vectors[member].multiply_by_monomial(-lwe.b)
+                for a_i, ggsw in zip(lwe.a, self.context.bootstrapping_key.ggsw_rows):
+                    if a_i != 0:
+                        accumulator = cmux(
+                            ggsw, accumulator.multiply_by_monomial(a_i), accumulator)
+            self._accumulators[member] = accumulator
+        return self._accumulators[member]
+
+    def reference_rows(self, size):
+        return [row for m in range(size) for row in self.reference(m).coefficient_rows()]
+
+    def reference_outputs(self, size):
+        """The list-level tail: ``sample_extract`` then ``lwe_keyswitch``."""
+        with use_backend(REFERENCE_BACKEND):
+            return [
+                lwe_keyswitch(sample_extract(self.reference(m), 0),
+                              self.context.keyswitching_key,
+                              self.params.lwe_dimension)
+                for m in range(size)
+            ]
+
+
+@pytest.fixture(scope="module")
+def waves():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = _Wave(WAVE_PARAMS[name])
+        return cache[name]
+    return get
+
+
+def _same(outputs, references):
+    return [(o.a, o.b, o.modulus) for o in outputs] == \
+        [(r.a, r.b, r.modulus) for r in references]
+
+
+class TestResidentWaveParity:
+    """The resident loop == an explicit per-member ``cmux`` loop, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 16])
+    @pytest.mark.parametrize("backend", sorted(NUMPY_BACKENDS))
+    @pytest.mark.parametrize("name", sorted(WAVE_PARAMS))
+    def test_numpy_wave_matches_list_api(self, waves, name, backend, size):
+        wave, backend = waves(name), NUMPY_BACKENDS[backend]
+        with use_backend(backend):
+            store = blind_rotate_wave(
+                wave.vectors[:size], wave.switched[:size],
+                wave.context.bootstrapping_key)
+            assert backend.unpack_limbs(store) == wave.reference_rows(size)
+            outputs = batched_programmable_bootstrap(
+                wave.context, wave.ciphertexts[:size], wave.vectors[:size])
+        assert _same(outputs, wave.reference_outputs(size))
+
+    # The golden loops are slow at N = 256: the python backend takes the full
+    # wave on the toy ring and the two-member wave (zero a_i included) elsewhere.
+    @pytest.mark.parametrize("name,size", [
+        ("toy", 1), ("toy", 2), ("toy", 16),
+        ("hybrid", 1), ("hybrid", 2), ("small", 2),
+    ])
+    def test_python_wave_matches_list_api(self, waves, name, size):
+        wave, backend = waves(name), PythonBackend()
+        with use_backend(backend):
+            store = blind_rotate_wave(
+                wave.vectors[:size], wave.switched[:size],
+                wave.context.bootstrapping_key)
+            assert backend.unpack_limbs(store) == wave.reference_rows(size)
+            outputs = batched_programmable_bootstrap(
+                wave.context, wave.ciphertexts[:size], wave.vectors[:size])
+        assert _same(outputs, wave.reference_outputs(size))
+
+    def test_single_entry_point_is_the_wave_of_one(self, waves):
+        wave = waves("toy")
+        for member in (0, 1):
+            accumulator = blind_rotate(
+                wave.vectors[member], wave.switched[member],
+                wave.context.bootstrapping_key)
+            assert accumulator.coefficient_rows() == \
+                wave.reference(member).coefficient_rows()
+            output = wave.context.programmable_bootstrap(
+                wave.ciphertexts[member], wave.vectors[member])
+            assert _same([output], wave.reference_outputs(member + 1)[member:])
+
+    def test_key_handle_built_by_one_backend_serves_another(self, waves):
+        """Instances that share a ``name`` share the cached handle: a list
+        store built below the crossovers feeds the vectorized kernels, and a
+        uint64 handle the uint32-store instance."""
+        if not NUMPY_BACKENDS:
+            pytest.skip("numpy backend unavailable")
+        wave = _Wave(WAVE_PARAMS["toy"])
+        key = wave.context.bootstrapping_key
+        for backend in ("numpy-default", "numpy", "numpy-u32"):
+            with use_backend(NUMPY_BACKENDS[backend]):
+                store = blind_rotate_wave(wave.vectors[:2], wave.switched[:2], key)
+                assert NUMPY_BACKENDS[backend].unpack_limbs(store) == \
+                    wave.reference_rows(2)
+        assert list(key._eval_cache) == ["numpy"]
+
+    def test_u32_store_environment_switch(self, waves, monkeypatch):
+        if not NUMPY_BACKENDS:
+            pytest.skip("numpy backend unavailable")
+        monkeypatch.setenv("REPRO_U32_STORE", "1")
+        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        assert backend.store_uint32
+        wave = waves("hybrid")
+        with use_backend(backend):
+            store = blind_rotate_wave(
+                wave.vectors[:2], wave.switched[:2], wave.context.bootstrapping_key)
+            assert str(store.dtype) == "uint32"
+            assert backend.unpack_limbs(store) == wave.reference_rows(2)
+
+    def test_glwe_dimension_two(self):
+        """k = 2: three rows per member, two mask components in the tail."""
+        params = TFHEParameters(
+            polynomial_size=32, lwe_dimension=6, glwe_dimension=2, bsk_levels=3,
+            bsk_base_log=6, ksk_levels=4, ksk_base_log=4, modulus_bits=32,
+            noise_stddev=0.0, security_bits=0, name="tfhe-k2")
+        wave = _Wave(params)
+        for backend in [PythonBackend()] + [NUMPY_BACKENDS[b] for b in sorted(NUMPY_BACKENDS)]:
+            with use_backend(backend):
+                store = blind_rotate_wave(
+                    wave.vectors[:3], wave.switched[:3],
+                    wave.context.bootstrapping_key)
+                assert backend.unpack_limbs(store) == wave.reference_rows(3)
+                outputs = batched_programmable_bootstrap(
+                    wave.context, wave.ciphertexts[:3], wave.vectors[:3])
+            assert _same(outputs, wave.reference_outputs(3))
+        assert wave.context.decrypt(outputs[0]) == wave.context.decrypt(
+            wave.context.programmable_bootstrap(wave.ciphertexts[0], wave.vectors[0]))
+
+    def test_non_ntt_ring_takes_the_list_level_loop(self):
+        params = TFHEParameters(
+            polynomial_size=8, lwe_dimension=3, bsk_levels=2, bsk_base_log=4,
+            ksk_levels=2, ksk_base_log=4, modulus_bits=16, noise_stddev=0.0,
+            security_bits=0, name="tfhe-non-ntt")
+        params.__dict__["modulus"] = 1 << 16        # no 2N-th root of unity
+        glwe = GLWEContext(params, seed=2)
+        ggsw = GGSWContext(params, glwe)
+        key = BootstrappingKey([ggsw.encrypt_scalar(bit) for bit in (1, 0, 1)])
+        vector = glwe.encrypt(Polynomial(8, 1 << 16, list(range(0, 8 << 12, 1 << 12))))
+        switched = [LWECiphertext(a=[3, 0, 9], b=5, modulus=16),
+                    LWECiphertext(a=[0, 7, 15], b=12, modulus=16)]
+        store = blind_rotate_wave([vector, vector], switched, key)
+        expected = []
+        for lwe in switched:
+            accumulator = vector.multiply_by_monomial(-lwe.b)
+            for a_i, row in zip(lwe.a, key.ggsw_rows):
+                if a_i:
+                    accumulator = cmux(row, accumulator.multiply_by_monomial(a_i),
+                                       accumulator)
+            expected.extend(accumulator.coefficient_rows())
+        assert active_backend().unpack_limbs(store) == expected
+        assert not key._eval_cache
+
+
+class TestWaveEntryValidation:
+    """A ciphertext that does not fit the key is refused, not truncated."""
+
+    def test_single_entry_rejects_wrong_dimension(self, toy_context):
+        short = LWECiphertext(a=[1] * 15, b=0, modulus=toy_context.params.modulus)
+        with pytest.raises(ValueError, match=r"dimension 16 .* got dimension 15"):
+            toy_context.programmable_bootstrap(short)
+
+    def test_batched_entry_rejects_wrong_dimension(self, toy_context):
+        good = toy_context.encrypt(1)
+        long = LWECiphertext(a=[1] * 17, b=0, modulus=toy_context.params.modulus)
+        with pytest.raises(ValueError, match=r"dimension 16 .* got dimension 17"):
+            batched_programmable_bootstrap(toy_context, [good, long])
+
+    def test_blind_rotate_rejects_an_unswitched_modulus(self, toy_context):
+        ciphertext = toy_context.encrypt(1)
+        with pytest.raises(
+            ValueError,
+            match=rf"2N = 128, got dimension 16 and modulus {ciphertext.modulus}",
+        ):
+            blind_rotate(toy_context.identity_test_vector(), ciphertext,
+                         toy_context.bootstrapping_key)
+
+    def test_keyswitch_rejects_wrong_dimension_or_modulus(self, toy_context):
+        params, ksk = toy_context.params, toy_context.keyswitching_key
+        width = params.glwe_lwe_dimension
+        with pytest.raises(ValueError, match=f"dimension 3 .* expects {width}"):
+            batched_lwe_keyswitch(
+                [LWECiphertext(a=[0] * 3, b=0, modulus=params.modulus)],
+                ksk, params.lwe_dimension)
+        with pytest.raises(ValueError, match=f"modulus 97, key expects {width} and"):
+            batched_lwe_keyswitch(
+                [LWECiphertext(a=[0] * width, b=0, modulus=97)],
+                ksk, params.lwe_dimension)
+
+
+class _CountingBackend(ArithmeticBackend):
+    """Forward every public kernel of ``inner``; log the top-level calls.
+
+    Built like ``FaultInjectingBackend``: the inner backend's own nested
+    kernel calls go to the clean inner instance, so only what the TFHE
+    layer dispatches is logged.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+        for attr in dir(type(inner)):
+            bound = getattr(inner, attr)
+            if not attr.startswith("_") and callable(bound):
+                setattr(self, attr, self._logged(attr, bound))
+        self.name = f"counting:{inner.name}"
+
+    def _logged(self, kernel, func):
+        def dispatch(*args, **kwargs):
+            self.log.append(kernel)
+            return func(*args, **kwargs)
+        return dispatch
+
+
+class TestResidency:
+    """The wave stays in the backend: counted, not timed."""
+
+    @pytest.fixture()
+    def hybrid(self):
+        context = TFHEContext(TFHEParameters.hybrid(), seed=3)
+        ciphertexts = [context.encrypt(i % 4) for i in range(16)]
+        return context, ciphertexts, [sign_test_vector(context, 1 << 16)] * 16
+
+    def test_wave_of_sixteen_is_a_fixed_handful_of_dispatches(self, hybrid):
+        context, ciphertexts, vectors = hybrid
+        counting = _CountingBackend(REFERENCE_BACKEND)
+        with use_backend(counting):
+            first = batched_programmable_bootstrap(context, ciphertexts, vectors)
+            handle = context.bootstrapping_key._eval_cache[counting.name]
+            log, counting.log = counting.log, []
+            second = batched_programmable_bootstrap(context, ciphertexts, vectors)
+        n_lwe = context.params.lwe_dimension
+        assert len(log) <= 8 * n_lwe + 8
+        # From the initial rotation to SampleExtract nothing is read back.
+        resident = log[log.index("rows_monomial_multiply"):
+                       log.index("limbs_signed_permute")]
+        assert len(resident) == 1 + 7 * n_lwe
+        assert not {"unpack_limbs", "store_rows", "pack_limbs"} & set(resident)
+        # The key handle is built once: the second wave only reads it.
+        assert context.bootstrapping_key._eval_cache[counting.name] is handle
+        assert log.count("ntt_forward_batch") == n_lwe + 1
+        assert counting.log.count("ntt_forward_batch") == n_lwe
+        assert counting.log.count("pack_limbs") == log.count("pack_limbs") - 2
+        assert _same(first, second)
+
+    def test_wrapped_backend_caches_under_its_own_name(self, hybrid):
+        from repro.serve.chaos import FaultInjectingBackend, FaultSchedule
+
+        context, ciphertexts, vectors = hybrid
+        clean = REFERENCE_BACKEND
+        with use_backend(clean):
+            expected = batched_programmable_bootstrap(
+                context, ciphertexts[:2], vectors[:2])
+        bsk, ksk = context.bootstrapping_key, context.keyswitching_key
+        clean_handle = bsk._eval_cache[clean.name]
+        clean_matrices = dict(ksk._flat_cache)
+        chaos = FaultInjectingBackend(clean, FaultSchedule([]))
+        with use_backend(chaos):
+            outputs = batched_programmable_bootstrap(
+                context, ciphertexts[:2], vectors[:2])
+        assert _same(outputs, expected)
+        assert sorted(bsk._eval_cache) == sorted([clean.name, chaos.name])
+        assert bsk._eval_cache[clean.name] is clean_handle
+        assert bsk._eval_cache[chaos.name] is not clean_handle
+        assert {name for name, _ in ksk._flat_cache} == {clean.name, chaos.name}
+        assert all(ksk._flat_cache[key] is value
+                   for key, value in clean_matrices.items())
+
+
+def _tfhe_key_material_digest(params, backend):
+    """sha256 over everything ``seed=11`` generates for one TFHE instance:
+    ``bsk``, ``ksk``, the bridge's ``c2t``/``t2c`` and one fresh encryption."""
+    ckks_params, _ = hybrid_query_parameters()
+    digest = hashlib.sha256()
+    with use_backend(backend):
+        secret = CKKSKeyGenerator(ckks_params, seed=11, error_stddev=0.0).generate().secret
+        tfhe = TFHEContext(params, seed=11, backend=backend)
+        bridge = SchemeBridge(ckks_params, secret, tfhe, seed=11)
+        for ggsw in tfhe.bootstrapping_key.ggsw_rows:
+            for row in ggsw_coefficient_rows(ggsw):
+                digest.update(repr(list(row)).encode())
+        for ksk in (tfhe.keyswitching_key, bridge.c2t, bridge.t2c):
+            for row in ksk.rows:
+                for lwe in row:
+                    digest.update(repr((list(lwe.a), lwe.b)).encode())
+        fresh = tfhe.encrypt(1)
+        digest.update(repr((list(fresh.a), fresh.b)).encode())
+    return digest.hexdigest()
+
+
+class TestTFHEKeyMaterialPinned:
+    """TFHE and bridge keys did not change — as a test, not a claim.
+
+    The digests were recorded at the commit *before* LWE masks moved onto
+    ``sample_uniform_limbs`` (one ``randrange`` per mask coefficient), where
+    both backends already agreed.
+    """
+
+    PINNED = {
+        "hybrid": "95c4824b941a24ad1aac244c25f7389e9530f0672627e514769464fc3f0bb36e",
+        "toy": "07fd94c27be01b4d66eea3c1cb9ddae220ee734b000a4cc00886f375f3cb0cf9",
+    }
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_matches_parent_commit(self, name, backend):
+        params = getattr(TFHEParameters, name)()
+        assert _tfhe_key_material_digest(params, backend) == self.PINNED[name]
