@@ -10,14 +10,19 @@ registered:
   the original seed implementation).  It is the *golden* backend: every other
   backend must agree with it bit-for-bit, which the differential suite in
   ``tests/test_backend_parity.py`` enforces.
-* ``"numpy"`` — vectorized ``uint64`` arithmetic.  Products of operands up to
-  32 bits are computed directly in a 64-bit word; for the 33..62-bit primes
-  of :mod:`repro.fhe.params` the backend switches to Montgomery reduction
-  built on an emulated 64x64 -> 128-bit multiply (32-bit limb splitting), so
-  results stay exact with no overflow for every modulus the parameter sets
-  produce (<= 61 bits).  Moduli that do not fit this scheme (>= 2^62, or
-  even moduli above 2^32) transparently fall back to the python backend, as
-  do tiny vectors where conversion overhead would dominate.
+* ``"numpy"`` — vectorized ``uint64`` arithmetic, one kernel family over
+  ``(L, N)`` row stacks: a CKKS limb stack, a TFHE wave under one modulus
+  and a single coefficient row (the stack of one) run the same transform
+  and element-wise code.  The family is parameterised by *word size* only.
+  Products of operands up to 32 bits are computed directly in a 64-bit
+  word; for the 33..62-bit primes of :mod:`repro.fhe.params` the backend
+  switches to Shoup/Montgomery reduction built on an emulated 64x64 ->
+  128-bit multiply (32-bit limb splitting), so results stay exact with no
+  overflow for every modulus the parameter sets produce (<= 61 bits).  The
+  word size is read off the moduli; there is no switch to set.  Moduli that
+  do not fit this scheme (>= 2^62, or even moduli above 2^32) transparently
+  fall back to the python backend, as do tiny vectors where conversion
+  overhead would dominate.
 
 Selection
 ---------
@@ -49,7 +54,6 @@ __all__ = [
     "ArithmeticBackend",
     "PythonBackend",
     "NumpyBackend",
-    "PerLimbNumpyBackend",
     "PermSpec",
     "GatherSpec",
     "BConvPlan",
@@ -147,12 +151,26 @@ class BConvPlan:
 class ArithmeticBackend:
     """Interface every arithmetic backend implements.
 
-    All methods are *exact*: they take Python-int sequences (already reduced
-    or not — reduction modulo ``q`` is part of the contract), return fresh
-    Python lists reduced into ``[0, q)``, and never alias their inputs.  The
-    NTT entry points receive the :class:`~repro.fhe.ntt.NTTContext` (duck
-    typed — only its precomputed tables are read), so backends can cache
-    their own derived tables per ``(N, q)`` pair.
+    All methods are *exact* and never alias their inputs.  There are two
+    calling conventions:
+
+    * **Rows** — the single-row kernels (``add`` ... ``weighted_sum``,
+      ``signed_permute``, ``gadget_decompose``, ``ntt_forward`` /
+      ``ntt_inverse`` / ``negacyclic_convolution``, the four-step and cyclic
+      transforms) take Python-int sequences, already reduced or not —
+      reduction modulo ``q`` is part of the contract — and return fresh
+      Python lists reduced into ``[0, q)``.
+    * **Stores** — every other kernel takes and returns *limb stores*:
+      opaque, backend-owned stacks of rows that are already reduced (see
+      "packed limb-major kernels" below).  A plain list of rows is always
+      accepted as a store; what comes back is the backend's own form.  The
+      same-modulus batch kernels (``ntt_forward_batch``, ``mat_mulmod``)
+      preserve the form they are given: store in, store out; lists in,
+      lists out.
+
+    The NTT entry points receive the :class:`~repro.fhe.ntt.NTTContext`
+    (duck typed — only its precomputed tables are read), so backends can
+    cache their own derived tables per modulus tuple.
     """
 
     name: str = "abstract"
@@ -244,12 +262,8 @@ class ArithmeticBackend:
         """Inverse of :meth:`pack_limbs` (always python-int rows)."""
         return self.store_rows(store)
 
-    def limbs_zero(self, count: int, length: int, moduli=None) -> object:
-        """An all-zero store of ``count`` rows of ``length`` coefficients.
-
-        ``moduli`` is an optional hint (the per-row moduli) that lets a
-        backend pick a narrower storage dtype; values are zero either way.
-        """
+    def limbs_zero(self, count: int, length: int) -> object:
+        """An all-zero store of ``count`` rows of ``length`` coefficients."""
         return [[0] * length for _ in range(count)]
 
     def reduce_limbs(self, coefficients, moduli, length: int) -> object:
@@ -368,29 +382,18 @@ class ArithmeticBackend:
         limb-wise products.
 
         Returns an opaque ``(form, payload, raw_store)`` handle consumed by
-        :meth:`limbs_mac_eval` and :meth:`limbs_eval_mac`.  Every handle
-        keeps a reference to the raw coefficient store (the key object owns
-        it anyway), so any backend can always fall back to a plain
-        convolution; the payload carries the key's forward NTT in the
-        backend's preferred internal form, so repeated keyswitches against
-        the same key skip half the transforms.  The base handle starts
-        ``"raw"`` (no payload): the naive MAC path never reads one, and
-        :meth:`limbs_eval_mac` fills it in lazily — which is why the handle
+        :meth:`limbs_eval_mac`.  Every handle keeps a reference to the raw
+        coefficient store (the key object owns it anyway), so any backend
+        can always recompute from it; the payload carries the key's forward
+        NTT in the internal form named by ``form``, so repeated keyswitches
+        against the same key skip half the transforms.  Forms belong to the
+        implementation that produced them and are checked there: this class
+        knows ``"raw"`` (no payload yet) and ``"eval"`` (the plain, fully
+        reduced transform).  The base handle starts ``"raw"`` and
+        :meth:`limbs_eval_mac` fills it in on first use — which is why it
         is a mutable list here.
         """
         return ["raw", None, store]
-
-    def limbs_mac_eval(self, contexts, store, key_handles):
-        """Negacyclic products of ``store`` with several prepared keys.
-
-        Computes ``[store * key for key in key_handles]`` limb-wise, sharing
-        the forward transform of ``store`` across all keys.  Returns one
-        result store per handle.
-        """
-        return [
-            self.limbs_convolution(contexts, store, handle[2])
-            for handle in key_handles
-        ]
 
     def limbs_eval_mac(self, contexts, digit_stores, key_handles):
         """Evaluation-domain MAC of several decomposition digits against keys.
@@ -410,14 +413,16 @@ class ArithmeticBackend:
         for store, handles in zip(digit_stores, key_handles):
             terms = []
             for handle in handles:
-                key_eval = handle[1] if handle[0] in ("eval", "u32") else None
-                if key_eval is None:
+                if handle[0] == "eval":
+                    key_eval = handle[1]
+                else:
+                    # "raw", or another implementation's form: start again
+                    # from the raw store every handle carries.
                     key_eval = self.batched_ntt(contexts, handle[2])
-                    if isinstance(handle, list):
+                    if handle[0] == "raw":
                         # Cache the transform on the (key-owned) handle so
                         # repeated keyswitches against this key pay it once.
-                        handle[0] = "eval"
-                        handle[1] = key_eval
+                        handle[:2] = "eval", key_eval
                 terms.append(self.limbs_mul(store, key_eval, moduli))
             if accs is None:
                 accs = terms
@@ -506,7 +511,7 @@ class ArithmeticBackend:
         dest = spec.dest
         negate = spec.negate
         for i, value in enumerate(values):
-            value = int(value)
+            value = int(value) % q
             out[dest[i]] = (q - value) % q if negate[i] else value
         return out
 
@@ -894,12 +899,35 @@ class PythonBackend(ArithmeticBackend):
 
 
 # ---------------------------------------------------------------------------
-# NumPy backend: vectorized uint64 with Montgomery reduction
+# NumPy backend: one vectorized uint64 kernel family
 # ---------------------------------------------------------------------------
+#
+# Everything below works on ``(..., L, n)`` uint64 arrays: ``L`` rows, row
+# ``i`` reduced modulo ``moduli[i]``, with the per-row constants held as
+# ``(L, 1)`` columns.  A CKKS limb stack has ``L`` distinct moduli; a single
+# coefficient row is the stack of one; a TFHE wave (any number of rows under
+# one modulus) also uses ``L = 1`` constants, because a leading axis of one
+# broadcasts over the rows for free.  The only thing that differs between
+# parameter sets is the *word size* of the fixed-operand (Shoup) constants:
+#
+# * word 32 — every modulus fits 32 bits, so a product of two reduced values
+#   fits one 64-bit word: direct single-word butterflies, ``beta = 2^32``
+#   constants, values fully reduced after every step;
+# * word 64 — moduli up to 62 bits: Harvey-lazy butterflies over an emulated
+#   64x64 -> 128-bit multiply (32-bit limb splitting), ``beta = 2^64``
+#   constants, and Montgomery reduction where both operands vary.
+#
+# Transforms branch on it in :func:`_ntt` / :func:`_intt`, fixed-operand
+# products in :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`;
+# nothing else does.
 
 if _np is not None:
     _M32 = _np.uint64(0xFFFFFFFF)
     _S32 = _np.uint64(32)
+
+    def _word(moduli) -> int:
+        """Word size of the fixed-operand constants for these moduli."""
+        return 32 if all(int(q).bit_length() <= 32 for q in moduli) else 64
 
     def _mul64(a, b):
         """Emulated full 64x64 -> 128-bit multiply: returns ``(hi, lo)``.
@@ -920,80 +948,39 @@ if _np is not None:
         return hi, lo
 
     class _Montgomery:
-        """Montgomery arithmetic mod one odd modulus ``q < 2^62`` (R = 2^64)."""
+        """Montgomery arithmetic (R = 2^64) under per-row odd moduli < 2^62.
 
-        __slots__ = ("q", "q_u", "neg_q_inv", "r2")
+        The constants are ``(L, 1)`` columns, so every method broadcasts
+        over an ``(..., L, n)`` array; one modulus is the ``L = 1`` case.
+        """
 
-        def __init__(self, q: int):
-            if q % 2 == 0 or q.bit_length() > NUMPY_MAX_MODULUS_BITS:
-                raise ValueError(f"modulus {q} is not Montgomery-friendly")
-            self.q = q
-            self.q_u = _np.uint64(q)
-            self.neg_q_inv = _np.uint64((-pow(q, -1, 1 << 64)) % (1 << 64))
-            self.r2 = _np.uint64(pow(1 << 64, 2, q))
+        __slots__ = ("q", "neg_q_inv", "r2")
+
+        def __init__(self, moduli):
+            def column(values):
+                return _np.array(values, dtype=_np.uint64)[:, None]
+
+            self.q = column(moduli)
+            self.neg_q_inv = column(
+                [(-pow(q, -1, 1 << 64)) % (1 << 64) for q in moduli]
+            )
+            self.r2 = column([pow(1 << 64, 2, q) for q in moduli])
 
         def redc(self, hi, lo):
             """Montgomery reduction of a 128-bit value: ``(hi:lo) * 2^-64 mod q``."""
             m = lo * self.neg_q_inv                     # mod 2^64 (wraps)
-            mq_hi, _mq_lo = _mul64(m, self.q_u)
+            mq_hi, _mq_lo = _mul64(m, self.q)
             # lo + mq_lo == 0 mod 2^64 by construction; the carry out of that
             # addition is exactly 1 whenever lo != 0.
             t = hi + mq_hi + (lo != _np.uint64(0)).astype(_np.uint64)
-            return _np.where(t >= self.q_u, t - self.q_u, t)
+            return _np.where(t >= self.q, t - self.q, t)
 
         def mont_mul(self, a, b):
             """``a * b * 2^-64 mod q`` for operands < q (Montgomery product)."""
             return self.redc(*_mul64(a, b))
 
-        def to_mont(self, a):
-            return self.mont_mul(a, self.r2)
-
-        def from_mont(self, a):
-            return self.redc(_np.zeros_like(a), a)
-
         def mulmod(self, a, b):
             """Plain ``a * b mod q`` for reduced operands (two reductions)."""
-            return self.mont_mul(self.mont_mul(a, b), self.r2)
-
-        def addmod(self, a, b):
-            s = a + b
-            return _np.where(s >= self.q_u, s - self.q_u, s)
-
-        def submod(self, a, b):
-            return _np.where(a >= b, a - b, a + (self.q_u - b))
-
-    class _MontgomeryVec:
-        """Montgomery arithmetic with per-row (per-limb) odd moduli < 2^62.
-
-        The constants are ``(L, 1)`` column vectors, so every method
-        broadcasts over an ``(L, N)`` limb matrix — the stacked counterpart
-        of :class:`_Montgomery`.
-        """
-
-        __slots__ = ("q_col", "neg_q_inv", "r2")
-
-        def __init__(self, moduli):
-            for q in moduli:
-                if q % 2 == 0 or q.bit_length() > NUMPY_MAX_MODULUS_BITS:
-                    raise ValueError(f"modulus {q} is not Montgomery-friendly")
-            self.q_col = _np.array(moduli, dtype=_np.uint64)[:, None]
-            self.neg_q_inv = _np.array(
-                [(-pow(q, -1, 1 << 64)) % (1 << 64) for q in moduli], dtype=_np.uint64
-            )[:, None]
-            self.r2 = _np.array(
-                [pow(1 << 64, 2, q) for q in moduli], dtype=_np.uint64
-            )[:, None]
-
-        def redc(self, hi, lo):
-            m = lo * self.neg_q_inv
-            mq_hi, _mq_lo = _mul64(m, self.q_col)
-            t = hi + mq_hi + (lo != _np.uint64(0)).astype(_np.uint64)
-            return _np.where(t >= self.q_col, t - self.q_col, t)
-
-        def mont_mul(self, a, b):
-            return self.redc(*_mul64(a, b))
-
-        def mulmod(self, a, b):
             return self.mont_mul(self.mont_mul(a, b), self.r2)
 
     def _shoup32_mul(y, w, s32, q_u):
@@ -1007,12 +994,6 @@ if _np is not None:
         t = (y * s32) >> _S32
         r = y * w - t * q_u          # true value in [0, 2q); wraps cancel
         return _np.minimum(r, r - q_u)
-
-    def _shoup32_split(values: Sequence[int], q: int):
-        """Twiddles plus their beta=2^32 Shoup constants ``floor(w * 2^32 / q)``."""
-        w = _np.array(values, dtype=_np.uint64)
-        s32 = _np.array([(int(v) << 32) // q for v in values], dtype=_np.uint64)
-        return w, s32
 
     def _shoup_mul_relaxed(y, w, ws_lo, ws_hi, q_u):
         """``w * y mod q`` up to THREE extra ``q``: result in ``[0, 4q)``.
@@ -1037,15 +1018,6 @@ if _np is not None:
         result = y * w
         result -= t
         return result               # wraps mod 2^64; true value is < 4q
-
-    def _shoup_split(values: Sequence[int], q: int):
-        """Twiddles plus their Shoup constants ``floor(w * 2^64 / q)``, pre-split
-        into 32-bit halves so the hot loop skips two mask/shift ops."""
-        w = _np.array(values, dtype=_np.uint64)
-        shoup = [(int(v) << 64) // q for v in values]
-        s_lo = _np.array([s & 0xFFFFFFFF for s in shoup], dtype=_np.uint64)
-        s_hi = _np.array([s >> 32 for s in shoup], dtype=_np.uint64)
-        return w, s_lo, s_hi
 
     def _shoup_mul_lazy(y, w, ws_lo, ws_hi, q_u):
         """``w * y mod q`` up to one extra ``q``: result in ``[0, 2q)``.
@@ -1077,93 +1049,251 @@ if _np is not None:
         result -= t
         return result               # wraps mod 2^64; true value is < 2q
 
-    class _NumpyNTTTables:
-        """Shoup twiddle tables for one ``(N, q)`` pair (plain domain)."""
+    def _fixed_operand(rows, moduli, word: int) -> tuple:
+        """Fixed multiplicands with their Shoup constants, one row per modulus.
 
-        __slots__ = (
-            "q_u", "q2",
-            "fwd_w", "fwd_s_lo", "fwd_s_hi",
-            "inv_w", "inv_s_lo", "inv_s_hi",
-            "n_inv_w", "n_inv_s_lo", "n_inv_s_hi",
-            "r_w", "r_s_lo", "r_s_hi",
-            "use32", "fwd_s32", "inv_s32", "n_inv_s32",
+        ``rows[i]`` holds the operands used under ``moduli[i]`` (reduced
+        here).  Returns the ``(L, len(rows[i]))`` uint64 arrays the Shoup
+        multiplies take after ``y``: ``(w, floor(w * 2^32 / q))`` for word
+        32, and ``(w, lo, hi)`` — ``floor(w * 2^64 / q)`` pre-split into
+        32-bit halves so the hot loops skip two mask/shift ops — for word 64.
+        """
+        w, shoup = [], []
+        for row, q in zip(rows, moduli):
+            for v in row:
+                v = int(v) % q
+                w.append(v)
+                shoup.append((v << word) // q)
+
+        shape = (len(moduli), len(rows[0]) if rows else 0)
+
+        def array(flat):
+            # Flat then reshaped: numpy converts nested lists far slower.
+            return _np.array(flat, dtype=_np.uint64).reshape(shape)
+
+        if word == 32:
+            return array(w), array(shoup)
+        return (
+            array(w),
+            array([s & 0xFFFFFFFF for s in shoup]),
+            array([s >> 32 for s in shoup]),
         )
 
-        def __init__(self, context):
-            q = context.modulus
-            self.q_u = _np.uint64(q)
-            self.q2 = _np.uint64(2 * q)
-            self.fwd_w, self.fwd_s_lo, self.fwd_s_hi = _shoup_split(context._fwd_twiddles, q)
-            self.inv_w, self.inv_s_lo, self.inv_s_hi = _shoup_split(context._inv_twiddles, q)
-            n_inv_w, n_inv_s_lo, n_inv_s_hi = _shoup_split([context.n_inv], q)
-            self.n_inv_w = n_inv_w[0]
-            self.n_inv_s_lo = n_inv_s_lo[0]
-            self.n_inv_s_hi = n_inv_s_hi[0]
-            # R = 2^64 mod q: pre-scaling one convolution operand by R lets the
-            # pointwise product exit the Montgomery domain in a single REDC.
-            r_w, r_s_lo, r_s_hi = _shoup_split([(1 << 64) % q], q)
-            self.r_w = r_w[0]
-            self.r_s_lo = r_s_lo[0]
-            self.r_s_hi = r_s_hi[0]
-            # <= 32-bit moduli (the TFHE primes) get direct single-word
-            # butterflies: beta = 2^32 Shoup constants, no limb splitting.
-            self.use32 = q.bit_length() <= 32
-            if self.use32:
-                _w, self.fwd_s32 = _shoup32_split(context._fwd_twiddles, q)
-                _w, self.inv_s32 = _shoup32_split(context._inv_twiddles, q)
-                self.n_inv_s32 = _np.uint64((context.n_inv << 32) // q)
-            else:
-                self.fwd_s32 = self.inv_s32 = self.n_inv_s32 = None
+    def _shoup_split(values: Sequence[int], q: int):
+        """Word-64 :func:`_fixed_operand` of one 1-D table under one modulus
+        (the cyclic and four-step tables, which are always word 64)."""
+        return tuple(a[0] for a in _fixed_operand([values], (q,), 64))
 
-    class _RNSNTTTables:
-        """Per-limb twiddle tables stacked along a leading limb axis.
+    def _fixed_mul(y, operand, q, word: int, lazy: bool = False):
+        """``y * w mod q`` against a :func:`_fixed_operand`, fully reduced.
 
-        Built from the per-limb :class:`_NumpyNTTTables` of one RNS basis:
-        the twiddle arrays become ``(L, N)`` matrices and the per-limb
-        constants ``(L, 1)`` columns, so the Cooley-Tukey/Gentleman-Sande
-        stage loops transform *every limb at once* with per-limb moduli.
+        The one place a fixed-operand product branches on the word size.
+        Word 32 needs ``y < 2^32`` (reduced inputs); word 64 takes any
+        uint64 ``y``.  ``lazy=True`` allows a representative below ``4q``
+        (what the word-64 multiply produces before its two conditional
+        subtractions) for callers that accumulate before reducing.
+        """
+        if word == 32:
+            return _shoup32_mul(y, *operand, q)
+        v = _shoup_mul_relaxed(y, *operand, q)
+        if lazy:
+            return v
+        v = _np.minimum(v, v - (q + q))
+        return _np.minimum(v, v - q)
+
+    class _NTTTables:
+        """Shoup twiddle tables for a tuple of same-degree NTT contexts.
+
+        Twiddles are ``(L, n)`` matrices (row ``i`` under
+        ``contexts[i].modulus``) and per-limb constants ``(L, 1)`` columns,
+        so a stage loop transforms every limb of an ``(..., L, n)`` stack at
+        once under its own modulus.  A single context is ``L = 1``, which
+        also serves any number of rows under that one modulus.  ``fwd`` /
+        ``inv`` / ``n_inv`` are :func:`_fixed_operand` tuples in the table's
+        ``word`` size; ``r`` is ``R = 2^64 mod q`` (always a word-64
+        operand), which :func:`_eval_mul` uses on that path to leave the
+        Montgomery domain in one REDC.
+        ``fwd_stages`` / ``inv_stages`` are the same twiddles cut into the
+        per-stage ``(L, m, 1)`` views the butterflies multiply by, in stage
+        order, so the stage loops slice nothing.
+
+        Tables of several contexts are concatenated from the cached
+        single-context tables (``singles``), so a modulus pays for its
+        Shoup constants once however many bases it appears in.
         """
 
-        __slots__ = (
-            "n", "q_col", "q2_col", "q_s", "q2_s",
-            "fwd_w", "fwd_lo", "fwd_hi",
-            "inv_w", "inv_lo", "inv_hi",
-            "n_inv_w", "n_inv_lo", "n_inv_hi",
-            "r_w", "r_lo", "r_hi",
-            "mont",
-            "use32", "fwd_s32", "inv_s32", "n_inv_s32",
-        )
+        __slots__ = ("n", "word", "key_form", "q", "q2", "q_s", "q2_s", "fwd",
+                     "inv", "fwd_stages", "inv_stages", "n_inv", "r", "mont")
 
-        def __init__(self, per_limb, moduli):
-            self.n = len(per_limb[0].fwd_w)
-            self.q_col = _np.array(moduli, dtype=_np.uint64)[:, None]
-            self.q2_col = self.q_col * _np.uint64(2)
-            self.q_s = self.q_col[:, :, None]
-            self.q2_s = self.q2_col[:, :, None]
-            self.fwd_w = _np.stack([t.fwd_w for t in per_limb])
-            self.fwd_lo = _np.stack([t.fwd_s_lo for t in per_limb])
-            self.fwd_hi = _np.stack([t.fwd_s_hi for t in per_limb])
-            self.inv_w = _np.stack([t.inv_w for t in per_limb])
-            self.inv_lo = _np.stack([t.inv_s_lo for t in per_limb])
-            self.inv_hi = _np.stack([t.inv_s_hi for t in per_limb])
-            self.n_inv_w = _np.array([t.n_inv_w for t in per_limb])[:, None]
-            self.n_inv_lo = _np.array([t.n_inv_s_lo for t in per_limb])[:, None]
-            self.n_inv_hi = _np.array([t.n_inv_s_hi for t in per_limb])[:, None]
-            self.r_w = _np.array([t.r_w for t in per_limb])[:, None]
-            self.r_lo = _np.array([t.r_s_lo for t in per_limb])[:, None]
-            self.r_hi = _np.array([t.r_s_hi for t in per_limb])[:, None]
-            self.mont = _MontgomeryVec(moduli)
-            # All limbs < 2^32: the whole stack takes the direct single-word
-            # butterflies (per-limb beta = 2^32 constants).
-            self.use32 = all(t.use32 for t in per_limb)
-            if self.use32:
-                self.fwd_s32 = _np.stack([t.fwd_s32 for t in per_limb])
-                self.inv_s32 = _np.stack([t.inv_s32 for t in per_limb])
-                self.n_inv_s32 = _np.array(
-                    [t.n_inv_s32 for t in per_limb]
-                )[:, None]
+        def __init__(self, contexts, word: int, mont, singles=None):
+            moduli = [ctx.modulus for ctx in contexts]
+            self.n = contexts[0].ring_degree
+            self.word = word
+            # Names the key form of :func:`_eval_mul` on ``limbs_eval_key``
+            # handles: one form per word size.
+            self.key_form = f"numpy{word}"
+            self.mont = mont
+            self.q = _np.array(moduli, dtype=_np.uint64)[:, None]
+            self.q2 = self.q * _np.uint64(2)
+            # Trailing axis for the (..., L, blocks, t) butterfly views.
+            self.q_s = self.q[:, :, None]
+            self.q2_s = self.q2[:, :, None]
+            if singles is None:
+                (ctx,), (q,) = contexts, moduli
+                self.fwd = _fixed_operand([ctx._fwd_twiddles], moduli, word)
+                self.inv = _fixed_operand([ctx._inv_twiddles], moduli, word)
+                self.n_inv = _fixed_operand([[ctx.n_inv]], moduli, word)
+                self.r = _fixed_operand([[(1 << 64) % q]], moduli, 64)
             else:
-                self.fwd_s32 = self.inv_s32 = self.n_inv_s32 = None
+                for name in ("fwd", "inv", "n_inv", "r"):
+                    parts = [getattr(single, name) for single in singles]
+                    setattr(self, name, tuple(
+                        _np.concatenate(arrays) for arrays in zip(*parts)
+                    ))
+            # Stage ``m`` (m = 1, 2, 4, ...) uses twiddles [m, 2m): forward
+            # walks them upwards, inverse downwards.
+            starts = [1 << k for k in range(self.n.bit_length() - 1)]
+            self.fwd_stages = [
+                tuple(w[:, m:2 * m, None] for w in self.fwd) for m in starts
+            ]
+            self.inv_stages = [
+                tuple(w[:, m:2 * m, None] for w in self.inv)
+                for m in reversed(starts)
+            ]
+
+    def _forward_stages32(x, tabs):
+        """Cooley-Tukey stages with direct single-word products (word 32).
+
+        ``x`` is ``(..., L, n)`` and is transformed in place, every row
+        independently.  Values stay fully reduced (< q) at every stage, so
+        each butterfly operand satisfies the ``y < 2^32`` Shoup
+        precondition.  Conditional subtraction uses the wraparound trick
+        ``min(v, v - q)``: when ``v < q`` the subtraction wraps to a huge
+        value and ``min`` keeps ``v``, else it keeps the reduced value.
+        """
+        q_s = tabs.q_s
+        lead = x.shape[:-1]
+        t = tabs.n
+        m = 1
+        for twiddles in tabs.fwd_stages:
+            t //= 2
+            blocks = x.reshape(lead + (m, 2 * t))
+            u = blocks[..., :t]
+            v = _shoup32_mul(blocks[..., t:], *twiddles, q_s)
+            s = u + v                                      # < 2q
+            d = u - v                                      # wraps when negative
+            _np.minimum(s, s - q_s, out=blocks[..., :t])   # < q
+            _np.minimum(d, d + q_s, out=blocks[..., t:])   # < q
+            m *= 2
+        return x
+
+    def _inverse_stages32(x, tabs):
+        """Gentleman-Sande stages with direct single-word products (word 32)."""
+        q_s = tabs.q_s
+        lead = x.shape[:-1]
+        t = 1
+        h = tabs.n
+        for twiddles in tabs.inv_stages:
+            h //= 2
+            blocks = x.reshape(lead + (h, 2 * t))
+            u = blocks[..., :t]
+            v = blocks[..., t:]
+            s = u + v
+            d = u - v
+            d = _np.minimum(d, d + q_s)                    # < q
+            _np.minimum(s, s - q_s, out=blocks[..., :t])   # < q
+            blocks[..., t:] = _shoup32_mul(d, *twiddles, q_s)
+            t *= 2
+        return x
+
+    def _forward_stages64(x, tabs):
+        """Cooley-Tukey stages with Harvey lazy reduction (word 64).
+
+        In place over ``(..., L, n)``; accepts and produces values below
+        ``4q`` (the caller reduces once at the end).
+        """
+        q_s = tabs.q_s
+        q2_s = tabs.q2_s
+        lead = x.shape[:-1]
+        t = tabs.n
+        m = 1
+        for twiddles in tabs.fwd_stages:
+            t //= 2
+            blocks = x.reshape(lead + (m, 2 * t))
+            u0 = blocks[..., :t]
+            u = _np.minimum(u0, u0 - q2_s)                 # < 2q
+            v = _shoup_mul_lazy(blocks[..., t:], *twiddles, q_s)   # < 2q
+            _np.add(u, v, out=blocks[..., :t])             # < 4q
+            v -= q2_s
+            _np.subtract(u, v, out=blocks[..., t:])        # u - v + 2q < 4q
+            m *= 2
+        return x
+
+    def _inverse_stages64(x, tabs):
+        """Gentleman-Sande stages with lazy reduction (word 64, values < 2q)."""
+        q_s = tabs.q_s
+        q2_s = tabs.q2_s
+        lead = x.shape[:-1]
+        t = 1
+        h = tabs.n
+        for twiddles in tabs.inv_stages:
+            h //= 2
+            blocks = x.reshape(lead + (h, 2 * t))
+            u = blocks[..., :t]
+            v = blocks[..., t:]
+            s = u + v                                      # < 4q
+            d = u + (q2_s - v)                             # < 4q (true value, fine for Shoup)
+            _np.minimum(s, s - q2_s, out=blocks[..., :t])  # < 2q
+            blocks[..., t:] = _shoup_mul_lazy(d, *twiddles, q_s)   # < 2q
+            t *= 2
+        return x
+
+    def _ntt(tabs, x):
+        """Forward negacyclic NTT of every row of ``x``, fully reduced.
+
+        ``x`` is a fresh contiguous ``(..., L, n)`` array the stage loops may
+        own (it is transformed in place); inputs may be anywhere below ``2q``.
+        """
+        if tabs.word == 32:
+            return _forward_stages32(x, tabs)
+        x = _forward_stages64(x, tabs)
+        x = _np.minimum(x, x - tabs.q2)
+        return _np.minimum(x, x - tabs.q)
+
+    def _intt(tabs, x):
+        """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
+        stages = _inverse_stages32 if tabs.word == 32 else _inverse_stages64
+        return _fixed_mul(stages(x, tabs), tabs.n_inv, tabs.q, tabs.word)
+
+    def _eval_mul(tabs, x, key):
+        """Pointwise ``x * key mod q_i`` of two transforms, fully reduced.
+
+        The one place an evaluation-domain product branches on the word
+        size.  ``key`` is in *key form*.  Word 32: transforms are fully
+        reduced, the product is one 64-bit multiply plus one remainder, and
+        key form is the plain transform.  Word 64: key form is the transform
+        of ``key * R`` (``R = 2^64``), so one Montgomery product
+        ``(x)(key R) R^-1`` is already the plain product — no second REDC.
+
+        ``x=None`` is the preparation step: ``key`` holds coefficient rows,
+        and the result (below ``2q``, possibly ``key`` itself) is what to
+        forward-transform to get key form.  The transform is linear, so
+        scaling by ``R`` before it scales the evaluation values by ``R``.
+        """
+        if tabs.word == 32:
+            return key if x is None else (x * key) % tabs.q
+        if x is None:
+            return _shoup_mul_lazy(key, *tabs.r, tabs.q)
+        return tabs.mont.mont_mul(x, key)
+
+    def _convolve(tabs, x, y):
+        """Negacyclic products of matching rows of two coefficient arrays.
+
+        Both forward transforms ride one stacked array: the stage loop is
+        overhead-bound at small sizes, so batching nearly halves its cost.
+        """
+        z = _ntt(tabs, _np.stack([x, _eval_mul(tabs, None, y)]))
+        return _intt(tabs, _eval_mul(tabs, z[0], z[1]))
 
     class _FourStepTables:
         """Backend-resident tables for one ``(N, q, rows)`` four-step split."""
@@ -1206,61 +1336,63 @@ class NumpyBackend(ArithmeticBackend):
     element-wise ops and ~128 points for the transforms).  Set both to 0 to
     force the vectorized path everywhere (the parity tests do).
 
-    ``store_uint32`` selects the narrow storage mode: limb stores whose
-    moduli all fit 32 bits (the TFHE primes and word-size CKKS chains) are
-    held as ``uint32`` matrices at rest — half the resident footprint and
-    memory traffic of the default ``uint64`` stores.  Kernels upcast on
-    load and downcast on store; the arithmetic itself is unchanged (and the
-    parity suite proves the mode bit-exact).  Defaults to the
-    ``REPRO_U32_STORE`` environment variable.
+    Stores are ``(L, N)`` uint64 matrices.  The single-row kernels
+    (``add`` ... ``negacyclic_convolution``) keep the list-in / list-out
+    contract of the interface — they reduce unreduced input and cross over
+    to the python backend below the thresholds — and run the same array
+    cores as the limb-stack kernels on a ``(1, N)`` view.
     """
 
     name = "numpy"
 
-    def __init__(self, min_vector_length: int = 512, min_ntt_length: int = 128,
-                 store_uint32: "bool | None" = None):
+    def __init__(self, min_vector_length: int = 512, min_ntt_length: int = 128):
         if _np is None:  # pragma: no cover - guarded by get_backend
             raise RuntimeError("numpy is not available")
         self._fallback = PythonBackend()
         self.min_vector_length = min_vector_length
         self.min_ntt_length = min_ntt_length
-        if store_uint32 is None:
-            store_uint32 = os.environ.get("REPRO_U32_STORE", "").strip().lower() in (
-                "1", "true", "yes", "on",
-            )
-        self.store_uint32 = store_uint32
-        self._mont_cache: Dict[int, _Montgomery] = {}
-        self._mont_vec_cache: Dict[tuple, _MontgomeryVec] = {}
-        self._ntt_tables: Dict[tuple, _NumpyNTTTables] = {}
-        self._rns_ntt_tables: Dict[tuple, "_RNSNTTTables | None"] = {}
+        self._mont_cache: Dict[tuple, "_Montgomery | None"] = {}
+        self._ntt_tables: Dict[tuple, "_NTTTables | None"] = {}
         self._cyclic_tables: Dict[tuple, list] = {}
         self._four_step_tables: Dict[tuple, _FourStepTables] = {}
         self._q_col_cache: Dict[tuple, object] = {}
 
-    # -- modulus classification -------------------------------------------
-    def _direct_ok(self, q: int) -> bool:
-        """Products of reduced operands fit one 64-bit word."""
-        return q <= (1 << 32)
+    # -- what can be vectorized --------------------------------------------
+    @staticmethod
+    def _moduli_fit(moduli) -> bool:
+        """Every modulus is within the vectorized word cap."""
+        return all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
 
-    def _mont(self, q: int) -> "_Montgomery | None":
-        if q % 2 == 0 or q.bit_length() > NUMPY_MAX_MODULUS_BITS:
-            return None
-        mont = self._mont_cache.get(q)
-        if mont is None:
-            mont = _Montgomery(q)
-            self._mont_cache[q] = mont
-        return mont
+    def _mont(self, moduli) -> "_Montgomery | None":
+        """Montgomery constants for these moduli (``None`` unless all are odd
+        and below 2^62)."""
+        key = tuple(moduli)
+        try:
+            return self._mont_cache[key]
+        except KeyError:
+            usable = self._moduli_fit(key) and all(q % 2 for q in key)
+            mont = self._mont_cache[key] = _Montgomery(key) if usable else None
+            return mont
 
     def _linear_ok(self, q: int, *sequences) -> bool:
-        """Whether add/sub/neg can run in uint64 for this modulus."""
+        """Whether a single-row kernel should run vectorized: the modulus
+        fits a word with headroom and every row clears the size crossover.
+        Fixed-operand (Shoup) multiplies need nothing more."""
         if q.bit_length() > NUMPY_MAX_MODULUS_BITS:
             return False
         return all(len(s) >= self.min_vector_length for s in sequences)
 
     def _mul_ok(self, q: int, *sequences) -> bool:
-        if not self._linear_ok(q, *sequences):
+        """:meth:`_linear_ok`, and products of two variable operands reduce
+        (directly in one word, or through Montgomery)."""
+        return self._linear_ok(q, *sequences) and (
+            q <= (1 << 32) or self._mont((q,)) is not None
+        )
+
+    def _limbs_ok(self, moduli, matrix) -> bool:
+        if matrix is None:
             return False
-        return self._direct_ok(q) or self._mont(q) is not None
+        return self._moduli_fit(moduli) and matrix.size >= self.min_vector_length
 
     @staticmethod
     def _to_array(values: Sequence[int], q: int):
@@ -1275,97 +1407,178 @@ class NumpyBackend(ArithmeticBackend):
             arr = arr % q_u
         return arr
 
-    # -- element-wise ------------------------------------------------------
+    def _row(self, values: Sequence[int], q: int):
+        """One coefficient row as a fresh reduced ``(1, n)`` stack of one."""
+        return self._to_array(values, q)[None, :]
+
+    @staticmethod
+    def _matrix(store):
+        """View a limb store as a uint64 matrix (``None`` if it cannot be)."""
+        if isinstance(store, _np.ndarray):
+            return store
+        try:
+            return _np.array(store, dtype=_np.uint64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+
+    def _q_col(self, moduli):
+        """``(L, 1)`` uint64 column of the per-limb moduli (cached)."""
+        key = tuple(moduli)
+        col = self._q_col_cache.get(key)
+        if col is None:
+            col = _np.array(key, dtype=_np.uint64)[:, None]
+            self._q_col_cache[key] = col
+        return col
+
+    # -- array cores: every modular expression of the family, once ---------
+    #
+    # ``q`` is anything that broadcasts against the rows: an ``(L, 1)``
+    # column from :meth:`_q_col` (``(1, 1)`` for one modulus).
+
+    @staticmethod
+    def _add(x, y, q):
+        s = x + y
+        return _np.minimum(s, s - q)
+
+    @staticmethod
+    def _sub(x, y, q):
+        d = x - y                                   # wraps when negative
+        return _np.minimum(d, d + q)
+
+    @staticmethod
+    def _neg(x, q):
+        return _np.where(x == _np.uint64(0), x, q - x)
+
+    def _mulmod(self, x, y, moduli):
+        """``x * y mod q_i`` of reduced operands (``None`` if some modulus is
+        neither single-word nor Montgomery-friendly)."""
+        if all(int(q) <= (1 << 32) for q in moduli):
+            return (x * y) % self._q_col(moduli)
+        mont = self._mont(moduli)
+        return None if mont is None else mont.mulmod(x, y)
+
+    def _scale(self, x, scalars, moduli):
+        """Row ``i`` of ``x`` times the fixed ``scalars[i]``, fully reduced."""
+        word = _word(moduli)
+        operand = _fixed_operand([[s] for s in scalars], moduli, word)
+        return _fixed_mul(x, operand, self._q_col(moduli), word)
+
+    @staticmethod
+    def _perm_arrays(spec: "PermSpec"):
+        cached = spec.cache.get("numpy")
+        if cached is None:
+            cached = (
+                _np.array(spec.dest, dtype=_np.intp),
+                _np.array(spec.negate, dtype=bool),
+            )
+            spec.cache["numpy"] = cached
+        return cached
+
+    def _permute(self, x, q, spec):
+        dest, negate = self._perm_arrays(spec)
+        out = _np.empty_like(x)
+        out[:, dest] = _np.where(negate[None, :], self._neg(x, q), x)
+        return out
+
+    @staticmethod
+    def _decompose_digits(values, modulus, factors) -> list:
+        """One digit array per factor for reduced int64 ``values`` (any shape).
+
+        The greedy residual walk of the golden :meth:`gadget_decompose`,
+        vectorized; digits come out reduced into ``[0, modulus)``.
+        """
+        q64 = _np.int64(modulus)
+        # Centring into (-q/2, q/2], matching modmath.centered exactly.
+        residual = _np.where(values > _np.int64(modulus // 2), values - q64, values)
+        digits = []
+        for factor in factors:
+            if factor == 0:
+                digits.append(_np.zeros_like(values))
+                continue
+            f = _np.int64(factor)
+            digit = (2 * residual + f) // (2 * f)
+            residual = residual - digit * f
+            # |digit| <= q/2 + 1, so one conditional add is the exact ``% q``.
+            digits.append(_np.where(digit < 0, digit + q64, digit))
+        return digits
+
+    def _tables(self, contexts, word: "int | None" = None) -> "_NTTTables | None":
+        """Twiddle tables for a tuple of same-degree NTT contexts.
+
+        ``None`` when the vectorized transforms cannot serve them (ring
+        below the crossover, mixed degrees, or a modulus that is even or
+        above 2^62: the lazy butterflies keep values in ``[0, 4q)``, so
+        ``4q`` must fit a word).  ``word`` is chosen from the moduli; the
+        argument exists so a multi-limb table can ask for its single-context
+        parts in its own word size.
+        """
+        if not contexts:
+            return None
+        n = contexts[0].ring_degree
+        moduli = tuple(ctx.modulus for ctx in contexts)
+        key = (n, moduli, word)
+        try:
+            return self._ntt_tables[key]
+        except KeyError:
+            pass
+        tabs = None
+        if word is None:
+            tabs = self._tables(contexts, _word(moduli))
+        elif (
+            n >= self.min_ntt_length and self._mont(moduli) is not None
+            and all(ctx.ring_degree == n for ctx in contexts)
+        ):
+            singles = None if len(contexts) == 1 else [
+                self._tables((ctx,), word) for ctx in contexts
+            ]
+            tabs = _NTTTables(contexts, word, self._mont(moduli), singles)
+        self._ntt_tables[key] = tabs
+        return tabs
+
+    # -- single-row kernels: the L = 1 case ---------------------------------
     def add(self, a, b, q):
         if not self._linear_ok(q, a, b):
             return self._fallback.add(a, b, q)
-        x = self._to_array(a, q)
-        x += self._to_array(b, q)
-        return _np.minimum(x, x - _np.uint64(q)).tolist()
+        return self._add(self._row(a, q), self._row(b, q), _np.uint64(q))[0].tolist()
 
     def sub(self, a, b, q):
         if not self._linear_ok(q, a, b):
             return self._fallback.sub(a, b, q)
-        x = self._to_array(a, q)
-        x -= self._to_array(b, q)                  # wraps when negative
-        return _np.minimum(x, x + _np.uint64(q)).tolist()
+        return self._sub(self._row(a, q), self._row(b, q), _np.uint64(q))[0].tolist()
 
     def neg(self, a, q):
         if not self._linear_ok(q, a):
             return self._fallback.neg(a, q)
-        x = self._to_array(a, q)
-        q_u = _np.uint64(q)
-        return _np.where(x == _np.uint64(0), x, q_u - x).tolist()
-
-    def _mulmod_arrays(self, x, y, q: int):
-        if self._direct_ok(q):
-            return (x * y) % _np.uint64(q)
-        return self._mont(q).mulmod(x, y)
-
-    @staticmethod
-    def _scalar_mulmod(x, scalar: int, q: int):
-        """Exact ``(x * scalar) % q`` via a Shoup constant for the scalar.
-
-        One lazy Shoup product plus one conditional subtraction — much
-        cheaper than a general double-REDC Montgomery multiply.  ``x`` may
-        hold any uint64 values; ``q`` must satisfy ``2q < 2^64``.
-        """
-        scalar %= q
-        shoup = (scalar << 64) // q
-        q_u = _np.uint64(q)
-        v = _shoup_mul_lazy(
-            x, _np.uint64(scalar),
-            _np.uint64(shoup & 0xFFFFFFFF), _np.uint64(shoup >> 32), q_u,
-        )
-        return _np.minimum(v, v - q_u)
+        return self._neg(self._row(a, q), _np.uint64(q))[0].tolist()
 
     def mul(self, a, b, q):
         if not self._mul_ok(q, a, b):
             return self._fallback.mul(a, b, q)
-        x = self._to_array(a, q)
-        y = self._to_array(b, q)
-        return self._mulmod_arrays(x, y, q).tolist()
-
-    def _scalar_ok(self, q: int, *sequences) -> bool:
-        """Fixed-operand (Shoup) multiplies only need ``2q`` to fit a word."""
-        return self._linear_ok(q, *sequences)
+        return self._mulmod(self._row(a, q), self._row(b, q), (q,))[0].tolist()
 
     def scalar_mul(self, a, scalar, q):
-        if not self._scalar_ok(q, a):
+        if not self._linear_ok(q, a):
             return self._fallback.scalar_mul(a, scalar, q)
-        if self._direct_ok(q):
-            return ((self._to_array(a, q) * _np.uint64(scalar % q)) % _np.uint64(q)).tolist()
-        return self._scalar_mulmod(self._to_array(a, q), scalar, q).tolist()
+        return self._scale(self._row(a, q), (scalar,), (q,))[0].tolist()
 
     def sub_scaled(self, a, b, scalar, q):
-        if not self._scalar_ok(q, a, b):
+        if not self._linear_ok(q, a, b):
             return self._fallback.sub_scaled(a, b, scalar, q)
-        x = self._to_array(a, q)
-        y = self._to_array(b, q)
-        q_u = _np.uint64(q)
-        diff = _np.where(x >= y, x - y, x + (q_u - y))
-        if self._direct_ok(q):
-            return ((diff * _np.uint64(scalar % q)) % q_u).tolist()
-        return self._scalar_mulmod(diff, scalar, q).tolist()
+        diff = self._sub(self._row(a, q), self._row(b, q), _np.uint64(q))
+        return self._scale(diff, (scalar,), (q,))[0].tolist()
 
     def weighted_sum(self, rows, weights, q):
         if len(rows) != len(weights):
             raise ValueError("rows and weights must have equal length")
         if not rows:
             raise ValueError("weighted_sum needs at least one row")
-        if not self._scalar_ok(q, *rows):
+        if not self._linear_ok(q, *rows):
             return self._fallback.weighted_sum(rows, weights, q)
-        q_u = _np.uint64(q)
-        direct = self._direct_ok(q)
-        acc = _np.zeros(len(rows[0]), dtype=_np.uint64)
-        for row, weight in zip(rows, weights):
-            x = self._to_array(row, q)
-            if direct:
-                term = (x * _np.uint64(weight % q)) % q_u
-            else:
-                term = self._scalar_mulmod(x, weight, q)
-            acc += term
-            acc = _np.where(acc >= q_u, acc - q_u, acc)
+        x = _np.stack([self._to_array(row, q) for row in rows])
+        terms = self._scale(x, weights, (q,) * len(rows))
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = self._add(acc, term, _np.uint64(q))
         return acc.tolist()
 
     def mat_mulmod(self, rows, matrix, q):
@@ -1399,105 +1612,53 @@ class NumpyBackend(ArithmeticBackend):
         for limb in reversed(range(-(-q.bit_length() // width))):
             partial = (lhs @ ((rhs >> _np.uint64(limb * width)) & mask)) % q_u
             acc = partial if acc is None else ((acc << shift) + partial) % q_u
-        if isinstance(rows, _np.ndarray):
-            return self._finalize(acc, (q,))
-        return acc.tolist()
+        return acc if isinstance(rows, _np.ndarray) else acc.tolist()
 
-    # -- packed limb-major (RNS) overrides ---------------------------------
-    def _matrix(self, store):
-        """View a limb store as a uint64 matrix (``None`` if it cannot be).
+    def signed_permute(self, values, q, spec):
+        if not self._linear_ok(q, values):
+            return super().signed_permute(values, q, spec)
+        return self._permute(self._row(values, q), _np.uint64(q), spec)[0].tolist()
 
-        uint32 stores (the narrow storage mode) are upcast here, so every
-        kernel computes in 64-bit words regardless of the storage dtype.
-        """
-        if isinstance(store, _np.ndarray):
-            if store.dtype != _np.uint64:
-                return store.astype(_np.uint64)
-            return store
+    def gadget_decompose(self, coefficients, modulus, factors):
+        if not self._linear_ok(modulus, coefficients):
+            return super().gadget_decompose(coefficients, modulus, factors)
         try:
-            return _np.array(store, dtype=_np.uint64)
+            arr = _np.array(coefficients, dtype=_np.int64)
         except (OverflowError, TypeError, ValueError):
-            return None
+            return super().gadget_decompose(coefficients, modulus, factors)
+        # int64 ``%`` with a positive divisor is non-negative, like python's.
+        digits = self._decompose_digits(arr % _np.int64(modulus), modulus, factors)
+        return [digit.tolist() for digit in digits]
 
-    def _finalize(self, arr, moduli):
-        """Downcast a kernel result to the narrow storage dtype when enabled."""
-        if self.store_uint32 and self._moduli_u32(moduli):
-            return arr.astype(_np.uint32)
-        return arr
+    def ntt_forward(self, context, coefficients):
+        self._check_length(context, coefficients)
+        tabs = self._tables((context,))
+        if tabs is None:
+            return self._fallback.ntt_forward(context, coefficients)
+        return _ntt(tabs, self._row(coefficients, context.modulus))[0].tolist()
 
-    def _q_col(self, moduli):
-        """``(L, 1)`` uint64 column of the per-limb moduli (cached)."""
-        key = tuple(moduli)
-        col = self._q_col_cache.get(key)
-        if col is None:
-            col = _np.array(key, dtype=_np.uint64)[:, None]
-            self._q_col_cache[key] = col
-        return col
+    def ntt_inverse(self, context, values):
+        self._check_length(context, values)
+        tabs = self._tables((context,))
+        if tabs is None:
+            return self._fallback.ntt_inverse(context, values)
+        return _intt(tabs, self._row(values, context.modulus))[0].tolist()
 
-    def _limbs_ok(self, moduli, matrix) -> bool:
-        if matrix is None:
-            return False
-        return self._moduli_fit(moduli) and matrix.size >= self.min_vector_length
+    def negacyclic_convolution(self, context, a, b):
+        self._check_length(context, a)
+        self._check_length(context, b)
+        tabs = self._tables((context,))
+        if tabs is None:
+            return self._fallback.negacyclic_convolution(context, a, b)
+        q = context.modulus
+        return _convolve(tabs, self._row(a, q), self._row(b, q))[0].tolist()
 
-    @staticmethod
-    def _row_shoup(scalars, moduli):
-        """Per-row Shoup constants for fixed per-limb scalars: ``(L, 1)`` arrays."""
-        ws, los, his = [], [], []
-        for scalar, q in zip(scalars, moduli):
-            scalar = int(scalar) % q
-            shoup = (scalar << 64) // q
-            ws.append(scalar)
-            los.append(shoup & 0xFFFFFFFF)
-            his.append(shoup >> 32)
-        return (
-            _np.array(ws, dtype=_np.uint64)[:, None],
-            _np.array(los, dtype=_np.uint64)[:, None],
-            _np.array(his, dtype=_np.uint64)[:, None],
-        )
-
-    @staticmethod
-    def _row_shoup32(scalars, moduli):
-        """Per-row beta=2^32 Shoup constants (moduli < 2^32): ``(L, 1)`` arrays."""
-        ws, s32s = [], []
-        for scalar, q in zip(scalars, moduli):
-            scalar = int(scalar) % q
-            ws.append(scalar)
-            s32s.append((scalar << 32) // q)
-        return (
-            _np.array(ws, dtype=_np.uint64)[:, None],
-            _np.array(s32s, dtype=_np.uint64)[:, None],
-        )
-
-    @staticmethod
-    def _moduli_fit(moduli) -> bool:
-        """Every modulus is within the vectorized word cap."""
-        return all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
-
-    @staticmethod
-    def _moduli_u32(moduli) -> bool:
-        return all(int(q).bit_length() <= 32 for q in moduli)
-
-    def _mont_vec(self, moduli) -> "_MontgomeryVec | None":
-        key = tuple(moduli)
-        mont = self._mont_vec_cache.get(key)
-        if mont is None and key not in self._mont_vec_cache:
-            usable = all(q % 2 == 1 and q.bit_length() <= NUMPY_MAX_MODULUS_BITS
-                         for q in key)
-            mont = _MontgomeryVec(key) if usable else None
-            self._mont_vec_cache[key] = mont
-        return mont
-
+    # -- creating stores ----------------------------------------------------
     def pack_limbs(self, rows, moduli):
-        if not self._moduli_fit(moduli):
-            return super().pack_limbs(rows, moduli)
-        matrix = self._matrix(rows)
-        if matrix is None:
-            return super().pack_limbs(rows, moduli)
-        return self._finalize(matrix, moduli)
+        matrix = self._matrix(rows) if self._moduli_fit(moduli) else None
+        return super().pack_limbs(rows, moduli) if matrix is None else matrix
 
-    def limbs_zero(self, count, length, moduli=None):
-        if moduli is not None and self.store_uint32 and self._moduli_u32(moduli):
-            return _np.zeros((count, length), dtype=_np.uint32)
+    def limbs_zero(self, count, length):
         return _np.zeros((count, length), dtype=_np.uint64)
 
     def reduce_limbs(self, coefficients, moduli, length):
@@ -1510,7 +1671,7 @@ class NumpyBackend(ArithmeticBackend):
             return super().reduce_limbs(coefficients, moduli, length)
         # int64 ``%`` with a positive divisor is non-negative, like python's.
         residues = column[None, :] % self._q_col(moduli).astype(_np.int64)
-        return self._finalize(residues.astype(_np.uint64), moduli)
+        return residues.astype(_np.uint64)
 
     def sample_uniform_limbs(self, rng, moduli, length):
         # ``randrange(q)`` on a stock ``random.Random`` is: draw
@@ -1543,118 +1704,87 @@ class NumpyBackend(ArithmeticBackend):
                 values = values[values < q]
                 row[filled:filled + values.size] = values
                 filled += values.size
-        return self._finalize(out, moduli)
+        return out
 
+    def replicate_row(self, row, moduli):
+        arr = self._matrix(row) if self._moduli_fit(moduli) else None
+        if arr is None:
+            return super().replicate_row(row, moduli)
+        return arr[None, :] % self._q_col(moduli)
+
+    # -- limb-stack kernels -------------------------------------------------
     def limbs_add(self, a, b, moduli):
         x = self._matrix(a)
         y = self._matrix(b)
         if y is None or not self._limbs_ok(moduli, x):
             return super().limbs_add(a, b, moduli)
-        s = x + y
-        return self._finalize(_np.minimum(s, s - self._q_col(moduli)), moduli)
+        return self._add(x, y, self._q_col(moduli))
 
     def limbs_sub(self, a, b, moduli):
         x = self._matrix(a)
         y = self._matrix(b)
         if y is None or not self._limbs_ok(moduli, x):
             return super().limbs_sub(a, b, moduli)
-        d = x - y                                   # wraps when negative
-        return self._finalize(_np.minimum(d, d + self._q_col(moduli)), moduli)
+        return self._sub(x, y, self._q_col(moduli))
 
     def limbs_neg(self, a, moduli):
         x = self._matrix(a)
         if not self._limbs_ok(moduli, x):
             return super().limbs_neg(a, moduli)
-        q = self._q_col(moduli)
-        return self._finalize(_np.where(x == _np.uint64(0), x, q - x), moduli)
+        return self._neg(x, self._q_col(moduli))
 
     def limbs_mul(self, a, b, moduli):
         x = self._matrix(a)
         y = self._matrix(b)
-        if y is None or not self._limbs_ok(moduli, x):
-            return super().limbs_mul(a, b, moduli)
-        if all(int(q) <= (1 << 32) for q in moduli):
-            return self._finalize((x * y) % self._q_col(moduli), moduli)
-        mont = self._mont_vec(moduli)
-        if mont is None:
-            return super().limbs_mul(a, b, moduli)
-        return mont.mulmod(x, y)
+        out = None
+        if y is not None and self._limbs_ok(moduli, x):
+            out = self._mulmod(x, y, moduli)
+        return super().limbs_mul(a, b, moduli) if out is None else out
 
     def limbs_scalar_mul(self, a, scalars, moduli):
         x = self._matrix(a)
         if not self._limbs_ok(moduli, x):
             return super().limbs_scalar_mul(a, scalars, moduli)
-        q = self._q_col(moduli)
-        if self._moduli_u32(moduli):
-            w, s32 = self._row_shoup32(scalars, moduli)
-            return self._finalize(_shoup32_mul(x, w, s32, q), moduli)
-        w, lo, hi = self._row_shoup(scalars, moduli)
-        v = _shoup_mul_relaxed(x, w, lo, hi, q)
-        v = _np.minimum(v, v - (q + q))
-        return _np.minimum(v, v - q)
+        return self._scale(x, scalars, moduli)
 
     def batched_sub_scaled(self, a, b, scalars, moduli, b_modulus=None):
         x = self._matrix(a)
-        if not self._limbs_ok(moduli, x):
+        y = self._matrix(b)
+        if y is None or not self._limbs_ok(moduli, x):
             return super().batched_sub_scaled(a, b, scalars, moduli, b_modulus)
         q = self._q_col(moduli)
-        if self._is_store(b):
-            # One row per limb, already reduced under the matching modulus.
-            y = self._matrix(b)
-            if y is None:
-                return super().batched_sub_scaled(a, b, scalars, moduli, b_modulus)
-        else:
-            if isinstance(b, _np.ndarray):
-                row = b if b.dtype == _np.uint64 else b.astype(_np.uint64)
-            else:
-                row = _np.asarray(b, dtype=_np.uint64)
+        if y.ndim == 1:
+            # One row shared by every limb: re-reduce it per target modulus.
             if b_modulus is not None and all(b_modulus <= 2 * int(qi) for qi in moduli):
                 # Similar-magnitude moduli: one conditional subtraction per row.
-                y = _np.minimum(row, row - q)
+                y = _np.minimum(y, y - q)
             else:
-                y = row % q
-        d = x - y                                   # wraps when negative
-        d = _np.minimum(d, d + q)
-        if self._moduli_u32(moduli):
-            w, s32 = self._row_shoup32(scalars, moduli)
-            return self._finalize(_shoup32_mul(d, w, s32, q), moduli)
-        w, lo, hi = self._row_shoup(scalars, moduli)
-        v = _shoup_mul_relaxed(d, w, lo, hi, q)
-        v = _np.minimum(v, v - (q + q))
-        return _np.minimum(v, v - q)
+                y = y % q
+        return self._scale(self._sub(x, y, q), scalars, moduli)
 
     def _bconv_tables(self, plan: "BConvPlan"):
         tables = plan.cache.get("numpy")
         if tables is None:
-            use32 = self._moduli_u32(plan.source_moduli) and self._moduli_u32(
-                plan.target_moduli
+            word = _word(plan.source_moduli + plan.target_moduli)
+            count = len(plan.source_moduli)
+            inverses = _fixed_operand(
+                [[inv] for inv in plan.inverses], plan.source_moduli, word
             )
-            q_src = self._q_col(plan.source_moduli)
-            q_tgt = self._q_col(plan.target_moduli)
             # Per-source-limb weight columns with per-target Shoup constants:
-            # weight_shoup[i] multiplies one source row into all target rows.
-            if use32:
-                inv = self._row_shoup32(plan.inverses, plan.source_moduli)
-                weight_shoup = [
-                    self._row_shoup32([row[i] for row in plan.weights],
-                                      plan.target_moduli)
-                    for i in range(len(plan.source_moduli))
-                ]
-            else:
-                inv = self._row_shoup(plan.inverses, plan.source_moduli)
-                weight_shoup = [
-                    self._row_shoup([row[i] for row in plan.weights],
-                                    plan.target_moduli)
-                    for i in range(len(plan.source_moduli))
-                ]
-            # Lazy accumulation budget: u32 terms are < p (so Ls * p always
-            # fits 64 bits); relaxed-Shoup terms are < 4p, so the unreduced
-            # sum needs bits(p) + 2 + ceil(log2(Ls)) <= 64.
-            lazy = use32 or (
+            # weights[i] multiplies one source row into all target rows.
+            weights = [
+                _fixed_operand([[row[i]] for row in plan.weights],
+                               plan.target_moduli, word)
+                for i in range(count)
+            ]
+            # Lazy accumulation budget: a lazy term is below 4p, so the
+            # unreduced sum needs bits(p) + 2 + ceil(log2(Ls)) <= 64 (always
+            # true at word 32, where terms are in fact below p).
+            lazy = (
                 max(int(p).bit_length() for p in plan.target_moduli) + 2
-                + max(1, (len(plan.source_moduli) - 1).bit_length()) <= 64
+                + max(1, (count - 1).bit_length()) <= 64
             )
-            tables = (use32, lazy, inv, q_src, q_tgt, weight_shoup)
+            tables = (word, lazy, inverses, weights)
             plan.cache["numpy"] = tables
         return tables
 
@@ -1662,498 +1792,167 @@ class NumpyBackend(ArithmeticBackend):
         x = self._matrix(store)
         if (
             not self._limbs_ok(plan.source_moduli, x)
-            or any(int(p).bit_length() > NUMPY_MAX_MODULUS_BITS
-                   for p in plan.target_moduli)
+            or not self._moduli_fit(plan.target_moduli)
         ):
             return super().bconv_matmul(store, plan)
-        use32, lazy, inv, q_src, q_tgt, weight_shoup = self._bconv_tables(plan)
-        acc = _np.zeros((len(plan.target_moduli), x.shape[1]), dtype=_np.uint64)
-        if use32:
-            # Step 1: x_i * (Q/q_i)^{-1} mod q_i — single-word products.
-            scaled = _shoup32_mul(x, inv[0], inv[1], q_src)
-            # Step 2: one source limb into all target rows per pass; terms
-            # are fully reduced (< p), so the accumulator never overflows.
-            for i, (w, s32) in enumerate(weight_shoup):
-                acc += _shoup32_mul(scaled[i], w, s32, q_tgt)
-            return self._finalize(acc % q_tgt, plan.target_moduli)
-        inv_w, inv_lo, inv_hi = inv
+        word, lazy, inverses, weights = self._bconv_tables(plan)
+        q_tgt = self._q_col(plan.target_moduli)
         # Step 1: x_i * (Q/q_i)^{-1} mod q_i, fully reduced — the weighted
         # sum needs the canonical residue in [0, q_i), not a lazy
         # representative (a different representative would shift the result
         # by k * q_i * w mod p_j).
-        scaled = _shoup_mul_relaxed(x, inv_w, inv_lo, inv_hi, q_src)
-        scaled = _np.minimum(scaled, scaled - (q_src + q_src))
-        scaled = _np.minimum(scaled, scaled - q_src)
-        if lazy:
-            for i, (w, lo, hi) in enumerate(weight_shoup):
-                acc += _shoup_mul_relaxed(scaled[i], w, lo, hi, q_tgt)
-            return self._finalize(acc % q_tgt, plan.target_moduli)
-        for i, (w, lo, hi) in enumerate(weight_shoup):
-            term = _shoup_mul_relaxed(scaled[i], w, lo, hi, q_tgt)
-            term = _np.minimum(term, term - (q_tgt + q_tgt))
-            term = _np.minimum(term, term - q_tgt)
-            acc += term
-            acc = _np.where(acc >= q_tgt, acc - q_tgt, acc)
-        return self._finalize(acc, plan.target_moduli)
+        scaled = _fixed_mul(x, inverses, self._q_col(plan.source_moduli), word)
+        # Step 2: one source limb into all target rows per pass.
+        acc = _np.zeros((len(plan.target_moduli), x.shape[1]), dtype=_np.uint64)
+        for row, weight in zip(scaled, weights):
+            acc += _fixed_mul(row, weight, q_tgt, word, lazy=lazy)
+            if not lazy:
+                acc = _np.minimum(acc, acc - q_tgt)
+        return acc % q_tgt if lazy else acc
+
+    def _transform(self, core, contexts, stores):
+        """``core`` (:func:`_ntt` / :func:`_intt`) over several stores stacked
+        into one ``(C, L, n)`` dispatch; ``None`` if they cannot be."""
+        tabs = self._tables(tuple(contexts))
+        mats = [self._matrix(store) for store in stores]
+        if tabs is None or any(m is None for m in mats):
+            return None
+        return core(tabs, _np.stack(mats))
 
     def batched_ntt(self, contexts, store):
-        tabs = self._rns_tables(tuple(contexts))
-        x = self._matrix(store)
-        if tabs is None or x is None:
-            return super().batched_ntt(contexts, store)
-        moduli = tuple(ctx.modulus for ctx in contexts)
-        if tabs.use32:
-            return self._finalize(
-                self._forward_stages_rns_u32(x.copy(), tabs), moduli
-            )
-        x = self._forward_stages_rns(x.copy(), tabs)
-        x = _np.minimum(x, x - tabs.q2_col)
-        return _np.minimum(x, x - tabs.q_col)
+        out = self._transform(_ntt, contexts, [store])
+        return super().batched_ntt(contexts, store) if out is None else out[0]
 
     def batched_intt(self, contexts, store):
-        tabs = self._rns_tables(tuple(contexts))
-        x = self._matrix(store)
-        if tabs is None or x is None:
-            return super().batched_intt(contexts, store)
-        moduli = tuple(ctx.modulus for ctx in contexts)
-        if tabs.use32:
-            x = self._inverse_stages_rns_u32(x.copy(), tabs)
-            return self._finalize(
-                _shoup32_mul(x, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col), moduli
-            )
-        x = self._inverse_stages_rns(x.copy(), tabs)
-        v = _shoup_mul_lazy(x, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        return _np.minimum(v, v - tabs.q_col)
+        out = self._transform(_intt, contexts, [store])
+        return super().batched_intt(contexts, store) if out is None else out[0]
+
+    def stacked_ntt(self, contexts, stores):
+        out = self._transform(_ntt, contexts, stores)
+        return super().stacked_ntt(contexts, stores) if out is None else list(out)
+
+    def stacked_intt(self, contexts, stores):
+        out = self._transform(_intt, contexts, stores)
+        return super().stacked_intt(contexts, stores) if out is None else list(out)
 
     def limbs_convolution(self, contexts, a, b):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._tables(tuple(contexts))
         x = self._matrix(a)
         y = self._matrix(b)
         if tabs is None or x is None or y is None:
             return super().limbs_convolution(contexts, a, b)
-        if tabs.use32:
-            # Direct single-word path: transforms stay fully reduced, so the
-            # pointwise product is one 64-bit multiply plus one remainder.
-            z = self._forward_stages_rns_u32(_np.stack([x, y]), tabs)
-            prod = (z[0] * z[1]) % tabs.q_col
-            w = self._inverse_stages_rns_u32(prod, tabs)
-            return self._finalize(
-                _shoup32_mul(w, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col),
-                tuple(ctx.modulus for ctx in contexts),
-            )
-        # b rides the transform pre-scaled by R = 2^64 per limb, so the
-        # pointwise product exits the Montgomery domain in one REDC.
-        yb = _shoup_mul_lazy(y, tabs.r_w, tabs.r_lo, tabs.r_hi, tabs.q_col)
-        z = _np.stack([x, yb])                      # (2, L, n); both < 2q
-        z = self._forward_stages_rns(z, tabs)
-        z = _np.minimum(z, z - tabs.q2_col)
-        z = _np.minimum(z, z - tabs.q_col)
-        prod = tabs.mont.mont_mul(z[0], z[1])       # (a)(bR)R^-1 = ab mod q_i
-        w = self._inverse_stages_rns(prod, tabs)
-        v = _shoup_mul_lazy(w, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        return _np.minimum(v, v - tabs.q_col)
+        return _convolve(tabs, x, y)
 
     def limbs_eval_key(self, contexts, store):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._tables(tuple(contexts))
         x = self._matrix(store)
         if tabs is None or x is None:
             return super().limbs_eval_key(contexts, store)
-        if tabs.use32:
-            payload = self._forward_stages_rns_u32(x.copy(), tabs)
-            if self.store_uint32:
-                # Narrow storage halves the resident key-cache footprint.
-                payload = payload.astype(_np.uint32)
-            return ("u32", payload, store)
-        # Pre-scale by R = 2^64 per limb so the pointwise product against a
-        # plain (lazy) transform exits the Montgomery domain in one REDC.
-        yb = _shoup_mul_lazy(x, tabs.r_w, tabs.r_lo, tabs.r_hi, tabs.q_col)
-        z = self._forward_stages_rns(yb, tabs)
-        z = _np.minimum(z, z - tabs.q2_col)
-        return ("montR", _np.minimum(z, z - tabs.q_col), store)
-
-    def limbs_mac_eval(self, contexts, store, key_handles):
-        tabs = self._rns_tables(tuple(contexts))
-        x = self._matrix(store)
-        form = "u32" if tabs is not None and tabs.use32 else "montR"
-        prepared = all(handle[0] == form for handle in key_handles)
-        if tabs is None or x is None or not prepared:
-            return super().limbs_mac_eval(contexts, store, key_handles)
-        if tabs.use32:
-            fx = self._forward_stages_rns_u32(x.copy(), tabs)
-            prods = _np.stack(
-                [(fx * handle[1]) % tabs.q_col for handle in key_handles]
-            )
-            out = self._inverse_stages_rns_u32(prods, tabs)
-            out = _shoup32_mul(out, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col)
-            return [out[idx] for idx in range(len(key_handles))]
-        fx = self._forward_stages_rns(x.copy(), tabs)
-        fx = _np.minimum(fx, fx - tabs.q2_col)
-        fx = _np.minimum(fx, fx - tabs.q_col)
-        prods = _np.stack(
-            [tabs.mont.mont_mul(fx, handle[1]) for handle in key_handles]
-        )
-        out = self._inverse_stages_rns(prods, tabs)
-        v = _shoup_mul_lazy(out, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        v = _np.minimum(v, v - tabs.q_col)
-        return [v[idx] for idx in range(len(key_handles))]
+        payload = _ntt(tabs, _eval_mul(tabs, None, x).copy())
+        return (tabs.key_form, payload, store)
 
     def limbs_eval_mac(self, contexts, digit_stores, key_handles):
-        tabs = self._rns_tables(tuple(contexts))
+        tabs = self._tables(tuple(contexts))
         mats = [self._matrix(store) for store in digit_stores]
-        form = "u32" if tabs is not None and tabs.use32 else "montR"
-        prepared = all(
-            handle[0] == form for handles in key_handles for handle in handles
-        )
-        if tabs is None or any(m is None for m in mats) or not prepared:
+        if (
+            tabs is None or any(m is None for m in mats)
+            # Only key-form payloads this backend made for this word size.
+            or any(handle[0] != tabs.key_form
+                   for handles in key_handles for handle in handles)
+        ):
             return super().limbs_eval_mac(contexts, digit_stores, key_handles)
-        q = tabs.q_col
         accs = []
         for component in range(len(key_handles[0])):
             acc = None
             for mat, handles in zip(mats, key_handles):
-                payload = handles[component][1]
-                if tabs.use32:
-                    term = (mat * payload) % q      # u32 payload promotes to u64
-                else:
-                    # mont_mul(plain, key*R) exits the Montgomery domain: the
-                    # term is the plain product, fully reduced.
-                    term = tabs.mont.mont_mul(mat, payload)
-                if acc is None:
-                    acc = term
-                else:
-                    acc = acc + term
-                    acc = _np.minimum(acc, acc - q)
+                term = _eval_mul(tabs, mat, handles[component][1])
+                acc = term if acc is None else self._add(acc, term, tabs.q)
             accs.append(acc)
         return accs
 
     def limbs_tensor_product(self, a0, a1, b0, b1, moduli):
         mats = [self._matrix(store) for store in (a0, a1, b0, b1)]
-        if any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0]):
+        prods = None
+        if all(m is not None for m in mats) and self._limbs_ok(moduli, mats[0]):
+            x = _np.stack(mats[:2])                 # (2, L, n)
+            y = _np.stack(mats[2:])
+            # (2, 2, L, n): all four products in one pass.
+            prods = self._mulmod(x[:, None], y[None, :], moduli)
+        if prods is None:
             return super().limbs_tensor_product(a0, a1, b0, b1, moduli)
-        x = _np.stack(mats[:2])                     # (2, L, n)
-        y = _np.stack(mats[2:])
-        q = self._q_col(moduli)
-        if self._moduli_u32(moduli):
-            prods = (x[:, None] * y[None, :]) % q   # (2, 2, L, n) in one pass
-        else:
-            mont = self._mont_vec(moduli)
-            if mont is None:
-                return super().limbs_tensor_product(a0, a1, b0, b1, moduli)
-            prods = mont.mulmod(x[:, None], y[None, :])
-        d1 = prods[0, 1] + prods[1, 0]
-        d1 = _np.minimum(d1, d1 - q)
-        return (
-            self._finalize(prods[0, 0], moduli),
-            self._finalize(d1, moduli),
-            self._finalize(prods[1, 1], moduli),
-        )
-
-    def stacked_intt(self, contexts, stores):
-        tabs = self._rns_tables(tuple(contexts))
-        mats = [self._matrix(store) for store in stores]
-        if tabs is None or any(m is None for m in mats):
-            return super().stacked_intt(contexts, stores)
-        moduli = tuple(ctx.modulus for ctx in contexts)
-        x = _np.stack(mats)                         # (C, L, n): one dispatch
-        if tabs.use32:
-            x = self._inverse_stages_rns_u32(x, tabs)
-            out = _shoup32_mul(x, tabs.n_inv_w, tabs.n_inv_s32, tabs.q_col)
-            return [self._finalize(out[i], moduli) for i in range(len(mats))]
-        x = self._inverse_stages_rns(x, tabs)
-        v = _shoup_mul_lazy(x, tabs.n_inv_w, tabs.n_inv_lo, tabs.n_inv_hi,
-                            tabs.q_col)
-        v = _np.minimum(v, v - tabs.q_col)
-        return [v[i] for i in range(len(mats))]
-
-    def stacked_ntt(self, contexts, stores):
-        tabs = self._rns_tables(tuple(contexts))
-        mats = [self._matrix(store) for store in stores]
-        if tabs is None or any(m is None for m in mats):
-            return super().stacked_ntt(contexts, stores)
-        moduli = tuple(ctx.modulus for ctx in contexts)
-        x = _np.stack(mats)                         # (C, L, n): one dispatch
-        if tabs.use32:
-            out = self._forward_stages_rns_u32(x, tabs)
-            return [self._finalize(out[i], moduli) for i in range(len(mats))]
-        x = self._forward_stages_rns(x, tabs)
-        x = _np.minimum(x, x - tabs.q2_col)
-        x = _np.minimum(x, x - tabs.q_col)
-        return [x[i] for i in range(len(mats))]
-
-    def stacked_gather(self, stores, spec):
-        if (
-            not stores
-            or not all(isinstance(s, _np.ndarray) for s in stores)
-            or len({(s.shape, s.dtype) for s in stores}) != 1
-        ):
-            return super().stacked_gather(stores, spec)
-        idx = spec.cache.get("numpy")
-        if idx is None:
-            idx = _np.array(spec.src, dtype=_np.intp)
-            spec.cache["numpy"] = idx
-        out = _np.stack(stores)[..., idx]           # one gather for all stores
-        return [out[i] for i in range(len(stores))]
+        d1 = self._add(prods[0, 1], prods[1, 0], self._q_col(moduli))
+        return prods[0, 0], d1, prods[1, 1]
 
     def stacked_pmult_mac(self, c0_stores, c1_stores, pt_stores, moduli):
         count = len(c0_stores)
         if not count or not (count == len(c1_stores) == len(pt_stores)):
             raise ValueError("stacked_pmult_mac needs matching non-empty stores")
         mats = [self._matrix(s) for s in (*c0_stores, *c1_stores, *pt_stores)]
-        if any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0]):
+        prods = None
+        if all(m is not None for m in mats) and self._limbs_ok(moduli, mats[0]):
+            x = _np.stack([
+                _np.stack(mats[:count]), _np.stack(mats[count:2 * count])
+            ])                                      # (2, C, L, n)
+            p = _np.stack(mats[2 * count:])[None, :]    # (1, C, L, n)
+            prods = self._mulmod(x, p, moduli)      # all products in one pass
+        if prods is None:
             return super().stacked_pmult_mac(c0_stores, c1_stores, pt_stores,
                                              moduli)
-        x = _np.stack([
-            _np.stack(mats[:count]), _np.stack(mats[count:2 * count])
-        ])                                          # (2, C, L, n)
-        p = _np.stack(mats[2 * count:])[None, :]    # (1, C, L, n)
         q = self._q_col(moduli)
-        if self._moduli_u32(moduli):
-            prods = (x * p) % q                     # all products in one pass
-        else:
-            mont = self._mont_vec(moduli)
-            if mont is None:
-                return super().stacked_pmult_mac(c0_stores, c1_stores,
-                                                 pt_stores, moduli)
-            prods = mont.mulmod(x, p)
         acc = prods[:, 0]
         for i in range(1, count):
-            acc = acc + prods[:, i]
-            acc = _np.minimum(acc, acc - q)
-        return self._finalize(acc[0], moduli), self._finalize(acc[1], moduli)
-
-    def limbs_gather(self, store, spec):
-        x = store if isinstance(store, _np.ndarray) else self._matrix(store)
-        if x is None or x.size < self.min_vector_length:
-            return super().limbs_gather(store, spec)
-        idx = spec.cache.get("numpy")
-        if idx is None:
-            idx = _np.array(spec.src, dtype=_np.intp)
-            spec.cache["numpy"] = idx
-        return x[..., idx]                          # preserves the storage dtype
-
-    def replicate_row(self, row, moduli):
-        if any(int(q).bit_length() > NUMPY_MAX_MODULUS_BITS for q in moduli):
-            return super().replicate_row(row, moduli)
-        if isinstance(row, _np.ndarray):
-            arr = row if row.dtype == _np.uint64 else row.astype(_np.uint64)
-        else:
-            try:
-                arr = _np.asarray(row, dtype=_np.uint64)
-            except (OverflowError, TypeError, ValueError):
-                return super().replicate_row(row, moduli)
-        return self._finalize(arr[None, :] % self._q_col(moduli), moduli)
+            acc = self._add(acc, prods[:, i], q)
+        return acc[0], acc[1]
 
     @staticmethod
-    def _perm_arrays(spec: "PermSpec"):
-        cached = spec.cache.get("numpy")
-        if cached is None:
-            cached = (
-                _np.array(spec.dest, dtype=_np.intp),
-                _np.array(spec.negate, dtype=bool),
-            )
-            spec.cache["numpy"] = cached
-        return cached
+    def _gather_index(spec: "GatherSpec"):
+        idx = spec.cache.get("numpy")
+        if idx is None:
+            idx = spec.cache["numpy"] = _np.array(spec.src, dtype=_np.intp)
+        return idx
 
-    def signed_permute(self, values, q, spec):
+    def stacked_gather(self, stores, spec):
         if (
-            q.bit_length() > NUMPY_MAX_MODULUS_BITS
-            or len(values) < self.min_vector_length
+            not stores
+            or not all(isinstance(s, _np.ndarray) for s in stores)
+            or len({s.shape for s in stores}) != 1
         ):
-            return super().signed_permute(values, q, spec)
-        dest, negate = self._perm_arrays(spec)
-        x = self._to_array(values, q)
-        q_u = _np.uint64(q)
-        flipped = _np.where(x == _np.uint64(0), x, q_u - x)
-        out = _np.empty_like(x)
-        out[dest] = _np.where(negate, flipped, x)
-        return out.tolist()
+            return super().stacked_gather(stores, spec)
+        # One gather for all stores.
+        return list(_np.stack(stores)[..., self._gather_index(spec)])
+
+    def limbs_gather(self, store, spec):
+        x = self._matrix(store)
+        if x is None or x.size < self.min_vector_length:
+            return super().limbs_gather(store, spec)
+        return x[..., self._gather_index(spec)]
 
     def limbs_signed_permute(self, store, moduli, spec):
         x = self._matrix(store)
         if not self._limbs_ok(moduli, x):
             return super().limbs_signed_permute(store, moduli, spec)
-        dest, negate = self._perm_arrays(spec)
-        q = self._q_col(moduli)
-        flipped = _np.where(x == _np.uint64(0), x, q - x)
-        out = _np.empty_like(x)
-        out[:, dest] = _np.where(negate[None, :], flipped, x)
-        return self._finalize(out, moduli)
+        return self._permute(x, self._q_col(moduli), spec)
 
-    def pointwise_mac_many(self, rows_a, groups, q):
-        if not groups:
-            return []
-        if any(len(group) != len(rows_a) for group in groups) or not rows_a:
-            raise ValueError("pointwise_mac_many needs matching row counts")
-        if not self._mul_ok(q, *rows_a):
-            return super().pointwise_mac_many(rows_a, groups, q)
-        q_u = _np.uint64(q)
-        x = _np.stack([self._to_array(row, q) for row in rows_a])   # (R, n)
-        try:
-            y = _np.array(groups, dtype=_np.uint64)                 # (G, R, n)
-        except (OverflowError, TypeError, ValueError):
-            return super().pointwise_mac_many(rows_a, groups, q)
-        if (y >= q_u).any():
-            y %= q_u
-        if self._direct_ok(q):
-            terms = (x[None, :, :] * y) % q_u
-        else:
-            terms = self._mont(q).mulmod(x[None, :, :], y)
-        acc = terms[:, 0]
-        for idx in range(1, terms.shape[1]):
-            acc = acc + terms[:, idx]
-            acc = _np.minimum(acc, acc - q_u)
-        return acc.tolist()
-
-    @staticmethod
-    def _decompose_digits(values, modulus, factors) -> list:
-        """One digit array per factor for reduced int64 ``values`` (any shape).
-
-        The greedy residual walk of the golden :meth:`gadget_decompose`,
-        vectorized; digits come out reduced into ``[0, modulus)``.
-        """
-        q64 = _np.int64(modulus)
-        # Centring into (-q/2, q/2], matching modmath.centered exactly.
-        residual = _np.where(values > _np.int64(modulus // 2), values - q64, values)
-        digits = []
-        for factor in factors:
-            if factor == 0:
-                digits.append(_np.zeros_like(values))
-                continue
-            f = _np.int64(factor)
-            digit = (2 * residual + f) // (2 * f)
-            residual = residual - digit * f
-            # |digit| <= q/2 + 1, so one conditional add is the exact ``% q``.
-            digits.append(_np.where(digit < 0, digit + q64, digit))
-        return digits
-
-    def gadget_decompose(self, coefficients, modulus, factors):
-        if (
-            modulus.bit_length() > NUMPY_MAX_MODULUS_BITS
-            or len(coefficients) < self.min_vector_length
-        ):
-            return super().gadget_decompose(coefficients, modulus, factors)
-        try:
-            arr = _np.array(coefficients, dtype=_np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return super().gadget_decompose(coefficients, modulus, factors)
-        digits = self._decompose_digits(arr % _np.int64(modulus), modulus, factors)
-        return [digit.tolist() for digit in digits]
-
-    # -- NTT ---------------------------------------------------------------
-    def _tables(self, context) -> "_NumpyNTTTables":
-        key = (context.ring_degree, context.modulus)
-        tables = self._ntt_tables.get(key)
-        if tables is None:
-            tables = _NumpyNTTTables(context)
-            self._ntt_tables[key] = tables
-        return tables
-
-    def _ntt_ok(self, context) -> bool:
-        # The lazy butterflies keep values in [0, 4q), so 4q must fit a word;
-        # the exit pointwise reduction additionally wants an odd modulus
-        # (always true for NTT-friendly primes).
-        return (
-            context.ring_degree >= self.min_ntt_length
-            and self._mont(context.modulus) is not None
-        )
-
-    def ntt_forward(self, context, coefficients):
-        self._check_length(context, coefficients)
-        if not self._ntt_ok(context):
-            return self._fallback.ntt_forward(context, coefficients)
-        tables = self._tables(context)
-        x = self._to_array(coefficients, context.modulus)
-        if tables.use32:
-            return self._forward_stages_u32(context.ring_degree, x, tables).tolist()
-        x = self._forward_stages(context.ring_degree, x, tables)
-        return self._reduce_4q(x, tables).tolist()
-
-    def ntt_inverse(self, context, values):
-        self._check_length(context, values)
-        if not self._ntt_ok(context):
-            return self._fallback.ntt_inverse(context, values)
-        tables = self._tables(context)
-        x = self._to_array(values, context.modulus)
-        if tables.use32:
-            x = self._inverse_stages_u32(context.ring_degree, x, tables)
-            return _shoup32_mul(x, tables.n_inv_w, tables.n_inv_s32, tables.q_u).tolist()
-        x = self._inverse_stages(context.ring_degree, x, tables)
-        return self._exit_scale(x, tables).tolist()
-
-    def negacyclic_convolution(self, context, a, b):
-        self._check_length(context, a)
-        self._check_length(context, b)
-        if not self._ntt_ok(context):
-            return self._fallback.negacyclic_convolution(context, a, b)
-        tables = self._tables(context)
-        n = context.ring_degree
+    # -- same-modulus row stores (TFHE blind rotation) ---------------------
+    def _transform_rows(self, core, context, rows):
+        """``core`` over rows sharing one modulus — the ``L = 1`` tables
+        broadcast over them; ``None`` if they cannot be (or there are none).
+        Store in -> store out, lists in -> lists out."""
+        tabs = self._tables((context,)) if len(rows) else None
+        if tabs is None:
+            return None
+        if isinstance(rows, _np.ndarray):
+            return core(tabs, rows.copy())
         q = context.modulus
-        xa = self._to_array(a, q)
-        xb = self._to_array(b, q)
-        if tables.use32:
-            # Direct single-word path: transforms stay fully reduced, so the
-            # pointwise product is one 64-bit multiply plus one remainder.
-            x = self._forward_stages_u32(n, _np.stack([xa, xb]), tables)
-            prod = (x[0] * x[1]) % tables.q_u
-            y = self._inverse_stages_u32(n, prod, tables)
-            return _shoup32_mul(y, tables.n_inv_w, tables.n_inv_s32, tables.q_u).tolist()
-        # b enters the transform pre-scaled by R = 2^64 (the transform is
-        # linear, so the evaluation values come out scaled by R as well).
-        xb = _shoup_mul_lazy(xb, tables.r_w,
-                             tables.r_s_lo, tables.r_s_hi, tables.q_u)
-        # Both forward transforms ride one stacked array: the stage loop is
-        # overhead-bound at these sizes, so batching nearly halves its cost.
-        x = self._forward_stages(n, _np.stack([xa, xb]), tables)
-        x = self._reduce_4q(x, tables)
-        prod = self._mont(q).mont_mul(x[0], x[1])   # (a)(bR)R^-1 = ab mod q
-        y = self._inverse_stages(n, prod, tables)
-        return self._exit_scale(y, tables).tolist()
-
-    def _batch_rows(self, rows, q):
-        """A fresh ``(B, n)`` uint64 array the in-place stage loops may own."""
-        if isinstance(rows, _np.ndarray):
-            return rows.astype(_np.uint64)          # always copies
-        return _np.stack([self._to_array(row, q) for row in rows])
-
-    def _batch_result(self, x, rows, q):
-        """Store in -> store out, lists in -> lists out."""
-        if isinstance(rows, _np.ndarray):
-            return self._finalize(x, (q,))
-        return x.tolist()
+        return core(tabs, _np.stack([self._to_array(row, q) for row in rows])).tolist()
 
     def ntt_forward_batch(self, context, rows):
-        if not len(rows):
-            return []
-        if not self._ntt_ok(context):
-            return super().ntt_forward_batch(context, rows)
-        tables = self._tables(context)
-        n = context.ring_degree
-        q = context.modulus
-        x = self._batch_rows(rows, q)
-        if tables.use32:
-            x = self._forward_stages_u32(n, x, tables)
-        else:
-            x = self._reduce_4q(self._forward_stages(n, x, tables), tables)
-        return self._batch_result(x, rows, q)
+        out = self._transform_rows(_ntt, context, rows)
+        return super().ntt_forward_batch(context, rows) if out is None else out
 
     def ntt_inverse_batch(self, context, rows):
-        if not len(rows):
-            return []
-        if not self._ntt_ok(context):
-            return super().ntt_inverse_batch(context, rows)
-        tables = self._tables(context)
-        n = context.ring_degree
-        q = context.modulus
-        x = self._batch_rows(rows, q)
-        if tables.use32:
-            x = self._inverse_stages_u32(n, x, tables)
-            x = _shoup32_mul(x, tables.n_inv_w, tables.n_inv_s32, tables.q_u)
-        else:
-            x = self._exit_scale(self._inverse_stages(n, x, tables), tables)
-        return self._batch_result(x, rows, q)
+        out = self._transform_rows(_intt, context, rows)
+        return super().ntt_inverse_batch(context, rows) if out is None else out
 
     def rows_monomial_multiply(self, store, q, degrees, group):
         x = self._matrix(store)
@@ -2167,10 +1966,8 @@ class NumpyBackend(ArithmeticBackend):
         wrapped = (src >= n)[:, None, :]
         src = (src % n)[:, None, :]
         picked = _np.take_along_axis(x.reshape(len(degrees), group, n), src, axis=2)
-        q_u = _np.uint64(q)
-        flipped = _np.where(picked == _np.uint64(0), picked, q_u - picked)
-        out = _np.where(wrapped, flipped, picked).reshape(x.shape)
-        return self._finalize(out, (q,))
+        out = _np.where(wrapped, self._neg(picked, _np.uint64(q)), picked)
+        return out.reshape(x.shape)
 
     def gadget_decompose_rows(self, store, q, factors):
         x = self._matrix(store)
@@ -2179,7 +1976,7 @@ class NumpyBackend(ArithmeticBackend):
         digits = self._decompose_digits(x.astype(_np.int64), q, factors)
         # Stack level-innermost: row r's digits at [r * levels, (r + 1) * levels).
         out = _np.stack(digits, axis=1).reshape(-1, x.shape[1])
-        return self._finalize(out.astype(_np.uint64), (q,))
+        return out.astype(_np.uint64)
 
     def external_product_mac(self, fwd, key_rows, members, q):
         x = self._matrix(fwd)
@@ -2188,292 +1985,18 @@ class NumpyBackend(ArithmeticBackend):
             x is None or y is None or not self._mul_ok(q)
             or x.size < self.min_vector_length
             or len(x) % members or len(y) % (len(x) // members)
+            # Reduced terms are summed before one final remainder.
+            or (len(x) // members) * q > 1 << 64
         ):
             return super().external_product_mac(fwd, key_rows, members, q)
         n = x.shape[1]
         per_member = len(x) // members
-        x = x.reshape(members, per_member, 1, n)
-        y = y.reshape(1, per_member, -1, n)
-        q_u = _np.uint64(q)
-        if self._direct_ok(q):
-            # Reduced terms are < 2^32, so the R-term sum cannot wrap.
-            acc = ((x * y) % q_u).sum(axis=1) % q_u
-        else:
-            terms = self._mont(q).mulmod(x, y)
-            acc = terms[:, 0]
-            for idx in range(1, per_member):
-                acc = acc + terms[:, idx]
-                acc = _np.minimum(acc, acc - q_u)
-        return self._finalize(acc.reshape(-1, n), (q,))
+        terms = self._mulmod(
+            x.reshape(members, per_member, 1, n), y.reshape(1, per_member, -1, n), (q,)
+        )
+        return (terms.sum(axis=1) % _np.uint64(q)).reshape(-1, n)
 
-    def pointwise_mac(self, rows_a, rows_b, q):
-        if len(rows_a) != len(rows_b):
-            raise ValueError("pointwise_mac needs equally many rows on both sides")
-        if not rows_a:
-            raise ValueError("pointwise_mac needs at least one row pair")
-        if not self._mul_ok(q, *rows_a, *rows_b):
-            return super().pointwise_mac(rows_a, rows_b, q)
-        q_u = _np.uint64(q)
-        x = _np.stack([self._to_array(row, q) for row in rows_a])
-        y = _np.stack([self._to_array(row, q) for row in rows_b])
-        if self._direct_ok(q):
-            terms = (x * y) % q_u
-        else:
-            terms = self._mont(q).mulmod(x, y)
-        acc = terms[0]
-        for idx in range(1, len(terms)):
-            acc = acc + terms[idx]
-            acc = _np.minimum(acc, acc - q_u)
-        return acc.tolist()
-
-    @staticmethod
-    def _reduce_4q(x, tables):
-        """Exact reduction of lazily-accumulated values from [0, 4q) to [0, q)."""
-        x = _np.minimum(x, x - tables.q2)
-        return _np.minimum(x, x - tables.q_u)
-
-    @staticmethod
-    def _exit_scale(x, tables):
-        """Multiply by n^-1 (Shoup) and reduce exactly; input < 2q, output < q."""
-        x = _shoup_mul_lazy(x, tables.n_inv_w, tables.n_inv_s_lo,
-                            tables.n_inv_s_hi, tables.q_u)
-        return _np.minimum(x, x - tables.q_u)
-
-    @staticmethod
-    def _forward_stages(n: int, x, tables):
-        """Cooley-Tukey stages with Harvey lazy reduction (values < 4q).
-
-        ``x`` may carry a leading batch dimension: shape ``(n,)`` or
-        ``(B, n)``; every batch row is transformed independently in place.
-        Conditional subtraction uses the wraparound trick
-        ``min(v, v - q)``: when ``v < q`` the subtraction wraps to a huge
-        value and ``min`` keeps ``v``, else it keeps the reduced value.
-        """
-        q_u = tables.q_u
-        q2 = tables.q2
-        batch = 1 if x.ndim == 1 else x.shape[0]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = x.reshape(batch, m, 2 * t)
-            u0 = blocks[:, :, :t]
-            u = _np.minimum(u0, u0 - q2)                   # < 2q
-            sl = slice(m, 2 * m)
-            v = _shoup_mul_lazy(
-                blocks[:, :, t:], tables.fwd_w[None, sl, None],
-                tables.fwd_s_lo[None, sl, None],
-                tables.fwd_s_hi[None, sl, None], q_u,
-            )                                              # < 2q
-            _np.add(u, v, out=blocks[:, :, :t])            # < 4q
-            v -= q2
-            _np.subtract(u, v, out=blocks[:, :, t:])       # u - v + 2q < 4q
-            m *= 2
-        return x
-
-    @staticmethod
-    def _inverse_stages(n: int, x, tables):
-        """Gentleman-Sande stages with lazy reduction (values < 2q)."""
-        q_u = tables.q_u
-        q2 = tables.q2
-        batch = 1 if x.ndim == 1 else x.shape[0]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = x.reshape(batch, h, 2 * t)
-            u = blocks[:, :, :t]
-            v = blocks[:, :, t:]
-            s = u + v                                      # < 4q
-            d = u + (q2 - v)                               # < 4q (true value, fine for Shoup)
-            sl = slice(h, 2 * h)
-            _np.minimum(s, s - q2, out=blocks[:, :, :t])   # < 2q
-            blocks[:, :, t:] = _shoup_mul_lazy(
-                d, tables.inv_w[None, sl, None],
-                tables.inv_s_lo[None, sl, None],
-                tables.inv_s_hi[None, sl, None], q_u,
-            )                                              # < 2q
-            t *= 2
-            m = h
-        return x
-
-    @staticmethod
-    def _forward_stages_u32(n: int, x, tables):
-        """CT stages with direct single-word products (moduli < 2^32).
-
-        Values stay fully reduced (< q) at every stage, so each butterfly
-        operand satisfies the ``y < 2^32`` Shoup precondition.  ``x`` may
-        carry any number of leading batch dimensions.
-        """
-        q_u = tables.q_u
-        lead = x.shape[:-1]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = x.reshape(lead + (m, 2 * t))
-            sl = slice(m, 2 * m)
-            u = blocks[..., :t]
-            v = _shoup32_mul(blocks[..., t:], tables.fwd_w[sl][:, None],
-                             tables.fwd_s32[sl][:, None], q_u)
-            s = u + v                                      # < 2q
-            d = u - v                                      # wraps when negative
-            _np.minimum(s, s - q_u, out=blocks[..., :t])   # < q
-            _np.minimum(d, d + q_u, out=blocks[..., t:])   # < q
-            m *= 2
-        return x
-
-    @staticmethod
-    def _inverse_stages_u32(n: int, x, tables):
-        """GS stages with direct single-word products (moduli < 2^32)."""
-        q_u = tables.q_u
-        lead = x.shape[:-1]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = x.reshape(lead + (h, 2 * t))
-            sl = slice(h, 2 * h)
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = u + v
-            d = u - v
-            d = _np.minimum(d, d + q_u)                    # < q
-            _np.minimum(s, s - q_u, out=blocks[..., :t])   # < q
-            blocks[..., t:] = _shoup32_mul(d, tables.inv_w[sl][:, None],
-                                           tables.inv_s32[sl][:, None], q_u)
-            t *= 2
-            m = h
-        return x
-
-    @staticmethod
-    def _forward_stages_rns(x, tabs):
-        """CT stages over an ``(L, n)`` (or ``(B, L, n)``) limb stack.
-
-        Same lazy Harvey butterflies as :meth:`_forward_stages`, but the
-        twiddle tables are ``(L, n)`` matrices and the modulus constants
-        ``(L, 1, 1)`` columns, so every limb transforms under its own
-        modulus in one pass.
-        """
-        n = tabs.n
-        q_s = tabs.q_s
-        q2_s = tabs.q2_s
-        lead = x.shape[:-1]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = x.reshape(lead + (m, 2 * t))
-            sl = slice(m, 2 * m)
-            u0 = blocks[..., :t]
-            u = _np.minimum(u0, u0 - q2_s)                 # < 2q
-            v = _shoup_mul_lazy(
-                blocks[..., t:], tabs.fwd_w[:, sl, None],
-                tabs.fwd_lo[:, sl, None], tabs.fwd_hi[:, sl, None], q_s,
-            )                                              # < 2q
-            _np.add(u, v, out=blocks[..., :t])             # < 4q
-            v -= q2_s
-            _np.subtract(u, v, out=blocks[..., t:])        # u - v + 2q < 4q
-            m *= 2
-        return x
-
-    @staticmethod
-    def _inverse_stages_rns(x, tabs):
-        """GS stages over an ``(L, n)`` (or ``(B, L, n)``) limb stack."""
-        n = tabs.n
-        q_s = tabs.q_s
-        q2_s = tabs.q2_s
-        lead = x.shape[:-1]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = x.reshape(lead + (h, 2 * t))
-            sl = slice(h, 2 * h)
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = u + v                                      # < 4q
-            d = u + (q2_s - v)                             # < 4q
-            _np.minimum(s, s - q2_s, out=blocks[..., :t])  # < 2q
-            blocks[..., t:] = _shoup_mul_lazy(
-                d, tabs.inv_w[:, sl, None],
-                tabs.inv_lo[:, sl, None], tabs.inv_hi[:, sl, None], q_s,
-            )                                              # < 2q
-            t *= 2
-            m = h
-        return x
-
-    @staticmethod
-    def _forward_stages_rns_u32(x, tabs):
-        """CT stages over a limb stack with direct single-word products.
-
-        The per-limb variant of :meth:`_forward_stages_u32`: all moduli are
-        below 2^32, values stay fully reduced at every stage.
-        """
-        n = tabs.n
-        q_s = tabs.q_s
-        lead = x.shape[:-1]
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            blocks = x.reshape(lead + (m, 2 * t))
-            sl = slice(m, 2 * m)
-            u = blocks[..., :t]
-            v = _shoup32_mul(blocks[..., t:], tabs.fwd_w[:, sl, None],
-                             tabs.fwd_s32[:, sl, None], q_s)
-            s = u + v
-            d = u - v
-            _np.minimum(s, s - q_s, out=blocks[..., :t])
-            _np.minimum(d, d + q_s, out=blocks[..., t:])
-            m *= 2
-        return x
-
-    @staticmethod
-    def _inverse_stages_rns_u32(x, tabs):
-        """GS stages over a limb stack with direct single-word products."""
-        n = tabs.n
-        q_s = tabs.q_s
-        lead = x.shape[:-1]
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            blocks = x.reshape(lead + (h, 2 * t))
-            sl = slice(h, 2 * h)
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = u + v
-            d = u - v
-            d = _np.minimum(d, d + q_s)
-            _np.minimum(s, s - q_s, out=blocks[..., :t])
-            blocks[..., t:] = _shoup32_mul(d, tabs.inv_w[:, sl, None],
-                                           tabs.inv_s32[:, sl, None], q_s)
-            t *= 2
-            m = h
-        return x
-
-    def _rns_tables(self, contexts) -> "_RNSNTTTables | None":
-        """Stacked per-limb tables for one tuple of same-degree NTT contexts."""
-        if not contexts:
-            return None
-        n = contexts[0].ring_degree
-        moduli = tuple(ctx.modulus for ctx in contexts)
-        key = (n, moduli)
-        tabs = self._rns_ntt_tables.get(key)
-        if tabs is None and key not in self._rns_ntt_tables:
-            usable = (
-                n >= self.min_ntt_length
-                and all(ctx.ring_degree == n for ctx in contexts)
-                and all(self._mont(q) is not None for q in moduli)
-            )
-            tabs = (
-                _RNSNTTTables([self._tables(ctx) for ctx in contexts], moduli)
-                if usable else None
-            )
-            self._rns_ntt_tables[key] = tabs
-        return tabs
-
+    # -- cyclic NTT batches (four-step phases) ------------------------------
     def _cyclic_stage_twiddles(self, length: int, omega: int, q: int):
         key = (length, omega, q)
         stages = self._cyclic_tables.get(key)
@@ -2496,11 +2019,7 @@ class NumpyBackend(ArithmeticBackend):
         if rows == 0:
             return []
         length = len(matrix[0])
-        if (
-            q % 2 == 0
-            or q.bit_length() > NUMPY_MAX_MODULUS_BITS
-            or rows * length < self.min_ntt_length
-        ):
+        if self._mont((q,)) is None or rows * length < self.min_ntt_length:
             return self._fallback.cyclic_ntt_batch(matrix, omega, q)
         arr = _np.stack([self._to_array(row, q) for row in matrix])
         return self._cyclic_core(arr, omega, q).tolist()
@@ -2546,7 +2065,7 @@ class NumpyBackend(ArithmeticBackend):
     def four_step_ntt(self, context, coefficients, rows):
         n = context.ring_degree
         q = context.modulus
-        if not self._ntt_ok(context):
+        if self._tables((context,)) is None:
             return super().four_step_ntt(context, coefficients, rows)
         cols = n // rows
         fs = self._four_step(context, rows)
@@ -2573,12 +2092,12 @@ class NumpyBackend(ArithmeticBackend):
     def four_step_intt(self, context, values, rows):
         n = context.ring_degree
         q = context.modulus
-        if not self._ntt_ok(context):
+        tabs = self._tables((context,))
+        if tabs is None:
             return super().four_step_intt(context, values, rows)
         cols = n // rows
         fs = self._four_step(context, rows)
         q_u = _np.uint64(q)
-        tables = self._tables(context)
         x = self._to_array(values, q)
         # Undo the bit-reversed output order (the permutation is an involution).
         natural = x[fs.order]
@@ -2590,61 +2109,9 @@ class NumpyBackend(ArithmeticBackend):
         columns = self._cyclic_core(flat.reshape(cols, rows), fs.omega_rows_inv, q)
         twisted = _np.ascontiguousarray(columns.T).reshape(-1)
         # Scale by n^-1, then undo the psi twist.
-        x = _shoup_mul_lazy(twisted, tables.n_inv_w, tables.n_inv_s_lo,
-                            tables.n_inv_s_hi, q_u)
-        x = _np.minimum(x, x - q_u)
+        x = _fixed_mul(twisted, tabs.n_inv, tabs.q, tabs.word)[0]
         x = _shoup_mul_lazy(x, fs.psi_inv_w, fs.psi_inv_lo, fs.psi_inv_hi, q_u)
         return _np.minimum(x, x - q_u).tolist()
-
-
-class PerLimbNumpyBackend(NumpyBackend):
-    """The PR-1 dispatch shape: vectorized scalar kernels, per-limb loops.
-
-    Every packed limb-major entry point is pinned back to the base-class
-    per-limb loop (list stores, one scalar-kernel dispatch per limb), while
-    the scalar kernels themselves stay vectorized.  This reproduces how the
-    RNS layer drove the numpy backend before limb batching, and exists for
-    differential benchmarks (:mod:`benchmarks.bench_rns_batching`) and the
-    packed-vs-per-limb parity suite — do not use it in production code.
-    """
-
-    name = "numpy-per-limb"
-
-    pack_limbs = ArithmeticBackend.pack_limbs
-    unpack_limbs = ArithmeticBackend.unpack_limbs
-    limbs_zero = ArithmeticBackend.limbs_zero
-    limbs_add = ArithmeticBackend.limbs_add
-    limbs_sub = ArithmeticBackend.limbs_sub
-    limbs_neg = ArithmeticBackend.limbs_neg
-    limbs_mul = ArithmeticBackend.limbs_mul
-    limbs_scalar_mul = ArithmeticBackend.limbs_scalar_mul
-    batched_sub_scaled = ArithmeticBackend.batched_sub_scaled
-    bconv_matmul = ArithmeticBackend.bconv_matmul
-    batched_ntt = ArithmeticBackend.batched_ntt
-    batched_intt = ArithmeticBackend.batched_intt
-    limbs_convolution = ArithmeticBackend.limbs_convolution
-    limbs_eval_key = ArithmeticBackend.limbs_eval_key
-    limbs_mac_eval = ArithmeticBackend.limbs_mac_eval
-    limbs_eval_mac = ArithmeticBackend.limbs_eval_mac
-    limbs_tensor_product = ArithmeticBackend.limbs_tensor_product
-    limbs_signed_permute = ArithmeticBackend.limbs_signed_permute
-    limbs_gather = ArithmeticBackend.limbs_gather
-    stacked_intt = ArithmeticBackend.stacked_intt
-    stacked_ntt = ArithmeticBackend.stacked_ntt
-    stacked_gather = ArithmeticBackend.stacked_gather
-    stacked_pmult_mac = ArithmeticBackend.stacked_pmult_mac
-    replicate_row = ArithmeticBackend.replicate_row
-    ntt_forward_batch = ArithmeticBackend.ntt_forward_batch
-    ntt_inverse_batch = ArithmeticBackend.ntt_inverse_batch
-    rows_monomial_multiply = ArithmeticBackend.rows_monomial_multiply
-    gadget_decompose_rows = ArithmeticBackend.gadget_decompose_rows
-    external_product_mac = ArithmeticBackend.external_product_mac
-    pointwise_mac = ArithmeticBackend.pointwise_mac
-    pointwise_mac_many = ArithmeticBackend.pointwise_mac_many
-    signed_permute = ArithmeticBackend.signed_permute
-    gadget_decompose = ArithmeticBackend.gadget_decompose
-    four_step_ntt = ArithmeticBackend.four_step_ntt
-    four_step_intt = ArithmeticBackend.four_step_intt
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,7 @@ class CKKSEvaluator:
         a planned program's common-subexpression view exposes — pay the
         transform once instead of per call.
         """
-        backend = active_backend()
-        # The storage mode is part of the key: a wide-store and a
-        # REPRO_U32_STORE=1 backend share the name "numpy" but must not
-        # share cached stores (values agree, storage width does not).
-        key = (backend.name, getattr(backend, "store_uint32", False), level)
+        key = (active_backend().name, level)
         poly = plaintext._eval_cache.get(key)
         if poly is None:
             poly = self._plaintext_at_level(plaintext, level).to_eval()

@@ -158,11 +158,15 @@ def _hybrid_keyswitch(
         # BConv: lift the digit into the extended basis C_l ∪ P — a single
         # matrix-product dispatch per digit.
         lifted = fast_basis_conversion(digit, extended)
-        # Inner product with the evaluation key: one limb-batched MAC pair
-        # per digit, sharing the digit's forward transform across both key
-        # components.
+        # Inner product with the evaluation key: the digit's forward
+        # transform is shared by both key components, whose products return
+        # through one stacked inverse transform — per digit, which is what
+        # the hoisted path below saves.
         if handles is not None:
-            s0, s1 = backend.limbs_mac_eval(contexts, lifted.store(), handles[idx])
+            fwd = backend.batched_ntt(contexts, lifted.store())
+            s0, s1 = backend.stacked_intt(
+                contexts, backend.limbs_eval_mac(contexts, [fwd], [handles[idx]])
+            )
             acc0 = acc0 + RNSPolynomial._from_store(n, extended, s0)
             acc1 = acc1 + RNSPolynomial._from_store(n, extended, s1)
         else:

@@ -187,9 +187,7 @@ class RNSPolynomial:
         self._rows = None
         if limbs is None:
             self._limbs = None
-            self._rows = active_backend().limbs_zero(
-                len(basis), ring_degree, tuple(basis.moduli)
-            )
+            self._rows = active_backend().limbs_zero(len(basis), ring_degree)
         else:
             limbs = list(limbs)
             if len(limbs) != len(basis):

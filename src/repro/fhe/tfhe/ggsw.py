@@ -163,12 +163,9 @@ def external_product(ggsw: GGSWCiphertext, glwe: GLWECiphertext) -> GLWECipherte
     fwd = backend.ntt_forward_batch(
         context, digit_rows + ggsw_coefficient_rows(ggsw)
     )
-    key_eval = fwd[count:]
-    groups = [
-        [key_eval[r * (k + 1) + m] for r in range(count)] for m in range(k + 1)
-    ]
-    out_rows = backend.pointwise_mac_many(fwd[:count], groups, q)
-    inv = backend.ntt_inverse_batch(context, out_rows)
+    # The wave kernel on a wave of one; it returns a store.
+    out_rows = backend.external_product_mac(fwd[:count], fwd[count:], 1, q)
+    inv = backend.unpack_limbs(backend.ntt_inverse_batch(context, out_rows))
     polys = [Polynomial._from_reduced(n, q, row) for row in inv]
     return GLWECiphertext(mask=polys[:k], body=polys[k])
 

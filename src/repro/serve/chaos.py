@@ -223,7 +223,6 @@ class FaultInjectingBackend(ArithmeticBackend):
             else:
                 setattr(self, attr, bound)
         self.name = f"chaos:{inner.name}"
-        self.store_uint32 = getattr(inner, "store_uint32", False)
 
     def _wrap(self, kernel: str, func: Callable) -> Callable:
         def dispatch(*args, **kwargs):

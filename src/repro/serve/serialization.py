@@ -3,7 +3,7 @@
 The packed limb-major ``(L, N)`` stores make wire encoding a near-direct
 dump: every value is a header plus rows of reduced residues in little-endian
 fixed-width words.  The word width is 4 bytes when every modulus fits in 32
-bits (the same narrowing rule as the backend's ``REPRO_U32_STORE`` mode) and
+bits (the rule by which the numpy backend picks its 32-bit kernels) and
 8 bytes otherwise, so word-size parameter sets serialize at half cost.
 
 Container layout (all integers little-endian)::

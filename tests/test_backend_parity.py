@@ -39,7 +39,12 @@ from repro.fhe.ckks.encoder import CKKSEncoder
 from repro.fhe.ckks.keys import galois_element_for_rotation
 from repro.fhe.ntt import NTTContext, four_step_intt, four_step_ntt
 from repro.fhe.params import CKKSParameters, TFHEParameters
-from repro.fhe.polynomial import Polynomial, sample_uniform
+from repro.fhe.polynomial import (
+    Polynomial,
+    automorphism_spec,
+    monomial_spec,
+    sample_uniform,
+)
 from repro.fhe.rns import RNSBasis, RNSPolynomial, exact_basis_conversion, fast_basis_conversion
 from repro.fhe.tfhe.pbs import TFHEContext
 
@@ -457,28 +462,161 @@ class TestWaveKernelParity:
                 backend.mat_mulmod(digits[:-1], matrix, q)
 
 
-def test_wave_kernels_agree_in_uint32_store_mode():
-    """Narrow storage changes the dtype at rest, never a value."""
-    q, n = TFHEParameters.hybrid().modulus, 256
-    narrow = NumpyBackend(min_vector_length=0, min_ntt_length=0, store_uint32=True)
-    rows = _wave_store(q, n, 4, 9)
-    packed = narrow.pack_limbs(rows, (q,) * 4)
-    assert packed.dtype == np.uint32
-    context = NTTContext(n, q)
-    factors = [q // (1 << (6 * (j + 1))) for j in range(5)]
-    for name, args in (
-        ("rows_monomial_multiply", (q, [3, -5], 2)),
-        ("gadget_decompose_rows", (q, factors)),
-    ):
-        out = getattr(narrow, name)(packed, *args)
-        assert out.dtype == np.uint32
-        assert _rows(out) == getattr(PYTHON, name)(rows, *args)
-    out = narrow.ntt_forward_batch(context, packed)
-    assert out.dtype == np.uint32
-    assert _rows(out) == PYTHON.ntt_forward_batch(context, rows)
-    mac = narrow.external_product_mac(out, out, 2, q)
-    assert mac.dtype == np.uint32
-    assert _rows(mac) == PYTHON.external_product_mac(_rows(out), _rows(out), 2, q)
+#: A 28- and a 32-bit prime (word 32), the smallest Montgomery width the
+#: parameter sets use and the 62-bit cap (word 64).
+STACK_OF_ONE_N = 32
+STACK_OF_ONE_PRIMES = [
+    modmath.find_ntt_prime(bits, STACK_OF_ONE_N) for bits in (28, 32, 36, 62)
+]
+
+
+@pytest.mark.parametrize("q", STACK_OF_ONE_PRIMES,
+                         ids=[f"{q.bit_length()}bit" for q in STACK_OF_ONE_PRIMES])
+class TestSingleRowIsStackOfOne:
+    """Each single-row kernel == row 0 of its limb-stack kernel on a one-row
+    store == the python golden.
+
+    The row kernels additionally take unreduced and negative input (stores
+    are reduced by contract, so the stack side sees the reduced row) and
+    cross over to python below the size thresholds.
+    """
+
+    N = STACK_OF_ONE_N
+
+    def _inputs(self, q, seed):
+        rng = random.Random(seed)
+        raw = [[rng.randrange(-3 * q, 3 * q) for _ in range(self.N)] for _ in range(2)]
+        raw[0][:3] = [0, -q, 2 * q - 1]
+        return raw, [[v % q for v in row] for row in raw]
+
+    @given(seed=st.integers(0, 1 << 32), scalar=st.integers(-(1 << 70), 1 << 70))
+    @settings(max_examples=25, deadline=None)
+    def test_elementwise(self, q, seed, scalar):
+        (a, b), (ra, rb) = self._inputs(q, seed)
+        moduli = (q,)
+        sa, sb = NUMPY.pack_limbs([ra], moduli), NUMPY.pack_limbs([rb], moduli)
+        for row, stack, golden in (
+            (NUMPY.add(a, b, q), NUMPY.limbs_add(sa, sb, moduli), PYTHON.add(a, b, q)),
+            (NUMPY.sub(a, b, q), NUMPY.limbs_sub(sa, sb, moduli), PYTHON.sub(a, b, q)),
+            (NUMPY.neg(a, q), NUMPY.limbs_neg(sa, moduli), PYTHON.neg(a, q)),
+            (NUMPY.mul(a, b, q), NUMPY.limbs_mul(sa, sb, moduli), PYTHON.mul(a, b, q)),
+            (NUMPY.scalar_mul(a, scalar, q),
+             NUMPY.limbs_scalar_mul(sa, [scalar], moduli),
+             PYTHON.scalar_mul(a, scalar, q)),
+            (NUMPY.sub_scaled(a, b, scalar, q),
+             NUMPY.batched_sub_scaled(sa, sb, [scalar], moduli),
+             PYTHON.sub_scaled(a, b, scalar, q)),
+        ):
+            assert isinstance(row, list) and isinstance(stack, np.ndarray)
+            assert row == _rows(stack)[0] == golden
+
+    @given(seed=st.integers(0, 1 << 32), degree=st.integers(-200, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_permute_and_decompose(self, q, seed, degree):
+        (a, _), (ra, _) = self._inputs(q, seed)
+        moduli = (q,)
+        sa = NUMPY.pack_limbs([ra], moduli)
+        for spec in (monomial_spec(self.N, degree),
+                     automorphism_spec(self.N, 2 * degree + 1)):
+            golden = PYTHON.signed_permute(a, q, spec)
+            assert NUMPY.signed_permute(a, q, spec) == golden
+            assert _rows(NUMPY.limbs_signed_permute(sa, moduli, spec)) == [golden]
+        factors = [q // (1 << (6 * (j + 1))) for j in range(3)] + [0]
+        golden = PYTHON.gadget_decompose(a, q, factors)
+        assert NUMPY.gadget_decompose(a, q, factors) == golden
+        assert _rows(NUMPY.gadget_decompose_rows(sa, q, factors)) == golden
+
+    @given(seed=st.integers(0, 1 << 32))
+    @settings(max_examples=25, deadline=None)
+    def test_transforms(self, q, seed):
+        (a, b), (ra, rb) = self._inputs(q, seed)
+        context = NTTContext(self.N, q)
+        sa, sb = NUMPY.pack_limbs([ra], (q,)), NUMPY.pack_limbs([rb], (q,))
+        for row, stack, golden in (
+            (NUMPY.ntt_forward(context, a), NUMPY.batched_ntt([context], sa),
+             PYTHON.ntt_forward(context, a)),
+            (NUMPY.ntt_inverse(context, a), NUMPY.batched_intt([context], sa),
+             PYTHON.ntt_inverse(context, a)),
+            (NUMPY.negacyclic_convolution(context, a, b),
+             NUMPY.limbs_convolution([context], sa, sb),
+             PYTHON.negacyclic_convolution(context, a, b)),
+        ):
+            assert isinstance(row, list) and isinstance(stack, np.ndarray)
+            assert row == _rows(stack)[0] == golden
+
+    @given(seed=st.integers(0, 1 << 32), count=st.integers(1, 5))
+    @settings(max_examples=25, deadline=None)
+    def test_same_modulus_batch_is_a_stack_of_equal_contexts(self, q, seed, count):
+        context = NTTContext(self.N, q)
+        rows = _wave_store(q, self.N, count, seed)
+        packed = NUMPY.pack_limbs(rows, (q,) * count)
+        for batch, stacked, single, golden in (
+            (NUMPY.ntt_forward_batch, NUMPY.batched_ntt, NUMPY.ntt_forward,
+             PYTHON.ntt_forward),
+            (NUMPY.ntt_inverse_batch, NUMPY.batched_intt, NUMPY.ntt_inverse,
+             PYTHON.ntt_inverse),
+        ):
+            expected = [golden(context, row) for row in rows]
+            assert [single(context, row) for row in rows] == expected
+            for given_rows in (rows, packed):
+                out = batch(context, given_rows)
+                # Lists in, lists out; store in, store out.
+                assert isinstance(out, type(given_rows))
+                assert _rows(out) == expected
+                assert _rows(stacked((context,) * count, given_rows)) == expected
+
+    def test_below_the_crossovers_the_golden_backend_answers(self, q):
+        default = NumpyBackend()
+        assert self.N < default.min_ntt_length < default.min_vector_length
+        (a, b), _ = self._inputs(q, 5)
+        context = NTTContext(self.N, q)
+        spec = monomial_spec(self.N, 3)
+        factors = [q // (1 << 6), q // (1 << 12)]
+        for name, args in (
+            ("add", (a, b, q)), ("sub", (a, b, q)), ("neg", (a, q)),
+            ("mul", (a, b, q)), ("scalar_mul", (a, -7, q)),
+            ("sub_scaled", (a, b, -7, q)), ("signed_permute", (a, q, spec)),
+            ("gadget_decompose", (a, q, factors)),
+            ("ntt_forward", (context, a)), ("ntt_inverse", (context, a)),
+            ("negacyclic_convolution", (context, a, b)),
+        ):
+            out = getattr(default, name)(*args)
+            assert out == getattr(PYTHON, name)(*args), name
+            assert out == getattr(NUMPY, name)(*args), name
+
+
+def test_every_public_kernel_has_a_caller():
+    """Census: a public ``ArithmeticBackend`` method that nothing under
+    ``src/repro`` references — other than its own definition and overrides —
+    is dead weight every backend must keep carrying.  Delete it, or give it
+    a caller."""
+    import ast
+    import pathlib
+
+    import repro
+    from repro.fhe.backend import ArithmeticBackend
+
+    kernels = {
+        name for name, member in vars(ArithmeticBackend).items()
+        if not name.startswith("_") and callable(getattr(ArithmeticBackend, name))
+    }
+    referenced = set()
+
+    class Visitor(ast.NodeVisitor):
+        def visit_Attribute(self, node):
+            # ``super().kernel(...)`` is an override deferring to its own
+            # definition, not a caller.
+            receiver = node.value
+            deferring = (isinstance(receiver, ast.Call)
+                         and isinstance(receiver.func, ast.Name)
+                         and receiver.func.id == "super")
+            if not deferring:
+                referenced.add(node.attr)
+            self.generic_visit(node)
+
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        Visitor().visit(ast.parse(path.read_text()))
+    assert sorted(kernels - referenced) == []
 
 
 def _key_material_digest(params, backend):

@@ -3,8 +3,7 @@
 * **Differential**: every traced program executes bit-exact against the
   eager evaluator call sequence (``ProgramExecutor.run`` vs ``run_eager``),
   on both backends, cross-backend, across every params.py prime/degree
-  combination including the <= 32-bit single-word fast path and the
-  ``REPRO_U32_STORE=1`` narrow-storage mode.
+  combination including the <= 32-bit single-word fast path.
 * **Pass-level**: hoist-fusion groups, inserted conversion counts, the
   rescale/mod_down waterline, pmult_mac batching (including the mixed-tree
   BSGS shape), and the lowered ``HomomorphicOp`` histogram cross-checked
@@ -62,15 +61,10 @@ if not numpy_missing:
 
     #: Thresholds at 0: force the vectorized paths at every ring size.
     PACKED = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-    #: The REPRO_U32_STORE=1 narrow-storage mode.
-    PACKED_U32 = NumpyBackend(min_vector_length=0, min_ntt_length=0,
-                              store_uint32=True)
-    BACKENDS = [PYTHON, PACKED, PACKED_U32]
+    BACKENDS = [PYTHON, PACKED]
 else:  # pragma: no cover - exercised only on numpy-less installs
-    PACKED = PACKED_U32 = None
+    PACKED = None
     BACKENDS = [PYTHON]
-
-BACKEND_IDS = [b.name if i < 2 else "numpy-u32" for i, b in enumerate(BACKENDS)]
 
 #: Every params.py shape family, including a word-size (<= 32-bit) chain that
 #: exercises the direct single-word kernels end to end.
@@ -701,11 +695,8 @@ class TestPlaintextEvalCache:
                     reference = (_rows(first), _rows(padd))
                 else:
                     assert (_rows(first), _rows(padd)) == reference
-        # One entry per (backend, storage mode): the u32 narrow store must
-        # not share cached stores with the wide numpy backend.
-        assert len(pt._eval_cache) == len(
-            {(b.name, getattr(b, "store_uint32", False)) for b in BACKENDS}
-        )
+        # One entry per backend.
+        assert len(pt._eval_cache) == len({b.name for b in BACKENDS})
 
     def test_cache_respects_levels(self):
         params = CKKSParameters.toy()
@@ -898,8 +889,7 @@ class TestSemantics:
 #: (ckks, tfhe, boost, amplitude) combos for the hybrid differential suite.
 #: The boost lifts the message far enough above the sign-bootstrap bucket
 #: resolution (q_tfhe / 2N_glwe) that the decoded mask bits are exact; the
-#: 28-bit chain additionally exercises the <= 32-bit single-word kernels and
-#: the REPRO_U32_STORE narrow storage (40-bit limbs stay wide under u32).
+#: 28-bit chain additionally exercises the <= 32-bit single-word kernels.
 HYBRID_PARAM_SETS = [
     hybrid_query_parameters() + (1 << 28, 1 << 16),
     (

@@ -4,14 +4,16 @@ The packed path (one ``(L, N)`` backend matrix per RNS polynomial, one
 batched kernel dispatch per RNS operation) must be bit-exact against the
 per-limb golden reference — the pure-python backend looping the original
 scalar kernels — for every prime/degree combination the parameter sets in
-:mod:`repro.fhe.params` produce.  Three dispatch shapes are compared:
+:mod:`repro.fhe.params` produce.  Two dispatch shapes are compared:
 
-* ``python``          — per-limb loops over exact big-int kernels (golden),
-* ``numpy-per-limb``  — per-limb loops over vectorized kernels (the PR-1
-                        shape, via :class:`PerLimbNumpyBackend`),
-* ``numpy``           — fully packed single-dispatch kernels, with the
-                        crossover thresholds at 0 so the vectorized paths
-                        run even at tiny ring degrees.
+* ``python`` — per-limb loops over exact big-int kernels (golden),
+* ``numpy``  — fully packed single-dispatch kernels, with the crossover
+               thresholds at 0 so the vectorized paths run even at tiny
+               ring degrees.
+
+(The PR-1 shape — per-limb loops over vectorized kernels — is a timing
+baseline; ``benchmarks/bench_rns_batching.py`` owns it and checks every
+timed pair bit-exact.)
 
 Covered: rescale, exact and fast basis conversion, ModDown, the full hybrid
 keyswitch (twice — the second call exercises the evaluation-domain key
@@ -26,7 +28,6 @@ import pytest
 
 from repro.fhe import modmath
 from repro.fhe.backend import (
-    PerLimbNumpyBackend,
     PythonBackend,
     available_backends,
     use_backend,
@@ -53,14 +54,8 @@ if not numpy_missing:
 
     #: Thresholds at 0: force the vectorized paths at every size.
     PACKED = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-    PER_LIMB = PerLimbNumpyBackend(min_vector_length=0, min_ntt_length=0)
-    #: The narrow (uint32-at-rest) storage mode for word-size moduli.
-    PACKED_U32 = NumpyBackend(min_vector_length=0, min_ntt_length=0,
-                              store_uint32=True)
-    FAST_BACKENDS = [PACKED, PER_LIMB]
 else:  # pragma: no cover - exercised only on numpy-less installs
-    PACKED = PER_LIMB = PACKED_U32 = None
-    FAST_BACKENDS = []
+    PACKED = None
 
 needs_numpy = pytest.mark.skipif(numpy_missing, reason="numpy backend unavailable")
 
@@ -189,7 +184,9 @@ class TestPackedParity:
                 PACKED.limbs_eval_key(contexts, k0.store()),
                 PACKED.limbs_eval_key(contexts, k1.store()),
             ]
-            results = PACKED.limbs_mac_eval(contexts, x.store(), handles)
+            fwd = PACKED.batched_ntt(contexts, x.store())
+            results = PACKED.stacked_intt(
+                contexts, PACKED.limbs_eval_mac(contexts, [fwd], [handles]))
         assert [PACKED.store_rows(r) for r in results] == expected
 
     def test_store_interop(self, degree, basis):
@@ -207,25 +204,6 @@ class TestPackedParity:
             assert packed_poly.limbs == poly.limbs
         assert packed_poly.keep_limbs(1).coefficient_rows() == [rows[0]]
         assert packed_poly.limb_slice(0, 2).coefficient_rows() == rows[:2]
-
-
-@needs_numpy
-class TestPerLimbShapeParity:
-    """The PR-1 dispatch shape (PerLimbNumpyBackend) also matches golden."""
-
-    @pytest.mark.parametrize("degree,basis", BASES[:3], ids=BASIS_IDS[:3])
-    def test_rescale_and_bconv(self, degree, basis):
-        poly = _random_poly(degree, basis, 14)
-        target = RNSBasis(
-            [modmath.find_ntt_prime(44, degree, index=70 + i) for i in range(2)]
-        )
-        with use_backend(PYTHON):
-            expected = (_rows(poly.rescale()),
-                        _rows(fast_basis_conversion(poly, target)))
-        with use_backend(PER_LIMB):
-            actual = (_rows(poly.rescale()),
-                      _rows(fast_basis_conversion(poly, target)))
-        assert actual == expected
 
 
 @needs_numpy
@@ -250,7 +228,6 @@ class TestKeyswitchParity:
     def test_all_backends_agree(self, fixture):
         expected = self._run(fixture, PYTHON)
         assert self._run(fixture, PACKED) == expected
-        assert self._run(fixture, PER_LIMB) == expected
         # Second packed call exercises the evaluation-domain key cache.
         assert self._run(fixture, PACKED) == expected
 
@@ -308,117 +285,6 @@ class TestGadgetDecomposeParity:
         with use_backend(PACKED):
             actual = poly.decompose(1 << 7, 3)
         assert actual == expected
-
-
-@needs_numpy
-class TestU32StorageMode:
-    """The uint32 storage mode: half-width stores, bit-exact arithmetic.
-
-    With ``store_uint32=True`` every limb store whose moduli all fit 32 bits
-    (and the cached eval-domain key transforms on the direct single-word
-    path) is held as uint32 — kernels upcast on load and downcast on store,
-    so results must stay identical to the python golden reference, and wide
-    (> 32-bit) bases must keep their uint64 stores untouched.
-    """
-
-    def _u32_bases(self):
-        return [
-            (degree, basis) for degree, basis in BASES
-            if max(basis.moduli).bit_length() <= 32
-        ]
-
-    def test_u32_bases_exist(self):
-        assert self._u32_bases(), "params must include word-size chains"
-
-    def test_store_dtype(self):
-        import numpy as np
-
-        for degree, basis in self._u32_bases():
-            poly = _random_poly(degree, basis, 40)
-            with use_backend(PACKED_U32):
-                store = poly.store()
-                assert store.dtype == np.uint32
-                total = poly + poly
-                assert total.store().dtype == np.uint32
-                assert (poly * poly).store().dtype == np.uint32
-        # Wide moduli stay uint64.
-        degree, basis = BASES[0]
-        assert max(basis.moduli).bit_length() > 32
-        with use_backend(PACKED_U32):
-            assert _random_poly(degree, basis, 41).store().dtype == np.uint64
-
-    def test_arithmetic_parity(self):
-        for degree, basis in self._u32_bases():
-            a = _random_poly(degree, basis, 42)
-            b = _random_poly(degree, basis, 43)
-            for op in (
-                lambda x, y: x + y,
-                lambda x, y: x - y,
-                lambda x, y: -x,
-                lambda x, y: x * 9876,
-                lambda x, y: x * y,
-                lambda x, y: x.rescale(),
-                lambda x, y: x.automorphism(5),
-                lambda x, y: x.multiply_by_monomial(3),
-                lambda x, y: x.to_eval().to_coeff(),
-            ):
-                with use_backend(PYTHON):
-                    expected = _rows(op(a, b))
-                with use_backend(PACKED_U32):
-                    actual = _rows(op(a, b))
-                assert actual == expected
-
-    def test_bconv_parity(self):
-        for degree, basis in self._u32_bases():
-            poly = _random_poly(degree, basis, 44)
-            target = RNSBasis(
-                [modmath.find_ntt_prime(30, degree, index=80 + i) for i in range(2)]
-            )
-            with use_backend(PYTHON):
-                expected = _rows(fast_basis_conversion(poly, target))
-            with use_backend(PACKED_U32):
-                actual = _rows(fast_basis_conversion(poly, target))
-            assert actual == expected
-
-    def test_keyswitch_parity_word_size_params(self):
-        import numpy as np
-
-        params = CKKSParameters(
-            ring_degree=64, max_level=3, dnum=2, scale_bits=24, modulus_bits=28,
-            special_modulus_bits=30, security_bits=0, name="ckks-u32-store",
-        )
-        keygen = CKKSKeyGenerator(params, seed=13, error_stddev=0.0)
-        keys = keygen.generate()
-        level = params.max_level
-        relin = keygen.make_relinearization_key(keys, level)
-        d = _random_poly(params.ring_degree, params.basis(level), 45)
-        with use_backend(PYTHON):
-            expected = [_rows(part) for part in
-                        hybrid_keyswitch(d, relin, params, level)]
-        with use_backend(PACKED_U32):
-            actual = [_rows(part) for part in
-                      hybrid_keyswitch(d, relin, params, level)]
-            # The cached eval-domain key transforms ride the narrow dtype.
-            handles = relin._eval_cache[PACKED_U32.name]
-            assert all(h[1].dtype == np.uint32 for pair in handles for h in pair)
-        assert actual == expected
-
-    def test_store_interop_with_wide_backend(self):
-        """uint32 stores are consumed transparently by the default backend."""
-        degree, basis = self._u32_bases()[0]
-        poly = _random_poly(degree, basis, 46)
-        with use_backend(PACKED_U32):
-            narrow = RNSPolynomial._from_store(
-                degree, basis, PACKED_U32.pack_limbs(
-                    poly.coefficient_rows(), tuple(basis.moduli)
-                )
-            )
-        with use_backend(PACKED):
-            total = narrow + poly
-            assert _rows(total) == _rows(poly + poly)
-        with use_backend(PYTHON):
-            total = narrow + poly
-            assert _rows(total) == _rows(poly + poly)
 
 
 class TestBasisHashingAndPlans:

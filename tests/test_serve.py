@@ -79,14 +79,12 @@ if not numpy_missing:
     from repro.fhe.backend import NumpyBackend
 
     PACKED = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-    PACKED_U32 = NumpyBackend(min_vector_length=0, min_ntt_length=0,
-                              store_uint32=True)
-    BACKENDS = [PYTHON, PACKED, PACKED_U32]
+    BACKENDS = [PYTHON, PACKED]
 else:  # pragma: no cover - exercised only on numpy-less installs
-    PACKED = PACKED_U32 = None
+    PACKED = None
     BACKENDS = [PYTHON]
 
-BACKEND_IDS = [b.name if i < 2 else "numpy-u32" for i, b in enumerate(BACKENDS)]
+BACKEND_IDS = [b.name for b in BACKENDS]
 
 PARAM_SETS = [
     CKKSParameters.toy(),
@@ -442,7 +440,7 @@ def test_serialization_cross_backend():
     ct = _random_ct(TOY, 123)
     with use_backend(PYTHON):
         blob_py = serialize_ciphertext(ct)
-    with use_backend(PACKED_U32):
+    with use_backend(PACKED):
         blob_np = serialize_ciphertext(ct)
         assert blob_py == blob_np
         assert _rows(deserialize_ciphertext(blob_py)) == _rows(ct)

@@ -356,15 +356,13 @@ class TestBatchedBootstrap:
 # ---------------------------------------------------------------------------
 
 def _numpy_backends():
-    """Named numpy instances (empty without numpy): vectorized at every size,
-    default crossovers, and the narrow-storage mode."""
+    """Named numpy instances (empty without numpy): vectorized at every size
+    and default crossovers."""
     if "numpy" not in available_backends():
         return {}
     return {
         "numpy": NumpyBackend(min_vector_length=0, min_ntt_length=0),
         "numpy-default": NumpyBackend(),
-        "numpy-u32": NumpyBackend(min_vector_length=0, min_ntt_length=0,
-                                  store_uint32=True),
     }
 
 
@@ -493,31 +491,17 @@ class TestResidentWaveParity:
 
     def test_key_handle_built_by_one_backend_serves_another(self, waves):
         """Instances that share a ``name`` share the cached handle: a list
-        store built below the crossovers feeds the vectorized kernels, and a
-        uint64 handle the uint32-store instance."""
+        store built below the crossovers feeds the vectorized kernels."""
         if not NUMPY_BACKENDS:
             pytest.skip("numpy backend unavailable")
         wave = _Wave(WAVE_PARAMS["toy"])
         key = wave.context.bootstrapping_key
-        for backend in ("numpy-default", "numpy", "numpy-u32"):
+        for backend in ("numpy-default", "numpy"):
             with use_backend(NUMPY_BACKENDS[backend]):
                 store = blind_rotate_wave(wave.vectors[:2], wave.switched[:2], key)
                 assert NUMPY_BACKENDS[backend].unpack_limbs(store) == \
                     wave.reference_rows(2)
         assert list(key._eval_cache) == ["numpy"]
-
-    def test_u32_store_environment_switch(self, waves, monkeypatch):
-        if not NUMPY_BACKENDS:
-            pytest.skip("numpy backend unavailable")
-        monkeypatch.setenv("REPRO_U32_STORE", "1")
-        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-        assert backend.store_uint32
-        wave = waves("hybrid")
-        with use_backend(backend):
-            store = blind_rotate_wave(
-                wave.vectors[:2], wave.switched[:2], wave.context.bootstrapping_key)
-            assert str(store.dtype) == "uint32"
-            assert backend.unpack_limbs(store) == wave.reference_rows(2)
 
     def test_glwe_dimension_two(self):
         """k = 2: three rows per member, two mask components in the tail."""
