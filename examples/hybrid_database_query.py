@@ -28,12 +28,13 @@ from repro.core import TrinityAccelerator
 from repro.fhe.ckks import CKKSContext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.conversion.bridge import SchemeBridge
-from repro.fhe.program import HETrace, ProgramExecutor
-from repro.fhe.program.lowering import (
+from repro.fhe.program import (
+    HETrace,
+    ProgramExecutor,
     hybrid_cycle_estimate,
     lower_hybrid_to_workloads,
+    plan_program,
 )
-from repro.fhe.program.passes import plan_program
 from repro.fhe.tfhe import TFHEContext
 from repro.serve import InferenceRequest, InferenceServer, SchemeMismatchError
 from repro.workloads import he3db_hybrid_segments, he3db_workload

@@ -32,7 +32,28 @@ from ..polynomial import Polynomial
 from ..rns import RNSPolynomial
 from ..tfhe.lwe import LWECiphertext
 
-__all__ = ["lwe_to_rlwe_embedding", "pack_lwes", "field_trace", "repack_lwe_ciphertexts"]
+__all__ = ["lwe_to_rlwe_embedding", "pack_lwes", "field_trace",
+           "repack_lwe_ciphertexts", "repack_galois_elements"]
+
+
+def _merge_galois_element(nslot: int) -> int:
+    """PackLWEs merging ``nslot`` messages: fixes coefficients at multiples of
+    ``2N / nslot`` and negates the odd multiples of ``N / nslot``."""
+    return nslot + 1
+
+
+def _trace_galois_elements(ring_degree: int, nslot: int) -> List[int]:
+    """Field Trace: ``2N / 2^k + 1`` for ``k = 1 .. log2(N / nslot)``."""
+    steps = int(math.log2(ring_degree // nslot))
+    return [(2 * ring_degree) // (1 << k) + 1 for k in range(1, steps + 1)]
+
+
+def repack_galois_elements(ring_degree: int, nslot: int) -> List[int]:
+    """Every Galois element :func:`repack_lwe_ciphertexts` keyswitches
+    through (one merge element per PackLWEs doubling, then the Field Trace):
+    the list the program planner asks keys for."""
+    merges = [_merge_galois_element(1 << r) for r in range(1, nslot.bit_length())]
+    return merges + _trace_galois_elements(ring_degree, nslot)
 
 
 def lwe_to_rlwe_embedding(lwe: LWECiphertext, evaluator: CKKSEvaluator,
@@ -101,10 +122,9 @@ def pack_lwes(ciphertexts: Sequence[CKKSCiphertext], evaluator: CKKSEvaluator) -
     rotated_odds = _rotate_monomial(odds, shift)
     combined = evaluator.add(evens, rotated_odds)
     difference = evaluator.sub(evens, rotated_odds)
-    # HRotate with Galois element (nslot + 1): fixes coefficients at multiples
-    # of 2N/nslot and negates the odd multiples of N/nslot, so the sum doubles
-    # the wanted coefficients of both halves.
-    rotated = evaluator.apply_galois(difference, nslot + 1)
+    # HRotate by the merge element: the sum doubles the wanted coefficients
+    # of both halves.
+    rotated = evaluator.apply_galois(difference, _merge_galois_element(nslot))
     return evaluator.add(combined, rotated)
 
 
@@ -115,12 +135,9 @@ def field_trace(ciphertext: CKKSCiphertext, nslot: int, evaluator: CKKSEvaluator
     ``g = 2N / 2^k + 1``; each step doubles the wanted coefficients and kills
     half of the remaining garbage positions.
     """
-    n = evaluator.params.ring_degree
-    steps = int(math.log2(n // nslot))
     result = ciphertext
-    for k in range(1, steps + 1):
-        galois_element = (2 * n) // (1 << k) + 1
-        result = evaluator.add(result, evaluator.apply_galois(result, galois_element))
+    for element in _trace_galois_elements(evaluator.params.ring_degree, nslot):
+        result = evaluator.add(result, evaluator.apply_galois(result, element))
     return result
 
 

@@ -32,6 +32,16 @@ through the same two executor paths (construct :class:`ProgramExecutor`
 with a ``TFHEContext`` and a ``SchemeBridge``) and lower to scheme-grouped
 workloads for the interleaved Trinity scheduler via
 :func:`lower_hybrid_to_workloads` / :func:`hybrid_cycle_estimate`.
+
+Adding a node kind is two edits: one :class:`~repro.fhe.program.ops.OpSpec`
+in ``ops.OP_TABLE`` (arity, required attributes, level/scale rule, alignment
+and residency class, the eager ``run`` callable, the lowering, the
+evaluation keys it needs) and one handle method in ``tracer.py`` that emits
+it.  Validation, the waterline, residency planning, execution, lowering and
+key planning read the table; ``tests/test_program.py::TestOpTable`` then
+asks for the smallest program containing the new kind (``SMALLEST``) and
+runs it planned == eager, and the ROADMAP residency table is regenerated
+with ``ops.residency_table()``.
 """
 
 from .cache import LRUCache

@@ -12,6 +12,12 @@ One executor serves both roles the differential suite compares:
   reference the planner is gated against (every pass is an exact
   transformation over modular arithmetic).
 
+Both paths are one loop: each node dispatches through its op's ``run``
+callable in the op table (:mod:`repro.fhe.program.ops`) against a per-run
+:class:`_Run` state, which holds the stateful machinery the callables lean on
+(shared hoists, the planner's stacked-conversion / PBS-wave / keyswitch-wave
+groups).
+
 Rotation keys are validated up front: every Galois key a program needs is
 fetched before any hoist work starts, so a missing key raises the same
 ``KeyError`` as ``CKKSEvaluator.rotate`` without paying the hoist cost.
@@ -19,17 +25,20 @@ fetched before any hoist work starts, so a missing key raises the same
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..backend import active_backend
 from ..ckks.ciphertext import CKKSCiphertext
-from ..ckks.keys import galois_element_for_conjugation
 from ..ckks.keyswitch import HoistedDigits, hoist_decompose, keyswitch_hoisted
 from ..rns import RNSPolynomial, _limb_contexts
-from .ir import HEProgram, SCHEME_SWITCH_OPS, TFHE_OPS
+from .ir import HENode, HEProgram
+from .ops import OP_TABLE
 from .passes import PlannedProgram, plan_program
 
 __all__ = ["ProgramExecutor"]
+
+#: Node attributes by which the planner groups nodes into one dispatch.
+_GROUP_ATTRS = ("conv_group", "pbs_group", "ks_group")
 
 
 class ProgramExecutor:
@@ -72,7 +81,6 @@ class ProgramExecutor:
     # -- execution ----------------------------------------------------------
     def _execute(self, program: HEProgram, inputs: Dict[str, CKKSCiphertext],
                  share_hoists: bool) -> Dict[str, CKKSCiphertext]:
-        ev = self.evaluator
         missing = set(program.inputs) - set(inputs)
         if missing:
             raise ValueError(f"missing program inputs: {sorted(missing)}")
@@ -80,84 +88,13 @@ class ProgramExecutor:
             raise ValueError(
                 "hybrid program: construct ProgramExecutor with a TFHEContext"
             )
-        with ev._arith():
+        with self.evaluator._arith():
             self._prefetch_galois_keys(program)
-            values: List[Optional[object]] = [None] * len(program)
-            hoists: Dict[int, HoistedDigits] = {}
-            conv_groups: Dict[int, List[int]] = {}
-            conv_ready: Dict[int, CKKSCiphertext] = {}
-            pbs_groups: Dict[int, List[int]] = {}
-            pbs_ready: Dict[int, object] = {}
-            ks_groups: Dict[int, List[int]] = {}
-            ks_ready: Dict[int, object] = {}
-            if share_hoists:
-                for node in program.nodes:
-                    if node.op in ("to_eval", "to_coeff") and "conv_group" in node.attrs:
-                        conv_groups.setdefault(
-                            node.attrs["conv_group"], []
-                        ).append(node.id)
-                    elif node.op in ("pbs", "gate_bootstrap") and "pbs_group" in node.attrs:
-                        pbs_groups.setdefault(
-                            node.attrs["pbs_group"], []
-                        ).append(node.id)
-                    elif node.op == "lwe_keyswitch" and "ks_group" in node.attrs:
-                        ks_groups.setdefault(
-                            node.attrs["ks_group"], []
-                        ).append(node.id)
+            run = _Run(self, program, inputs, share_hoists)
+            values = run.values
             for node in program.nodes:
-                op = node.op
-                if op in TFHE_OPS or op in SCHEME_SWITCH_OPS or op == "input_lwe":
-                    values[node.id] = self._execute_tfhe(
-                        node, values, program, inputs, pbs_groups, pbs_ready,
-                        ks_groups, ks_ready,
-                    )
-                    continue
-                if op == "input":
-                    ct = inputs[node.attrs["name"]]
-                    if ct.level != node.level:
-                        raise ValueError(
-                            f"input {node.attrs['name']!r} is at level "
-                            f"{ct.level} but the program was traced at level "
-                            f"{node.level}; re-trace at the new level"
-                        )
-                    result = ct
-                elif op == "add":
-                    result = ev.add(values[node.args[0]], values[node.args[1]])
-                elif op == "sub":
-                    result = ev.sub(values[node.args[0]], values[node.args[1]])
-                elif op == "negate":
-                    result = ev.negate(values[node.args[0]])
-                elif op == "multiply":
-                    result = ev.multiply(values[node.args[0]], values[node.args[1]])
-                elif op == "multiply_plain":
-                    result = ev.multiply_plain(
-                        values[node.args[0]], node.attrs["plaintext"]
-                    )
-                elif op == "add_plain":
-                    result = ev.add_plain(
-                        values[node.args[0]], node.attrs["plaintext"]
-                    )
-                elif op == "multiply_scalar":
-                    result = ev.multiply_scalar(
-                        values[node.args[0]], node.attrs["scalar"]
-                    )
-                elif op == "rescale":
-                    result = ev.rescale(values[node.args[0]])
-                elif op == "mod_down":
-                    result = ev.mod_down_to(
-                        values[node.args[0]], node.attrs["level"]
-                    )
-                elif op in ("to_eval", "to_coeff"):
-                    result = self._convert(
-                        node, values, program, conv_groups, conv_ready
-                    )
-                elif op in ("rotate", "conjugate"):
-                    result = self._galois(node, values, hoists, share_hoists)
-                elif op == "pmult_mac":
-                    result = self._pmult_mac(node, values)
-                else:  # pragma: no cover - the IR op set is closed
-                    raise ValueError(f"cannot execute program op {op!r}")
-                values[node.id] = result
+                values[node.id] = OP_TABLE[node.op].run(
+                    run, node, *[values[arg] for arg in node.args])
             return {
                 name: values[node_id]
                 for name, node_id in program.outputs.items()
@@ -166,195 +103,193 @@ class ProgramExecutor:
     def _prefetch_galois_keys(self, program: HEProgram) -> None:
         """Fetch every Galois key the program needs before any hoist work
         (missing keys raise KeyError here, exactly like ``rotate``)."""
-        ev = self.evaluator
-        n = ev.params.ring_degree
+        ring_degree = program.params.ring_degree
         for node in program.nodes:
-            if node.op == "rotate":
-                elements = [ev.galois_element_for_rotation(node.attrs["steps"])]
-            elif node.op == "conjugate":
-                elements = [galois_element_for_conjugation(n)]
-            elif node.op == "tfhe_to_ckks":
-                # PackLWEs + Field Trace automorphisms (always at level 0).
-                nslot = len(node.args)
-                elements = [
-                    (1 << r) + 1 for r in range(1, nslot.bit_length())
-                ] + [
-                    (2 * n) // (1 << k) + 1
-                    for k in range(1, (n // nslot).bit_length())
-                ]
-            else:
-                continue
-            for element in elements:
-                if element != 1:
-                    ev.keys.galois_key(element, node.level)
+            for key in OP_TABLE[node.op].keys(node, ring_degree):
+                if key[0] == "galois":
+                    self.evaluator.keys.galois_key(*key[1:])
+
+
+class _Run:
+    """One execution's state: what the op table's ``run`` callables see.
+
+    ``values`` holds every node's result (LWE values flow through it exactly
+    like CKKS ciphertexts); ``hoists`` the shared ``hoist_decompose`` per
+    rotation source; ``groups``/``ready`` the planner's dispatch groups and
+    the results their first member computed for the later ones.
+    """
+
+    def __init__(self, executor: ProgramExecutor, program: HEProgram,
+                 inputs, share: bool):
+        self.ev = executor.evaluator
+        self.tfhe = executor.tfhe
+        self.bridge = executor.bridge
+        self.program = program
+        self.inputs = inputs
+        self.share = share
+        self.values: List[object] = [None] * len(program)
+        self.hoists: Dict[int, HoistedDigits] = {}
+        self.ready: Dict[int, object] = {}
+        self.groups: Dict[tuple, List[int]] = {}
+        if share:
+            for node in program.nodes:
+                for attr in _GROUP_ATTRS:
+                    if attr in node.attrs:
+                        self.groups.setdefault(
+                            (attr, node.attrs[attr]), []).append(node.id)
+
+    def input(self, node: HENode) -> CKKSCiphertext:
+        ct = self.inputs[node.attrs["name"]]
+        if ct.level != node.level:
+            raise ValueError(
+                f"input {node.attrs['name']!r} is at level {ct.level} but the "
+                f"program was traced at level {node.level}; re-trace at the "
+                f"new level"
+            )
+        return ct
+
+    def _grouped(self, node: HENode, attr: str, single: Callable,
+                 many: Callable):
+        """Run ``node`` with the planner group its ``attr`` names.
+
+        The whole group executes as one ``many(member_nodes)`` dispatch the
+        moment its first member is reached (the grouping invariant
+        guarantees every member's source is computed by then); later
+        members pop their pre-computed result.  Ungrouped nodes, and every
+        node of an eager run, execute ``single()``.
+        """
+        if node.id in self.ready:
+            return self.ready.pop(node.id)
+        members = self.groups.get((attr, node.attrs.get(attr)))
+        if not members or len(members) < 2:
+            return single()
+        member_nodes = [self.program.node(member) for member in members]
+        for member, out in zip(member_nodes, many(member_nodes)):
+            self.ready[member.id] = out
+        return self.ready.pop(node.id)
 
     # -- TFHE islands and scheme switches -----------------------------------
-    def _execute_tfhe(self, node, values, program, inputs,
-                      pbs_groups, pbs_ready, ks_groups, ks_ready):
-        """Execute one TFHE / scheme-switch node.
-
-        LWE values flow through ``values`` exactly like CKKS ciphertexts;
-        grouped ``pbs``/``gate_bootstrap`` nodes run as one batched blind
-        rotation at the group's first member (the grouping invariant
-        guarantees every member's source is computed by then), later members
-        pop their pre-computed result.  Grouped ``lwe_keyswitch`` nodes
-        cross the key bridge the same way, one stacked ``digits @ ksk``
-        dispatch per wave and direction.
-        """
+    def extract(self, node: HENode, ct: CKKSCiphertext):
         from ..conversion.ckks_to_tfhe import sample_extract_rlwe
+
+        if ct.domain != "coeff":
+            ct = self.ev.to_coeff(ct)
+        if ct.level != 0:
+            ct = self.ev.mod_down_to(ct, 0)
+        return sample_extract_rlwe(ct, node.attrs["index"])
+
+    def repack(self, node: HENode, lwes) -> CKKSCiphertext:
         from ..conversion.tfhe_to_ckks import repack_lwe_ciphertexts
+
+        repacked = repack_lwe_ciphertexts(list(lwes), self.ev)
+        return CKKSCiphertext(c0=repacked.c0, c1=repacked.c1,
+                              level=repacked.level, scale=node.scale)
+
+    def keyswitch(self, node: HENode, lwe):
+        """Cross the key bridge; a planner group shares one stacked
+        ``digits @ ksk`` dispatch per wave and direction."""
+        if self.bridge is None:
+            raise ValueError(
+                "program crosses the CKKS/TFHE key boundary: construct "
+                "ProgramExecutor with a SchemeBridge"
+            )
+        bridge, to_tfhe = self.bridge, node.attrs["direction"] == "c2t"
+        single = bridge.switch_to_tfhe if to_tfhe else bridge.switch_to_ckks
+        many = (bridge.switch_many_to_tfhe if to_tfhe
+                else bridge.switch_many_to_ckks)
+        return self._grouped(
+            node, "ks_group", lambda: single(lwe),
+            lambda members: many([self.values[m.args[0]] for m in members]))
+
+    def bootstrap(self, node: HENode, lwe):
+        """``pbs``/``gate_bootstrap``: a planner group runs as one batched
+        blind rotation (the two kinds differ only in their test vectors)."""
+        return self._grouped(node, "pbs_group",
+                             lambda: self._bootstrap_wave([node])[0],
+                             self._bootstrap_wave)
+
+    def _bootstrap_wave(self, members: List[HENode]) -> list:
         from ..tfhe.batched import (
             batched_programmable_bootstrap, sign_test_vector,
         )
 
-        ev = self.evaluator
-        op = node.op
-        if op == "input_lwe":
-            return inputs[node.attrs["name"]]
-        if op == "ckks_to_tfhe":
-            ct = values[node.args[0]]
-            if ct.domain != "coeff":
-                ct = ev.to_coeff(ct)
-            if ct.level != 0:
-                ct = ev.mod_down_to(ct, 0)
-            return sample_extract_rlwe(ct, node.attrs["index"])
-        if op == "tfhe_to_ckks":
-            lwes = [values[arg] for arg in node.args]
-            repacked = repack_lwe_ciphertexts(lwes, ev)
-            return CKKSCiphertext(
-                c0=repacked.c0, c1=repacked.c1, level=repacked.level,
-                scale=node.scale,
-            )
-        if op == "lwe_add":
-            return values[node.args[0]] + values[node.args[1]]
-        if op == "lwe_sub":
-            return values[node.args[0]] - values[node.args[1]]
-        if op == "lwe_negate":
-            return -values[node.args[0]]
-        if op == "lwe_scalar_mul":
-            return values[node.args[0]].scalar_multiply(node.attrs["scalar"])
-        if op == "lwe_add_const":
-            return values[node.args[0]].add_constant(node.attrs["value"])
-        if op == "lwe_keyswitch":
-            if self.bridge is None:
-                raise ValueError(
-                    "program crosses the CKKS/TFHE key boundary: construct "
-                    "ProgramExecutor with a SchemeBridge"
-                )
-            ready = ks_ready.pop(node.id, None)
-            if ready is not None:
-                return ready
-            members = ks_groups.get(node.attrs.get("ks_group"))
-            if not members or len(members) < 2:
-                if node.attrs["direction"] == "c2t":
-                    return self.bridge.switch_to_tfhe(values[node.args[0]])
-                return self.bridge.switch_to_ckks(values[node.args[0]])
-            member_nodes = [program.node(m) for m in members]
-            sources = [values[m.args[0]] for m in member_nodes]
-            if node.attrs["direction"] == "c2t":
-                outputs = self.bridge.switch_many_to_tfhe(sources)
-            else:
-                outputs = self.bridge.switch_many_to_ckks(sources)
-            for member, out in zip(member_nodes, outputs):
-                ks_ready[member.id] = out
-            return ks_ready.pop(node.id)
-        # pbs / gate_bootstrap (possibly batched)
-        ready = pbs_ready.pop(node.id, None)
-        if ready is not None:
-            return ready
-        members = pbs_groups.get(node.attrs.get("pbs_group"))
-        if not members or len(members) < 2:
-            members = [node.id]
-        member_nodes = [program.node(m) for m in members]
         vectors = [
             self.tfhe.make_test_vector(m.attrs["fn"]) if m.op == "pbs"
             else sign_test_vector(self.tfhe, m.attrs["amplitude"])
-            for m in member_nodes
+            for m in members
         ]
-        sources = [values[m.args[0]] for m in member_nodes]
+        sources = [self.values[m.args[0]] for m in members]
         outputs = batched_programmable_bootstrap(self.tfhe, sources, vectors)
-        for member, out in zip(member_nodes, outputs):
-            if member.op == "gate_bootstrap":
-                out = out.add_constant(member.attrs["amplitude"])
-            pbs_ready[member.id] = out
-        return pbs_ready.pop(node.id)
+        return [
+            out.add_constant(m.attrs["amplitude"]) if m.op == "gate_bootstrap"
+            else out
+            for m, out in zip(members, outputs)
+        ]
 
     # -- stacked domain conversions --------------------------------------------
-    def _convert(self, node, values, program, conv_groups,
-                 conv_ready) -> CKKSCiphertext:
+    def convert(self, node: HENode, ct: CKKSCiphertext) -> CKKSCiphertext:
         """Execute a ``to_eval``/``to_coeff`` node, stacking its group.
 
         When the planner grouped this node with siblings (same direction,
-        same level, all sources computed by now — the grouping invariant),
-        the whole group's ``(2 * members, L, N)`` store stack converts in a
-        single ``stacked_ntt``/``stacked_intt`` backend dispatch on the
-        group's first member; later members pop their pre-computed result.
-        Ungrouped nodes (and non-NTT-friendly bases) run the plain
-        per-ciphertext conversion.
+        same level), the whole group's ``(2 * members, L, N)`` store stack
+        converts in a single ``stacked_ntt``/``stacked_intt`` backend
+        dispatch.  Ungrouped nodes (and non-NTT-friendly bases) run the
+        plain per-ciphertext conversion.
         """
-        ev = self.evaluator
-        ready = conv_ready.pop(node.id, None)
-        if ready is not None:
-            return ready
-        to_eval = node.op == "to_eval"
-        single = ev.to_eval if to_eval else ev.to_coeff
-        members = conv_groups.get(node.attrs.get("conv_group"))
-        if not members or len(members) < 2:
-            return single(values[node.args[0]])
-        target = "eval" if to_eval else "coeff"
-        sources = [
-            (member, values[program.node(member).args[0]]) for member in members
+        target = OP_TABLE[node.op].converts_to
+        single = self.ev.to_eval if target == "eval" else self.ev.to_coeff
+
+        def many(members):
+            sources = [self.values[m.args[0]] for m in members]
+            pending = [src for src in sources if src.domain != target]
+            converted = iter(self._convert_stack(pending, target, single))
+            return [src if src.domain == target else next(converted)
+                    for src in sources]
+
+        return self._grouped(node, "conv_group", lambda: single(ct), many)
+
+    def _convert_stack(self, pending: List[CKKSCiphertext], target: str,
+                       single: Callable) -> List[CKKSCiphertext]:
+        if not pending:
+            return []
+        basis = pending[0].c0.basis
+        n = pending[0].ring_degree
+        contexts = _limb_contexts(n, basis)
+        if contexts is None or any(ct.c0.basis != basis for ct in pending):
+            return [single(ct) for ct in pending]
+        backend = active_backend()
+        stores = [c.store() for ct in pending for c in (ct.c0, ct.c1)]
+        stacked = (
+            backend.stacked_ntt(contexts, stores) if target == "eval"
+            else backend.stacked_intt(contexts, stores)
+        )
+        return [
+            CKKSCiphertext(
+                c0=RNSPolynomial._from_store(
+                    n, basis, stacked[2 * index], domain=target),
+                c1=RNSPolynomial._from_store(
+                    n, basis, stacked[2 * index + 1], domain=target),
+                level=ct.level, scale=ct.scale,
+            )
+            for index, ct in enumerate(pending)
         ]
-        pending = [(m, ct) for m, ct in sources if ct.domain != target]
-        for member, ct in sources:
-            if ct.domain == target:
-                conv_ready[member] = ct
-        if pending:
-            basis = pending[0][1].c0.basis
-            contexts = _limb_contexts(pending[0][1].ring_degree, basis)
-            if contexts is None or any(ct.c0.basis != basis for _, ct in pending):
-                for member, ct in pending:
-                    conv_ready[member] = single(ct)
-            else:
-                backend = active_backend()
-                stores = []
-                for _, ct in pending:
-                    stores.append(ct.c0.store())
-                    stores.append(ct.c1.store())
-                stacked = (
-                    backend.stacked_ntt(contexts, stores) if to_eval
-                    else backend.stacked_intt(contexts, stores)
-                )
-                n = pending[0][1].ring_degree
-                for index, (member, ct) in enumerate(pending):
-                    conv_ready[member] = CKKSCiphertext(
-                        c0=RNSPolynomial._from_store(
-                            n, basis, stacked[2 * index], domain=target
-                        ),
-                        c1=RNSPolynomial._from_store(
-                            n, basis, stacked[2 * index + 1], domain=target
-                        ),
-                        level=ct.level,
-                        scale=ct.scale,
-                    )
-        return conv_ready.pop(node.id)
 
     # -- grouped rotations ---------------------------------------------------
-    def _galois(self, node, values, hoists, share_hoists) -> CKKSCiphertext:
-        ev = self.evaluator
-        ct = values[node.args[0]]
-        if node.op == "rotate":
-            element = ev.galois_element_for_rotation(node.attrs["steps"])
-        else:
-            element = galois_element_for_conjugation(ev.params.ring_degree)
-        if element == 1:
-            return ct.copy()
+    def galois(self, node: HENode, ct: CKKSCiphertext) -> CKKSCiphertext:
+        """``rotate``/``conjugate``: one hoisted keyswitch by the node's
+        Galois element; all rotations of one source share its
+        ``hoist_decompose`` when the plan is optimized."""
+        ev = self.ev
+        needed = OP_TABLE[node.op].keys(node, ev.params.ring_degree)
+        if not needed:
+            return ct.copy()                # the identity element needs no key
+        element = needed[0][1]
         galois_key = ev.keys.galois_key(element, ct.level)
-        hoisted = hoists.get(node.args[0]) if share_hoists else None
+        hoisted = self.hoists.get(node.args[0]) if self.share else None
         if hoisted is None:
             hoisted = hoist_decompose(ct.c1, ev.params, ct.level)
-            if share_hoists:
-                hoists[node.args[0]] = hoisted
+            if self.share:
+                self.hoists[node.args[0]] = hoisted
         f0, f1 = keyswitch_hoisted(hoisted, galois_key, galois_element=element)
         rotated_c0 = ct.c0.automorphism(element)
         if ct.domain == "eval":
@@ -365,9 +300,8 @@ class ProgramExecutor:
         )
 
     # -- fused plaintext MAC ---------------------------------------------------
-    def _pmult_mac(self, node, values) -> CKKSCiphertext:
-        ev = self.evaluator
-        cts = [values[a] for a in node.args]
+    def pmult_mac(self, node: HENode, cts) -> CKKSCiphertext:
+        ev = self.ev
         plaintexts = node.attrs["plaintexts"]
         if any(ct.domain != "eval" for ct in cts):
             # Defensive fallback (the planner only fuses eval-domain groups):

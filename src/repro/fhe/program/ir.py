@@ -7,8 +7,11 @@ topological order (every node's arguments precede it), built by the tracer
 :mod:`repro.fhe.program.executor`, and lowered to the cost model's
 ``HomomorphicOp`` stream by :mod:`repro.fhe.program.lowering`.
 
-Each node carries the metadata the planner reasons about — Table II
-operation kind, argument ids, ciphertext ``level``, ``scale``, and the
+The node alphabet and every per-kind fact (arity, required attributes,
+level/scale rule, residency, eager callable, lowering, evaluation keys) live
+in one table, :mod:`repro.fhe.program.ops`; nodes are validated against it
+when they are built.  Each node carries the metadata the planner reasons
+about — operation kind, argument ids, ciphertext ``level``, ``scale``, and the
 planned residency ``domain`` (``"coeff"``/``"eval"``) — plus op-specific
 attributes (rotation steps, the encoded plaintext of a PMult/PAdd, the
 plaintext list of a fused MAC, a hoist-group id).
@@ -22,44 +25,23 @@ and the executor computes it once).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["OPS", "TFHE_OPS", "SCHEME_SWITCH_OPS", "op_scheme",
-           "HENode", "HEProgram"]
+from .ops import OP_TABLE, infer
+
+__all__ = ["TFHE_OPS", "SCHEME_SWITCH_OPS", "op_scheme", "HENode", "HEProgram"]
 
 
-#: TFHE-island ops.  LWE ciphertexts are level-free scalars; ``pbs`` is the
-#: programmable bootstrap (LUT eval via a ``fn`` attribute),
-#: ``gate_bootstrap`` the constant-test-vector sign bootstrap (``amplitude``
-#: attribute), and ``lwe_keyswitch`` the cross-scheme key/modulus switch
-#: (``direction`` attribute: ``"c2t"`` CKKS-key -> small TFHE key,
-#: ``"t2c"`` small TFHE key -> CKKS-coefficient key).
-TFHE_OPS = frozenset({
-    "lwe_add", "lwe_sub", "lwe_negate", "lwe_scalar_mul", "lwe_add_const",
-    "pbs", "gate_bootstrap", "lwe_keyswitch",
-})
+#: Scheme-switch ops (``ckks_to_tfhe`` extraction, ``tfhe_to_ckks`` repack):
+#: the kinds that consume one scheme's values and produce the other's.
+SCHEME_SWITCH_OPS = frozenset(
+    spec.name for spec in OP_TABLE.values() if spec.consumes != spec.scheme)
 
-#: Scheme-switch ops: ``ckks_to_tfhe`` extracts one coefficient of a level-0
-#: CKKS ciphertext as an LWE ciphertext (``index`` attribute);
-#: ``tfhe_to_ckks`` repacks its ``nslot`` LWE arguments into one CKKS
-#: ciphertext (Ring Embedding + PackLWEs + Field Trace).
-SCHEME_SWITCH_OPS = frozenset({"ckks_to_tfhe", "tfhe_to_ckks"})
-
-#: The node alphabet.  ``to_eval``/``to_coeff`` and ``pmult_mac`` are
-#: planner-inserted (domain conversions and the fused multi-ciphertext
-#: plaintext MAC); everything else is traceable.
-OPS = frozenset({
-    "input", "input_lwe",
-    "add", "sub", "negate",
-    "multiply", "multiply_plain", "multiply_scalar", "add_plain",
-    "rotate", "conjugate",
-    "rescale", "mod_down",
-    "to_eval", "to_coeff",
-    "pmult_mac",
-}) | TFHE_OPS | SCHEME_SWITCH_OPS
-
-#: Ops that take an encoded plaintext attribute.
-PLAIN_OPS = frozenset({"multiply_plain", "add_plain"})
+#: TFHE-island ops: LWE arguments in, LWE value out (views over the op
+#: table, like ``SCHEME_SWITCH_OPS``; see :mod:`repro.fhe.program.ops`).
+TFHE_OPS = frozenset(
+    spec.name for spec in OP_TABLE.values()
+    if spec.consumes == spec.scheme == "tfhe" and spec.arity != 0)
 
 
 def op_scheme(op: str) -> str:
@@ -69,9 +51,7 @@ def op_scheme(op: str) -> str:
     produces an LWE ciphertext (``"tfhe"``), ``tfhe_to_ckks`` produces a
     CKKS ciphertext (``"ckks"``).
     """
-    if op in TFHE_OPS or op in ("ckks_to_tfhe", "input_lwe"):
-        return "tfhe"
-    return "ckks"
+    return OP_TABLE[op].scheme
 
 
 @dataclass
@@ -87,37 +67,43 @@ class HENode:
     attrs: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.op not in OPS:
+        spec = OP_TABLE.get(self.op)
+        if spec is None:
             raise ValueError(f"unknown program op {self.op!r}")
+        if len(self.args) != spec.arity and (spec.arity is not None
+                                             or not self.args):
+            wanted = "at least one" if spec.arity is None else spec.arity
+            raise ValueError(f"{self.op} takes {wanted} argument(s), "
+                             f"got {len(self.args)}")
+        for name in spec.attrs:
+            if name not in self.attrs:
+                raise ValueError(f"{self.op} needs a {name!r} attribute")
 
     @property
     def scheme(self) -> str:
         """``"ckks"`` or ``"tfhe"`` — the scheme of the value this node
         produces (derived from the op, so passes can never desynchronize
         a node's scheme tag from its kind)."""
-        return op_scheme(self.op)
+        return OP_TABLE[self.op].scheme
 
 
 def _attr_key(op: str, attrs: "Dict[str, object] | None") -> tuple:
     """A hashable fingerprint of the op-specific attributes (for CSE).
 
-    Plaintext objects are keyed by identity: two distinct encodings are
-    never merged, while reuse of the *same* plaintext object is.
+    Plaintexts and PBS lookup functions (the op's ``identity_attrs``) are
+    keyed by identity: two distinct encodings/tables never merge, reuse of
+    the *same* object does.
     """
     if not attrs:
         return ()
+    by_identity = OP_TABLE[op].identity_attrs
     parts = []
     for key in sorted(attrs):
         value = attrs[key]
-        if key in ("plaintext", "fn"):
-            # Plaintexts and PBS lookup functions are keyed by identity:
-            # two distinct encodings/tables never merge, reuse of the same
-            # object does.
-            parts.append((key, id(value)))
-        elif key == "plaintexts":
-            parts.append((key, tuple(id(p) for p in value)))
-        else:
-            parts.append((key, value))
+        if key in by_identity:
+            value = (tuple(id(item) for item in value)
+                     if isinstance(value, tuple) else id(value))
+        parts.append((key, value))
     return tuple(parts)
 
 
@@ -161,6 +147,14 @@ class HEProgram:
         if cse:
             self._cse[key] = node.id
         return node.id
+
+    def emit(self, op: str, args: Tuple[int, ...],
+             attrs: "Dict[str, object] | None" = None,
+             domain: str = "coeff") -> int:
+        """Append a node whose level and scale follow the op's inference
+        rule (:func:`repro.fhe.program.ops.infer`)."""
+        level, scale = infer(self, op, args, attrs or {})
+        return self.add_node(op, args, level, scale, domain, attrs)
 
     def add_input(self, name: str, level: int, scale: float,
                   lwe: "str | None" = None) -> int:

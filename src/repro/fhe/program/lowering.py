@@ -27,6 +27,7 @@ from typing import Dict, List
 
 from ..ckks.bootstrap import HomomorphicOp
 from .ir import HEProgram
+from .ops import OP_TABLE
 from .passes import PlannedProgram
 
 __all__ = [
@@ -39,26 +40,6 @@ __all__ = [
     "hybrid_kernel_histogram",
     "hybrid_cycle_estimate",
 ]
-
-#: LWE linear ops costed as one (dim+1)-element modular add/scale each.
-_LWE_LINEAR_OPS = frozenset({
-    "lwe_add", "lwe_sub", "lwe_negate", "lwe_scalar_mul", "lwe_add_const",
-})
-
-#: Table II name for each directly-mapped program op.
-_TABLE_II = {
-    "multiply": "HMult",
-    "multiply_plain": "PMult",
-    "multiply_scalar": "PMult",
-    "add": "HAdd",
-    "sub": "HAdd",
-    "negate": "HAdd",
-    "add_plain": "PAdd",
-    "rotate": "HRotate",
-    "conjugate": "Conjugate",
-    "rescale": "Rescale",
-}
-
 
 def _program_of(program) -> HEProgram:
     return program.program if isinstance(program, PlannedProgram) else program
@@ -81,13 +62,10 @@ def lower_to_operations(program) -> List[HomomorphicOp]:
             ops.append(HomomorphicOp(name, level, count))
 
     for node in _program_of(program).nodes:
-        if node.op in _TABLE_II:
-            emit(_TABLE_II[node.op], node.level)
-        elif node.op == "pmult_mac":
-            emit("PMult", node.level, len(node.args))
-            if len(node.args) > 1:
-                emit("HAdd", node.level, len(node.args) - 1)
-        # input / mod_down / to_eval / to_coeff: no Table II operation.
+        # input / mod_down / to_eval / to_coeff lower to no Table II operation.
+        for name, count in OP_TABLE[node.op].lower(node):
+            if count:
+                emit(name, node.level, count)
     return ops
 
 
@@ -101,7 +79,8 @@ def operation_histogram(program) -> Dict[str, int]:
 
 def conversion_counts(program) -> Dict[str, int]:
     """How many explicit domain conversions the planner materialized."""
-    counts = {"to_eval": 0, "to_coeff": 0}
+    counts = {spec.name: 0 for spec in OP_TABLE.values()
+              if spec.converts_to is not None}
     for node in _program_of(program).nodes:
         if node.op in counts:
             counts[node.op] += 1
@@ -130,6 +109,20 @@ def lower_to_traces(program, params=None) -> list:
     return traces
 
 
+class _HybridSink:
+    """What the op table's ``hybrid`` rules write a node's cost into: the
+    TFHE and conversion trace lists, plus the two aggregates that become
+    one trace each (extractions, LWE linear ops counted by dimension)."""
+
+    def __init__(self, ckks_params, tfhe_params):
+        self.ckks_params = ckks_params
+        self.tfhe_params = tfhe_params
+        self.tfhe_traces: List = []
+        self.conversion_traces: List = []
+        self.extractions = 0
+        self.linear_by_dim: Dict[int, int] = {}
+
+
 def lower_hybrid_to_workloads(program, params=None) -> list:
     """Scheme-grouped :class:`~repro.workloads.base.Workload` list of a hybrid program.
 
@@ -151,11 +144,8 @@ def lower_hybrid_to_workloads(program, params=None) -> list:
     sequentially, it just shares dispatch overhead the cost model does not
     charge per call.
     """
-    from ...kernels.conversion_flows import (
-        bridge_keyswitch_flow, ckks_to_tfhe_flow, tfhe_to_ckks_flow,
-    )
+    from ...kernels.conversion_flows import ckks_to_tfhe_flow
     from ...kernels.kernel import Kernel, KernelKind, KernelTrace
-    from ...kernels.tfhe_flows import gate_bootstrap_flow, pbs_flow
     from ...workloads.base import Workload
 
     ir = _program_of(program)
@@ -164,39 +154,23 @@ def lower_hybrid_to_workloads(program, params=None) -> list:
     if tfhe_params is None:
         raise ValueError("not a hybrid program: no TFHE parameter set attached")
 
-    tfhe_traces: List = []
-    conversion_traces: List = []
-    extractions = 0
-    linear_by_dim: Dict[int, int] = {}
+    sink = _HybridSink(ckks_params, tfhe_params)
     for node in ir.nodes:
-        if node.op == "pbs":
-            tfhe_traces.append(pbs_flow(tfhe_params))
-        elif node.op == "gate_bootstrap":
-            tfhe_traces.append(gate_bootstrap_flow(tfhe_params))
-        elif node.op == "lwe_keyswitch":
-            tfhe_traces.append(bridge_keyswitch_flow(
-                str(node.attrs["direction"]), ckks_params, tfhe_params))
-        elif node.op in _LWE_LINEAR_OPS:
-            dim = (ckks_params.ring_degree if node.attrs.get("lwe") == "ckks"
-                   else tfhe_params.lwe_dimension)
-            linear_by_dim[dim] = linear_by_dim.get(dim, 0) + 1
-        elif node.op == "ckks_to_tfhe":
-            extractions += 1
-        elif node.op == "tfhe_to_ckks":
-            conversion_traces.append(tfhe_to_ckks_flow(
-                ckks_params, nslot=len(node.args), level=node.level))
-    if linear_by_dim:
+        lower = OP_TABLE[node.op].hybrid
+        if lower is not None:
+            lower(sink, node)
+    if sink.linear_by_dim:
         linear = KernelTrace(name="lwe-linear", scheme="tfhe")
         linear.add_step(
             [Kernel(KernelKind.MODADD, dim + 1, count=count, scheme="tfhe",
                     tag="lwe.linear")
-             for dim, count in sorted(linear_by_dim.items())],
+             for dim, count in sorted(sink.linear_by_dim.items())],
             label="lwe-linear",
         )
-        tfhe_traces.append(linear)
-    if extractions:
-        conversion_traces.insert(
-            0, ckks_to_tfhe_flow(ckks_params, nslot=extractions))
+        sink.tfhe_traces.append(linear)
+    if sink.extractions:
+        sink.conversion_traces.insert(
+            0, ckks_to_tfhe_flow(ckks_params, nslot=sink.extractions))
 
     workloads = []
     ckks_traces = lower_to_traces(program, params=ckks_params)
@@ -205,16 +179,16 @@ def lower_hybrid_to_workloads(program, params=None) -> list:
             name="hybrid.ckks", scheme="ckks", traces=ckks_traces,
             metadata={"params": ckks_params.name},
         ))
-    if tfhe_traces:
+    if sink.tfhe_traces:
         workloads.append(Workload(
-            name="hybrid.tfhe", scheme="tfhe", traces=tfhe_traces,
+            name="hybrid.tfhe", scheme="tfhe", traces=sink.tfhe_traces,
             metadata={"params": tfhe_params.name},
         ))
-    if conversion_traces:
+    if sink.conversion_traces:
         workloads.append(Workload(
             name="hybrid.conversion", scheme="conversion",
-            traces=conversion_traces,
-            metadata={"extractions": extractions},
+            traces=sink.conversion_traces,
+            metadata={"extractions": sink.extractions},
         ))
     return workloads
 

@@ -10,7 +10,7 @@ The pipeline turns a traced :class:`~repro.fhe.program.ir.HEProgram` into a
    evaluator's manual ``_check_levels``/``align``/``rescale`` bookkeeping;
    irreconcilable scales fail here, at plan time, not mid-execution.
 2. **Domain-residency planning** (optimize only) — every node is assigned
-   an execution domain using the PR-3 residency table, propagating an
+   an execution domain from its op's residency class, propagating an
    *eval preference* backwards (a rotation whose results feed pointwise
    plaintext MACs stays NTT-resident; a ``multiply -> rescale -> multiply``
    chain never leaves the evaluation domain) and materializing explicit
@@ -28,6 +28,11 @@ The pipeline turns a traced :class:`~repro.fhe.program.ir.HEProgram` into a
    case.  Group ids are stored on the nodes and the sharing statistics in
    :attr:`PlannedProgram.stats`.
 
+Per-op facts (level/scale rule, alignment and residency class, evaluation
+keys) are read from the op table (:mod:`repro.fhe.program.ops`); only the
+passes that pattern-match particular ops by design — MAC fusion, PBS wave
+scheduling, hoist grouping — name them.
+
 Every pass is semantics-preserving over exact modular arithmetic: the
 planned program computes bit-identical residues to the node-by-node eager
 execution of the aligned program (gated by ``tests/test_program.py``).
@@ -40,38 +45,33 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..rns import _limb_contexts
-from .ir import HENode, HEProgram, SCHEME_SWITCH_OPS, TFHE_OPS
+from .ir import HENode, HEProgram, SCHEME_SWITCH_OPS
+from .ops import OP_TABLE, infer, required_keys
 
 __all__ = ["PlannedProgram", "plan_program"]
 
 
-#: Ops that accept either residency domain and pass the preference through.
-_PASSTHROUGH = frozenset({
-    "add", "sub", "negate", "multiply_scalar", "rescale", "mod_down",
-    "multiply_plain", "add_plain", "rotate", "conjugate", "pmult_mac",
-})
-
-#: Ops that always live in the coefficient domain: TFHE islands are scalar
-#: LWE values (no NTT residency), SampleExtract reads polynomial
-#: coefficients, and repacking produces a coefficient-resident ciphertext.
-#: The residency planner never assigns these nodes to the evaluation domain
-#: and forces a ``to_coeff`` on the CKKS edge feeding an extraction.
-_COEFF_ONLY = TFHE_OPS | SCHEME_SWITCH_OPS | frozenset({"input_lwe"})
+#: Every key of :attr:`PlannedProgram.stats` (all start at zero):
+#: ``hoisted_rotations`` are rotations sharing a multi-member hoist,
+#: ``outer_rotations`` singleton hoists; ``pbs_groups``/``grouped_pbs``
+#: count bootstraps sharing a batched blind rotation and
+#: ``ks_groups``/``grouped_keyswitches`` bridge keyswitches sharing one
+#: ``digits @ ksk`` dispatch; ``scheme_switches`` the surviving
+#: scheme-switch nodes.
+STATS_KEYS = (
+    "rescales_inserted", "mod_downs_inserted", "conversions_inserted",
+    "dead_nodes_removed", "hoist_groups", "hoisted_rotations",
+    "outer_rotations", "rotations", "plain_multiplies", "batched_groups",
+    "batched_pmults", "stacked_conversion_groups", "stacked_conversions",
+    "pbs_groups", "grouped_pbs", "scheme_switches", "ks_groups",
+    "grouped_keyswitches",
+)
 
 
 @dataclass
 class PlannedProgram:
-    """An aligned (and optionally optimized) program plus planning stats.
-
-    ``stats`` keys: ``rescales_inserted``, ``mod_downs_inserted``,
-    ``conversions_inserted``, ``dead_nodes_removed``, ``hoist_groups``,
-    ``hoisted_rotations`` (rotations sharing a multi-member hoist),
-    ``outer_rotations`` (singleton hoists), ``rotations``,
-    ``plain_multiplies``, ``batched_groups``, ``batched_pmults``,
-    ``stacked_conversion_groups``, ``stacked_conversions``,
-    ``pbs_groups``/``grouped_pbs`` (bootstraps sharing a batched blind
-    rotation), ``scheme_switches`` (surviving scheme-switch nodes).
-    """
+    """An aligned (and optionally optimized) program plus planning stats
+    (``stats`` holds exactly the :data:`STATS_KEYS` counters)."""
 
     program: HEProgram
     stats: Dict[str, int] = field(default_factory=dict)
@@ -81,7 +81,13 @@ class PlannedProgram:
     def params(self):
         return self.program.params
 
-    # -- rotation-key planning ------------------------------------------------
+    # -- evaluation-key planning ----------------------------------------------
+    def required_keys(self) -> List[tuple]:
+        """Sorted ``("galois", element, level)`` / ``("relin", level)``
+        tuples: every evaluation key executing this plan fetches (each
+        op's requirement comes from the op table)."""
+        return required_keys(self.program)
+
     def required_galois_elements(self) -> List[Tuple[int, int]]:
         """Sorted ``(galois_element, level)`` pairs this program keyswitches.
 
@@ -91,36 +97,7 @@ class PlannedProgram:
         :meth:`~repro.fhe.ckks.keys.CKKSKeySet.ensure_galois_keys` to
         materialize the minimal key set for this plan.
         """
-        from ..ckks.keys import (
-            galois_element_for_conjugation,
-            galois_element_for_rotation,
-        )
-
-        ring_degree = self.params.ring_degree
-        needed = set()
-        for node in self.program.nodes:
-            if node.op == "rotate":
-                element = galois_element_for_rotation(
-                    ring_degree, node.attrs["steps"]
-                )
-            elif node.op == "conjugate":
-                element = galois_element_for_conjugation(ring_degree)
-            elif node.op == "tfhe_to_ckks":
-                # Repacking keyswitches through PackLWEs merge elements
-                # (2^r + 1 per doubling) and Field Trace automorphisms
-                # (2N / 2^k + 1 per cancelled coefficient class), all at
-                # the node's (level-0) chain position.
-                nslot = len(node.args)
-                for r in range(1, int(math.log2(nslot)) + 1):
-                    needed.add(((1 << r) + 1, node.level))
-                for k in range(1, int(math.log2(ring_degree // nslot)) + 1):
-                    needed.add(((2 * ring_degree) // (1 << k) + 1, node.level))
-                continue
-            else:
-                continue
-            if element != 1:
-                needed.add((element, node.level))
-        return sorted(needed)
+        return [key[1:] for key in self.required_keys() if key[0] == "galois"]
 
     def required_rotation_steps(self) -> Dict[int, List[int]]:
         """Per-level rotation steps (``rotate`` nodes only) after planning.
@@ -149,12 +126,17 @@ class _Rebuilder:
         self.new = old.like()
         self.map: Dict[int, Optional[int]] = {}
 
-    def rebuild_input(self, node: HENode) -> None:
-        """Re-declare an ``input``/``input_lwe`` node in the new program."""
-        self.map[node.id] = self.new.add_input(
-            node.attrs["name"], node.level, node.scale,
-            lwe=node.attrs.get("lwe") if node.op == "input_lwe" else None,
-        )
+    def copy(self, node: HENode) -> None:
+        """Re-create ``node`` verbatim over its remapped arguments (inputs,
+        the arity-0 kinds, are re-declared by name)."""
+        if OP_TABLE[node.op].arity == 0:
+            self.map[node.id] = self.new.add_input(
+                node.attrs["name"], node.level, node.scale,
+                lwe=node.attrs.get("lwe"))
+        else:
+            self.map[node.id] = self.new.add_node(
+                node.op, tuple(self.arg(a) for a in node.args), node.level,
+                node.scale, node.domain, node.attrs)
 
     def arg(self, old_id: int) -> int:
         new_id = self.map[old_id]
@@ -179,21 +161,31 @@ def _rescale_towards(rb: _Rebuilder, node_id: int, target_scale: float,
     """Insert rescales on ``node_id`` while they bring its scale closer to
     ``target_scale`` (each drops one level and divides by that level's
     modulus — the waterline step)."""
-    params = rb.new.params
     node = rb.new.node(node_id)
     while not _close(node.scale, target_scale) and node.level >= 1:
-        dropped = params.moduli[node.level]
-        new_scale = node.scale / dropped
+        level, new_scale = infer(rb.new, "rescale", (node_id,), {})
         if abs(math.log(new_scale / target_scale)) >= abs(
             math.log(node.scale / target_scale)
         ):
             break
-        node_id = rb.new.add_node(
-            "rescale", (node_id,), level=node.level - 1, scale=new_scale,
-            domain=node.domain,
-        )
+        node_id = rb.new.add_node("rescale", (node_id,), level, new_scale,
+                                  domain=node.domain)
         stats["rescales_inserted"] += 1
         node = rb.new.node(node_id)
+    return node_id
+
+
+def _match_scale(rb: _Rebuilder, node_id: int, target_scale: float,
+                 consumer: HENode, stats: Dict[str, int]) -> int:
+    """Bring ``node_id`` to ``target_scale`` by rescaling, or fail at plan
+    time.  LWE values sit at level 0 and have no rescale, so diverging
+    encoding factors inside a TFHE island always fail here."""
+    node_id = _rescale_towards(rb, node_id, target_scale, stats)
+    scale = rb.new.node(node_id).scale
+    if not _close(scale, target_scale):
+        raise ValueError(
+            f"cannot align scales {scale:g} vs {target_scale:g} feeding node "
+            f"{consumer.id} ({consumer.op}); rescaling cannot reconcile them")
     return node_id
 
 
@@ -203,179 +195,44 @@ def _mod_down(rb: _Rebuilder, node_id: int, level: int,
     if node.level == level:
         return node_id
     stats["mod_downs_inserted"] += 1
-    return rb.new.add_node(
-        "mod_down", (node_id,), level=level, scale=node.scale,
-        domain=node.domain, attrs={"level": level},
-    )
-
-
-def _align_tfhe(rb: _Rebuilder, node: HENode, args: List[int],
-                stats: Dict[str, int]) -> int:
-    """Waterline step for TFHE-island and scheme-switch nodes.
-
-    TFHE islands are level-free (LWE ciphertexts carry no modulus chain to
-    align), so no rescale/mod_down ever lands *inside* an island; the only
-    alignment work is at the CKKS boundary, where the extraction source is
-    mod-downed to level 0 (SampleExtract reads the single-limb residue —
-    exact, since encoded coefficients are small against q0).  Encoding
-    factors are recomputed from the rebuilt arguments, so a waterline
-    rescale upstream of an extraction propagates through the island.
-    """
-    op = node.op
-    new = rb.new
-    if op == "ckks_to_tfhe":
-        (a,) = args
-        a = _mod_down(rb, a, 0, stats)
-        return new.add_node(op, (a,), level=0, scale=new.node(a).scale,
-                            attrs=dict(node.attrs))
-    if op == "tfhe_to_ckks":
-        scales = [new.node(a).scale for a in args]
-        for scale in scales[1:]:
-            if not _close(scale, scales[0]):
-                raise ValueError(
-                    f"repacked LWEs feeding node {node.id} have diverging "
-                    f"encoding factors ({scales[0]:g} vs {scale:g})")
-        return new.add_node(op, tuple(args), level=0, scale=scales[0],
-                            attrs=dict(node.attrs))
-    if op in ("lwe_add", "lwe_sub"):
-        a, b = args
-        sa, sb = new.node(a).scale, new.node(b).scale
-        if not _close(sa, sb):
-            raise ValueError(
-                f"cannot align LWE encoding factors {sa:g} vs {sb:g} "
-                f"feeding node {node.id} ({op}); LWE values have no "
-                f"rescale — re-trace with matching factors")
-        return new.add_node(op, (a, b), level=0, scale=sa,
-                            attrs=dict(node.attrs))
-    (a,) = args
-    arg_scale = new.node(a).scale
-    tfhe = rb.old.tfhe_params
-    if op == "lwe_scalar_mul":
-        scalar = node.attrs["scalar"]
-        scale = arg_scale * abs(scalar) if scalar else 1.0
-    elif op == "lwe_keyswitch":
-        q0 = rb.old.params.moduli[0]
-        if node.attrs["direction"] == "c2t":
-            scale = arg_scale * tfhe.modulus / q0
-        else:
-            scale = arg_scale * q0 / tfhe.modulus
-    elif op == "pbs":
-        scale = float(tfhe.delta)
-    elif op == "gate_bootstrap":
-        scale = 2.0 * node.attrs["amplitude"]
-    else:                                 # lwe_negate / lwe_add_const
-        scale = arg_scale
-    return new.add_node(op, (a,), level=0, scale=scale,
-                        attrs=dict(node.attrs))
+    return rb.new.emit("mod_down", (node_id,), {"level": level},
+                       domain=node.domain)
 
 
 def _align(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
-    """Insert mod_down / rescale nodes so every op sees legal operands."""
-    params = old.params
+    """Insert mod_down / rescale nodes so every op sees legal operands.
+
+    Each node's arguments are first brought to what its alignment class
+    asks for, then the node is re-emitted with level and scale recomputed
+    from the rebuilt arguments by the op's own rule — so a waterline
+    rescale upstream propagates through everything downstream, TFHE islands
+    included.  Islands are level-free: no rescale/mod_down ever lands inside
+    one; the only work at the boundary is the mod-down of an extraction
+    source to level 0 (SampleExtract reads the single-limb residue — exact,
+    since encoded coefficients are small against q0).
+    """
     rb = _Rebuilder(old)
     for node in old.nodes:
-        op = node.op
-        if op in ("input", "input_lwe"):
-            rb.rebuild_input(node)
+        spec = OP_TABLE[node.op]
+        if spec.arity == 0:
+            rb.copy(node)
             continue
         args = [rb.arg(a) for a in node.args]
-        if op in TFHE_OPS or op in SCHEME_SWITCH_OPS:
-            rb.map[node.id] = _align_tfhe(rb, node, args, stats)
+        if node.op == "mod_down":
+            # The waterline's own op: re-insert it canonically (and count it).
+            rb.map[node.id] = _mod_down(rb, args[0], node.attrs["level"], stats)
             continue
-        if op in ("add", "sub"):
-            a, b = args
-            sa, sb = rb.new.node(a).scale, rb.new.node(b).scale
-            if not _close(sa, sb):
-                if sa > sb:
-                    a = _rescale_towards(rb, a, sb, stats)
-                else:
-                    b = _rescale_towards(rb, b, sa, stats)
-                sa, sb = rb.new.node(a).scale, rb.new.node(b).scale
-                if not _close(sa, sb):
-                    raise ValueError(
-                        f"cannot align scales {sa} vs {sb} feeding node "
-                        f"{node.id} ({op}); rescaling cannot reconcile them"
-                    )
-            common = min(rb.new.node(a).level, rb.new.node(b).level)
-            a = _mod_down(rb, a, common, stats)
-            b = _mod_down(rb, b, common, stats)
-            rb.map[node.id] = rb.new.add_node(
-                op, (a, b), level=common, scale=rb.new.node(a).scale
-            )
-        elif op == "multiply":
-            a, b = args
-            common = min(rb.new.node(a).level, rb.new.node(b).level)
-            a = _mod_down(rb, a, common, stats)
-            b = _mod_down(rb, b, common, stats)
-            rb.map[node.id] = rb.new.add_node(
-                op, (a, b), level=common,
-                scale=rb.new.node(a).scale * rb.new.node(b).scale,
-            )
-        elif op == "add_plain":
-            (a,) = args
-            plaintext = node.attrs["plaintext"]
-            scale = rb.new.node(a).scale
-            if not _close(scale, plaintext.scale):
-                a = _rescale_towards(rb, a, plaintext.scale, stats)
-                scale = rb.new.node(a).scale
-                if not _close(scale, plaintext.scale):
-                    raise ValueError(
-                        f"cannot align ciphertext scale {scale} with plaintext "
-                        f"scale {plaintext.scale} feeding node {node.id} (add_plain)"
-                    )
-            rb.map[node.id] = rb.new.add_node(
-                op, (a,), level=rb.new.node(a).level, scale=scale,
-                attrs=dict(node.attrs),
-            )
-        elif op == "multiply_plain":
-            (a,) = args
-            arg = rb.new.node(a)
-            rb.map[node.id] = rb.new.add_node(
-                op, (a,), level=arg.level,
-                scale=arg.scale * node.attrs["plaintext"].scale,
-                attrs=dict(node.attrs),
-            )
-        elif op == "rescale":
-            (a,) = args
-            arg = rb.new.node(a)
-            if arg.level < 1:
-                raise ValueError(f"node {node.id} rescales a level-0 value")
-            rb.map[node.id] = rb.new.add_node(
-                op, (a,), level=arg.level - 1,
-                scale=arg.scale / params.moduli[arg.level],
-            )
-        elif op == "mod_down":
-            (a,) = args
-            arg = rb.new.node(a)
-            level = node.attrs["level"]
-            if level > arg.level:
-                raise ValueError(f"node {node.id} mod-downs to a higher level")
-            rb.map[node.id] = _mod_down(rb, a, level, stats)
-        elif op == "pmult_mac":
-            # Re-planning a planned program: the fused MAC's operands are
-            # already mutually aligned; metadata follows the first one.
-            arg0 = rb.new.node(args[0])
-            rb.map[node.id] = rb.new.add_node(
-                op, tuple(args), level=arg0.level,
-                scale=arg0.scale * node.attrs["plaintexts"][0].scale,
-                domain=node.domain, attrs=dict(node.attrs),
-            )
-        elif op in ("to_eval", "to_coeff"):
-            (a,) = args
-            arg = rb.new.node(a)
-            rb.map[node.id] = rb.new.add_node(
-                op, (a,), level=arg.level, scale=arg.scale,
-                domain="eval" if op == "to_eval" else "coeff",
-            )
-        else:
-            # negate / multiply_scalar / rotate / conjugate: unary, metadata
-            # follows the arg.
-            (a,) = args
-            arg = rb.new.node(a)
-            rb.map[node.id] = rb.new.add_node(
-                op, (a,), level=arg.level, scale=arg.scale, domain=arg.domain,
-                attrs=dict(node.attrs),
-            )
+        if spec.align == "plaintext-scale":
+            args = [_match_scale(rb, args[0], node.attrs["plaintext"].scale,
+                                 node, stats)]
+        elif spec.align == "level+scale":
+            target = min(rb.new.node(a).scale for a in args)
+            args = [_match_scale(rb, a, target, node, stats) for a in args]
+        if spec.align in ("level", "level+scale", "level-0"):
+            common = (0 if spec.align == "level-0"
+                      else min(rb.new.node(a).level for a in args))
+            args = [_mod_down(rb, a, common, stats) for a in args]
+        rb.map[node.id] = rb.new.emit(node.op, args, node.attrs, node.domain)
     return rb.finish()
 
 
@@ -416,16 +273,10 @@ def _eliminate_dead_code(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
     stats["dead_nodes_removed"] += dead
     rb = _Rebuilder(old)
     for node in old.nodes:
-        if not live[node.id]:
+        if live[node.id]:
+            rb.copy(node)
+        else:
             rb.map[node.id] = None
-            continue
-        if node.op in ("input", "input_lwe"):
-            rb.rebuild_input(node)
-            continue
-        rb.map[node.id] = rb.new.add_node(
-            node.op, tuple(rb.arg(a) for a in node.args), level=node.level,
-            scale=node.scale, domain=node.domain, attrs=dict(node.attrs),
-        )
     return rb.finish()
 
 
@@ -433,78 +284,70 @@ def _eliminate_dead_code(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
 # 2. Domain-residency planning
 # ---------------------------------------------------------------------------
 
-#: Ops whose ciphertext arguments should be evaluation-resident: the tensor
-#: product and the plaintext product are *pointwise* there (a coefficient-
-#: domain PMult would be a full negacyclic convolution per component).
-_WANTS_EVAL_ARGS = frozenset({"multiply", "multiply_plain", "pmult_mac"})
+#: The conversion op producing each domain (``"eval"`` -> ``"to_eval"``).
+_CONVERSION_TO = {spec.converts_to: spec.name for spec in OP_TABLE.values()
+                  if spec.converts_to is not None}
 
 
 def _plan_domains(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
-    """Assign execution domains and insert the minimal conversion set."""
+    """Assign execution domains and insert the minimal conversion set.
+
+    Driven by each op's residency class: ``wants-eval-args`` ops (the tensor
+    product and the plaintext products are *pointwise* in the evaluation
+    domain; a coefficient-domain PMult would be a full negacyclic
+    convolution per component) take and return eval values;
+    ``pass-through`` ops accept either domain and follow their consumers'
+    preference; ``coeff-only`` ops (inputs, TFHE islands, scheme switches:
+    LWE scalars have no NTT residency and SampleExtract reads polynomial
+    coefficients) stop the eval-domain contagion at the boundary and force
+    a ``to_coeff`` on an eval edge feeding them.
+    """
     consumers = old.consumers()
+    residency = [OP_TABLE[node.op].residency for node in old.nodes]
     # Backward sweep: does this node's result want to live in the evaluation
-    # domain?  Multiplies and plaintext products consume eval operands;
-    # pass-through ops inherit the preference of any eval-hungry consumer.
+    # domain?  It does when any consumer is eval-hungry, directly or through
+    # a chain of pass-through ops.
     prefer_eval = [False] * len(old)
     for node in reversed(old.nodes):
-        if node.op == "multiply":
-            prefer_eval[node.id] = True
-            continue
-        for user_id in consumers[node.id]:
-            user = old.node(user_id)
-            if user.op in _WANTS_EVAL_ARGS or (
-                user.op in _PASSTHROUGH and prefer_eval[user_id]
-            ):
-                prefer_eval[node.id] = True
-                break
-    # Forward sweep: the planned domain of each node.  TFHE islands and
-    # scheme switches are pinned to the coefficient domain (_COEFF_ONLY):
-    # LWE scalars have no NTT residency and SampleExtract reads polynomial
-    # coefficients, so the eval-domain contagion stops at the boundary.
+        prefer_eval[node.id] = any(
+            residency[user] == "wants-eval-args"
+            or (residency[user] == "pass-through" and prefer_eval[user])
+            for user in consumers[node.id])
+    # Forward sweep: the planned domain of each node.
     domain = ["coeff"] * len(old)
     for node in old.nodes:
-        if node.op == "input" or node.op in _COEFF_ONLY:
-            continue                      # ciphertexts arrive coefficient-resident
-        if node.op in ("to_eval", "to_coeff"):
-            domain[node.id] = "eval" if node.op == "to_eval" else "coeff"
-        elif node.op in _WANTS_EVAL_ARGS:
-            domain[node.id] = "eval"      # eval inputs, eval output
-        elif prefer_eval[node.id] or any(
-            domain[a] == "eval" for a in node.args
-        ):
+        kind = residency[node.id]
+        if kind == "conversion":
+            domain[node.id] = OP_TABLE[node.op].converts_to
+        elif kind == "wants-eval-args" or (kind == "pass-through" and (
+                prefer_eval[node.id]
+                or any(domain[a] == "eval" for a in node.args))):
             domain[node.id] = "eval"
     # Rebuild with explicit (hash-consed) conversions on mismatched edges.
     rb = _Rebuilder(old)
     for node in old.nodes:
-        if node.op in ("input", "input_lwe"):
-            rb.rebuild_input(node)
+        kind = residency[node.id]
+        if not node.args:
+            rb.copy(node)                 # inputs arrive coefficient-resident
             continue
-        if node.op in ("to_eval", "to_coeff"):
+        if kind == "conversion":
             # Already a conversion (re-planning): keep it, never wrap it.
-            a = rb.arg(node.args[0])
-            arg = rb.new.node(a)
-            rb.map[node.id] = rb.new.add_node(
-                node.op, (a,), level=arg.level, scale=arg.scale,
-                domain=domain[node.id],
-            )
+            rb.map[node.id] = rb.new.emit(
+                node.op, (rb.arg(node.args[0]),), domain=domain[node.id])
             continue
-        wanted = "eval" if node.op in _WANTS_EVAL_ARGS else domain[node.id]
+        wanted = "eval" if kind == "wants-eval-args" else domain[node.id]
         args = []
         for a in node.args:
             new_a = rb.arg(a)
-            arg = rb.new.node(new_a)
-            if arg.domain != wanted:
+            if rb.new.node(new_a).domain != wanted:
                 before = len(rb.new)
-                new_a = rb.new.add_node(
-                    "to_eval" if wanted == "eval" else "to_coeff",
-                    (new_a,), level=arg.level, scale=arg.scale, domain=wanted,
-                )
+                new_a = rb.new.emit(_CONVERSION_TO[wanted], (new_a,),
+                                    domain=wanted)
                 stats["conversions_inserted"] += len(rb.new) - before
             args.append(new_a)
         rb.map[node.id] = rb.new.add_node(
-            node.op, tuple(args), level=node.level, scale=node.scale,
-            domain=domain[node.id], attrs=dict(node.attrs),
-        )
+            node.op, tuple(args), node.level, node.scale, domain[node.id],
+            node.attrs)
     return rb.finish()
 
 
@@ -579,13 +422,7 @@ def _fuse_pmult_macs(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
                 attrs={"plaintexts": plaintexts},
             )
             continue
-        if node.op in ("input", "input_lwe"):
-            rb.rebuild_input(node)
-            continue
-        rb.map[node.id] = rb.new.add_node(
-            node.op, tuple(rb.arg(a) for a in node.args), level=node.level,
-            scale=node.scale, domain=node.domain, attrs=dict(node.attrs),
-        )
+        rb.copy(node)
     return rb.finish()
 
 
@@ -607,7 +444,7 @@ def _annotate_conversion_groups(program: HEProgram, stats: Dict[str, int]) -> No
     open_groups: Dict[tuple, List[List[int]]] = {}
     groups: List[List[int]] = []
     for node in program.nodes:
-        if node.op not in ("to_eval", "to_coeff"):
+        if OP_TABLE[node.op].converts_to is None:
             continue
         key = (node.op, node.level)
         placed = False
@@ -682,14 +519,7 @@ def _schedule_pbs_waves(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
     order = sorted(range(len(old)), key=lambda i: (waves[i], i))
     rb = _Rebuilder(old)
     for old_id in order:
-        node = old.node(old_id)
-        if node.op in ("input", "input_lwe"):
-            rb.rebuild_input(node)
-            continue
-        rb.map[node.id] = rb.new.add_node(
-            node.op, tuple(rb.arg(a) for a in node.args), level=node.level,
-            scale=node.scale, domain=node.domain, attrs=dict(node.attrs),
-        )
+        rb.copy(old.node(old_id))
     new = rb.finish()
     index = 0
     for wave in sorted(wave_members):
@@ -751,16 +581,7 @@ def plan_program(program: HEProgram, optimize: bool = True) -> PlannedProgram:
     Domain/batching passes are skipped automatically on non-NTT-friendly
     moduli (no evaluation domain exists there).
     """
-    stats = {
-        "rescales_inserted": 0, "mod_downs_inserted": 0,
-        "conversions_inserted": 0, "dead_nodes_removed": 0,
-        "hoist_groups": 0,
-        "hoisted_rotations": 0, "outer_rotations": 0, "rotations": 0,
-        "plain_multiplies": 0, "batched_groups": 0, "batched_pmults": 0,
-        "stacked_conversion_groups": 0, "stacked_conversions": 0,
-        "pbs_groups": 0, "grouped_pbs": 0, "scheme_switches": 0,
-        "ks_groups": 0, "grouped_keyswitches": 0,
-    }
+    stats = dict.fromkeys(STATS_KEYS, 0)
     planned = _align(program, stats)
     planned = _eliminate_dead_code(planned, stats)
     ntt_friendly = (

@@ -66,66 +66,39 @@ class HEHandle:
     def scale(self) -> float:
         return self._node.scale
 
-    def _wrap(self, node_id: int) -> "HEHandle":
-        return HEHandle(self.trace, node_id)
+    def _emit(self, op, args, attrs=None) -> "HEHandle":
+        return HEHandle(self.trace, self.trace.program.emit(op, args, attrs))
 
-    def _emit(self, op, args, level, scale, attrs=None) -> "HEHandle":
-        return self._wrap(
-            self.trace.program.add_node(op, args, level=level, scale=scale,
-                                        attrs=attrs)
-        )
-
-    # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other) -> "HEHandle":
+    def _binary(self, other, op: str, plain_op: "str | None" = None):
+        """``self <op> other`` for a ciphertext handle, ``plain_op`` for an
+        encoded plaintext (level and scale follow the op's rule)."""
         if isinstance(other, LWEHandle):
             raise TypeError(
                 "cannot mix a CKKS handle with a TFHE (LWE) handle; cross "
                 "the scheme boundary explicitly with extract_lwe/repack")
         if isinstance(other, HEHandle):
             self.trace._check_same(other)
-            return self._emit("add", (self.id, other.id),
-                              level=min(self.level, other.level),
-                              scale=self.scale)
-        if isinstance(other, CKKSPlaintext):
-            return self._emit("add_plain", (self.id,), level=self.level,
-                              scale=self.scale, attrs={"plaintext": other})
+            return self._emit(op, (self.id, other.id))
+        if plain_op is not None and isinstance(other, CKKSPlaintext):
+            return self._emit(plain_op, (self.id,), {"plaintext": other})
         return NotImplemented
+
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other) -> "HEHandle":
+        return self._binary(other, "add", "add_plain")
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "HEHandle":
-        if isinstance(other, LWEHandle):
-            raise TypeError(
-                "cannot mix a CKKS handle with a TFHE (LWE) handle; cross "
-                "the scheme boundary explicitly with extract_lwe/repack")
-        if isinstance(other, HEHandle):
-            self.trace._check_same(other)
-            return self._emit("sub", (self.id, other.id),
-                              level=min(self.level, other.level),
-                              scale=self.scale)
-        return NotImplemented
+        return self._binary(other, "sub")
 
     def __neg__(self) -> "HEHandle":
-        return self._emit("negate", (self.id,), level=self.level, scale=self.scale)
+        return self._emit("negate", (self.id,))
 
     def __mul__(self, other) -> "HEHandle":
-        if isinstance(other, LWEHandle):
-            raise TypeError(
-                "cannot mix a CKKS handle with a TFHE (LWE) handle; cross "
-                "the scheme boundary explicitly with extract_lwe/repack")
-        if isinstance(other, HEHandle):
-            self.trace._check_same(other)
-            return self._emit("multiply", (self.id, other.id),
-                              level=min(self.level, other.level),
-                              scale=self.scale * other.scale)
-        if isinstance(other, CKKSPlaintext):
-            return self._emit("multiply_plain", (self.id,), level=self.level,
-                              scale=self.scale * other.scale,
-                              attrs={"plaintext": other})
         if isinstance(other, int):
-            return self._emit("multiply_scalar", (self.id,), level=self.level,
-                              scale=self.scale, attrs={"scalar": other})
-        return NotImplemented
+            return self._emit("multiply_scalar", (self.id,), {"scalar": other})
+        return self._binary(other, "multiply", "multiply_plain")
 
     __rmul__ = __mul__
 
@@ -137,28 +110,19 @@ class HEHandle:
         """Slot rotation by ``steps`` (0 is the identity and adds no node)."""
         if steps == 0:
             return self
-        return self._emit("rotate", (self.id,), level=self.level,
-                          scale=self.scale, attrs={"steps": steps})
+        return self._emit("rotate", (self.id,), {"steps": steps})
 
     def conjugate(self) -> "HEHandle":
-        return self._emit("conjugate", (self.id,), level=self.level,
-                          scale=self.scale)
+        return self._emit("conjugate", (self.id,))
 
     # -- level / scale management -------------------------------------------
     def rescale(self) -> "HEHandle":
-        if self.level < 1:
-            raise ValueError("cannot rescale a level-0 value")
-        dropped = self.trace.params.moduli[self.level]
-        return self._emit("rescale", (self.id,), level=self.level - 1,
-                          scale=self.scale / dropped)
+        return self._emit("rescale", (self.id,))
 
     def mod_down_to(self, level: int) -> "HEHandle":
-        if level > self.level:
-            raise ValueError("cannot mod-down to a higher level")
         if level == self.level:
             return self
-        return self._emit("mod_down", (self.id,), level=level,
-                          scale=self.scale, attrs={"level": level})
+        return self._emit("mod_down", (self.id,), {"level": level})
 
     # -- composite helpers ----------------------------------------------------
     def inner_sum(self, count: int) -> "HEHandle":
@@ -194,10 +158,8 @@ class HEHandle:
         n = self.trace.params.ring_degree
         if not 0 <= index < n:
             raise ValueError(f"extract index {index} out of range [0, {n})")
-        node_id = self.trace.program.add_node(
-            "ckks_to_tfhe", (self.id,), level=0, scale=self.scale,
-            attrs={"index": index, "lwe": "ckks"},
-        )
+        node_id = self.trace.program.emit(
+            "ckks_to_tfhe", (self.id,), {"index": index, "lwe": "ckks"})
         return LWEHandle(self.trace, node_id, kind="ckks")
 
     def extract_lwes(self, nslot: int, stride: "int | None" = None
@@ -241,12 +203,9 @@ class LWEHandle:
         """The encoding factor of the LWE message (phase ~ scale * m)."""
         return self._node.scale
 
-    def _emit(self, op, args, scale, attrs=None, kind=None) -> "LWEHandle":
-        attrs = dict(attrs or {})
+    def _emit(self, op, args, attrs=None, kind=None) -> "LWEHandle":
         kind = self.kind if kind is None else kind
-        attrs.setdefault("lwe", kind)
-        node_id = self.trace.program.add_node(op, args, level=0, scale=scale,
-                                              attrs=attrs)
+        node_id = self.trace.program.emit(op, args, {**(attrs or {}), "lwe": kind})
         return LWEHandle(self.trace, node_id, kind=kind)
 
     def _check_compatible(self, other, op: str) -> "LWEHandle":
@@ -270,27 +229,24 @@ class LWEHandle:
     # -- linear arithmetic (the free LWE homomorphisms) ---------------------
     def __add__(self, other) -> "LWEHandle":
         other = self._check_compatible(other, "add")
-        return self._emit("lwe_add", (self.id, other.id), scale=self.scale)
+        return self._emit("lwe_add", (self.id, other.id))
 
     def __sub__(self, other) -> "LWEHandle":
         other = self._check_compatible(other, "subtract")
-        return self._emit("lwe_sub", (self.id, other.id), scale=self.scale)
+        return self._emit("lwe_sub", (self.id, other.id))
 
     def __neg__(self) -> "LWEHandle":
-        return self._emit("lwe_negate", (self.id,), scale=self.scale)
+        return self._emit("lwe_negate", (self.id,))
 
     def scalar_mul(self, scalar: int) -> "LWEHandle":
         """Multiply the message (and its encoding factor) by an integer."""
         if not isinstance(scalar, int):
             raise TypeError("LWE scalar multiplication takes an integer")
-        return self._emit("lwe_scalar_mul", (self.id,),
-                          scale=self.scale * abs(scalar) if scalar else 1.0,
-                          attrs={"scalar": scalar})
+        return self._emit("lwe_scalar_mul", (self.id,), {"scalar": scalar})
 
     def add_encoded(self, value: int) -> "LWEHandle":
         """Add an already-encoded plaintext constant to the message."""
-        return self._emit("lwe_add_const", (self.id,), scale=self.scale,
-                          attrs={"value": int(value)})
+        return self._emit("lwe_add_const", (self.id,), {"value": int(value)})
 
     # -- cross-scheme keyswitches -------------------------------------------
     def keyswitch_to_tfhe(self) -> "LWEHandle":
@@ -299,11 +255,9 @@ class LWEHandle:
         if self.kind != "ckks":
             raise TypeError("keyswitch_to_tfhe expects a CKKS-keyed LWE "
                             f"(got kind {self.kind!r})")
-        tfhe = self.trace._require_tfhe("keyswitch_to_tfhe")
-        q0 = self.trace.params.moduli[0]
-        return self._emit("lwe_keyswitch", (self.id,),
-                          scale=self.scale * tfhe.modulus / q0,
-                          attrs={"direction": "c2t"}, kind="small")
+        self.trace._require_tfhe("keyswitch_to_tfhe")
+        return self._emit("lwe_keyswitch", (self.id,), {"direction": "c2t"},
+                          kind="small")
 
     def keyswitch_to_ckks(self) -> "LWEHandle":
         """Switch a small-keyed LWE back onto the CKKS coefficient key (and
@@ -311,11 +265,9 @@ class LWEHandle:
         if self.kind != "small":
             raise TypeError("keyswitch_to_ckks expects a small-keyed LWE "
                             f"(got kind {self.kind!r})")
-        tfhe = self.trace._require_tfhe("keyswitch_to_ckks")
-        q0 = self.trace.params.moduli[0]
-        return self._emit("lwe_keyswitch", (self.id,),
-                          scale=self.scale * q0 / tfhe.modulus,
-                          attrs={"direction": "t2c"}, kind="ckks")
+        self.trace._require_tfhe("keyswitch_to_ckks")
+        return self._emit("lwe_keyswitch", (self.id,), {"direction": "t2c"},
+                          kind="ckks")
 
     # -- bootstrapping ------------------------------------------------------
     def pbs(self, fn: Callable[[int], int]) -> "LWEHandle":
@@ -324,9 +276,8 @@ class LWEHandle:
         if self.kind != "small":
             raise TypeError("pbs expects a small-keyed LWE ciphertext; "
                             "keyswitch_to_tfhe first")
-        tfhe = self.trace._require_tfhe("pbs")
-        return self._emit("pbs", (self.id,), scale=float(tfhe.delta),
-                          attrs={"fn": fn})
+        self.trace._require_tfhe("pbs")
+        return self._emit("pbs", (self.id,), {"fn": fn})
 
     def bootstrap_sign(self, amplitude: int) -> "LWEHandle":
         """Gate bootstrap with a constant test vector: the result encodes
@@ -340,8 +291,7 @@ class LWEHandle:
         if amplitude <= 0:
             raise ValueError("amplitude must be positive")
         return self._emit("gate_bootstrap", (self.id,),
-                          scale=2.0 * amplitude,
-                          attrs={"amplitude": int(amplitude)})
+                          {"amplitude": int(amplitude)})
 
 
 class HETrace:
@@ -417,11 +367,8 @@ class HETrace:
                 raise ValueError(
                     "repacked LWE handles must share one encoding factor "
                     f"({scale:g} vs {lwe.scale:g})")
-        node_id = self.program.add_node(
-            "tfhe_to_ckks", tuple(lwe.id for lwe in lwes), level=0,
-            scale=scale, attrs={"nslot": nslot},
-        )
-        return HEHandle(self, node_id)
+        return HEHandle(self, self.program.emit(
+            "tfhe_to_ckks", tuple(lwe.id for lwe in lwes)))
 
     def output(self, name: str, handle) -> None:
         """Mark a handle (CKKS or LWE) as a named program output."""

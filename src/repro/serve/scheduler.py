@@ -350,14 +350,10 @@ class InferenceServer:
                     ct: CKKSCiphertext) -> None:
         """Reject requests whose plan needs keys the tenant cannot supply."""
         planned = self._planned(program, ct.level, ct.scale, 1)
-        missing: List[Tuple] = []
-        for element, level in planned.required_galois_elements():
-            if not tenant.keys.has_galois_key(element, level):
-                missing.append(("galois", element, level))
-        for level in sorted({node.level for node in planned.program.nodes
-                             if node.op == "multiply"}):
-            if not tenant.keys.has_relin_key(level):
-                missing.append(("relin", level))
+        has = {"galois": tenant.keys.has_galois_key,
+               "relin": tenant.keys.has_relin_key}
+        missing: List[Tuple] = [key for key in planned.required_keys()
+                                if not has[key[0]](*key[1:])]
         if missing:
             raise MissingKeyError(
                 f"tenant {tenant.tenant_id!r} lacks evaluation keys for "

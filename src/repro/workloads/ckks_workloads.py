@@ -44,13 +44,14 @@ def program_workload(program, params: "CKKSParameters | None" = None,
 
     The bridge between the two worlds the program API serves: the same DAG
     that executes functionally lowers — via
-    :func:`repro.fhe.program.lowering.lower_to_operations` — to the
+    :func:`repro.fhe.program.lower_to_operations` — to the
     level-annotated ``HomomorphicOp`` stream, whose kernel traces feed the
     scheduler and the Trinity simulator like any paper benchmark.  Pass the
     *planned* program to charge exactly what the optimized execution runs.
     """
-    from ..fhe.program.lowering import lower_to_operations, operation_histogram
-    from ..fhe.program.passes import PlannedProgram
+    from ..fhe.program import (
+        PlannedProgram, lower_to_operations, operation_histogram,
+    )
 
     ir = program.program if isinstance(program, PlannedProgram) else program
     params = ir.params if params is None else params

@@ -19,6 +19,7 @@ is part of the no-numpy CI leg; encoder-based semantic tests skip without
 numpy.
 """
 
+import pathlib
 import random
 
 import pytest
@@ -44,6 +45,7 @@ from repro.fhe.program import (
     operation_histogram,
     plan_program,
 )
+from repro.fhe.program.ops import OP_TABLE, OpSpec, residency_table
 from repro.fhe.rns import RNSPolynomial, _limb_contexts
 from repro.fhe.tfhe import TFHEContext
 from repro.workloads.hybrid_workloads import (
@@ -175,6 +177,23 @@ class TestTracer:
             x.mod_down_to(1)
         with pytest.raises(ValueError):
             t.input("x")                             # duplicate name
+
+    def test_malformed_nodes_fail_at_build_time(self):
+        """Arity and required attributes are checked against the op table
+        when the node is built, not at plan or execution time."""
+        t = HETrace(self.PARAMS)
+        x = t.input("x")
+        add_node = t.program.add_node
+        with pytest.raises(ValueError, match="rotate needs a 'steps'"):
+            add_node("rotate", (x.id,), level=x.level, scale=x.scale)
+        with pytest.raises(ValueError, match="add takes 2 argument"):
+            add_node("add", (x.id,), level=x.level, scale=x.scale)
+        with pytest.raises(ValueError, match="pmult_mac takes at least one"):
+            add_node("pmult_mac", (), level=x.level, scale=x.scale,
+                     attrs={"plaintexts": ()})
+        with pytest.raises(ValueError, match="unknown program op 'rot'"):
+            add_node("rot", (x.id,), level=x.level, scale=x.scale)
+        assert len(t.program) == 1                   # nothing was appended
 
 
 # ---------------------------------------------------------------------------
@@ -571,26 +590,49 @@ class TestDeadCodeElimination:
         assert planned.required_galois_elements() == expected
         assert planned.required_rotation_steps() == {level: [1, 2]}
 
+    def _hybrid_round_trip(self):
+        """extract -> c2t -> PBS -> t2c -> repack, then a conjugation."""
+        params, tparams = hybrid_query_parameters()
+        keys = _keyed(params)
+        tfhe = TFHEContext(tparams, seed=7)
+        t = HETrace(params, tfhe_params=tparams)
+        x = t.input("x", level=1, scale=float(params.scale))
+        bits = [lwe.keyswitch_to_tfhe().pbs(lambda m: m).keyswitch_to_ckks()
+                for lwe in x.extract_lwes(2)]
+        t.output("y", t.repack(bits).conjugate())
+        with use_backend(PYTHON):
+            ct = _encrypt_coefficients(
+                params, keys, [0] * params.ring_degree, level=1, scale=params.scale)
+            bridge = SchemeBridge(params, keys.secret, tfhe, seed=7)
+        return t.program, keys, {"x": ct}, {"tfhe": tfhe, "bridge": bridge}
+
+    def _dead_rotations(self):
+        inputs = {"x": _random_ct(self.PARAMS, 300)}
+        return self._dead_rotation_program(), _keyed(self.PARAMS), inputs, {}
+
     def test_minimal_key_set_executes(self):
         """ensure_galois_keys over the plan's requirement set is sufficient:
         a frozen key set holding exactly those keys runs the program (the
-        dead rotations would otherwise demand keys at prefetch time)."""
-        program = self._dead_rotation_program()
-        planned = plan_program(program)
-        keys = _keyed(self.PARAMS)
-        generated = keys.ensure_galois_keys(planned.required_galois_elements())
-        assert len(generated) == 2
-        frozen = CKKSKeySet(
-            params=self.PARAMS, secret=keys.secret, public=keys.public,
-            _galois_keys=dict(keys._galois_keys),
-        )
-        evaluator = CKKSEvaluator(self.PARAMS, frozen, backend=PYTHON)
-        with use_backend(PYTHON):
-            out = ProgramExecutor(evaluator).run(planned, {
-                "x": _random_ct(self.PARAMS, 300),
-                "unused": _random_ct(self.PARAMS, 301),
-            })
-        assert out["y"].level == self.PARAMS.max_level
+        dead rotations would otherwise demand keys at prefetch time, and a
+        repack element the planner under-reports is missing there)."""
+        for build, expected_keys in (
+            (self._dead_rotations, 2),
+            (self._hybrid_round_trip, 1 + 5 + 1),   # PackLWEs + Trace + conj
+        ):
+            program, keys, inputs, contexts = build()
+            planned = plan_program(program)
+            generated = keys.ensure_galois_keys(
+                planned.required_galois_elements())
+            assert len(generated) == expected_keys
+            frozen = CKKSKeySet(
+                params=keys.params, secret=keys.secret, public=keys.public,
+                _galois_keys=dict(keys._galois_keys),
+            )
+            evaluator = CKKSEvaluator(keys.params, frozen, backend=PYTHON)
+            with use_backend(PYTHON):
+                out = ProgramExecutor(evaluator, **contexts).run(planned, inputs)
+            assert out["y"].level == planned.program.node(
+                planned.program.outputs["y"]).level
 
     def test_conjugate_requirement_reported(self):
         t = HETrace(self.PARAMS)
@@ -1163,3 +1205,162 @@ class TestHybridLowering:
         round_trip = report.to_dict()
         assert round_trip["interleaved_cycles"] == report.interleaved_cycles
         assert round_trip["workload_names"] == list(report.workload_names)
+
+
+# ---------------------------------------------------------------------------
+# The op table: totality, extensibility, and the generated residency table
+# ---------------------------------------------------------------------------
+
+class _OpFixture:
+    """Shared keys/contexts for one-op programs: hybrid-sized parameters, so
+    every node kind — CKKS, TFHE island, scheme switch — is executable, with
+    one level to spare (the cost model prices a Rescale at its *output*
+    level and has no flow for one that lands on level 0)."""
+
+    PARAMS = CKKSParameters(
+        ring_degree=64, max_level=2, dnum=3, scale_bits=4, modulus_bits=40,
+        special_modulus_bits=42, security_bits=0, name="ckks-op-table")
+    TPARAMS = TFHEParameters.hybrid()
+
+    def __init__(self):
+        self.keys = _keyed(self.PARAMS)
+        self.tfhe = TFHEContext(self.TPARAMS, seed=7)
+        with use_backend(PYTHON):
+            self.bridge = SchemeBridge(
+                self.PARAMS, self.keys.secret, self.tfhe, seed=7)
+            self.pt = _random_pt(self.PARAMS, 41)
+
+    def inputs(self):
+        """``x`` (CKKS, level 2), ``s`` (LWE under the small TFHE key) and
+        ``c`` (LWE under the CKKS coefficient key) on the active backend."""
+        from repro.fhe.conversion.ckks_to_tfhe import sample_extract_rlwe
+
+        params = self.PARAMS
+        column = [0] * params.ring_degree
+        column[0] = 3 * params.scale
+        x = _encrypt_coefficients(params, self.keys, column, level=2,
+                                  scale=params.scale)
+        level0 = CKKSEvaluator(params, self.keys).mod_down_to(x, 0)
+        return {"x": x, "s": self.tfhe.encrypt(1),
+                "c": sample_extract_rlwe(level0, 0)}
+
+    def trace(self):
+        t = HETrace(self.PARAMS, tfhe_params=self.TPARAMS)
+        x = t.input("x")
+        s = t.input_lwe("s", scale=float(self.TPARAMS.delta), kind="small")
+        c = t.input_lwe("c", scale=float(self.PARAMS.scale), kind="ckks")
+        return t, x, s, c
+
+
+def _emit(handle, op, args, attrs=None):
+    """A planner-inserted node kind, built the way a pass builds it."""
+    return type(handle)(handle.trace, handle.trace.program.emit(
+        op, tuple(arg.id for arg in args), attrs))
+
+
+#: The smallest traced value containing each node kind:
+#: ``(fixture, trace, x, small-key LWE, CKKS-key LWE) -> handle``.
+SMALLEST = {
+    "input": lambda f, t, x, s, c: x,
+    "input_lwe": lambda f, t, x, s, c: s,
+    "add": lambda f, t, x, s, c: x + x,
+    "sub": lambda f, t, x, s, c: x - x.rotate(1),
+    "negate": lambda f, t, x, s, c: -x,
+    "multiply": lambda f, t, x, s, c: x * x,
+    "multiply_plain": lambda f, t, x, s, c: x * f.pt,
+    "multiply_scalar": lambda f, t, x, s, c: x * 3,
+    "add_plain": lambda f, t, x, s, c: x + f.pt,
+    "rotate": lambda f, t, x, s, c: x.rotate(1),
+    "conjugate": lambda f, t, x, s, c: x.conjugate(),
+    "rescale": lambda f, t, x, s, c: x.rescale(),
+    "mod_down": lambda f, t, x, s, c: x.mod_down_to(0),
+    "to_eval": lambda f, t, x, s, c: _emit(x, "to_eval", (x,)),
+    "to_coeff": lambda f, t, x, s, c: _emit(
+        x, "to_coeff", (_emit(x, "to_eval", (x,)),)),
+    "pmult_mac": lambda f, t, x, s, c: _emit(
+        x, "pmult_mac", (x, x.rotate(1)), {"plaintexts": (f.pt, f.pt)}),
+    "lwe_add": lambda f, t, x, s, c: s + s,
+    "lwe_sub": lambda f, t, x, s, c: s - s,
+    "lwe_negate": lambda f, t, x, s, c: -s,
+    "lwe_scalar_mul": lambda f, t, x, s, c: s.scalar_mul(2),
+    "lwe_add_const": lambda f, t, x, s, c: s.add_encoded(5),
+    "lwe_keyswitch": lambda f, t, x, s, c: c.keyswitch_to_tfhe(),
+    "pbs": lambda f, t, x, s, c: s.pbs(lambda m: m),
+    "gate_bootstrap": lambda f, t, x, s, c: s.bootstrap_sign(1 << 16),
+    "ckks_to_tfhe": lambda f, t, x, s, c: x.extract_lwe(0),
+    "tfhe_to_ckks": lambda f, t, x, s, c: t.repack([c]),
+}
+
+
+def _value_rows(value):
+    """Bit-exact fingerprint of a CKKS ciphertext or an LWE ciphertext."""
+    if isinstance(value, CKKSCiphertext):
+        return _rows(value)
+    return (tuple(value.a), value.b, value.modulus)
+
+
+class TestOpTable:
+    @pytest.fixture(scope="class")
+    def fixture(self):
+        return _OpFixture()
+
+    def _check(self, fixture, program, op):
+        """Plans, runs planned == eager bit-exact on every backend, lowers."""
+        planned = plan_program(program)
+        eager = plan_program(program, optimize=False)
+        assert op in {node.op for node in planned.program.nodes}
+        for backend in BACKENDS:
+            executor = ProgramExecutor(
+                CKKSEvaluator(fixture.PARAMS, fixture.keys, backend=backend),
+                tfhe=fixture.tfhe, bridge=fixture.bridge)
+            with use_backend(backend):
+                inputs = fixture.inputs()
+                planned_out = executor.run(planned, inputs)
+                eager_out = executor.run_eager(eager, inputs)
+            assert _value_rows(planned_out["y"]) == _value_rows(eager_out["y"])
+        lower_to_operations(planned)
+        lower_hybrid_to_workloads(planned)
+        return planned
+
+    @pytest.mark.parametrize("op", sorted(OP_TABLE))
+    def test_every_op_plans_runs_and_lowers(self, fixture, op):
+        """A spec missing its executor or lowering half fails here, in
+        tier-1, rather than at first use."""
+        t, x, s, c = fixture.trace()
+        t.output("y", SMALLEST[op](fixture, t, x, s, c))
+        self._check(fixture, t.program, op)
+
+    def test_throw_away_op_needs_only_a_spec(self, fixture, monkeypatch):
+        """One table entry carries a new node kind through build, plan,
+        execute and lower: no pass, executor or lowering edit."""
+        monkeypatch.setitem(OP_TABLE, "double", OpSpec(
+            "double", "x + x as one node",
+            run=lambda run, node, ct: run.ev.add(ct, ct),
+            lower=lambda node: (("HAdd", 1),)))
+        t, x, s, c = fixture.trace()
+        doubled = _emit(x, "double", (x * fixture.pt,))
+        t.output("y", doubled.rotate(1))
+        planned = self._check(fixture, t.program, "double")
+        node = next(n for n in planned.program.nodes if n.op == "double")
+        assert node.domain == "eval"             # pass-through: stays resident
+        assert operation_histogram(planned) == {
+            "PMult": 1, "HAdd": 1, "HRotate": 1}
+        reference = x * fixture.pt
+        t.output("reference", (reference + reference).rotate(1))
+        with use_backend(PYTHON):
+            out = ProgramExecutor(
+                CKKSEvaluator(fixture.PARAMS, fixture.keys, backend=PYTHON),
+                tfhe=fixture.tfhe).run(t.program, fixture.inputs())
+        assert _rows(out["y"]) == _rows(out["reference"])
+
+    def test_views_are_derived_from_the_table(self):
+        assert SCHEME_SWITCH_OPS == {"ckks_to_tfhe", "tfhe_to_ckks"}
+        assert TFHE_OPS == {name for name, spec in OP_TABLE.items()
+                            if name.startswith(("lwe_", "pbs", "gate_"))}
+        assert all(name == spec.name for name, spec in OP_TABLE.items())
+
+    def test_roadmap_residency_table_is_generated(self):
+        """ROADMAP.md's hybrid residency table is the op table's rendering:
+        regenerate with ``residency_table()`` after editing a spec."""
+        roadmap = pathlib.Path(__file__).resolve().parent.parent / "ROADMAP.md"
+        assert residency_table() in roadmap.read_text(encoding="utf-8")
