@@ -1784,7 +1784,18 @@ class NumpyBackend(ArithmeticBackend):
                 max(int(p).bit_length() for p in plan.target_moduli) + 2
                 + max(1, (count - 1).bit_length()) <= 64
             )
-            tables = (word, lazy, inverses, weights)
+            # Plain accumulation budget: when every ``weight * scaled``
+            # product and the sum of all ``count`` of them fit one word —
+            # bits(q) + bits(p) + ceil(log2(Ls)) <= 64 — the conversion is
+            # one (targets, sources) integer matrix product and one ``%``.
+            plain = None
+            if word == 32 and (
+                max(int(q).bit_length() for q in plan.source_moduli)
+                + max(int(p).bit_length() for p in plan.target_moduli)
+                + (count - 1).bit_length() <= 64
+            ):
+                plain = _np.array(plan.weights, dtype=_np.uint64)
+            tables = (word, lazy, inverses, weights, plain)
             plan.cache["numpy"] = tables
         return tables
 
@@ -1795,13 +1806,15 @@ class NumpyBackend(ArithmeticBackend):
             or not self._moduli_fit(plan.target_moduli)
         ):
             return super().bconv_matmul(store, plan)
-        word, lazy, inverses, weights = self._bconv_tables(plan)
+        word, lazy, inverses, weights, plain = self._bconv_tables(plan)
         q_tgt = self._q_col(plan.target_moduli)
         # Step 1: x_i * (Q/q_i)^{-1} mod q_i, fully reduced — the weighted
         # sum needs the canonical residue in [0, q_i), not a lazy
         # representative (a different representative would shift the result
         # by k * q_i * w mod p_j).
         scaled = _fixed_mul(x, inverses, self._q_col(plan.source_moduli), word)
+        if plain is not None:
+            return (plain @ scaled) % q_tgt
         # Step 2: one source limb into all target rows per pass.
         acc = _np.zeros((len(plan.target_moduli), x.shape[1]), dtype=_np.uint64)
         for row, weight in zip(scaled, weights):
@@ -1888,21 +1901,34 @@ class NumpyBackend(ArithmeticBackend):
         if not count or not (count == len(c1_stores) == len(pt_stores)):
             raise ValueError("stacked_pmult_mac needs matching non-empty stores")
         mats = [self._matrix(s) for s in (*c0_stores, *c1_stores, *pt_stores)]
-        prods = None
-        if all(m is not None for m in mats) and self._limbs_ok(moduli, mats[0]):
-            x = _np.stack([
-                _np.stack(mats[:count]), _np.stack(mats[count:2 * count])
-            ])                                      # (2, C, L, n)
-            p = _np.stack(mats[2 * count:])[None, :]    # (1, C, L, n)
-            prods = self._mulmod(x, p, moduli)      # all products in one pass
-        if prods is None:
+        q_max = max(int(q) for q in moduli)
+        if (
+            any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0])
+            or (q_max > (1 << 32) and self._mont(moduli) is None)
+        ):
             return super().stacked_pmult_mac(c0_stores, c1_stores, pt_stores,
                                              moduli)
         q = self._q_col(moduli)
-        acc = prods[:, 0]
-        for i in range(1, count):
-            acc = self._add(acc, prods[:, i], q)
-        return acc[0], acc[1]
+        # Plain products of reduced operands sum in one word ``budget`` at a
+        # time (16 at 30-bit moduli), so the ``%`` runs once per ``budget``
+        # terms; a budget of one is the reduced product of :meth:`_mulmod`.
+        budget = 1 << max(0, 64 - 2 * q_max.bit_length())
+        pts = mats[2 * count:]
+        accs = []
+        for comps in (mats[:count], mats[count:2 * count]):
+            acc = None
+            for start in range(0, count, budget):
+                stop = min(start + budget, count)
+                if stop - start == 1:
+                    part = self._mulmod(comps[start], pts[start], moduli)
+                else:
+                    part = comps[start] * pts[start]
+                    for i in range(start + 1, stop):
+                        part += comps[i] * pts[i]
+                    part %= q
+                acc = part if acc is None else self._add(acc, part, q)
+            accs.append(acc)
+        return accs[0], accs[1]
 
     @staticmethod
     def _gather_index(spec: "GatherSpec"):

@@ -24,8 +24,11 @@ both and aligns its operands as needed.  ``multiply`` computes the tensor
 product as one batched evaluation-domain dispatch and returns an
 evaluation-resident ciphertext; ``rescale`` stays in whichever domain its
 input is in; rotations hoisted through :meth:`rotate_hoisted` share one
-Decompose+BConv+NTT phase across all requested steps.  All paths are
-bit-identical to the coefficient-domain reference (``_multiply_coeff``,
+Decompose+BConv+NTT phase across all requested steps.  The hoisted
+keyswitch behind both returns its correction pair evaluation-resident
+(its ModDown inverse-transforms only the special-modulus rows), so an
+evaluation-resident ciphertext pays no full-width transform after the
+hoist.  All paths are bit-identical to the coefficient-domain reference (``_multiply_coeff``,
 ``rotate``) up to keyswitch noise, and exactly identical where no BConv
 reordering is involved (multiply, rescale, domain round trips).
 """
@@ -191,11 +194,10 @@ class CKKSEvaluator:
         in) the evaluation domain, the whole ``(d0, d1, d2)`` tensor product
         is one batched pointwise backend dispatch, and only ``d2`` returns
         to the coefficient domain for the keyswitch digits.  The
-        relinearization runs through the hoisted keyswitch (eval-domain MAC
-        accumulation, one shared iNTT per component) and the result stays
-        evaluation-resident — transforms happen only at the
-        rescale/encode/decrypt boundaries.  Bit-identical to
-        :meth:`_multiply_coeff`.
+        relinearization runs through the hoisted keyswitch, whose MAC and
+        ModDown stay in the evaluation domain, so its correction pair adds
+        straight onto ``(d0, d1)`` and the result stays evaluation-resident.
+        Bit-identical to :meth:`_multiply_coeff`.
         """
         self._check_levels(a, b)
         level = a.level
@@ -225,8 +227,8 @@ class CKKSEvaluator:
             f0, f1 = keyswitch_hoisted(
                 hoist_decompose(d2, self.params, level), relin_key
             )
-            c0 = RNSPolynomial._from_store(n, basis, d0, domain="eval") + f0.to_eval()
-            c1 = RNSPolynomial._from_store(n, basis, d1, domain="eval") + f1.to_eval()
+            c0 = RNSPolynomial._from_store(n, basis, d0, domain="eval") + f0
+            c1 = RNSPolynomial._from_store(n, basis, d1, domain="eval") + f1
             return CKKSCiphertext(
                 c0=c0, c1=c1, level=level, scale=a.scale * b.scale
             )
@@ -282,9 +284,9 @@ class CKKSEvaluator:
         step then pays only the cheap per-key phase: an evaluation-domain
         slot gather of the already-transformed digits (the Galois
         automorphism is a pure permutation there), the MAC against that
-        step's cached key transforms, one shared inverse NTT per component,
-        and one ModDown pair.  This is the ``(baby-1)``-hoisted-rotations
-        primitive of BSGS linear transforms.
+        step's cached key transforms, and one evaluation-domain ModDown
+        pair (:meth:`galois_hoisted`).  This is the
+        ``(baby-1)``-hoisted-rotations primitive of BSGS linear transforms.
 
         Returns one ciphertext per step, in order and in ``a``'s residency
         domain; a step of 0 returns ``a`` itself (no keyswitch).  Repeated
@@ -299,7 +301,6 @@ class CKKSEvaluator:
         level = a.level
         results: List[CKKSCiphertext] = []
         with self._arith():
-            eval_resident = a.domain == "eval"
             galois_keys = {}
             for steps in steps_list:
                 galois_element = self.galois_element_for_rotation(steps)
@@ -316,22 +317,26 @@ class CKKSEvaluator:
                     continue
                 rotated = computed.get(galois_element)
                 if rotated is None:
-                    galois_key = galois_keys[galois_element]
-                    f0, f1 = keyswitch_hoisted(
-                        hoisted, galois_key, galois_element=galois_element
+                    rotated = computed[galois_element] = self.galois_hoisted(
+                        a, hoisted, galois_keys[galois_element], galois_element
                     )
-                    rotated_c0 = a.c0.automorphism(galois_element)
-                    if eval_resident:
-                        f0 = f0.to_eval()
-                        f1 = f1.to_eval()
-                    rotated = CKKSCiphertext(
-                        c0=rotated_c0 + f0, c1=f1, level=level, scale=a.scale
-                    )
-                    computed[galois_element] = rotated
                     results.append(rotated)
                 else:
                     results.append(rotated.copy())
         return results
+
+    def galois_hoisted(self, a: CKKSCiphertext, hoisted, galois_key,
+                       galois_element: int) -> CKKSCiphertext:
+        """The tail of one hoisted rotation: ``sigma_g(a)`` keyswitched back
+        to ``s`` from the shared digits of ``a.c1``, in ``a``'s domain (the
+        correction pair arrives evaluation-resident, so only a
+        coefficient-resident ``a`` pays a transform here).  Callers hold
+        the evaluator's backend scope."""
+        f0, f1 = keyswitch_hoisted(hoisted, galois_key, galois_element=galois_element)
+        if a.domain == "coeff":
+            f0, f1 = f0.to_coeff(), f1.to_coeff()
+        return CKKSCiphertext(c0=a.c0.automorphism(galois_element) + f0, c1=f1,
+                              level=a.level, scale=a.scale)
 
     def conjugate(self, a: CKKSCiphertext) -> CKKSCiphertext:
         """Complex conjugation of every slot (Galois element 2N - 1)."""

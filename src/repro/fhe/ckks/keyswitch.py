@@ -15,6 +15,12 @@ up to the keyswitch noise.  The steps mirror Algorithm 1 exactly:
 
 These are exactly the kernels (Decompose/BConv/NTT/IP/ModMul/ModAdd) the
 hardware model charges for a keyswitch.
+
+:func:`hybrid_keyswitch` runs them naively, in the coefficient domain, and
+is the reference.  The hoisted pair (:func:`hoist_decompose` +
+:func:`keyswitch_hoisted`) shares steps 1-2 and the forward NTTs across
+keys, and runs steps 3-4 without leaving the evaluation domain: ModDown
+inverse-transforms only the ``|P|`` special rows it has to BConv.
 """
 
 from __future__ import annotations
@@ -27,7 +33,13 @@ from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..modmath import mod_inverse
 from ..params import CKKSParameters
 from ..polynomial import galois_eval_spec
-from ..rns import RNSBasis, RNSPolynomial, _limb_contexts, fast_basis_conversion
+from ..rns import (
+    RNSBasis,
+    RNSPolynomial,
+    _bconv_plan,
+    _limb_contexts,
+    fast_basis_conversion,
+)
 
 __all__ = [
     "hybrid_keyswitch",
@@ -65,24 +77,58 @@ def _digit_basis(params: CKKSParameters, start: int, stop: int) -> RNSBasis:
 def mod_down(poly: RNSPolynomial, params: CKKSParameters, level: int) -> RNSPolynomial:
     """Divide a C_l ∪ P polynomial by P (with rounding) and return it in C_l.
 
-    One BConv dispatch lifts the P-part into C_l, one fused
-    ``batched_sub_scaled`` dispatch applies ``(x_i - conv_i) * P^{-1} mod q_i``
-    to the whole limb stack.
+    The result stays in ``poly``'s residency domain; see :func:`_mod_down`.
+    """
+    return _mod_down([poly], params, level)[0]
+
+
+def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
+    """ModDown of several same-domain C_l ∪ P polynomials (the two keyswitch
+    accumulators) in their own residency domain.
+
+    BConv is a coefficient-wise map, so only the ``|P|`` special rows have
+    to be coefficients: one BConv dispatch per polynomial lifts them into
+    C_l, and one fused ``batched_sub_scaled`` dispatch applies
+    ``(x_i - conv_i) * P^{-1} mod q_i`` to the Q rows.  Evaluation-resident
+    input never leaves the evaluation domain — its P rows alone are
+    inverse-transformed (one stacked dispatch for all polynomials) and the
+    lifted ``(level+1, N)`` stores forward-transformed (one more), the same
+    shape as :meth:`RNSPolynomial.rescale`'s eval branch.  Bit-identical to
+    the coefficient route after conversion: subtract-and-scale is linear
+    and the per-limb NTT a bijection on canonical residues.
     """
     num_q = level + 1
-    special_basis = params.special_basis()
+    extended = params.extended_basis(level)
     target_basis = params.basis(level)
-    store = poly.store()
-    # The P-part of the polynomial, converted into the Q basis.
-    p_part = RNSPolynomial._from_store(poly.ring_degree, special_basis, store[num_q:])
-    p_part_in_q = fast_basis_conversion(p_part, target_basis)
-    new_store = active_backend().batched_sub_scaled(
-        store[:num_q],
-        p_part_in_q.store(),
-        _mod_down_constants(params, level),
-        tuple(target_basis.moduli),
-    )
-    return RNSPolynomial._from_store(poly.ring_degree, target_basis, new_store)
+    domain = polys[0].domain
+    for poly in polys:
+        if poly.basis != extended:
+            raise ValueError(
+                f"mod_down at level {level} expects a polynomial over "
+                f"{extended!r}, got {poly.basis!r}"
+            )
+    n = polys[0].ring_degree
+    backend = active_backend()
+    stores = [poly.store() for poly in polys]
+    p_parts = [store[num_q:] for store in stores]
+    if domain == "eval":
+        contexts = _limb_contexts(n, extended)
+        p_parts = backend.stacked_intt(contexts[num_q:], p_parts)
+    plan = _bconv_plan(params.special_basis(), target_basis)
+    lifted = [backend.bconv_matmul(part, plan) for part in p_parts]
+    if domain == "eval":
+        lifted = backend.stacked_ntt(contexts[:num_q], lifted)
+    return [
+        RNSPolynomial._from_store(
+            n, target_basis,
+            backend.batched_sub_scaled(
+                store[:num_q], conv, _mod_down_constants(params, level),
+                tuple(target_basis.moduli),
+            ),
+            domain=domain,
+        )
+        for store, conv in zip(stores, lifted)
+    ]
 
 
 def _eval_key_handles(keyswitch_key, backend, contexts):
@@ -190,9 +236,10 @@ class HoistedDigits:
     replays them against any number of keyswitch keys — optionally composed
     with a Galois automorphism, which in the evaluation domain is a pure
     slot gather — for the cost of the cheap per-key phase alone: an
-    eval-domain MAC, one shared inverse NTT per output component, and one
-    ModDown pair.  This is what makes BSGS linear transforms pay
-    ``(baby-1)`` *hoisted* rotations instead of full HRotates.
+    eval-domain MAC and one ModDown pair that stays in the evaluation
+    domain (only the P rows are inverse-transformed).  This is what makes
+    BSGS linear transforms pay ``(baby-1)`` *hoisted* rotations instead of
+    full HRotates.
 
     On non-NTT-friendly bases ``digit_evals`` is ``None`` and the lifted
     coefficient-domain digits (``digit_coeffs``) drive an exact convolution
@@ -266,7 +313,7 @@ def keyswitch_hoisted(
     galois_element: "int | None" = None,
     backend: "ArithmeticBackend | str | None" = None,
 ) -> Tuple[RNSPolynomial, RNSPolynomial]:
-    """The cheap per-key phase: eval-domain MAC + shared iNTT + one ModDown.
+    """The cheap per-key phase: eval-domain MAC + one eval-domain ModDown.
 
     With ``galois_element`` ``g``, the automorphism ``sigma_g`` is applied to
     the hoisted digits first — an exact evaluation-domain slot gather on
@@ -275,11 +322,16 @@ def keyswitch_hoisted(
     correction pair; the BConv approximation error is likewise permuted and
     stays within the usual keyswitch noise budget).
 
-    Unlike the naive path, the digit MACs accumulate *in the evaluation
-    domain*: only two inverse NTTs run per call (one per output component)
-    instead of two per digit, and both are followed by a single shared
-    ModDown pair.  Results are bit-identical to the naive pipeline for
-    ``galois_element=None`` (the inverse transform is linear).
+    Unlike the naive path, which inverse-transforms every digit's MAC
+    result at full width, the digit MACs accumulate *in the evaluation
+    domain* and ModDown finishes there (:func:`_mod_down`): per call, one
+    stacked inverse NTT over the ``|P|`` special rows of both accumulators
+    and one stacked forward NTT over their two lifted ``(level+1, N)``
+    stores.  The pair is returned **evaluation-resident** on NTT-friendly
+    bases (a coefficient-resident caller converts with ``to_coeff()``) and
+    coefficient-resident from the convolution fallback.  Results are
+    bit-identical to the naive pipeline for ``galois_element=None`` (the
+    transforms are linear bijections).
     """
     with use_backend(backend):
         return _keyswitch_hoisted(hoisted, keyswitch_key, galois_element)
@@ -309,16 +361,11 @@ def _keyswitch_hoisted(
             spec = galois_eval_spec(n, galois_element)
             digit_stores = backend.stacked_gather(digit_stores, spec)
         handles = _eval_key_handles(keyswitch_key, backend, contexts)
-        acc0_eval, acc1_eval = backend.limbs_eval_mac(
-            contexts, digit_stores, handles
+        # The accumulators stay evaluation-resident through ModDown.
+        acc0, acc1 = (
+            RNSPolynomial._from_store(n, extended, store, domain="eval")
+            for store in backend.limbs_eval_mac(contexts, digit_stores, handles)
         )
-        # Both accumulated components leave the evaluation domain together:
-        # one stacked (2, L, N) inverse transform instead of two dispatches.
-        acc0_store, acc1_store = backend.stacked_intt(
-            contexts, [acc0_eval, acc1_eval]
-        )
-        acc0 = RNSPolynomial._from_store(n, extended, acc0_store)
-        acc1 = RNSPolynomial._from_store(n, extended, acc1_store)
     else:
         # Exact coefficient-domain fallback (non-NTT-friendly moduli): the
         # automorphism is applied to the lifted digits directly, matching
@@ -332,4 +379,4 @@ def _keyswitch_hoisted(
                 lifted = lifted.automorphism(galois_element)
             acc0 = acc0 + lifted * b_j
             acc1 = acc1 + lifted * a_j
-    return mod_down(acc0, params, level), mod_down(acc1, params, level)
+    return tuple(_mod_down([acc0, acc1], params, level))

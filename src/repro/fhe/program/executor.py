@@ -29,7 +29,7 @@ from typing import Callable, Dict, List
 
 from ..backend import active_backend
 from ..ckks.ciphertext import CKKSCiphertext
-from ..ckks.keyswitch import HoistedDigits, hoist_decompose, keyswitch_hoisted
+from ..ckks.keyswitch import HoistedDigits, hoist_decompose
 from ..rns import RNSPolynomial, _limb_contexts
 from .ir import HENode, HEProgram
 from .ops import OP_TABLE
@@ -290,14 +290,7 @@ class _Run:
             hoisted = hoist_decompose(ct.c1, ev.params, ct.level)
             if self.share:
                 self.hoists[node.args[0]] = hoisted
-        f0, f1 = keyswitch_hoisted(hoisted, galois_key, galois_element=element)
-        rotated_c0 = ct.c0.automorphism(element)
-        if ct.domain == "eval":
-            f0 = f0.to_eval()
-            f1 = f1.to_eval()
-        return CKKSCiphertext(
-            c0=rotated_c0 + f0, c1=f1, level=ct.level, scale=ct.scale
-        )
+        return ev.galois_hoisted(ct, hoisted, galois_key, element)
 
     # -- fused plaintext MAC ---------------------------------------------------
     def pmult_mac(self, node: HENode, cts) -> CKKSCiphertext:

@@ -1,4 +1,5 @@
-"""Shared test configuration: a hang guard for the whole suite.
+"""Shared test configuration: registered marks and a hang guard for the
+whole suite.
 
 The resilience/chaos tests are built around injectable clocks and sleeps so
 they never wait on wall time — but a regression there (a future that never
@@ -15,6 +16,12 @@ import os
 import signal
 
 import pytest
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a whole example script run end to end (seconds)")
+
 
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")
 _HAS_ALARM = hasattr(signal, "SIGALRM")

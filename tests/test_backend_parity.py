@@ -36,6 +36,7 @@ from repro.fhe.backend import (
 )
 from repro.fhe.ckks.context import CKKSContext
 from repro.fhe.ckks.encoder import CKKSEncoder
+from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import galois_element_for_rotation
 from repro.fhe.ntt import NTTContext, four_step_intt, four_step_ntt
 from repro.fhe.params import CKKSParameters, TFHEParameters
@@ -45,7 +46,14 @@ from repro.fhe.polynomial import (
     monomial_spec,
     sample_uniform,
 )
-from repro.fhe.rns import RNSBasis, RNSPolynomial, exact_basis_conversion, fast_basis_conversion
+from repro.fhe.program import HETrace, ProgramExecutor, plan_program
+from repro.fhe.rns import (
+    RNSBasis,
+    RNSPolynomial,
+    _bconv_plan,
+    exact_basis_conversion,
+    fast_basis_conversion,
+)
 from repro.fhe.tfhe.pbs import TFHEContext
 
 numpy_missing = "numpy" not in available_backends()
@@ -352,6 +360,65 @@ def _wave_store(q, n, rows, seed):
 
 def _rows(store):
     return PYTHON.store_rows(store)
+
+
+def _primes(bits, count, skip=0):
+    """``count`` distinct primes just below ``2^bits`` (after ``skip``)."""
+    return tuple(modmath.find_ntt_primes(bits, 64, skip + count)[skip:])
+
+
+def _edge_store(moduli, seed, n=64):
+    """Rows under ``moduli``: the first half of every row at ``q - 1``, the
+    rest uniform."""
+    rng = random.Random(seed)
+    return [[q - 1] * (n // 2) + [rng.randrange(q) for _ in range(n // 2)]
+            for q in moduli]
+
+
+class TestReductionBudget:
+    """``stacked_pmult_mac`` and ``bconv_matmul`` sum unreduced products and
+    reduce once per budget; the budget edges, with operands at ``q - 1``."""
+
+    def _pmult_mac(self, bits, terms, seed=0):
+        moduli = _primes(bits, 2)
+        stores = [[_edge_store(moduli, seed + 3 * i + part) for i in range(terms)]
+                  for part in range(3)]
+        expected = PYTHON.stacked_pmult_mac(*stores, moduli)
+        actual = NUMPY.stacked_pmult_mac(*stores, moduli)
+        assert tuple(map(_rows, actual)) == tuple(map(_rows, expected))
+        return actual
+
+    # Budgets 16, 4 and 1: each case needs a second reduction group.
+    @pytest.mark.parametrize("bits,terms", [(30, 17), (31, 5), (32, 3)])
+    def test_pmult_mac_past_the_budget(self, bits, terms):
+        acc0, _ = self._pmult_mac(bits, terms)
+        # terms * (q - 1)^2 = terms (mod q) where every operand is q - 1.
+        assert [int(row[0]) for row in acc0] == [terms] * 2
+
+    def _bconv(self, source_bits, target_bits, sources, seed=0):
+        source = RNSBasis(_primes(source_bits, sources))
+        target = RNSBasis(_primes(target_bits, 3, skip=sources))
+        plan = _bconv_plan(source, target)
+        store = _edge_store(source.moduli, seed)
+        for row, q, inv in zip(store, source.moduli, plan.inverses):
+            row[1] = (q - 1) * modmath.mod_inverse(inv, q) % q   # scales to q - 1
+        expected = PYTHON.bconv_matmul(store, plan)
+        assert _rows(NUMPY.bconv_matmul(store, plan)) == expected
+        return NUMPY._bconv_tables(plan)[-1] is not None
+
+    def test_bconv_takes_the_single_reduction_route_at_exactly_64_bits(self):
+        assert self._bconv(30, 32, sources=4)       # 30 + 32 + 2 = 64
+
+    def test_bconv_over_budget_falls_through(self):
+        assert not self._bconv(30, 32, sources=5)   # 30 + 32 + 3 = 65
+        assert not self._bconv(32, 32, sources=2)   # 32 + 32 + 1 = 65
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(28, 32), st.integers(28, 32), st.integers(1, 20),
+           st.integers(0, 1 << 16))
+    def test_sweep(self, bits, target_bits, terms, seed):
+        self._pmult_mac(bits, terms, seed)
+        self._bconv(bits, target_bits, terms, seed)
 
 
 @pytest.mark.parametrize("q,n", WAVE_COMBOS)
@@ -671,6 +738,61 @@ class TestKeyMaterialPinned:
     def test_digest_matches_parent_commit(self, name, backend):
         params, expected = self.PINNED[name]
         assert _key_material_digest(params, backend) == expected
+
+
+def _planned_evaluation_digest(params, backend):
+    """sha256 over the output rows of a planned dense -> rescale -> square ->
+    rescale program (a 2x2 BSGS: hoisted baby rotation, two plaintext MACs,
+    one giant rotation).  Input and diagonals are integer coefficient
+    encodings and the digest covers residues only, so nothing float-derived
+    enters it."""
+    with use_backend(backend):
+        ctx = CKKSContext(params, seed=11, backend=backend)
+        scale = float(params.scale)
+
+        def encode(coefficients):
+            return ctx.encoder.encode_coefficients(coefficients, scale=scale)
+
+        diagonals = [
+            [encode([(7 * j + 3 * i + k) % 17 - 8 for k in range(9)])
+             for i in range(2)]
+            for j in range(2)
+        ]
+        ctx.keys.ensure_rotation_keys([1, 2], params.max_level)
+        trace = HETrace(params)
+        source = trace.input("x")
+        babies = [source.rotate(i) for i in range(2)]
+        blocks = [babies[0] * row[0] + babies[1] * row[1] for row in diagonals]
+        hidden = (blocks[0] + blocks[1].rotate(2)).rescale()
+        trace.output("y", (hidden * hidden).rescale())
+        executor = ProgramExecutor(CKKSEvaluator(params, ctx.keys, backend=backend))
+        inputs = {"x": ctx.encrypt(encode(list(range(-8, 9))))}
+        y = executor.run(plan_program(trace.program), inputs)["y"]
+        digest = hashlib.sha256()
+        for poly in (y.c0, y.c1):
+            digest.update(repr(poly.coefficient_rows()).encode())
+    return digest.hexdigest()
+
+
+class TestEvaluationPinned:
+    """A planned keyswitch-heavy program still produces the same ciphertext.
+
+    The digests were recorded at the commit *before* the hoisted keyswitch
+    moved its ModDown into the evaluation domain and the MAC kernels
+    started reducing once per budget (coefficient-domain ModDown, one ``%``
+    per product), where both backends already agreed.
+    """
+
+    PINNED = {
+        "small-40bit": "a4543e59b37b08bee7692f77a4ae81f37587a771e7ab884bec82668944e43e76",
+        "word-30bit": "decb184cde58ed3267ab28a8b641152ae8237287937d6aed9e5a17419b299c09",
+    }
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_digest_matches_parent_commit(self, name, backend):
+        params, _ = TestKeyMaterialPinned.PINNED[name]
+        assert _planned_evaluation_digest(params, backend) == self.PINNED[name]
 
 
 class TestSharedEncoderTables:

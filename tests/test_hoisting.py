@@ -11,6 +11,8 @@ combination, including the <= 32-bit single-word fast path:
 * hoisted keyswitch (``hoist_decompose`` + ``keyswitch_hoisted``) bit-exact
   against the naive ``hybrid_keyswitch`` pipeline, on both backends and
   cross-backend,
+* ``mod_down`` in either residency domain, and the dispatches the
+  evaluation-domain ModDown of the hoisted keyswitch is allowed (counted),
 * ``rotate_hoisted`` cross-backend bit-exactness and (with the encoder)
   agreement with the naive per-rotation path up to keyswitch noise,
 * NTT-resident HMult/Rescale chains bit-exact against the coefficient
@@ -30,7 +32,12 @@ import random
 
 import pytest
 
-from repro.fhe.backend import PythonBackend, available_backends, use_backend
+from repro.fhe.backend import (
+    ArithmeticBackend,
+    PythonBackend,
+    available_backends,
+    use_backend,
+)
 from repro.fhe.ckks.bootstrap import linear_transform_plan
 from repro.fhe.ckks.ciphertext import CKKSCiphertext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
@@ -39,6 +46,7 @@ from repro.fhe.ckks.keyswitch import (
     hoist_decompose,
     hybrid_keyswitch,
     keyswitch_hoisted,
+    mod_down,
 )
 from repro.fhe.params import CKKSParameters
 from repro.fhe.polynomial import Polynomial, galois_eval_spec
@@ -224,6 +232,99 @@ class TestHoistedKeyswitch:
         assert hoisted.num_digits == 1 != relin.num_digits
         with pytest.raises(ValueError):
             keyswitch_hoisted(hoisted, relin)
+
+
+class TestModDown:
+    """One ModDown, dispatched on the input's residency domain."""
+
+    def test_eval_resident_input_stays_eval(self, keyed):
+        params = keyed[0]
+        level = params.max_level
+        poly = _random_poly(params, 51, basis=params.extended_basis(level))
+        for backend in BACKENDS:
+            with use_backend(backend):
+                expected = mod_down(poly, params, level)
+                resident = mod_down(poly.to_eval(), params, level)
+                assert (expected.domain, resident.domain) == ("coeff", "eval")
+                assert expected.basis == resident.basis == params.basis(level)
+                assert _rows(resident) == _rows(expected), backend.name
+
+    def test_basis_must_be_the_extended_basis_of_the_level(self, keyed):
+        params = keyed[0]
+        top = params.max_level
+        poly = _random_poly(params, 52, basis=params.extended_basis(top))
+        for level in range(top):
+            with pytest.raises(ValueError) as raised:
+                mod_down(poly, params, level)
+            assert repr(poly.basis) in str(raised.value)
+            assert repr(params.extended_basis(level)) in str(raised.value)
+        with pytest.raises(ValueError):
+            mod_down(_random_poly(params, 53), params, top)   # no P rows
+
+
+class _CountingBackend(ArithmeticBackend):
+    """Forward every public kernel of ``inner``; log ``(kernel, args)`` of
+    the top-level calls (the pattern of ``test_tfhe.py::TestResidency``)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.log = []
+        for attr in dir(type(inner)):
+            bound = getattr(inner, attr)
+            if not attr.startswith("_") and callable(bound):
+                setattr(self, attr, self._logged(attr, bound))
+        self.name = f"counting:{inner.name}"
+
+    def _logged(self, kernel, func):
+        def dispatch(*args, **kwargs):
+            self.log.append((kernel, args))
+            return func(*args, **kwargs)
+        return dispatch
+
+    def calls(self, kernel):
+        return [args for name, args in self.log if name == kernel]
+
+
+class TestHoistedResidency:
+    """The per-key phase never leaves the evaluation domain: counted."""
+
+    def test_keyswitch_hoisted_transforms_only_the_special_rows(self, keyed):
+        params, _keys, relin, ct = keyed
+        level = params.max_level
+        for inner in BACKENDS:
+            counting = _CountingBackend(inner)
+            with use_backend(counting):
+                hoisted = hoist_decompose(ct.c1, params, level)
+                counting.log.clear()
+                f0, f1 = keyswitch_hoisted(hoisted, relin)
+            assert f0.domain == f1.domain == "eval"
+            (contexts, stores), = counting.calls("stacked_intt")
+            assert len(contexts) == len(params.special_moduli)
+            assert [len(store) for store in stores] == [len(contexts)] * 2
+            (contexts, stores), = counting.calls("stacked_ntt")
+            assert len(contexts) == level + 1
+            assert [len(store) for store in stores] == [level + 1] * 2
+            assert not counting.calls("batched_intt")
+            assert not counting.calls("batched_ntt")
+
+    def test_rotate_hoisted_eval_resident_pays_no_ntt_after_the_hoist(self, keyed):
+        params, keys, relin, ct = keyed
+        for steps in (1, 2):                     # generated on first use
+            keys.galois_key(
+                galois_element_for_rotation(params.ring_degree, steps), ct.level)
+        for inner in BACKENDS:
+            counting = _CountingBackend(inner)
+            evaluator = CKKSEvaluator(params, keys, backend=counting)
+            resident = evaluator.to_eval(ct)
+            counting.log.clear()
+            rotated = evaluator.rotate_hoisted(resident, [1, 2])
+            assert [r.domain for r in rotated] == ["eval", "eval"]
+            kernels = [name for name, _ in counting.log]
+            # The hoist: one forward NTT per lifted digit, and nothing else.
+            assert kernels.count("batched_ntt") == relin.num_digits
+            after = kernels[kernels.index("limbs_eval_mac"):]
+            assert "batched_ntt" not in after and "batched_intt" not in after
+            assert after.count("stacked_intt") == after.count("stacked_ntt") == 2
 
 
 class TestEvaluatorParity:
