@@ -1,0 +1,203 @@
+"""The speed ratios no other instrument in the repo reports, as benchmark pairs.
+
+End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
+exactness is asserted in tier-1; left here are four families of fast-path /
+reference-path pairs whose ratio neither shows.  Each pair is a
+pytest-benchmark group of two rows, so the grouped table's ratio column *is*
+the speed-up (the fast path reads ``(1.0)``):
+
+* numpy vs python backend on ``ntt_forward``, ``negacyclic_convolution``
+  and ``four_step_ntt`` (N = 2^12, one 40-bit prime) — the e2e workloads
+  only ever run the numpy backend;
+* ``rotate_hoisted`` vs one ``rotate`` per step on a 16-step BSGS rotation
+  set (N = 2^12, L = 8, 30-bit) — the traced round reports planned programs,
+  where hoists are already fused;
+* the NTT-resident ``multiply`` vs the coefficient-domain reference
+  ``_multiply_coeff`` through multiply -> rescale -> multiply (same ring);
+* planned vs eager ``PackedBootstrap.refresh`` (N = 2^10, L = 13, 30-bit) —
+  no e2e workload bootstraps.
+
+One fixed size per pair and no thresholds: the numbers are read, not gated
+(``--benchmark-json`` is the CI artifact).  A pair leaves this module when
+the repo benchmark adopts it as a layer metric.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_pairs.py
+"""
+
+import math
+import random
+
+import pytest
+
+pytest.importorskip("numpy")
+
+from repro.fhe import modmath
+from repro.fhe.backend import use_backend
+from repro.fhe.ckks import CKKSContext, PackedBootstrap
+from repro.fhe.ntt import NTTContext, four_step_ntt
+from repro.fhe.params import CKKSParameters
+
+
+@pytest.fixture(scope="module", autouse=True)
+def numpy_backend():
+    """Every pair runs on the numpy backend whatever ``REPRO_BACKEND`` says;
+    only the python rows of the first family switch away from it."""
+    with use_backend("numpy"):
+        yield
+
+
+def word_size_context(degree, level, dnum, scale_bits, seed, hamming_weight):
+    """A noiseless CKKS instance over 30-bit (single-word kernel) moduli."""
+    params = CKKSParameters(
+        ring_degree=degree, max_level=level, dnum=dnum, scale_bits=scale_bits,
+        modulus_bits=30, special_modulus_bits=32, security_bits=0,
+        name="ckks-bench-pairs",
+    )
+    return CKKSContext(params, seed=seed, error_stddev=0.0,
+                       secret_hamming_weight=hamming_weight)
+
+
+# ---------------------------------------------------------------------------
+# numpy vs python backend, one 40-bit prime at N = 2^12
+# ---------------------------------------------------------------------------
+
+KERNELS = {
+    "ntt_forward": lambda context, a, b: context.forward(a),
+    "negacyclic_convolution":
+        lambda context, a, b: context.negacyclic_convolution(a, b),
+    "four_step_ntt": lambda context, a, b: four_step_ntt(context, a, 64),
+}
+
+
+@pytest.fixture(scope="module")
+def ring():
+    degree = 1 << 12
+    q = modmath.find_ntt_prime(40, degree)
+    rng = random.Random(0xBE7C)
+    a, b = ([rng.randrange(q) for _ in range(degree)] for _ in range(2))
+    context = NTTContext(degree, q)
+    for kernel in KERNELS.values():
+        kernel(context, a, b)   # numpy table caches are built outside the timing
+    return context, a, b
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize("kernel", [
+    pytest.param(name, marks=pytest.mark.benchmark(
+        group=f"numpy vs python: {name} (N=2^12, 40-bit)"))
+    for name in KERNELS
+])
+def test_backend_kernel(benchmark, ring, kernel, backend):
+    with use_backend(backend):
+        benchmark(KERNELS[kernel], *ring)
+
+
+# ---------------------------------------------------------------------------
+# hoisted vs naive BSGS rotations, N = 2^12, L = 8
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def context():
+    """The ring the rotation and multiply pairs share.  A sparse secret keeps
+    the Galois and relinearization key material cheap to derive at N=2^12."""
+    return word_size_context(1 << 12, 8, 3, 26, seed=17, hamming_weight=64)
+
+
+@pytest.fixture(scope="module")
+def rotations(context):
+    slots = context.params.slots
+    ct = context.encrypt_vector([((7 * i) % 23 - 11) / 8.0 for i in range(slots)])
+    steps = list(range(1, 17))
+    # Neither row measures key generation or the eval-domain key caches.
+    context.keys.ensure_rotation_keys(steps, context.params.max_level)
+    evaluator = context.evaluator
+    evaluator.rotate_hoisted(ct, steps)
+    evaluator.rotate(ct, steps[0])
+    return evaluator, ct, steps
+
+
+ROTATIONS = "hoisted vs naive: 16 BSGS rotations (N=2^12, L=8, 30-bit)"
+
+
+@pytest.mark.benchmark(group=ROTATIONS)
+def test_rotations_hoisted(benchmark, rotations):
+    evaluator, ct, steps = rotations
+    benchmark(evaluator.rotate_hoisted, ct, steps)
+
+
+@pytest.mark.benchmark(group=ROTATIONS)
+def test_rotations_naive(benchmark, rotations):
+    evaluator, ct, steps = rotations
+    benchmark(lambda: [evaluator.rotate(ct, step) for step in steps])
+
+
+# ---------------------------------------------------------------------------
+# NTT-resident vs coefficient-domain multiply -> rescale -> multiply
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def chain(context):
+    evaluator = context.evaluator
+    a = context.encrypt_vector([1.25, -0.5, 2.0, 0.75])
+    b = context.encrypt_vector([0.5, 1.5, -1.0, 0.25])
+    c = evaluator.mod_down_to(context.encrypt_vector([2.0, 0.5, 1.0, -0.5]),
+                              context.params.max_level - 1)
+
+    def run(multiply):
+        return evaluator.to_coeff(
+            multiply(evaluator.rescale(multiply(a, b)), c))
+
+    run(evaluator.multiply)          # relinearization keys, twiddle caches
+    run(evaluator._multiply_coeff)
+    return run, evaluator
+
+
+CHAIN = "resident vs coefficient: multiply-rescale-multiply (N=2^12, L=8, 30-bit)"
+
+
+@pytest.mark.benchmark(group=CHAIN)
+def test_multiply_chain_resident(benchmark, chain):
+    run, evaluator = chain
+    benchmark(run, evaluator.multiply)
+
+
+@pytest.mark.benchmark(group=CHAIN)
+def test_multiply_chain_coefficient(benchmark, chain):
+    run, evaluator = chain
+    benchmark(run, evaluator._multiply_coeff)
+
+
+# ---------------------------------------------------------------------------
+# planned vs eager packed bootstrap, N = 2^10, L = 13
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bootstrap():
+    # A very sparse secret keeps the ModRaise overflow bound (and with it the
+    # sine approximation radius) small, like tests/test_bootstrap.py.
+    small = word_size_context(1 << 10, 13, 4, 30, seed=31, hamming_weight=2)
+    packed = PackedBootstrap(
+        small.encoder, c2s_stages=2, s2c_stages=2, sine_degree=15,
+        double_angle_iters=2, integer_bound=3,
+    )
+    packed.generate_keys(small.keys)
+    ct = small.encrypt_vector(
+        [0.03 * math.cos(0.1 * i) for i in range(small.params.slots)], level=0)
+    packed.refresh(small.evaluator, ct)               # plans, plaintext encodings
+    packed.refresh(small.evaluator, ct, eager=True)
+    return packed, small.evaluator, ct
+
+
+BOOTSTRAP = "planned vs eager: PackedBootstrap.refresh (N=2^10, L=13, 30-bit)"
+
+
+@pytest.mark.benchmark(group=BOOTSTRAP)
+def test_bootstrap_planned(benchmark, bootstrap):
+    packed, evaluator, ct = bootstrap
+    benchmark(packed.refresh, evaluator, ct)
+
+
+@pytest.mark.benchmark(group=BOOTSTRAP)
+def test_bootstrap_eager(benchmark, bootstrap):
+    packed, evaluator, ct = bootstrap
+    benchmark(packed.refresh, evaluator, ct, eager=True)

@@ -1,22 +1,13 @@
-"""Shared fixtures and helpers for the benchmark harness.
+"""Shared helper for the benchmark harness.
 
-Each ``bench_*`` module regenerates one table or figure of the paper via the
-experiment functions in :mod:`repro.analysis.experiments`, times it with
-pytest-benchmark, and asserts the qualitative claims the paper makes about
-that table/figure (who wins, by roughly what factor).
-
-The standalone benchmark scripts (``bench_backend_speedup.py``,
-``bench_rns_batching.py``) also import this module directly for the shared
-machine-readable output helpers below: every script exposes the same
-``--json [PATH]`` flag and writes a ``BENCH_<name>.json`` document, so the
-perf trajectory can be tracked across PRs by diffing the committed numbers.
+Each ``bench_fig*`` / ``bench_table*`` module regenerates one table or figure
+of the paper via the experiment functions in
+:mod:`repro.analysis.experiments`, times it with pytest-benchmark, and
+asserts the qualitative claims the paper makes about that table/figure (who
+wins, by roughly what factor).  ``bench_pairs.py`` rides the same harness for
+the few software speed ratios the repo benchmark (``benchmarks/e2e``) does
+not report.
 """
-
-import datetime
-import json
-import platform
-
-import pytest
 
 
 def result_by(result, key_column, key_value):
@@ -24,46 +15,3 @@ def result_by(result, key_column, key_value):
     row = result.find_row(key_column, key_value)
     assert row is not None, f"missing row {key_value!r} in {result.experiment_id}"
     return row
-
-
-# ---------------------------------------------------------------------------
-# Machine-readable benchmark output (shared by the standalone bench scripts)
-# ---------------------------------------------------------------------------
-
-def add_json_argument(parser, bench_name: str) -> None:
-    """Register the shared ``--json [PATH]`` flag on an argparse parser.
-
-    With no path argument the records go to ``BENCH_<bench_name>.json`` in
-    the current directory; an explicit path overrides that.
-    """
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        nargs="?",
-        const=default_json_path(bench_name),
-        default=None,
-        help=f"write the records as JSON (default path: "
-             f"{default_json_path(bench_name)})",
-    )
-
-
-def default_json_path(bench_name: str) -> str:
-    return f"BENCH_{bench_name}.json"
-
-
-def write_bench_json(path: str, bench_name: str, records, extra=None) -> str:
-    """Write one benchmark's records as a self-describing JSON document."""
-    document = {
-        "benchmark": bench_name,
-        "generated_utc": datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds"),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "records": list(records),
-    }
-    if extra:
-        document.update(extra)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    return path

@@ -238,8 +238,8 @@ class CKKSEvaluator:
 
         Four per-component convolutions plus the naive (per-digit) hybrid
         keyswitch — the pre-hoisting execution shape.  Kept as the exact
-        reference the parity suite and ``bench_hoisting.py`` compare the
-        NTT-resident path against, and as the fallback for bases whose
+        reference the parity suite and ``benchmarks/bench_pairs.py`` compare
+        the NTT-resident path against, and as the fallback for bases whose
         moduli are not NTT-friendly.
         """
         self._check_levels(a, b)

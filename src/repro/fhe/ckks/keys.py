@@ -260,17 +260,6 @@ class CKKSKeyGenerator:
         return CKKSPublicKey(b=b, a=a)
 
     # -- hybrid keyswitch keys -----------------------------------------------
-    def digit_slices(self, level: int) -> List[Tuple[int, int]]:
-        """Index ranges ``[start, stop)`` of the RNS digits at ``level``."""
-        alpha = self.params.alpha
-        slices = []
-        start = 0
-        while start <= level:
-            stop = min(start + alpha, level + 1)
-            slices.append((start, stop))
-            start = stop
-        return slices
-
     def make_keyswitch_key(self, key_set: CKKSKeySet,
                            target_coefficients: Sequence[int], level: int) -> KeySwitchKey:
         """Key that switches ``d * s_target`` into a ciphertext under ``s``.
@@ -289,7 +278,7 @@ class CKKSKeyGenerator:
         secret_eval = key_set.secret.as_rns(n, extended).to_eval()
         target = RNSPolynomial.from_integer_coefficients(n, extended, target_coefficients)
         digit_keys: List[Tuple[RNSPolynomial, RNSPolynomial]] = []
-        for start, stop in self.digit_slices(level):
+        for start, stop in params.digit_slices(level):
             digit_moduli = moduli[start:stop]
             q_digit = math.prod(digit_moduli)
             q_hat = q_level // q_digit

@@ -50,16 +50,6 @@ __all__ = [
 ]
 
 
-def _digit_slices(params: CKKSParameters, level: int) -> List[Tuple[int, int]]:
-    alpha = params.alpha
-    slices = []
-    start = 0
-    while start <= level:
-        slices.append((start, min(start + alpha, level + 1)))
-        start += alpha
-    return slices
-
-
 @lru_cache(maxsize=256)
 def _mod_down_constants(params: CKKSParameters, level: int) -> tuple:
     """``P^{-1} mod q_i`` for every limb of C_l (P = product of special moduli)."""
@@ -162,7 +152,7 @@ def hybrid_keyswitch(
     result separately.  The hoisted path (:func:`hoist_decompose` +
     :func:`keyswitch_hoisted`) computes bit-identical results while sharing
     the expensive phase across keys; this function is kept as the reference
-    the benchmarks and parity suites compare against.
+    the parity suites and ``benchmarks/bench_pairs.py`` compare against.
 
     ``backend`` optionally pins the arithmetic backend for the whole
     keyswitch (BConv, inner product, ModDown); ``None`` keeps whatever is
@@ -187,7 +177,7 @@ def _hybrid_keyswitch(
 
     acc0 = RNSPolynomial(n, extended)
     acc1 = RNSPolynomial(n, extended)
-    slices = _digit_slices(params, level)
+    slices = params.digit_slices(level)
     if len(slices) != keyswitch_key.num_digits:
         raise ValueError(
             f"keyswitch key has {keyswitch_key.num_digits} digits, expected {len(slices)}"
@@ -295,7 +285,7 @@ def _hoist_decompose(d: RNSPolynomial, params: CKKSParameters, level: int) -> Ho
     contexts = _limb_contexts(n, extended)
     backend = active_backend()
     hoisted = HoistedDigits(params, level, n, extended, contexts)
-    for start, stop in _digit_slices(params, level):
+    for start, stop in params.digit_slices(level):
         digit = d.limb_slice(start, stop, _digit_basis(params, start, stop))
         lifted = fast_basis_conversion(digit, extended)
         if contexts is not None:

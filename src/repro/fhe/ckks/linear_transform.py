@@ -187,7 +187,9 @@ class BSGSLinearTransform:
         one ``hoist_decompose`` across all baby rotations, residency
         planning keeps the pipeline NTT-resident, batching runs each giant
         block's PMult/HAdd group as one stacked dispatch — and executed.
-        Bit-identical to :meth:`apply_eager`, the retained eager reference.
+        Bit-identical to the eager node sequence
+        (:meth:`~repro.fhe.program.ProgramExecutor.run_eager` over
+        :meth:`trace`).
 
         ``ciphertext`` must hold the input vector tiled ``slots/dimension``
         times.  The result carries scale ``ciphertext.scale * pt_scale`` and
@@ -200,45 +202,6 @@ class BSGSLinearTransform:
         planned = self._planned_program(ciphertext.level)
         result = ProgramExecutor(evaluator).run(planned, {"x": ciphertext})["y"]
         self.last_stats = self._stats_from(planned.stats)
-        return result
-
-    def apply_eager(self, evaluator, ciphertext: CKKSCiphertext) -> CKKSCiphertext:
-        """Encrypted ``M @ x`` on the eager evaluator (the bit-exact
-        reference :meth:`apply` is gated against): hoisted baby rotations,
-        eval-domain PMult/HAdd, one giant rotation per non-empty block."""
-        n1 = self.plan.baby_steps
-        n2 = self.plan.giant_steps
-        # Hoist once, rotate by every baby step (step 0 is the identity and
-        # costs nothing — rotate_hoisted returns the input for it).
-        source = evaluator.to_eval(ciphertext)
-        babies = evaluator.rotate_hoisted(source, list(range(n1)))
-        hoisted_rotations = n1 - 1
-        outer_rotations = 0
-        result: "CKKSCiphertext | None" = None
-        for j in range(n2):
-            inner: "CKKSCiphertext | None" = None
-            for i in range(n1):
-                plaintext = self._plaintexts[j][i]
-                if plaintext is None:
-                    continue
-                term = evaluator.multiply_plain(babies[i], plaintext)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if inner is None:
-                continue
-            if j:
-                inner = evaluator.rotate_hoisted(inner, [j * n1])[0]
-                outer_rotations += 1
-            result = inner if result is None else evaluator.add(result, inner)
-        if result is None:
-            raise ValueError("transform has no non-zero diagonals")
-        self.last_stats = {
-            "hoisted_rotations": hoisted_rotations,
-            "outer_rotations": outer_rotations,
-            "rotations": hoisted_rotations + outer_rotations,
-            "plain_multiplies": sum(
-                1 for row in self._plaintexts for pt in row if pt is not None
-            ),
-        }
         return result
 
     def _stats_from(self, plan_stats: Dict[str, int]) -> Dict[str, int]:

@@ -104,6 +104,13 @@ class CKKSParameters:
         """
         return math.ceil((level + 1) / self.alpha)
 
+    def digit_slices(self, level: int) -> Tuple[Tuple[int, int], ...]:
+        """Index ranges ``[start, stop)`` of the keyswitch digits at ``level``:
+        ``beta(level)`` runs of ``alpha`` moduli, the last one possibly short."""
+        alpha = self.alpha
+        return tuple((start, min(start + alpha, level + 1))
+                     for start in range(0, level + 1, alpha))
+
     # -- functional instantiation (lazy; only touched by the FHE layer) -------
     @cached_property
     def moduli(self) -> Tuple[int, ...]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from ..polynomial import Polynomial
-from .glwe import GLWECiphertext
+from .batched import sign_test_vector
 from .lwe import LWECiphertext
-from .pbs import TFHEContext, blind_rotate, lwe_keyswitch, modulus_switch, sample_extract
+from .pbs import TFHEContext
 
 __all__ = ["TFHEGateEvaluator"]
 
@@ -31,7 +30,7 @@ class TFHEGateEvaluator:
         q = self.params.modulus
         self._true_encoding = q // 8
         self._false_encoding = (-(q // 8)) % q
-        self._sign_test_vector = self._make_sign_test_vector()
+        self._sign_test_vector = sign_test_vector(context, self._true_encoding)
 
     # -- encoding ----------------------------------------------------------
     def encrypt(self, bit: bool) -> LWECiphertext:
@@ -49,24 +48,13 @@ class TFHEGateEvaluator:
         return self.context.lwe.trivial(encoded)
 
     # -- gate bootstrap ---------------------------------------------------------
-    def _make_sign_test_vector(self) -> GLWECiphertext:
-        params = self.params
-        n = params.polynomial_size
-        q = params.modulus
-        table = Polynomial(n, q, [q // 8] * n)
-        return GLWECiphertext.trivial(table, params.glwe_dimension)
-
     def bootstrap_sign(self, ciphertext: LWECiphertext) -> LWECiphertext:
-        """Map any ciphertext to a fresh encryption of ``sign(phase)`` (+-q/8)."""
-        params = self.params
-        switched = modulus_switch(ciphertext, 2 * params.polynomial_size)
-        accumulator = blind_rotate(
-            self._sign_test_vector, switched, self.context.bootstrapping_key
-        )
-        extracted = sample_extract(accumulator, 0)
-        return lwe_keyswitch(
-            extracted, self.context.keyswitching_key, params.lwe_dimension
-        )
+        """Map any ciphertext to a fresh encryption of ``sign(phase)`` (+-q/8).
+
+        One PBS of the context (on the backend it pins) against the constant
+        ``q/8`` test vector."""
+        return self.context.programmable_bootstrap(
+            ciphertext, self._sign_test_vector)
 
     # -- gates -----------------------------------------------------------------
     def not_(self, a: LWECiphertext) -> LWECiphertext:

@@ -248,8 +248,6 @@ def _guard_payload(blob: bytes, action: str) -> None:
     """Refuse to move a secret key; ignore blobs whose headers don't parse."""
     try:
         kind = payload_kind(blob)
-    except SecretKeyOnWireError:  # pragma: no cover - payload_kind never raises it
-        raise
     except SerializationError:
         return
     if kind == KIND_SECRET_KEY:

@@ -341,11 +341,6 @@ class InferenceServer:
                         f"{program.scale:g}, request has {ct.scale:g}")
         self._check_keys(tenant, program, request.ciphertexts[0])
 
-    def _validate(self, request: InferenceRequest) -> Tuple[_Tenant, HostedProgram]:
-        tenant, program = self._lookup(request)
-        self._validate_payload(request, tenant, program)
-        return tenant, program
-
     def _check_keys(self, tenant: _Tenant, program: HostedProgram,
                     ct: CKKSCiphertext) -> None:
         """Reject requests whose plan needs keys the tenant cannot supply."""

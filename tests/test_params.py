@@ -53,6 +53,10 @@ class TestCKKSDerivedQuantities:
         assert CKKS_DEFAULT.alpha == 12
         assert CKKS_DEFAULT.beta(CKKS_DEFAULT.max_level) == 3
         assert CKKS_DEFAULT.beta(0) == 1
+        # The digit layout is beta(level) runs of alpha moduli, the last short.
+        assert CKKS_DEFAULT.digit_slices(35) == ((0, 12), (12, 24), (24, 36))
+        assert CKKS_DEFAULT.digit_slices(13) == ((0, 12), (12, 14))
+        assert CKKS_DEFAULT.digit_slices(0) == ((0, 1),)
 
     def test_slots(self):
         assert CKKS_DEFAULT.slots == 32768

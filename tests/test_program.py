@@ -851,17 +851,22 @@ class TestSemantics:
         transform = BSGSLinearTransform.from_matrix(context.encoder, matrix)
         transform.generate_rotation_keys(context.keys)
         ct = context.encrypt_vector(x * (slots // dim))
+        trace = HETrace(context.params)
+        trace.output("y", transform.trace(trace.input("x")))
         reference = None
         for backend in (PYTHON, PACKED):             # bit-exact on BOTH backends
             evaluator = CKKSEvaluator(context.params, context.keys,
                                       backend=backend)
             planned_result = transform.apply(evaluator, ct)
-            planned_stats = dict(transform.last_stats)
-            eager_result = transform.apply_eager(evaluator, ct)
+            eager_result = ProgramExecutor(evaluator).run_eager(
+                trace.program, {"x": ct})["y"]
             with use_backend(backend):
                 rows = _rows(planned_result)
                 assert rows == _rows(eager_result), backend.name
-            assert planned_stats == transform.last_stats
+            stats = transform.last_stats
+            assert stats["rotations"] == transform.plan.num_rotations
+            assert stats["plain_multiplies"] == \
+                transform.plan.num_plain_multiplies
             if reference is None:
                 reference = rows
             else:

@@ -16,15 +16,21 @@
   backend, wire corruption, output-validator integrity, and a miniature
   end-to-end soak through ``chaos_soak_gate``.
 
-Everything here runs on the pure-python backend: this file is part of the
-no-numpy CI leg.
+Everything here runs on the pure-python backend — this file is part of the
+no-numpy CI leg — except the soak's second case, which runs the numpy
+kernels and is skipped without them.
 """
 
 import random
 
 import pytest
 
-from repro.fhe.backend import ArithmeticBackend, PythonBackend
+from repro.fhe.backend import (
+    ArithmeticBackend,
+    NumpyBackend,
+    PythonBackend,
+    available_backends,
+)
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import CKKSKeyGenerator
@@ -63,6 +69,12 @@ from repro.serve import (
 
 PYTHON = PythonBackend()
 TOY = CKKSParameters.toy()
+
+numpy_missing = "numpy" not in available_backends()
+needs_numpy = pytest.mark.skipif(numpy_missing, reason="numpy backend unavailable")
+#: Thresholds at 0: the vectorized kernels run even on the toy ring.
+PACKED = None if numpy_missing else NumpyBackend(min_vector_length=0,
+                                                 min_ntt_length=0)
 
 
 # ---------------------------------------------------------------------------
@@ -705,31 +717,46 @@ def test_output_validator_exhaustion_is_a_corrupt_result_error():
 # End-to-end: miniature chaos soak through the release gate
 # ---------------------------------------------------------------------------
 
-def test_chaos_soak_gate_end_to_end():
+@pytest.mark.parametrize("backend, raises, corruptions, attempts, threshold", [
+    pytest.param(PYTHON, 3, 0, 1, 1, id="python-raise"),
+    # Silent store corruption that only the output validator can catch,
+    # behind a retrying policy, on the vectorized kernels.
+    pytest.param(PACKED, 5, 2, 3, 2, id="numpy-raise-corrupt-validate-retry",
+                 marks=needs_numpy),
+])
+def test_chaos_soak_gate_end_to_end(backend, raises, corruptions, attempts,
+                                    threshold):
     clock = ManualClock()
-    schedule = FaultSchedule(
-        [FaultSpec("limbs_eval_mac", "raise", start_call=4,
-                   max_injections=3)], seed=9)
-    chaos = FaultInjectingBackend(PYTHON, schedule)
-    server, keys, tracer = _dense_server(
-        TOY, chaos, tenants=("t0", "t1", "t2"), clock=clock,
-        resilience=ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=1),
-            failure_threshold=1, reset_timeout=0.5))
-    evaluator = CKKSEvaluator(TOY, keys, backend=PYTHON)
+    specs = [FaultSpec("limbs_eval_mac", "raise", start_call=4,
+                       max_injections=raises)]
+    if corruptions:
+        specs.append(FaultSpec("stacked_pmult_mac", "corrupt", start_call=2,
+                               max_injections=corruptions))
+    schedule = FaultSchedule(specs, seed=9)
+    chaos = FaultInjectingBackend(backend, schedule)
     reference_cache = {}
 
-    def reference(ct):
+    def reference_rows(ct):
         key = _rows(ct)
         if key not in reference_cache:
-            reference_cache[key] = _eager_outputs(TOY, keys, PYTHON, tracer,
-                                                  [ct])[0]
+            reference_cache[key] = _rows(_eager_outputs(
+                TOY, keys, backend, tracer, [ct])[0])
         return reference_cache[key]
+
+    def validator(request, index, ciphertext):
+        if _rows(ciphertext) != reference_rows(request.ciphertexts[index]):
+            raise ValueError("output mismatches the eager reference")
 
     def verify(request, response):
         return _rows(response.ciphertexts[0]) == \
-            _rows(reference(request.ciphertexts[0]))
+            reference_rows(request.ciphertexts[0])
 
+    server, keys, tracer = _dense_server(
+        TOY, chaos, tenants=("t0", "t1", "t2"), clock=clock,
+        resilience=ResiliencePolicy(
+            retry=RetryPolicy(max_attempts=attempts, sleep=_SleepRecorder()),
+            failure_threshold=threshold, reset_timeout=0.5,
+            output_validator=validator if corruptions else None))
     pool = [_random_ct(TOY, 1000 + i) for i in range(4)]
 
     def input_factory(tenant, rng):
@@ -752,6 +779,9 @@ def test_chaos_soak_gate_end_to_end():
     assert agg["mismatched"] == 0
     assert agg["gates"]["breaker_opened"] >= 1
     assert agg["gates"]["breaker_closed"] >= 1
+    stats = server.stats()
+    assert (stats["retries"] >= 1) == (attempts > 1)
+    assert (stats["output_validation_failures"] >= 1) == bool(corruptions)
 
 
 def test_chaos_soak_gate_flags_problems():

@@ -11,10 +11,6 @@ scalar kernels — for every prime/degree combination the parameter sets in
                thresholds at 0 so the vectorized paths run even at tiny
                ring degrees.
 
-(The PR-1 shape — per-limb loops over vectorized kernels — is a timing
-baseline; ``benchmarks/bench_rns_batching.py`` owns it and checks every
-timed pair bit-exact.)
-
 Covered: rescale, exact and fast basis conversion, ModDown, the full hybrid
 keyswitch (twice — the second call exercises the evaluation-domain key
 cache), element-wise arithmetic, limb-stack convolution (including the

@@ -661,6 +661,26 @@ class TestResidency:
         assert all(ksk._flat_cache[key] is value
                    for key, value in clean_matrices.items())
 
+    def test_gate_bootstrap_is_one_pbs_on_the_contexts_pinned_backend(self):
+        counting = _CountingBackend(REFERENCE_BACKEND)
+        context = TFHEContext(TFHEParameters.toy(), seed=5, backend=counting)
+        gates = TFHEGateEvaluator(context)
+        a, b = gates.encrypt(True), gates.encrypt(False)
+        eighth = context.params.modulus // 8
+        with use_backend(PythonBackend()):    # the active backend is not the pinned one
+            context.programmable_bootstrap(a)            # builds the key handle
+            counting.log = []
+            out = gates.nand(a, b)
+            gate_log, counting.log = counting.log, []
+            reference = context.programmable_bootstrap(
+                context.lwe.trivial(eighth) - a - b,
+                sign_test_vector(context, eighth))
+        assert gate_log.count("rows_monomial_multiply") == \
+            1 + context.params.lwe_dimension
+        assert gate_log == counting.log
+        assert _same([out], [reference])
+        assert gates.decrypt(out) is True
+
 
 def _tfhe_key_material_digest(params, backend):
     """sha256 over everything ``seed=11`` generates for one TFHE instance:
