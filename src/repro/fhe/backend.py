@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 import warnings
 from contextlib import contextmanager
 from functools import lru_cache
@@ -166,7 +167,11 @@ class ArithmeticBackend:
       accepted as a store; what comes back is the backend's own form.  The
       same-modulus batch kernels (``ntt_forward_batch``, ``mat_mulmod``)
       preserve the form they are given: store in, store out; lists in,
-      lists out.
+      lists out.  How wide a store's elements are is the backend's own
+      business and never part of a value: ``limbs_from_words`` may keep
+      4-byte wire words narrow at rest, every kernel accepts any width its
+      backend produces and returns its usual one, and stores compare
+      through ``store_rows`` (``coefficient_rows()``), not by dtype.
 
     The NTT entry points receive the :class:`~repro.fhe.ntt.NTTContext`
     (duck typed — only its precomputed tables are read), so backends can
@@ -213,7 +218,14 @@ class ArithmeticBackend:
     # over the per-limb scalar kernels and are therefore the bit-exact
     # golden reference for every vectorized override.
     #
-    # Two kernels *create* stores, so key generation and encryption never
+    # Two kernels are the wire codec — ``limbs_to_words`` (store ->
+    # little-endian fixed-width words) and ``limbs_from_words`` (words ->
+    # validated store) — so a ciphertext crosses a socket without becoming
+    # python ints.  The base implementations are the golden ``struct`` row
+    # codec: the only path without numpy and for moduli above the
+    # vectorised word cap.
+    #
+    # Two more kernels *create* stores, so key generation and encryption never
     # build per-coefficient Python lists around the arithmetic:
     # ``reduce_limbs`` (signed integers -> residue rows, one dispatch) and
     # ``sample_uniform_limbs`` (uniform residues drawn from a
@@ -261,6 +273,46 @@ class ArithmeticBackend:
     def unpack_limbs(self, store) -> List[List[int]]:
         """Inverse of :meth:`pack_limbs` (always python-int rows)."""
         return self.store_rows(store)
+
+    def limbs_to_words(self, store, word: int) -> bytes:
+        """A store as little-endian ``word``-byte words, row after row.
+
+        The wire form of :mod:`repro.serve.serialization`.  Values are
+        written as they stand (reduction is the store's contract, not
+        checked here); one that does not fit the word raises ``ValueError``
+        naming its limb instead of being truncated.
+        """
+        code = "I" if word == 4 else "Q"
+        parts = []
+        for limb, row in enumerate(self.store_rows(store)):
+            try:
+                parts.append(struct.pack(f"<{len(row)}{code}", *row))
+            except struct.error:
+                raise ValueError(
+                    f"limb {limb} holds a value that does not fit a "
+                    f"{word}-byte word") from None
+        return b"".join(parts)
+
+    def limbs_from_words(self, words, moduli, length: int, word: int) -> object:
+        """Inverse of :meth:`limbs_to_words`: a validated store.
+
+        ``words`` is any bytes-like buffer of exactly ``len(moduli) *
+        length * word`` bytes.  A wrong size, or a row holding a value that
+        is not below its modulus, raises ``ValueError`` — what comes back
+        is reduced, as every store kernel assumes.
+        """
+        row_format = struct.Struct(f"<{length}{'I' if word == 4 else 'Q'}")
+        if len(words) != len(moduli) * row_format.size:
+            raise ValueError(
+                f"{len(words)} bytes do not hold {len(moduli)} rows of "
+                f"{length} {word}-byte words")
+        rows = []
+        for limb, q in enumerate(moduli):
+            row = list(row_format.unpack_from(words, limb * row_format.size))
+            if max(row) >= q:
+                raise ValueError(f"residue out of range for modulus {q}")
+            rows.append(row)
+        return rows
 
     def limbs_zero(self, count: int, length: int) -> object:
         """An all-zero store of ``count`` rows of ``length`` coefficients."""
@@ -1336,11 +1388,13 @@ class NumpyBackend(ArithmeticBackend):
     element-wise ops and ~128 points for the transforms).  Set both to 0 to
     force the vectorized path everywhere (the parity tests do).
 
-    Stores are ``(L, N)`` uint64 matrices.  The single-row kernels
-    (``add`` ... ``negacyclic_convolution``) keep the list-in / list-out
-    contract of the interface — they reduce unreduced input and cross over
-    to the python backend below the thresholds — and run the same array
-    cores as the limb-stack kernels on a ``(1, N)`` view.
+    Stores are ``(L, N)`` uint64 matrices — except one decoded from 4-byte
+    wire words, which rests as uint32 (its wire size) until the first kernel
+    reads it through :meth:`_matrix`; kernel outputs are always uint64.  The
+    single-row kernels (``add`` ... ``negacyclic_convolution``) keep the
+    list-in / list-out contract of the interface — they reduce unreduced
+    input and cross over to the python backend below the thresholds — and
+    run the same array cores as the limb-stack kernels on a ``(1, N)`` view.
     """
 
     name = "numpy"
@@ -1413,9 +1467,14 @@ class NumpyBackend(ArithmeticBackend):
 
     @staticmethod
     def _matrix(store):
-        """View a limb store as a uint64 matrix (``None`` if it cannot be)."""
+        """View a limb store as a uint64 matrix (``None`` if it cannot be).
+
+        The one place a narrow store widens: :meth:`limbs_from_words` keeps
+        4-byte wire words as uint32 rows, and every kernel reads its inputs
+        through here, so the arithmetic below only ever sees uint64.
+        """
         if isinstance(store, _np.ndarray):
-            return store
+            return store if store.dtype == _np.uint64 else store.astype(_np.uint64)
         try:
             return _np.array(store, dtype=_np.uint64)
         except (OverflowError, TypeError, ValueError):
@@ -1657,6 +1716,36 @@ class NumpyBackend(ArithmeticBackend):
     def pack_limbs(self, rows, moduli):
         matrix = self._matrix(rows) if self._moduli_fit(moduli) else None
         return super().pack_limbs(rows, moduli) if matrix is None else matrix
+
+    def limbs_to_words(self, store, word):
+        x = store if isinstance(store, _np.ndarray) else self._matrix(store)
+        if x is None:
+            return super().limbs_to_words(store, word)
+        if x.dtype.itemsize > word:
+            wide = x.max(axis=1, initial=0) >> _np.uint64(8 * word)
+            if wide.any():
+                raise ValueError(
+                    f"limb {_np.flatnonzero(wide)[0]} holds a value "
+                    f"that does not fit a {word}-byte word")
+        return x.astype(f"<u{word}", copy=False).tobytes()
+
+    def limbs_from_words(self, words, moduli, length, word):
+        if (
+            not self._moduli_fit(moduli)
+            or len(words) != len(moduli) * length * word
+        ):
+            # The golden decoder is also the one that reports a wrong size.
+            return super().limbs_from_words(words, moduli, length, word)
+        wire = _np.frombuffer(words, dtype=f"<u{word}").reshape(len(moduli), length)
+        # Not ``_q_col``: the moduli come off the wire, and every basis a
+        # peer invents would stay in that cache.
+        over = (wire >= _np.array(moduli, dtype=_np.uint64)[:, None]).any(axis=1)
+        if over.any():
+            raise ValueError(
+                f"residue out of range for modulus {moduli[_np.flatnonzero(over)[0]]}")
+        # A native copy in the wire width: it owns its rows (the blob is not
+        # kept alive) and a 4-byte word stays 4 bytes until ``_matrix`` reads it.
+        return wire.astype(wire.dtype.newbyteorder("="))
 
     def limbs_zero(self, count, length):
         return _np.zeros((count, length), dtype=_np.uint64)
@@ -1945,7 +2034,8 @@ class NumpyBackend(ArithmeticBackend):
         ):
             return super().stacked_gather(stores, spec)
         # One gather for all stores.
-        return list(_np.stack(stores)[..., self._gather_index(spec)])
+        mats = [self._matrix(s) for s in stores]
+        return list(_np.stack(mats)[..., self._gather_index(spec)])
 
     def limbs_gather(self, store, spec):
         x = self._matrix(store)
@@ -1968,7 +2058,7 @@ class NumpyBackend(ArithmeticBackend):
         if tabs is None:
             return None
         if isinstance(rows, _np.ndarray):
-            return core(tabs, rows.copy())
+            return core(tabs, self._matrix(rows).copy())
         q = context.modulus
         return core(tabs, _np.stack([self._to_array(row, q) for row in rows])).tolist()
 

@@ -264,9 +264,8 @@ def _pack_payloads(payloads: List[bytes], action: str) -> bytes:
         if not isinstance(blob, (bytes, bytearray, memoryview)):
             raise ProtocolError(
                 f"payload must be bytes, got {type(blob).__name__}")
-        blob = bytes(blob)
         _guard_payload(blob, action)
-        parts.append(_U32.pack(len(blob)) + blob)
+        parts += (_U32.pack(memoryview(blob).nbytes), blob)
     return b"".join(parts)
 
 

@@ -6,6 +6,17 @@ fixed-width words.  The word width is 4 bytes when every modulus fits in 32
 bits (the rule by which the numpy backend picks its 32-bit kernels) and
 8 bytes otherwise, so word-size parameter sets serialize at half cost.
 
+This module packs headers and metadata only.  Rows cross in one backend
+dispatch per polynomial, store -> words
+(:meth:`~repro.fhe.backend.ArithmeticBackend.limbs_to_words`) and words ->
+validated store (``limbs_from_words``): on numpy one ``astype().tobytes()``
+/ one ``frombuffer`` plus a vectorised range check, with no python ints in
+between.  The golden row codec — ``struct`` over python-int rows, the only
+path without numpy and for moduli above the vectorised word cap — is the
+base-class implementation of those two kernels in :mod:`repro.fhe.backend`.
+A 4-byte-word blob decodes on numpy into a 32-bit store that owns exactly
+its ``L * N * 4`` bytes; it widens when the first kernel reads it.
+
 Container layout (all integers little-endian)::
 
     magic   4 bytes  b"RFHE"
@@ -33,7 +44,10 @@ Payload bodies share one polynomial block encoding::
 Loading is strict: magic, version, kind, checksum, word width, domain tag,
 basis well-formedness, level/limb-count consistency, residue range (every
 word < its modulus) and exact payload length are all validated, with typed
-:class:`SerializationError` subclasses instead of garbage values.
+:class:`SerializationError` subclasses instead of garbage values.  The
+header fixes the row bytes a payload must hold; that length is compared
+with what is left *before* a row is decoded, so no allocation follows an
+unvalidated count.  Saving refuses a value that does not fit its word.
 """
 
 from __future__ import annotations
@@ -41,13 +55,13 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 from ..fhe.backend import active_backend
 from ..fhe.ckks.ciphertext import CKKSCiphertext
 from ..fhe.ckks.keys import CKKSPublicKey, CKKSSecretKey, KeySwitchKey
 from ..fhe.params import _cached_basis
-from ..fhe.rns import RNSPolynomial
+from ..fhe.rns import RNSBasis, RNSPolynomial
 from .errors import CorruptPayloadError, SerializationError, UnsupportedVersionError
 
 __all__ = [
@@ -99,25 +113,36 @@ _MAX_LIMBS = 1 << 16
 _MAX_LOG_DEGREE = 26
 
 
+def _header_view(data, least: int) -> memoryview:
+    """A blob as a flat byte view (no copy) of at least ``least`` bytes that
+    starts with the magic."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise SerializationError(f"expected bytes, got {type(data).__name__}")
+    view = memoryview(data)
+    if not view.c_contiguous:
+        view = memoryview(view.tobytes())
+    view = view.cast("B")
+    if len(view) < least:
+        raise SerializationError(
+            f"truncated payload: {len(view)} bytes is smaller than the "
+            f"{least} bytes of container overhead")
+    if view[:4] != MAGIC:
+        raise SerializationError(
+            f"bad magic {bytes(view[:4])!r}, expected {MAGIC!r}")
+    return view
+
+
 def payload_kind(data) -> int:
     """The ``KIND_*`` tag of an RFHE blob, read from the header only.
 
-    Cheap (no checksum pass, no body decode) — this is what the framed
-    transport uses to refuse :data:`KIND_SECRET_KEY` payloads before
+    Cheap (no checksum pass, no body decode, no copy) — this is what the
+    framed transport uses to refuse :data:`KIND_SECRET_KEY` payloads before
     moving or decoding them.  Raises :class:`SerializationError` when the
     blob is too short to carry a header or the magic does not match; the
     returned tag is *not* validated against the known kinds (a full
     :func:`deserialize` does that).
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
-    if len(data) < len(MAGIC) + _HEADER.size:
-        raise SerializationError(
-            f"payload of {len(data)} bytes is too short to carry a header")
-    if data[:4] != MAGIC:
-        raise SerializationError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    return data[6]
+    return _header_view(data, len(MAGIC) + _HEADER.size)[6]
 
 
 def kind_name(kind: int) -> str:
@@ -130,32 +155,41 @@ def kind_name(kind: int) -> str:
 # ---------------------------------------------------------------------------
 
 class _Reader:
-    """Cursor over a payload that raises on any out-of-bounds read."""
+    """Cursor over the payload of an opened container (its ``kind`` and
+    ``word`` come from the header) that raises on any out-of-bounds read."""
 
-    __slots__ = ("data", "pos")
+    __slots__ = ("data", "pos", "kind", "word")
 
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview, kind: int, word: int):
         self.data = data
         self.pos = 0
+        self.kind = kind
+        self.word = word
 
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
+    def _need(self, count: int) -> int:
+        left = len(self.data) - self.pos
+        if count > left:
             raise SerializationError(
                 f"truncated payload: wanted {count} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:end]
-        self.pos = end
+                f"have {left}")
+        return left
+
+    def take(self, count: int) -> memoryview:
+        self._need(count)
+        chunk = self.data[self.pos:self.pos + count]
+        self.pos += count
         return chunk
 
     def unpack(self, fmt: struct.Struct):
         return fmt.unpack(self.take(fmt.size))
 
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
+    def expect_left(self, count: int) -> None:
+        """Exactly ``count`` unread bytes remain — checked before they are
+        decoded, so no allocation follows an unvalidated length."""
+        extra = self._need(count) - count
+        if extra:
             raise SerializationError(
-                f"trailing bytes: payload has {len(self.data) - self.pos} "
-                "unread bytes")
+                f"trailing bytes: payload has {extra} unread bytes")
 
 
 _U32 = struct.Struct("<I")
@@ -168,29 +202,37 @@ _META_HEAD = struct.Struct("<BII")  # domain, L, N
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _word_for_moduli(moduli: Sequence[int]) -> int:
-    return 4 if max(moduli).bit_length() <= 32 else 8
+def _container(kind: int, word: int, payload: bytes) -> bytes:
+    body = MAGIC + _HEADER.pack(FORMAT_VERSION, kind, word) + payload
+    return body + _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
 
 
-def _poly_rows(poly: RNSPolynomial) -> List[List[int]]:
-    """Current-domain residue rows as python ints (dtype-agnostic)."""
-    return active_backend().store_rows(poly.store())
+def _encode_polys(kind: int, head: bytes,
+                  polys: Sequence[RNSPolynomial]) -> bytes:
+    """The row-carrying container: ``head``, the meta block the polynomials
+    share, then each one's current-domain rows (one dispatch apiece)."""
+    moduli = polys[0].basis.moduli
+    word = 4 if max(moduli).bit_length() <= 32 else 8
+    parts = [head,
+             _META_HEAD.pack(_DOMAIN_TO_TAG[polys[0].domain], len(moduli),
+                             polys[0].ring_degree),
+             struct.pack(f"<{len(moduli)}Q", *moduli)]
+    backend = active_backend()
+    try:
+        parts.extend(backend.limbs_to_words(p.store(), word) for p in polys)
+    except ValueError as exc:  # a value that does not fit the word
+        raise SerializationError(str(exc)) from None
+    return _container(kind, word, b"".join(parts))
 
 
-def _encode_meta(poly: RNSPolynomial) -> bytes:
-    moduli = poly.basis.moduli
-    return (_META_HEAD.pack(_DOMAIN_TO_TAG[poly.domain], len(moduli),
-                            poly.ring_degree)
-            + struct.pack(f"<{len(moduli)}Q", *moduli))
+class _Meta(NamedTuple):
+    """The block the polynomials of one payload share."""
+    domain: str
+    ring_degree: int
+    basis: RNSBasis
 
 
-def _encode_rows(rows: Sequence[Sequence[int]], word: int) -> bytes:
-    code = "I" if word == 4 else "Q"
-    parts = [struct.pack(f"<{len(row)}{code}", *row) for row in rows]
-    return b"".join(parts)
-
-
-def _decode_meta(reader: _Reader) -> Tuple[str, int, int, Tuple[int, ...]]:
+def _decode_meta(reader: _Reader) -> _Meta:
     domain_tag, num_limbs, ring_degree = reader.unpack(_META_HEAD)
     if domain_tag not in _TAG_TO_DOMAIN:
         raise SerializationError(f"unknown domain tag {domain_tag}")
@@ -203,59 +245,45 @@ def _decode_meta(reader: _Reader) -> Tuple[str, int, int, Tuple[int, ...]]:
     moduli = struct.unpack(f"<{num_limbs}Q", reader.take(8 * num_limbs))
     if any(q < 2 for q in moduli):
         raise SerializationError("modulus smaller than 2")
-    return _TAG_TO_DOMAIN[domain_tag], num_limbs, ring_degree, moduli
-
-
-def _decode_rows(reader: _Reader, moduli: Sequence[int], ring_degree: int,
-                 word: int) -> List[List[int]]:
-    code = "I" if word == 4 else "Q"
-    row_fmt = struct.Struct(f"<{ring_degree}{code}")
-    rows = []
-    for q in moduli:
-        row = list(reader.unpack(row_fmt))
-        if max(row) >= q:
-            raise SerializationError(
-                f"residue out of range for modulus {q}")
-        rows.append(row)
-    return rows
-
-
-def _basis_for(moduli: Sequence[int]):
     try:
-        return _cached_basis(tuple(int(q) for q in moduli))
+        basis = _cached_basis(moduli)
     except ValueError as exc:
         raise SerializationError(f"invalid RNS basis: {exc}") from None
+    return _Meta(_TAG_TO_DOMAIN[domain_tag], ring_degree, basis)
 
 
-def _adopt(ring_degree: int, moduli: Sequence[int], rows: List[List[int]],
-           domain: str) -> RNSPolynomial:
-    basis = _basis_for(moduli)
-    store = active_backend().pack_limbs(rows, tuple(basis.moduli))
-    return RNSPolynomial._from_store(ring_degree, basis, store, domain=domain)
+def _decode_polys(reader: _Reader, meta: _Meta,
+                  count: int) -> List[RNSPolynomial]:
+    """The ``count`` polynomials under ``meta`` that end every row-carrying
+    payload: exactly ``count * L * N * word`` bytes, one dispatch apiece."""
+    domain, ring_degree, basis = meta
+    size = len(basis) * ring_degree * reader.word
+    reader.expect_left(count * size)
+    backend = active_backend()
+    try:
+        stores = [backend.limbs_from_words(reader.take(size), basis.moduli,
+                                           ring_degree, reader.word)
+                  for _ in range(count)]
+    except ValueError as exc:  # a residue that is not below its modulus
+        raise SerializationError(str(exc)) from None
+    return [RNSPolynomial._from_store(ring_degree, basis, store, domain=domain)
+            for store in stores]
 
 
-def _container(kind: int, word: int, payload: bytes) -> bytes:
-    body = MAGIC + _HEADER.pack(FORMAT_VERSION, kind, word) + payload
-    return body + _U32.pack(zlib.crc32(body) & 0xFFFFFFFF)
-
-
-def _open(data: bytes, expect_kind: "int | None" = None) -> Tuple[int, int, _Reader]:
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
-    if len(data) < len(MAGIC) + _HEADER.size + _U32.size:
-        raise SerializationError(
-            f"truncated payload: {len(data)} bytes is smaller than the "
-            "fixed container overhead")
-    if data[:4] != MAGIC:
-        raise SerializationError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    version, kind, word = _HEADER.unpack(data[4:8])
+def _open(data, expect_kind: "int | None" = None) -> _Reader:
+    """Validate the container — one header check, one checksum pass — and
+    return a reader over its payload.  An already opened reader passes
+    through, which is how :func:`deserialize` hands one on."""
+    if isinstance(data, _Reader):
+        return data
+    view = _header_view(data, len(MAGIC) + _HEADER.size + _U32.size)
+    version, kind, word = _HEADER.unpack_from(view, 4)
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"format version {version} not supported (this build speaks "
             f"version {FORMAT_VERSION})")
-    (crc_stored,) = _U32.unpack(data[-4:])
-    if zlib.crc32(data[:-4]) & 0xFFFFFFFF != crc_stored:
+    (crc_stored,) = _U32.unpack_from(view, len(view) - 4)
+    if zlib.crc32(view[:-4]) & 0xFFFFFFFF != crc_stored:
         raise CorruptPayloadError("checksum mismatch (truncated or corrupted)")
     if kind not in _KIND_NAMES:
         raise SerializationError(f"unknown kind tag {kind}")
@@ -265,7 +293,7 @@ def _open(data: bytes, expect_kind: "int | None" = None) -> Tuple[int, int, _Rea
         raise SerializationError(
             f"expected a {_KIND_NAMES[expect_kind]} payload, got "
             f"{_KIND_NAMES[kind]}")
-    return kind, word, _Reader(data[8:-4])
+    return _Reader(view[8:-4], kind, word)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +301,13 @@ def _open(data: bytes, expect_kind: "int | None" = None) -> Tuple[int, int, _Rea
 # ---------------------------------------------------------------------------
 
 def serialize_rns_polynomial(poly: RNSPolynomial) -> bytes:
-    word = _word_for_moduli(poly.basis.moduli)
-    payload = _encode_meta(poly) + _encode_rows(_poly_rows(poly), word)
-    return _container(KIND_RNS_POLY, word, payload)
+    return _encode_polys(KIND_RNS_POLY, b"", [poly])
 
 
-def deserialize_rns_polynomial(data: bytes) -> RNSPolynomial:
-    _, word, reader = _open(data, expect_kind=KIND_RNS_POLY)
-    domain, _, ring_degree, moduli = _decode_meta(reader)
-    rows = _decode_rows(reader, moduli, ring_degree, word)
-    reader.expect_end()
-    return _adopt(ring_degree, moduli, rows, domain)
+def deserialize_rns_polynomial(data) -> RNSPolynomial:
+    reader = _open(data, KIND_RNS_POLY)
+    (poly,) = _decode_polys(reader, _decode_meta(reader), 1)
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +315,23 @@ def deserialize_rns_polynomial(data: bytes) -> RNSPolynomial:
 # ---------------------------------------------------------------------------
 
 def serialize_ciphertext(ct: CKKSCiphertext) -> bytes:
-    word = _word_for_moduli(ct.c0.basis.moduli)
-    payload = (_CT_HEAD.pack(ct.level, float(ct.scale))
-               + _encode_meta(ct.c0)
-               + _encode_rows(_poly_rows(ct.c0), word)
-               + _encode_rows(_poly_rows(ct.c1), word))
-    return _container(KIND_CIPHERTEXT, word, payload)
+    return _encode_polys(KIND_CIPHERTEXT,
+                         _CT_HEAD.pack(ct.level, float(ct.scale)),
+                         [ct.c0, ct.c1])
 
 
-def deserialize_ciphertext(data: bytes) -> CKKSCiphertext:
-    _, word, reader = _open(data, expect_kind=KIND_CIPHERTEXT)
+def deserialize_ciphertext(data) -> CKKSCiphertext:
+    reader = _open(data, KIND_CIPHERTEXT)
     level, scale = reader.unpack(_CT_HEAD)
     if not math.isfinite(scale) or scale <= 0:
         raise SerializationError(f"invalid ciphertext scale {scale!r}")
-    domain, num_limbs, ring_degree, moduli = _decode_meta(reader)
-    if num_limbs != level + 1:
+    meta = _decode_meta(reader)
+    if len(meta.basis) != level + 1:
         raise SerializationError(
             f"ciphertext at level {level} must carry {level + 1} limbs, "
-            f"got {num_limbs}")
-    c0_rows = _decode_rows(reader, moduli, ring_degree, word)
-    c1_rows = _decode_rows(reader, moduli, ring_degree, word)
-    reader.expect_end()
-    return CKKSCiphertext(
-        c0=_adopt(ring_degree, moduli, c0_rows, domain),
-        c1=_adopt(ring_degree, moduli, c1_rows, domain),
-        level=level,
-        scale=scale,
-    )
+            f"got {len(meta.basis)}")
+    c0, c1 = _decode_polys(reader, meta, 2)
+    return CKKSCiphertext(c0=c0, c1=c1, level=level, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -333,49 +347,31 @@ def serialize_keyswitch_key(key: KeySwitchKey) -> bytes:
             raise SerializationError("digit keys must share one basis")
         if b.domain != first.domain or a.domain != first.domain:
             raise SerializationError("digit keys must share one domain")
-    word = _word_for_moduli(first.basis.moduli)
-    parts = [_KSK_HEAD.pack(key.level, len(key.digit_keys)),
-             _encode_meta(first)]
-    for b, a in key.digit_keys:
-        parts.append(_encode_rows(_poly_rows(b), word))
-        parts.append(_encode_rows(_poly_rows(a), word))
-    return _container(KIND_KSK, word, b"".join(parts))
+    return _encode_polys(KIND_KSK,
+                         _KSK_HEAD.pack(key.level, len(key.digit_keys)),
+                         [poly for pair in key.digit_keys for poly in pair])
 
 
-def deserialize_keyswitch_key(data: bytes) -> KeySwitchKey:
-    _, word, reader = _open(data, expect_kind=KIND_KSK)
+def deserialize_keyswitch_key(data) -> KeySwitchKey:
+    reader = _open(data, KIND_KSK)
     level, num_digits = reader.unpack(_KSK_HEAD)
     if level < 0:
         raise SerializationError(f"negative keyswitch level {level}")
     if not 1 <= num_digits <= _MAX_LIMBS:
         raise SerializationError(f"digit count {num_digits} out of range")
-    domain, _, ring_degree, moduli = _decode_meta(reader)
-    digit_keys = []
-    for _ in range(num_digits):
-        b_rows = _decode_rows(reader, moduli, ring_degree, word)
-        a_rows = _decode_rows(reader, moduli, ring_degree, word)
-        digit_keys.append((_adopt(ring_degree, moduli, b_rows, domain),
-                           _adopt(ring_degree, moduli, a_rows, domain)))
-    reader.expect_end()
-    return KeySwitchKey(level=level, digit_keys=digit_keys)
+    polys = _decode_polys(reader, _decode_meta(reader), 2 * num_digits)
+    return KeySwitchKey(level=level,
+                        digit_keys=list(zip(polys[0::2], polys[1::2])))
 
 
 def serialize_public_key(key: CKKSPublicKey) -> bytes:
-    word = _word_for_moduli(key.b.basis.moduli)
-    payload = (_encode_meta(key.b)
-               + _encode_rows(_poly_rows(key.b), word)
-               + _encode_rows(_poly_rows(key.a), word))
-    return _container(KIND_PUBLIC_KEY, word, payload)
+    return _encode_polys(KIND_PUBLIC_KEY, b"", [key.b, key.a])
 
 
-def deserialize_public_key(data: bytes) -> CKKSPublicKey:
-    _, word, reader = _open(data, expect_kind=KIND_PUBLIC_KEY)
-    domain, _, ring_degree, moduli = _decode_meta(reader)
-    b_rows = _decode_rows(reader, moduli, ring_degree, word)
-    a_rows = _decode_rows(reader, moduli, ring_degree, word)
-    reader.expect_end()
-    return CKKSPublicKey(b=_adopt(ring_degree, moduli, b_rows, domain),
-                         a=_adopt(ring_degree, moduli, a_rows, domain))
+def deserialize_public_key(data) -> CKKSPublicKey:
+    reader = _open(data, KIND_PUBLIC_KEY)
+    b, a = _decode_polys(reader, _decode_meta(reader), 2)
+    return CKKSPublicKey(b=b, a=a)
 
 
 def serialize_secret_key(key: CKKSSecretKey) -> bytes:
@@ -386,14 +382,14 @@ def serialize_secret_key(key: CKKSSecretKey) -> bytes:
     return _container(KIND_SECRET_KEY, 8, payload)
 
 
-def deserialize_secret_key(data: bytes) -> CKKSSecretKey:
-    _, _, reader = _open(data, expect_kind=KIND_SECRET_KEY)
+def deserialize_secret_key(data) -> CKKSSecretKey:
+    reader = _open(data, KIND_SECRET_KEY)
     (count,) = reader.unpack(_U32)
     if count < 1 or count > 1 << _MAX_LOG_DEGREE:
         raise SerializationError(f"coefficient count {count} out of range")
-    coeffs = struct.unpack(f"<{count}b", reader.take(count))
-    reader.expect_end()
-    return CKKSSecretKey(coefficients=tuple(coeffs))
+    reader.expect_left(count)
+    return CKKSSecretKey(
+        coefficients=struct.unpack(f"<{count}b", reader.take(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +420,7 @@ _DESERIALIZERS = {
 }
 
 
-def deserialize(data: bytes):
+def deserialize(data):
     """Deserialize any supported payload (dispatch on the kind tag)."""
-    kind, _, _ = _open(data)
-    return _DESERIALIZERS[kind](data)
+    reader = _open(data)
+    return _DESERIALIZERS[reader.kind](reader)

@@ -14,6 +14,7 @@ fallback and the comparison would be vacuous).
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -43,6 +44,7 @@ from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.polynomial import (
     Polynomial,
     automorphism_spec,
+    galois_eval_spec,
     monomial_spec,
     sample_uniform,
 )
@@ -652,6 +654,14 @@ class TestSingleRowIsStackOfOne:
             assert out == getattr(NUMPY, name)(*args), name
 
 
+def _public_kernels():
+    from repro.fhe.backend import ArithmeticBackend
+    return {
+        name for name in vars(ArithmeticBackend)
+        if not name.startswith("_") and callable(getattr(ArithmeticBackend, name))
+    }
+
+
 def test_every_public_kernel_has_a_caller():
     """Census: a public ``ArithmeticBackend`` method that nothing under
     ``src/repro`` references — other than its own definition and overrides —
@@ -661,12 +671,7 @@ def test_every_public_kernel_has_a_caller():
     import pathlib
 
     import repro
-    from repro.fhe.backend import ArithmeticBackend
 
-    kernels = {
-        name for name, member in vars(ArithmeticBackend).items()
-        if not name.startswith("_") and callable(getattr(ArithmeticBackend, name))
-    }
     referenced = set()
 
     class Visitor(ast.NodeVisitor):
@@ -683,7 +688,126 @@ def test_every_public_kernel_has_a_caller():
 
     for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
         Visitor().visit(ast.parse(path.read_text()))
-    assert sorted(kernels - referenced) == []
+    assert sorted(_public_kernels() - referenced) == []
+
+
+# ---------------------------------------------------------------------------
+# Store width: a 32-bit store is the same store
+# ---------------------------------------------------------------------------
+#
+# ``limbs_from_words`` leaves 4-byte wire words as uint32 rows; every kernel
+# widens what it reads (``NumpyBackend._matrix``).  The census below keeps
+# that true for kernels not written yet: each public kernel either takes no
+# store, or has a case here that runs it on 64-bit, 32-bit and mixed copies
+# of one reduced input.
+
+#: Public kernels that never receive a store: the single-row (list) kernels
+#: and the ones that make a store out of something else.
+STORELESS_KERNELS = {
+    "add", "sub", "neg", "mul", "scalar_mul", "sub_scaled", "weighted_sum",
+    "signed_permute", "gadget_decompose", "pointwise_mac", "pointwise_mac_many",
+    "ntt_forward", "ntt_inverse", "negacyclic_convolution",
+    "four_step_ntt", "four_step_intt", "cyclic_ntt_batch",
+    "limbs_zero", "reduce_limbs", "sample_uniform_limbs", "limbs_from_words",
+}
+
+
+def _width_cases(moduli, n, seed):
+    """``{kernel: run}`` with ``run(backend, store)`` applying the kernel to
+    fixed reduced inputs, every store operand built by ``store(rows)``.
+    Values stay below 2^32 so a 32-bit copy of each input exists."""
+    rng = random.Random(seed)
+
+    def rows(mods):
+        return [[rng.randrange(min(q, 1 << 32)) for _ in range(n)] for q in mods]
+
+    a, b, c, d, e, f = (rows(moduli) for _ in range(6))
+    contexts = [NTTContext(n, q) for q in moduli]
+    q = moduli[0]
+    wave = (q,) * 4
+    w, v = rows(wave), rows(wave)
+    matrix = [[rng.randrange(min(q, 1 << 32)) for _ in range(3)] for _ in range(n)]
+    scalars = [rng.randrange(m) for m in moduli]
+    perm, gather = automorphism_spec(n, 5), galois_eval_spec(n, 5)
+    plan = _bconv_plan(RNSBasis(moduli[:2]), RNSBasis(moduli[2:]))
+    factors = [q // (1 << (6 * (j + 1))) for j in range(3)]
+
+    def eval_mac(k, s):
+        handles = [(k.limbs_eval_key(contexts, s(c)), k.limbs_eval_key(contexts, s(d)))
+                   for _ in range(2)]
+        return k.limbs_eval_mac(contexts, [s(a), s(b)], handles)
+
+    return {
+        "store_rows": lambda k, s: k.store_rows(s(a)),
+        "pack_limbs": lambda k, s: k.pack_limbs(s(a), moduli),
+        "unpack_limbs": lambda k, s: k.unpack_limbs(s(a)),
+        "limbs_to_words": lambda k, s: [k.limbs_to_words(s(a), 8)] + (
+            [k.limbs_to_words(s(a), 4)] if max(moduli) < 1 << 32 else []),
+        "limbs_add": lambda k, s: k.limbs_add(s(a), s(b), moduli),
+        "limbs_sub": lambda k, s: k.limbs_sub(s(a), s(b), moduli),
+        "limbs_neg": lambda k, s: k.limbs_neg(s(a), moduli),
+        "limbs_mul": lambda k, s: k.limbs_mul(s(a), s(b), moduli),
+        "limbs_scalar_mul": lambda k, s: k.limbs_scalar_mul(s(a), scalars, moduli),
+        "batched_sub_scaled": lambda k, s: [
+            k.batched_sub_scaled(s(a), s(b), scalars, moduli),
+            k.batched_sub_scaled(s(a), s(b)[0], scalars, moduli, b_modulus=q),
+        ],
+        "bconv_matmul": lambda k, s: k.bconv_matmul(s(a[:2]), plan),
+        "batched_ntt": lambda k, s: k.batched_ntt(contexts, s(a)),
+        "batched_intt": lambda k, s: k.batched_intt(contexts, s(a)),
+        "stacked_ntt": lambda k, s: k.stacked_ntt(contexts, [s(a), s(b)]),
+        "stacked_intt": lambda k, s: k.stacked_intt(contexts, [s(a), s(b)]),
+        "limbs_convolution": lambda k, s: k.limbs_convolution(contexts, s(a), s(b)),
+        "limbs_eval_key": eval_mac,
+        "limbs_eval_mac": eval_mac,
+        "limbs_tensor_product": lambda k, s: k.limbs_tensor_product(
+            s(a), s(b), s(c), s(d), moduli),
+        "stacked_gather": lambda k, s: k.stacked_gather([s(a), s(b), s(c)], gather),
+        "stacked_pmult_mac": lambda k, s: k.stacked_pmult_mac(
+            [s(a), s(b)], [s(c), s(d)], [s(e), s(f)], moduli),
+        "replicate_row": lambda k, s: k.replicate_row(s(a)[0], moduli),
+        "limbs_signed_permute": lambda k, s: k.limbs_signed_permute(s(a), moduli, perm),
+        "limbs_gather": lambda k, s: k.limbs_gather(s(a), gather),
+        "ntt_forward_batch": lambda k, s: k.ntt_forward_batch(contexts[0], s(w)),
+        "ntt_inverse_batch": lambda k, s: k.ntt_inverse_batch(contexts[0], s(w)),
+        "rows_monomial_multiply": lambda k, s: k.rows_monomial_multiply(
+            s(w), q, [3, n + 5], 2),
+        "gadget_decompose_rows": lambda k, s: k.gadget_decompose_rows(s(w), q, factors),
+        "external_product_mac": lambda k, s: k.external_product_mac(s(w), s(v), 2, q),
+        "mat_mulmod": lambda k, s: k.mat_mulmod(s(w), s(matrix), q),
+    }
+
+
+def _plain(value):
+    """Kernel output as nested python lists; an array must be 64-bit."""
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.uint64
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+def test_every_store_kernel_has_a_width_case():
+    cases = set(_width_cases(tuple(modmath.find_ntt_primes(30, 32, 4)), 32, 0))
+    assert not cases & STORELESS_KERNELS
+    assert _public_kernels() == cases | STORELESS_KERNELS
+
+
+@pytest.mark.parametrize("bits", [30, 36], ids=["word32", "word64-reads-narrow"])
+def test_store_kernels_ignore_store_width(bits):
+    """64-bit, 32-bit and mixed-width copies of one reduced input give
+    bit-identical 64-bit output, equal to golden.  At 36 bits the narrow
+    store is what a 4-byte-word blob over wide moduli decodes to."""
+    n = 32
+    moduli = tuple(modmath.find_ntt_primes(bits, n, 4))
+    for name, run in _width_cases(moduli, n, bits).items():
+        golden = _plain(run(PYTHON, lambda rows: rows))
+        for widths in ((np.uint64,), (np.uint32,),
+                       (np.uint32, np.uint64), (np.uint64, np.uint32)):
+            width = itertools.cycle(widths)
+            out = run(NUMPY, lambda rows: np.array(rows, dtype=next(width)))
+            assert _plain(out) == golden, (name, widths)
 
 
 def _key_material_digest(params, backend):

@@ -32,6 +32,8 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fhe.backend import PythonBackend
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
@@ -435,6 +437,42 @@ def test_secret_key_refused_at_encode_time_both_envelopes():
             + _U16.pack(1) + _U32.pack(len(blob)) + blob)
     with pytest.raises(SecretKeyOnWireError):
         decode_envelope(body)
+
+
+_SECRET_BLOB = serialize_secret_key(_keyed(TOY).secret)
+
+
+def _request_body(blob: bytes) -> bytes:
+    return (_U8.pack(TAG_REQUEST) + _U64.pack(1)
+            + _U16.pack(len(b"dense")) + b"dense"
+            + _F64.pack(float("nan"))
+            + _U16.pack(1) + _U32.pack(len(blob)) + blob)
+
+
+@given(position=st.integers(0, 1 << 16), flip=st.integers(1, 255),
+       cut=st.integers(0, 1 << 16),
+       buffer=st.sampled_from([bytes, bytearray, memoryview]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_secret_key_guard_holds_under_mutation(position, flip, cut, buffer):
+    """Whatever happens behind the 8 header bytes — a flipped byte, a cut
+    body, a stale checksum — a blob that says it is a secret key is refused
+    in both directions, from any buffer type."""
+    blob = bytearray(_SECRET_BLOB)
+    blob[8 + position % (len(blob) - 8)] ^= flip
+    del blob[8 + cut % (len(blob) - 7):]
+    with pytest.raises(SecretKeyOnWireError):
+        encode_envelope(Request(request_id=1, program="dense",
+                                payloads=[buffer(blob)]))
+    with pytest.raises(SecretKeyOnWireError):
+        decode_envelope(_request_body(bytes(blob)))
+
+
+def test_payloads_pack_identically_from_any_buffer_type():
+    expected = _request_body(_CT_BLOB)
+    for buffer in (bytes, bytearray, memoryview):
+        request = Request(request_id=1, program="dense",
+                          payloads=[buffer(_CT_BLOB)])
+        assert encode_envelope(request) == expected
 
 
 def test_gateway_refuses_secret_key_frames_and_hangs_up():

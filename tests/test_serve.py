@@ -22,10 +22,17 @@ and fault-injection tests run on the pure-python backend and are part of
 the no-numpy CI leg.
 """
 
+import hashlib
 import random
+import struct
+import zlib
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.fhe import modmath
 from repro.fhe.backend import PythonBackend, available_backends, use_backend
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
@@ -37,7 +44,7 @@ from repro.fhe.ckks.keys import (
 from repro.fhe.params import CKKSParameters
 from repro.fhe.polynomial import Polynomial
 from repro.fhe.program import HETrace, LRUCache, ProgramExecutor
-from repro.fhe.rns import RNSPolynomial
+from repro.fhe.rns import RNSBasis, RNSPolynomial
 from repro.serve import (
     CorruptPayloadError,
     ExecutionError,
@@ -520,6 +527,396 @@ class TestSerializationValidation:
         with pytest.raises(SerializationError, match="must carry"):
             deserialize_ciphertext(
                 wire._container(wire.KIND_CIPHERTEXT, 8, bytes(payload)))
+
+
+# ---------------------------------------------------------------------------
+# The wire format is pinned, and the codec moves arrays
+# ---------------------------------------------------------------------------
+
+#: The two pinned sets of ``TestKeyMaterialPinned``: 8-byte and 4-byte words.
+WIRE_SETS = {
+    "small-40bit": CKKSParameters.small(ring_degree=256, max_level=3),
+    "word-30bit": CKKSParameters(
+        ring_degree=256, max_level=4, dnum=2, scale_bits=26, modulus_bits=30,
+        special_modulus_bits=32, security_bits=0),
+}
+
+
+def _wire_values(params):
+    """One value of every row-carrying kind, from real key generation and a
+    real (symmetric, integer-message) encryption — no encoder, so the same
+    bytes exist on the no-numpy leg.  Built under the active backend."""
+    keys = _keyed(params)
+    n, basis = params.ring_degree, params.basis()
+    mask = RNSPolynomial.sample_uniform(n, basis, random.Random(0xF4E5))
+    message = RNSPolynomial.from_integer_coefficients(n, basis, list(range(-8, 9)))
+    fresh = CKKSCiphertext(
+        c0=message - mask * keys.secret.as_rns(n, basis), c1=mask,
+        level=params.max_level, scale=float(params.scale))
+    element = galois_element_for_rotation(n, 1)
+    return {
+        "ciphertext-coeff": fresh,
+        "ciphertext-eval": CKKSCiphertext(
+            fresh.c0.to_eval(), fresh.c1.to_eval(), fresh.level, fresh.scale),
+        "rns-polynomial": fresh.c0.keep_limbs(2),
+        "relinearization-key": keys.relinearization_key(1),
+        "galois-key": keys.galois_key(element, params.max_level),
+        "public-key": keys.public,
+    }
+
+
+class TestWireFormatPinned:
+    """``FORMAT_VERSION`` 1 did not move — as a test, not a claim.
+
+    The digests were recorded at the commit *before* the row codec became a
+    backend kernel (one ``struct.pack`` per row over ``store_rows()``
+    lists), where both backends already wrote the same bytes.
+    """
+
+    PINNED = {
+        "small-40bit": {
+            "ciphertext-coeff": "ada5a4459a6be1c3f32d35488a7ad0b7f33c622745b4b7964b092d399481af5e",
+            "ciphertext-eval": "2bbf3b0df563125eb90b4ac62fac3de665d559f3ec5659b878b8937ea5d3791c",
+            "rns-polynomial": "c3e5a76a9e9037050018bed7b0a8089db4aca293277b17527dc8c2fa85b00432",
+            "relinearization-key": "d6fcb176a82bec03b3ce950c263944f274377985374a96c6a2e9d909f25dddbd",
+            "galois-key": "f06589ce7e916d72b11a8890b81cf591efd1f07755972392e7c0c95684e8acee",
+            "public-key": "e3669f302db004ac70a52f391efa412d9943d23ade257bc509389e67d1a26084",
+        },
+        "word-30bit": {
+            "ciphertext-coeff": "720bd7b8aa1bb0eba8327bf89a2b56eee3aa1bafd86ff2bf24cd9881a6fd682b",
+            "ciphertext-eval": "b9b13b563a7829094b3233bc0439d9af93d002853bc074cf6ba20613ad6f4be9",
+            "rns-polynomial": "5b09797cf80bbab12d3c242fea3eb79451c0a7e7e9fa5034ca5463c0364780fd",
+            "relinearization-key": "17a2782d82766f38ff13062f9a3e806174fcee4056c3deeb33290a04cdf8e3ee",
+            "galois-key": "b54a2e9d8c1c1da481035762037134e6bfc67bc29150a86d84ea08a8d53d5de4",
+            "public-key": "78e5e4a6a842994bd3da95a5a6ab5e17d3b54ab7f146b9bb2a82c7c8ecd0c778",
+        },
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_blob_digests_match_parent_commit(self, name, backend):
+        with use_backend(backend):
+            blobs = {kind: serialize(value)
+                     for kind, value in _wire_values(WIRE_SETS[name]).items()}
+            assert {kind: hashlib.sha256(blob).hexdigest()
+                    for kind, blob in blobs.items()} == self.PINNED[name]
+            word = 8 if name == "small-40bit" else 4
+            for blob in blobs.values():
+                assert blob[7] == word
+                assert serialize(deserialize(blob)) == blob
+
+
+#: 28..32 bits run the single-word kernels, 36 and 62 the Montgomery ones;
+#: 63 is above the vectorised cap, so numpy hands the rows to the golden codec.
+ROUND_TRIP_WIDTHS = (28, 29, 30, 31, 32, 36, 62, 63)
+ROUND_TRIP_N = 16
+
+
+@lru_cache(maxsize=None)
+def _round_trip_prime(bits, index):
+    return modmath.find_ntt_prime(bits, ROUND_TRIP_N, index=index)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@given(widths=st.lists(st.sampled_from(ROUND_TRIP_WIDTHS), min_size=1, max_size=4),
+       domain=st.sampled_from(["coeff", "eval"]), seed=st.integers(0, 1 << 32))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_round_trip_any_width_at_every_level(backend, widths, domain, seed):
+    """Level ``len(widths) - 1`` ciphertexts over mixed-width bases: rows,
+    domain, basis and the blob itself survive the round trip."""
+    moduli = [_round_trip_prime(bits, widths[:i].count(bits))
+              for i, bits in enumerate(widths)]
+    basis = RNSBasis(moduli)
+    rng = random.Random(seed)
+    rows = [[[0, q - 1] + [rng.randrange(q) for _ in range(ROUND_TRIP_N - 2)]
+             for q in moduli] for _ in range(2)]
+    with use_backend(backend):
+        c0, c1 = (RNSPolynomial._from_store(
+            ROUND_TRIP_N, basis, backend.pack_limbs(part, tuple(moduli)),
+            domain=domain) for part in rows)
+        blob = serialize_ciphertext(
+            CKKSCiphertext(c0, c1, level=len(moduli) - 1, scale=2.0 ** 20))
+        assert blob[7] == (4 if max(widths) <= 32 else 8)
+        back = deserialize_ciphertext(blob)
+        assert (back.level, back.scale) == (len(moduli) - 1, 2.0 ** 20)
+        assert back.c0.domain == back.c1.domain == domain
+        assert back.c0.basis == basis
+        assert [backend.store_rows(p.store()) for p in (back.c0, back.c1)] == rows
+        assert serialize_ciphertext(back) == blob
+
+
+def _uniform_ct(params, seed):
+    """A ciphertext whose stores the active backend sampled (packed arrays
+    on numpy — nothing is waiting to be packed on first use)."""
+    rng = random.Random(seed)
+    n, basis = params.ring_degree, params.basis()
+    return CKKSCiphertext(
+        c0=RNSPolynomial.sample_uniform(n, basis, rng),
+        c1=RNSPolynomial.sample_uniform(n, basis, rng),
+        level=params.max_level, scale=float(params.scale))
+
+
+@needs_numpy
+@pytest.mark.parametrize("params", [TOY, PARAM_SETS[3]], ids=["word8", "word4"])
+def test_numpy_round_trip_never_builds_python_int_rows(params):
+    """A counting shim as the active backend: no ``store_rows`` /
+    ``pack_limbs`` / ``unpack_limbs`` dispatch, nested ones included."""
+    seen = []
+
+    class Counting(NumpyBackend):
+        def store_rows(self, store):
+            seen.append("store_rows")
+            return super().store_rows(store)
+
+        def pack_limbs(self, rows, moduli):
+            seen.append("pack_limbs")
+            return super().pack_limbs(rows, moduli)
+
+        def unpack_limbs(self, store):
+            seen.append("unpack_limbs")
+            return super().unpack_limbs(store)
+
+    with use_backend(Counting(min_vector_length=0, min_ntt_length=0)):
+        ct = _uniform_ct(params, 17)
+        assert seen == []
+        back = deserialize_ciphertext(serialize_ciphertext(ct))
+        assert seen == []
+        assert _rows(back) == _rows(ct)
+        assert seen != []           # the shim does count: reading rows dispatches
+
+
+@needs_numpy
+def test_decoded_store_rests_at_wire_width_until_a_kernel_reads_it():
+    """N=1024, L=8 — the serve workloads' ciphertext.  Contents are compared
+    through ``coefficient_rows()``; the width is a property of the store at
+    rest only (kernel outputs are 64-bit as ever)."""
+    narrow = CKKSParameters(
+        ring_degree=1024, max_level=8, dnum=3, scale_bits=26, modulus_bits=30,
+        special_modulus_bits=32, security_bits=0)
+    wide = CKKSParameters.small(ring_degree=1024, max_level=8)
+    for params, word in ((narrow, 4), (wide, 8)):
+        with use_backend(PACKED):
+            ct = _uniform_ct(params, 29)
+            blob = serialize_ciphertext(ct)
+            back = deserialize_ciphertext(blob)
+            stores = [back.c0.store(), back.c1.store()]
+            assert sum(store.nbytes for store in stores) == 2 * 9 * 1024 * word
+            # Each store owns its rows: neither the blob nor the other
+            # polynomial is kept alive through a view.
+            assert all(store.base is None for store in stores)
+            assert _rows(back) == _rows(ct)
+            total = back.c0 + back.c1
+            assert total.store().dtype.itemsize == 8
+            assert _poly_rows(total) == _poly_rows(ct.c0 + ct.c1)
+            assert serialize_ciphertext(back) == blob
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+def test_value_outside_the_word_is_a_typed_encode_error(backend):
+    """Was ``struct.error`` from the golden path; a plain ``astype`` would
+    have shipped the low 32 bits instead."""
+    params = PARAM_SETS[3]
+    n, basis = params.ring_degree, params.basis(1)
+    moduli = tuple(basis.moduli)
+
+    def poly_with(value, pack=True):
+        rows = [[1] * n for _ in moduli]
+        rows[1][5] = value
+        store = backend.pack_limbs(rows, moduli) if pack else rows
+        return RNSPolynomial._from_store(n, basis, store)
+
+    with use_backend(backend):
+        with pytest.raises(SerializationError, match="limb 1 holds .* 4-byte word"):
+            serialize_rns_polynomial(poly_with(1 << 33))
+        with pytest.raises(SerializationError, match="limb 1 holds .* 4-byte word"):
+            serialize_rns_polynomial(poly_with(1 << 33, pack=False))
+        # In [q, 2^32) it is not the encoder's call: the value ships, and
+        # the decoder refuses it.
+        blob = serialize_rns_polynomial(poly_with(moduli[1]))
+        with pytest.raises(SerializationError,
+                           match=f"residue out of range for modulus {moduli[1]}"):
+            deserialize_rns_polynomial(blob)
+        wide_basis = TOY.basis(1)
+        rows = [[1] * TOY.ring_degree for _ in wide_basis]
+        rows[0][0] = 1 << 64
+        with pytest.raises(SerializationError, match="limb 0 holds .* 8-byte word"):
+            serialize_rns_polynomial(
+                RNSPolynomial._from_store(TOY.ring_degree, wide_basis, rows))
+
+
+@lru_cache(maxsize=None)
+def _valid_blobs():
+    """``(loader, blob)`` for all five kinds, in 8-byte and 4-byte words."""
+    out = []
+    with use_backend(PYTHON):
+        for params in (TOY, PARAM_SETS[3]):
+            keys = _keyed(params)
+            out += [
+                (deserialize_ciphertext,
+                 serialize_ciphertext(_random_ct(params, 8, level=1))),
+                (deserialize_rns_polynomial,
+                 serialize_rns_polynomial(_random_poly(params, 9, level=0))),
+                (deserialize_keyswitch_key,
+                 serialize_keyswitch_key(keys.relinearization_key(0))),
+                (deserialize_public_key, serialize_public_key(keys.public)),
+                (deserialize_secret_key, serialize_secret_key(keys.secret)),
+            ]
+    return tuple(out)
+
+
+def test_one_checksum_pass_per_blob_from_any_buffer_type(monkeypatch):
+    """Generic ``deserialize`` used to open the container twice."""
+    passes = []
+    crc32 = zlib.crc32
+    monkeypatch.setattr(
+        zlib, "crc32", lambda *args: passes.append(len(args[0])) or crc32(*args))
+    for load, blob in _valid_blobs():
+        for buffer in (blob, bytearray(blob), memoryview(blob)):
+            for entry in (load, deserialize):
+                with use_backend(PYTHON):
+                    del passes[:]
+                    value = entry(buffer)
+                    assert passes == [len(blob) - 4]
+                    assert serialize(value) == blob
+            assert wire.payload_kind(buffer) == blob[6]
+
+
+def _restamped(blob) -> bytes:
+    """``blob`` under a fresh checksum, so a mutation reaches the body."""
+    return bytes(blob[:-4]) + struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
+
+
+def _only_typed_errors(blob):
+    try:
+        return deserialize(blob)
+    except SerializationError:
+        return None
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+class TestDecoderFuzz:
+    """Random and mutated bytes into ``deserialize``: a value or a
+    :class:`SerializationError` subclass comes out, nothing else."""
+
+    @given(raw=st.binary(max_size=96), kind=st.integers(0, 7),
+           word=st.sampled_from([4, 8, 0, 2, 16]), body=st.binary(max_size=160))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_bytes(self, backend, raw, kind, word, body):
+        with use_backend(backend):
+            for blob in (raw, wire.MAGIC + raw, bytearray(raw),
+                         wire._container(kind, word, body)):
+                _only_typed_errors(blob)
+
+    @given(which=st.integers(0, 9), flip=st.integers(1, 255),
+           position=st.one_of(st.integers(0, 80), st.integers(0, 1 << 20)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_one_flipped_byte(self, backend, which, position, flip):
+        _, blob = _valid_blobs()[which]
+        broken = bytearray(blob)
+        broken[position % (len(blob) - 4)] ^= flip
+        with use_backend(backend):
+            # Under the old checksum no flip gets past the container...
+            with pytest.raises(SerializationError):
+                deserialize(bytes(broken))
+            # ...and re-stamped, the body decoders meet it.
+            _only_typed_errors(_restamped(broken))
+
+    #: Payload offsets (after the 8 container bytes) of every u32/i32 length
+    #: or count field, by position in ``_valid_blobs()``: level, digit count,
+    #: L, N, secret coefficient count.
+    FIELDS = {0: (8, 21, 25), 1: (9, 13), 2: (8, 12, 17, 21), 3: (9, 13), 4: (8,)}
+
+    @given(which=st.integers(0, 9), pick=st.integers(0, 3),
+           value=st.one_of(
+               st.sampled_from([0, 1, 2, 3, 0xFFFF, 1 << 16, (1 << 16) + 1,
+                                1 << 26, 1 << 27, 1 << 31, (1 << 32) - 1]),
+               st.integers(0, (1 << 32) - 1)))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_one_rewritten_length_field(self, backend, which, pick, value):
+        _, blob = _valid_blobs()[which]
+        offsets = self.FIELDS[which % 5]
+        broken = bytearray(blob)
+        struct.pack_into("<I", broken, offsets[pick % len(offsets)], value)
+        with use_backend(backend):
+            _only_typed_errors(_restamped(broken))
+
+
+def _recording(base, **kwargs):
+    """A ``base`` backend whose row decoder records what it is handed and
+    insists it is exactly the rows the header promised."""
+    class Recording(base):
+        def limbs_from_words(self, words, moduli, length, word):
+            assert len(words) == len(moduli) * length * word
+            self.decoded.append(len(words))
+            return super().limbs_from_words(words, moduli, length, word)
+
+    backend = Recording(**kwargs)
+    backend.decoded = []
+    return backend
+
+
+RECORDERS = [lambda: _recording(PythonBackend)]
+if not numpy_missing:
+    RECORDERS.append(
+        lambda: _recording(NumpyBackend, min_vector_length=0, min_ntt_length=0))
+
+
+@pytest.mark.parametrize("recorder", RECORDERS, ids=BACKEND_IDS)
+def test_no_row_is_decoded_from_an_unvalidated_length(recorder, monkeypatch):
+    """A header that claims more rows than the payload holds is refused
+    before the row decoder (``struct`` / ``np.frombuffer``) sees a byte."""
+    backend = recorder()
+    if backend.name == "numpy":
+        import numpy as np
+        frombuffer = np.frombuffer
+        monkeypatch.setattr(np, "frombuffer", lambda *args, **kwargs: (
+            backend.decoded.append("frombuffer"), frombuffer(*args, **kwargs))[1])
+    with use_backend(backend):
+        for which in (0, 1, 2, 3, 5, 6, 7, 8):
+            load, blob = _valid_blobs()[which]
+            degree_at = TestDecoderFuzz.FIELDS[which % 5][-1]
+            (degree,) = struct.unpack_from("<I", blob, degree_at)
+            claims = [(degree_at, 2 * degree)]              # twice the ring
+            if which % 5 == 2:
+                (digits,) = struct.unpack_from("<I", blob, 12)
+                claims.append((12, digits + 1))             # one more digit
+            for offset, value in claims:
+                broken = bytearray(blob)
+                struct.pack_into("<I", broken, offset, value)
+                with pytest.raises(SerializationError, match="truncated payload"):
+                    load(_restamped(broken))
+                assert backend.decoded == []
+            # Half the ring is a *shorter* claim: trailing bytes, same rule.
+            broken = bytearray(blob)
+            struct.pack_into("<I", broken, degree_at, degree // 2)
+            with pytest.raises(SerializationError, match="trailing bytes"):
+                load(_restamped(broken))
+            assert backend.decoded == []
+            load(blob)
+            assert backend.decoded != []
+            del backend.decoded[:]
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+@pytest.mark.parametrize("params", [TOY, PARAM_SETS[3]], ids=["word8", "word4"])
+def test_residue_range_is_checked_at_every_corner(backend, params):
+    """First and last coefficient of the first and last limb."""
+    with use_backend(PYTHON):
+        blob = serialize_rns_polynomial(_random_poly(params, 9, level=1))
+    word, degree = blob[7], params.ring_degree
+    moduli = struct.unpack_from("<2Q", blob, 17)
+    rows_at = 17 + 2 * 8        # container 8, meta head 9, two moduli
+    for limb in (0, 1):
+        for index in (0, degree - 1):
+            broken = bytearray(blob)
+            struct.pack_into("<I" if word == 4 else "<Q", broken,
+                             rows_at + (limb * degree + index) * word,
+                             moduli[limb])
+            with use_backend(backend):
+                with pytest.raises(
+                        SerializationError,
+                        match=f"residue out of range for modulus {moduli[limb]}"):
+                    deserialize_rns_polynomial(_restamped(broken))
 
 
 # ---------------------------------------------------------------------------
