@@ -19,10 +19,12 @@ registered:
   switches to Shoup/Montgomery reduction built on an emulated 64x64 ->
   128-bit multiply (32-bit limb splitting), so results stay exact with no
   overflow for every modulus the parameter sets produce (<= 61 bits).  The
-  word size is read off the moduli; there is no switch to set.  Moduli that
-  do not fit this scheme (>= 2^62, or even moduli above 2^32) transparently
-  fall back to the python backend, as do tiny vectors where conversion
-  overhead would dominate.
+  negacyclic NTT of <= 32-bit moduli is the four-step split as two exact
+  float64 matrix products on BLAS; wider moduli keep Harvey-lazy stage
+  loops.  The word size is read off the moduli; there is no switch to set.
+  Moduli that do not fit this scheme (>= 2^62, or even moduli above 2^32)
+  transparently fall back to the python backend, as do tiny vectors where
+  conversion overhead would dominate.
 
 Selection
 ---------
@@ -960,14 +962,19 @@ class PythonBackend(ArithmeticBackend):
 # coefficient row is the stack of one; a TFHE wave (any number of rows under
 # one modulus) also uses ``L = 1`` constants, because a leading axis of one
 # broadcasts over the rows for free.  The only thing that differs between
-# parameter sets is the *word size* of the fixed-operand (Shoup) constants:
+# parameter sets is the *word size*, read off the moduli:
 #
 # * word 32 — every modulus fits 32 bits, so a product of two reduced values
-#   fits one 64-bit word: direct single-word butterflies, ``beta = 2^32``
-#   constants, values fully reduced after every step;
+#   fits one 64-bit word: ``beta = 2^32`` Shoup constants, values fully
+#   reduced after every step.  The transform is the four-step split written
+#   as two exact matrix products on BLAS (:class:`_MatrixNTT`) — Trinity's
+#   NTTU phase and CU MAC-array phase — so an ``N``-point row is read about
+#   thirty times instead of ``13 log2 N`` times;
 # * word 64 — moduli up to 62 bits: Harvey-lazy butterflies over an emulated
 #   64x64 -> 128-bit multiply (32-bit limb splitting), ``beta = 2^64``
-#   constants, and Montgomery reduction where both operands vary.
+#   constants, and Montgomery reduction where both operands vary.  (The
+#   quotient of a 62-bit modulus does not fit a float64, so the matrix form
+#   stops at word 32.)
 #
 # Transforms branch on it in :func:`_ntt` / :func:`_intt`, fixed-operand
 # products in :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`;
@@ -1153,29 +1160,186 @@ if _np is not None:
         v = _np.minimum(v, v - (q + q))
         return _np.minimum(v, v - q)
 
-    class _NTTTables:
-        """Shoup twiddle tables for a tuple of same-degree NTT contexts.
+    def _exact_digits(inner: int, bits: int) -> tuple:
+        """``(digits, digit_bits)`` of an exact float64 matrix product.
 
-        Twiddles are ``(L, n)`` matrices (row ``i`` under
-        ``contexts[i].modulus``) and per-limb constants ``(L, 1)`` columns,
-        so a stage loop transforms every limb of an ``(..., L, n)`` stack at
-        once under its own modulus.  A single context is ``L = 1``, which
-        also serves any number of rows under that one modulus.  ``fwd`` /
-        ``inv`` / ``n_inv`` are :func:`_fixed_operand` tuples in the table's
-        ``word`` size; ``r`` is ``R = 2^64 mod q`` (always a word-64
-        operand), which :func:`_eval_mul` uses on that path to leave the
-        Montgomery domain in one REDC.
-        ``fwd_stages`` / ``inv_stages`` are the same twiddles cut into the
-        per-stage ``(L, m, 1)`` views the butterflies multiply by, in stage
-        order, so the stage loops slice nothing.
+        The budget rule of :class:`_ExactMatrix`: a fixed matrix is cut into
+        ``digits`` centred digits of magnitude at most ``2^(digit_bits-1)``,
+        and a dot product of ``inner`` of them with values below ``2^bits``
+        must stay below ``2^53`` — then every partial sum is an integer a
+        float64 holds exactly, whatever order (or FMA, or thread count) BLAS
+        sums in.  The quotient estimate sums ``inner`` terms below
+        ``2^bits / 2`` with one rounding each for ``w/q``, the product, the
+        running sum and the final ``- 1/4``; it must land within ``1/4``.
+        """
+        x_max = (1 << bits) - 1
+        # (inner + 3) * 2^-53 * inner * x_max / 2 < 1/4
+        if (inner + 3) * inner * x_max >= 1 << 52:
+            raise ValueError(
+                f"no exact float64 product for {inner} terms of {bits} bits")
+        digits = 1
+        while x_max * (1 << (-(-bits // digits) - 1)) * inner >= 1 << 53:
+            digits += 1
+        return digits, -(-bits // digits)
 
-        Tables of several contexts are concatenated from the cached
-        single-context tables (``singles``), so a modulus pays for its
-        Shoup constants once however many bases it appears in.
+    class _ExactMatrix:
+        """A fixed matrix modulo ``q < 2^32`` that multiplies exactly on BLAS.
+
+        The residues are centred into ``(-q/2, q/2]`` and cut into centred
+        digits (:func:`_exact_digits`), each kept as a float64 matrix, most
+        significant first; ``quot`` holds ``w / q``.  A product with reduced
+        float64 values is then one ``np.matmul`` per digit — exact integers
+        below ``2^53`` — plus one for the quotient estimate, which is within
+        ``1/4`` of ``sum / q``; so ``floor(quot - 1/4)`` is the true
+        quotient or one less, and ``sum - floor(...) * q``, recombined in
+        wrapping 64-bit words, lands in ``[0, 2q)``.
         """
 
-        __slots__ = ("n", "word", "key_form", "q", "q2", "q_s", "q2_s", "fwd",
-                     "inv", "fwd_stages", "inv_stages", "n_inv", "r", "mont")
+        __slots__ = ("digits", "quot", "shift", "q")
+
+        def __init__(self, residues, q: int):
+            inner = residues.shape[0]
+            count, digit_bits = _exact_digits(inner, q.bit_length())
+            rest = _np.where(residues > q // 2, residues - q, residues)
+            self.quot = rest / float(q)
+            half = 1 << (digit_bits - 1)
+            digits = []
+            for _ in range(count - 1):
+                low = ((rest + half) & (2 * half - 1)) - half
+                rest = (rest - low) // (2 * half)
+                digits.append(low)
+            digits.append(rest)
+            assert all(abs(d).max() <= half for d in digits), (inner, q)
+            self.digits = [d.astype(_np.float64) for d in reversed(digits)]
+            self.shift = _np.uint64(digit_bits)
+            self.q = _np.uint64(q)
+
+        def product(self, f, left: bool):
+            """``M @ f`` (``left``) or ``f @ M`` modulo ``q``, in ``[0, 2q)``.
+
+            ``f`` is a float64 ``(..., R, C)`` stack of values below
+            ``2^bits(q)``; the result is a fresh uint64 array of its shape.
+            """
+            # On the right the whole stack is one GEMM, not one per matrix.
+            flat = f if left else f.reshape(-1, f.shape[-1])
+
+            def matmul(m):
+                return _np.matmul(m, flat) if left else _np.matmul(flat, m)
+
+            quot = matmul(self.quot)
+            quot -= 0.25
+            _np.floor(quot, out=quot)
+            # Through int64: the sums are signed, the words wrap.
+            acc = matmul(self.digits[0]).astype(_np.int64).view(_np.uint64)
+            for digit in self.digits[1:]:
+                acc <<= self.shift
+                acc += matmul(digit).astype(_np.int64).view(_np.uint64)
+            quot = quot.astype(_np.int64).view(_np.uint64)
+            quot *= self.q
+            acc -= quot
+            return acc.reshape(f.shape)
+
+    class _MatrixNTT:
+        """The word-32 negacyclic NTT of one ``(N, q)`` as two matrix products.
+
+        A row is viewed as an ``R x C`` matrix (``R = 2^floor(log2(N)/2)``):
+        with ``i = C i1 + i2`` and ``k = k1 + R k2``, and ``psi^(2N) = 1``,
+
+            ``X[k] = sum_i2 psi^(2R k2 i2) psi^(i2 (2 k1 + 1))
+                     sum_i1 psi^(C i1 (2 k1 + 1)) x[i1, i2]``
+
+        — left-multiply by the ``R x R`` negacyclic matrix, twiddle
+        element-wise (:func:`_shoup32_mul`), right-multiply by the ``C x C``
+        cyclic matrix.  Output slot ``(a, b)`` of the bit-reversed order the
+        golden transform produces holds ``X[brv_R(a) + R brv_C(b)]``, so the
+        permutation is the row order of the first matrix and the column
+        order of the second: no transpose, gather or copy.  The inverse is
+        the mirrored flow with ``n^-1`` folded into its twiddles.  Both
+        products are :class:`_ExactMatrix`; ``lazy`` says the first one's
+        ``[0, 2q)`` residue already meets the twiddle's ``y < 2^32``.
+        """
+
+        __slots__ = ("shape", "q", "lazy", "fwd", "inv")
+
+        def __init__(self, context):
+            n, q = context.ring_degree, context.modulus
+            rows = 1 << ((n.bit_length() - 1) // 2)
+            cols = n // rows
+            self.shape = (-1, rows, cols)
+            self.q = _np.uint64(q)
+            self.lazy = 2 * q <= 1 << 32
+            i1 = _np.arange(rows, dtype=_np.int64)
+            i2 = _np.arange(cols, dtype=_np.int64)
+            k1 = _np.array(_bit_reverse_indices(rows), dtype=_np.int64)
+            k2 = _np.array(_bit_reverse_indices(cols), dtype=_np.int64)
+
+            def build(powers, scale):
+                table = _np.array(powers, dtype=_np.int64)
+
+                def power(exponent):
+                    # psi^N = -1; no power of psi is zero.
+                    value = table[exponent % n]
+                    return _np.where(exponent % (2 * n) >= n, q - value, value)
+
+                twiddle = power(_np.outer(2 * k1 + 1, i2)).ravel().tolist()
+                twiddle = _fixed_operand([[w * scale for w in twiddle]], (q,), 32)
+                return (
+                    power(cols * _np.outer(2 * k1 + 1, i1)),    # [k1, i1]
+                    tuple(w.reshape(rows, cols) for w in twiddle),
+                    power(2 * rows * _np.outer(i2, k2)),        # [i2, k2]
+                )
+
+            left, twiddle, right = build(context._psi_powers, 1)
+            self.fwd = (_ExactMatrix(left, q), twiddle, _ExactMatrix(right, q))
+            left, twiddle, right = build(context._psi_inv_powers, context.n_inv)
+            # Copies, so the digit matrices come out in C order like the
+            # forward ones (transposed views make the products ~10% slower).
+            self.inv = (_ExactMatrix(right.T.copy(), q), twiddle,
+                        _ExactMatrix(left.T.copy(), q))
+
+        def transform(self, x, out, inverse: bool) -> None:
+            """NTT (or its inverse) of the rows of ``x`` into ``out``.
+
+            Both are ``(rows, N)`` uint64, ``x`` reduced below ``q`` (the
+            digit budget is sized for it); ``out`` comes out reduced.
+            """
+            first, twiddle, second = self.inv if inverse else self.fwd
+            y = first.product(
+                x.astype(_np.float64).reshape(self.shape), left=not inverse)
+            if not self.lazy:
+                y = _np.minimum(y, y - self.q)
+            y = _shoup32_mul(y, *twiddle, self.q)
+            z = second.product(y.astype(_np.float64), left=inverse)
+            z = z.reshape(out.shape)
+            _np.minimum(z, z - self.q, out=out)
+
+    class _NTTTables:
+        """Transform tables for a tuple of same-degree NTT contexts.
+
+        Per-limb constants are ``(L, 1)`` columns, so a kernel handles every
+        limb of an ``(..., L, n)`` stack at once under its own modulus; a
+        single context is ``L = 1``, which also serves any number of rows
+        under that one modulus.  What the transform itself reads depends on
+        ``word``:
+
+        * word 32 — ``matrix`` lists one :class:`_MatrixNTT` per context.
+          The matrices live once per ``(N, q)`` in the cached single-context
+          tables and are applied limb by limb; a tuple of contexts only
+          collects references, so a modulus costs the same memory however
+          many bases it appears in.
+        * word 64 — ``fwd`` / ``inv`` are ``(L, n)`` Shoup twiddle matrices
+          (:func:`_fixed_operand` tuples, concatenated from the
+          single-context tables), ``fwd_stages`` / ``inv_stages`` the same
+          twiddles cut into the per-stage ``(L, m, 1)`` views the
+          butterflies multiply by, in stage order, so the stage loops slice
+          nothing; ``n_inv`` scales the inverse, and ``r`` is
+          ``R = 2^64 mod q``, which :func:`_eval_mul` uses to leave the
+          Montgomery domain in one REDC.
+        """
+
+        __slots__ = ("n", "word", "key_form", "q", "mont", "matrix",
+                     "q2", "q_s", "q2_s", "fwd", "inv", "fwd_stages",
+                     "inv_stages", "n_inv", "r")
 
         def __init__(self, contexts, word: int, mont, singles=None):
             moduli = [ctx.modulus for ctx in contexts]
@@ -1186,6 +1350,12 @@ if _np is not None:
             self.key_form = f"numpy{word}"
             self.mont = mont
             self.q = _np.array(moduli, dtype=_np.uint64)[:, None]
+            if word == 32:
+                self.matrix = (
+                    [_MatrixNTT(contexts[0])] if singles is None
+                    else [single.matrix[0] for single in singles]
+                )
+                return
             self.q2 = self.q * _np.uint64(2)
             # Trailing axis for the (..., L, blocks, t) butterfly views.
             self.q_s = self.q[:, :, None]
@@ -1213,56 +1383,26 @@ if _np is not None:
                 for m in reversed(starts)
             ]
 
-    def _forward_stages32(x, tabs):
-        """Cooley-Tukey stages with direct single-word products (word 32).
+    def _matrix_transform(tabs, x, inverse: bool):
+        """The word-32 core: each limb's rows through its :class:`_MatrixNTT`.
 
-        ``x`` is ``(..., L, n)`` and is transformed in place, every row
-        independently.  Values stay fully reduced (< q) at every stage, so
-        each butterfly operand satisfies the ``y < 2^32`` Shoup
-        precondition.  Conditional subtraction uses the wraparound trick
-        ``min(v, v - q)``: when ``v < q`` the subtraction wraps to a huge
-        value and ``min`` keeps ``v``, else it keeps the reduced value.
+        ``x`` is ``(..., L, n)``, or any ``(rows, n)`` under an ``L = 1``
+        table: both are ``(-1, L, n)``, limb ``i`` at ``[:, i]``.
         """
-        q_s = tabs.q_s
-        lead = x.shape[:-1]
-        t = tabs.n
-        m = 1
-        for twiddles in tabs.fwd_stages:
-            t //= 2
-            blocks = x.reshape(lead + (m, 2 * t))
-            u = blocks[..., :t]
-            v = _shoup32_mul(blocks[..., t:], *twiddles, q_s)
-            s = u + v                                      # < 2q
-            d = u - v                                      # wraps when negative
-            _np.minimum(s, s - q_s, out=blocks[..., :t])   # < q
-            _np.minimum(d, d + q_s, out=blocks[..., t:])   # < q
-            m *= 2
-        return x
-
-    def _inverse_stages32(x, tabs):
-        """Gentleman-Sande stages with direct single-word products (word 32)."""
-        q_s = tabs.q_s
-        lead = x.shape[:-1]
-        t = 1
-        h = tabs.n
-        for twiddles in tabs.inv_stages:
-            h //= 2
-            blocks = x.reshape(lead + (h, 2 * t))
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = u + v
-            d = u - v
-            d = _np.minimum(d, d + q_s)                    # < q
-            _np.minimum(s, s - q_s, out=blocks[..., :t])   # < q
-            blocks[..., t:] = _shoup32_mul(d, *twiddles, q_s)
-            t *= 2
-        return x
+        stack = x.reshape(-1, len(tabs.matrix), tabs.n)
+        out = _np.empty(stack.shape, dtype=_np.uint64)
+        for i, matrix in enumerate(tabs.matrix):
+            matrix.transform(stack[:, i], out[:, i], inverse)
+        return out.reshape(x.shape)
 
     def _forward_stages64(x, tabs):
         """Cooley-Tukey stages with Harvey lazy reduction (word 64).
 
         In place over ``(..., L, n)``; accepts and produces values below
-        ``4q`` (the caller reduces once at the end).
+        ``4q`` (the caller reduces once at the end).  Conditional
+        subtraction uses the wraparound trick ``min(v, v - q)``: when
+        ``v < q`` the subtraction wraps to a huge value and ``min`` keeps
+        ``v``, else it keeps the reduced value.
         """
         q_s = tabs.q_s
         q2_s = tabs.q2_s
@@ -1303,19 +1443,24 @@ if _np is not None:
     def _ntt(tabs, x):
         """Forward negacyclic NTT of every row of ``x``, fully reduced.
 
-        ``x`` is a fresh contiguous ``(..., L, n)`` array the stage loops may
-        own (it is transformed in place); inputs may be anywhere below ``2q``.
+        ``x`` is a uint64 ``(..., L, n)`` array and is only read.  Word-32
+        rows arrive reduced below ``q`` — the exact-product digit budget is
+        sized for it; stores are reduced by contract and the list-in kernels
+        reduce through :meth:`NumpyBackend._to_array`.  Word-64 rows may be
+        anywhere below ``2q``.
         """
         if tabs.word == 32:
-            return _forward_stages32(x, tabs)
-        x = _forward_stages64(x, tabs)
+            return _matrix_transform(tabs, x, inverse=False)
+        x = _forward_stages64(x.copy(), tabs)
         x = _np.minimum(x, x - tabs.q2)
         return _np.minimum(x, x - tabs.q)
 
     def _intt(tabs, x):
         """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
-        stages = _inverse_stages32 if tabs.word == 32 else _inverse_stages64
-        return _fixed_mul(stages(x, tabs), tabs.n_inv, tabs.q, tabs.word)
+        if tabs.word == 32:
+            return _matrix_transform(tabs, x, inverse=True)
+        x = _inverse_stages64(x.copy(), tabs)
+        return _fixed_mul(x, tabs.n_inv, tabs.q, 64)
 
     def _eval_mul(tabs, x, key):
         """Pointwise ``x * key mod q_i`` of two transforms, fully reduced.
@@ -1368,8 +1513,9 @@ if _np is not None:
             self.omega_rows_inv = pow(context.omega_inv, cols, q)
             self.omega_cols_inv = pow(context.omega_inv, rows, q)
             self.psi_w, self.psi_lo, self.psi_hi = _shoup_split(context._psi_powers, q)
+            # The inverse twist carries the ``n^-1`` scaling.
             self.psi_inv_w, self.psi_inv_lo, self.psi_inv_hi = _shoup_split(
-                context._psi_inv_powers, q
+                [p * context.n_inv for p in context._psi_inv_powers], q
             )
             self.tw_w, self.tw_lo, self.tw_hi = _shoup_split(
                 context.four_step_twiddles(rows), q
@@ -1395,6 +1541,15 @@ class NumpyBackend(ArithmeticBackend):
     list-in / list-out contract of the interface — they reduce unreduced
     input and cross over to the python backend below the thresholds — and
     run the same array cores as the limb-stack kernels on a ``(1, N)`` view.
+
+    Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`,
+    which pick one of two cores from the moduli: two exact float64 matrix
+    products per row when every modulus fits 32 bits (the only float path
+    in the backend — exact by a digit budget fixed when the table is built,
+    not by a tolerance, so BLAS threading or summation order cannot change
+    a bit), Harvey-lazy stage loops otherwise.  Tables are cached per
+    context tuple in :meth:`_tables`; what costs memory is held once per
+    ``(N, q)``.
     """
 
     name = "numpy"
@@ -1562,14 +1717,15 @@ class NumpyBackend(ArithmeticBackend):
         return digits
 
     def _tables(self, contexts, word: "int | None" = None) -> "_NTTTables | None":
-        """Twiddle tables for a tuple of same-degree NTT contexts.
+        """Transform tables for a tuple of same-degree NTT contexts.
 
         ``None`` when the vectorized transforms cannot serve them (ring
         below the crossover, mixed degrees, or a modulus that is even or
         above 2^62: the lazy butterflies keep values in ``[0, 4q)``, so
         ``4q`` must fit a word).  ``word`` is chosen from the moduli; the
         argument exists so a multi-limb table can ask for its single-context
-        parts in its own word size.
+        parts — where the word-32 matrices and the word-64 Shoup twiddles
+        are built, once per ``(n, q)`` — in its own word size.
         """
         if not contexts:
             return None
@@ -1950,7 +2106,7 @@ class NumpyBackend(ArithmeticBackend):
         x = self._matrix(store)
         if tabs is None or x is None:
             return super().limbs_eval_key(contexts, store)
-        payload = _ntt(tabs, _eval_mul(tabs, None, x).copy())
+        payload = _ntt(tabs, _eval_mul(tabs, None, x))
         return (tabs.key_form, payload, store)
 
     def limbs_eval_mac(self, contexts, digit_stores, key_handles):
@@ -2058,7 +2214,7 @@ class NumpyBackend(ArithmeticBackend):
         if tabs is None:
             return None
         if isinstance(rows, _np.ndarray):
-            return core(tabs, self._matrix(rows).copy())
+            return core(tabs, self._matrix(rows))
         q = context.modulus
         return core(tabs, _np.stack([self._to_array(row, q) for row in rows])).tolist()
 
@@ -2208,8 +2364,7 @@ class NumpyBackend(ArithmeticBackend):
     def four_step_intt(self, context, values, rows):
         n = context.ring_degree
         q = context.modulus
-        tabs = self._tables((context,))
-        if tabs is None:
+        if self._tables((context,)) is None:
             return super().four_step_intt(context, values, rows)
         cols = n // rows
         fs = self._four_step(context, rows)
@@ -2224,9 +2379,8 @@ class NumpyBackend(ArithmeticBackend):
         flat = _np.minimum(flat, flat - q_u)
         columns = self._cyclic_core(flat.reshape(cols, rows), fs.omega_rows_inv, q)
         twisted = _np.ascontiguousarray(columns.T).reshape(-1)
-        # Scale by n^-1, then undo the psi twist.
-        x = _fixed_mul(twisted, tabs.n_inv, tabs.q, tabs.word)[0]
-        x = _shoup_mul_lazy(x, fs.psi_inv_w, fs.psi_inv_lo, fs.psi_inv_hi, q_u)
+        # Undo the psi twist and scale by n^-1 in one multiply.
+        x = _shoup_mul_lazy(twisted, fs.psi_inv_w, fs.psi_inv_lo, fs.psi_inv_hi, q_u)
         return _np.minimum(x, x - q_u).tolist()
 
 

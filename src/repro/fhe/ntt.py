@@ -10,7 +10,11 @@ NTT-substituted TFHE of the paper:
   decomposition of a large NTT into two passes of smaller NTTs with a twisting
   step in between.  This mirrors exactly the hardware split used by Trinity
   (NTTU computes phase-1, the CUs compute phase-2), and it is validated
-  against the direct transform in the tests.
+  against the direct transform in the tests.  The numpy backend's own
+  transform core for moduli up to 32 bits *is* that split — phase 1 and
+  phase 2 as two exact matrix products with the twiddle in between
+  (``repro.fhe.backend._MatrixNTT``) — so every CKKS limb and TFHE wave
+  transform runs it, not only these two functions.
 
 The transforms execute on the active :mod:`repro.fhe.backend`
 (:func:`~repro.fhe.backend.active_backend`): the exact pure-Python reference

@@ -109,7 +109,12 @@ _DOMAIN_TO_TAG = {"coeff": 0, "eval": 1}
 _TAG_TO_DOMAIN = {0: "coeff", 1: "eval"}
 
 _HEADER = struct.Struct("<HBB")  # version, kind, word — after the 4-byte magic
-_MAX_LIMBS = 1 << 16
+# Four times the longest in-tree chain (``ckks-default``: 36 + 12 special =
+# 48 limbs).  The count is checked before the moduli are read: ``RNSBasis``
+# runs a pairwise gcd and one ``product // q`` per limb, which a header
+# announcing 65536 distinct moduli would turn into ~2e9 gcd calls.  Digit
+# counts share the bound (a keyswitch key has at most one digit per limb).
+_MAX_LIMBS = 4 * 48
 _MAX_LOG_DEGREE = 26
 
 

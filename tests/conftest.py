@@ -21,6 +21,10 @@ import pytest
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: a whole example script run end to end (seconds)")
+    # The numpy word-32 transforms run through float64: a NaN or an
+    # out-of-range float -> int cast shows only as numpy's "invalid value
+    # encountered in cast" RuntimeWarning.
+    config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")

@@ -16,6 +16,8 @@ fallback and the comparison would be vacuous).
 import hashlib
 import itertools
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ try:
 except ImportError:  # the whole module is skipped below
     np = None
 
+from repro.fhe import backend as backend_module
 from repro.fhe import modmath
 from repro.fhe.backend import (
     NumpyBackend,
@@ -652,6 +655,154 @@ class TestSingleRowIsStackOfOne:
             out = getattr(default, name)(*args)
             assert out == getattr(PYTHON, name)(*args), name
             assert out == getattr(NUMPY, name)(*args), name
+
+
+# ---------------------------------------------------------------------------
+# The word-32 transform core: two exact matrix products
+# ---------------------------------------------------------------------------
+#
+# ``_ntt`` / ``_intt`` at word 32 are float64 matrix products whose
+# exactness is a budget, not a tolerance: these cases hold the budget rule
+# itself, the tables it sizes, and the transforms against the golden loops.
+
+@lru_cache(maxsize=None)
+def _matrix_context(n, bits, index):
+    return NTTContext(n, modmath.find_ntt_prime(bits, n, index=index))
+
+
+def _golden_rows(golden, contexts, x):
+    """``golden`` (python ``ntt_forward`` / ``ntt_inverse``) over every row
+    of ``x``, row ``(..., i, :)`` under ``contexts[i % len(contexts)]``."""
+    flat = x.reshape(-1, x.shape[-1])
+    return np.array(
+        [golden(contexts[i % len(contexts)], row.tolist())
+         for i, row in enumerate(flat)], dtype=np.uint64).reshape(x.shape)
+
+
+class TestMatrixNTT:
+    def _check(self, contexts, x, tabs=None):
+        tabs = tabs or NUMPY._tables(contexts)
+        assert tabs.word == 32
+        before = x.copy()
+        fwd = backend_module._ntt(tabs, x)
+        assert fwd.dtype == np.uint64 and fwd.shape == x.shape
+        assert np.array_equal(fwd, _golden_rows(PYTHON.ntt_forward, contexts, x))
+        assert np.array_equal(backend_module._intt(tabs, fwd), x)
+        assert np.array_equal(
+            backend_module._intt(tabs, x),
+            _golden_rows(PYTHON.ntt_inverse, contexts, x))
+        assert np.array_equal(x, before)          # inputs are only read
+        return tabs
+
+    @given(log_n=st.integers(2, 12), bits=st.integers(20, 32),
+           shape=st.sampled_from(["limbs", "stack", "wave"]),
+           seed=st.integers(0, 1 << 32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_golden_transforms(self, log_n, bits, shape, seed):
+        n = 1 << log_n
+        bits = max(bits, log_n + 3)         # room for three 2N | q - 1 primes
+        limbs, count = {"limbs": (3, 1), "stack": (3, 2), "wave": (1, 5)}[shape]
+        contexts = tuple(_matrix_context(n, bits, i) for i in range(limbs))
+        rng = np.random.default_rng(seed)
+        flat = np.stack([
+            rng.integers(0, ctx.modulus, size=(count, n), dtype=np.uint64)
+            for ctx in contexts], axis=1)
+        # Edge rows: all zero, all q - 1, and q - 1 against a zero stride.
+        flat[0, 0] = 0
+        flat[-1, -1] = contexts[-1].modulus - 1
+        flat[-1, 0, ::2] = contexts[0].modulus - 1
+        # (L, n), (C, L, n), and (rows, n) under the L = 1 table of a wave.
+        x = {"limbs": flat[0], "stack": flat, "wave": flat[:, 0]}[shape]
+        self._check(contexts, x)
+        if shape == "limbs":
+            # A 32-bit store is the same store.
+            narrow = NUMPY.batched_ntt(contexts, x.astype(np.uint32))
+            assert np.array_equal(narrow, NUMPY.batched_ntt(contexts, x))
+            assert _rows(narrow) == [
+                PYTHON.ntt_forward(ctx, row.tolist()) for ctx, row in zip(contexts, x)]
+
+    @pytest.mark.parametrize("n,bits,inner,digits", [
+        # K = 128 at 32 bits: two 16-bit digits would reach 2^54.
+        (8192, 32, 128, 3),
+        (16384, 30, 128, 2),
+    ])
+    def test_large_rings_take_the_digits_the_budget_asks_for(
+            self, n, bits, inner, digits):
+        context = _matrix_context(n, bits, 0)
+        assert context.modulus.bit_length() == bits
+        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        q = context.modulus
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, q, size=(3, 1, n), dtype=np.uint64)
+        x[1] = q - 1
+        x[2, 0, ::2] = 0
+        tabs = self._check((context,), x, backend._tables((context,)))
+        (matrix,) = tabs.matrix
+        for first, _, second in (matrix.fwd, matrix.inv):
+            widest = max((first, second), key=lambda m: m.quot.shape[0])
+            assert widest.quot.shape == (inner, inner)
+            assert len(widest.digits) == digits
+
+    def test_budget_rule(self):
+        """Every plan ``_exact_digits`` returns keeps each digit dot product
+        below 2^53 and the quotient estimate within 1/4 — and is the
+        smallest such plan."""
+        exact_digits = backend_module._exact_digits
+        unit = Fraction(1, 1 << 53)
+        for inner in (1 << k for k in range(0, 10)):
+            for bits in range(2, 33):
+                x_bound = (1 << bits) - 1
+                digits, digit_bits = exact_digits(inner, bits)
+                assert digits * digit_bits >= bits
+                assert x_bound * (1 << (digit_bits - 1)) * inner < 1 << 53
+                if digits > 1:
+                    fewer = -(-bits // (digits - 1))
+                    assert x_bound * (1 << (fewer - 1)) * inner >= 1 << 53
+                # ``inner`` terms below x_bound / 2, rounded at ``w / q``, at
+                # the product, in the running sum and at the final ``- 1/4``.
+                error = (inner + 3) * unit * inner * Fraction(x_bound, 2)
+                assert error < Fraction(1, 4)
+        with pytest.raises(ValueError, match="no exact float64 product"):
+            exact_digits(1 << 10, 32)
+
+    @pytest.mark.parametrize("n,bits", [(256, 31), (1024, 30), (2048, 32), (64, 20)])
+    def test_tables_stay_inside_the_budget(self, n, bits):
+        """The matrices a table holds: digits recombine to the residues, no
+        digit exceeds its bound, and the float64 quotient estimate of the
+        worst rows is within 1/4 of the exact rational."""
+        context = _matrix_context(n, bits, 0)
+        q = context.modulus
+        (matrix,) = NUMPY._tables((context,)).matrix
+        rng = np.random.default_rng(bits)
+        for first, _, second in (matrix.fwd, matrix.inv):
+            for m in (first, second):
+                inner = m.quot.shape[0]
+                digits, digit_bits = backend_module._exact_digits(inner, bits)
+                assert len(m.digits) == digits and int(m.shift) == digit_bits
+                assert all(np.abs(d).max() <= 1 << (digit_bits - 1) for d in m.digits)
+                centred = [[int(v) for v in row] for row in np.rint(m.quot * q)]
+                value = [[0] * inner for _ in range(inner)]
+                for digit in m.digits:
+                    value = [[(v << digit_bits) + int(d) for v, d in zip(vr, dr)]
+                             for vr, dr in zip(value, digit)]
+                assert value == centred
+                assert all(2 * abs(v) < q for row in centred for v in row)
+                columns = np.stack([
+                    np.full(inner, q - 1), np.where(m.quot[0] > 0, q - 1, 0),
+                    rng.integers(0, q, size=inner)], axis=1).astype(np.float64)
+                estimate = np.matmul(m.quot, columns)
+                for i, row in enumerate(centred):
+                    for j in range(columns.shape[1]):
+                        exact = Fraction(
+                            sum(w * int(x) for w, x in zip(row, columns[:, j])), q)
+                        assert abs(Fraction(float(estimate[i, j])) - exact) < Fraction(1, 4)
+
+    def test_context_tuples_share_a_modulus_matrices(self):
+        a, b, c = (_matrix_context(64, 30, i) for i in range(3))
+        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        first, second = backend._tables((a, b)), backend._tables((b, c))
+        assert first.matrix[1] is second.matrix[0] is backend._tables((b,)).matrix[0]
+        assert first.matrix[0] is not first.matrix[1]
 
 
 def _public_kernels():

@@ -919,6 +919,44 @@ def test_residue_range_is_checked_at_every_corner(backend, params):
                     deserialize_rns_polynomial(_restamped(broken))
 
 
+@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+def test_limb_count_is_bounded_before_a_basis_is_built(backend, monkeypatch):
+    """A header may announce at most ``_MAX_LIMBS`` limbs (digits): one more
+    is refused before ``RNSBasis`` — a pairwise gcd and a big-integer
+    division per limb — sees a modulus; the bound itself still decodes."""
+    bound, degree = wire._MAX_LIMBS, 2
+    moduli = [3]
+    while len(moduli) <= bound:
+        moduli.append(modmath.next_prime(moduli[-1]))
+
+    def poly(count):
+        return RNSPolynomial._from_store(
+            degree, RNSBasis(moduli[:count]),
+            backend.pack_limbs([[q - 1, 0] for q in moduli[:count]],
+                               tuple(moduli[:count])))
+
+    with use_backend(backend):
+        at_bound, over = (serialize_rns_polynomial(poly(count))
+                          for count in (bound, bound + 1))
+        ksk = bytearray(_valid_blobs()[2][1])
+        struct.pack_into("<I", ksk, 12, bound + 1)
+        built = []
+        init = RNSBasis.__init__
+        monkeypatch.setattr(RNSBasis, "__init__", lambda self, moduli: (
+            built.append(len(moduli)), init(self, moduli))[1])
+        for blob in (over, _restamped(over[:17] + over[-4:])):  # whole, header only
+            with pytest.raises(SerializationError,
+                               match=f"limb count {bound + 1} out of range"):
+                deserialize_rns_polynomial(blob)
+        with pytest.raises(SerializationError,
+                           match=f"digit count {bound + 1} out of range"):
+            deserialize_keyswitch_key(_restamped(ksk))
+        assert built == []
+        back = deserialize_rns_polynomial(at_bound)
+        assert len(back.basis) == bound
+        assert _poly_rows(back) == tuple((q - 1, 0) for q in moduli[:bound])
+
+
 # ---------------------------------------------------------------------------
 # Cache behavior
 # ---------------------------------------------------------------------------
