@@ -40,6 +40,7 @@ without it degrades gracefully to the python backend (with a warning).
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import struct
@@ -73,6 +74,17 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Largest modulus bit-length the numpy backend handles without falling back.
 NUMPY_MAX_MODULUS_BITS = 62
+
+#: How close to a half-integer a block gaussian draw may come before it is
+#: recomputed with ``math.*`` (``NumpyBackend.sample_error_limbs``): numpy's
+#: ``log`` / ``cos`` / ``sin`` are not guaranteed bit-equal to libm's, so the
+#: block draw returns the scalar loop's integers whenever the two agree to
+#: this much on ``z * sigma``.  Measured over 2^20 draws at sigma = 3.2: the
+#: floats differ in 0.14% of entries, by at most 1.8e-15 — 2^29 times less.
+_GAUSS_GUARD = 2.0 ** -20
+#: ... which holds while the draws stay small: at ``|z * sigma| <= 8.6 * 2^16``
+#: a float64 ulp is 2^-33.  A wider ``sigma`` takes the scalar loop.
+_GAUSS_MAX_STDDEV = float(1 << 16)
 
 
 @lru_cache(maxsize=64)
@@ -227,14 +239,15 @@ class ArithmeticBackend:
     # codec: the only path without numpy and for moduli above the
     # vectorised word cap.
     #
-    # Two more kernels *create* stores, so key generation and encryption never
-    # build per-coefficient Python lists around the arithmetic:
-    # ``reduce_limbs`` (signed integers -> residue rows, one dispatch) and
-    # ``sample_uniform_limbs`` (uniform residues drawn from a
-    # ``random.Random``).  The sampler's contract is stronger than
-    # bit-exact output: every override must also leave the generator in the
-    # state the golden ``randrange`` loop leaves it in, so keys and
-    # ciphertexts are identical across backends for one seed.
+    # Three more kernels *create* stores, so key generation and encryption
+    # never build per-coefficient Python lists around the arithmetic:
+    # ``reduce_limbs`` (signed integers -> residue rows, one dispatch) and the
+    # two samplers ``sample_uniform_limbs`` / ``sample_error_limbs`` (uniform
+    # residues, a rounded-gaussian polynomial, drawn from a
+    # ``random.Random``).  A sampler's contract is stronger than bit-exact
+    # output: every override must also leave the generator in the state the
+    # golden scalar loop leaves it in, so keys and ciphertexts are identical
+    # across backends for one seed.
     #
     # The family is not CKKS-only: nothing requires the row moduli to
     # differ.  A TFHE PBS wave is the same store with ``moduli = (q,) *
@@ -342,6 +355,17 @@ class ArithmeticBackend:
         ``rng`` in the same state.
         """
         return [[rng.randrange(q) for _ in range(length)] for q in moduli]
+
+    def sample_error_limbs(self, rng, moduli, length: int, stddev: float) -> object:
+        """A store of one rounded-gaussian polynomial under every modulus.
+
+        The golden path is ``round(rng.gauss(0.0, stddev))``, ``length``
+        times, then :meth:`reduce_limbs`.  The contract is the uniform
+        sampler's: overrides return the same residues *and* leave ``rng`` —
+        its ``gauss_next`` included — in the same state.
+        """
+        draws = [round(rng.gauss(0.0, stddev)) for _ in range(length)]
+        return self.reduce_limbs(draws, moduli, length)
 
     def limbs_add(self, a, b, moduli):
         return [
@@ -1950,6 +1974,60 @@ class NumpyBackend(ArithmeticBackend):
                 row[filled:filled + values.size] = values
                 filled += values.size
         return out
+
+    def sample_error_limbs(self, rng, moduli, length, stddev):
+        # ``rng.gauss`` makes two draws from two ``random()`` calls — ``z =
+        # cos(2 pi u0) * sqrt(-2 log(1 - u1))``, its ``sin`` twin parked in
+        # ``rng.gauss_next`` for the next call — so whole pairs come from one
+        # block of the generator and only the ends are scalar: a twin left
+        # pending by an earlier caller is taken first, and a trailing odd
+        # draw leaves its own twin behind, both by ``rng.gauss`` itself.
+        if (
+            type(rng) is not random.Random or not self._moduli_fit(moduli)
+            or not abs(stddev) <= _GAUSS_MAX_STDDEV
+        ):
+            return super().sample_error_limbs(rng, moduli, length, stddev)
+        draws = _np.empty(length, dtype=_np.int64)
+        head = 1 if length and rng.gauss_next is not None else 0
+        pairs = (length - head) // 2
+        if head:
+            draws[0] = round(rng.gauss(0.0, stddev))
+        if pairs:
+            draws[head:head + 2 * pairs] = self._gauss_pairs(rng, pairs, stddev)
+        if head + 2 * pairs < length:
+            draws[-1] = round(rng.gauss(0.0, stddev))
+        return self.reduce_limbs(draws, moduli, length)
+
+    @staticmethod
+    def _gauss_pairs(rng, pairs: int, stddev: float):
+        """``2 * pairs`` values of ``round(rng.gauss(0.0, stddev))`` as int64,
+        consuming ``rng`` as the scalar calls do (``gauss_next`` is ``None``
+        before and after)."""
+        # Four generator words per pair, in stream order; ``random()`` is the
+        # top 27 bits of one word and the top 26 of the next over 2^53.
+        raw = rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little")
+        words = _np.frombuffer(raw, dtype="<u4").reshape(pairs, 4)
+        uniform = (
+            (words[:, 0::2] >> 5) * 67108864.0 + (words[:, 1::2] >> 6)
+        ) / 9007199254740992.0
+        # Products, the division and ``sqrt`` are correctly rounded in numpy
+        # and in ``math`` alike; ``1 - u1 > 0``, so ``log`` raises nothing.
+        x2pi = uniform[:, 0] * random.TWOPI
+        g2rad = _np.sqrt(-2.0 * _np.log(1.0 - uniform[:, 1]))
+        z = _np.stack(
+            [_np.cos(x2pi) * g2rad, _np.sin(x2pi) * g2rad], axis=1
+        ).reshape(-1) * stddev                      # ``0.0 + x`` is exact
+        rounded = _np.rint(z)                       # half-even, as ``round``
+        # ``log`` / ``cos`` / ``sin`` may differ from libm in the last bits:
+        # whatever lands near a rounding boundary is redone the scalar way
+        # from its own two uniforms.
+        near = _np.abs(z - _np.floor(z) - 0.5) <= _GAUSS_GUARD
+        for index in _np.flatnonzero(near).tolist():
+            u0, u1 = uniform[index // 2].tolist()
+            wave = math.sin if index % 2 else math.cos
+            exact = wave(u0 * random.TWOPI) * math.sqrt(-2.0 * math.log(1.0 - u1))
+            rounded[index] = round(0.0 + exact * stddev)
+        return rounded.astype(_np.int64)
 
     def replicate_row(self, row, moduli):
         arr = self._matrix(row) if self._moduli_fit(moduli) else None

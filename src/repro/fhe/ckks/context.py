@@ -9,10 +9,10 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
-from ..backend import ArithmeticBackend, use_backend
+from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import CKKSParameters
 from ..polynomial import sample_ternary
-from ..rns import RNSPolynomial
+from ..rns import RNSPolynomial, _limb_contexts
 from .ciphertext import CKKSCiphertext, CKKSPlaintext
 from .encoder import CKKSEncoder
 from .evaluator import CKKSEvaluator
@@ -36,12 +36,11 @@ class CKKSContext:
         self.rng = random.Random(seed ^ 0x5EED)
         self.error_stddev = error_stddev
         self.backend = backend
-        with use_backend(backend):
-            self.keygen = CKKSKeyGenerator(
-                params, seed=seed, error_stddev=error_stddev,
-                secret_hamming_weight=secret_hamming_weight,
-            )
-            self.keys: CKKSKeySet = self.keygen.generate()
+        self.keygen = CKKSKeyGenerator(
+            params, seed=seed, error_stddev=error_stddev,
+            secret_hamming_weight=secret_hamming_weight, backend=backend,
+        )
+        self.keys: CKKSKeySet = self.keygen.generate()
         self.encoder = CKKSEncoder(params, backend=backend)
         self.evaluator = CKKSEvaluator(params, self.keys, backend=backend)
 
@@ -55,19 +54,29 @@ class CKKSContext:
         params = self.params
         n = params.ring_degree
         basis = params.basis(plaintext.level)
+        moduli = tuple(basis.moduli)
+        contexts = _limb_contexts(n, basis)
+        backend = active_backend()
         # Restrict the public key to the plaintext's level.
         pk_b = self.keys.public.b.keep_limbs(plaintext.level + 1)
         pk_a = self.keys.public.a.keep_limbs(plaintext.level + 1)
         v = sample_ternary(n, 3, self.rng)
-        # One forward transform of v serves both products.
-        v_eval = RNSPolynomial.from_integer_coefficients(
-            n, basis, v.centered_coefficients()
-        ).to_eval()
+        v = RNSPolynomial.from_integer_coefficients(n, basis, v.centered_coefficients())
         e0 = sample_error(n, basis, self.rng, self.error_stddev)
         e1 = sample_error(n, basis, self.rng, self.error_stddev)
-        c0 = (pk_b.to_eval() * v_eval).to_coeff() + e0 + plaintext.poly
-        c1 = (pk_a.to_eval() * v_eval).to_coeff() + e1
-        return CKKSCiphertext(c0=c0, c1=c1, level=plaintext.level, scale=plaintext.scale)
+        # One stacked forward transform (v serves both products) and one
+        # stacked inverse, instead of a dispatch per polynomial.
+        b_eval, a_eval, v_eval = backend.stacked_ntt(
+            contexts, [pk_b.store(), pk_a.store(), v.store()])
+        c0, c1 = (
+            RNSPolynomial._from_store(n, basis, store)
+            for store in backend.stacked_intt(contexts, [
+                backend.limbs_mul(b_eval, v_eval, moduli),
+                backend.limbs_mul(a_eval, v_eval, moduli),
+            ])
+        )
+        return CKKSCiphertext(c0=c0 + e0 + plaintext.poly, c1=c1 + e1,
+                              level=plaintext.level, scale=plaintext.scale)
 
     def encrypt_symmetric(self, plaintext: CKKSPlaintext) -> CKKSCiphertext:
         """Secret-key encryption (fresh uniform mask, lower noise)."""

@@ -3,11 +3,31 @@
 The evaluation keys follow the *hybrid* (dnum) keyswitch construction used by
 the paper (Algorithm 1): the modulus chain at level ``l`` is partitioned into
 ``beta = ceil((l+1)/alpha)`` digits of ``alpha`` moduli each, and the key for
-digit ``j`` encrypts ``P * Q_hat_j * (Q_hat_j^{-1} mod Q_j) * s'`` under the
-extended modulus ``Q_l * P``.
+digit ``j`` encrypts ``f_j * s'`` with ``f_j = P * Q_hat_j * (Q_hat_j^{-1} mod
+Q_j)`` under the extended modulus ``Q_l * P``.
 
 Because the digit structure depends on the ciphertext level, evaluation keys
 are generated lazily per ``(kind, level)`` and cached on the key set.
+
+Keys are made a group at a time, in the evaluation domain
+--------------------------------------------------------
+There is one generation body, :meth:`CKKSKeyGenerator._make_keyswitch_keys`,
+and a single key is its batch of one.  Per call (one level) it transforms the
+secret once and scales it by each digit factor once; then, for each *group* of
+keys, it draws ``(a_j, e_j)`` for every key and digit, forward-transforms all
+the group's masks in one ``stacked_ntt``, forms ``f_j * t_eval - a_eval_j *
+s_eval`` pointwise, inverse-transforms all of them in one ``stacked_intt`` and
+adds the errors: ``b_j = INTT(f_j * t_eval - a_eval_j * s_eval) + e_j``.  The
+source secret never exists as coefficients: ``f_j * t_eval`` is the sign-free
+evaluation-domain gather ``(f_j * s_eval).automorphism(g)`` for a Galois key
+and ``(f_j * s_eval) * s_eval`` for relinearization.
+
+Order contract: only the draws touch the generator's ``rng``, and they happen
+key by key, digit by digit, mask then error — exactly the order of making the
+keys one at a time.  :meth:`CKKSKeySet.ensure_galois_keys` batches only runs of
+consecutive missing keys at one level and never reorders a request, so key
+material does not depend on how keys were grouped (nor on the backend:
+``tests/test_backend_parity.py::TestKeyMaterialPinned``).
 """
 
 from __future__ import annotations
@@ -17,10 +37,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..modmath import mod_inverse
 from ..params import CKKSParameters
 from ..polynomial import sample_ternary
-from ..rns import RNSBasis, RNSPolynomial
+from ..rns import RNSBasis, RNSPolynomial, _limb_contexts
 
 __all__ = [
     "CKKSSecretKey",
@@ -48,18 +69,32 @@ def galois_element_for_conjugation(ring_degree: int) -> int:
 
 def sample_error(ring_degree: int, basis: RNSBasis, rng: random.Random,
                  stddev: float) -> RNSPolynomial:
-    """Rounded-gaussian error polynomial over ``basis`` (zero when ``stddev <= 0``).
+    """Rounded-gaussian error polynomial over ``basis`` (zero, and no draw,
+    when ``stddev <= 0``).
 
-    The gauss draw stays a scalar ``rng.gauss`` loop on every backend: a
-    vectorized ``log``/``cos``/``sin`` is not guaranteed bit-equal to
-    ``math.*``, and keys must not depend on the backend.  Only the residue
-    reduction is a backend dispatch.
+    One ``sample_error_limbs`` dispatch — draws and residue reduction
+    together.  Like the uniform sampler, every backend returns the integers
+    of the scalar ``round(rng.gauss(0.0, stddev))`` loop and leaves ``rng``
+    where that loop leaves it, so public keys, evaluation keys and fresh
+    ciphertexts do not depend on the backend.
     """
-    if stddev > 0:
-        coefficients = [round(rng.gauss(0.0, stddev)) for _ in range(ring_degree)]
-    else:
-        coefficients = [0] * ring_degree
-    return RNSPolynomial.from_integer_coefficients(ring_degree, basis, coefficients)
+    if stddev <= 0:
+        return RNSPolynomial(ring_degree, basis)
+    store = active_backend().sample_error_limbs(
+        rng, tuple(basis.moduli), ring_degree, stddev
+    )
+    return RNSPolynomial._from_store(ring_degree, basis, store)
+
+
+#: Residues one stacked transform of evaluation-key generation may carry; a
+#: group is as many whole keys (``digits * limbs * N`` residues each) as fit,
+#: at least one.  Stacks amortise the per-call overhead of a ``(12, 1024)``
+#: transform, and what a group holds in flight is resident memory.  Sized on
+#: ``client_keygen_encrypt`` (10 Galois keys of 3 x 12 x 1024 residues per op;
+#: parent 9.4 ops/s, 74.4 MB), medians of five 15 s runs, ``ops_per_s`` /
+#: ``peak_rss_mb`` by keys per group: 1 -> 15.2 / 76.9, 2 -> 16.8 / 76.8,
+#: 4 -> 16.4 / 76.6, 7 (this budget) -> 17.7 / 75.4, 10 -> 17.6 / 77.4.
+GROUP_RESIDUES = 1 << 18
 
 
 @dataclass
@@ -71,39 +106,6 @@ class CKKSSecretKey:
     def as_rns(self, ring_degree: int, basis: RNSBasis) -> RNSPolynomial:
         """The secret reduced into an arbitrary RNS basis."""
         return RNSPolynomial.from_integer_coefficients(ring_degree, basis, self.coefficients)
-
-    def squared_coefficients(self, ring_degree: int) -> Tuple[int, ...]:
-        """Integer coefficients of ``s^2`` in Z[X]/(X^N+1) (for relin keys)."""
-        n = ring_degree
-        result = [0] * n
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(self.coefficients):
-                if b == 0:
-                    continue
-                k = i + j
-                if k >= n:
-                    result[k - n] -= a * b
-                else:
-                    result[k] += a * b
-        return tuple(result)
-
-    def automorphism_coefficients(self, ring_degree: int, galois_element: int) -> Tuple[int, ...]:
-        """Integer coefficients of ``sigma_g(s)`` where ``sigma_g: X -> X^g``."""
-        n = ring_degree
-        g = galois_element % (2 * n)
-        result = [0] * n
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            k = (i * g) % (2 * n)
-            sign = 1
-            if k >= n:
-                k -= n
-                sign = -1
-            result[k] += sign * c
-        return tuple(result)
 
 
 @dataclass
@@ -153,10 +155,17 @@ class CKKSKeySet:
         """Keyswitch key from ``sigma_g(s)`` to ``s`` at the given level (cached)."""
         key = (galois_element, level)
         if key not in self._galois_keys:
-            if self._generator is None:
-                raise KeyError(f"no Galois key for element {galois_element} at level {level}")
-            self._galois_keys[key] = self._generator.make_galois_key(self, galois_element, level)
+            self._generate_galois_keys([galois_element], level)
         return self._galois_keys[key]
+
+    def _generate_galois_keys(self, galois_elements: List[int], level: int) -> None:
+        """Make and cache the (missing, distinct) keys of one level as one batch."""
+        if self._generator is None:
+            raise KeyError(
+                f"no Galois key for element {galois_elements[0]} at level {level}")
+        made = self._generator.make_galois_keys(self, galois_elements, level)
+        for element, key in zip(galois_elements, made):
+            self._galois_keys[(element, level)] = key
 
     def ensure_rotation_keys(
         self, steps: Sequence[int], level: int
@@ -167,15 +176,15 @@ class CKKSKeySet:
         giant steps ``n1, 2*n1, ...`` — this is the key-set helper that
         materializes exactly those (identity steps are skipped), keyed by
         step.  Keys are cached on the key set, so calling it again (or
-        rotating later) is free.
+        rotating later) is free.  The step-shaped face of
+        :meth:`ensure_galois_keys`.
         """
-        keys: Dict[int, KeySwitchKey] = {}
-        for step in steps:
-            element = galois_element_for_rotation(self.params.ring_degree, step)
-            if element == 1:
-                continue
-            keys[step] = self.galois_key(element, level)
-        return keys
+        elements = {
+            step: galois_element_for_rotation(self.params.ring_degree, step)
+            for step in steps
+        }
+        keys = self.ensure_galois_keys([(g, level) for g in elements.values()])
+        return {step: keys[(g, level)] for step, g in elements.items() if g != 1}
 
     def has_relin_key(self, level: int) -> bool:
         """Whether :meth:`relinearization_key` would succeed (cached key or
@@ -212,30 +221,50 @@ class CKKSKeySet:
     ) -> Dict[Tuple[int, int], KeySwitchKey]:
         """Pre-generate Galois keys for ``(galois_element, level)`` pairs.
 
-        The element-shaped sibling of :meth:`ensure_rotation_keys`: it
-        accepts exactly what :meth:`~repro.fhe.program.PlannedProgram.
+        It accepts exactly what :meth:`~repro.fhe.program.PlannedProgram.
         required_galois_elements` reports for a planned program — rotations
         *and* conjugations, per level, after dead-code elimination — so a
         program's key material is provisioned from its plan and nothing
         more.  Identity elements are skipped; keys cache on the key set.
+
+        Missing keys are generated in request order, each run of consecutive
+        ones at one level as one batch (cached keys and repeats consume no
+        randomness, so they do not end a run): the generator's ``rng`` is
+        consumed exactly as by one :meth:`galois_key` call per pair.
         """
-        keys: Dict[Tuple[int, int], KeySwitchKey] = {}
-        for element, level in elements:
-            if element == 1:
+        wanted = [key for key in elements if key[0] != 1]
+        run: List[int] = []             # missing elements, all at ``run_level``
+        run_level = None
+        for element, level in wanted:
+            if (element, level) in self._galois_keys:
                 continue
-            keys[(element, level)] = self.galois_key(element, level)
-        return keys
+            if run and level != run_level:
+                self._generate_galois_keys(run, run_level)
+                run = []
+            if element not in run:
+                run.append(element)
+                run_level = level
+        if run:
+            self._generate_galois_keys(run, run_level)
+        return {key: self._galois_keys[key] for key in wanted}
 
 
 class CKKSKeyGenerator:
-    """Generates CKKS key material for a parameter set (deterministic per seed)."""
+    """Generates CKKS key material for a parameter set (deterministic per seed).
+
+    ``backend`` is the arithmetic backend every key is generated under —
+    the lazily made evaluation keys included, whenever they are asked for;
+    ``None`` means whichever backend is active at that moment.
+    """
 
     def __init__(self, params: CKKSParameters, seed: int = 0, error_stddev: float = 3.2,
-                 secret_hamming_weight: int | None = None):
+                 secret_hamming_weight: int | None = None,
+                 backend: "ArithmeticBackend | str | None" = None):
         self.params = params
         self.rng = random.Random(seed)
         self.error_stddev = error_stddev
         self.secret_hamming_weight = secret_hamming_weight
+        self.backend = backend
 
     # -- top-level key generation ------------------------------------------
     def generate(self) -> CKKSKeySet:
@@ -245,9 +274,9 @@ class CKKSKeyGenerator:
             params.ring_degree, 3, self.rng, hamming_weight=self.secret_hamming_weight
         )
         secret = CKKSSecretKey(tuple(secret_poly.centered_coefficients()))
-        public = self._make_public_key(secret)
-        key_set = CKKSKeySet(params=params, secret=secret, public=public, _generator=self)
-        return key_set
+        with use_backend(self.backend):
+            public = self._make_public_key(secret)
+        return CKKSKeySet(params=params, secret=secret, public=public, _generator=self)
 
     def _make_public_key(self, secret: CKKSSecretKey) -> CKKSPublicKey:
         params = self.params
@@ -260,45 +289,75 @@ class CKKSKeyGenerator:
         return CKKSPublicKey(b=b, a=a)
 
     # -- hybrid keyswitch keys -----------------------------------------------
-    def make_keyswitch_key(self, key_set: CKKSKeySet,
-                           target_coefficients: Sequence[int], level: int) -> KeySwitchKey:
-        """Key that switches ``d * s_target`` into a ciphertext under ``s``.
+    def make_relinearization_key(self, key_set: CKKSKeySet, level: int) -> KeySwitchKey:
+        """Keyswitch key for ``s^2 -> s`` at ``level``."""
+        return self._make_keyswitch_keys(key_set, [None], level)[0]
 
-        ``target_coefficients`` are the centred integer coefficients of the
-        source secret ``s'`` (``s^2`` for relinearization, ``sigma_g(s)`` for
-        rotation keys).
+    def make_galois_keys(self, key_set: CKKSKeySet, galois_elements: Sequence[int],
+                         level: int) -> List[KeySwitchKey]:
+        """Keyswitch keys for ``sigma_g(s) -> s`` at ``level``, one per element."""
+        return self._make_keyswitch_keys(key_set, list(galois_elements), level)
+
+    def _make_keyswitch_keys(self, key_set: CKKSKeySet, sources: "List[int | None]",
+                             level: int) -> List[KeySwitchKey]:
+        """One key per source secret, each switching ``d * s'`` into a
+        ciphertext under ``s`` at ``level``.
+
+        A source is a Galois element ``g`` (``s' = sigma_g(s)``) or ``None``
+        (``s' = s^2``).  See the module docstring for the group flow and the
+        order in which ``rng`` is consumed.
         """
         params = self.params
         n = params.ring_degree
-        moduli = list(params.moduli[: level + 1])
         extended = params.extended_basis(level)
-        q_level = math.prod(moduli)
+        moduli = tuple(extended.moduli)
+        q_level = math.prod(params.moduli[: level + 1])
         p_product = math.prod(params.special_moduli)
-        # Reduced / transformed once per key; every digit reuses them.
-        secret_eval = key_set.secret.as_rns(n, extended).to_eval()
-        target = RNSPolynomial.from_integer_coefficients(n, extended, target_coefficients)
-        digit_keys: List[Tuple[RNSPolynomial, RNSPolynomial]] = []
+        factors = []
         for start, stop in params.digit_slices(level):
-            digit_moduli = moduli[start:stop]
-            q_digit = math.prod(digit_moduli)
+            q_digit = math.prod(params.moduli[start:stop])
             q_hat = q_level // q_digit
-            factor = (p_product * q_hat * mod_inverse(q_hat % q_digit, q_digit)) % (
-                q_level * p_product
-            )
-            a = RNSPolynomial.sample_uniform(n, extended, self.rng)
-            error = sample_error(n, extended, self.rng, self.error_stddev)
-            b = -(a.to_eval() * secret_eval).to_coeff() + error + target * factor
-            digit_keys.append((b, a))
-        return KeySwitchKey(level=level, digit_keys=digit_keys)
-
-    def make_relinearization_key(self, key_set: CKKSKeySet, level: int) -> KeySwitchKey:
-        """Keyswitch key for ``s^2 -> s`` at ``level``."""
-        squared = key_set.secret.squared_coefficients(self.params.ring_degree)
-        return self.make_keyswitch_key(key_set, squared, level)
-
-    def make_galois_key(self, key_set: CKKSKeySet, galois_element: int, level: int) -> KeySwitchKey:
-        """Keyswitch key for ``sigma_g(s) -> s`` at ``level``."""
-        rotated = key_set.secret.automorphism_coefficients(
-            self.params.ring_degree, galois_element
-        )
-        return self.make_keyswitch_key(key_set, rotated, level)
+            factors.append(p_product * q_hat * mod_inverse(q_hat % q_digit, q_digit))
+        digits = len(factors)
+        group = max(1, GROUP_RESIDUES // (digits * len(moduli) * n))
+        keys: List[KeySwitchKey] = []
+        with use_backend(self.backend) as backend:
+            secret_eval = key_set.secret.as_rns(n, extended).to_eval()
+            # f_j * s once per call; a key's f_j * s' is a gather (or one
+            # product) away, because both commute with the scalar.
+            scaled = [secret_eval * factor for factor in factors]
+            contexts = _limb_contexts(n, extended)
+            for first in range(0, len(sources), group):
+                members = sources[first:first + group]
+                # The only statements that touch ``rng``.
+                masks, errors = [], []
+                for _ in range(len(members) * digits):
+                    masks.append(RNSPolynomial.sample_uniform(n, extended, self.rng))
+                    errors.append(sample_error(n, extended, self.rng, self.error_stddev))
+                targets = (
+                    multiple * secret_eval if source is None
+                    else multiple.automorphism(source)
+                    for source in members for multiple in scaled
+                )
+                # The masks' evaluation images live only inside this
+                # comprehension — gone before the inverse allocates: what a
+                # group holds in flight is what this path adds to peak memory.
+                bodies = [
+                    backend.limbs_sub(
+                        target.store(),
+                        backend.limbs_mul(mask_eval, secret_eval.store(), moduli),
+                        moduli,
+                    )
+                    for target, mask_eval in zip(targets, backend.stacked_ntt(
+                        contexts, [mask.store() for mask in masks]))
+                ]
+                bodies = backend.stacked_intt(contexts, bodies)
+                pairs = [
+                    (RNSPolynomial._from_store(n, extended, body) + error, mask)
+                    for body, error, mask in zip(bodies, errors, masks)
+                ]
+                keys += [
+                    KeySwitchKey(level=level, digit_keys=pairs[k:k + digits])
+                    for k in range(0, len(pairs), digits)
+                ]
+        return keys

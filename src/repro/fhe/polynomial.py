@@ -393,6 +393,11 @@ def sample_gaussian(
     rng: random.Random,
     stddev: float = 3.2,
 ) -> Polynomial:
-    """Discrete-Gaussian-ish error polynomial (rounded normal, as in practice)."""
-    coeffs = [round(rng.gauss(0.0, stddev)) for _ in range(ring_degree)]
-    return Polynomial(ring_degree, modulus, coeffs)
+    """Discrete-Gaussian-ish error polynomial (rounded normal, as in practice).
+
+    The one-limb case of the backend sampler, so every backend consumes
+    ``rng`` exactly like ``round(rng.gauss(0.0, stddev))`` per coefficient.
+    """
+    backend = active_backend()
+    store = backend.sample_error_limbs(rng, (modulus,), ring_degree, stddev)
+    return Polynomial._from_reduced(ring_degree, modulus, backend.store_rows(store)[0])

@@ -15,6 +15,7 @@ fallback and the comparison would be vacuous).
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -49,6 +50,7 @@ from repro.fhe.polynomial import (
     automorphism_spec,
     galois_eval_spec,
     monomial_spec,
+    sample_gaussian,
     sample_uniform,
 )
 from repro.fhe.program import HETrace, ProgramExecutor, plan_program
@@ -309,6 +311,106 @@ class TestSamplerParity:
         for backend in (PYTHON, NUMPY):
             with use_backend(backend):
                 assert sample_uniform(64, q, random.Random(8)) == expected
+
+
+class _CountingMath:
+    """``math`` with its ``log`` calls counted (one per scalar recomputation
+    in the block gaussian sampler)."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class TestErrorSamplerParity:
+    """``sample_error_limbs``: the block draw returns the integers of the
+    scalar ``round(rng.gauss(0.0, stddev))`` loop and leaves the generator —
+    ``gauss_next`` included — where that loop leaves it."""
+
+    #: 30-, 32- and 40-bit limbs: both word sizes of the reduction.
+    MODULI = tuple(modmath.find_ntt_prime(bits, 64) for bits in (30, 32, 40))
+
+    def _both(self, seed, length, pending, stddev=3.2, moduli=MODULI,
+              rng_type=random.Random):
+        fast_rng, golden_rng = rng_type(seed), rng_type(seed)
+        if pending:                     # an earlier scalar draw left its twin
+            assert fast_rng.gauss(0.0, 1.0) == golden_rng.gauss(0.0, 1.0)
+            assert fast_rng.gauss_next is not None
+        actual = NUMPY.sample_error_limbs(fast_rng, moduli, length, stddev)
+        expected = PYTHON.sample_error_limbs(golden_rng, moduli, length, stddev)
+        assert isinstance(actual, np.ndarray) and actual.dtype == np.uint64
+        assert actual.tolist() == expected
+        assert fast_rng.getstate() == golden_rng.getstate()
+        assert fast_rng.gauss_next == golden_rng.gauss_next
+        return expected
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["fresh", "twin-pending"])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 64, 255, 1024])
+    def test_values_and_stream_match_golden(self, length, pending):
+        rows = self._both(length, length, pending)
+        assert [len(row) for row in rows] == [length] * len(self.MODULI)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 70),
+           pending=st.booleans(),
+           stddev=st.sampled_from([3.2, 0.4, 1.0, 19.5, 1024.0]))
+    def test_any_seed_length_twin_and_stddev(self, seed, length, pending, stddev):
+        self._both(seed, length, pending, stddev)
+
+    @pytest.mark.parametrize("guard,recomputed", [(0.5, "all"), (0.0, "none")])
+    def test_guard_path_agrees(self, monkeypatch, guard, recomputed):
+        """Every entry redone with ``math`` (guard 1/2), none (guard 0) and
+        the shipped guard all give the golden integers."""
+        counting = _CountingMath()
+        monkeypatch.setattr(backend_module, "_GAUSS_GUARD", guard)
+        monkeypatch.setattr(backend_module, "math", counting)
+        for seed, length, pending in [(1, 600, False), (2, 257, True), (3, 2, False)]:
+            counting.logs = 0
+            self._both(seed, length, pending)
+            block = (length - pending) // 2 * 2
+            assert counting.logs == (block if recomputed == "all" else 0)
+
+    def test_shipped_guard_is_wide_and_rarely_taken(self):
+        """The guard is far wider than any numpy-vs-libm difference yet
+        catches almost nothing: 2^16 draws agree and recompute a handful."""
+        counting = _CountingMath()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend_module, "math", counting)
+            self._both(16, 1 << 16, False, moduli=self.MODULI[:1])
+        assert counting.logs <= 8       # expected 2 * 2^-20 * 2^16 = 1/8
+
+    @pytest.mark.parametrize("rng_type,q,stddev", [
+        (_SubclassedRandom, 97, 3.2),
+        (random.Random, (1 << 62) + 57, 3.2),       # 63 bits: above the word cap
+        (random.Random, 97, float(1 << 17)),        # draws too wide for the guard
+    ])
+    def test_fallback_is_the_golden_loop(self, monkeypatch, rng_type, q, stddev):
+        def no_block(*args):
+            raise AssertionError("block draw on a fallback input")
+
+        monkeypatch.setattr(NumpyBackend, "_gauss_pairs", staticmethod(no_block))
+        fast_rng, golden_rng = rng_type(5), rng_type(5)
+        actual = NUMPY.sample_error_limbs(fast_rng, (q,), 33, stddev)
+        expected = PYTHON.sample_error_limbs(golden_rng, (q,), 33, stddev)
+        assert _rows(actual) == expected
+        assert fast_rng.getstate() == golden_rng.getstate()
+
+    def test_polynomial_sampler_shares_the_kernel(self):
+        q = TFHEParameters.small().modulus
+        golden_rng = random.Random(8)
+        expected = Polynomial(
+            64, q, [round(golden_rng.gauss(0.0, 3.2)) for _ in range(64)])
+        for backend in (PYTHON, NUMPY):
+            with use_backend(backend):
+                rng = random.Random(8)
+                assert sample_gaussian(64, q, rng, 3.2) == expected
+                assert rng.getstate() == golden_rng.getstate()
 
 
 class TestReduceLimbsParity:
@@ -859,7 +961,8 @@ STORELESS_KERNELS = {
     "signed_permute", "gadget_decompose", "pointwise_mac", "pointwise_mac_many",
     "ntt_forward", "ntt_inverse", "negacyclic_convolution",
     "four_step_ntt", "four_step_intt", "cyclic_ntt_batch",
-    "limbs_zero", "reduce_limbs", "sample_uniform_limbs", "limbs_from_words",
+    "limbs_zero", "reduce_limbs", "sample_uniform_limbs", "sample_error_limbs",
+    "limbs_from_words",
 }
 
 
@@ -964,8 +1067,16 @@ def test_store_kernels_ignore_store_width(bits):
 def _key_material_digest(params, backend):
     """sha256 over the coefficient rows of everything ``seed=11`` generates.
 
-    Plaintexts are exact integer coefficients, so nothing float-derived
-    (and therefore nothing BLAS- or libm-dependent) enters a pinned value.
+    Plaintexts are exact integer coefficients and the word-32 transforms are
+    exact by budget, so nothing BLAS-dependent enters a pinned value.  One
+    float path does: every error polynomial is ``round(gauss(0, 3.2))`` (the
+    contexts use the default ``error_stddev``), i.e. libm's ``log`` / ``cos``
+    / ``sin`` — and, on numpy, numpy's.  What the digests assume is that a
+    draw never lands within a last-bits difference of a rounding boundary on
+    this machine's libm; the numpy block sampler assumes no more than that
+    (libm and numpy agree far inside its 2^-20 guard, and what falls inside
+    is recomputed with ``math``: ``TestErrorSamplerParity::
+    test_guard_path_agrees`` / ``test_shipped_guard_is_wide_and_rarely_taken``).
     """
     with use_backend(backend):
         ctx = CKKSContext(params, seed=11, backend=backend)

@@ -28,6 +28,7 @@ is part of the no-numpy CI leg; encoder-based semantic tests skip without
 numpy.
 """
 
+import math
 import random
 
 import pytest
@@ -41,13 +42,19 @@ from repro.fhe.backend import (
 from repro.fhe.ckks.bootstrap import linear_transform_plan
 from repro.fhe.ckks.ciphertext import CKKSCiphertext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
-from repro.fhe.ckks.keys import CKKSKeyGenerator, galois_element_for_rotation
+from repro.fhe.ckks import keys as keys_module
+from repro.fhe.ckks.keys import (
+    CKKSKeyGenerator,
+    galois_element_for_rotation,
+    sample_error,
+)
 from repro.fhe.ckks.keyswitch import (
     hoist_decompose,
     hybrid_keyswitch,
     keyswitch_hoisted,
     mod_down,
 )
+from repro.fhe.modmath import mod_inverse
 from repro.fhe.params import CKKSParameters
 from repro.fhe.polynomial import Polynomial, galois_eval_spec
 from repro.fhe.rns import RNSPolynomial, _limb_contexts
@@ -325,6 +332,161 @@ class TestHoistedResidency:
             after = kernels[kernels.index("limbs_eval_mac"):]
             assert "batched_ntt" not in after and "batched_intt" not in after
             assert after.count("stacked_intt") == after.count("stacked_ntt") == 2
+
+
+def _coefficient_domain_key(params, secret, target, level, rng, stddev):
+    """Oracle: one keyswitch key the way keys were made before they were
+    made in groups — the source secret ``target`` as a coefficient-domain
+    polynomial, one digit at a time, ``b = -(a * s) + e + s' * f_j``."""
+    n = params.ring_degree
+    moduli = list(params.moduli[: level + 1])
+    extended = params.extended_basis(level)
+    q_level = math.prod(moduli)
+    p_product = math.prod(params.special_moduli)
+    s = secret.as_rns(n, extended)
+    digit_keys = []
+    for start, stop in params.digit_slices(level):
+        q_digit = math.prod(moduli[start:stop])
+        q_hat = q_level // q_digit
+        factor = p_product * q_hat * mod_inverse(q_hat % q_digit, q_digit)
+        a = RNSPolynomial.sample_uniform(n, extended, rng)
+        error = sample_error(n, extended, rng, stddev)
+        digit_keys.append((-(a * s) + error + target * factor, a))
+    return digit_keys
+
+
+def _squared_coefficients(coefficients):
+    """Oracle: ``s^2`` in Z[X]/(X^N + 1), the O(N^2) way."""
+    n = len(coefficients)
+    result = [0] * n
+    for i, a in enumerate(coefficients):
+        for j, b in enumerate(coefficients):
+            k = i + j
+            if k >= n:
+                result[k - n] -= a * b
+            else:
+                result[k] += a * b
+    return result
+
+
+def _digit_rows(key):
+    return [(_rows(b), _rows(a)) for b, a in key.digit_keys]
+
+
+@pytest.mark.parametrize("params", PARAM_SETS, ids=PARAM_IDS)
+class TestKeyGroups:
+    """Evaluation keys made a group at a time are the keys made one at a
+    time, and leave the generator where one-at-a-time generation leaves it."""
+
+    @staticmethod
+    def _two_keys_per_group(monkeypatch, params):
+        level = params.max_level
+        per_key = (len(params.digit_slices(level))
+                   * len(params.extended_basis(level)) * params.ring_degree)
+        monkeypatch.setattr(keys_module, "GROUP_RESIDUES", 2 * per_key)
+
+    @pytest.mark.parametrize("grouping", ["one-stack", "two-keys-per-group"])
+    def test_batches_equal_one_key_at_a_time(self, monkeypatch, params, grouping):
+        if grouping == "two-keys-per-group":
+            self._two_keys_per_group(monkeypatch, params)
+        n, top = params.ring_degree, params.max_level
+        steps = [1, 2, 3, 0, 5, 2, -1]               # an identity and a repeat
+        mixed = [(5, top), (25, top), (5, top), (2 * n - 1, top - 1), (1, top),
+                 (125, top), (25, top - 1), (125, top), (3, top)]
+        for backend in BACKENDS:
+            batch_gen = CKKSKeyGenerator(params, seed=5, backend=backend)
+            single_gen = CKKSKeyGenerator(params, seed=5, backend=backend)
+            batch, single = batch_gen.generate(), single_gen.generate()
+
+            by_step = batch.ensure_rotation_keys(steps, top)
+            assert sorted(by_step) == sorted({s for s in steps if s})
+            for step in steps:
+                g = galois_element_for_rotation(n, step)
+                if g != 1:
+                    assert _digit_rows(by_step[step]) == _digit_rows(
+                        single.galois_key(g, top)), (backend.name, step)
+            assert batch_gen.rng.getstate() == single_gen.rng.getstate()
+
+            by_pair = batch.ensure_galois_keys(mixed)
+            assert set(by_pair) == {pair for pair in mixed if pair[0] != 1}
+            for g, level in mixed:
+                if g != 1:
+                    assert _digit_rows(by_pair[(g, level)]) == _digit_rows(
+                        single.galois_key(g, level)), (backend.name, g, level)
+            assert batch_gen.rng.getstate() == single_gen.rng.getstate()
+            assert set(batch._galois_keys) == set(single._galois_keys)
+
+    def test_evaluation_domain_targets_match_the_coefficient_oracles(self, params):
+        """``s_eval * s_eval`` and the evaluation-domain gather stand in for
+        ``s^2`` (integer coefficients, the O(N^2) loop) and ``sigma_g(s)``
+        (the signed coefficient permutation)."""
+        level = params.max_level
+        for backend in BACKENDS:
+            generator = CKKSKeyGenerator(params, seed=9, backend=backend)
+            keys = generator.generate()
+            oracle_rng = random.Random()
+            oracle_rng.setstate(generator.rng.getstate())
+            n, extended = params.ring_degree, params.extended_basis(level)
+            with use_backend(backend):
+                squared = RNSPolynomial.from_integer_coefficients(
+                    n, extended, _squared_coefficients(keys.secret.coefficients))
+                rotated = keys.secret.as_rns(n, extended).automorphism(25)
+                expected = [
+                    _coefficient_domain_key(
+                        params, keys.secret, target, level, oracle_rng, 3.2)
+                    for target in (squared, rotated)
+                ]
+            made = [keys.relinearization_key(level), keys.galois_key(25, level)]
+            for key, digit_keys in zip(made, expected):
+                assert _digit_rows(key) == [
+                    (_rows(b), _rows(a)) for b, a in digit_keys], backend.name
+            assert generator.rng.getstate() == oracle_rng.getstate()
+
+    def test_a_level_costs_one_secret_transform_and_one_stack_pair_per_group(
+            self, monkeypatch, params):
+        self._two_keys_per_group(monkeypatch, params)
+        level = params.max_level
+        digits = len(params.digit_slices(level))
+        for inner in BACKENDS:
+            counting = _CountingBackend(inner)
+            keys = CKKSKeyGenerator(params, seed=3, backend=counting).generate()
+            counting.log.clear()
+            keys.ensure_rotation_keys([1, 2, 3, 4, 5], level)     # 2 + 2 + 1 keys
+            assert len(counting.calls("batched_ntt")) == 1        # the secret
+            assert not counting.calls("batched_intt")
+            for kernel in ("stacked_ntt", "stacked_intt"):
+                assert [len(stores) for _contexts, stores in counting.calls(kernel)] \
+                    == [2 * digits, 2 * digits, digits], (inner.name, kernel)
+
+    def test_lazy_keys_are_generated_on_the_generator_backend(self, params):
+        """A key asked for later, under some other active backend, is still
+        made on the backend its generator was created with."""
+        pinned, ambient = _CountingBackend(PYTHON), _CountingBackend(BACKENDS[-1])
+        keys = CKKSKeyGenerator(params, seed=3, backend=pinned).generate()
+        pinned.log.clear()
+        with use_backend(ambient):
+            keys.ensure_rotation_keys([1, 2], params.max_level)
+            keys.relinearization_key(params.max_level)
+        assert len(pinned.calls("stacked_ntt")) == 2
+        assert ambient.log == []
+
+
+@needs_numpy
+def test_pinned_context_generates_rotation_keys_on_its_backend():
+    """``CKKSContext(backend=X)`` pins key generation too: the BSGS rotation
+    keys made later, outside any ``use_backend``, dispatch on ``X`` only."""
+    from repro.fhe.ckks import BSGSLinearTransform, CKKSContext
+
+    pinned, ambient = _CountingBackend(PACKED), _CountingBackend(PYTHON)
+    context = CKKSContext(PARAM_SETS[0], seed=7, backend=pinned)
+    matrix = [[(i + 2 * j) % 5 - 2 for j in range(8)] for i in range(8)]
+    transform = BSGSLinearTransform.from_matrix(context.encoder, matrix)
+    pinned.log.clear()
+    with use_backend(ambient):
+        generated = transform.generate_rotation_keys(context.keys)
+    assert len(generated) >= 2
+    assert pinned.calls("stacked_ntt") and pinned.calls("stacked_intt")
+    assert ambient.log == []
 
 
 class TestEvaluatorParity:
