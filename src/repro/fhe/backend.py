@@ -104,6 +104,19 @@ def _bit_reverse_indices(length: int) -> tuple:
     return tuple(result)
 
 
+def _mac_group(q: int) -> int:
+    """How many products of two residues below ``q`` sum in one 64-bit word.
+
+    ``g = (2^64 - 1) // (q - 1)^2``: the largest count with
+    ``g * (q - 1)^2 < 2^64``.  4 at the 31-bit TFHE prime, 1 at a full
+    32-bit modulus, 0 where a single product already needs two words.
+    """
+    worst = max(1, (q - 1) ** 2)
+    group = ((1 << 64) - 1) // worst
+    assert group * worst < 1 << 64 <= (group + 1) * worst, q
+    return group
+
+
 class PermSpec:
     """A signed coefficient permutation of a power-of-two ring.
 
@@ -620,16 +633,22 @@ class ArithmeticBackend:
     # to a store, so the accumulator never becomes Python lists between
     # the initial rotation and SampleExtract.
 
-    def ntt_forward_batch(self, context, rows):
+    def ntt_forward_batch(self, context, rows, scratch=None):
         """Independent forward NTTs of several rows under one modulus.
 
         Store-preserving: a store comes back as a store, a list of rows as
-        a list of rows.
+        a list of rows.  ``scratch`` is an optional plain dict the *caller*
+        owns: a backend may keep its work buffers in it between calls (a
+        blind rotation hands one dict to every transform of its wave) and
+        nothing else may read it.  What comes back never aliases it — the
+        result is always fresh, whoever holds it later.  The golden
+        implementation ignores it.
         """
         return [self.ntt_forward(context, row) for row in rows]
 
-    def ntt_inverse_batch(self, context, rows):
-        """Independent inverse NTTs of several rows under one modulus."""
+    def ntt_inverse_batch(self, context, rows, scratch=None):
+        """Independent inverse NTTs of several rows under one modulus
+        (``scratch`` as in :meth:`ntt_forward_batch`)."""
         return [self.ntt_inverse(context, row) for row in rows]
 
     def rows_monomial_multiply(self, store, q: int, degrees, group: int):
@@ -680,13 +699,21 @@ class ArithmeticBackend:
         ``c`` of GLWE row ``r``).  Returns the ``members * (k + 1)`` rows
         ``out[m, c] = sum_r fwd[m, r] * key[r, c] mod q`` — per member, the
         :meth:`pointwise_mac_many` of the external product.
+
+        The group rule a vectorized backend may use: products of operands
+        reduced below ``q`` are summed :func:`_mac_group` at a time in one
+        64-bit word and reduced once per group, not once per product.
         """
         digits = self.store_rows(fwd)
         key = self.store_rows(key_rows)
+        # Counts are checked before anything divides by them.
+        if (
+            not digits or not 0 < members <= len(digits)
+            or len(digits) % members or len(key) % (len(digits) // members)
+        ):
+            raise ValueError("external_product_mac: row counts do not match")
         per_member = len(digits) // members
         width = len(key) // per_member
-        if per_member * members != len(digits) or width * per_member != len(key):
-            raise ValueError("external_product_mac: row counts do not match")
         groups = [
             [key[r * width + c] for r in range(per_member)] for c in range(width)
         ]
@@ -1238,30 +1265,36 @@ if _np is not None:
             self.shift = _np.uint64(digit_bits)
             self.q = _np.uint64(q)
 
-        def product(self, f, left: bool):
+        def product(self, f, left: bool, partial, acc, word):
             """``M @ f`` (``left``) or ``f @ M`` modulo ``q``, in ``[0, 2q)``.
 
             ``f`` is a float64 ``(..., R, C)`` stack of values below
-            ``2^bits(q)``; the result is a fresh uint64 array of its shape.
+            ``2^bits(q)``.  The result is written to ``acc``; ``partial``
+            (float64), ``acc`` and ``word`` (uint64) are work buffers of
+            ``f``'s shape, all overwritten, none of them ``f``.
             """
-            # On the right the whole stack is one GEMM, not one per matrix.
-            flat = f if left else f.reshape(-1, f.shape[-1])
+            if not left:
+                # On the right the whole stack is one GEMM, not one per matrix.
+                f, partial, acc, word = (
+                    a.reshape(-1, a.shape[-1]) for a in (f, partial, acc, word))
 
             def matmul(m):
-                return _np.matmul(m, flat) if left else _np.matmul(flat, m)
+                return (_np.matmul(m, f, out=partial) if left
+                        else _np.matmul(f, m, out=partial))
 
+            # Through int64: the sums are signed, the words wrap.
+            _np.copyto(acc.view(_np.int64), matmul(self.digits[0]),
+                       casting="unsafe")
+            for digit in self.digits[1:]:
+                acc <<= self.shift
+                _np.copyto(word.view(_np.int64), matmul(digit), casting="unsafe")
+                acc += word
             quot = matmul(self.quot)
             quot -= 0.25
             _np.floor(quot, out=quot)
-            # Through int64: the sums are signed, the words wrap.
-            acc = matmul(self.digits[0]).astype(_np.int64).view(_np.uint64)
-            for digit in self.digits[1:]:
-                acc <<= self.shift
-                acc += matmul(digit).astype(_np.int64).view(_np.uint64)
-            quot = quot.astype(_np.int64).view(_np.uint64)
-            quot *= self.q
-            acc -= quot
-            return acc.reshape(f.shape)
+            _np.copyto(word.view(_np.int64), quot, casting="unsafe")
+            word *= self.q
+            acc -= word
 
     class _MatrixNTT:
         """The word-32 negacyclic NTT of one ``(N, q)`` as two matrix products.
@@ -1321,21 +1354,42 @@ if _np is not None:
             self.inv = (_ExactMatrix(right.T.copy(), q), twiddle,
                         _ExactMatrix(left.T.copy(), q))
 
-        def transform(self, x, out, inverse: bool) -> None:
+        def transform(self, x, out, inverse: bool, scratch) -> None:
             """NTT (or its inverse) of the rows of ``x`` into ``out``.
 
             Both are ``(rows, N)`` uint64, ``x`` reduced below ``q`` (the
-            digit budget is sized for it); ``out`` comes out reduced.
+            digit budget is sized for it); ``out`` comes out reduced.  Every
+            pass in between runs in place over four ``(rows, N)`` work
+            buffers: two float64 (``values``, what a product reads;
+            ``partial``, what one GEMM writes) and two uint64 (``acc``, the
+            residue being built; ``word``, the other operand of a pass).
+            They live in ``scratch``, a dict the caller owns, keyed by
+            ``x.shape`` and made on first use: the next transform of as many
+            rows of this degree reuses them.  ``out`` is never one of them.
             """
-            first, twiddle, second = self.inv if inverse else self.fwd
-            y = first.product(
-                x.astype(_np.float64).reshape(self.shape), left=not inverse)
+            buffers = scratch.get(x.shape)
+            if buffers is None:
+                buffers = scratch[x.shape] = tuple(
+                    _np.empty((len(x),) + self.shape[1:], dtype=dtype)
+                    for dtype in (_np.float64, _np.float64, _np.uint64, _np.uint64))
+            values, partial, acc, word = buffers
+            first, (w, s32), second = self.inv if inverse else self.fwd
+            _np.copyto(values, x.reshape(self.shape))
+            first.product(values, not inverse, partial, acc, word)
             if not self.lazy:
-                y = _np.minimum(y, y - self.q)
-            y = _shoup32_mul(y, *twiddle, self.q)
-            z = second.product(y.astype(_np.float64), left=inverse)
-            z = z.reshape(out.shape)
-            _np.minimum(z, z - self.q, out=out)
+                _np.subtract(acc, self.q, out=word)
+                _np.minimum(acc, word, out=acc)
+            # The twiddle, :func:`_shoup32_mul` in place.
+            _np.multiply(acc, s32, out=word)
+            word >>= _S32
+            word *= self.q
+            acc *= w
+            acc -= word
+            _np.subtract(acc, self.q, out=word)
+            _np.minimum(acc, word, out=values)
+            second.product(values, inverse, partial, acc, word)
+            _np.subtract(acc, self.q, out=word)
+            _np.minimum(acc.reshape(out.shape), word.reshape(out.shape), out=out)
 
     class _NTTTables:
         """Transform tables for a tuple of same-degree NTT contexts.
@@ -1407,16 +1461,21 @@ if _np is not None:
                 for m in reversed(starts)
             ]
 
-    def _matrix_transform(tabs, x, inverse: bool):
+    def _matrix_transform(tabs, x, inverse: bool, scratch=None):
         """The word-32 core: each limb's rows through its :class:`_MatrixNTT`.
 
         ``x`` is ``(..., L, n)``, or any ``(rows, n)`` under an ``L = 1``
-        table: both are ``(-1, L, n)``, limb ``i`` at ``[:, i]``.
+        table: both are ``(-1, L, n)``, limb ``i`` at ``[:, i]``.  The work
+        buffers of :meth:`_MatrixNTT.transform` are shared by the limbs and
+        live in ``scratch`` when the caller brings one, else for this call;
+        the result is a fresh array either way.
         """
+        if scratch is None:
+            scratch = {}
         stack = x.reshape(-1, len(tabs.matrix), tabs.n)
         out = _np.empty(stack.shape, dtype=_np.uint64)
         for i, matrix in enumerate(tabs.matrix):
-            matrix.transform(stack[:, i], out[:, i], inverse)
+            matrix.transform(stack[:, i], out[:, i], inverse, scratch)
         return out.reshape(x.shape)
 
     def _forward_stages64(x, tabs):
@@ -1464,25 +1523,26 @@ if _np is not None:
             t *= 2
         return x
 
-    def _ntt(tabs, x):
+    def _ntt(tabs, x, scratch=None):
         """Forward negacyclic NTT of every row of ``x``, fully reduced.
 
         ``x`` is a uint64 ``(..., L, n)`` array and is only read.  Word-32
         rows arrive reduced below ``q`` — the exact-product digit budget is
         sized for it; stores are reduced by contract and the list-in kernels
         reduce through :meth:`NumpyBackend._to_array`.  Word-64 rows may be
-        anywhere below ``2q``.
+        anywhere below ``2q``.  ``scratch`` is the caller's buffer dict of
+        the batch kernels; only the word-32 transform keeps anything in it.
         """
         if tabs.word == 32:
-            return _matrix_transform(tabs, x, inverse=False)
+            return _matrix_transform(tabs, x, inverse=False, scratch=scratch)
         x = _forward_stages64(x.copy(), tabs)
         x = _np.minimum(x, x - tabs.q2)
         return _np.minimum(x, x - tabs.q)
 
-    def _intt(tabs, x):
+    def _intt(tabs, x, scratch=None):
         """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
         if tabs.word == 32:
-            return _matrix_transform(tabs, x, inverse=True)
+            return _matrix_transform(tabs, x, inverse=True, scratch=scratch)
         x = _inverse_stages64(x.copy(), tabs)
         return _fixed_mul(x, tabs.n_inv, tabs.q, 64)
 
@@ -2284,7 +2344,7 @@ class NumpyBackend(ArithmeticBackend):
         return self._permute(x, self._q_col(moduli), spec)
 
     # -- same-modulus row stores (TFHE blind rotation) ---------------------
-    def _transform_rows(self, core, context, rows):
+    def _transform_rows(self, core, context, rows, scratch):
         """``core`` over rows sharing one modulus — the ``L = 1`` tables
         broadcast over them; ``None`` if they cannot be (or there are none).
         Store in -> store out, lists in -> lists out."""
@@ -2292,16 +2352,17 @@ class NumpyBackend(ArithmeticBackend):
         if tabs is None:
             return None
         if isinstance(rows, _np.ndarray):
-            return core(tabs, self._matrix(rows))
+            return core(tabs, self._matrix(rows), scratch)
         q = context.modulus
-        return core(tabs, _np.stack([self._to_array(row, q) for row in rows])).tolist()
+        rows = _np.stack([self._to_array(row, q) for row in rows])
+        return core(tabs, rows, scratch).tolist()
 
-    def ntt_forward_batch(self, context, rows):
-        out = self._transform_rows(_ntt, context, rows)
+    def ntt_forward_batch(self, context, rows, scratch=None):
+        out = self._transform_rows(_ntt, context, rows, scratch)
         return super().ntt_forward_batch(context, rows) if out is None else out
 
-    def ntt_inverse_batch(self, context, rows):
-        out = self._transform_rows(_intt, context, rows)
+    def ntt_inverse_batch(self, context, rows, scratch=None):
+        out = self._transform_rows(_intt, context, rows, scratch)
         return super().ntt_inverse_batch(context, rows) if out is None else out
 
     def rows_monomial_multiply(self, store, q, degrees, group):
@@ -2331,20 +2392,40 @@ class NumpyBackend(ArithmeticBackend):
     def external_product_mac(self, fwd, key_rows, members, q):
         x = self._matrix(fwd)
         y = self._matrix(key_rows)
+        # A group of one is the reduced product of :meth:`_mulmod`: the
+        # full 32-bit moduli, and the wider ones on their Montgomery path.
+        group = max(1, _mac_group(q))
         if (
             x is None or y is None or not self._mul_ok(q)
             or x.size < self.min_vector_length
+            # Every count mismatch is the golden kernel's error to raise.
+            or not 0 < members <= len(x)
             or len(x) % members or len(y) % (len(x) // members)
-            # Reduced terms are summed before one final remainder.
-            or (len(x) // members) * q > 1 << 64
+            # Reduced group sums are added before one final remainder.
+            or -(-len(x) // (members * group)) * q > 1 << 64
         ):
             return super().external_product_mac(fwd, key_rows, members, q)
         n = x.shape[1]
         per_member = len(x) // members
-        terms = self._mulmod(
-            x.reshape(members, per_member, 1, n), y.reshape(1, per_member, -1, n), (q,)
-        )
-        return (terms.sum(axis=1) % _np.uint64(q)).reshape(-1, n)
+        x = x.reshape(members, per_member, n)
+        y = y.reshape(per_member, -1, n)
+        q_u = _np.uint64(q)
+        acc = None
+        for start in range(0, per_member, group):
+            if group == 1:
+                part = self._mulmod(x[:, start, None], y[start], (q,))
+            else:
+                # ``group`` unreduced products per element, one remainder.
+                part = _np.einsum("mpn,pcn->mcn", x[:, start:start + group],
+                                  y[start:start + group])
+                part %= q_u
+            if acc is None:
+                acc = part
+            else:
+                acc += part
+        if per_member > group:
+            acc %= q_u
+        return acc.reshape(-1, n)
 
     # -- cyclic NTT batches (four-step phases) ------------------------------
     def _cyclic_stage_twiddles(self, length: int, omega: int, q: int):

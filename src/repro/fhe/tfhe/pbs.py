@@ -163,6 +163,16 @@ def blind_rotate_wave(
     difference rows are zero and so is its external product, so the step
     leaves it unchanged bit for bit, exactly as if it had been skipped; an
     iteration is skipped outright when every member's ``a_i`` is zero.
+
+    The wave owns the work buffers of its transforms: one plain dict, made
+    here, goes to the forward and the inverse batch of every step, so the
+    backend builds its ``(rows, N)`` temporaries once per wave instead of
+    once per call (at wave 16 that was 1.6 MB handed back to the allocator
+    and faulted in again, ``2 * n_lwe`` times).  The dict dies with this
+    call — nothing is kept on the backend, a table or a module.  What a
+    transform *returns* is never one of those buffers: each step's product
+    is still being read when the next transform overwrites them, and
+    :meth:`BootstrappingKey.eval_store` caches a transform's result for good.
     """
     first = test_vectors[0]
     n, q, group = first.ring_degree, first.modulus, first.glwe_dimension + 1
@@ -198,6 +208,7 @@ def blind_rotate_wave(
     accumulator = backend.rows_monomial_multiply(
         accumulator, q, [-lwe.b for lwe in switched], group
     )
+    scratch: dict = {}
     for i in range(bootstrapping_key.lwe_dimension):
         degrees = [lwe.a[i] for lwe in switched]
         if not any(degrees):
@@ -207,11 +218,12 @@ def blind_rotate_wave(
             backend.limbs_sub(rotated, accumulator, moduli), q, factors
         )
         product = backend.external_product_mac(
-            backend.ntt_forward_batch(context, digits),
+            backend.ntt_forward_batch(context, digits, scratch),
             key[i * span:(i + 1) * span], len(switched), q,
         )
         accumulator = backend.limbs_add(
-            accumulator, backend.ntt_inverse_batch(context, product), moduli
+            accumulator, backend.ntt_inverse_batch(context, product, scratch),
+            moduli,
         )
     return accumulator
 

@@ -484,7 +484,9 @@ def _edge_store(moduli, seed, n=64):
 
 class TestReductionBudget:
     """``stacked_pmult_mac`` and ``bconv_matmul`` sum unreduced products and
-    reduce once per budget; the budget edges, with operands at ``q - 1``."""
+    reduce once per budget; the budget edges, with operands at ``q - 1``.
+    (``external_product_mac``'s edges ride its own wave-kernel test below;
+    the helper that sizes its groups is checked here.)"""
 
     def _pmult_mac(self, bits, terms, seed=0):
         moduli = _primes(bits, 2)
@@ -519,6 +521,11 @@ class TestReductionBudget:
     def test_bconv_over_budget_falls_through(self):
         assert not self._bconv(30, 32, sources=5)   # 30 + 32 + 3 = 65
         assert not self._bconv(32, 32, sources=2)   # 32 + 32 + 1 = 65
+
+    @given(st.integers(2, 1 << 64))
+    def test_mac_group_is_the_most_products_one_word_holds(self, q):
+        g = backend_module._mac_group(q)
+        assert g * (q - 1) ** 2 < 1 << 64 <= (g + 1) * (q - 1) ** 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(28, 32), st.integers(28, 32), st.integers(1, 20),
@@ -592,8 +599,29 @@ class TestWaveKernelParity:
             NUMPY.pack_limbs(fwd, (q,) * len(fwd)),
             NUMPY.pack_limbs(key, (q,) * len(key)), members, q)
         assert _rows(out) == expected
-        with pytest.raises(ValueError, match="row counts"):
-            NUMPY.external_product_mac(fwd, key, 5, q)
+        for backend in (PYTHON, NUMPY):
+            for rows, count in ((fwd, 5), ([], 1), (fwd, 0), (fwd, len(fwd) + 1)):
+                with pytest.raises(ValueError, match="row counts"):
+                    backend.external_product_mac(rows, key, count, q)
+        # The group bound at its edge: every digit and key residue at
+        # ``edge - 1``, the member's rows filling one group exactly, spilling
+        # one product into the next, and ending on a part-filled third.  The
+        # class's own modulus, the largest single-word one (2^32 is no NTT
+        # modulus, so the class cannot carry it) and a 20-bit prime whose
+        # group is millions wide: everything is one group.
+        for edge in sorted({q, 1 << 32, modmath.find_ntt_prime(20, 64)}):
+            g = backend_module._mac_group(edge)
+            assert g * (edge - 1) ** 2 < 1 << 64 <= (g + 1) * (edge - 1) ** 2
+            for per_member in sorted({1, g, g + 1, 2 * g + 3} if 0 < g < 8 else {1, 5}):
+                fwd = [[edge - 1] * 8] * (members * per_member)
+                key = [[edge - 1] * 8] * (per_member * width)
+                expected = PYTHON.external_product_mac(fwd, key, members, edge)
+                # per_member * (edge - 1)^2 = per_member (mod edge).
+                assert expected == [[per_member % edge] * 8] * (members * width)
+                out = NUMPY.external_product_mac(
+                    NUMPY.pack_limbs(fwd, (edge,) * len(fwd)),
+                    NUMPY.pack_limbs(key, (edge,) * len(key)), members, edge)
+                assert _rows(out) == expected
 
     def test_ntt_batches_preserve_the_container(self, q, n):
         context = NTTContext(n, q)

@@ -17,7 +17,7 @@ from repro.fhe.backend import (
 from repro.fhe.ckks.keys import CKKSKeyGenerator
 from repro.fhe.conversion.bridge import SchemeBridge
 from repro.fhe.params import TFHEParameters
-from repro.fhe.polynomial import Polynomial
+from repro.fhe.polynomial import Polynomial, _ntt_context
 from repro.fhe.tfhe import (
     LWECiphertext,
     LWEContext,
@@ -682,6 +682,125 @@ class TestResidency:
         assert gates.decrypt(out) is True
 
 
+def test_every_override_keeps_the_kernel_signature():
+    """Census: a public kernel overridden in a backend takes the parameters
+    of its ``ArithmeticBackend`` definition — names, order, kinds, defaults.
+
+    Wrappers (``_CountingBackend`` above, the chaos and timing backends)
+    forward whatever they are given, so an optional argument added to the
+    golden kernel and missed in one override would surface only on the
+    backend a run did not pick.  Lives here, not beside the caller census in
+    ``test_backend_parity.py``, because that module is skipped whole without
+    numpy: this one runs on every CI leg (the python backend alone there).
+    """
+    import inspect
+
+    def parameters(kernel):
+        return [(p.name, p.kind, p.default)
+                for p in inspect.signature(kernel).parameters.values()]
+
+    backends = [PythonBackend] + ([NumpyBackend] if NUMPY_BACKENDS else [])
+    mismatched = [
+        f"{cls.__name__}.{name}"
+        for cls in backends for name in vars(cls)
+        if not name.startswith("_") and callable(getattr(cls, name))
+        and hasattr(ArithmeticBackend, name)
+        and parameters(getattr(cls, name)) != parameters(getattr(ArithmeticBackend, name))
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.skipif(not NUMPY_BACKENDS, reason="numpy backend unavailable")
+class TestWaveScratch:
+    """The batch transforms' optional ``scratch``: the caller's dict holds
+    work buffers only — nothing a transform returns lives in it, and it
+    serves any sequence of row counts."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        from repro.fhe.ntt import NTTContext
+
+        q = TFHEParameters.hybrid().modulus
+        rng = random.Random(23)
+
+        def rows(count):
+            return NUMPY_BACKENDS["numpy"].pack_limbs(
+                [[rng.randrange(q) for _ in range(256)] for _ in range(count)],
+                (q,) * count)
+        return NTTContext(256, q), rows
+
+    @pytest.mark.parametrize("kernel", ["ntt_forward_batch", "ntt_inverse_batch"])
+    def test_a_returned_store_is_never_a_scratch_buffer(self, ring, kernel):
+        np = pytest.importorskip("numpy")
+        context, rows = ring
+        transform = getattr(NUMPY_BACKENDS["numpy"], kernel)
+        first, second, scratch = rows(160), rows(160), {}
+        out = transform(context, first, scratch)
+        buffers = [buffer for held in scratch.values() for buffer in held]
+        assert buffers and not any(np.shares_memory(out, b) for b in buffers)
+        kept = out.copy()
+        again = transform(context, second, scratch)
+        assert [b.ctypes.data for held in scratch.values() for b in held] == \
+            [b.ctypes.data for b in buffers]                    # reused, not remade
+        assert not any(np.shares_memory(again, b) for b in buffers)
+        assert np.array_equal(out, kept)
+        assert np.array_equal(out, transform(context, first))
+        assert np.array_equal(again, transform(context, second))
+
+    def test_one_scratch_survives_a_change_of_row_count(self, ring, waves):
+        np = pytest.importorskip("numpy")
+        context, rows = ring
+        scratch = {}
+
+        class OneScratch(NumpyBackend):
+            """Every batch transform gets the test's dict, not the wave's."""
+
+            def ntt_forward_batch(self, context, rows, scratch_=None):
+                return super().ntt_forward_batch(context, rows, scratch)
+
+            def ntt_inverse_batch(self, context, rows, scratch_=None):
+                return super().ntt_inverse_batch(context, rows, scratch)
+
+        backend = OneScratch(min_vector_length=0, min_ntt_length=0)
+        wide, narrow = rows(160), rows(32)
+        forward = backend.ntt_forward_batch(context, wide)
+        inverse = backend.ntt_inverse_batch(context, narrow)
+        assert len(scratch) == 2
+        wave = waves("hybrid")
+        with use_backend(backend):
+            store = blind_rotate_wave(
+                wave.vectors[:4], wave.switched[:4], wave.context.bootstrapping_key)
+        assert backend.unpack_limbs(store) == wave.reference_rows(4)
+        # The wave's own 40 and 8 rows joined them (and the key's, if this
+        # backend name had no evaluation key yet).
+        assert {(160, 256), (32, 256), (40, 256), (8, 256)} <= set(scratch)
+        plain = NUMPY_BACKENDS["numpy"]
+        assert np.array_equal(forward, plain.ntt_forward_batch(context, wide))
+        assert np.array_equal(inverse, plain.ntt_inverse_batch(context, narrow))
+        assert np.array_equal(
+            backend.ntt_forward_batch(context, wide), forward)
+
+    def test_waves_of_changing_size_match_the_python_backend(self):
+        context = TFHEContext(TFHEParameters.hybrid(), seed=3)
+        ciphertexts = [context.encrypt(i % 4) for i in range(16)]
+        vectors = [sign_test_vector(context, 1 << 16)] * 16
+        with use_backend(PythonBackend()):
+            expected = batched_programmable_bootstrap(context, ciphertexts, vectors)
+        backend = NumpyBackend()
+        params = context.params
+        with use_backend(backend):
+            key_bytes = context.bootstrapping_key.eval_store(
+                _ntt_context(params.polynomial_size, params.modulus), backend
+            ).tobytes()
+            for size in (16, 4, 16):
+                outputs = batched_programmable_bootstrap(
+                    context, ciphertexts[:size], vectors[:size])
+                assert _same(outputs, expected[:size])
+        # Three waves later the cached evaluation key is the bytes it was:
+        # it came out of a transform, and no scratch ever held it.
+        assert context.bootstrapping_key._eval_cache[backend.name].tobytes() == key_bytes
+
+
 def _tfhe_key_material_digest(params, backend):
     """sha256 over everything ``seed=11`` generates for one TFHE instance:
     ``bsk``, ``ksk``, the bridge's ``c2t``/``t2c`` and one fresh encryption."""
@@ -721,3 +840,31 @@ class TestTFHEKeyMaterialPinned:
     def test_digest_matches_parent_commit(self, name, backend):
         params = getattr(TFHEParameters, name)()
         assert _tfhe_key_material_digest(params, backend) == self.PINNED[name]
+
+
+def _wave_output_digest(backend):
+    """sha256 over the sixteen ``(a, b)`` outputs of one sign-PBS wave."""
+    digest = hashlib.sha256()
+    with use_backend(backend):
+        context = TFHEContext(TFHEParameters.hybrid(), seed=3)
+        ciphertexts = [context.encrypt(i % 4) for i in range(16)]
+        vectors = [sign_test_vector(context, 1 << 16)] * 16
+        for lwe in batched_programmable_bootstrap(context, ciphertexts, vectors):
+            digest.update(repr((list(lwe.a), lwe.b)).encode())
+    return digest.hexdigest()
+
+
+class TestWaveOutputPinned:
+    """A wave of sixteen bootstraps still produces the same ciphertexts.
+
+    The TFHE twin of ``TestEvaluationPinned``: the digest was recorded at the
+    commit *before* the blind rotation's transforms took a caller-owned
+    scratch and its MAC started reducing once per group (fresh temporaries,
+    one ``%`` per product), where both backends already agreed.
+    """
+
+    PINNED = "c5aecb526dc94bb99b300f2f97cc5bdc8b60d066acc9642730b410a16c31f208"
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_digest_matches_parent_commit(self, backend):
+        assert _wave_output_digest(backend) == self.PINNED
