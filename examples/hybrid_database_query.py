@@ -137,12 +137,11 @@ def functional_query() -> None:
     print(f"  planned vs eager: {'bit-exact [ok]' if exact else 'MISMATCH'}")
 
     mask_encoding = 2 * AMPLITUDE * params.moduli[0] / tparams.modulus
-    mask_coeffs = ckks.decrypt(
-        out_planned["mask"]).poly.to_polynomial().centered_coefficients()
+    mask_coeffs = ckks.decrypt(out_planned["mask"]).poly.centered_coefficients()
     mask_bits = [round(mask_coeffs[j * stride] / mask_encoding)
                  for j in range(NSLOT)]
     filtered_coeffs = ckks.decrypt(
-        out_planned["filtered"]).poly.to_polynomial().centered_coefficients()
+        out_planned["filtered"]).poly.centered_coefficients()
     filtered_sum = round(filtered_coeffs[n - 1] / mask_encoding)
     total = round(ckks.decrypt_vector(out_planned["total"])[0].real)
     expected_sum = sum(p for p in PRICES if p <= THRESHOLD)
@@ -189,8 +188,7 @@ def serving_view() -> None:
         "analytics/provisioned", "threshold-filter", column)])[0]
     mask_encoding = 2 * AMPLITUDE * params.moduli[0] / tparams.modulus
     served = round(ckks.decrypt(
-        response.ciphertexts[0]).poly.to_polynomial().centered_coefficients()
-        [n - 1] / mask_encoding)
+        response.ciphertexts[0]).poly.centered_coefficients()[n - 1] / mask_encoding)
     expected = sum(p for p in PRICES if p <= THRESHOLD)
     print(f"  tenant analytics/provisioned served: filtered sum {served}"
           f"{' [ok]' if served == expected else ' MISMATCH'}")

@@ -41,6 +41,7 @@ without it degrades gracefully to the python backend (with a warning).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 import struct
@@ -115,6 +116,35 @@ def _mac_group(q: int) -> int:
     group = ((1 << 64) - 1) // worst
     assert group * worst < 1 << 64 <= (group + 1) * worst, q
     return group
+
+
+@lru_cache(maxsize=256)
+def _crt_terms(moduli: tuple) -> tuple:
+    """``(Q, terms)`` with ``x = sum_i r_i * terms[i] mod Q`` the CRT
+    reconstruction: ``terms[i] = (Q/q_i) * ((Q/q_i)^{-1} mod q_i)``."""
+    product = math.prod(moduli)
+    return product, tuple(
+        (product // q) * pow(product // q, -1, q) for q in moduli)
+
+
+@lru_cache(maxsize=256)
+def _garner_prefix(moduli: tuple) -> tuple:
+    """Mixed-radix constants of the longest limb prefix one word can lift.
+
+    ``(P, steps)``: ``P = q_0 ... q_{k-1}`` is the largest prefix product
+    below ``2^62`` (so a centred value and the sums that build it fit an
+    int64) and ``steps[j-1] = (P_j, P_j^{-1} mod q_j)`` with ``P_j = q_0 ...
+    q_{j-1}`` for Garner's digit ``j`` in ``1 .. k-1``.  ``k = 1`` always
+    exists for the moduli the numpy backend accepts (each below ``2^62``).
+    """
+    product = moduli[0]
+    steps = []
+    for q in moduli[1:]:
+        if (product * q).bit_length() > NUMPY_MAX_MODULUS_BITS:
+            break
+        steps.append((product, pow(product, -1, q)))
+        product *= q
+    return product, tuple(steps)
 
 
 class PermSpec:
@@ -260,7 +290,9 @@ class ArithmeticBackend:
     # ``random.Random``).  A sampler's contract is stronger than bit-exact
     # output: every override must also leave the generator in the state the
     # golden scalar loop leaves it in, so keys and ciphertexts are identical
-    # across backends for one seed.
+    # across backends for one seed.  One kernel goes the other way —
+    # ``limbs_centered_lift``, residue rows -> signed integers — and is the
+    # only place a decode boundary reconstructs anything.
     #
     # The family is not CKKS-only: nothing requires the row moduli to
     # differ.  A TFHE PBS wave is the same store with ``moduli = (q,) *
@@ -359,6 +391,26 @@ class ArithmeticBackend:
             )
         padding = [0] * (length - len(coefficients))
         return [[int(c) % q for c in coefficients] + padding for q in moduli]
+
+    def limbs_centered_lift(self, store, moduli) -> List[int]:
+        """Inverse of :meth:`reduce_limbs`: the exact centred CRT lift.
+
+        Entry ``k`` is the one integer in ``(-Q/2, Q/2]``, ``Q`` the product
+        of the (pairwise coprime) moduli, whose residue under ``moduli[i]``
+        is ``store[i][k]`` — every decode boundary reads a polynomial
+        through here.  What comes back is a list of python ints, not a
+        store: a lifted coefficient is as wide as ``Q``.
+        """
+        rows = self.store_rows(store)
+        if len(rows) != len(moduli):
+            raise ValueError("residue row count does not match the moduli")
+        product, terms = _crt_terms(tuple(moduli))
+        half = product // 2
+        lifted = []
+        for residues in zip(*rows):
+            value = sum(map(operator.mul, residues, terms)) % product
+            lifted.append(value - product if value > half else value)
+        return lifted
 
     def sample_uniform_limbs(self, rng, moduli, length: int) -> object:
         """A store of uniform residues: row ``i`` drawn from ``[0, moduli[i])``.
@@ -1998,9 +2050,48 @@ class NumpyBackend(ArithmeticBackend):
             column[:len(coefficients)] = coefficients
         except (OverflowError, TypeError, ValueError):
             return super().reduce_limbs(coefficients, moduli, length)
-        # int64 ``%`` with a positive divisor is non-negative, like python's.
-        residues = column[None, :] % self._q_col(moduli).astype(_np.int64)
-        return residues.astype(_np.uint64)
+        q = self._q_col(moduli).view(_np.int64)         # every modulus < 2^62
+        peak = max(-int(column.min(initial=0)), int(column.max(initial=0)))
+        if peak < min(moduli, default=0):
+            # Ternary secrets, few-sigma errors, encoded messages: below the
+            # smallest modulus in magnitude, ``%`` is one conditional add.
+            residues = _np.where(column < 0, column + q, column)
+        else:
+            # int64 ``%`` with a positive divisor is non-negative, like python's.
+            residues = column[None, :] % q
+        return residues.view(_np.uint64)
+
+    def limbs_centered_lift(self, store, moduli):
+        # Garner's mixed-radix digits over the limb prefix whose product
+        # fits a word give the centred value of that prefix, ``|x| <= P/2``.
+        # If ``x`` also has the residue the store holds under every
+        # remaining limb, then ``x = store (mod Q)`` and ``|x| <= P/2 <
+        # Q/2``: it *is* the centred lift — a proof per coefficient, with
+        # no assumption about how large a message may be.  A coefficient
+        # that fails the check is wider than the prefix and is lifted by
+        # the golden CRT.
+        moduli = tuple(moduli)
+        x = self._matrix(store) if self._moduli_fit(moduli) else None
+        if not self._limbs_ok(moduli, x) or len(x) != len(moduli):
+            return super().limbs_centered_lift(store, moduli)
+        prefix, steps = _garner_prefix(moduli)
+        value = x[0]
+        for row, q, (radix, inverse) in zip(x[1:], moduli[1:], steps):
+            q_u = _np.uint64(q)
+            digit = self._scale(
+                self._sub(row, value % q_u, q_u)[None, :], (inverse,), (q,))[0]
+            value = value + digit * _np.uint64(radix)
+        value = value.view(_np.int64)                    # in [0, P), P < 2^62
+        lifted = _np.where(value > prefix // 2, value - prefix, value)
+        rest = len(steps) + 1
+        check = lifted[None, :] % self._q_col(moduli)[rest:].view(_np.int64)
+        wide = _np.flatnonzero((check.view(_np.uint64) != x[rest:]).any(axis=0))
+        lifted = lifted.tolist()
+        if wide.size:
+            exact = super().limbs_centered_lift(x[:, wide], moduli)
+            for index, coefficient in zip(wide.tolist(), exact):
+                lifted[index] = coefficient
+        return lifted
 
     def sample_uniform_limbs(self, rng, moduli, length):
         # ``randrange(q)`` on a stock ``random.Random`` is: draw

@@ -25,7 +25,7 @@ from .ciphertext import CKKSCiphertext, CKKSPlaintext
 from .encoder import CKKSEncoder
 from .evaluator import CKKSEvaluator
 from .keys import CKKSKeyGenerator, CKKSKeySet
-from .context import CKKSContext
+from .context import CKKSContext, measure_noise
 from .linear_transform import BSGSLinearTransform
 from .bootstrap_exec import PackedBootstrap, mod_raise
 
@@ -37,6 +37,7 @@ __all__ = [
     "CKKSKeyGenerator",
     "CKKSKeySet",
     "CKKSContext",
+    "measure_noise",
     "BSGSLinearTransform",
     "PackedBootstrap",
     "mod_raise",

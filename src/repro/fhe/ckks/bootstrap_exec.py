@@ -72,14 +72,12 @@ def mod_raise(ciphertext: CKKSCiphertext, params: CKKSParameters,
     if target_level < 1:
         raise ValueError("mod_raise needs a target level >= 1")
     basis = params.basis(target_level)
-    c0 = ciphertext.c0.to_coeff().to_polynomial()
-    c1 = ciphertext.c1.to_coeff().to_polynomial()
-    return CKKSCiphertext(
-        c0=RNSPolynomial.from_polynomial(c0, basis),
-        c1=RNSPolynomial.from_polynomial(c1, basis),
-        level=target_level,
-        scale=ciphertext.scale,
+    c0, c1 = (
+        RNSPolynomial.from_integer_coefficients(
+            params.ring_degree, basis, part.centered_coefficients())
+        for part in (ciphertext.c0, ciphertext.c1)
     )
+    return CKKSCiphertext(c0=c0, c1=c1, level=target_level, scale=ciphertext.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,36 @@ from ..rns import RNSPolynomial, _limb_contexts
 from .ciphertext import CKKSCiphertext, CKKSPlaintext
 from .encoder import CKKSEncoder
 from .evaluator import CKKSEvaluator
-from .keys import CKKSKeyGenerator, CKKSKeySet, sample_error
+from .keys import CKKSKeyGenerator, CKKSKeySet, CKKSSecretKey, sample_error
 
-__all__ = ["CKKSContext"]
+__all__ = ["CKKSContext", "measure_noise"]
+
+
+def _phase(ciphertext: CKKSCiphertext, secret: CKKSSecretKey) -> RNSPolynomial:
+    """``c0 + c1 * s``, coefficient-resident.
+
+    Computed in the ciphertext's own domain against the secret's cached
+    evaluation image: a coefficient-resident pair pays one transform in (for
+    ``c1``) and one out (for the product), an evaluation-resident pair only
+    the one out — the decrypt side of the domain-residency convention.
+    """
+    c0, c1 = ciphertext.c0, ciphertext.c1
+    product = c1.to_eval() * secret.as_eval(c1.ring_degree, c1.basis)
+    if c0.domain == "eval":
+        return (c0 + product).to_coeff()
+    return c0 + product.to_coeff()
+
+
+def measure_noise(ciphertext: CKKSCiphertext, secret: CKKSSecretKey,
+                  expected: CKKSPlaintext) -> int:
+    """Infinity norm of ``ciphertext``'s decryption error against ``expected``.
+
+    The centred difference between ``c0 + c1 * s`` and the plaintext
+    polynomial the ciphertext should hold (same level), in units of one
+    integer coefficient: ``log2(scale / noise)`` is the bits of message that
+    survive.  For tests and noise budgets — it needs the secret key.
+    """
+    return (_phase(ciphertext, secret) - expected.poly.to_coeff()).infinity_norm()
 
 
 class CKKSContext:
@@ -97,12 +124,8 @@ class CKKSContext:
         Evaluation-resident ciphertexts are converted at this boundary — the
         decrypt side of the domain-residency convention.
         """
-        n = self.params.ring_degree
         with use_backend(self.backend):
-            c0 = ciphertext.c0.to_coeff()
-            c1 = ciphertext.c1.to_coeff()
-            s = self.keys.secret.as_rns(n, c0.basis)
-            poly = c0 + c1 * s
+            poly = _phase(ciphertext, self.keys.secret)
         return CKKSPlaintext(poly=poly, level=ciphertext.level, scale=ciphertext.scale)
 
     # -- convenience round-trips -------------------------------------------------

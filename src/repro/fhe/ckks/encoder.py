@@ -13,6 +13,7 @@ hardware model never calls it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import List, Sequence
 
@@ -23,7 +24,6 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
 
 from ..backend import ArithmeticBackend, use_backend
 from ..params import CKKSParameters
-from ..polynomial import Polynomial
 from ..rns import RNSPolynomial
 from .ciphertext import CKKSPlaintext
 
@@ -77,25 +77,48 @@ class CKKSEncoder:
     # -- encoding ---------------------------------------------------------
     def encode(self, values: Sequence[complex], level: int | None = None,
                scale: float | None = None) -> CKKSPlaintext:
-        """Encode up to ``N/2`` complex values into a plaintext polynomial."""
+        """Encode up to ``N/2`` complex values into a plaintext polynomial.
+
+        Raises ``ValueError`` for a non-finite value, a ``scale`` that is
+        not positive and finite, or a value whose scaled coefficient falls
+        outside ``(-Q_l/2, Q_l/2]`` — it would wrap modulo ``Q_l`` and decode
+        to something else.  Integer coefficients that are *meant* modulo
+        ``Q_l`` go through :meth:`encode_coefficients`.
+        """
         params = self.params
         n = params.slots
         level = params.max_level if level is None else level
         scale = float(params.scale) if scale is None else float(scale)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         vector = np.zeros(n, dtype=np.complex128)
         values = np.asarray(list(values), dtype=np.complex128)
         if values.size > n:
             raise ValueError(f"too many values: {values.size} > {n} slots")
+        if not np.isfinite(values).all():
+            raise ValueError("cannot encode a non-finite value")
         vector[: values.size] = values
-        # Inverse canonical embedding: m_k = (2/N) * Re( sum_j z_j * conj(zeta_j^k) ).
+        # Inverse canonical embedding: m_k = (2/N) * Re( sum_j z_j * conj(zeta_j^k) ),
+        # as Re(conj(.)) of the product with the matrix itself: conjugating
+        # the n-vector instead of the n x N table copies nothing.
         coefficients = (2.0 / params.ring_degree) * np.real(
-            np.conj(self._eval_matrix).T @ vector
+            self._eval_matrix.T @ np.conj(vector)
         )
-        scaled = np.rint(coefficients * scale).astype(object)
+        scaled = np.rint(coefficients * scale)
         basis = params.basis(level)
+        peak = int(np.abs(scaled).max())
+        if peak > basis.product // 2:                   # Q_l is odd
+            raise ValueError(
+                f"value too large for level {level} at scale 2^{math.log2(scale):.1f}: "
+                f"a scaled coefficient needs {peak.bit_length() + 1} bits, "
+                f"the modulus has {basis.product.bit_length()}"
+            )
+        # Rounded floats below 2^62 are exact int64s; anything wider goes
+        # the exact python-int way.
+        scaled = scaled.astype(np.int64) if peak < 1 << 62 else [int(c) for c in scaled]
         with use_backend(self.backend):
             poly = RNSPolynomial.from_integer_coefficients(
-                params.ring_degree, basis, [int(c) for c in scaled]
+                params.ring_degree, basis, scaled
             )
         return CKKSPlaintext(poly=poly, level=level, scale=scale)
 
@@ -113,21 +136,18 @@ class CKKSEncoder:
 
     # -- decoding ---------------------------------------------------------
     def decode(self, plaintext: CKKSPlaintext, num_values: int | None = None) -> List[complex]:
-        """Decode a plaintext polynomial back to its complex slot values."""
+        """Decode a plaintext polynomial back to its complex slot values.
+
+        The coefficients are read through
+        :meth:`RNSPolynomial.centered_coefficients` — one
+        ``limbs_centered_lift`` dispatch, exact whatever the magnitude.
+        """
         params = self.params
         n = params.slots
         num_values = n if num_values is None else num_values
+        if not 0 <= num_values <= n:
+            raise ValueError(f"num_values must be in [0, {n}], got {num_values}")
         with use_backend(self.backend):
-            poly = plaintext.poly.to_polynomial()
-        centred = np.array(poly.centered_coefficients(), dtype=np.float64)
-        slots = self._eval_matrix @ centred / plaintext.scale
-        return [complex(v) for v in slots[:num_values]]
-
-    def decode_polynomial(self, poly: Polynomial, scale: float,
-                          num_values: int | None = None) -> List[complex]:
-        """Decode a raw (already CRT-combined) polynomial."""
-        n = self.params.slots
-        num_values = n if num_values is None else num_values
-        centred = np.array(poly.centered_coefficients(), dtype=np.float64)
-        slots = self._eval_matrix @ centred / scale
-        return [complex(v) for v in slots[:num_values]]
+            centred = plaintext.poly.centered_coefficients()
+        slots = self._eval_matrix @ np.asarray(centred, dtype=np.float64) / plaintext.scale
+        return slots[:num_values].tolist()

@@ -102,10 +102,23 @@ class CKKSSecretKey:
     """The ternary secret ``s``, stored as centred integer coefficients."""
 
     coefficients: Tuple[int, ...]
+    # Evaluation-domain images of the secret, built on first use and reused
+    # by every decryption (keyed by backend name and basis).  The transforms
+    # are exact, so caching cannot change results.
+    _eval_cache: Dict[tuple, RNSPolynomial] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def as_rns(self, ring_degree: int, basis: RNSBasis) -> RNSPolynomial:
         """The secret reduced into an arbitrary RNS basis."""
         return RNSPolynomial.from_integer_coefficients(ring_degree, basis, self.coefficients)
+
+    def as_eval(self, ring_degree: int, basis: RNSBasis) -> RNSPolynomial:
+        """:meth:`as_rns` in the evaluation domain (cached)."""
+        key = (active_backend().name, ring_degree, basis)
+        image = self._eval_cache.get(key)
+        if image is None:
+            image = self._eval_cache[key] = self.as_rns(ring_degree, basis).to_eval()
+        return image
 
 
 @dataclass

@@ -349,8 +349,10 @@ class Polynomial:
         return cls(ring_degree, modulus, context.inverse(list(values)))
 
     def centered_coefficients(self) -> List[int]:
-        """Coefficients mapped to the centred interval (-q/2, q/2]."""
-        return [centered(c, self.modulus) for c in self.coefficients]
+        """Coefficients mapped to the centred interval (-q/2, q/2] — the
+        one-limb case of the ``limbs_centered_lift`` kernel."""
+        return active_backend().limbs_centered_lift(
+            [self.coefficients], (self.modulus,))
 
     def infinity_norm(self) -> int:
         """Max absolute value of the centred coefficients (noise measurement)."""
@@ -377,13 +379,19 @@ def sample_ternary(ring_degree: int, modulus: int, rng: random.Random, hamming_w
     non-zero (the sparse-ternary secrets used by CKKS bootstrapping papers).
     """
     if hamming_weight is None:
-        coeffs = [rng.choice((-1, 0, 1)) for _ in range(ring_degree)]
-    else:
-        coeffs = [0] * ring_degree
-        hamming_weight = min(hamming_weight, ring_degree)
-        positions = rng.sample(range(ring_degree), hamming_weight)
-        for pos in positions:
-            coeffs[pos] = rng.choice((-1, 1))
+        # ``rng.choice((-1, 0, 1))`` is ``randrange(3) - 1``: the block
+        # sampler draws the same values from the same stream.
+        backend = active_backend()
+        draws = backend.sample_uniform_limbs(rng, (3,), ring_degree)
+        reduced = ((-1) % modulus, 0, 1 % modulus)
+        return Polynomial._from_reduced(
+            ring_degree, modulus,
+            [reduced[draw] for draw in backend.store_rows(draws)[0]])
+    coeffs = [0] * ring_degree
+    hamming_weight = min(hamming_weight, ring_degree)
+    positions = rng.sample(range(ring_degree), hamming_weight)
+    for pos in positions:
+        coeffs[pos] = rng.choice((-1, 1))
     return Polynomial(ring_degree, modulus, coeffs)
 
 

@@ -309,31 +309,34 @@ class RNSPolynomial:
         )
         return cls._from_store(ring_degree, basis, store)
 
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial, basis: RNSBasis) -> "RNSPolynomial":
-        """Lift a single-modulus polynomial into an RNS basis (centred lift)."""
-        return cls.from_integer_coefficients(
-            poly.ring_degree, basis, poly.centered_coefficients()
-        )
+    def centered_coefficients(self) -> List[int]:
+        """The big-integer coefficients centred into ``(-Q/2, Q/2]``.
 
-    def to_integer_coefficients(self) -> List[int]:
-        """CRT-reconstruct the big-integer coefficients in ``[0, Q)``.
-
-        An evaluation-resident polynomial converts first (exact): asking for
+        One ``limbs_centered_lift`` dispatch — the exact CRT lift of the
+        whole limb stack; every other integer view derives from it.  An
+        evaluation-resident polynomial converts first (exact): asking for
         integer coefficients is a decode boundary.
         """
         if self.domain != "coeff":
-            return self.to_coeff().to_integer_coefficients()
-        rows = self.coefficient_rows()
-        result = []
-        for idx in range(self.ring_degree):
-            residues = [row[idx] for row in rows]
-            result.append(self.basis.reconstruct(residues))
-        return result
+            return self.to_coeff().centered_coefficients()
+        return active_backend().limbs_centered_lift(
+            self.store(), tuple(self.basis.moduli))
+
+    def infinity_norm(self) -> int:
+        """Max absolute value of the centred coefficients (noise measurement)."""
+        return max(map(abs, self.centered_coefficients()), default=0)
+
+    def to_integer_coefficients(self) -> List[int]:
+        """The big-integer coefficients in ``[0, Q)``:
+        :meth:`centered_coefficients` (the ``limbs_centered_lift`` kernel)
+        shifted back up."""
+        product = self.basis.product
+        return [c + product if c < 0 else c for c in self.centered_coefficients()]
 
     def to_polynomial(self) -> Polynomial:
         """Single big-modulus polynomial with modulus ``Q`` (CRT reconstruction)."""
-        return Polynomial(self.ring_degree, self.basis.product, self.to_integer_coefficients())
+        return Polynomial._from_reduced(
+            self.ring_degree, self.basis.product, self.to_integer_coefficients())
 
     # -- arithmetic -------------------------------------------------------------
     def _check_compatible(self, other: "RNSPolynomial") -> None:
@@ -530,13 +533,10 @@ def exact_basis_conversion(
     Used as the reference implementation against which the fast (approximate)
     conversion is property-tested.
     """
-    source_product = poly.basis.product
-    coeffs = poly.to_integer_coefficients()
-    # Centre the value in (-Q/2, Q/2] before reducing into the new basis so
-    # that negative values survive the conversion.
-    centred = [c - source_product if c > source_product // 2 else c for c in coeffs]
+    # Centred in (-Q/2, Q/2] before reducing into the new basis so that
+    # negative values survive the conversion.
     return RNSPolynomial.from_integer_coefficients(
-        poly.ring_degree, target_basis, centred
+        poly.ring_degree, target_basis, poly.centered_coefficients()
     )
 
 

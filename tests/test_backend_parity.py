@@ -32,6 +32,7 @@ except ImportError:  # the whole module is skipped below
 from repro.fhe import backend as backend_module
 from repro.fhe import modmath
 from repro.fhe.backend import (
+    ArithmeticBackend,
     NumpyBackend,
     PythonBackend,
     available_backends,
@@ -51,6 +52,7 @@ from repro.fhe.polynomial import (
     galois_eval_spec,
     monomial_spec,
     sample_gaussian,
+    sample_ternary,
     sample_uniform,
 )
 from repro.fhe.program import HETrace, ProgramExecutor, plan_program
@@ -313,6 +315,24 @@ class TestSamplerParity:
                 assert sample_uniform(64, q, random.Random(8)) == expected
 
 
+    @pytest.mark.parametrize("degree", [64, 1024, 2048])
+    def test_ternary_sampler_is_the_choice_loop(self, degree):
+        """The dense ternary draw is the uniform kernel under ``(3,)`` minus
+        one: the values of ``rng.choice((-1, 0, 1))`` per coefficient, and
+        the generator left where that loop leaves it."""
+        for seed in range(20):
+            modulus = (3, 97)[seed % 2]
+            golden_rng = random.Random(seed)
+            expected = Polynomial(
+                degree, modulus,
+                [golden_rng.choice((-1, 0, 1)) for _ in range(degree)])
+            for backend in (PYTHON, NUMPY):
+                with use_backend(backend):
+                    rng = random.Random(seed)
+                    assert sample_ternary(degree, modulus, rng) == expected
+                    assert rng.getstate() == golden_rng.getstate()
+
+
 class _CountingMath:
     """``math`` with its ``log`` calls counted (one per scalar recomputation
     in the block gaussian sampler)."""
@@ -480,6 +500,142 @@ def _edge_store(moduli, seed, n=64):
     rng = random.Random(seed)
     return [[q - 1] * (n // 2) + [rng.randrange(q) for _ in range(n // 2)]
             for q in moduli]
+
+
+def _reference_lift(rows, moduli):
+    """The python path the kernel replaced: ``RNSBasis.reconstruct`` once per
+    coefficient, then ``modmath.centered``."""
+    basis = RNSBasis(moduli)
+    return [modmath.centered(basis.reconstruct(residues), basis.product)
+            for residues in zip(*rows)]
+
+
+#: Nine NTT primes per limb width the lift is checked at.
+_LIFT_PRIMES = {bits: _primes(bits, 9) for bits in (30, 40, 62)}
+
+
+def _lift_edges(moduli):
+    """Values around what one word certifies (``+-P/2``, ``P`` the prefix
+    product) and around the wrap of the whole basis (``+-Q/2``)."""
+    prefix, _ = backend_module._garner_prefix(tuple(moduli))
+    product = math.prod(moduli)
+    return [sign * (bound // 2) + delta
+            for bound in (prefix, product) for sign in (1, -1)
+            for delta in (-1, 0, 1, 2)] + [0, 1, -1]
+
+
+class TestCenteredLiftParity:
+    """``limbs_centered_lift``: python == numpy == ``reconstruct`` +
+    ``centered`` for every store — certified by the word-sized prefix or
+    lifted by the golden CRT, never assumed small."""
+
+    def _both(self, values, moduli):
+        rows = [[v % q for v in values] for q in moduli]
+        expected = _reference_lift(rows, moduli)
+        assert PYTHON.limbs_centered_lift(rows, moduli) == expected
+        # Non-array stores and the packed one.
+        for store in (rows, [tuple(row) for row in rows],
+                      np.array(rows, dtype=np.uint64)):
+            actual = NUMPY.limbs_centered_lift(store, moduli)
+            assert actual == expected
+            assert all(type(c) is int for c in actual)
+        return expected
+
+    @pytest.mark.parametrize("params", [
+        CKKSParameters.toy(),
+        CKKSParameters.small(ring_degree=256),
+        CKKSParameters(ring_degree=256, max_level=8, dnum=3, scale_bits=26,
+                       modulus_bits=30, special_modulus_bits=32, security_bits=0),
+    ], ids=lambda p: f"{p.modulus_bits}bit-L{p.max_level}")
+    def test_params_bases(self, params):
+        """Every level's basis and the widest keyswitch basis: messages of a
+        few, ``scale``, ``scale^2`` and ``Q`` bits, both signs."""
+        rng = random.Random(params.modulus_bits)
+        bases = [params.basis(level) for level in range(params.max_level + 1)]
+        bases.append(params.extended_basis(params.max_level))
+        for basis in bases:
+            widths = (3, params.scale_bits + 4, 2 * params.scale_bits + 4,
+                      basis.product.bit_length() + 2)
+            values = [rng.randrange(-(1 << bits), 1 << bits)
+                      for bits in widths for _ in range(8)]
+            self._both(values + _lift_edges(basis.moduli), tuple(basis.moduli))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           widths=st.lists(st.sampled_from([30, 40, 62]), min_size=1, max_size=9))
+    def test_any_basis_and_magnitude(self, data, widths):
+        moduli = tuple(_LIFT_PRIMES[bits][i] for i, bits in enumerate(widths))
+        product = math.prod(moduli)
+        edges = _lift_edges(moduli)
+        values = data.draw(st.lists(
+            st.sampled_from(edges) | st.integers(-product, product)
+            | st.integers(-(1 << 70), 1 << 70),
+            min_size=1, max_size=24))
+        self._both(values, moduli)
+
+    def test_golden_lifts_exactly_what_the_prefix_cannot_certify(self, monkeypatch):
+        moduli = _LIFT_PRIMES[30][:5]
+        prefix, steps = backend_module._garner_prefix(moduli)
+        assert len(steps) == 1 and prefix == moduli[0] * moduli[1]
+        golden = ArithmeticBackend.limbs_centered_lift
+        seen = []
+
+        def counting(self, store, basis):
+            seen.append(PYTHON.store_rows(store))
+            return golden(self, store, basis)
+
+        monkeypatch.setattr(ArithmeticBackend, "limbs_centered_lift", counting)
+        narrow = [0, 5, -5, prefix // 2, -(prefix // 2)]
+        store = np.array([[v % q for v in narrow] for q in moduli], dtype=np.uint64)
+        assert NUMPY.limbs_centered_lift(store, moduli) == narrow
+        assert seen == []                           # all certified: no CRT
+        wide = [prefix // 2 + 1, -(prefix // 2) - 1, 3**70, -(3**70)]
+        mixed = [narrow[0], wide[0], narrow[1], wide[1], wide[2], narrow[3], wide[3]]
+        store = np.array([[v % q for v in mixed] for q in moduli], dtype=np.uint64)
+        assert NUMPY.limbs_centered_lift(store, moduli) == mixed
+        assert seen == [[[v % q for v in wide] for q in moduli]]    # once, those four
+
+    def test_single_limb_and_the_whole_basis_in_one_word(self):
+        """Nothing left to verify against: the prefix *is* the basis."""
+        for moduli in (_LIFT_PRIMES[62][:1], _LIFT_PRIMES[30][:2], (97,), (2, 97)):
+            assert backend_module._garner_prefix(moduli)[0] == math.prod(moduli)
+            self._both(list(range(-100, 101)) + _lift_edges(moduli), moduli)
+
+    def test_above_the_word_cap_is_the_golden_crt(self, monkeypatch):
+        def no_garner(*args):
+            raise AssertionError("word-sized lift on a 63-bit modulus")
+
+        moduli = (modmath.find_ntt_prime(63, 32), 97)
+        product = math.prod(moduli)
+        monkeypatch.setattr(backend_module, "_garner_prefix", no_garner)
+        self._both([0, -1, 96, 1 << 65, product // 2, product // 2 + 1], moduli)
+
+    def test_row_count_must_match_the_moduli(self):
+        for backend in (PYTHON, NUMPY):
+            with pytest.raises(ValueError, match="row count"):
+                backend.limbs_centered_lift([[1, 2], [3, 4]], (97, 193, 257))
+
+    def test_polynomial_views_derive_from_the_lift(self):
+        """``centered_coefficients`` is the accessor; ``[0, Q)`` coefficients,
+        the big-modulus polynomial and the norm are derived from it, and an
+        evaluation-resident polynomial converts first."""
+        params = CKKSParameters.toy()
+        basis = params.basis(2)
+        n, product = params.ring_degree, basis.product
+        rng = random.Random(5)
+        values = [rng.randrange(-(1 << 40), 1 << 40) for _ in range(n - 2)]
+        values += [product // 2, -(product // 2)]
+        for backend in (PYTHON, NUMPY):
+            with use_backend(backend):
+                poly = RNSPolynomial.from_integer_coefficients(n, basis, values)
+                for view in (poly, poly.to_eval()):
+                    assert view.centered_coefficients() == values
+                    assert view.to_integer_coefficients() == [v % product for v in values]
+                    assert view.infinity_norm() == product // 2
+                big = poly.to_polynomial()
+                assert big == Polynomial(n, product, values)
+                assert big.centered_coefficients() == values
+                assert big.infinity_norm() == product // 2
 
 
 class TestReductionBudget:
@@ -1028,6 +1184,7 @@ def _width_cases(moduli, n, seed):
         "limbs_add": lambda k, s: k.limbs_add(s(a), s(b), moduli),
         "limbs_sub": lambda k, s: k.limbs_sub(s(a), s(b), moduli),
         "limbs_neg": lambda k, s: k.limbs_neg(s(a), moduli),
+        "limbs_centered_lift": lambda k, s: k.limbs_centered_lift(s(a), moduli),
         "limbs_mul": lambda k, s: k.limbs_mul(s(a), s(b), moduli),
         "limbs_scalar_mul": lambda k, s: k.limbs_scalar_mul(s(a), scalars, moduli),
         "batched_sub_scaled": lambda k, s: [

@@ -1,12 +1,21 @@
 """Unit and integration tests for the functional CKKS implementation."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from repro.fhe.ckks import CKKSContext
+from repro.fhe.ckks import CKKSContext, CKKSEncoder, measure_noise
 from repro.fhe.ckks.bootstrap import BootstrapPlan, linear_transform_plan
 from repro.fhe.params import CKKSParameters
+
+
+def word_size_parameters(ring_degree):
+    """The 30-bit, L = 8 chain ``benchmarks/e2e`` runs on."""
+    return CKKSParameters(
+        ring_degree=ring_degree, max_level=8, dnum=3, scale_bits=26,
+        modulus_bits=30, special_modulus_bits=32, security_bits=0)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +56,120 @@ class TestEncoder:
         plaintext = toy_context.encoder.encode([1.0, 2.0], level=1)
         assert plaintext.level == 1
         assert len(plaintext.poly.limbs) == 2
+
+
+    def test_value_that_would_wrap_raises(self):
+        """2^36 in a 30-bit modulus used to decode to -7.9996 in silence."""
+        encoder = CKKSEncoder(word_size_parameters(64))
+        with pytest.raises(ValueError, match=r"needs 37 bits.* has 30"):
+            encoder.encode([1000.0] * 32, level=0)
+        assert_close(encoder.decode(encoder.encode([1000.0] * 32, level=1)),
+                     [1000.0] * 32, tolerance=1e-3)
+        # The largest magnitude level 0 holds, and the first it does not.
+        half = encoder.params.basis(0).product // 2
+        edge = half / encoder.params.scale
+        assert encoder.encode([edge] * 32, level=0).poly.infinity_norm() == half
+        with pytest.raises(ValueError, match="too large for level 0"):
+            encoder.encode([edge + 2.0 / encoder.params.scale] * 32, level=0)
+
+    def test_non_finite_values_and_bad_scales_raise(self, toy_context):
+        encoder = toy_context.encoder
+        for value in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="non-finite"):
+                encoder.encode([1.0, value])
+        for scale in (0.0, -4.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="scale must be positive"):
+                encoder.encode([1.0], scale=scale)
+
+    def test_decode_count_outside_the_slots_raises(self, toy_context):
+        encoder = toy_context.encoder
+        plaintext = encoder.encode([1.0, 2.0])
+        slots = toy_context.params.slots
+        assert encoder.decode(plaintext, num_values=0) == []
+        assert len(encoder.decode(plaintext, num_values=slots)) == slots
+        for count in (-1, slots + 1):
+            with pytest.raises(ValueError, match="num_values"):
+                encoder.decode(plaintext, num_values=count)
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("ring_degree", [64, 1024, 2048])
+    def test_residues_equal_the_conjugated_table_expression(self, ring_degree, backend):
+        """``encode`` conjugates the slot vector, not the ``n x N`` table, and
+        hands the rounded coefficients over as one array: the residues are
+        those of the expression it replaced, bit for bit."""
+        params = word_size_parameters(ring_degree)
+        encoder = CKKSEncoder(params, backend=backend)
+        rng = random.Random(ring_degree)
+        vectors = [
+            [rng.randrange(-11, 12) / 8.0 for _ in range(params.slots)],
+            [complex(rng.gauss(0, 3), rng.gauss(0, 3)) for _ in range(params.slots // 2)],
+            [2.0 ** 37 * ring_degree, -1e11j, 3.0],     # 2^64 wide: python ints
+        ]
+        for level, values in zip((params.max_level, 0, 3), vectors):
+            vector = np.zeros(params.slots, dtype=np.complex128)
+            vector[:len(values)] = values
+            coefficients = (2.0 / ring_degree) * np.real(
+                np.conj(encoder._eval_matrix).T @ vector)
+            integers = [int(c) for c in np.rint(coefficients * params.scale).astype(object)]
+            plaintext = encoder.encode(values, level=level)
+            assert plaintext.poly.coefficient_rows() == [
+                [c % q for c in integers] for q in params.basis(level).moduli]
+        assert max(map(abs, integers)) > 1 << 62
+
+
+class TestNoise:
+    """Noise and precision as numbers (``measure_noise``), not a tolerance."""
+
+    SIGMA = 3.2
+
+    @pytest.fixture(scope="class")
+    def client(self):
+        """The ``client_keygen_encrypt`` tenant of ``benchmarks/e2e``."""
+        return CKKSContext(word_size_parameters(1024), seed=7, error_stddev=self.SIGMA)
+
+    def test_fresh_encryption_is_below_its_analytic_bound(self, client):
+        """``c0 + c1 s - m = e v + e0 + e1 s`` with rounded-gaussian ``e*`` and
+        dense ternary ``v, s``: each coefficient has variance ``sigma^2 (1 +
+        4N/3)``.  Six of those deviations bound the norm; the measurement is
+        within two bits of the bound, so the bound says something."""
+        n = client.params.ring_degree
+        bound = 6 * self.SIGMA * math.sqrt(1 + 4 * n / 3)
+        rng = random.Random(1)
+        for _ in range(4):
+            values = [rng.randrange(-11, 12) / 8.0 for _ in range(client.params.slots)]
+            plaintext = client.encoder.encode(values)
+            noise = measure_noise(client.encrypt(plaintext), client.keys.secret, plaintext)
+            assert bound / 4 < noise < bound
+            assert measure_noise(client.encrypt_symmetric(plaintext),
+                                 client.keys.secret, plaintext) < noise
+
+    def test_noise_is_the_same_number_in_either_domain(self, client):
+        plaintext = client.encoder.encode([0.5, -1.25])
+        ciphertext = client.encrypt(plaintext)
+        resident = client.evaluator.to_eval(ciphertext)
+        assert resident.domain == "eval"
+        assert (measure_noise(resident, client.keys.secret, plaintext)
+                == measure_noise(ciphertext, client.keys.secret, plaintext) > 0)
+
+    def test_round_trip_precision_in_bits(self, client):
+        """What ``benchmarks/e2e`` checks as ``abs(a - e) < 5e-2``: encode ->
+        decode alone keeps 20 bits (rounding at scale 2^26); through a fresh
+        encryption the noise above leaves 12, the six-sigma slot bound."""
+        params = client.params
+        n = params.ring_degree
+        rng = random.Random(2)
+
+        def bits(decoded, values):
+            return -math.log2(max(abs(a - e) for a, e in zip(decoded, values)))
+
+        slot_bound = (6 * self.SIGMA * math.sqrt(1 + 4 * n / 3)
+                      * math.sqrt(n / 2) / params.scale)
+        for _ in range(4):
+            values = [rng.randrange(-11, 12) / 8.0 for _ in range(params.slots)]
+            plaintext = client.encoder.encode(values)
+            assert bits(client.encoder.decode(plaintext), values) >= 20
+            through = bits(client.decrypt_vector(client.encrypt(plaintext)), values)
+            assert 12 <= -math.log2(slot_bound) <= through <= 14
 
 
 class TestEncryptDecrypt:

@@ -334,6 +334,42 @@ class TestHoistedResidency:
             assert after.count("stacked_intt") == after.count("stacked_ntt") == 2
 
 
+@needs_numpy
+class TestDecryptResidency:
+    """``decrypt`` multiplies in the ciphertext's own domain against the
+    secret's cached evaluation image: same plaintext rows whichever domain
+    the pair arrives in, and the transforms are counted."""
+
+    def test_either_domain_decrypts_to_the_same_rows(self, keyed):
+        from repro.fhe.ckks.context import CKKSContext
+
+        params, _keys, _relin, ct = keyed
+        level = params.max_level
+        resident = CKKSCiphertext(c0=ct.c0.to_eval(), c1=ct.c1.to_eval(),
+                                  level=level, scale=ct.scale)
+        for inner in BACKENDS:
+            counting = _CountingBackend(inner)
+            context = CKKSContext(params, seed=11, backend=counting)
+            with use_backend(inner):
+                # The path decrypt replaced: the secret reduced afresh and a
+                # coefficient-domain convolution.
+                secret = context.keys.secret.as_rns(params.ring_degree, ct.c0.basis)
+                expected = _rows(ct.c0 + ct.c1 * secret)
+            context.decrypt(ct)                          # builds the secret's image
+            for pair, forward, inverse in ((ct, 1, 1), (resident, 0, 1)):
+                counting.log.clear()
+                plaintext = context.decrypt(pair)
+                assert plaintext.poly.domain == "coeff"
+                assert _rows(plaintext.poly) == expected
+                kernels = [name for name, _ in counting.log]
+                assert kernels.count("batched_ntt") == forward
+                assert kernels.count("batched_intt") == inverse
+                assert not {"limbs_convolution", "reduce_limbs", "stacked_ntt",
+                            "stacked_intt"} & set(kernels)
+            # One image per (backend, basis), shared by every later decrypt.
+            assert len(context.keys.secret._eval_cache) == 1
+
+
 def _coefficient_domain_key(params, secret, target, level, rng, stddev):
     """Oracle: one keyswitch key the way keys were made before they were
     made in groups — the source secret ``target`` as a coefficient-domain
