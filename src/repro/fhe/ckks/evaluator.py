@@ -24,8 +24,10 @@ both and aligns its operands as needed.  ``multiply`` computes the tensor
 product as one batched evaluation-domain dispatch and returns an
 evaluation-resident ciphertext; ``rescale`` stays in whichever domain its
 input is in; rotations hoisted through :meth:`rotate_hoisted` share one
-Decompose+BConv+NTT phase across all requested steps.  The hoisted
-keyswitch behind both returns its correction pair evaluation-resident
+Decompose+BConv+NTT phase across all requested steps, and a
+:meth:`galois_wave` shares the stacked transforms of both keyswitch phases
+across the rotations of many ciphertexts.  The hoisted
+keyswitch behind all three returns its correction pairs evaluation-resident
 (its ModDown inverse-transforms only the special-modulus rows), so an
 evaluation-resident ciphertext pays no full-width transform after the
 hoist.  All paths are bit-identical to the coefficient-domain reference (``_multiply_coeff``,
@@ -46,7 +48,13 @@ from .keys import (
     galois_element_for_conjugation,
     galois_element_for_rotation,
 )
-from .keyswitch import hoist_decompose, hybrid_keyswitch, keyswitch_hoisted
+from .keyswitch import (
+    hoist_decompose,
+    hoist_wave,
+    hybrid_keyswitch,
+    keyswitch_hoisted,
+    keyswitch_wave,
+)
 
 __all__ = ["CKKSEvaluator"]
 
@@ -217,12 +225,10 @@ class CKKSEvaluator:
                 a_eval.c0.store(), a_eval.c1.store(),
                 b_eval.c0.store(), b_eval.c1.store(), moduli,
             )
-            # Relinearize d2 with the s^2 -> s keyswitch key (hoisted path:
-            # digits must be extracted from coefficients, so d2 alone pays
-            # an inverse transform).
-            d2 = RNSPolynomial._from_store(
-                n, basis, backend.batched_intt(contexts, d2_eval)
-            )
+            # Relinearize d2 with the s^2 -> s keyswitch key: a keyswitch
+            # wave of one (digits are extracted from coefficients, so d2
+            # alone pays an inverse transform, inside the hoist).
+            d2 = RNSPolynomial._from_store(n, basis, d2_eval, domain="eval")
             relin_key = self.keys.relinearization_key(level)
             f0, f1 = keyswitch_hoisted(
                 hoist_decompose(d2, self.params, level), relin_key
@@ -279,64 +285,74 @@ class CKKSEvaluator:
     def rotate_hoisted(self, a: CKKSCiphertext, steps_list: Sequence[int]) -> List[CKKSCiphertext]:
         """Rotate ``a`` by every step in ``steps_list``, hoisting the keyswitch.
 
-        The hoist phase (gadget decompose of ``c1`` + BConv into the
-        extended basis + batched forward NTTs) runs **once**; each requested
-        step then pays only the cheap per-key phase: an evaluation-domain
-        slot gather of the already-transformed digits (the Galois
-        automorphism is a pure permutation there), the MAC against that
-        step's cached key transforms, and one evaluation-domain ModDown
-        pair (:meth:`galois_hoisted`).  This is the
-        ``(baby-1)``-hoisted-rotations primitive of BSGS linear transforms.
+        One :meth:`galois_wave` over the distinct Galois elements requested:
+        the hoist phase (gadget decompose of ``c1`` + BConv into the
+        extended basis + one stacked forward NTT) runs **once**; each step
+        then pays only the cheap per-key phase — an evaluation-domain slot
+        gather of the already-transformed digits (the Galois automorphism is
+        a pure permutation there) and the MAC against that step's cached key
+        transforms — and all steps share one evaluation-domain ModDown.
+        This is the ``(baby-1)``-hoisted-rotations primitive of BSGS linear
+        transforms.
 
         Returns one ciphertext per step, in order and in ``a``'s residency
-        domain; a step of 0 returns ``a`` itself (no keyswitch).  Repeated
-        steps (and distinct steps mapping to the same Galois element) pay
-        the per-key phase **once** — the duplicate entries share the first
-        occurrence's result.
+        domain; a step of 0 returns a copy of ``a`` (no keyswitch).
+        Repeated steps (and distinct steps mapping to the same Galois
+        element) pay the per-key phase **once** — the duplicate entries
+        share the first occurrence's result.
 
         Every requested step's Galois key is resolved *before* the hoist
         phase runs, so a missing rotation key raises the same ``KeyError``
         as :meth:`rotate` without paying the Decompose+BConv+NTT cost first.
         """
-        level = a.level
+        elements = [self.galois_element_for_rotation(steps) for steps in steps_list]
+        unique = list(dict.fromkeys(elements))
+        rotated = dict(zip(unique, self.galois_wave([(a, g) for g in unique])))
         results: List[CKKSCiphertext] = []
-        with self._arith():
-            galois_keys = {}
-            for steps in steps_list:
-                galois_element = self.galois_element_for_rotation(steps)
-                if galois_element != 1 and galois_element not in galois_keys:
-                    galois_keys[galois_element] = self.keys.galois_key(
-                        galois_element, level
-                    )
-            hoisted = hoist_decompose(a.c1, self.params, level)
-            computed: dict[int, CKKSCiphertext] = {}
-            for steps in steps_list:
-                galois_element = self.galois_element_for_rotation(steps)
-                if galois_element == 1:
-                    results.append(a.copy())
-                    continue
-                rotated = computed.get(galois_element)
-                if rotated is None:
-                    rotated = computed[galois_element] = self.galois_hoisted(
-                        a, hoisted, galois_keys[galois_element], galois_element
-                    )
-                    results.append(rotated)
-                else:
-                    results.append(rotated.copy())
+        seen = set()
+        for g in elements:
+            results.append(rotated[g].copy() if g in seen else rotated[g])
+            seen.add(g)
         return results
 
-    def galois_hoisted(self, a: CKKSCiphertext, hoisted, galois_key,
-                       galois_element: int) -> CKKSCiphertext:
-        """The tail of one hoisted rotation: ``sigma_g(a)`` keyswitched back
-        to ``s`` from the shared digits of ``a.c1``, in ``a``'s domain (the
-        correction pair arrives evaluation-resident, so only a
-        coefficient-resident ``a`` pays a transform here).  Callers hold
-        the evaluator's backend scope."""
-        f0, f1 = keyswitch_hoisted(hoisted, galois_key, galois_element=galois_element)
-        if a.domain == "coeff":
-            f0, f1 = f0.to_coeff(), f1.to_coeff()
-        return CKKSCiphertext(c0=a.c0.automorphism(galois_element) + f0, c1=f1,
-                              level=a.level, scale=a.scale)
+    def galois_wave(self, members) -> List[CKKSCiphertext]:
+        """``sigma_g(a)`` keyswitched back to ``s`` for every ``(a, g)``
+        member, as one keyswitch wave.
+
+        Every member's Galois key is resolved before any transform runs (a
+        missing one raises :meth:`rotate`'s ``KeyError``); each distinct
+        source ciphertext is hoisted once (:func:`hoist_wave` over their
+        ``c1``) and all members share the stacked per-key phase
+        (:func:`keyswitch_wave`).  Members must sit at one level.  Each
+        result is in its source's domain: the correction pairs arrive
+        evaluation-resident, so only a coefficient-resident source pays a
+        transform here.  The identity element returns a copy and joins no
+        dispatch.
+        """
+        members = list(members)
+        with self._arith():
+            live = [(a, g, self.keys.galois_key(g, a.level))
+                    for a, g in members if g != 1]
+            if not live:
+                return [a.copy() for a, _ in members]
+            sources = {id(a): a for a, _, _ in live}
+            hoists = dict(zip(sources, hoist_wave(
+                [a.c1 for a in sources.values()], self.params,
+                live[0][0].level)))
+            pairs = iter(keyswitch_wave(
+                [(hoists[id(a)], key, g) for a, g, key in live]))
+            results = []
+            for a, g in members:
+                if g == 1:
+                    results.append(a.copy())
+                    continue
+                f0, f1 = next(pairs)
+                if a.domain == "coeff":
+                    f0, f1 = f0.to_coeff(), f1.to_coeff()
+                results.append(CKKSCiphertext(
+                    c0=a.c0.automorphism(g) + f0, c1=f1,
+                    level=a.level, scale=a.scale))
+            return results
 
     def conjugate(self, a: CKKSCiphertext) -> CKKSCiphertext:
         """Complex conjugation of every slot (Galois element 2N - 1)."""

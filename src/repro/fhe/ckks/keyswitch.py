@@ -17,15 +17,20 @@ These are exactly the kernels (Decompose/BConv/NTT/IP/ModMul/ModAdd) the
 hardware model charges for a keyswitch.
 
 :func:`hybrid_keyswitch` runs them naively, in the coefficient domain, and
-is the reference.  The hoisted pair (:func:`hoist_decompose` +
-:func:`keyswitch_hoisted`) shares steps 1-2 and the forward NTTs across
-keys, and runs steps 3-4 without leaving the evaluation domain: ModDown
-inverse-transforms only the ``|P|`` special rows it has to BConv.
+is the reference.  The hoisted path shares steps 1-2 and the forward NTTs
+across keys, and runs steps 3-4 without leaving the evaluation domain:
+ModDown inverse-transforms only the ``|P|`` special rows it has to BConv.
+It has one body per phase, each over a *list* — :func:`hoist_wave` and
+:func:`keyswitch_wave` — so the rotations of a hoist group, and of every
+request in a joint batch, share one stacked transform per phase; a single
+keyswitch (:func:`hoist_decompose` + :func:`keyswitch_hoisted`) is a wave
+of one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -46,7 +51,9 @@ __all__ = [
     "mod_down",
     "HoistedDigits",
     "hoist_decompose",
+    "hoist_wave",
     "keyswitch_hoisted",
+    "keyswitch_wave",
 ]
 
 
@@ -73,8 +80,8 @@ def mod_down(poly: RNSPolynomial, params: CKKSParameters, level: int) -> RNSPoly
 
 
 def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
-    """ModDown of several same-domain C_l ∪ P polynomials (the two keyswitch
-    accumulators) in their own residency domain.
+    """ModDown of several same-domain C_l ∪ P polynomials (the ``2k``
+    accumulators of a keyswitch wave chunk) in their own residency domain.
 
     BConv is a coefficient-wise map, so only the ``|P|`` special rows have
     to be coefficients: one BConv dispatch per polynomial lifts them into
@@ -209,20 +216,33 @@ def _hybrid_keyswitch(
             acc0 = acc0 + lifted * b_j
             acc1 = acc1 + lifted * a_j
     # ModDown: divide by P and return to C_l.
-    c0 = mod_down(acc0, params, level)
-    c1 = mod_down(acc1, params, level)
-    return c0, c1
+    return tuple(_mod_down([acc0, acc1], params, level))
 
 
 # ---------------------------------------------------------------------------
-# Hoisted keyswitch: one shared hoist phase, cheap per-key applications
+# Hoisted keyswitch waves: one stacked hoist phase, one stacked per-key phase
 # ---------------------------------------------------------------------------
 
+#: Elements (rows x N) one stacked dispatch of a wave may carry.  It cuts a
+#: wave into chunks and so bounds both the transform stacks and the C_l ∪ P
+#: accumulators alive at once.  Sized against ``peak_rss_mb`` of
+#: ``serve_wire_dense`` the way ``keys.GROUP_RESIDUES`` is against onboarding
+#: (a 56-rotation wave holds 11 MB of accumulators uncut; stacking deeper than
+#: this is not faster) — a constant, never an argument or an env var.
+WAVE_ELEMENTS = 1 << 17
+
+
+def _chunks(items: list, elements_each: int) -> List[list]:
+    size = max(1, WAVE_ELEMENTS // elements_each)
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+@dataclass(frozen=True, eq=False)
 class HoistedDigits:
     """The reusable *hoist* phase of hybrid keyswitch (Algorithm 1 lines 1-6).
 
     Holds the gadget digits of one polynomial, lifted into the extended
-    basis C_l ∪ P and forward-NTT'd **once**.  :func:`keyswitch_hoisted`
+    basis C_l ∪ P and forward-NTT'd **once**.  :func:`keyswitch_wave`
     replays them against any number of keyswitch keys — optionally composed
     with a Galois automorphism, which in the evaluation domain is a pure
     slot gather — for the cost of the cheap per-key phase alone: an
@@ -231,30 +251,22 @@ class HoistedDigits:
     BSGS linear transforms pay ``(baby-1)`` *hoisted* rotations instead of
     full HRotates.
 
-    On non-NTT-friendly bases ``digit_evals`` is ``None`` and the lifted
-    coefficient-domain digits (``digit_coeffs``) drive an exact convolution
+    ``digits`` holds one evaluation-domain store per digit; on
+    non-NTT-friendly bases ``contexts`` is ``None`` and they are the lifted
+    coefficient-domain polynomials, which drive an exact convolution
     fallback with the same semantics.
     """
 
-    __slots__ = (
-        "params", "level", "ring_degree", "extended", "contexts",
-        "digit_evals", "digit_coeffs",
-    )
-
-    def __init__(self, params, level, ring_degree, extended, contexts):
-        self.params = params
-        self.level = level
-        self.ring_degree = ring_degree
-        self.extended = extended
-        self.contexts = contexts
-        self.digit_evals: "list | None" = [] if contexts is not None else None
-        self.digit_coeffs: List[RNSPolynomial] = []
+    params: CKKSParameters
+    level: int
+    ring_degree: int
+    extended: RNSBasis
+    contexts: "list | None"
+    digits: list
 
     @property
     def num_digits(self) -> int:
-        if self.digit_evals is not None:
-            return len(self.digit_evals)
-        return len(self.digit_coeffs)
+        return len(self.digits)
 
 
 def hoist_decompose(
@@ -263,7 +275,7 @@ def hoist_decompose(
     level: int,
     backend: "ArithmeticBackend | str | None" = None,
 ) -> HoistedDigits:
-    """Run the hoist phase once: Decompose + per-digit BConv + forward NTTs.
+    """The hoist phase of one polynomial: :func:`hoist_wave` of one.
 
     ``d`` is the polynomial to be keyswitched (``c1`` of a ciphertext for
     rotations, ``d2`` of a tensor product for relinearization); it may be
@@ -271,29 +283,60 @@ def hoist_decompose(
     coefficient representation, since BConv is a coefficient-wise map).
     """
     with use_backend(backend):
-        return _hoist_decompose(d, params, level)
+        return hoist_wave([d], params, level)[0]
 
 
-def _hoist_decompose(d: RNSPolynomial, params: CKKSParameters, level: int) -> HoistedDigits:
-    if len(d.basis) != level + 1:
-        raise ValueError(
-            f"polynomial has {len(d.basis)} limbs but level {level} expects {level + 1}"
-        )
-    d = d.to_coeff()
-    extended = params.extended_basis(level)
-    n = d.ring_degree
-    contexts = _limb_contexts(n, extended)
-    backend = active_backend()
-    hoisted = HoistedDigits(params, level, n, extended, contexts)
-    for start, stop in params.digit_slices(level):
-        digit = d.limb_slice(start, stop, _digit_basis(params, start, stop))
-        lifted = fast_basis_conversion(digit, extended)
-        if contexts is not None:
-            hoisted.digit_evals.append(
-                backend.batched_ntt(contexts, lifted.store())
+def hoist_wave(polys, params: CKKSParameters, level: int) -> List[HoistedDigits]:
+    """Run the hoist phase of every polynomial of a wave: Decompose + BConv
+    + forward NTTs, the transforms stacked across sources *and* digits.
+
+    Per :data:`WAVE_ELEMENTS` chunk: one ``stacked_intt`` returns the
+    evaluation-resident sources to coefficients (none, no dispatch), BConv
+    stays one ``bconv_matmul`` per digit per polynomial (widening it along N
+    falls out of cache), and one ``stacked_ntt`` transforms all
+    ``sources x digits`` lifted stores.  All sources must sit at ``level``
+    in one ring.
+    """
+    if not polys:
+        return []
+    n = polys[0].ring_degree
+    for index, d in enumerate(polys):
+        if len(d.basis) != level + 1 or d.ring_degree != n:
+            raise ValueError(
+                f"hoist member {index}: polynomial has {len(d.basis)} limbs at "
+                f"ring degree {d.ring_degree} but level {level} expects "
+                f"{level + 1} at ring degree {n}"
             )
+    extended = params.extended_basis(level)
+    contexts = _limb_contexts(n, extended)
+    slices = params.digit_slices(level)
+    plans = [
+        _bconv_plan(_digit_basis(params, start, stop), extended)
+        for start, stop in slices
+    ]
+    backend = active_backend()
+    stores = [d.store() for d in polys]
+    resident = [i for i, d in enumerate(polys) if d.domain == "eval"]
+    for chunk in _chunks(resident, (level + 1) * n):
+        for i, store in zip(chunk, backend.stacked_intt(
+                contexts[:level + 1], [stores[i] for i in chunk])):
+            stores[i] = store
+    hoisted = []
+    for chunk in _chunks(stores, len(slices) * len(extended) * n):
+        lifted = [
+            backend.bconv_matmul(store[start:stop], plan)
+            for store in chunk
+            for (start, stop), plan in zip(slices, plans)
+        ]
+        if contexts is not None:
+            lifted = backend.stacked_ntt(contexts, lifted)
         else:
-            hoisted.digit_coeffs.append(lifted)
+            lifted = [RNSPolynomial._from_store(n, extended, s) for s in lifted]
+        hoisted.extend(
+            HoistedDigits(params, level, n, extended, contexts,
+                          lifted[k:k + len(slices)])
+            for k in range(0, len(lifted), len(slices))
+        )
     return hoisted
 
 
@@ -303,48 +346,72 @@ def keyswitch_hoisted(
     galois_element: "int | None" = None,
     backend: "ArithmeticBackend | str | None" = None,
 ) -> Tuple[RNSPolynomial, RNSPolynomial]:
-    """The cheap per-key phase: eval-domain MAC + one eval-domain ModDown.
+    """The cheap per-key phase of one keyswitch: :func:`keyswitch_wave` of
+    one ``(hoisted, keyswitch_key, galois_element)`` member."""
+    with use_backend(backend):
+        return keyswitch_wave([(hoisted, keyswitch_key, galois_element)])[0]
 
-    With ``galois_element`` ``g``, the automorphism ``sigma_g`` is applied to
-    the hoisted digits first — an exact evaluation-domain slot gather on
-    power-of-two cyclotomics — so the result is the keyswitch of
+
+def keyswitch_wave(members) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
+    """The per-key phase of a wave of ``(hoisted, keyswitch_key,
+    galois_element)`` members: eval-domain MACs + one eval-domain ModDown.
+
+    With a Galois element ``g`` (not ``None``), the automorphism ``sigma_g``
+    is applied to the hoisted digits first — an exact evaluation-domain slot
+    gather on power-of-two cyclotomics — so the result is the keyswitch of
     ``sigma_g(BConv(digit_j))`` under ``keyswitch_key`` (the hoisted-rotation
     correction pair; the BConv approximation error is likewise permuted and
     stays within the usual keyswitch noise budget).
 
     Unlike the naive path, which inverse-transforms every digit's MAC
     result at full width, the digit MACs accumulate *in the evaluation
-    domain* and ModDown finishes there (:func:`_mod_down`): per call, one
-    stacked inverse NTT over the ``|P|`` special rows of both accumulators
-    and one stacked forward NTT over their two lifted ``(level+1, N)``
-    stores.  The pair is returned **evaluation-resident** on NTT-friendly
-    bases (a coefficient-resident caller converts with ``to_coeff()``) and
-    coefficient-resident from the convolution fallback.  Results are
-    bit-identical to the naive pipeline for ``galois_element=None`` (the
-    transforms are linear bijections).
+    domain* and ModDown finishes there (:func:`_mod_down`) for the whole
+    wave: per :data:`WAVE_ELEMENTS` chunk of ``k`` members, ``k`` gathers
+    and ``k`` MACs, then one stacked inverse NTT over the ``|P|`` special
+    rows of all ``2k`` accumulators and one stacked forward NTT over their
+    lifted ``(level+1, N)`` stores.  Pairs are returned
+    **evaluation-resident** on NTT-friendly bases (a coefficient-resident
+    caller converts with ``to_coeff()``) and coefficient-resident from the
+    convolution fallback.  Results are bit-identical to the naive pipeline
+    for ``galois_element=None`` (the transforms are linear bijections), and
+    to one call per member whatever the wave.
+
+    Members must share parameters, level and ring degree, and each key must
+    have the hoist's digit count.
     """
-    with use_backend(backend):
-        return _keyswitch_hoisted(hoisted, keyswitch_key, galois_element)
+    if not members:
+        return []
+    first = members[0][0]
+    shape = (first.params, first.level, first.ring_degree)
+    for index, (hoisted, key, _) in enumerate(members):
+        if (hoisted.params, hoisted.level, hoisted.ring_degree) != shape:
+            raise ValueError(
+                f"wave member {index} is hoisted at level {hoisted.level}, ring "
+                f"degree {hoisted.ring_degree}; the wave is at level "
+                f"{first.level}, ring degree {first.ring_degree}"
+            )
+        if hoisted.num_digits != key.num_digits:
+            raise ValueError(
+                f"wave member {index}: keyswitch key has {key.num_digits} "
+                f"digits, expected {hoisted.num_digits}"
+            )
+    pairs = []
+    for chunk in _chunks(members, 2 * len(first.extended) * first.ring_degree):
+        accs = [acc for member in chunk for acc in _accumulate(*member)]
+        reduced = _mod_down(accs, first.params, first.level)
+        pairs.extend(zip(reduced[0::2], reduced[1::2]))
+    return pairs
 
 
-def _keyswitch_hoisted(
-    hoisted: HoistedDigits,
-    keyswitch_key,
-    galois_element: "int | None",
-) -> Tuple[RNSPolynomial, RNSPolynomial]:
-    params = hoisted.params
-    level = hoisted.level
+def _accumulate(hoisted: HoistedDigits, keyswitch_key, galois_element):
+    """The two C_l ∪ P accumulators ``sum_j sigma_g(digit_j) * key_j`` of one
+    wave member, in the hoist's own domain."""
     n = hoisted.ring_degree
     extended = hoisted.extended
-    if hoisted.num_digits != keyswitch_key.num_digits:
-        raise ValueError(
-            f"keyswitch key has {keyswitch_key.num_digits} digits, "
-            f"expected {hoisted.num_digits}"
-        )
     backend = active_backend()
     contexts = hoisted.contexts
     if contexts is not None:
-        digit_stores = hoisted.digit_evals
+        digit_stores = hoisted.digits
         if galois_element is not None:
             # All digits permute under one gather — a single stacked
             # (beta, L, N) dispatch instead of one gather per digit.
@@ -352,21 +419,18 @@ def _keyswitch_hoisted(
             digit_stores = backend.stacked_gather(digit_stores, spec)
         handles = _eval_key_handles(keyswitch_key, backend, contexts)
         # The accumulators stay evaluation-resident through ModDown.
-        acc0, acc1 = (
+        return [
             RNSPolynomial._from_store(n, extended, store, domain="eval")
             for store in backend.limbs_eval_mac(contexts, digit_stores, handles)
-        )
-    else:
-        # Exact coefficient-domain fallback (non-NTT-friendly moduli): the
-        # automorphism is applied to the lifted digits directly, matching
-        # the eval-domain gather semantics bit for bit.
-        acc0 = RNSPolynomial(n, extended)
-        acc1 = RNSPolynomial(n, extended)
-        for lifted, (b_j, a_j) in zip(
-            hoisted.digit_coeffs, keyswitch_key.digit_keys
-        ):
-            if galois_element is not None:
-                lifted = lifted.automorphism(galois_element)
-            acc0 = acc0 + lifted * b_j
-            acc1 = acc1 + lifted * a_j
-    return tuple(_mod_down([acc0, acc1], params, level))
+        ]
+    # Exact coefficient-domain fallback (non-NTT-friendly moduli): the
+    # automorphism is applied to the lifted digits directly, matching
+    # the eval-domain gather semantics bit for bit.
+    acc0 = RNSPolynomial(n, extended)
+    acc1 = RNSPolynomial(n, extended)
+    for lifted, (b_j, a_j) in zip(hoisted.digits, keyswitch_key.digit_keys):
+        if galois_element is not None:
+            lifted = lifted.automorphism(galois_element)
+        acc0 = acc0 + lifted * b_j
+        acc1 = acc1 + lifted * a_j
+    return [acc0, acc1]

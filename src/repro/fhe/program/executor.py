@@ -3,20 +3,21 @@
 One executor serves both roles the differential suite compares:
 
 * ``run(program, inputs)`` — the **planned** path: domains, conversions and
-  fused nodes come from the pass pipeline; all rotations of one source
-  share a single ``hoist_decompose`` (the hoist-fusion groups), and
-  ``pmult_mac`` nodes run as one stacked ``(C, L, N)`` backend dispatch.
+  fused nodes come from the pass pipeline; the rotations of one wave run
+  as one keyswitch wave (each distinct source hoisted once, one stacked
+  transform per phase across the whole wave), and ``pmult_mac`` nodes run
+  as one stacked ``(C, L, N)`` backend dispatch.
 * ``run_eager(program, inputs)`` — the **eager call sequence**: the aligned
   program executed node by node through the plain evaluator operations,
-  with one hoist per rotation and no batching.  This is the bit-exact
+  with one keyswitch per rotation and no batching.  This is the bit-exact
   reference the planner is gated against (every pass is an exact
   transformation over modular arithmetic).
 
 Both paths are one loop: each node dispatches through its op's ``run``
 callable in the op table (:mod:`repro.fhe.program.ops`) against a per-run
 :class:`_Run` state, which holds the stateful machinery the callables lean on
-(shared hoists, the planner's stacked-conversion / PBS-wave / keyswitch-wave
-groups).
+(the planner's stacked-conversion / rotation-wave / PBS-wave /
+bridge-keyswitch-wave groups).
 
 Rotation keys are validated up front: every Galois key a program needs is
 fetched before any hoist work starts, so a missing key raises the same
@@ -29,7 +30,6 @@ from typing import Callable, Dict, List
 
 from ..backend import active_backend
 from ..ckks.ciphertext import CKKSCiphertext
-from ..ckks.keyswitch import HoistedDigits, hoist_decompose
 from ..rns import RNSPolynomial, _limb_contexts
 from .ir import HENode, HEProgram
 from .ops import OP_TABLE
@@ -37,8 +37,10 @@ from .passes import PlannedProgram, plan_program
 
 __all__ = ["ProgramExecutor"]
 
-#: Node attributes by which the planner groups nodes into one dispatch.
-_GROUP_ATTRS = ("conv_group", "pbs_group", "ks_group")
+#: Node attributes by which the planner groups nodes into one dispatch:
+#: stacked conversions and every wave kind the op table declares.
+_GROUP_ATTRS = ("conv_group", *sorted(
+    {spec.wave for spec in OP_TABLE.values() if spec.wave}))
 
 
 class ProgramExecutor:
@@ -66,7 +68,7 @@ class ProgramExecutor:
             else plan_program(program, optimize=optimize)
         )
         return self._execute(planned.program, inputs,
-                             share_hoists=planned.optimized)
+                             grouped=planned.optimized)
 
     def run_eager(self, program,
                   inputs: Dict[str, CKKSCiphertext]) -> Dict[str, CKKSCiphertext]:
@@ -76,11 +78,11 @@ class ProgramExecutor:
             program if isinstance(program, PlannedProgram)
             else plan_program(program, optimize=False)
         )
-        return self._execute(planned.program, inputs, share_hoists=False)
+        return self._execute(planned.program, inputs, grouped=False)
 
     # -- execution ----------------------------------------------------------
     def _execute(self, program: HEProgram, inputs: Dict[str, CKKSCiphertext],
-                 share_hoists: bool) -> Dict[str, CKKSCiphertext]:
+                 grouped: bool) -> Dict[str, CKKSCiphertext]:
         missing = set(program.inputs) - set(inputs)
         if missing:
             raise ValueError(f"missing program inputs: {sorted(missing)}")
@@ -90,7 +92,7 @@ class ProgramExecutor:
             )
         with self.evaluator._arith():
             self._prefetch_galois_keys(program)
-            run = _Run(self, program, inputs, share_hoists)
+            run = _Run(self, program, inputs, grouped)
             values = run.values
             for node in program.nodes:
                 values[node.id] = OP_TABLE[node.op].run(
@@ -114,24 +116,21 @@ class _Run:
     """One execution's state: what the op table's ``run`` callables see.
 
     ``values`` holds every node's result (LWE values flow through it exactly
-    like CKKS ciphertexts); ``hoists`` the shared ``hoist_decompose`` per
-    rotation source; ``groups``/``ready`` the planner's dispatch groups and
-    the results their first member computed for the later ones.
+    like CKKS ciphertexts); ``groups``/``ready`` the planner's dispatch
+    groups and the results their first member computed for the later ones.
     """
 
     def __init__(self, executor: ProgramExecutor, program: HEProgram,
-                 inputs, share: bool):
+                 inputs, grouped: bool):
         self.ev = executor.evaluator
         self.tfhe = executor.tfhe
         self.bridge = executor.bridge
         self.program = program
         self.inputs = inputs
-        self.share = share
         self.values: List[object] = [None] * len(program)
-        self.hoists: Dict[int, HoistedDigits] = {}
         self.ready: Dict[int, object] = {}
         self.groups: Dict[tuple, List[int]] = {}
-        if share:
+        if grouped:
             for node in program.nodes:
                 for attr in _GROUP_ATTRS:
                     if attr in node.attrs:
@@ -274,23 +273,21 @@ class _Run:
             for index, ct in enumerate(pending)
         ]
 
-    # -- grouped rotations ---------------------------------------------------
+    # -- keyswitch waves ------------------------------------------------------
     def galois(self, node: HENode, ct: CKKSCiphertext) -> CKKSCiphertext:
-        """``rotate``/``conjugate``: one hoisted keyswitch by the node's
-        Galois element; all rotations of one source share its
-        ``hoist_decompose`` when the plan is optimized."""
-        ev = self.ev
-        needed = OP_TABLE[node.op].keys(node, ev.params.ring_degree)
-        if not needed:
-            return ct.copy()                # the identity element needs no key
-        element = needed[0][1]
-        galois_key = ev.keys.galois_key(element, ct.level)
-        hoisted = self.hoists.get(node.args[0]) if self.share else None
-        if hoisted is None:
-            hoisted = hoist_decompose(ct.c1, ev.params, ct.level)
-            if self.share:
-                self.hoists[node.args[0]] = hoisted
-        return ev.galois_hoisted(ct, hoisted, galois_key, element)
+        """``rotate``/``conjugate``: a planner ``galois_wave`` runs as one
+        keyswitch wave (each distinct source hoisted once, one stacked
+        transform per phase); an eager node is a wave of one."""
+        ring_degree = self.ev.params.ring_degree
+
+        def member(m: HENode):              # the identity element needs no key
+            needed = OP_TABLE[m.op].keys(m, ring_degree)
+            return self.values[m.args[0]], needed[0][1] if needed else 1
+
+        return self._grouped(
+            node, "galois_wave",
+            lambda: self.ev.galois_wave([member(node)])[0],
+            lambda members: self.ev.galois_wave(map(member, members)))
 
     # -- fused plaintext MAC ---------------------------------------------------
     def pmult_mac(self, node: HENode, cts) -> CKKSCiphertext:

@@ -6,8 +6,8 @@ attributes against it, tracer handles and the waterline pass call the same
 level/scale rule (:func:`infer`), the residency pass reads the residency
 class, the executor dispatches through ``run``, the lowering maps through
 ``lower``/``hybrid``, and key planning (:func:`required_keys`) asks ``keys``.
-Passes that pattern-match particular ops by design (PMult-MAC fusion, PBS
-wave scheduling, hoist grouping) still name them; nothing else does.
+Passes that pattern-match particular ops by design (PMult-MAC fusion, hoist
+grouping) still name them; nothing else does.
 
 This module must import on a bare (numpy-less) install and sits below
 every other module of the package, so evaluator, TFHE and kernel-flow
@@ -150,6 +150,12 @@ class OpSpec:
     #: ``coeff-only`` or ``conversion`` (produces ``converts_to``).
     residency: str = "pass-through"
     converts_to: Optional[str] = None
+    #: The wave kind, named by the node attribute its groups carry
+    #: (``galois_wave``, ``pbs_group``, ``ks_group``): the planner counts
+    #: such ops along every path, sorts the program by that count and runs
+    #: the members of one wave (same level, same ``direction``) as one
+    #: stacked dispatch.  ``None``: not a wave op.
+    wave: Optional[str] = None
     run: Optional[Callable] = None
     lower: Callable = lambda node: ()
     hybrid: Optional[Callable] = None
@@ -200,10 +206,11 @@ OP_TABLE: Dict[str, OpSpec] = {spec.name: spec for spec in (
            run=lambda r, n, a: r.ev.add_plain(a, n.attrs["plaintext"]),
            lower=_table2("PAdd")),
     OpSpec("rotate", "HRotate by `steps` slots", attrs=("steps",),
+           wave="galois_wave",
            run=lambda r, n, a: r.galois(n, a), lower=_table2("HRotate"),
            keys=_galois_keys(lambda n, ring: [
                galois_element_for_rotation(ring, n.attrs["steps"])])),
-    OpSpec("conjugate", "slot-wise complex conjugation",
+    OpSpec("conjugate", "slot-wise complex conjugation", wave="galois_wave",
            run=lambda r, n, a: r.galois(n, a), lower=_table2("Conjugate"),
            keys=_galois_keys(lambda n, ring: [
                galois_element_for_conjugation(ring)])),
@@ -240,15 +247,16 @@ OP_TABLE: Dict[str, OpSpec] = {spec.name: spec for spec in (
          attrs=("value",), run=lambda r, n, a: a.add_constant(n.attrs["value"])),
     _lwe("lwe_keyswitch", "cross-scheme key/modulus switch; `direction` c2t: "
          "CKKS-coefficient key -> TFHE key, t2c: back", attrs=("direction",),
-         scale=_keyswitch_scale, run=lambda r, n, a: r.keyswitch(n, a),
+         scale=_keyswitch_scale, wave="ks_group",
+         run=lambda r, n, a: r.keyswitch(n, a),
          hybrid=_lower_keyswitch),
     _lwe("pbs", "programmable bootstrap: the lookup table of `fn` on a "
          "TFHE-key LWE", attrs=("fn",), identity_attrs=("fn",),
-         scale=lambda p, a, at: float(p.tfhe_params.delta),
+         scale=lambda p, a, at: float(p.tfhe_params.delta), wave="pbs_group",
          run=lambda r, n, a: r.bootstrap(n, a), hybrid=_lower_pbs),
     _lwe("gate_bootstrap", "sign bootstrap on a TFHE-key LWE: `2 * amplitude` "
          "when the phase is in [0, q/2), else 0", attrs=("amplitude",),
-         scale=lambda p, a, at: 2.0 * at["amplitude"],
+         scale=lambda p, a, at: 2.0 * at["amplitude"], wave="pbs_group",
          run=lambda r, n, a: r.bootstrap(n, a), hybrid=_lower_gate_bootstrap),
     OpSpec("ckks_to_tfhe", "SampleExtract coefficient `index` as an LWE under "
            "the CKKS-coefficient key, mod q0", scheme="tfhe", attrs=("index",),

@@ -1,4 +1,4 @@
-"""Planning passes: trace -> (align, domains, batching, hoists) -> execute.
+"""Planning passes: trace -> (align, domains, batching, waves, hoists) -> execute.
 
 The pipeline turns a traced :class:`~repro.fhe.program.ir.HEProgram` into a
 :class:`PlannedProgram` the executor and the lowering consume:
@@ -22,16 +22,22 @@ The pipeline turns a traced :class:`~repro.fhe.program.ir.HEProgram` into a
    one level collapses into one ``pmult_mac`` node, which the executor runs
    as a single stacked ``(C, L, N)`` backend dispatch (the BSGS inner sums
    are the canonical instance).
-4. **Hoist fusion** (annotation) — rotations/conjugations are grouped by
-   their source node; every group shares a single ``hoist_decompose`` at
-   execution, generalizing ``rotate_hoisted`` beyond the hand-written BSGS
-   case.  Group ids are stored on the nodes and the sharing statistics in
-   :attr:`PlannedProgram.stats`.
+4. **Wave scheduling** (optimize only) — the one pass that reorders: the
+   program is sorted by how many wave ops (``OpSpec.wave``: rotations,
+   bootstraps, bridge keyswitches) lie on the longest path to each node,
+   and the members of one wave run as one stacked dispatch — a keyswitch
+   wave hoists each distinct source once and shares one stacked transform
+   per phase across every rotation of a joint batch.
+5. **Hoist fusion** (annotation) — rotations/conjugations are grouped by
+   their source node (always inside one wave); every group shares a single
+   hoist at execution, generalizing ``rotate_hoisted`` beyond the
+   hand-written BSGS case.  Group ids are stored on the nodes and the
+   sharing statistics in :attr:`PlannedProgram.stats`.
 
-Per-op facts (level/scale rule, alignment and residency class, evaluation
-keys) are read from the op table (:mod:`repro.fhe.program.ops`); only the
-passes that pattern-match particular ops by design — MAC fusion, PBS wave
-scheduling, hoist grouping — name them.
+Per-op facts (level/scale rule, alignment and residency class, wave kind,
+evaluation keys) are read from the op table (:mod:`repro.fhe.program.ops`);
+only the passes that pattern-match particular ops by design — MAC fusion,
+hoist grouping — name them.
 
 Every pass is semantics-preserving over exact modular arithmetic: the
 planned program computes bit-identical residues to the node-by-node eager
@@ -53,8 +59,9 @@ __all__ = ["PlannedProgram", "plan_program"]
 
 #: Every key of :attr:`PlannedProgram.stats` (all start at zero):
 #: ``hoisted_rotations`` are rotations sharing a multi-member hoist,
-#: ``outer_rotations`` singleton hoists; ``pbs_groups``/``grouped_pbs``
-#: count bootstraps sharing a batched blind rotation and
+#: ``outer_rotations`` singleton hoists; ``galois_waves``/``waved_rotations``
+#: count rotations sharing a keyswitch wave, ``pbs_groups``/``grouped_pbs``
+#: bootstraps sharing a batched blind rotation and
 #: ``ks_groups``/``grouped_keyswitches`` bridge keyswitches sharing one
 #: ``digits @ ksk`` dispatch; ``scheme_switches`` the surviving
 #: scheme-switch nodes.
@@ -64,7 +71,7 @@ STATS_KEYS = (
     "outer_rotations", "rotations", "plain_multiplies", "batched_groups",
     "batched_pmults", "stacked_conversion_groups", "stacked_conversions",
     "pbs_groups", "grouped_pbs", "scheme_switches", "ks_groups",
-    "grouped_keyswitches",
+    "grouped_keyswitches", "galois_waves", "waved_rotations",
 )
 
 
@@ -469,78 +476,80 @@ def _annotate_conversion_groups(program: HEProgram, stats: Dict[str, int]) -> No
 
 
 # ---------------------------------------------------------------------------
-# 3c. Batched PBS dispatch (annotation)
+# 3c. Wave scheduling: stacked keyswitch / PBS / bridge dispatches
 # ---------------------------------------------------------------------------
 
-def _schedule_pbs_waves(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
-    """Reorder the program into bootstrap *waves* and group each wave into
-    one batched PBS dispatch.
+#: Wave kind (``OpSpec.wave``, the group attribute) -> its two counters:
+#: groups formed, members grouped.
+_WAVE_STATS = {
+    "galois_wave": ("galois_waves", "waved_rotations"),
+    "pbs_group": ("pbs_groups", "grouped_pbs"),
+    "ks_group": ("ks_groups", "grouped_keyswitches"),
+}
 
-    A node's wave is the largest number of ``pbs``/``gate_bootstrap`` nodes
-    on any path ending at it (inclusive).  Two bootstrap nodes in the same
-    wave can never depend on each other, and every source of a wave-``w``
-    bootstrap sits in a wave ``< w`` — so the stable re-sort by
-    ``(wave, id)`` is a valid topological order in which all of a wave's
-    sources precede its first member (the same executor invariant stacked
-    conversions rely on).  Traces that interleave per-slot chains
-    (extract, switch, bootstrap per slot) therefore still batch: the sort
-    pulls the independent bootstraps together.
 
-    Members of a group run as *one* array-resident blind rotation: the
-    wave's accumulators are a single backend store, and each CMux iteration
-    is a fixed handful of whole-wave dispatches against the shared
-    evaluation-domain bootstrapping key (``repro.fhe.tfhe.batched``).  ``pbs``
-    and ``gate_bootstrap`` nodes mix freely in one group (they differ only
-    in their test vectors).
+def _schedule_waves(old: HEProgram, stats: Dict[str, int]) -> HEProgram:
+    """Reorder the program into *waves* and group each wave's members into
+    one stacked dispatch.
 
-    ``lwe_keyswitch`` nodes wave-schedule the same way: every member of a
-    wave crossing the key boundary in the same direction shares one bridge
-    key, so the group runs as a single ``digits @ ksk`` dispatch
-    (:func:`~repro.fhe.tfhe.batched.batched_lwe_keyswitch`) — the
-    ``ks_group`` attribute mirrors ``pbs_group``.
+    A node's wave is the largest number of wave ops (``OpSpec.wave``:
+    rotations and conjugations, bootstraps, bridge keyswitches) on any path
+    ending at it (inclusive).  Two wave ops in the same wave can never
+    depend on each other, and every source of a wave-``w`` op sits in a
+    wave ``< w`` — so the stable re-sort by ``(wave, id)`` is a valid
+    topological order in which all of a wave's sources precede its first
+    member (the same executor invariant stacked conversions rely on).
+    Traces that interleave per-slot or per-request chains (extract, switch,
+    bootstrap per slot; one BSGS transform per request of a joint batch)
+    therefore still batch: the sort pulls the independent members together.
+
+    Members of one wave, kind, level and ``direction`` share a group
+    attribute named after the kind:
+
+    * ``galois_wave`` — ``rotate``/``conjugate``: one keyswitch wave
+      (:meth:`~repro.fhe.ckks.CKKSEvaluator.galois_wave`), each distinct
+      source hoisted once, one stacked transform per phase.  On a width-8
+      joint dense trace that is two waves — 56 baby rotations over 8
+      hoists, then 24 giant rotations — instead of 80 keyswitches.
+    * ``pbs_group`` — ``pbs``/``gate_bootstrap`` (they differ only in their
+      test vectors and mix freely): *one* array-resident blind rotation
+      whose CMux iterations are a fixed handful of whole-wave dispatches
+      against the shared evaluation-domain bootstrapping key
+      (``repro.fhe.tfhe.batched``).
+    * ``ks_group`` — ``lwe_keyswitch``: every member crossing the key
+      boundary in the same direction shares one bridge key, so the group is
+      a single ``digits @ ksk`` dispatch
+      (:func:`~repro.fhe.tfhe.batched.batched_lwe_keyswitch`).
     """
-    boot_ops = ("pbs", "gate_bootstrap")
     waves = [0] * len(old)
-    wave_members: Dict[int, List[int]] = {}
-    ks_members: Dict[Tuple[int, str], List[int]] = {}
+    members: Dict[tuple, List[int]] = {}
     for node in old.nodes:
+        kind = OP_TABLE[node.op].wave
         wave = max((waves[arg] for arg in node.args), default=0)
-        if node.op in boot_ops:
+        if kind is not None:
             wave += 1
-            wave_members.setdefault(wave, []).append(node.id)
-        elif node.op == "lwe_keyswitch":
-            wave += 1
-            ks_members.setdefault(
-                (wave, node.attrs["direction"]), []
+            members.setdefault(
+                (kind, wave, node.level, node.attrs.get("direction")), []
             ).append(node.id)
         waves[node.id] = wave
-    if not wave_members and not ks_members:
+    if not members:
         return old
     order = sorted(range(len(old)), key=lambda i: (waves[i], i))
     rb = _Rebuilder(old)
     for old_id in order:
         rb.copy(old.node(old_id))
     new = rb.finish()
-    index = 0
-    for wave in sorted(wave_members):
-        members = wave_members[wave]
-        if len(members) < 2:
+    index = dict.fromkeys(_WAVE_STATS, 0)
+    for key in sorted(members):
+        kind, group = key[0], members[key]
+        if len(group) < 2:
             continue
-        for member in members:
-            new.node(rb.arg(member)).attrs["pbs_group"] = index
-        index += 1
-        stats["pbs_groups"] += 1
-        stats["grouped_pbs"] += len(members)
-    ks_index = 0
-    for key in sorted(ks_members):
-        members = ks_members[key]
-        if len(members) < 2:
-            continue
-        for member in members:
-            new.node(rb.arg(member)).attrs["ks_group"] = ks_index
-        ks_index += 1
-        stats["ks_groups"] += 1
-        stats["grouped_keyswitches"] += len(members)
+        for member in group:
+            new.node(rb.arg(member)).attrs[kind] = index[kind]
+        index[kind] += 1
+        groups_formed, members_grouped = _WAVE_STATS[kind]
+        stats[groups_formed] += 1
+        stats[members_grouped] += len(group)
     return new
 
 
@@ -588,17 +597,18 @@ def plan_program(program: HEProgram, optimize: bool = True) -> PlannedProgram:
         _limb_contexts(program.params.ring_degree, program.params.basis())
         is not None
     )
-    if optimize:
-        # PBS batching depends on the TFHE modulus (always NTT-friendly by
-        # construction), not the CKKS chain, so it is not gated on
-        # ntt_friendly.  The wave reorder runs *before* the residency and
-        # conversion-stacking passes: those rebuild in program order and
-        # their grouping invariant (sources precede the group's first
-        # member) must be established on the final node order.
-        planned = _schedule_pbs_waves(planned, stats)
     if optimize and ntt_friendly:
         planned = _plan_domains(planned, stats)
         planned = _fuse_pmult_macs(planned, stats)
+    if optimize:
+        # Waves depend on neither chain being NTT-friendly (a keyswitch wave
+        # has its convolution fallback, the TFHE modulus is NTT-friendly by
+        # construction).  The reorder is the *last* rebuilding pass: a
+        # conversion the residency pass puts in front of one member must
+        # not land between a wave's first member and a later member's
+        # source, and conversion stacking below needs the final node order.
+        planned = _schedule_waves(planned, stats)
+    if optimize and ntt_friendly:
         _annotate_conversion_groups(planned, stats)
     _annotate_hoist_groups(planned, stats)
     stats["scheme_switches"] = sum(

@@ -9,8 +9,13 @@ program with ``C`` inputs ``x0..x{C-1}`` and ``C`` outputs, planned once per
 The planner's stacked-conversion pass then merges the per-request NTT/INTT
 conversions into single ``(2*C, L, N)`` ``stacked_ntt`` dispatches and each
 request's plaintext MACs into ``(C, L, N)`` ``stacked_pmult_mac`` dispatches,
-while the hoisting pass shares one decomposition per rotated input — the
-batched dispatch shapes the Trinity cost model was built around.
+while the wave pass sorts the joint program into keyswitch *waves*: the
+rotations every request issues at the same depth (a BSGS layer's ``C x
+(baby-1)`` baby rotations, then its ``C x (giant-1)`` giant rotations) run
+as one wave that hoists each rotated input once and shares one stacked
+transform per keyswitch phase across the whole batch, cut only by the
+element budget of :mod:`repro.fhe.ckks.keyswitch` — the batched dispatch
+shapes the Trinity cost model was built around.
 
 Batching changes nothing numerically: every planner pass is an exact
 transformation, so a batched request decrypts bit-exact to the same request

@@ -225,14 +225,16 @@ def _toy_evaluator(seed=11):
 
 class TestInnerSumHoistMerge:
     def _count_hoists(self, monkeypatch):
+        """One entry per polynomial hoisted (a rotate_hoisted call is a
+        keyswitch wave over one source)."""
         calls = []
-        original = evaluator_module.hoist_decompose
+        original = evaluator_module.hoist_wave
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(polys, *args):
+            calls.extend(polys)
+            return original(polys, *args)
 
-        monkeypatch.setattr(evaluator_module, "hoist_decompose", counting)
+        monkeypatch.setattr(evaluator_module, "hoist_wave", counting)
         return calls
 
     def test_merged_iterations_hoist_once(self, monkeypatch):
@@ -276,17 +278,23 @@ class TestInnerSumHoistMerge:
                 assert _rows(merged) == _rows(result), count
 
 
+def _count_wave_members(monkeypatch):
+    """One entry per member that pays the per-key phase of a wave."""
+    calls = []
+    original = evaluator_module.keyswitch_wave
+
+    def counting(members):
+        calls.extend(members)
+        return original(members)
+
+    monkeypatch.setattr(evaluator_module, "keyswitch_wave", counting)
+    return calls
+
+
 class TestRotateHoistedDedupe:
     def test_duplicate_steps_pay_per_key_phase_once(self, monkeypatch):
         params, evaluator = _toy_evaluator()
-        calls = []
-        original = evaluator_module.keyswitch_hoisted
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evaluator_module, "keyswitch_hoisted", counting)
+        calls = _count_wave_members(monkeypatch)
         with use_backend(PYTHON):
             ct = _random_ct(params, 31)
             results = evaluator.rotate_hoisted(ct, [1, 3, 1, 3, 0])
@@ -303,14 +311,7 @@ class TestRotateHoistedDedupe:
         """steps and steps + n map to the same Galois element (5^n = 1 mod 2N)."""
         params, evaluator = _toy_evaluator()
         n = params.slots
-        calls = []
-        original = evaluator_module.keyswitch_hoisted
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evaluator_module, "keyswitch_hoisted", counting)
+        calls = _count_wave_members(monkeypatch)
         with use_backend(PYTHON):
             ct = _random_ct(params, 41)
             results = evaluator.rotate_hoisted(ct, [2, n + 2])

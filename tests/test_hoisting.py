@@ -48,10 +48,13 @@ from repro.fhe.ckks.keys import (
     galois_element_for_rotation,
     sample_error,
 )
+from repro.fhe.ckks import keyswitch as keyswitch_module
 from repro.fhe.ckks.keyswitch import (
     hoist_decompose,
+    hoist_wave,
     hybrid_keyswitch,
     keyswitch_hoisted,
+    keyswitch_wave,
     mod_down,
 )
 from repro.fhe.modmath import mod_inverse
@@ -240,6 +243,46 @@ class TestHoistedKeyswitch:
         with pytest.raises(ValueError):
             keyswitch_hoisted(hoisted, relin)
 
+    def test_convolution_fallback_matches_hybrid(self, keyed, monkeypatch):
+        """Without per-limb NTT contexts (non-NTT-friendly moduli) the wave
+        keeps lifted coefficient digits and stays coefficient-resident."""
+        params, keys, relin, ct = keyed
+        level = params.max_level
+        g = galois_element_for_rotation(params.ring_degree, 1)
+        with use_backend(PYTHON):
+            expected = keyswitch_wave([
+                (hoist_decompose(ct.c1, params, level), relin, None),
+                (hoist_decompose(ct.c1, params, level), keys.galois_key(g, level), g)])
+            monkeypatch.setattr(keyswitch_module, "_limb_contexts",
+                                lambda n, basis: None)
+            first, second = hoist_wave([ct.c1, ct.c1], params, level)
+            assert first.contexts is None and first.num_digits == relin.num_digits
+            fallback = keyswitch_wave(
+                [(first, relin, None), (second, keys.galois_key(g, level), g)])
+        for got, want in zip(fallback, expected):
+            assert got[0].domain == got[1].domain == "coeff"
+            assert tuple(map(_rows, got)) == tuple(map(_rows, want))
+
+    def test_a_wave_refuses_mismatched_members_by_name(self, keyed):
+        """Members that disagree on level or digit count are named, not
+        stacked; an empty wave is no dispatch at all."""
+        params, keys, relin, ct = keyed
+        level = params.max_level
+        low = ct.c1.keep_limbs(level)
+        with use_backend(PYTHON):
+            with pytest.raises(ValueError, match="hoist member 1"):
+                hoist_wave([ct.c1, low], params, level)
+            top = hoist_decompose(ct.c1, params, level)
+            lower = hoist_decompose(low, params, level - 1)
+            lower_key = keys.relinearization_key(level - 1)
+            with pytest.raises(ValueError, match="wave member 1 is hoisted at level"):
+                keyswitch_wave([(top, relin, None), (lower, lower_key, None)])
+            one_digit = keys.relinearization_key(0)
+            with pytest.raises(ValueError, match="wave member 2: keyswitch key"):
+                keyswitch_wave(
+                    [(top, relin, None), (top, relin, None), (top, one_digit, None)])
+            assert hoist_wave([], params, level) == keyswitch_wave([]) == []
+
 
 class TestModDown:
     """One ModDown, dispatched on the input's residency domain."""
@@ -293,7 +336,15 @@ class _CountingBackend(ArithmeticBackend):
 
 
 class TestHoistedResidency:
-    """The per-key phase never leaves the evaluation domain: counted."""
+    """What a keyswitch wave may dispatch, counted: a hoist is one stacked
+    forward transform, and the per-key phase never leaves the evaluation
+    domain — one ModDown (two stacked transforms) per wave chunk."""
+
+    @staticmethod
+    def _rows_of(call):
+        contexts, stores = call
+        assert all(len(store) == len(contexts) for store in stores)
+        return len(contexts) * len(stores)
 
     def test_keyswitch_hoisted_transforms_only_the_special_rows(self, keyed):
         params, _keys, relin, ct = keyed
@@ -314,24 +365,134 @@ class TestHoistedResidency:
             assert not counting.calls("batched_intt")
             assert not counting.calls("batched_ntt")
 
+    @pytest.mark.parametrize("resident", [False, True], ids=["coeff", "eval"])
+    @pytest.mark.parametrize("sources", [1, 3])
+    def test_a_hoist_is_one_stacked_ntt(self, keyed, sources, resident):
+        """``digits`` BConvs per source, one ``stacked_ntt`` over ``sources x
+        digits x (level+1+|P|)`` rows, one ``stacked_intt`` iff a source was
+        evaluation-resident — nothing else."""
+        params, _keys, relin, _ct = keyed
+        level = params.max_level
+        extended = level + 1 + len(params.special_moduli)
+        for inner in BACKENDS:
+            counting = _CountingBackend(inner)
+            with use_backend(counting):
+                polys = [_random_poly(params, 60 + i) for i in range(sources)]
+                if resident:
+                    polys[0] = polys[0].to_eval()
+                for poly in polys:
+                    poly.store()
+                counting.log.clear()
+                hoisted = hoist_wave(polys, params, level)
+                wave_log, counting.log = counting.log, []
+                singles = [hoist_decompose(poly, params, level) for poly in polys]
+            assert [h.num_digits for h in hoisted] == [relin.num_digits] * sources
+            assert sorted(name for name, _ in wave_log) == sorted(
+                ["bconv_matmul"] * relin.num_digits * sources
+                + ["stacked_intt"] * resident + ["stacked_ntt"])
+            forward, = [args for name, args in wave_log if name == "stacked_ntt"]
+            assert self._rows_of(forward) == sources * relin.num_digits * extended
+            if resident:
+                inverse, = [args for name, args in wave_log if name == "stacked_intt"]
+                assert self._rows_of(inverse) == level + 1
+            # A wave's hoists are the single hoists, digit for digit.
+            for got, expected in zip(hoisted, singles):
+                assert [inner.store_rows(s) for s in got.digits] == [
+                    inner.store_rows(s) for s in expected.digits]
+
+    def _wave(self, keyed, inner):
+        """(counting backend, members): three rotations and one
+        relinearisation over two hoists, key transforms warmed."""
+        params, keys, relin, ct = keyed
+        level = params.max_level
+        elements = [galois_element_for_rotation(params.ring_degree, steps)
+                    for steps in (1, 2, 3)]
+        counting = _CountingBackend(inner)
+        with use_backend(counting):
+            first, second = hoist_wave([ct.c0, ct.c1], params, level)
+            members = [(first, keys.galois_key(g, level), g) for g in elements]
+            members.append((second, relin, None))
+            keyswitch_wave(members)              # first use transforms the keys
+        counting.log.clear()
+        return counting, members
+
+    def test_a_wave_of_k_keyswitches_pays_one_mod_down(self, keyed):
+        """``k`` MACs (a gather per Galois member), then one ``stacked_intt``
+        of ``2k x |P|`` rows, ``2k`` BConvs, one ``stacked_ntt`` of ``2k x
+        (level+1)`` rows and ``2k`` subtract-and-scales."""
+        params = keyed[0]
+        level, special = params.max_level, len(params.special_moduli)
+        for inner in BACKENDS:
+            counting, members = self._wave(keyed, inner)
+            k = len(members)
+            with use_backend(counting):
+                pairs = keyswitch_wave(members)
+                assert all(f.domain == "eval" for pair in pairs for f in pair)
+                wave_log, counting.log = counting.log, []
+                singles = [keyswitch_hoisted(*member) for member in members]
+            assert sorted(name for name, _ in wave_log) == sorted(
+                ["stacked_gather"] * (k - 1) + ["limbs_eval_mac"] * k
+                + ["stacked_intt", "stacked_ntt"] + ["bconv_matmul"] * 2 * k
+                + ["batched_sub_scaled"] * 2 * k)
+            inverse, = [args for name, args in wave_log if name == "stacked_intt"]
+            forward, = [args for name, args in wave_log if name == "stacked_ntt"]
+            assert self._rows_of(inverse) == 2 * k * special
+            assert self._rows_of(forward) == 2 * k * (level + 1)
+            assert len(counting.calls("stacked_intt")) == k    # one per call
+            assert [tuple(map(_rows, pair)) for pair in pairs] == [
+                tuple(map(_rows, pair)) for pair in singles]
+
+    def test_the_budget_cuts_a_wave_into_chunks(self, keyed, monkeypatch):
+        """With the budget at one member's two accumulators every member is
+        its own chunk: ``k`` ModDowns, the same residues."""
+        params = keyed[0]
+        member_elements = 2 * params.ring_degree * (
+            params.max_level + 1 + len(params.special_moduli))
+        for inner in BACKENDS:
+            counting, members = self._wave(keyed, inner)
+            with use_backend(counting):
+                whole = keyswitch_wave(members)
+                counting.log.clear()
+                monkeypatch.setattr(keyswitch_module, "WAVE_ELEMENTS", member_elements)
+                cut = keyswitch_wave(members)
+                monkeypatch.undo()
+            assert [len(stores) for _, stores in counting.calls("stacked_intt")] \
+                == [2] * len(members)
+            assert [len(stores) for _, stores in counting.calls("stacked_ntt")] \
+                == [2] * len(members)
+            assert [tuple(map(_rows, pair)) for pair in cut] == [
+                tuple(map(_rows, pair)) for pair in whole]
+
     def test_rotate_hoisted_eval_resident_pays_no_ntt_after_the_hoist(self, keyed):
         params, keys, relin, ct = keyed
+        level, special = ct.level, len(params.special_moduli)
         for steps in (1, 2):                     # generated on first use
             keys.galois_key(
-                galois_element_for_rotation(params.ring_degree, steps), ct.level)
+                galois_element_for_rotation(params.ring_degree, steps), level)
         for inner in BACKENDS:
             counting = _CountingBackend(inner)
             evaluator = CKKSEvaluator(params, keys, backend=counting)
             resident = evaluator.to_eval(ct)
+            evaluator.rotate_hoisted(resident, [1, 2])   # warms the key transforms
             counting.log.clear()
             rotated = evaluator.rotate_hoisted(resident, [1, 2])
             assert [r.domain for r in rotated] == ["eval", "eval"]
             kernels = [name for name, _ in counting.log]
-            # The hoist: one forward NTT per lifted digit, and nothing else.
-            assert kernels.count("batched_ntt") == relin.num_digits
-            after = kernels[kernels.index("limbs_eval_mac"):]
-            assert "batched_ntt" not in after and "batched_intt" not in after
-            assert after.count("stacked_intt") == after.count("stacked_ntt") == 2
+            assert "batched_ntt" not in kernels and "batched_intt" not in kernels
+            # The hoist: c1 back to coefficients, then every lifted digit
+            # forward in one stacked dispatch.
+            hoist = kernels[:kernels.index("limbs_eval_mac")]
+            assert sorted(hoist) == sorted(
+                ["stacked_intt"] + ["bconv_matmul"] * relin.num_digits
+                + ["stacked_ntt", "stacked_gather"])
+            inverse, after_inverse = counting.calls("stacked_intt")
+            forward, after_forward = counting.calls("stacked_ntt")
+            assert self._rows_of(inverse) == level + 1
+            assert self._rows_of(forward) == relin.num_digits * (
+                level + 1 + special)
+            # Both rotations share the one evaluation-domain ModDown.
+            assert self._rows_of(after_inverse) == 2 * 2 * special
+            assert self._rows_of(after_forward) == 2 * 2 * (level + 1)
 
 
 @needs_numpy

@@ -23,8 +23,11 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fhe.backend import PythonBackend, available_backends, use_backend
+from repro.fhe.ckks import evaluator as evaluator_module
+from repro.fhe.ckks import keyswitch as keyswitch_module
 from repro.fhe.ckks.bootstrap import linear_transform_plan
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
@@ -46,8 +49,10 @@ from repro.fhe.program import (
     plan_program,
 )
 from repro.fhe.program.ops import OP_TABLE, OpSpec, residency_table
+from repro.fhe.program.passes import STATS_KEYS, _Rebuilder
 from repro.fhe.rns import RNSPolynomial, _limb_contexts
 from repro.fhe.tfhe import TFHEContext
+from repro.serve.chaos import FaultInjectingBackend, FaultSchedule, FaultSpec
 from repro.workloads.hybrid_workloads import (
     hybrid_query_parameters,
     hybrid_query_workloads,
@@ -271,6 +276,22 @@ class TestPasses:
             if node.op in ("rotate", "conjugate"):
                 groups.setdefault(node.attrs["hoist_group"], []).append(node.id)
         assert sorted(len(g) for g in groups.values()) == [1, 4]
+
+    def test_dense_joint_plan_is_two_keyswitch_waves(self):
+        """Width 8: 56 baby rotations over 8 hoists, then 24 giant
+        rotations — two waves instead of 80 keyswitches."""
+        planned = plan_program(_dense_joint_program(self.PARAMS, 8))
+        assert planned.stats["galois_waves"] == 2
+        assert planned.stats["waved_rotations"] == 80
+        assert planned.stats["rotations"] == 80
+        assert planned.stats["hoist_groups"] == 8 + 24
+        assert set(planned.stats) == set(STATS_KEYS)
+        waves = [node.attrs["galois_wave"] for node in planned.program.nodes
+                 if node.op == "rotate"]
+        assert waves == [0] * 56 + [1] * 24           # sorted wave by wave
+        eager = plan_program(_dense_joint_program(self.PARAMS, 8), optimize=False)
+        assert eager.stats["galois_waves"] == eager.stats["waved_rotations"] == 0
+        assert not any("galois_wave" in node.attrs for node in eager.program.nodes)
 
     def test_pmult_mac_fusion_of_pure_and_mixed_trees(self):
         """A pure PMult sum fuses whole; a BSGS-shaped mixed accumulation
@@ -543,6 +564,249 @@ class TestRotateHoistedKeyValidation:
             ct = _random_ct(params, 91)
             (out,) = evaluator.rotate_hoisted(ct, [0])
             assert _rows(out) == _rows(ct)
+
+
+# ---------------------------------------------------------------------------
+# Keyswitch waves: joint dense traces, the wave invariant, the dispatch census
+# ---------------------------------------------------------------------------
+
+def _dense_joint_program(params, width, dim=32, seed=500):
+    """``width`` requests of one BSGS dense layer in one program — the joint
+    trace the serving scheduler plans for a batch (the node shape of
+    ``BSGSLinearTransform.trace``, with random plaintexts so it needs no
+    encoder and runs on the no-numpy leg)."""
+    plan = linear_transform_plan(params.slots, params.max_level, diagonals=dim)
+    n1, n2 = plan.baby_steps, plan.giant_steps
+    pts = [[_random_pt(params, seed + j * n1 + i) for i in range(n1)]
+           for j in range(n2)]
+    t = HETrace(params)
+    handles = [t.input(f"x{k}") for k in range(width)]
+    for k, x in enumerate(handles):
+        babies = [x.rotate(i) for i in range(n1)]
+        result = None
+        for j in range(n2):
+            inner = None
+            for i in range(n1):
+                term = babies[i] * pts[j][i]
+                inner = term if inner is None else inner + term
+            if j:
+                inner = inner.rotate(j * n1)
+            result = inner if result is None else result + inner
+        t.output(f"y{k}", result)
+    return t.program
+
+
+def _shuffled(program, rng):
+    """The same program, its nodes in another valid topological order."""
+    rb = _Rebuilder(program)
+    pending = {node.id for node in program.nodes}
+    while pending:
+        ready = sorted(i for i in pending
+                       if not pending.intersection(program.node(i).args))
+        pick = rng.choice(ready)
+        rb.copy(program.node(pick))
+        pending.remove(pick)
+    return rb.finish()
+
+
+def _signature(program):
+    return [(node.op, node.args, node.level, repr(node.scale), node.domain,
+             node.attrs) for node in program.nodes]
+
+
+def _assert_wave_invariant(planned):
+    """Every member's source precedes its group's first member (what lets
+    the executor run a whole group when it reaches that first member), and
+    planning the plan again changes nothing."""
+    groups = {}
+    for node in planned.program.nodes:
+        for attr in ("galois_wave", "pbs_group", "ks_group", "conv_group"):
+            if attr in node.attrs:
+                groups.setdefault((attr, node.attrs[attr]), []).append(node)
+    for (attr, _), members in groups.items():
+        first = min(member.id for member in members)
+        assert len(members) >= 2
+        assert all(arg < first for member in members for arg in member.args)
+        assert len({member.level for member in members}) == 1, attr
+    again = plan_program(planned.program)
+    assert _signature(again.program) == _signature(planned.program)
+    return groups
+
+
+class TestKeyswitchWaves:
+    PARAMS = CKKSParameters.toy()
+
+    def _executor(self, backend):
+        keys = _keyed(self.PARAMS)
+        return ProgramExecutor(CKKSEvaluator(self.PARAMS, keys, backend=backend))
+
+    def _inputs(self, width):
+        return {f"x{k}": _random_ct(self.PARAMS, 600 + 2 * k)
+                for k in range(width)}
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    def test_joint_dense_trace_is_exact_and_two_waves(self, width):
+        """Planned (two keyswitch waves, whatever the width) == eager (one
+        keyswitch per rotation), residue for residue, on every backend."""
+        program = _dense_joint_program(self.PARAMS, width)
+        planned = plan_program(program)
+        assert planned.stats["galois_waves"] == 2
+        assert planned.stats["waved_rotations"] == 10 * width
+        assert planned.stats["hoist_groups"] == 4 * width
+        groups = _assert_wave_invariant(planned)
+        assert sorted(len(members) for (attr, _), members in groups.items()
+                      if attr == "galois_wave") == [3 * width, 7 * width]
+        reference = None
+        for backend in BACKENDS:
+            executor = self._executor(backend)
+            with use_backend(backend):
+                inputs = self._inputs(width)
+                planned_out = executor.run(planned, inputs)
+                eager_out = executor.run_eager(program, inputs)
+            rows = {name: _rows(ct) for name, ct in planned_out.items()}
+            assert rows == {name: _rows(ct) for name, ct in eager_out.items()}
+            assert reference in (None, rows)          # cross-backend bit-exact
+            reference = rows
+
+    def test_a_wave_larger_than_the_budget_is_cut_and_still_exact(self, monkeypatch):
+        """Budget at one member's worth: every chunk is a single keyswitch
+        or hoist, the residues are the uncut wave's."""
+        program = _dense_joint_program(self.PARAMS, 3)
+        planned = plan_program(program)
+        for backend in BACKENDS:
+            counts = FaultSchedule([FaultSpec("limbs_eval_mac", "raise", 0.0),
+                                    FaultSpec("stacked_ntt", "raise", 0.0)])
+            executor = self._executor(FaultInjectingBackend(backend, counts))
+            with use_backend(backend):
+                inputs = self._inputs(3)
+                executor.run(planned, inputs)          # rotation keys: first use
+                warm = counts.calls()["stacked_ntt"]
+                whole = executor.run(planned, inputs)
+                uncut = counts.calls()["stacked_ntt"]
+                monkeypatch.setattr(keyswitch_module, "WAVE_ELEMENTS", 1)
+                cut = executor.run(planned, inputs)
+                monkeypatch.undo()
+            members = counts.calls()["limbs_eval_mac"] // 3     # 30 keyswitches
+            # Per run: the stacked input conversion, then a forward dispatch
+            # per hoist chunk and per ModDown chunk.
+            assert uncut - warm == 1 + 2 + 2
+            assert counts.calls()["stacked_ntt"] - uncut == 1 + 12 + members
+            assert {n: _rows(ct) for n, ct in cut.items()} == {
+                n: _rows(ct) for n, ct in whole.items()}
+
+    def test_transform_dispatches_per_batch_are_pinned(self):
+        """The census that guards the gain without a timer: the planned
+        width-8 joint dense trace issues nine transform dispatches (the
+        budget never cuts at this ring) — the stacked conversion of the
+        eight inputs, then per wave a source inverse and a digit forward
+        transform for the hoists and an inverse/forward pair for the one
+        ModDown.  One keyswitch per node would be 80 of each again."""
+        transforms = ("batched_ntt", "batched_intt", "stacked_ntt", "stacked_intt")
+        planned = plan_program(_dense_joint_program(self.PARAMS, 8))
+        for backend in BACKENDS:
+            counts = FaultSchedule(
+                [FaultSpec(kernel, "raise", 0.0) for kernel in transforms])
+            executor = self._executor(FaultInjectingBackend(backend, counts))
+            with use_backend(backend):
+                inputs = self._inputs(8)
+                executor.run(planned, inputs)          # key transforms: first use
+                before = counts.calls()
+                executor.run(planned, inputs)
+            after = counts.calls()
+            per_batch = [after.get(kernel, 0) - before.get(kernel, 0)
+                         for kernel in transforms]
+            assert per_batch == [0, 0, 5, 4], backend.name
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), which=st.integers(0, 2))
+    def test_any_topological_order_plans_into_valid_waves(self, seed, which):
+        """Shuffled-but-valid node orders of rotation programs: after the
+        pass every member's source precedes its wave's first member, the
+        plan is a fixed point of the planner, and the waves do not depend
+        on the order the trace happened to emit (conversion stacking is a
+        greedy scan over that order and may)."""
+        program = (
+            _dense_joint_program(self.PARAMS, 2),
+            _dense_joint_program(self.PARAMS, 3, dim=8),
+            _trace_mixed_program(self.PARAMS, seeds=40),
+        )[which]
+        shuffled = plan_program(_shuffled(program, random.Random(seed)))
+        _assert_wave_invariant(shuffled)
+        greedy = ("stacked_conversion_groups", "stacked_conversions")
+        assert {key: value for key, value in shuffled.stats.items()
+                if key not in greedy} == {
+            key: value for key, value in plan_program(program).stats.items()
+            if key not in greedy}
+
+    def test_shuffled_mixed_program_still_matches_eager(self):
+        program = _trace_mixed_program(self.PARAMS, seeds=40)
+        shuffled = _shuffled(program, random.Random(7))
+        planned = plan_program(shuffled)
+        assert planned.stats["galois_waves"] >= 1
+        executor = self._executor(PYTHON)
+        with use_backend(PYTHON):
+            inputs = {"x": _random_ct(self.PARAMS, 50),
+                      "w": _random_ct(self.PARAMS, 60)}
+            planned_out = executor.run(planned, inputs)
+            eager_out = executor.run_eager(program, inputs)
+        assert {n: _rows(ct) for n, ct in planned_out.items()} == {
+            n: _rows(ct) for n, ct in eager_out.items()}
+
+    def test_wave_resolves_every_key_before_any_transform(self):
+        """A missing Galois key fails a wave like it fails a call: the same
+        ``KeyError``, before any hoist work."""
+        params = self.PARAMS
+        keys = _keyed(params)
+        keys.ensure_rotation_keys([1], params.max_level)
+        frozen = CKKSKeySet(params=params, secret=keys.secret, public=keys.public,
+                            _galois_keys=dict(keys._galois_keys))
+        counts = FaultSchedule([FaultSpec(kernel, "raise", 0.0) for kernel in (
+            "bconv_matmul", "stacked_ntt", "batched_ntt", "limbs_eval_mac")])
+        evaluator = CKKSEvaluator(
+            params, frozen, backend=FaultInjectingBackend(PYTHON, counts))
+        elements = [evaluator.galois_element_for_rotation(s) for s in (1, 3)]
+        with use_backend(PYTHON):
+            a, b = _random_ct(params, 92), _random_ct(params, 93)
+        with pytest.raises(KeyError) as via_rotate:
+            evaluator.rotate(a, 3)
+        with pytest.raises(KeyError) as via_wave:
+            evaluator.galois_wave([(a, elements[0]), (b, elements[1])])
+        assert str(via_wave.value) == str(via_rotate.value)
+        assert counts.calls() == {}
+
+    def test_wave_members_must_share_a_level(self):
+        params = self.PARAMS
+        evaluator = CKKSEvaluator(params, _keyed(params), backend=PYTHON)
+        g = evaluator.galois_element_for_rotation(1)
+        with use_backend(PYTHON):
+            top = _random_ct(params, 94)
+            low = _random_ct(params, 95, level=params.max_level - 1)
+        with pytest.raises(ValueError, match="member 1"):
+            evaluator.galois_wave([(top, g), (low, g)])
+
+    def test_rotate_by_zero_inside_a_wave_is_a_copy_and_joins_no_dispatch(
+            self, monkeypatch):
+        params = self.PARAMS
+        evaluator = CKKSEvaluator(params, _keyed(params), backend=PYTHON)
+        g = evaluator.galois_element_for_rotation(2)
+        joined = []
+        original = evaluator_module.keyswitch_wave
+
+        def counting(members):
+            joined.extend(members)
+            return original(members)
+
+        monkeypatch.setattr(evaluator_module, "keyswitch_wave", counting)
+        with use_backend(PYTHON):
+            a, b = _random_ct(params, 96), _random_ct(params, 97)
+            same, rotated, also_same = evaluator.galois_wave(
+                [(a, 1), (b, g), (b, 1)])
+            (alone,) = evaluator.galois_wave([(b, g)])
+            (only_identity,) = evaluator.galois_wave([(a, 1)])
+        assert len(joined) == 2                       # (b, g), twice
+        assert _rows(same) == _rows(a) and same is not a
+        assert _rows(also_same) == _rows(b) and _rows(only_identity) == _rows(a)
+        assert _rows(rotated) == _rows(alone)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1265,7 @@ def _phase_coefficients(params, keys, ct):
 
 def _hybrid_threshold_program(params, tparams, boost, amplitude, nslot=4,
                               values=HYBRID_VALUES,
-                              threshold=HYBRID_THRESHOLD):
+                              threshold=HYBRID_THRESHOLD, pre=lambda x: x):
     """The encrypted threshold filter as one traced hybrid program.
 
     A coefficient-packed CKKS column crosses into TFHE per slot (extract +
@@ -1013,7 +1277,7 @@ def _hybrid_threshold_program(params, tparams, boost, amplitude, nslot=4,
     encoded_threshold = round(threshold * params.scale * boost * qt / q0)
     t = HETrace(params, tfhe_params=tparams)
     x = t.input("x", level=1, scale=float(params.scale))
-    boosted = x * boost
+    boosted = pre(x) * boost
     bits = []
     for lwe in boosted.extract_lwes(nslot):
         diff = (-lwe.keyswitch_to_tfhe()).add_encoded(encoded_threshold)
@@ -1076,6 +1340,28 @@ class TestHybridDifferential:
                 assert rows == reference          # cross-backend bit-exact
 
 
+    def test_a_trace_with_a_rotation_and_a_pbs_matches_eager(
+            self, params, tparams, boost, amplitude):
+        program = _hybrid_threshold_program(
+            params, tparams, boost, amplitude,
+            pre=lambda x: x.rotate(1) + x.rotate(2))
+        planned = plan_program(program)
+        assert planned.stats["galois_waves"] == planned.stats["pbs_groups"] == 1
+        keys = _keyed(params)
+        tfhe = TFHEContext(tparams, seed=7)
+        with use_backend(PYTHON):
+            bridge = SchemeBridge(params, keys.secret, tfhe, seed=7)
+            executor = ProgramExecutor(
+                CKKSEvaluator(params, keys, backend=PYTHON),
+                tfhe=tfhe, bridge=bridge)
+            ct = _encrypt_coefficients(
+                params, keys, _hybrid_column(params), level=1, scale=params.scale)
+            planned_out = executor.run(planned, {"x": ct})
+            eager_out = executor.run_eager(program, {"x": ct})
+        assert {n: _rows(out) for n, out in planned_out.items()} == {
+            n: _rows(out) for n, out in eager_out.items()}
+
+
 class TestHybridDeadCodeElimination:
     PARAMS, TPARAMS = hybrid_query_parameters()
 
@@ -1129,6 +1415,38 @@ class TestHybridPlanner:
                   if node.op == "gate_bootstrap"}
         assert groups == {0}
         planned.program.validate()                     # reorder kept topo order
+
+    def test_rotations_ahead_of_the_island_shift_waves_not_groups(self):
+        """One trace with rotations *and* bootstraps: the keyswitch wave
+        takes wave 1, every TFHE wave moves one later, and the PBS / bridge
+        groups are the ones the rotation-free program gets."""
+        kwargs = dict(boost=1 << 28, amplitude=1 << 16)
+        plain = plan_program(_hybrid_threshold_program(
+            self.PARAMS, self.TPARAMS, **kwargs))
+        mixed = plan_program(_hybrid_threshold_program(
+            self.PARAMS, self.TPARAMS, **kwargs,
+            pre=lambda x: x.rotate(1) + x.rotate(2)))
+        assert (mixed.stats["galois_waves"], mixed.stats["waved_rotations"]) == (1, 2)
+        assert (plain.stats["galois_waves"], plain.stats["waved_rotations"]) == (0, 0)
+        for key in ("pbs_groups", "grouped_pbs", "ks_groups",
+                    "grouped_keyswitches", "scheme_switches"):
+            assert mixed.stats[key] == plain.stats[key], key
+
+        def tfhe_groups(planned):
+            return [(node.op, node.attrs.get("direction"),
+                     node.attrs.get("pbs_group"), node.attrs.get("ks_group"))
+                    for node in planned.program.nodes if node.op in TFHE_OPS]
+
+        assert tfhe_groups(mixed) == tfhe_groups(plain)
+        _assert_wave_invariant(mixed)
+        # Wave numbers are consistent: every rotation precedes every bridge
+        # keyswitch, which precede every bootstrap.
+        position = {op: [n.id for n in mixed.program.nodes if n.op == op]
+                    for op in ("rotate", "lwe_keyswitch", "gate_bootstrap")}
+        assert max(position["rotate"]) < min(position["lwe_keyswitch"])
+        c2t = [n.id for n in mixed.program.nodes
+               if n.attrs.get("direction") == "c2t"]
+        assert max(c2t) < min(position["gate_bootstrap"])
 
     def test_dependent_bootstraps_are_not_grouped(self):
         """A bootstrap feeding another sits in a later wave: no batching."""
@@ -1334,6 +1652,19 @@ class TestOpTable:
         t, x, s, c = fixture.trace()
         t.output("y", SMALLEST[op](fixture, t, x, s, c))
         self._check(fixture, t.program, op)
+
+    @pytest.mark.parametrize("op", ["sub", "rotate", "conjugate", "pmult_mac"])
+    def test_rotation_programs_plan_the_same_from_any_order(self, fixture, op):
+        """Each smallest program containing a rotation, its nodes shuffled:
+        the wave invariant holds, the plan is a fixed point, and it still
+        runs planned == eager."""
+        t, x, s, c = fixture.trace()
+        t.output("y", SMALLEST[op](fixture, t, x, s, c))
+        t.output("z", x.rotate(2) + x.rotate(3).conjugate())
+        for seed in range(3):
+            shuffled = _shuffled(t.program, random.Random(seed))
+            _assert_wave_invariant(plan_program(shuffled))
+        self._check(fixture, shuffled, "rotate")
 
     def test_throw_away_op_needs_only_a_spec(self, fixture, monkeypatch):
         """One table entry carries a new node kind through build, plan,

@@ -717,18 +717,22 @@ def test_output_validator_exhaustion_is_a_corrupt_result_error():
 # End-to-end: miniature chaos soak through the release gate
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend, raises, corruptions, attempts, threshold", [
-    pytest.param(PYTHON, 3, 0, 1, 1, id="python-raise"),
-    # Silent store corruption that only the output validator can catch,
-    # behind a retrying policy, on the vectorized kernels.
-    pytest.param(PACKED, 5, 2, 3, 2, id="numpy-raise-corrupt-validate-retry",
-                 marks=needs_numpy),
-])
-def test_chaos_soak_gate_end_to_end(backend, raises, corruptions, attempts,
-                                    threshold):
+@pytest.mark.parametrize(
+    "backend, kernel, raises, corruptions, attempts, threshold", [
+        pytest.param(PYTHON, "limbs_eval_mac", 3, 0, 1, 1, id="python-raise"),
+        # The fault lands in a keyswitch wave's stacked transform: it takes
+        # the whole batch's wave down, and every request still resolves.
+        pytest.param(PYTHON, "stacked_ntt", 3, 0, 1, 1,
+                     id="python-raise-in-a-wave-transform"),
+        # Silent store corruption that only the output validator can catch,
+        # behind a retrying policy, on the vectorized kernels.
+        pytest.param(PACKED, "limbs_eval_mac", 5, 2, 3, 2,
+                     id="numpy-raise-corrupt-validate-retry", marks=needs_numpy),
+    ])
+def test_chaos_soak_gate_end_to_end(backend, kernel, raises, corruptions,
+                                    attempts, threshold):
     clock = ManualClock()
-    specs = [FaultSpec("limbs_eval_mac", "raise", start_call=4,
-                       max_injections=raises)]
+    specs = [FaultSpec(kernel, "raise", start_call=4, max_injections=raises)]
     if corruptions:
         specs.append(FaultSpec("stacked_pmult_mac", "corrupt", start_call=2,
                                max_injections=corruptions))
