@@ -136,9 +136,9 @@ class KeySwitchKey:
     level: int
     digit_keys: List[Tuple[RNSPolynomial, RNSPolynomial]]
     # Backend-prepared evaluation-domain images of the digit keys, built on
-    # first use and reused by every keyswitch (keyed by backend name).  The
-    # transforms are exact, so caching cannot change results.
-    _eval_cache: Dict[str, list] = field(default_factory=dict, repr=False, compare=False)
+    # first use and reused by every keyswitch (keyed by backend name and tile
+    # count).  The transforms are exact, so caching cannot change results.
+    _eval_cache: Dict[tuple, list] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_digits(self) -> int:

@@ -24,7 +24,9 @@ It has one body per phase, each over a *list* — :func:`hoist_wave` and
 :func:`keyswitch_wave` — so the rotations of a hoist group, and of every
 request in a joint batch, share one stacked transform per phase; a single
 keyswitch (:func:`hoist_decompose` + :func:`keyswitch_hoisted`) is a wave
-of one.
+of one.  The naive keyswitch is a wave of one too: :func:`_hybrid_keyswitch`
+runs a list of polynomials under one key (a level of the PackLWEs merge
+tree) with one stacked transform each way.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from ..rns import (
     RNSPolynomial,
     _bconv_plan,
     _limb_contexts,
-    fast_basis_conversion,
 )
 
 __all__ = [
@@ -128,20 +129,23 @@ def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
     ]
 
 
-def _eval_key_handles(keyswitch_key, backend, contexts):
+def _eval_key_handles(keyswitch_key, backend, contexts, copies: int = 1):
     """Evaluation-domain images of the digit keys, prepared once per backend
     and reused by every keyswitch against this key (exact transforms, so
-    caching cannot change results)."""
-    handles = keyswitch_key._eval_cache.get(backend.name)
+    caching cannot change results).  ``copies > 1`` tiles each digit key
+    member-major, for one MAC over a stack of that many members."""
+    handles = keyswitch_key._eval_cache.get((backend.name, copies))
     if handles is None:
+        stacked = contexts * copies
+        moduli = tuple(ctx.modulus for ctx in stacked)
         handles = [
-            (
-                backend.limbs_eval_key(contexts, b_j.store()),
-                backend.limbs_eval_key(contexts, a_j.store()),
-            )
-            for b_j, a_j in keyswitch_key.digit_keys
+            tuple(backend.limbs_eval_key(stacked, key.store() if copies == 1 else
+                                         backend.pack_limbs(backend.store_rows(
+                                             key.store()) * copies, moduli))
+                  for key in digit_key)
+            for digit_key in keyswitch_key.digit_keys
         ]
-        keyswitch_key._eval_cache[backend.name] = handles
+        keyswitch_key._eval_cache[(backend.name, copies)] = handles
     return handles
 
 
@@ -154,69 +158,56 @@ def hybrid_keyswitch(
 ) -> Tuple[RNSPolynomial, RNSPolynomial]:
     """Apply Algorithm 1 to ``d`` and return the ``(c0, c1)`` correction pair.
 
-    This is the *naive* (per-keyswitch) pipeline: every call pays the full
-    Decompose + BConv + NTT cost and inverse-transforms each digit's MAC
-    result separately.  The hoisted path (:func:`hoist_decompose` +
-    :func:`keyswitch_hoisted`) computes bit-identical results while sharing
-    the expensive phase across keys; this function is kept as the reference
-    the parity suites and ``benchmarks/bench_pairs.py`` compare against.
+    This is the *naive* pipeline, :func:`_hybrid_keyswitch` of one: every
+    call pays the full Decompose + BConv + NTT cost and returns to the
+    coefficient domain before ModDown.  The hoisted path
+    (:func:`hoist_decompose` + :func:`keyswitch_hoisted`) computes
+    bit-identical results while sharing the expensive phase across keys;
+    this function is kept as the reference the parity suites and
+    ``benchmarks/bench_pairs.py`` compare against.
 
     ``backend`` optionally pins the arithmetic backend for the whole
     keyswitch (BConv, inner product, ModDown); ``None`` keeps whatever is
     active.
     """
     with use_backend(backend):
-        return _hybrid_keyswitch(d, keyswitch_key, params, level)
+        return _hybrid_keyswitch([d], keyswitch_key, params, level)[0]
 
 
-def _hybrid_keyswitch(
-    d: RNSPolynomial,
-    keyswitch_key,
-    params: CKKSParameters,
-    level: int,
-) -> Tuple[RNSPolynomial, RNSPolynomial]:
-    if len(d.basis) != level + 1:
-        raise ValueError(
-            f"polynomial has {len(d.basis)} limbs but level {level} expects {level + 1}"
-        )
-    extended = params.extended_basis(level)
-    n = d.ring_degree
+def _hybrid_keyswitch(polys, keyswitch_key, params: CKKSParameters,
+                      level: int) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
+    """The naive keyswitch of several polynomials under one key: the
+    correction pair of each, in order (PackLWEs keyswitches a whole level of
+    its merge tree through here).
 
-    acc0 = RNSPolynomial(n, extended)
-    acc1 = RNSPolynomial(n, extended)
-    slices = params.digit_slices(level)
-    if len(slices) != keyswitch_key.num_digits:
-        raise ValueError(
-            f"keyswitch key has {keyswitch_key.num_digits} digits, expected {len(slices)}"
-        )
-    backend = active_backend()
-    contexts = _limb_contexts(n, extended)
-    handles = None
-    if contexts is not None:
-        handles = _eval_key_handles(keyswitch_key, backend, contexts)
-    for idx, ((start, stop), (b_j, a_j)) in enumerate(
-        zip(slices, keyswitch_key.digit_keys)
-    ):
-        digit = d.limb_slice(start, stop, _digit_basis(params, start, stop))
-        # BConv: lift the digit into the extended basis C_l ∪ P — a single
-        # matrix-product dispatch per digit.
-        lifted = fast_basis_conversion(digit, extended)
-        # Inner product with the evaluation key: the digit's forward
-        # transform is shared by both key components, whose products return
-        # through one stacked inverse transform — per digit, which is what
-        # the hoisted path below saves.
-        if handles is not None:
-            fwd = backend.batched_ntt(contexts, lifted.store())
-            s0, s1 = backend.stacked_intt(
-                contexts, backend.limbs_eval_mac(contexts, [fwd], [handles[idx]])
-            )
-            acc0 = acc0 + RNSPolynomial._from_store(n, extended, s0)
-            acc1 = acc1 + RNSPolynomial._from_store(n, extended, s1)
-        else:
-            acc0 = acc0 + lifted * b_j
-            acc1 = acc1 + lifted * a_j
-    # ModDown: divide by P and return to C_l.
-    return tuple(_mod_down([acc0, acc1], params, level))
+    Per :data:`WAVE_ELEMENTS` chunk of ``m`` members: :func:`hoist_wave`'s
+    one ``stacked_ntt`` over every lifted digit, one MAC over the
+    member-major ``(m * |C_l ∪ P|, N)`` stack against the key tiled ``m``
+    times, one ``stacked_intt`` over both accumulators, then the
+    coefficient-domain :func:`_mod_down` per member.  The residues are those
+    of one call per member: the MAC is row-wise and the transforms exact.
+    """
+    hoisted = hoist_wave(polys, params, level)
+    if not hoisted or hoisted[0].contexts is None:
+        return keyswitch_wave([(h, keyswitch_key, None) for h in hoisted])
+    if hoisted[0].num_digits != keyswitch_key.num_digits:
+        raise ValueError(f"keyswitch key has {keyswitch_key.num_digits} digits, "
+                         f"expected {hoisted[0].num_digits}")
+    extended, contexts = hoisted[0].extended, hoisted[0].contexts
+    n, width, backend, pairs = polys[0].ring_degree, len(extended), active_backend(), []
+    for chunk in _chunks(hoisted, 2 * width * n):
+        m = len(chunk)
+        digits = [chunk[0].digits[j] if m == 1 else backend.pack_limbs(
+                      [row for h in chunk for row in h.digits[j]], extended.moduli * m)
+                  for j in range(keyswitch_key.num_digits)]
+        accs = backend.stacked_intt(contexts * m, backend.limbs_eval_mac(
+            contexts * m, digits,
+            _eval_key_handles(keyswitch_key, backend, contexts, m)))
+        reduced = _mod_down([RNSPolynomial._from_store(n, extended, acc[k:k + width])
+                             for k in range(0, m * width, width) for acc in accs],
+                            params, level)
+        pairs.extend(zip(reduced[0::2], reduced[1::2]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +354,9 @@ def keyswitch_wave(members) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
     correction pair; the BConv approximation error is likewise permuted and
     stays within the usual keyswitch noise budget).
 
-    Unlike the naive path, which inverse-transforms every digit's MAC
-    result at full width, the digit MACs accumulate *in the evaluation
-    domain* and ModDown finishes there (:func:`_mod_down`) for the whole
+    Unlike the naive path, which inverse-transforms its accumulators at
+    full width, the digit MACs accumulate *in the evaluation domain* and
+    ModDown finishes there (:func:`_mod_down`) for the whole
     wave: per :data:`WAVE_ELEMENTS` chunk of ``k`` members, ``k`` gathers
     and ``k`` MACs, then one stacked inverse NTT over the ``|P|`` special
     rows of all ``2k`` accumulators and one stacked forward NTT over their
