@@ -6,9 +6,9 @@ reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
 
-* numpy vs python backend on ``ntt_forward``, ``negacyclic_convolution``
-  and ``four_step_ntt`` (N = 2^12, one 40-bit prime) — the e2e workloads
-  only ever run the numpy backend;
+* numpy vs python backend on ``ntt_forward`` and ``negacyclic_convolution``
+  (N = 2^12, one 40-bit prime) — the e2e workloads only ever run the numpy
+  backend;
 * ``rotate_hoisted`` vs one ``rotate`` per step on a 16-step BSGS rotation
   set (N = 2^12, L = 8, 30-bit) — the traced round reports planned programs,
   where hoists are already fused;
@@ -34,7 +34,7 @@ pytest.importorskip("numpy")
 from repro.fhe import modmath
 from repro.fhe.backend import use_backend
 from repro.fhe.ckks import CKKSContext, PackedBootstrap
-from repro.fhe.ntt import NTTContext, four_step_ntt
+from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters
 
 
@@ -65,7 +65,6 @@ KERNELS = {
     "ntt_forward": lambda context, a, b: context.forward(a),
     "negacyclic_convolution":
         lambda context, a, b: context.negacyclic_convolution(a, b),
-    "four_step_ntt": lambda context, a, b: four_step_ntt(context, a, 64),
 }
 
 

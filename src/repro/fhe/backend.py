@@ -1,10 +1,9 @@
 """Pluggable vectorized arithmetic backends for the FHE layer.
 
 Every hot kernel of the functional FHE substrate — element-wise modular
-arithmetic, the negacyclic NTT, batched cyclic NTTs (four-step phases), and
-the RNS compose/decompose primitives — is expressed against the small
-:class:`ArithmeticBackend` interface defined here.  Two implementations are
-registered:
+arithmetic, the negacyclic NTT and the RNS compose/decompose primitives — is
+expressed against the small :class:`ArithmeticBackend` interface defined
+here.  Two implementations are registered:
 
 * ``"python"`` — the exact pure-Python reference (arbitrary-precision ints,
   the original seed implementation).  It is the *golden* backend: every other
@@ -22,9 +21,10 @@ registered:
   negacyclic NTT of <= 32-bit moduli is the four-step split as two exact
   float64 matrix products on BLAS; wider moduli keep Harvey-lazy stage
   loops.  The word size is read off the moduli; there is no switch to set.
-  Moduli that do not fit this scheme (>= 2^62, or even moduli above 2^32)
-  transparently fall back to the python backend, as do tiny vectors where
-  conversion overhead would dominate.
+  It subclasses the python backend: moduli that do not fit this scheme
+  (>= 2^62, or even moduli above 2^32) transparently fall back to the
+  inherited golden kernels, as do tiny vectors where conversion overhead
+  would dominate.
 
 Selection
 ---------
@@ -214,10 +214,9 @@ class ArithmeticBackend:
 
     * **Rows** — the single-row kernels (``add`` ... ``weighted_sum``,
       ``signed_permute``, ``gadget_decompose``, ``ntt_forward`` /
-      ``ntt_inverse`` / ``negacyclic_convolution``, the four-step and cyclic
-      transforms) take Python-int sequences, already reduced or not —
-      reduction modulo ``q`` is part of the contract — and return fresh
-      Python lists reduced into ``[0, q)``.
+      ``ntt_inverse`` / ``negacyclic_convolution``) take Python-int
+      sequences, already reduced or not — reduction modulo ``q`` is part of
+      the contract — and return fresh Python lists reduced into ``[0, q)``.
     * **Stores** — every other kernel takes and returns *limb stores*:
       opaque, backend-owned stacks of rows that are already reduced (see
       "packed limb-major kernels" below).  A plain list of rows is always
@@ -251,10 +250,6 @@ class ArithmeticBackend:
         raise NotImplementedError
 
     def scalar_mul(self, a: Sequence[int], scalar: int, q: int) -> List[int]:
-        raise NotImplementedError
-
-    def sub_scaled(self, a: Sequence[int], b: Sequence[int], scalar: int, q: int) -> List[int]:
-        """``(a - b) * scalar mod q`` — the fused Rescale / ModDown kernel."""
         raise NotImplementedError
 
     def weighted_sum(self, rows: Sequence[Sequence[int]], weights: Sequence[int], q: int) -> List[int]:
@@ -478,7 +473,7 @@ class ArithmeticBackend:
             row = self._row_ints(b)
             rows_b = [row] * len(rows_a)
         return [
-            self.sub_scaled(x, y, s, q)
+            [((u - v) * (s % q)) % q for u, v in zip(x, y)]
             for x, y, s, q in zip(rows_a, rows_b, scalars, moduli)
         ]
 
@@ -749,8 +744,7 @@ class ArithmeticBackend:
         (member-major) and ``key_rows`` the ``R * (k + 1)`` transformed key
         rows of one GGSW ciphertext (row ``r * (k + 1) + c`` is component
         ``c`` of GLWE row ``r``).  Returns the ``members * (k + 1)`` rows
-        ``out[m, c] = sum_r fwd[m, r] * key[r, c] mod q`` — per member, the
-        :meth:`pointwise_mac_many` of the external product.
+        ``out[m, c] = sum_r fwd[m, r] * key[r, c] mod q``, member-major.
 
         The group rule a vectorized backend may use: products of operands
         reduced below ``q`` are summed :func:`_mac_group` at a time in one
@@ -766,37 +760,14 @@ class ArithmeticBackend:
             raise ValueError("external_product_mac: row counts do not match")
         per_member = len(digits) // members
         width = len(key) // per_member
-        groups = [
-            [key[r * width + c] for r in range(per_member)] for c in range(width)
-        ]
         out = []
         for m in range(members):
-            out.extend(self.pointwise_mac_many(
-                digits[m * per_member:(m + 1) * per_member], groups, q
-            ))
+            rows = digits[m * per_member:(m + 1) * per_member]
+            for c in range(width):
+                products = [map(operator.mul, row, key[r * width + c])
+                            for r, row in enumerate(rows)]
+                out.append([sum(terms) % q for terms in zip(*products)])
         return out
-
-    def pointwise_mac(self, rows_a, rows_b, q: int) -> List[int]:
-        """``sum_i rows_a[i] * rows_b[i] mod q`` element-wise (NTT-domain MAC)."""
-        if len(rows_a) != len(rows_b):
-            raise ValueError("pointwise_mac needs equally many rows on both sides")
-        if not rows_a:
-            raise ValueError("pointwise_mac needs at least one row pair")
-        acc = self.mul(rows_a[0], rows_b[0], q)
-        for x, y in zip(rows_a[1:], rows_b[1:]):
-            acc = self.add(acc, self.mul(x, y, q), q)
-        return acc
-
-    def pointwise_mac_many(self, rows_a, groups, q: int) -> List[List[int]]:
-        """Several pointwise MACs sharing the same left operand.
-
-        Computes ``[pointwise_mac(rows_a, group, q) for group in groups]`` —
-        the external-product shape, where the decomposition-digit transforms
-        ``rows_a`` are MAC-reduced against one key-row group per output
-        component.  Vectorized backends convert ``rows_a`` once and run all
-        groups as a single stacked reduction.
-        """
-        return [self.pointwise_mac(rows_a, group, q) for group in groups]
 
     def mat_mulmod(self, rows, matrix, q: int):
         """Exact ``rows @ matrix mod q``; a store in gives a store out.
@@ -858,61 +829,6 @@ class ArithmeticBackend:
                 digits[level][idx] = digit % modulus
         return digits
 
-    # -- four-step (Bailey) NTT -------------------------------------------
-    def four_step_ntt(self, context, coefficients, rows: int) -> List[int]:
-        """Four-step negacyclic NTT (see :func:`repro.fhe.ntt.four_step_ntt`).
-
-        The base implementation composes the element-wise and cyclic-batch
-        primitives with Python gather/scatter between phases; vectorized
-        backends override it to keep the transpose steps resident.
-        """
-        n = context.ring_degree
-        cols = n // rows
-        q = context.modulus
-        coeffs = [int(c) % q for c in coefficients]
-        # Step 0: psi pre-twist makes the remaining problem a plain cyclic DFT.
-        twisted = self.mul(coeffs, context._psi_powers, q)
-        omega_rows = pow(context.omega, cols, q)   # primitive `rows`-th root
-        omega_cols = pow(context.omega, rows, q)   # primitive `cols`-th root
-        # Phase 1: DFT along columns (stride cols).
-        columns = [twisted[c::cols] for c in range(cols)]
-        columns = self.cyclic_ntt_batch(columns, omega_rows, q)
-        # Twiddle: multiply element (r, c) by omega^(r*c) (flattened column-major).
-        flat = [value for column in columns for value in column]
-        flat = self.mul(flat, context.four_step_twiddles(rows), q)
-        # Phase 2: DFT along rows (after transposing the phase-1 result).
-        rows_data = [flat[r::rows] for r in range(rows)]
-        rows_data = self.cyclic_ntt_batch(rows_data, omega_cols, q)
-        cyclic = [0] * n
-        for k1 in range(rows):
-            cyclic[k1::rows] = rows_data[k1]
-        order = _bit_reverse_indices(n)
-        return [cyclic[order[i]] for i in range(n)]
-
-    def four_step_intt(self, context, values, rows: int) -> List[int]:
-        """Inverse of :meth:`four_step_ntt`."""
-        n = context.ring_degree
-        cols = n // rows
-        q = context.modulus
-        omega_inv = context.omega_inv
-        omega_rows_inv = pow(omega_inv, cols, q)
-        omega_cols_inv = pow(omega_inv, rows, q)
-        order = _bit_reverse_indices(n)
-        natural = [0] * n
-        for i in range(n):
-            natural[order[i]] = int(values[i]) % q
-        rows_data = [natural[k1::rows] for k1 in range(rows)]
-        rows_data = self.cyclic_ntt_batch(rows_data, omega_cols_inv, q)
-        flat = [rows_data[r][c] for c in range(cols) for r in range(rows)]
-        flat = self.mul(flat, context.four_step_twiddles(rows, inverse=True), q)
-        columns = [flat[c * rows:(c + 1) * rows] for c in range(cols)]
-        columns = self.cyclic_ntt_batch(columns, omega_rows_inv, q)
-        twisted = [0] * n
-        for c in range(cols):
-            twisted[c::cols] = columns[c]
-        scaled = self.scalar_mul(twisted, context.n_inv, q)
-        return self.mul(scaled, context._psi_inv_powers, q)
-
     # -- NTT kernels -------------------------------------------------------
     def ntt_forward(self, context, coefficients: Sequence[int]) -> List[int]:
         raise NotImplementedError
@@ -925,10 +841,6 @@ class ArithmeticBackend:
         fa = self.ntt_forward(context, a)
         fb = self.ntt_forward(context, b)
         return self.ntt_inverse(context, self.mul(fa, fb, context.modulus))
-
-    def cyclic_ntt_batch(self, matrix: Sequence[Sequence[int]], omega: int, q: int) -> List[List[int]]:
-        """Independent in-order cyclic NTTs of every row of ``matrix``."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -962,10 +874,6 @@ class PythonBackend(ArithmeticBackend):
     def scalar_mul(self, a, scalar, q):
         scalar %= q
         return [(x * scalar) % q for x in a]
-
-    def sub_scaled(self, a, b, scalar, q):
-        scalar %= q
-        return [((x - y) * scalar) % q for x, y in zip(a, b)]
 
     def weighted_sum(self, rows, weights, q):
         if len(rows) != len(weights):
@@ -1029,30 +937,6 @@ class PythonBackend(ArithmeticBackend):
             m = h
         n_inv = context.n_inv
         return [(c * n_inv) % q for c in coeffs]
-
-    def cyclic_ntt_batch(self, matrix, omega, q):
-        return [self._cyclic_ntt(list(row), omega, q) for row in matrix]
-
-    @staticmethod
-    def _cyclic_ntt(values: List[int], omega: int, modulus: int) -> List[int]:
-        """In-order iterative radix-2 cyclic NTT of a power-of-two length."""
-        n = len(values)
-        order = _bit_reverse_indices(n)
-        data = [values[order[i]] % modulus for i in range(n)]
-        length = 2
-        while length <= n:
-            w_len = pow(omega, n // length, modulus)
-            for start in range(0, n, length):
-                w = 1
-                half = length // 2
-                for j in range(start, start + half):
-                    u = data[j]
-                    v = (data[j + half] * w) % modulus
-                    data[j] = (u + v) % modulus
-                    data[j + half] = (u - v) % modulus
-                    w = (w * w_len) % modulus
-            length *= 2
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -1240,11 +1124,6 @@ if _np is not None:
             array([s & 0xFFFFFFFF for s in shoup]),
             array([s >> 32 for s in shoup]),
         )
-
-    def _shoup_split(values: Sequence[int], q: int):
-        """Word-64 :func:`_fixed_operand` of one 1-D table under one modulus
-        (the cyclic and four-step tables, which are always word 64)."""
-        return tuple(a[0] for a in _fixed_operand([values], (q,), 64))
 
     def _fixed_mul(y, operand, q, word: int, lazy: bool = False):
         """``y * w mod q`` against a :func:`_fixed_operand`, fully reduced.
@@ -1628,47 +1507,17 @@ if _np is not None:
         z = _ntt(tabs, _np.stack([x, _eval_mul(tabs, None, y)]))
         return _intt(tabs, _eval_mul(tabs, z[0], z[1]))
 
-    class _FourStepTables:
-        """Backend-resident tables for one ``(N, q, rows)`` four-step split."""
 
-        __slots__ = (
-            "order", "omega_rows", "omega_cols", "omega_rows_inv", "omega_cols_inv",
-            "psi_w", "psi_lo", "psi_hi",
-            "psi_inv_w", "psi_inv_lo", "psi_inv_hi",
-            "tw_w", "tw_lo", "tw_hi",
-            "tw_inv_w", "tw_inv_lo", "tw_inv_hi",
-        )
-
-        def __init__(self, context, rows):
-            n = context.ring_degree
-            q = context.modulus
-            cols = n // rows
-            self.order = _np.array(_bit_reverse_indices(n), dtype=_np.intp)
-            self.omega_rows = pow(context.omega, cols, q)
-            self.omega_cols = pow(context.omega, rows, q)
-            self.omega_rows_inv = pow(context.omega_inv, cols, q)
-            self.omega_cols_inv = pow(context.omega_inv, rows, q)
-            self.psi_w, self.psi_lo, self.psi_hi = _shoup_split(context._psi_powers, q)
-            # The inverse twist carries the ``n^-1`` scaling.
-            self.psi_inv_w, self.psi_inv_lo, self.psi_inv_hi = _shoup_split(
-                [p * context.n_inv for p in context._psi_inv_powers], q
-            )
-            self.tw_w, self.tw_lo, self.tw_hi = _shoup_split(
-                context.four_step_twiddles(rows), q
-            )
-            self.tw_inv_w, self.tw_inv_lo, self.tw_inv_hi = _shoup_split(
-                context.four_step_twiddles(rows, inverse=True), q
-            )
-
-
-class NumpyBackend(ArithmeticBackend):
+class NumpyBackend(PythonBackend):
     """Vectorized uint64 backend (direct-word or Montgomery/Shoup reduction).
 
-    ``min_vector_length`` / ``min_ntt_length`` tune the crossovers below
-    which the python backend is used instead (list<->array round-trips
-    dominate for tiny rings; measured break-even is ~512 elements for the
-    element-wise ops and ~128 points for the transforms).  Set both to 0 to
-    force the vectorized path everywhere (the parity tests do).
+    Every kernel it cannot vectorize falls back to the golden one it
+    inherits, through ``super()``.  ``min_vector_length`` /
+    ``min_ntt_length`` tune the crossovers below which that happens
+    (list<->array round-trips dominate for tiny rings; measured break-even
+    is ~512 elements for the element-wise ops and ~128 points for the
+    transforms).  Set both to 0 to force the vectorized path everywhere (the
+    parity tests do).
 
     Stores are ``(L, N)`` uint64 matrices — except one decoded from 4-byte
     wire words, which rests as uint32 (its wire size) until the first kernel
@@ -1693,13 +1542,10 @@ class NumpyBackend(ArithmeticBackend):
     def __init__(self, min_vector_length: int = 512, min_ntt_length: int = 128):
         if _np is None:  # pragma: no cover - guarded by get_backend
             raise RuntimeError("numpy is not available")
-        self._fallback = PythonBackend()
         self.min_vector_length = min_vector_length
         self.min_ntt_length = min_ntt_length
         self._mont_cache: Dict[tuple, "_Montgomery | None"] = {}
         self._ntt_tables: Dict[tuple, "_NTTTables | None"] = {}
-        self._cyclic_tables: Dict[tuple, list] = {}
-        self._four_step_tables: Dict[tuple, _FourStepTables] = {}
         self._q_col_cache: Dict[tuple, object] = {}
 
     # -- what can be vectorized --------------------------------------------
@@ -1889,34 +1735,28 @@ class NumpyBackend(ArithmeticBackend):
     # -- single-row kernels: the L = 1 case ---------------------------------
     def add(self, a, b, q):
         if not self._linear_ok(q, a, b):
-            return self._fallback.add(a, b, q)
+            return super().add(a, b, q)
         return self._add(self._row(a, q), self._row(b, q), _np.uint64(q))[0].tolist()
 
     def sub(self, a, b, q):
         if not self._linear_ok(q, a, b):
-            return self._fallback.sub(a, b, q)
+            return super().sub(a, b, q)
         return self._sub(self._row(a, q), self._row(b, q), _np.uint64(q))[0].tolist()
 
     def neg(self, a, q):
         if not self._linear_ok(q, a):
-            return self._fallback.neg(a, q)
+            return super().neg(a, q)
         return self._neg(self._row(a, q), _np.uint64(q))[0].tolist()
 
     def mul(self, a, b, q):
         if not self._mul_ok(q, a, b):
-            return self._fallback.mul(a, b, q)
+            return super().mul(a, b, q)
         return self._mulmod(self._row(a, q), self._row(b, q), (q,))[0].tolist()
 
     def scalar_mul(self, a, scalar, q):
         if not self._linear_ok(q, a):
-            return self._fallback.scalar_mul(a, scalar, q)
+            return super().scalar_mul(a, scalar, q)
         return self._scale(self._row(a, q), (scalar,), (q,))[0].tolist()
-
-    def sub_scaled(self, a, b, scalar, q):
-        if not self._linear_ok(q, a, b):
-            return self._fallback.sub_scaled(a, b, scalar, q)
-        diff = self._sub(self._row(a, q), self._row(b, q), _np.uint64(q))
-        return self._scale(diff, (scalar,), (q,))[0].tolist()
 
     def weighted_sum(self, rows, weights, q):
         if len(rows) != len(weights):
@@ -1924,7 +1764,7 @@ class NumpyBackend(ArithmeticBackend):
         if not rows:
             raise ValueError("weighted_sum needs at least one row")
         if not self._linear_ok(q, *rows):
-            return self._fallback.weighted_sum(rows, weights, q)
+            return super().weighted_sum(rows, weights, q)
         x = _np.stack([self._to_array(row, q) for row in rows])
         terms = self._scale(x, weights, (q,) * len(rows))
         acc = terms[0]
@@ -1985,14 +1825,14 @@ class NumpyBackend(ArithmeticBackend):
         self._check_length(context, coefficients)
         tabs = self._tables((context,))
         if tabs is None:
-            return self._fallback.ntt_forward(context, coefficients)
+            return super().ntt_forward(context, coefficients)
         return _ntt(tabs, self._row(coefficients, context.modulus))[0].tolist()
 
     def ntt_inverse(self, context, values):
         self._check_length(context, values)
         tabs = self._tables((context,))
         if tabs is None:
-            return self._fallback.ntt_inverse(context, values)
+            return super().ntt_inverse(context, values)
         return _intt(tabs, self._row(values, context.modulus))[0].tolist()
 
     def negacyclic_convolution(self, context, a, b):
@@ -2000,7 +1840,7 @@ class NumpyBackend(ArithmeticBackend):
         self._check_length(context, b)
         tabs = self._tables((context,))
         if tabs is None:
-            return self._fallback.negacyclic_convolution(context, a, b)
+            return super().negacyclic_convolution(context, a, b)
         q = context.modulus
         return _convolve(tabs, self._row(a, q), self._row(b, q))[0].tolist()
 
@@ -2517,121 +2357,6 @@ class NumpyBackend(ArithmeticBackend):
         if per_member > group:
             acc %= q_u
         return acc.reshape(-1, n)
-
-    # -- cyclic NTT batches (four-step phases) ------------------------------
-    def _cyclic_stage_twiddles(self, length: int, omega: int, q: int):
-        key = (length, omega, q)
-        stages = self._cyclic_tables.get(key)
-        if stages is None:
-            stages = []
-            size = 2
-            while size <= length:
-                half = size // 2
-                w_len = pow(omega, length // size, q)
-                powers = [1] * half
-                for j in range(1, half):
-                    powers[j] = (powers[j - 1] * w_len) % q
-                stages.append(_shoup_split(powers, q))
-                size *= 2
-            self._cyclic_tables[key] = stages
-        return stages
-
-    def cyclic_ntt_batch(self, matrix, omega, q):
-        rows = len(matrix)
-        if rows == 0:
-            return []
-        length = len(matrix[0])
-        if self._mont((q,)) is None or rows * length < self.min_ntt_length:
-            return self._fallback.cyclic_ntt_batch(matrix, omega, q)
-        arr = _np.stack([self._to_array(row, q) for row in matrix])
-        return self._cyclic_core(arr, omega, q).tolist()
-
-    def _cyclic_core(self, arr, omega, q):
-        """In-order cyclic NTT of every row of a ``(rows, length)`` array.
-
-        Input values may be anywhere below ``2q``; the output is fully
-        reduced.  This is the array-resident core shared by
-        :meth:`cyclic_ntt_batch` and the four-step phases.
-        """
-        rows, length = arr.shape
-        order = list(_bit_reverse_indices(length))
-        arr = arr[:, order]
-        q_u = _np.uint64(q)
-        q2 = _np.uint64(2 * q)
-        size = 2
-        for w, s_lo, s_hi in self._cyclic_stage_twiddles(length, omega, q):
-            half = size // 2
-            view = arr.reshape(rows, length // size, size)
-            u0 = view[..., :half]
-            u = _np.minimum(u0, u0 - q2)
-            v = _shoup_mul_lazy(
-                view[..., half:], w[None, None, :],
-                s_lo[None, None, :], s_hi[None, None, :], q_u,
-            )
-            _np.add(u, v, out=view[..., :half])
-            v -= q2
-            _np.subtract(u, v, out=view[..., half:])
-            size *= 2
-        arr = _np.minimum(arr, arr - q2)
-        return _np.minimum(arr, arr - q_u)
-
-    # -- four-step (Bailey) NTT: array-resident transposes -----------------
-    def _four_step(self, context, rows: int) -> "_FourStepTables":
-        key = (context.ring_degree, context.modulus, rows)
-        tables = self._four_step_tables.get(key)
-        if tables is None:
-            tables = _FourStepTables(context, rows)
-            self._four_step_tables[key] = tables
-        return tables
-
-    def four_step_ntt(self, context, coefficients, rows):
-        n = context.ring_degree
-        q = context.modulus
-        if self._tables((context,)) is None:
-            return super().four_step_ntt(context, coefficients, rows)
-        cols = n // rows
-        fs = self._four_step(context, rows)
-        q_u = _np.uint64(q)
-        x = self._to_array(coefficients, q)
-        # Step 0: psi pre-twist (element-wise Shoup multiply, reduced to < q).
-        x = _shoup_mul_lazy(x, fs.psi_w, fs.psi_lo, fs.psi_hi, q_u)
-        x = _np.minimum(x, x - q_u)
-        # Phase 1: column DFTs — a transpose instead of Python stride gathers.
-        columns = _np.ascontiguousarray(x.reshape(rows, cols).T)
-        columns = self._cyclic_core(columns, fs.omega_rows, q)
-        # Twiddle by omega^(r*c) (the flattening is already column-major).
-        flat = columns.reshape(-1)
-        flat = _shoup_mul_lazy(flat, fs.tw_w, fs.tw_lo, fs.tw_hi, q_u)
-        flat = _np.minimum(flat, flat - q_u)
-        # Phase 2: row DFTs after transposing back.
-        rows_mat = _np.ascontiguousarray(flat.reshape(cols, rows).T)
-        rows_mat = self._cyclic_core(rows_mat, fs.omega_cols, q)
-        # natural[k1 + rows*k2] = rows_mat[k1, k2]; then bit-reverse to match
-        # NTTContext.forward output order.
-        natural = _np.ascontiguousarray(rows_mat.T).reshape(-1)
-        return natural[fs.order].tolist()
-
-    def four_step_intt(self, context, values, rows):
-        n = context.ring_degree
-        q = context.modulus
-        if self._tables((context,)) is None:
-            return super().four_step_intt(context, values, rows)
-        cols = n // rows
-        fs = self._four_step(context, rows)
-        q_u = _np.uint64(q)
-        x = self._to_array(values, q)
-        # Undo the bit-reversed output order (the permutation is an involution).
-        natural = x[fs.order]
-        rows_mat = _np.ascontiguousarray(natural.reshape(cols, rows).T)
-        rows_mat = self._cyclic_core(rows_mat, fs.omega_cols_inv, q)
-        flat = _np.ascontiguousarray(rows_mat.T).reshape(-1)
-        flat = _shoup_mul_lazy(flat, fs.tw_inv_w, fs.tw_inv_lo, fs.tw_inv_hi, q_u)
-        flat = _np.minimum(flat, flat - q_u)
-        columns = self._cyclic_core(flat.reshape(cols, rows), fs.omega_rows_inv, q)
-        twisted = _np.ascontiguousarray(columns.T).reshape(-1)
-        # Undo the psi twist and scale by n^-1 in one multiply.
-        x = _shoup_mul_lazy(twisted, fs.psi_inv_w, fs.psi_inv_lo, fs.psi_inv_hi, q_u)
-        return _np.minimum(x, x - q_u).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,22 +11,16 @@ the FHE layer builds on:
 * small helpers (``mod_inverse``, ``mod_pow``, centred reduction) used by the
   RNS, CKKS, and TFHE code.
 
-The scalar functions operate on plain Python integers, which are arbitrary
+The functions operate on plain Python integers, which are arbitrary
 precision and therefore safe for the 36-60 bit moduli used by the paper's
-parameter sets.  The ``batched_*`` helpers are the vectorized counterparts:
-stable public entry points that forward whole coefficient vectors to an
-arithmetic backend (:mod:`repro.fhe.backend`) — exact pure Python or
-vectorized numpy.  The polynomial/RNS layers dispatch to the active backend
-directly; use these wrappers from application or analysis code that wants
-batched modular arithmetic without holding a backend instance.
+parameter sets.  Whole coefficient vectors are the arithmetic backend's job
+(:mod:`repro.fhe.backend`); this module imports nothing from the package.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Sequence
-
-from .backend import ArithmeticBackend, active_backend
+from typing import Iterator, List
 
 __all__ = [
     "is_prime",
@@ -41,13 +35,6 @@ __all__ = [
     "find_2nth_root_of_unity",
     "centered",
     "bit_length_of",
-    "batched_mod_add",
-    "batched_mod_sub",
-    "batched_mod_neg",
-    "batched_mod_mul",
-    "batched_mod_scalar_mul",
-    "batched_mod_sub_scaled",
-    "batched_mod_weighted_sum",
 ]
 
 # Witnesses that make Miller-Rabin deterministic for all n < 3.3 * 10^24,
@@ -248,58 +235,3 @@ def bit_length_of(modulus: int) -> int:
     """Bit length of a modulus (convenience used by the hardware model)."""
     return int(modulus).bit_length()
 
-
-# ---------------------------------------------------------------------------
-# Batched (vectorized) modular arithmetic
-# ---------------------------------------------------------------------------
-#
-# Thin, stable entry points over the pluggable arithmetic backend.  Each takes
-# plain Python-int sequences and returns a fresh, fully-reduced list; pass
-# ``backend=`` to pin a specific backend instead of the active one.
-
-def _backend(backend: "ArithmeticBackend | None") -> ArithmeticBackend:
-    return backend if backend is not None else active_backend()
-
-
-def batched_mod_add(a: Sequence[int], b: Sequence[int], modulus: int,
-                    backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Element-wise ``(a + b) mod q``."""
-    return _backend(backend).add(a, b, modulus)
-
-
-def batched_mod_sub(a: Sequence[int], b: Sequence[int], modulus: int,
-                    backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Element-wise ``(a - b) mod q``."""
-    return _backend(backend).sub(a, b, modulus)
-
-
-def batched_mod_neg(a: Sequence[int], modulus: int,
-                    backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Element-wise ``-a mod q``."""
-    return _backend(backend).neg(a, modulus)
-
-
-def batched_mod_mul(a: Sequence[int], b: Sequence[int], modulus: int,
-                    backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Element-wise ``(a * b) mod q``."""
-    return _backend(backend).mul(a, b, modulus)
-
-
-def batched_mod_scalar_mul(a: Sequence[int], scalar: int, modulus: int,
-                           backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Element-wise ``(a * scalar) mod q``."""
-    return _backend(backend).scalar_mul(a, scalar, modulus)
-
-
-def batched_mod_sub_scaled(a: Sequence[int], b: Sequence[int], scalar: int,
-                           modulus: int,
-                           backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Fused ``((a - b) * scalar) mod q`` — the Rescale / ModDown kernel."""
-    return _backend(backend).sub_scaled(a, b, scalar, modulus)
-
-
-def batched_mod_weighted_sum(rows: Sequence[Sequence[int]], weights: Sequence[int],
-                             modulus: int,
-                             backend: "ArithmeticBackend | None" = None) -> List[int]:
-    """Fused ``sum_i rows[i] * weights[i] mod q`` — the BConv accumulation."""
-    return _backend(backend).weighted_sum(rows, weights, modulus)

@@ -44,7 +44,7 @@ from repro.fhe.ckks.context import CKKSContext
 from repro.fhe.ckks.encoder import CKKSEncoder
 from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import galois_element_for_rotation
-from repro.fhe.ntt import NTTContext, four_step_intt, four_step_ntt
+from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.polynomial import (
     Polynomial,
@@ -123,10 +123,17 @@ class TestElementwiseParity:
         for scalar in (0, 1, q - 1, q // 3):
             assert NUMPY.scalar_mul(a, scalar, q) == PYTHON.scalar_mul(a, scalar, q)
 
-    def test_sub_scaled(self, q, n):
+    def test_batched_sub_scaled(self, q, n):
         a, b = _vectors(q, n, 4)
-        for scalar in (1, q - 1, q // 7 + 1):
-            assert NUMPY.sub_scaled(a, b, scalar, q) == PYTHON.sub_scaled(a, b, scalar, q)
+        moduli = (q,)
+        sa, sb = NUMPY.pack_limbs([a], moduli), NUMPY.pack_limbs([b], moduli)
+        for scalar in (1, q - 1, q // 7 + 1, -(1 << 70) - 3):
+            golden = PYTHON.batched_sub_scaled([a], [b], [scalar], moduli)
+            assert golden == [[((x - y) * scalar) % q for x, y in zip(a, b)]]
+            # A full store, and one row shared by every limb.
+            assert _rows(NUMPY.batched_sub_scaled(sa, sb, [scalar], moduli)) == golden
+            assert _rows(NUMPY.batched_sub_scaled(
+                sa, sb[0], [scalar], moduli, b_modulus=q)) == golden
 
     def test_weighted_sum(self, q, n):
         rows = _vectors(q, n, 5, count=4)
@@ -134,25 +141,31 @@ class TestElementwiseParity:
         weights = [rng.randrange(q) for _ in rows]
         assert NUMPY.weighted_sum(rows, weights, q) == PYTHON.weighted_sum(rows, weights, q)
 
-    def test_modmath_batched_wrappers(self, q, n):
-        """The public batched_mod_* entry points honour backend= and agree."""
-        a, b = _vectors(q, n, 20)
-        scalar = q // 5 + 1
-        rows = _vectors(q, n, 21, count=3)
-        weights = [3, q - 2, 7]
-        for op, args in (
-            (modmath.batched_mod_add, (a, b, q)),
-            (modmath.batched_mod_sub, (a, b, q)),
-            (modmath.batched_mod_neg, (a, q)),
-            (modmath.batched_mod_mul, (a, b, q)),
-            (modmath.batched_mod_scalar_mul, (a, scalar, q)),
-            (modmath.batched_mod_sub_scaled, (a, b, scalar, q)),
-            (modmath.batched_mod_weighted_sum, (rows, weights, q)),
-        ):
-            assert op(*args, backend=NUMPY) == op(*args, backend=PYTHON)
-        # backend=None uses the active backend.
-        with use_backend(PYTHON):
-            assert modmath.batched_mod_add(a, b, q) == PYTHON.add(a, b, q)
+    def test_limb_kernels_are_plain_modular_arithmetic(self, q, n):
+        """The element-wise store kernels on a two-limb store of this
+        modulus, on both backends, against their integer definitions."""
+        a, b, c, d = _vectors(q, n, 20, count=4)
+        moduli, scalars = (q, q), [q // 5 + 1, q - 2]
+        add = [[(x + y) % q for x, y in zip(u, v)] for u, v in ((a, b), (c, d))]
+        sub = [[(x - y) % q for x, y in zip(u, v)] for u, v in ((a, b), (c, d))]
+        mul = [[x * y % q for x, y in zip(u, v)] for u, v in ((a, b), (c, d))]
+        neg = [[-x % q for x in u] for u in (a, c)]
+        scaled = [[x * s % q for x in u] for u, s in zip((a, c), scalars)]
+        cross = [[(x * w + y * z) % q for x, y, z, w in zip(a, b, c, d)]]
+        for backend, pack in ((PYTHON, lambda rows: rows),
+                              (NUMPY, lambda rows: NUMPY.pack_limbs(rows, moduli[:len(rows)]))):
+            sa, sb = pack([a, c]), pack([b, d])
+            assert _rows(backend.limbs_add(sa, sb, moduli)) == add
+            assert _rows(backend.limbs_sub(sa, sb, moduli)) == sub
+            assert _rows(backend.limbs_mul(sa, sb, moduli)) == mul
+            assert _rows(backend.limbs_neg(sa, moduli)) == neg
+            assert _rows(backend.limbs_scalar_mul(sa, scalars, moduli)) == scaled
+            # One limb of ``(a + b Y)(c + d Y)``: a c, a d + b c, b d.
+            d0, d1, d2 = backend.limbs_tensor_product(
+                pack([a]), pack([b]), pack([c]), pack([d]), (q,))
+            assert _rows(d0) == [[x * z % q for x, z in zip(a, c)]]
+            assert _rows(d1) == cross
+            assert _rows(d2) == [[y * w % q for y, w in zip(b, d)]]
 
 
 @pytest.mark.parametrize("q,n", MODULUS_COMBOS)
@@ -171,22 +184,34 @@ class TestNTTParity:
         assert NUMPY.negacyclic_convolution(context, a, b) == \
             PYTHON.negacyclic_convolution(context, a, b)
 
-    def test_cyclic_ntt_batch(self, q, n):
+    def test_batched_transforms_are_per_limb(self, q, n):
+        """``batched_ntt`` / ``batched_intt`` over a three-limb store of this
+        modulus are the golden single-row transforms, limb by limb."""
         context = NTTContext(n, q)
         rows = _vectors(q, n, 8, count=3)
-        assert NUMPY.cyclic_ntt_batch(rows, context.omega, q) == \
-            PYTHON.cyclic_ntt_batch(rows, context.omega, q)
+        contexts = (context,) * len(rows)
+        forward = [PYTHON.ntt_forward(context, row) for row in rows]
+        assert PYTHON.batched_ntt(contexts, rows) == forward
+        out = NUMPY.batched_ntt(contexts, NUMPY.pack_limbs(rows, (q,) * len(rows)))
+        assert _rows(out) == forward
+        assert _rows(NUMPY.batched_intt(contexts, out)) == rows
+        assert PYTHON.batched_intt(contexts, forward) == rows
 
-    def test_four_step(self, q, n):
+    def test_stacked_transforms_and_limb_convolution(self, q, n):
+        """Several stores through one stacked dispatch equal one batched
+        transform per store; the limb convolution is the row convolution."""
         context = NTTContext(n, q)
-        (a,) = _vectors(q, n, 9, count=1)
-        rows = 1 << (n.bit_length() // 2)
-        with use_backend(PYTHON):
-            expected = four_step_ntt(context, a, rows)
-            assert four_step_intt(context, expected, rows) == a
-        with use_backend(NUMPY):
-            assert four_step_ntt(context, a, rows) == expected
-            assert four_step_intt(context, expected, rows) == a
+        stores = [_vectors(q, n, 9 + k, count=2) for k in range(3)]
+        contexts = (context, context)
+        packed = [NUMPY.pack_limbs(rows, (q, q)) for rows in stores]
+        forward = [PYTHON.batched_ntt(contexts, rows) for rows in stores]
+        assert PYTHON.stacked_ntt(contexts, stores) == forward
+        out = NUMPY.stacked_ntt(contexts, packed)
+        assert [_rows(store) for store in out] == forward
+        assert [_rows(store) for store in NUMPY.stacked_intt(contexts, out)] == stores
+        (a, b), (c, d) = stores[0], stores[1]
+        golden = [PYTHON.negacyclic_convolution(context, x, y) for x, y in ((a, c), (b, d))]
+        assert _rows(NUMPY.limbs_convolution(contexts, packed[0], packed[1])) == golden
 
 
 class TestUnreducedInputParity:
@@ -739,16 +764,14 @@ class TestWaveKernelParity:
         packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
         assert _rows(NUMPY.gadget_decompose_rows(packed, q, factors)) == expected
 
-    def test_external_product_mac_is_pointwise_mac_many_per_member(self, q, n):
+    def test_external_product_mac_is_a_sum_per_member_and_component(self, q, n):
         members, per_member, width = 3, 4, 2
         fwd = _wave_store(q, n, members * per_member, 4)
         key = _wave_store(q, n, per_member * width, 5)
-        groups = [[key[r * width + c] for r in range(per_member)]
-                  for c in range(width)]
         expected = [
-            row for m in range(members)
-            for row in PYTHON.pointwise_mac_many(
-                fwd[m * per_member:(m + 1) * per_member], groups, q)
+            [sum(fwd[m * per_member + r][i] * key[r * width + c][i]
+                 for r in range(per_member)) % q for i in range(n)]
+            for m in range(members) for c in range(width)
         ]
         assert PYTHON.external_product_mac(fwd, key, members, q) == expected
         out = NUMPY.external_product_mac(
@@ -861,9 +884,6 @@ class TestSingleRowIsStackOfOne:
             (NUMPY.scalar_mul(a, scalar, q),
              NUMPY.limbs_scalar_mul(sa, [scalar], moduli),
              PYTHON.scalar_mul(a, scalar, q)),
-            (NUMPY.sub_scaled(a, b, scalar, q),
-             NUMPY.batched_sub_scaled(sa, sb, [scalar], moduli),
-             PYTHON.sub_scaled(a, b, scalar, q)),
         ):
             assert isinstance(row, list) and isinstance(stack, np.ndarray)
             assert row == _rows(stack)[0] == golden
@@ -933,7 +953,7 @@ class TestSingleRowIsStackOfOne:
         for name, args in (
             ("add", (a, b, q)), ("sub", (a, b, q)), ("neg", (a, q)),
             ("mul", (a, b, q)), ("scalar_mul", (a, -7, q)),
-            ("sub_scaled", (a, b, -7, q)), ("signed_permute", (a, q, spec)),
+            ("signed_permute", (a, q, spec)),
             ("gadget_decompose", (a, q, factors)),
             ("ntt_forward", (context, a)), ("ntt_inverse", (context, a)),
             ("negacyclic_convolution", (context, a, b)),
@@ -1100,31 +1120,23 @@ def _public_kernels():
 
 
 def test_every_public_kernel_has_a_caller():
-    """Census: a public ``ArithmeticBackend`` method that nothing under
-    ``src/repro`` references — other than its own definition and overrides —
-    is dead weight every backend must keep carrying.  Delete it, or give it
-    a caller."""
+    """Census: a public ``ArithmeticBackend`` method that no module under
+    ``src/repro`` other than ``fhe/backend.py`` references is dead weight
+    every backend must keep carrying.  Calls inside the backend module do
+    not count — a golden body calling its own helper kernel is no caller.
+    Delete it, fold it into the body that uses it, or give it a caller."""
     import ast
     import pathlib
 
     import repro
 
-    referenced = set()
-
-    class Visitor(ast.NodeVisitor):
-        def visit_Attribute(self, node):
-            # ``super().kernel(...)`` is an override deferring to its own
-            # definition, not a caller.
-            receiver = node.value
-            deferring = (isinstance(receiver, ast.Call)
-                         and isinstance(receiver.func, ast.Name)
-                         and receiver.func.id == "super")
-            if not deferring:
-                referenced.add(node.attr)
-            self.generic_visit(node)
-
-    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
-        Visitor().visit(ast.parse(path.read_text()))
+    root = pathlib.Path(repro.__file__).parent
+    referenced = {
+        node.attr
+        for path in root.rglob("*.py") if path != root / "fhe" / "backend.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
     assert sorted(_public_kernels() - referenced) == []
 
 
@@ -1141,10 +1153,9 @@ def test_every_public_kernel_has_a_caller():
 #: Public kernels that never receive a store: the single-row (list) kernels
 #: and the ones that make a store out of something else.
 STORELESS_KERNELS = {
-    "add", "sub", "neg", "mul", "scalar_mul", "sub_scaled", "weighted_sum",
-    "signed_permute", "gadget_decompose", "pointwise_mac", "pointwise_mac_many",
+    "add", "sub", "neg", "mul", "scalar_mul", "weighted_sum",
+    "signed_permute", "gadget_decompose",
     "ntt_forward", "ntt_inverse", "negacyclic_convolution",
-    "four_step_ntt", "four_step_intt", "cyclic_ntt_batch",
     "limbs_zero", "reduce_limbs", "sample_uniform_limbs", "sample_error_limbs",
     "limbs_from_words",
 }
@@ -1229,6 +1240,8 @@ def _plain(value):
 
 def test_every_store_kernel_has_a_width_case():
     cases = set(_width_cases(tuple(modmath.find_ntt_primes(30, 32, 4)), 32, 0))
+    # Names a deleted kernel would otherwise leave behind in the list.
+    assert sorted(STORELESS_KERNELS - _public_kernels()) == []
     assert not cases & STORELESS_KERNELS
     assert _public_kernels() == cases | STORELESS_KERNELS
 

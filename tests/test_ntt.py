@@ -1,4 +1,4 @@
-"""Unit and property tests for the negacyclic NTT and the four-step NTT."""
+"""Unit and property tests for the negacyclic NTT and its four-step split."""
 
 import random
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.fhe import modmath
 from repro.fhe.backend import NumpyBackend, PythonBackend, available_backends, use_backend
-from repro.fhe.ntt import NTTContext, bit_reverse_permutation, four_step_intt, four_step_ntt
+from repro.fhe.ntt import NTTContext, bit_reverse_permutation
 
 
 def make_context(degree=64, bits=24):
@@ -40,6 +40,72 @@ def naive_negacyclic_multiply(a, b, modulus):
             else:
                 result[k] = (result[k] + term) % modulus
     return result
+
+
+def _root_powers(context, root):
+    """``root^e mod q`` for ``e`` in ``[0, 2N)`` (``root^(2N) = 1``)."""
+    n, q = context.ring_degree, context.modulus
+    powers = [1] * (2 * n)
+    for e in range(1, 2 * n):
+        powers[e] = powers[e - 1] * root % q
+    return powers
+
+
+def _split(context, rows):
+    n = context.ring_degree
+    if n % rows:
+        raise ValueError(f"{rows} rows do not divide N={n}")
+    return n, n // rows, bit_reverse_permutation(rows), bit_reverse_permutation(n // rows)
+
+
+def four_step_forward(context, coeffs, rows):
+    """The four-step (Bailey) split of the negacyclic NTT, written out.
+
+    The numpy backend's word-32 transform (``_MatrixNTT``) computes exactly
+    this for ``rows = 2^floor(log2(N)/2)``; here any ``rows x cols`` view
+    works.  With ``i = cols i1 + i2`` and ``k = k1 + rows k2``: phase 1 is
+    a length-``rows`` negacyclic transform down each column, then a
+    twiddle ``psi^(i2 (2 k1 + 1))``, then phase 2 a length-``cols`` cyclic
+    transform along each row.  Slot ``(a, b)`` holds
+    ``X[brv(a) + rows brv(b)]``, the direct transform's bit-reversed order.
+    """
+    n, cols, brv_r, brv_c = _split(context, rows)
+    q = context.modulus
+    w = _root_powers(context, context.psi)
+    inner = [
+        [sum(w[cols * i1 * (2 * k1 + 1) % (2 * n)] * coeffs[cols * i1 + i2]
+             for i1 in range(rows)) * w[i2 * (2 * k1 + 1) % (2 * n)] % q
+         for i2 in range(cols)]
+        for k1 in range(rows)
+    ]
+    return [
+        sum(w[2 * rows * brv_c[b] * i2 % (2 * n)] * inner[brv_r[a]][i2]
+            for i2 in range(cols)) % q
+        for a in range(rows) for b in range(cols)
+    ]
+
+
+def four_step_inverse(context, values, rows):
+    """The mirrored flow of :func:`four_step_forward`, scaled by ``N^-1``."""
+    n, cols, brv_r, brv_c = _split(context, rows)
+    q = context.modulus
+    w = _root_powers(context, context.psi_inv)
+    # values[a * cols + b] is X[k1 + rows k2] for k1 = brv(a), k2 = brv(b).
+    spectrum = {
+        (brv_r[a], brv_c[b]): values[a * cols + b]
+        for a in range(rows) for b in range(cols)
+    }
+    inner = [
+        [sum(w[2 * rows * k2 * i2 % (2 * n)] * spectrum[k1, k2]
+             for k2 in range(cols)) * w[i2 * (2 * k1 + 1) % (2 * n)] % q
+         for i2 in range(cols)]
+        for k1 in range(rows)
+    ]
+    return [
+        sum(w[cols * i1 * (2 * k1 + 1) % (2 * n)] * inner[k1][i2]
+            for k1 in range(rows)) * context.n_inv % q
+        for i1 in range(rows) for i2 in range(cols)
+    ]
 
 
 class TestBitReverse:
@@ -128,25 +194,43 @@ class TestNTTContext:
 
 
 class TestFourStepNTT:
+    """The four-step split against the direct radix-2 transform, on the
+    golden backend; the numpy backend's word-32 transform is the split with
+    the square-ish view, checked last."""
+
     @pytest.mark.parametrize("degree,rows", [(16, 4), (64, 8), (256, 16), (256, 4), (1024, 32)])
     def test_matches_direct_forward(self, degree, rows):
         context = make_context(degree)
         rng = random.Random(degree + rows)
         coeffs = [rng.randrange(context.modulus) for _ in range(degree)]
-        assert four_step_ntt(context, coeffs, rows) == context.forward(coeffs)
+        with use_backend(PythonBackend()):
+            assert four_step_forward(context, coeffs, rows) == context.forward(coeffs)
 
     @pytest.mark.parametrize("degree,rows", [(64, 8), (256, 16)])
     def test_inverse_roundtrip(self, degree, rows):
         context = make_context(degree)
         rng = random.Random(degree * 7)
         coeffs = [rng.randrange(context.modulus) for _ in range(degree)]
-        values = four_step_ntt(context, coeffs, rows)
-        assert four_step_intt(context, values, rows) == coeffs
+        values = four_step_forward(context, coeffs, rows)
+        assert four_step_inverse(context, values, rows) == coeffs
+        with use_backend(PythonBackend()):
+            assert four_step_inverse(context, values, rows) == context.inverse(values)
 
-    def test_rejects_rows_not_dividing_degree(self):
-        context = make_context(64)
-        with pytest.raises(ValueError):
-            four_step_ntt(context, [0] * 64, 24)
+    @pytest.mark.skipif("numpy" not in available_backends(),
+                        reason="numpy backend unavailable")
+    @pytest.mark.parametrize("degree", [16, 64, 256, 1024])
+    def test_numpy_word32_transform_is_the_square_split(self, degree):
+        context = make_context(degree)
+        numpy_backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        (matrix,) = numpy_backend._tables((context,)).matrix
+        rows = 1 << ((degree.bit_length() - 1) // 2)
+        assert matrix.shape == (-1, rows, degree // rows)
+        rng = random.Random(degree * 5)
+        coeffs = [rng.randrange(context.modulus) for _ in range(degree)]
+        values = numpy_backend.ntt_forward(context, coeffs)
+        assert values == four_step_forward(context, coeffs, rows)
+        assert numpy_backend.ntt_inverse(context, values) == \
+            four_step_inverse(context, values, rows) == coeffs
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
@@ -164,14 +248,15 @@ class TestNTTPropertiesPerBackend:
 
     @pytest.mark.parametrize("degree,rows", [(8, 2), (64, 8), (1024, 32), (1024, 8)])
     def test_four_step_matches_direct(self, backend, degree, rows):
-        """Four-step decomposition vs the direct transform, both directions."""
-        context = make_context(degree, bits=40)
+        """The backend's transform vs the four-step split, both directions
+        (30-bit: the numpy backend runs its word-32 matrix transform)."""
+        context = make_context(degree, bits=30)
         rng = random.Random(degree + rows)
         coeffs = [rng.randrange(context.modulus) for _ in range(degree)]
         with use_backend(backend):
-            values = four_step_ntt(context, coeffs, rows)
-            assert values == context.forward(coeffs)
-            assert four_step_intt(context, values, rows) == coeffs
+            values = context.forward(coeffs)
+            assert values == four_step_forward(context, coeffs, rows)
+            assert context.inverse(values) == four_step_inverse(context, values, rows) == coeffs
 
     @pytest.mark.parametrize("degree", [8, 64, 1024])
     def test_convolution_matches_schoolbook(self, backend, degree):
@@ -196,7 +281,7 @@ class TestNTTPropertiesPerBackend:
             fa, fb = context.forward(a), context.forward(b)
             fsum = context.forward([(x + y) % q for x, y in zip(a, b)])
             assert fsum == [(x + y) % q for x, y in zip(fa, fb)]
-            product = context.inverse(context.pointwise_multiply(fa, fb))
+            product = context.inverse([(x * y) % q for x, y in zip(fa, fb)])
             assert product == context.negacyclic_convolution(a, b)
 
     def test_pinned_backend_on_context(self, backend):
