@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are four families of fast-path /
+exactness is asserted in tier-1; left here are five families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -15,7 +15,10 @@ the speed-up (the fast path reads ``(1.0)``):
 * the NTT-resident ``multiply`` vs the coefficient-domain reference
   ``_multiply_coeff`` through multiply -> rescale -> multiply (same ring);
 * planned vs eager ``PackedBootstrap.refresh`` (N = 2^10, L = 13, 30-bit) —
-  no e2e workload bootstraps.
+  no e2e workload bootstraps;
+* the native (C) vs the matrix word-32 transform core on one
+  ``stacked_ntt`` of 36 rows (N = 2^11, 30-bit) — the e2e workloads run
+  only the core the box built.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -31,8 +34,8 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.fhe import modmath
-from repro.fhe.backend import use_backend
+from repro.fhe import modmath, native
+from repro.fhe.backend import NumpyBackend, use_backend
 from repro.fhe.ckks import CKKSContext, PackedBootstrap
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters
@@ -200,3 +203,37 @@ def test_bootstrap_planned(benchmark, bootstrap):
 def test_bootstrap_eager(benchmark, bootstrap):
     packed, evaluator, ct = bootstrap
     benchmark(packed.refresh, evaluator, ct, eager=True)
+
+
+# ---------------------------------------------------------------------------
+# native vs matrix word-32 transform core, N = 2^11, 36 rows
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def limb_stack():
+    """Four 9-limb stores of 30-bit residues: 36 rows at N = 2^11."""
+    import numpy as np
+
+    degree = 1 << 11
+    contexts = tuple(NTTContext(degree, q)
+                     for q in modmath.find_ntt_primes(30, degree, 9))
+    moduli = np.array([c.modulus for c in contexts], dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(0x5EED)
+    return contexts, [rng.integers(0, 1 << 62, size=(9, degree), dtype=np.uint64)
+                      % moduli for _ in range(4)]
+
+
+@pytest.mark.benchmark(
+    group="native vs matrix: word-32 stacked_ntt (N=2^11, 36 rows, 30-bit)")
+@pytest.mark.parametrize("core", ["native", "matrix"])
+def test_word32_transform_core(benchmark, limb_stack, core, monkeypatch):
+    if core == "native" and native.library() is None:
+        pytest.skip("the native library did not build on this box")
+    if core == "matrix":
+        # The platform picks the core: a backend made while the library
+        # reads as missing holds the matrix tables.
+        monkeypatch.setattr(native, "library", lambda: None)
+    backend = NumpyBackend()
+    contexts, stores = limb_stack
+    backend.stacked_ntt(contexts, stores)          # tables outside the timing
+    benchmark(backend.stacked_ntt, contexts, stores)

@@ -18,9 +18,10 @@ here.  Two implementations are registered:
   switches to Shoup/Montgomery reduction built on an emulated 64x64 ->
   128-bit multiply (32-bit limb splitting), so results stay exact with no
   overflow for every modulus the parameter sets produce (<= 61 bits).  The
-  negacyclic NTT of <= 32-bit moduli is the four-step split as two exact
-  float64 matrix products on BLAS; wider moduli keep Harvey-lazy stage
-  loops.  The word size is read off the moduli; there is no switch to set.
+  negacyclic NTT of <= 32-bit moduli is C (:mod:`repro.fhe.native`), or
+  where no library loaded the four-step split as two exact float64 matrix
+  products on BLAS; wider moduli keep Harvey-lazy stage loops.  The word
+  size is read off the moduli; there is no switch to set.
   It subclasses the python backend: moduli that do not fit this scheme
   (>= 2^62, or even moduli above 2^32) transparently fall back to the
   inherited golden kernels, as do tiny vectors where conversion overhead
@@ -54,6 +55,8 @@ try:  # NumPy is optional -- the python backend has no dependencies at all.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     _np = None
+
+from . import native as _native
 
 __all__ = [
     "ArithmeticBackend",
@@ -953,7 +956,8 @@ class PythonBackend(ArithmeticBackend):
 #
 # * word 32 — every modulus fits 32 bits, so a product of two reduced values
 #   fits one 64-bit word: ``beta = 2^32`` Shoup constants, values fully
-#   reduced after every step.  The transform is the four-step split written
+#   reduced after every step.  The transform is :func:`_native_transform`
+#   where :mod:`repro.fhe.native` loaded, else the four-step split written
 #   as two exact matrix products on BLAS (:class:`_MatrixNTT`) — Trinity's
 #   NTTU phase and CU MAC-array phase — so an ``N``-point row is read about
 #   thirty times instead of ``13 log2 N`` times;
@@ -1322,6 +1326,17 @@ if _np is not None:
             _np.subtract(acc, self.q, out=word)
             _np.minimum(acc.reshape(out.shape), word.reshape(out.shape), out=out)
 
+    def _shoup_table(context):
+        """The native core's constants for one ``(N, q)``: one uint32 array
+        in the layout given at the top of ``ntt32.c``."""
+        q = context.modulus
+        parts = [_np.array([q, context.n_inv, (context.n_inv << 32) // q, 0],
+                           dtype=_np.uint64)]
+        for twiddles in (context._fwd_twiddles, context._inv_twiddles):
+            w = _np.array(twiddles, dtype=_np.uint64)
+            parts += [w, (w << _S32) // _np.uint64(q)]
+        return _np.concatenate(parts).astype(_np.uint32)
+
     class _NTTTables:
         """Transform tables for a tuple of same-degree NTT contexts.
 
@@ -1331,11 +1346,11 @@ if _np is not None:
         under that one modulus.  What the transform itself reads depends on
         ``word``:
 
-        * word 32 — ``matrix`` lists one :class:`_MatrixNTT` per context.
-          The matrices live once per ``(N, q)`` in the cached single-context
-          tables and are applied limb by limb; a tuple of contexts only
-          collects references, so a modulus costs the same memory however
-          many bases it appears in.
+        * word 32 — one core per context, held once per ``(N, q)`` in the
+          cached single-context tables (a tuple of contexts only collects
+          references, so a modulus costs the same however many bases it
+          appears in): ``shoup`` / ``addresses`` for the ``native`` library,
+          else ``matrix`` (:class:`_MatrixNTT`, applied limb by limb).
         * word 64 — ``fwd`` / ``inv`` are ``(L, n)`` Shoup twiddle matrices
           (:func:`_fixed_operand` tuples, concatenated from the
           single-context tables), ``fwd_stages`` / ``inv_stages`` the same
@@ -1346,9 +1361,9 @@ if _np is not None:
           Montgomery domain in one REDC.
         """
 
-        __slots__ = ("n", "word", "key_form", "q", "mont", "matrix",
-                     "q2", "q_s", "q2_s", "fwd", "inv", "fwd_stages",
-                     "inv_stages", "n_inv", "r")
+        __slots__ = ("n", "word", "key_form", "q", "mont", "native", "shoup",
+                     "addresses", "matrix", "q2", "q_s", "q2_s", "fwd", "inv",
+                     "fwd_stages", "inv_stages", "n_inv", "r")
 
         def __init__(self, contexts, word: int, mont, singles=None):
             moduli = [ctx.modulus for ctx in contexts]
@@ -1359,6 +1374,13 @@ if _np is not None:
             self.key_form = f"numpy{word}"
             self.mont = mont
             self.q = _np.array(moduli, dtype=_np.uint64)[:, None]
+            self.native = _native.library() if word == 32 else None
+            if self.native is not None:
+                self.shoup = ([_shoup_table(contexts[0])] if singles is None
+                              else [single.shoup[0] for single in singles])
+                self.addresses = _np.array(
+                    [table.ctypes.data for table in self.shoup], dtype=_np.uintp)
+                return
             if word == 32:
                 self.matrix = (
                     [_MatrixNTT(contexts[0])] if singles is None
@@ -1408,6 +1430,16 @@ if _np is not None:
         for i, matrix in enumerate(tabs.matrix):
             matrix.transform(stack[:, i], out[:, i], inverse, scratch)
         return out.reshape(x.shape)
+
+    def _native_transform(tabs, x, function):
+        """The word-32 native core: ``function`` in place over a fresh
+        C-ordered uint64 copy of ``x``, row ``r`` under limb ``r % L``."""
+        out = _np.array(x, dtype=_np.uint64, order="C")
+        rows, limbs = out.size // tabs.n, len(tabs.shoup)
+        if out.shape[-1] != tabs.n or rows % limbs:
+            raise ValueError(f"{out.shape} is not rows of {tabs.n} over {limbs} limbs")
+        function(out.ctypes.data, rows, tabs.n, limbs, tabs.addresses.ctypes.data)
+        return out
 
     def _forward_stages64(x, tabs):
         """Cooley-Tukey stages with Harvey lazy reduction (word 64).
@@ -1462,8 +1494,10 @@ if _np is not None:
         sized for it; stores are reduced by contract and the list-in kernels
         reduce through :meth:`NumpyBackend._to_array`.  Word-64 rows may be
         anywhere below ``2q``.  ``scratch`` is the caller's buffer dict of
-        the batch kernels; only the word-32 transform keeps anything in it.
+        the batch kernels; only the word-32 matrix core keeps anything in it.
         """
+        if tabs.native is not None:
+            return _native_transform(tabs, x, tabs.native.ntt32_forward)
         if tabs.word == 32:
             return _matrix_transform(tabs, x, inverse=False, scratch=scratch)
         x = _forward_stages64(x.copy(), tabs)
@@ -1472,6 +1506,8 @@ if _np is not None:
 
     def _intt(tabs, x, scratch=None):
         """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
+        if tabs.native is not None:
+            return _native_transform(tabs, x, tabs.native.ntt32_inverse)
         if tabs.word == 32:
             return _matrix_transform(tabs, x, inverse=True, scratch=scratch)
         x = _inverse_stages64(x.copy(), tabs)
@@ -1528,13 +1564,13 @@ class NumpyBackend(PythonBackend):
     run the same array cores as the limb-stack kernels on a ``(1, N)`` view.
 
     Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`,
-    which pick one of two cores from the moduli: two exact float64 matrix
-    products per row when every modulus fits 32 bits (the only float path
-    in the backend — exact by a digit budget fixed when the table is built,
-    not by a tolerance, so BLAS threading or summation order cannot change
-    a bit), Harvey-lazy stage loops otherwise.  Tables are cached per
-    context tuple in :meth:`_tables`; what costs memory is held once per
-    ``(N, q)``.
+    which pick a core from the moduli: when every modulus fits 32 bits, the
+    C loop of :mod:`repro.fhe.native`, or where it did not load two exact
+    float64 matrix products per row (the only float path in the backend —
+    exact by a digit budget fixed when the table is built, not by a
+    tolerance, so BLAS threading or summation order cannot change a bit);
+    Harvey-lazy stage loops otherwise.  Tables are cached per context tuple
+    in :meth:`_tables`; what costs memory is held once per ``(N, q)``.
     """
 
     name = "numpy"

@@ -7,10 +7,10 @@ forward/inverse transforms and negacyclic convolution.
 
 Trinity computes an NTT as the four-step (Bailey) split: the NTTU runs
 phase 1, the CUs run phase 2, with a twiddle in between.  The repo has one
-such split, ``repro.fhe.backend._MatrixNTT``: for moduli up to 32 bits the
-numpy backend runs each phase as one exact matrix product on BLAS, so every
-CKKS limb and TFHE wave transform goes through it.  The golden python
-backend keeps the direct radix-2 loops, which the split is checked against.
+such split, ``repro.fhe.backend._MatrixNTT`` (each phase one exact matrix
+product on BLAS): for moduli up to 32 bits the numpy backend runs every
+CKKS limb and TFHE wave transform through it where :mod:`repro.fhe.native`
+did not load.  The golden python backend keeps the direct radix-2 loops.
 
 The transforms execute on the active :mod:`repro.fhe.backend`
 (:func:`~repro.fhe.backend.active_backend`): the exact pure-Python reference

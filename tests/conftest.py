@@ -27,6 +27,32 @@ def pytest_configure(config):
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
 
 
+@pytest.fixture
+def matrix_core(request, monkeypatch):
+    """Word-32 transforms on the matrix core, as on a box where the native
+    library did not build or load.
+
+    A test substitution, not a switch (production takes the core the
+    platform gives it): ``repro.fhe.native.library`` reads as ``None`` for
+    the test, and the transform-table caches of the registered numpy
+    backends and of those the test module holds are emptied on the way in
+    and out, so no table built for one core serves the other.
+    """
+    from repro.fhe import backend, native
+
+    def clear_tables():
+        held = [*vars(request.module).values(), *backend._INSTANCES.values()]
+        held += [v for d in held if isinstance(d, dict) for v in d.values()]
+        for value in held:
+            if isinstance(value, backend.NumpyBackend):
+                value._ntt_tables.clear()
+
+    monkeypatch.setattr(native, "library", lambda: None)
+    clear_tables()
+    yield
+    clear_tables()
+
+
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")
 _HAS_ALARM = hasattr(signal, "SIGALRM")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -212,6 +212,12 @@ class TestNTTParity:
         (a, b), (c, d) = stores[0], stores[1]
         golden = [PYTHON.negacyclic_convolution(context, x, y) for x, y in ((a, c), (b, d))]
         assert _rows(NUMPY.limbs_convolution(contexts, packed[0], packed[1])) == golden
+
+
+@pytest.mark.usefixtures("matrix_core")
+class TestNTTParityOnTheMatrixCore(TestNTTParity):
+    """Every :class:`TestNTTParity` leg again on the matrix core: the word-32
+    transform of a box where the native library did not build."""
 
 
 class TestUnreducedInputParity:
@@ -985,6 +991,7 @@ def _golden_rows(golden, contexts, x):
          for i, row in enumerate(flat)], dtype=np.uint64).reshape(x.shape)
 
 
+@pytest.mark.usefixtures("matrix_core")
 class TestMatrixNTT:
     def _check(self, contexts, x, tabs=None):
         tabs = tabs or NUMPY._tables(contexts)
@@ -1003,7 +1010,8 @@ class TestMatrixNTT:
     @given(log_n=st.integers(2, 12), bits=st.integers(20, 32),
            shape=st.sampled_from(["limbs", "stack", "wave"]),
            seed=st.integers(0, 1 << 32))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_the_golden_transforms(self, log_n, bits, shape, seed):
         n = 1 << log_n
         bits = max(bits, log_n + 3)         # room for three 2N | q - 1 primes

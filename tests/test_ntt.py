@@ -218,6 +218,7 @@ class TestFourStepNTT:
 
     @pytest.mark.skipif("numpy" not in available_backends(),
                         reason="numpy backend unavailable")
+    @pytest.mark.usefixtures("matrix_core")
     @pytest.mark.parametrize("degree", [16, 64, 256, 1024])
     def test_numpy_word32_transform_is_the_square_split(self, degree):
         context = make_context(degree)
@@ -249,7 +250,7 @@ class TestNTTPropertiesPerBackend:
     @pytest.mark.parametrize("degree,rows", [(8, 2), (64, 8), (1024, 32), (1024, 8)])
     def test_four_step_matches_direct(self, backend, degree, rows):
         """The backend's transform vs the four-step split, both directions
-        (30-bit: the numpy backend runs its word-32 matrix transform)."""
+        (30-bit: the numpy backend runs its word-32 core)."""
         context = make_context(degree, bits=30)
         rng = random.Random(degree + rows)
         coeffs = [rng.randrange(context.modulus) for _ in range(degree)]

@@ -712,9 +712,10 @@ def test_every_override_keeps_the_kernel_signature():
 
 @pytest.mark.skipif(not NUMPY_BACKENDS, reason="numpy backend unavailable")
 class TestWaveScratch:
-    """The batch transforms' optional ``scratch``: the caller's dict holds
-    work buffers only — nothing a transform returns lives in it, and it
-    serves any sequence of row counts."""
+    """The batch transforms' optional ``scratch``: nothing a transform
+    returns lives in it.  On the matrix core the caller's dict holds the
+    work buffers and serves any sequence of row counts; the native core
+    needs none and leaves it empty."""
 
     @pytest.fixture(scope="class")
     def ring(self):
@@ -729,6 +730,24 @@ class TestWaveScratch:
                 (q,) * count)
         return NTTContext(256, q), rows
 
+    @pytest.mark.parametrize("kernel", ["ntt_forward_batch", "ntt_inverse_batch"])
+    def test_the_native_core_returns_fresh_stores_and_no_scratch(self, ring, kernel):
+        np = pytest.importorskip("numpy")
+        from repro.fhe import native
+
+        if native.library() is None:
+            pytest.skip("the native library did not build here")
+        context, rows = ring
+        transform = getattr(NUMPY_BACKENDS["numpy"], kernel)
+        store, scratch = rows(160), {}
+        kept = store.copy()
+        out = transform(context, store, scratch)
+        again = transform(context, store, scratch)
+        assert scratch == {}
+        assert not np.shares_memory(out, store) and not np.shares_memory(out, again)
+        assert np.array_equal(store, kept) and np.array_equal(out, again)
+
+    @pytest.mark.usefixtures("matrix_core")
     @pytest.mark.parametrize("kernel", ["ntt_forward_batch", "ntt_inverse_batch"])
     def test_a_returned_store_is_never_a_scratch_buffer(self, ring, kernel):
         np = pytest.importorskip("numpy")
@@ -747,6 +766,7 @@ class TestWaveScratch:
         assert np.array_equal(out, transform(context, first))
         assert np.array_equal(again, transform(context, second))
 
+    @pytest.mark.usefixtures("matrix_core")
     def test_one_scratch_survives_a_change_of_row_count(self, ring, waves):
         np = pytest.importorskip("numpy")
         context, rows = ring
