@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are five families of fast-path /
+exactness is asserted in tier-1; left here are six families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -18,7 +18,10 @@ the speed-up (the fast path reads ``(1.0)``):
   no e2e workload bootstraps;
 * the native (C) vs the matrix word-32 transform core on one
   ``stacked_ntt`` of 36 rows (N = 2^11, 30-bit) — the e2e workloads run
-  only the core the box built.
+  only the core the box built;
+* the native (C) vs the numpy word-32 multiply-accumulate on one keyswitch
+  ``limbs_eval_mac`` (N = 2^11, 12 limbs, 3 digits x 2 components) — the
+  same.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -237,3 +240,37 @@ def test_word32_transform_core(benchmark, limb_stack, core, monkeypatch):
     contexts, stores = limb_stack
     backend.stacked_ntt(contexts, stores)          # tables outside the timing
     benchmark(backend.stacked_ntt, contexts, stores)
+
+
+# ---------------------------------------------------------------------------
+# native vs numpy word-32 multiply-accumulate, N = 2^11, 12 limbs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def eval_mac_operands():
+    """3 digits of 12 30/32-bit limbs and their keys' 2 components."""
+    import numpy as np
+
+    degree = 1 << 11
+    moduli = modmath.find_ntt_primes(30, degree, 9) + modmath.find_ntt_primes(32, degree, 3)
+    contexts = tuple(NTTContext(degree, q) for q in moduli)
+    column = np.array(moduli, dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(0x3AC)
+    stores = [rng.integers(0, 1 << 62, size=(12, degree), dtype=np.uint64) % column
+              for _ in range(9)]
+    return contexts, stores[:3], [stores[3 + 2 * j:5 + 2 * j] for j in range(3)]
+
+
+@pytest.mark.benchmark(
+    group="native vs numpy: word-32 limbs_eval_mac (N=2^11, 12 limbs, 3x2 terms)")
+@pytest.mark.parametrize("core", ["native", "numpy"])
+def test_word32_eval_mac(benchmark, eval_mac_operands, core, monkeypatch):
+    if core == "native" and native.library() is None:
+        pytest.skip("the native library did not build on this box")
+    if core == "numpy":
+        monkeypatch.setattr(native, "library", lambda: None)
+    backend = NumpyBackend()
+    contexts, digits, keys = eval_mac_operands
+    handles = [tuple(backend.limbs_eval_key(contexts, key) for key in pair)
+               for pair in keys]                   # key images outside the timing
+    benchmark(backend.limbs_eval_mac, contexts, digits, handles)

@@ -969,7 +969,10 @@ class PythonBackend(ArithmeticBackend):
 #
 # Transforms branch on it in :func:`_ntt` / :func:`_intt`, fixed-operand
 # products in :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`;
-# nothing else does.
+# nothing else does.  The native library holds the word-32 transforms and
+# one multiply-accumulate (:func:`_mac32`), which the keyswitch MAC, the
+# plaintext MAC and BConv run on when it loaded; their numpy bodies are
+# what an install without it runs.
 
 if _np is not None:
     _M32 = _np.uint64(0xFFFFFFFF)
@@ -1542,6 +1545,36 @@ if _np is not None:
         """
         z = _ntt(tabs, _np.stack([x, _eval_mul(tabs, None, y)]))
         return _intt(tabs, _eval_mul(tabs, z[0], z[1]))
+
+    def _row_table(mats, rows: int, n: int):
+        """C-ordered uint64 copies (where needed) of the ``(rows, n)`` arrays
+        ``mats`` and the ``(len(mats), rows)`` addresses of their rows; a
+        wrong shape, which the C loop could not see, raises ``ValueError``."""
+        held = [_np.ascontiguousarray(m, dtype=_np.uint64) for m in mats]
+        if any(m.shape != (rows, n) for m in held):
+            raise ValueError(f"{[m.shape for m in held]} are not ({rows}, {n}) stores")
+        bases = _np.array([m.ctypes.data for m in held], dtype=_np.uintp)
+        return held, bases[:, None] + _np.arange(rows, dtype=_np.uintp) * _np.uintp(8 * n)
+
+    def _mac32(lib, a, b, q, n: int, b_step: int, held):
+        """``sum_k a[..., k] * b[..., k] mod q[...]``, the native word-32
+        multiply-accumulate, as a fresh ``(..., n)`` uint64 array.
+
+        ``a`` / ``b`` are ``(..., terms)`` tables of addresses into ``held``
+        (which this frame keeps alive until the C call returns): of rows of
+        ``n`` values below 2^32, or for ``b_step = 0`` of one scalar each.
+        ``q`` broadcasts to ``a.shape[:-1]``.
+        """
+        if a.shape != b.shape:
+            raise ValueError(f"address tables {a.shape} and {b.shape} differ")
+        shape = a.shape[:-1]
+        a = _np.ascontiguousarray(a, dtype=_np.uintp)
+        b = _np.ascontiguousarray(b, dtype=_np.uintp)
+        q = _np.ascontiguousarray(_np.broadcast_to(q, shape), dtype=_np.uint64)
+        out = _np.empty(shape + (n,), dtype=_np.uint64)
+        lib.mac32(out.ctypes.data, q.size, a.shape[-1], n, a.ctypes.data,
+                  b.ctypes.data, b_step, q.ctypes.data)
+        return out
 
 
 class NumpyBackend(PythonBackend):
@@ -2134,6 +2167,9 @@ class NumpyBackend(PythonBackend):
                 max(int(p).bit_length() for p in plan.target_moduli) + 2
                 + max(1, (count - 1).bit_length()) <= 64
             )
+            # The (targets, sources) weights, reduced: what the native route
+            # reads at word 32.
+            matrix = _np.array(plan.weights, dtype=_np.uint64) if word == 32 else None
             # Plain accumulation budget: when every ``weight * scaled``
             # product and the sum of all ``count`` of them fit one word —
             # bits(q) + bits(p) + ceil(log2(Ls)) <= 64 — the conversion is
@@ -2144,8 +2180,8 @@ class NumpyBackend(PythonBackend):
                 + max(int(p).bit_length() for p in plan.target_moduli)
                 + (count - 1).bit_length() <= 64
             ):
-                plain = _np.array(plan.weights, dtype=_np.uint64)
-            tables = (word, lazy, inverses, weights, plain)
+                plain = matrix
+            tables = (word, lazy, inverses, weights, matrix, plain)
             plan.cache["numpy"] = tables
         return tables
 
@@ -2156,13 +2192,21 @@ class NumpyBackend(PythonBackend):
             or not self._moduli_fit(plan.target_moduli)
         ):
             return super().bconv_matmul(store, plan)
-        word, lazy, inverses, weights, plain = self._bconv_tables(plan)
+        word, lazy, inverses, weights, matrix, plain = self._bconv_tables(plan)
         q_tgt = self._q_col(plan.target_moduli)
         # Step 1: x_i * (Q/q_i)^{-1} mod q_i, fully reduced — the weighted
         # sum needs the canonical residue in [0, q_i), not a lazy
         # representative (a different representative would shift the result
         # by k * q_i * w mod p_j).
         scaled = _fixed_mul(x, inverses, self._q_col(plan.source_moduli), word)
+        lib = _native.library() if word == 32 else None
+        if lib is not None:
+            # Every target row sums all source rows, each times one scalar.
+            held, rows = _row_table([scaled], *scaled.shape)
+            cells = matrix.ctypes.data + _np.arange(
+                matrix.size, dtype=_np.uintp).reshape(matrix.shape) * _np.uintp(8)
+            return _mac32(lib, _np.broadcast_to(rows, matrix.shape), cells,
+                          q_tgt[:, 0], scaled.shape[1], 0, (held, matrix))
         if plain is not None:
             return (plain @ scaled) % q_tgt
         # Step 2: one source limb into all target rows per pass.
@@ -2224,6 +2268,16 @@ class NumpyBackend(PythonBackend):
                    for handles in key_handles for handle in handles)
         ):
             return super().limbs_eval_mac(contexts, digit_stores, key_handles)
+        if tabs.native is not None:
+            # Output (component c, limb l) sums digit j's row l times the
+            # row l of digit j's key component c.
+            limbs, width = len(contexts), len(key_handles[0])
+            digits, a = _row_table(mats, limbs, tabs.n)
+            keys, b = _row_table([handle[1] for handles in key_handles
+                                  for handle in handles], limbs, tabs.n)
+            b = b.reshape(len(mats), width, limbs).transpose(1, 2, 0)
+            return list(_mac32(tabs.native, _np.broadcast_to(a.T, b.shape), b,
+                               tabs.q[:, 0], tabs.n, 1, (digits, keys)))
         accs = []
         for component in range(len(key_handles[0])):
             acc = None
@@ -2259,6 +2313,14 @@ class NumpyBackend(PythonBackend):
             return super().stacked_pmult_mac(c0_stores, c1_stores, pt_stores,
                                              moduli)
         q = self._q_col(moduli)
+        lib = _native.library() if q_max.bit_length() <= 32 else None
+        if lib is not None:
+            # Output (component c, limb l) sums store i's row l times plaintext i's.
+            held, rows = _row_table(mats, len(moduli), mats[0].shape[-1])
+            comps = rows[:2 * count].reshape(2, count, -1).transpose(0, 2, 1)
+            pts = _np.broadcast_to(rows[2 * count:].T, comps.shape)
+            acc = _mac32(lib, comps, pts, q[:, 0], mats[0].shape[-1], 1, held)
+            return acc[0], acc[1]
         # Plain products of reduced operands sum in one word ``budget`` at a
         # time (16 at 30-bit moduli), so the ``%`` runs once per ``budget``
         # terms; a budget of one is the reduced product of :meth:`_mulmod`.

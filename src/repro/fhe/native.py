@@ -1,7 +1,9 @@
-"""The word-32 NTT / INTT of ``ntt32.c``, compiled on first use (stdlib only).
+"""The word-32 library of ``ntt32.c``, compiled on first use (stdlib only):
+the negacyclic NTT / INTT and one multiply-accumulate (keyswitch MAC,
+plaintext MAC, BConv).
 
 :func:`library` is the one entry point; ``None`` means the numpy backend
-runs its matrix NTT instead.
+runs its matrix NTT and numpy MAC bodies instead.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-#: The C source: one forward and one inverse transform.
+#: The C source: one forward and one inverse transform, one multiply-accumulate.
 SOURCE = Path(__file__).with_name("ntt32.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -28,7 +30,7 @@ _DIGEST = 32
 
 @functools.lru_cache(maxsize=None)
 def library() -> Optional[ctypes.CDLL]:
-    """The loaded transform library, or ``None`` on any failure (decided
+    """The loaded word-32 library, or ``None`` on any failure (decided
     once per process; later calls return the first answer)."""
     directory = _cache_directory()
     return None if directory is None else build(directory, _compiler())
@@ -62,7 +64,7 @@ def build(directory: Path, compiler: Optional[str]) -> Optional[ctypes.CDLL]:
             if not _intact(path):
                 return None
         return _bind(ctypes.CDLL(str(path)))
-    except (OSError, ValueError, subprocess.SubprocessError):
+    except (AttributeError, OSError, ValueError, subprocess.SubprocessError):
         return None
 
 
@@ -118,12 +120,21 @@ def _compile(compiler: str, path: Path) -> None:
             os.unlink(temp)
 
 
+_P, _N = ctypes.c_void_p, ctypes.c_size_t
+#: Every entry point with its argument types; all return ``void``.
+SIGNATURES = {
+    "ntt32_forward": (_P, _N, _N, _N, _P),
+    "ntt32_inverse": (_P, _N, _N, _N, _P),
+    "mac32": (_P, _N, _N, _N, _P, _P, _N, _P),
+}
+
+
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Declare the two entry points' C signatures."""
-    for name in ("ntt32_forward", "ntt32_inverse"):
+    """Declare every entry point's C signature (a library missing one raises
+    ``AttributeError``, which :func:`build` turns into ``None``)."""
+    for name, argtypes in SIGNATURES.items():
         function = getattr(lib, name)
-        function.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_size_t,
-                             ctypes.c_size_t, ctypes.c_void_p]
+        function.argtypes = list(argtypes)
         function.restype = None
     return lib
 

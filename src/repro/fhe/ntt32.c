@@ -1,11 +1,14 @@
 /*
- * Word-32 negacyclic NTT / INTT, in place over a contiguous (rows, n)
- * uint64 array of values reduced below their modulus.  Row r runs under
- * tables[r % limbs], each one uint32 array laid out by _shoup_table in
- * backend.py: q, n^-1, floor(n^-1 2^32 / q), 0, then the golden
- * transforms' bit-reversed psi powers [n] and their Shoup constants [n],
- * then the same for psi^-1.  Values stay fully reduced: the special moduli
- * reach 32 bits, so 2q would break the y < 2^32 the Shoup multiply needs.
+ * The numpy backend's word-32 native library: the negacyclic NTT / INTT and
+ * one multiply-accumulate, every modulus below 2^32.
+ *
+ * The transforms run in place over a contiguous (rows, n) uint64 array of
+ * values reduced below their modulus.  Row r runs under tables[r % limbs],
+ * each one uint32 array laid out by _shoup_table in backend.py: q, n^-1,
+ * floor(n^-1 2^32 / q), 0, then the golden transforms' bit-reversed psi
+ * powers [n] and their Shoup constants [n], then the same for psi^-1.
+ * Values stay fully reduced: the special moduli reach 32 bits, so 2q would
+ * break the y < 2^32 the Shoup multiply needs.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -70,4 +73,69 @@ void ntt32_inverse(uint64_t *x, size_t rows, size_t n, size_t limbs,
 {
     for (size_t r = 0; r < rows; r++)
         inverse_row(x + r * n, n, tables[r % limbs]);
+}
+
+/* w * y mod q up to one extra q ([0, 2q)), for y < 2^32 and w < q. */
+static inline uint64_t shoup_lazy(uint64_t y, uint64_t w, uint64_t ws, uint64_t q)
+{
+    return (uint64_t)(uint32_t)y * w - (((uint64_t)(uint32_t)y * ws) >> 32) * q;
+}
+
+#define MAC_BLOCK 256
+
+/*
+ * out[o][j] = sum_k a[o][k][j] * b[o][k][j * b_step] mod q[o], fully reduced,
+ * over a contiguous (outputs, n) uint64 out.  a and b are per-output pointer
+ * tables, (outputs, terms) row-major, to uint64 rows of values below 2^32;
+ * b_step is 1 for rows and 0 for one scalar per term (BConv's weights).
+ * The 32x32 -> 64-bit products are summed in split 32-bit halves, exact for
+ * terms < 2^32, and each output element is reduced once: the sum is
+ * h1 2^64 + h0 2^32 + l with 32-bit digits, so it is congruent to
+ * h1 (2^64 mod q) + h0 (2^32 mod q) + l, three Shoup products below 6q.
+ */
+void mac32(uint64_t *out, size_t outputs, size_t terms, size_t n,
+           const uint64_t *const *a, const uint64_t *const *b, size_t b_step,
+           const uint64_t *moduli)
+{
+    const uint64_t mask = 0xFFFFFFFFu;
+    uint64_t lo[MAC_BLOCK], hi[MAC_BLOCK];
+    for (size_t o = 0; o < outputs; o++) {
+        const uint64_t q = moduli[o], c32 = (mask + 1) % q, c64 = c32 * c32 % q;
+        const uint64_t c32s = (c32 << 32) / q, c64s = (c64 << 32) / q;
+        const uint64_t ones = (mask + 1) / q;
+        const uint64_t *const *ao = a + o * terms, *const *bo = b + o * terms;
+        for (size_t start = 0; start < n; start += MAC_BLOCK) {
+            const size_t len = n - start < MAC_BLOCK ? n - start : MAC_BLOCK;
+            for (size_t j = 0; j < len; j++)
+                lo[j] = hi[j] = 0;
+            for (size_t k = 0; k < terms; k++) {
+                const uint64_t *x = ao[k] + start;
+                if (b_step) {
+                    const uint64_t *y = bo[k] + start;
+                    for (size_t j = 0; j < len; j++) {
+                        uint64_t p = (uint64_t)(uint32_t)x[j] * (uint32_t)y[j];
+                        lo[j] += p & mask;
+                        hi[j] += p >> 32;
+                    }
+                } else {
+                    const uint64_t w = (uint32_t)*bo[k];
+                    for (size_t j = 0; j < len; j++) {
+                        uint64_t p = (uint64_t)(uint32_t)x[j] * w;
+                        lo[j] += p & mask;
+                        hi[j] += p >> 32;
+                    }
+                }
+            }
+            uint64_t *z = out + o * n + start;
+            for (size_t j = 0; j < len; j++) {
+                uint64_t high = hi[j] + (lo[j] >> 32);
+                uint64_t r = shoup_lazy(high >> 32, c64, c64s, q)
+                             + shoup_lazy(high, c32, c32s, q)
+                             + shoup_lazy(lo[j], 1, ones, q);
+                r = r >= 4 * q ? r - 4 * q : r;
+                r = r >= 2 * q ? r - 2 * q : r;
+                z[j] = r >= q ? r - q : r;
+            }
+        }
+    }
 }

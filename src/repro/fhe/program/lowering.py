@@ -62,10 +62,11 @@ def lower_to_operations(program) -> List[HomomorphicOp]:
             ops.append(HomomorphicOp(name, level, count))
 
     for node in _program_of(program).nodes:
+        spec = OP_TABLE[node.op]
         # input / mod_down / to_eval / to_coeff lower to no Table II operation.
-        for name, count in OP_TABLE[node.op].lower(node):
+        for name, count in spec.lower(node):
             if count:
-                emit(name, node.level, count)
+                emit(name, spec.lower_level(node), count)
     return ops
 
 

@@ -158,6 +158,9 @@ class OpSpec:
     wave: Optional[str] = None
     run: Optional[Callable] = None
     lower: Callable = lambda node: ()
+    #: The level ``lower`` is priced at: the node's own, or for an op that
+    #: works on its argument's limbs and drops one (``rescale``) the input's.
+    lower_level: Callable = lambda node: node.level
     hybrid: Optional[Callable] = None
     keys: Callable = lambda node, ring_degree: ()
 
@@ -217,7 +220,8 @@ OP_TABLE: Dict[str, OpSpec] = {spec.name: spec for spec in (
     OpSpec("rescale", "drop the top limb and divide the scale by it",
            level=_rescale_level,
            scale=lambda p, a, at: a[0].scale / p.params.moduli[a[0].level],
-           run=lambda r, n, a: r.ev.rescale(a), lower=_table2("Rescale")),
+           run=lambda r, n, a: r.ev.rescale(a), lower=_table2("Rescale"),
+           lower_level=lambda node: node.level + 1),
     OpSpec("mod_down", "drop limbs down to `level` (scale kept)",
            attrs=("level",), level=_mod_down_level,
            run=lambda r, n, a: r.ev.mod_down_to(a, n.attrs["level"])),

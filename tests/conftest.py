@@ -28,15 +28,16 @@ def pytest_configure(config):
 
 
 @pytest.fixture
-def matrix_core(request, monkeypatch):
-    """Word-32 transforms on the matrix core, as on a box where the native
-    library did not build or load.
+def no_native_library(request, monkeypatch):
+    """The numpy backend as on a box where the native library did not build
+    or load: word-32 transforms on the matrix core, and the keyswitch MAC,
+    the plaintext MAC and BConv on their numpy bodies.
 
-    A test substitution, not a switch (production takes the core the
-    platform gives it): ``repro.fhe.native.library`` reads as ``None`` for
-    the test, and the transform-table caches of the registered numpy
-    backends and of those the test module holds are emptied on the way in
-    and out, so no table built for one core serves the other.
+    A test substitution, not a switch (production takes what the platform
+    gives it): ``repro.fhe.native.library`` reads as ``None`` for the test,
+    and the transform-table caches of the registered numpy backends and of
+    those the test module holds are emptied on the way in and out, so no
+    table built with the library serves a test without it, or the reverse.
     """
     from repro.fhe import backend, native
 

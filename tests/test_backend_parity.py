@@ -30,7 +30,7 @@ except ImportError:  # the whole module is skipped below
     np = None
 
 from repro.fhe import backend as backend_module
-from repro.fhe import modmath
+from repro.fhe import modmath, native
 from repro.fhe.backend import (
     ArithmeticBackend,
     NumpyBackend,
@@ -214,7 +214,7 @@ class TestNTTParity:
         assert _rows(NUMPY.limbs_convolution(contexts, packed[0], packed[1])) == golden
 
 
-@pytest.mark.usefixtures("matrix_core")
+@pytest.mark.usefixtures("no_native_library")
 class TestNTTParityOnTheMatrixCore(TestNTTParity):
     """Every :class:`TestNTTParity` leg again on the matrix core: the word-32
     transform of a box where the native library did not build."""
@@ -669,9 +669,18 @@ class TestCenteredLiftParity:
                 assert big.infinity_norm() == product // 2
 
 
+def _without_library(run):
+    """``run()`` on the numpy bodies an install without the native library
+    runs (the plaintext MAC and BConv pick their route per call)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "library", lambda: None)
+        return run()
+
+
 class TestReductionBudget:
     """``stacked_pmult_mac`` and ``bconv_matmul`` sum unreduced products and
-    reduce once per budget; the budget edges, with operands at ``q - 1``.
+    reduce once per budget; the budget edges, with operands at ``q - 1``, on
+    the native loop where it loaded and on the numpy bodies.
     (``external_product_mac``'s edges ride its own wave-kernel test below;
     the helper that sizes its groups is checked here.)"""
 
@@ -682,6 +691,8 @@ class TestReductionBudget:
         expected = PYTHON.stacked_pmult_mac(*stores, moduli)
         actual = NUMPY.stacked_pmult_mac(*stores, moduli)
         assert tuple(map(_rows, actual)) == tuple(map(_rows, expected))
+        fallback = _without_library(lambda: NUMPY.stacked_pmult_mac(*stores, moduli))
+        assert tuple(map(_rows, fallback)) == tuple(map(_rows, expected))
         return actual
 
     # Budgets 16, 4 and 1: each case needs a second reduction group.
@@ -700,6 +711,7 @@ class TestReductionBudget:
             row[1] = (q - 1) * modmath.mod_inverse(inv, q) % q   # scales to q - 1
         expected = PYTHON.bconv_matmul(store, plan)
         assert _rows(NUMPY.bconv_matmul(store, plan)) == expected
+        assert _rows(_without_library(lambda: NUMPY.bconv_matmul(store, plan))) == expected
         return NUMPY._bconv_tables(plan)[-1] is not None
 
     def test_bconv_takes_the_single_reduction_route_at_exactly_64_bits(self):
@@ -991,7 +1003,7 @@ def _golden_rows(golden, contexts, x):
          for i, row in enumerate(flat)], dtype=np.uint64).reshape(x.shape)
 
 
-@pytest.mark.usefixtures("matrix_core")
+@pytest.mark.usefixtures("no_native_library")
 class TestMatrixNTT:
     def _check(self, contexts, x, tabs=None):
         tabs = tabs or NUMPY._tables(contexts)

@@ -218,7 +218,7 @@ class TestFourStepNTT:
 
     @pytest.mark.skipif("numpy" not in available_backends(),
                         reason="numpy backend unavailable")
-    @pytest.mark.usefixtures("matrix_core")
+    @pytest.mark.usefixtures("no_native_library")
     @pytest.mark.parametrize("degree", [16, 64, 256, 1024])
     def test_numpy_word32_transform_is_the_square_split(self, degree):
         context = make_context(degree)

@@ -45,6 +45,7 @@ from repro.fhe.program import (
     hybrid_kernel_histogram,
     lower_hybrid_to_workloads,
     lower_to_operations,
+    lower_to_traces,
     operation_histogram,
     plan_program,
 )
@@ -414,6 +415,20 @@ class TestLowering:
         assert hmult.level == params.max_level
         hadd = next(op for op in ops if op.name == "HAdd")
         assert hadd.level == params.max_level - 1
+        # Rescale works on its input's limbs: priced where it starts.
+        rescale = next(op for op in ops if op.name == "Rescale")
+        assert rescale.level == params.max_level
+
+    def test_a_rescale_onto_level_zero_lowers_to_a_flow(self):
+        params = CKKSParameters.toy()
+        t = HETrace(params)
+        x = t.input("x", level=1)
+        t.output("y", (x * x).rescale())
+        planned = plan_program(t.program)
+        assert [(op.name, op.level) for op in lower_to_operations(planned)] == [
+            ("HMult", 1), ("Rescale", 1)]
+        traces = lower_to_traces(planned)
+        assert len(traces) == 2 and all(len(trace) for trace in traces)
 
 
 # ---------------------------------------------------------------------------

@@ -747,7 +747,7 @@ class TestWaveScratch:
         assert not np.shares_memory(out, store) and not np.shares_memory(out, again)
         assert np.array_equal(store, kept) and np.array_equal(out, again)
 
-    @pytest.mark.usefixtures("matrix_core")
+    @pytest.mark.usefixtures("no_native_library")
     @pytest.mark.parametrize("kernel", ["ntt_forward_batch", "ntt_inverse_batch"])
     def test_a_returned_store_is_never_a_scratch_buffer(self, ring, kernel):
         np = pytest.importorskip("numpy")
@@ -766,7 +766,7 @@ class TestWaveScratch:
         assert np.array_equal(out, transform(context, first))
         assert np.array_equal(again, transform(context, second))
 
-    @pytest.mark.usefixtures("matrix_core")
+    @pytest.mark.usefixtures("no_native_library")
     def test_one_scratch_survives_a_change_of_row_count(self, ring, waves):
         np = pytest.importorskip("numpy")
         context, rows = ring
