@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are six families of fast-path /
+exactness is asserted in tier-1; left here are seven families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -21,7 +21,10 @@ the speed-up (the fast path reads ``(1.0)``):
   only the core the box built;
 * the native (C) vs the numpy word-32 multiply-accumulate on one keyswitch
   ``limbs_eval_mac`` (N = 2^11, 12 limbs, 3 digits x 2 components) — the
-  same.
+  same;
+* the native (C) vs the numpy TFHE gadget decomposition on one blind-rotation
+  wave's ``gadget_decompose_rows`` (32 rows, N = 256, 5 levels, the hybrid
+  31-bit modulus) — the same.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -41,7 +44,8 @@ from repro.fhe import modmath, native
 from repro.fhe.backend import NumpyBackend, use_backend
 from repro.fhe.ckks import CKKSContext, PackedBootstrap
 from repro.fhe.ntt import NTTContext
-from repro.fhe.params import CKKSParameters
+from repro.fhe.params import CKKSParameters, TFHEParameters
+from repro.fhe.tfhe.ggsw import gadget_factors
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -274,3 +278,31 @@ def test_word32_eval_mac(benchmark, eval_mac_operands, core, monkeypatch):
     handles = [tuple(backend.limbs_eval_key(contexts, key) for key in pair)
                for pair in keys]                   # key images outside the timing
     benchmark(backend.limbs_eval_mac, contexts, digits, handles)
+
+
+# ---------------------------------------------------------------------------
+# native vs numpy gadget decomposition, one blind-rotation wave
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wave_rows():
+    """16 members x 2 GLWE components of the hybrid ring (N = 256) and the
+    bsk's 5 gadget factors."""
+    import numpy as np
+
+    params = TFHEParameters.hybrid()
+    q = params.modulus
+    rows = np.random.default_rng(0xDEC).integers(
+        0, q, size=(32, params.polynomial_size), dtype=np.uint64)
+    return rows, q, gadget_factors(q, 1 << params.bsk_base_log, params.bsk_levels)
+
+
+@pytest.mark.benchmark(
+    group="native vs numpy: gadget_decompose_rows (32 rows, N=256, 5 levels, 31-bit)")
+@pytest.mark.parametrize("core", ["native", "numpy"])
+def test_gadget_decompose_rows(benchmark, wave_rows, core, monkeypatch):
+    if core == "native" and native.library() is None:
+        pytest.skip("the native library did not build on this box")
+    if core == "numpy":
+        monkeypatch.setattr(native, "library", lambda: None)
+    benchmark(NumpyBackend().gadget_decompose_rows, *wave_rows)

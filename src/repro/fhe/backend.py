@@ -969,10 +969,11 @@ class PythonBackend(ArithmeticBackend):
 #
 # Transforms branch on it in :func:`_ntt` / :func:`_intt`, fixed-operand
 # products in :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`;
-# nothing else does.  The native library holds the word-32 transforms and
-# one multiply-accumulate (:func:`_mac32`), which the keyswitch MAC, the
-# plaintext MAC and BConv run on when it loaded; their numpy bodies are
-# what an install without it runs.
+# nothing else does.  The native library holds the word-32 transforms, one
+# multiply-accumulate (:func:`_mac32`), which the keyswitch MAC, the
+# plaintext MAC, BConv and the TFHE external product run on when it loaded,
+# and the TFHE gadget decomposition (:func:`_decompose32`); their numpy
+# bodies are what an install without it runs.
 
 if _np is not None:
     _M32 = _np.uint64(0xFFFFFFFF)
@@ -1574,6 +1575,18 @@ if _np is not None:
         out = _np.empty(shape + (n,), dtype=_np.uint64)
         lib.mac32(out.ctypes.data, q.size, a.shape[-1], n, a.ctypes.data,
                   b.ctypes.data, b_step, q.ctypes.data)
+        return out
+
+    def _decompose32(lib, x, q: int, factors):
+        """The golden signed gadget decomposition of every row of the
+        ``(rows, n)`` uint64 array ``x`` (values below ``q < 2^32``, every
+        factor in ``[0, q)``) in the native library, as a fresh
+        ``(rows * len(factors), n)`` uint64 array, level-innermost."""
+        x = _np.ascontiguousarray(x)
+        table = _np.array(factors, dtype=_np.uint64)
+        out = _np.empty((len(x) * len(table), x.shape[1]), dtype=_np.uint64)
+        lib.decompose32(out.ctypes.data, x.ctypes.data, *x.shape, int(q),
+                        len(table), table.ctypes.data)
         return out
 
 
@@ -2413,6 +2426,9 @@ class NumpyBackend(PythonBackend):
         x = self._matrix(store)
         if not self._limbs_ok((q,), x):
             return super().gadget_decompose_rows(store, q, factors)
+        lib = _native.library() if 0 < q < 1 << 32 else None
+        if lib is not None and all(0 <= f < q for f in factors):
+            return _decompose32(lib, x, q, factors)
         digits = self._decompose_digits(x.astype(_np.int64), q, factors)
         # Stack level-innermost: row r's digits at [r * levels, (r + 1) * levels).
         out = _np.stack(digits, axis=1).reshape(-1, x.shape[1])
@@ -2436,6 +2452,16 @@ class NumpyBackend(PythonBackend):
             return super().external_product_mac(fwd, key_rows, members, q)
         n = x.shape[1]
         per_member = len(x) // members
+        lib = _native.library() if q < 1 << 32 else None
+        if lib is not None:
+            # Output (m, c) sums fwd row m * R + r times key row r * (k + 1) + c.
+            digits, a = _row_table([x], len(x), n)
+            keys, b = _row_table([y], len(y), n)
+            shape = (members, len(y) // per_member, per_member)
+            a = _np.broadcast_to(a.reshape(members, 1, per_member), shape)
+            b = _np.broadcast_to(b.reshape(per_member, -1).T, shape)
+            return _mac32(lib, a, b, _np.uint64(q), n, 1,
+                          (digits, keys)).reshape(-1, n)
         x = x.reshape(members, per_member, n)
         y = y.reshape(per_member, -1, n)
         q_u = _np.uint64(q)

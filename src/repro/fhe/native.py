@@ -1,9 +1,10 @@
 """The word-32 library of ``ntt32.c``, compiled on first use (stdlib only):
-the negacyclic NTT / INTT and one multiply-accumulate (keyswitch MAC,
-plaintext MAC, BConv).
+the negacyclic NTT / INTT, one multiply-accumulate (keyswitch MAC,
+plaintext MAC, BConv, the TFHE external product) and the TFHE gadget
+decomposition.
 
 :func:`library` is the one entry point; ``None`` means the numpy backend
-runs its matrix NTT and numpy MAC bodies instead.
+runs its matrix NTT and numpy MAC and decomposition bodies instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-#: The C source: one forward and one inverse transform, one multiply-accumulate.
+#: The C source: one forward and one inverse transform, one multiply-accumulate,
+#: one gadget decomposition.
 SOURCE = Path(__file__).with_name("ntt32.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -126,6 +128,7 @@ SIGNATURES = {
     "ntt32_forward": (_P, _N, _N, _N, _P),
     "ntt32_inverse": (_P, _N, _N, _N, _P),
     "mac32": (_P, _N, _N, _N, _P, _P, _N, _P),
+    "decompose32": (_P, _P, _N, _N, ctypes.c_uint64, _N, _P),
 }
 
 

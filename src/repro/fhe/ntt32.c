@@ -1,6 +1,7 @@
 /*
- * The numpy backend's word-32 native library: the negacyclic NTT / INTT and
- * one multiply-accumulate, every modulus below 2^32.
+ * The numpy backend's word-32 native library: the negacyclic NTT / INTT, one
+ * multiply-accumulate and the TFHE gadget decomposition, every modulus below
+ * 2^32.
  *
  * The transforms run in place over a contiguous (rows, n) uint64 array of
  * values reduced below their modulus.  Row r runs under tables[r % limbs],
@@ -9,6 +10,15 @@
  * powers [n] and their Shoup constants [n], then the same for psi^-1.
  * Values stay fully reduced: the special moduli reach 32 bits, so 2q would
  * break the y < 2^32 the Shoup multiply needs.
+ *
+ * decompose32's quotients floor((2 res + f) / (2 f)) are a truncated double
+ * product with one integer correction.  The residual stays in [-q/2, q/2]
+ * and 0 < f < q < 2^32, so 2 res + f and 2 f (below 2^34) are exact doubles,
+ * and the product with the rounded 1 / (2 f) is within 2^-52 of the quotient
+ * relatively: within 2^-18 / (2 f) of it, below the 1 / (2 f) spacing of such
+ * quotients.  So the estimate never passes an integer the quotient does not
+ * reach, its truncation is within one of the floor, and the sign of the
+ * remainder num - d 2 f says which way.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -135,6 +145,50 @@ void mac32(uint64_t *out, size_t outputs, size_t terms, size_t n,
                 r = r >= 4 * q ? r - 4 * q : r;
                 r = r >= 2 * q ? r - 2 * q : r;
                 z[j] = r >= q ? r - q : r;
+            }
+        }
+    }
+}
+
+#define DECOMPOSE_BLOCK 256
+
+/*
+ * The golden signed gadget walk of every value of a contiguous (rows, n)
+ * uint64 x under q < 2^32: centre the residual into (-q/2, q/2], then per
+ * factor f (each in [0, q); 0 gives digit 0) digit = floor((2 res + f) / (2 f))
+ * and res -= digit f.  Digits are reduced into [0, q) and laid out
+ * level-innermost: row r's digit for factors[l] is out row r * levels + l.
+ */
+void decompose32(uint64_t *out, const uint64_t *x, size_t rows, size_t n,
+                 uint64_t q, size_t levels, const uint64_t *factors)
+{
+    int64_t res[DECOMPOSE_BLOCK];
+    const int64_t q64 = (int64_t)q, half = (int64_t)(q / 2);
+    for (size_t r = 0; r < rows; r++) {
+        for (size_t start = 0; start < n; start += DECOMPOSE_BLOCK) {
+            const size_t len = n - start < DECOMPOSE_BLOCK ? n - start : DECOMPOSE_BLOCK;
+            const uint64_t *row = x + r * n + start;
+            for (size_t j = 0; j < len; j++) {
+                int64_t v = (int64_t)(row[j] < q ? row[j] : row[j] % q);
+                res[j] = v > half ? v - q64 : v;
+            }
+            for (size_t l = 0; l < levels; l++) {
+                uint64_t *z = out + (r * levels + l) * n + start;
+                const int64_t f = (int64_t)factors[l], f2 = 2 * f;
+                if (f == 0) {
+                    for (size_t j = 0; j < len; j++)
+                        z[j] = 0;
+                    continue;
+                }
+                const double inv = 1.0 / (double)f2;
+                for (size_t j = 0; j < len; j++) {
+                    const int64_t num = 2 * res[j] + f;
+                    int64_t d = (int64_t)((double)num * inv);
+                    const int64_t rem = num - d * f2;
+                    d += (rem >= f2) - (rem < 0);
+                    res[j] -= d * f;
+                    z[j] = (uint64_t)(d < 0 ? d + q64 : d);
+                }
             }
         }
     }

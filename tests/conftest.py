@@ -31,7 +31,8 @@ def pytest_configure(config):
 def no_native_library(request, monkeypatch):
     """The numpy backend as on a box where the native library did not build
     or load: word-32 transforms on the matrix core, and the keyswitch MAC,
-    the plaintext MAC and BConv on their numpy bodies.
+    the plaintext MAC, BConv, the TFHE external product and the gadget
+    decomposition on their numpy bodies.
 
     A test substitution, not a switch (production takes what the platform
     gives it): ``repro.fhe.native.library`` reads as ``None`` for the test,

@@ -770,6 +770,14 @@ class TestWaveKernelParity:
             with pytest.raises(ValueError, match="do not split"):
                 backend.rows_monomial_multiply(rows, q, [1, 2], 2)
 
+    @pytest.fixture(params=["library", "no-library"])
+    def library(self, request):
+        """Where it built, the native library; and the numpy bodies an
+        install without it runs (``no_native_library``)."""
+        if request.param == "no-library":
+            request.getfixturevalue("no_native_library")
+
+    @pytest.mark.usefixtures("library")
     def test_gadget_decompose_rows_is_stacked_gadget_decompose(self, q, n):
         rows = _wave_store(q, n, 4, 3)
         rows[0][:3] = [0, q - 1, q // 2]
@@ -782,6 +790,7 @@ class TestWaveKernelParity:
         packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
         assert _rows(NUMPY.gadget_decompose_rows(packed, q, factors)) == expected
 
+    @pytest.mark.usefixtures("library")
     def test_external_product_mac_is_a_sum_per_member_and_component(self, q, n):
         members, per_member, width = 3, 4, 2
         fwd = _wave_store(q, n, members * per_member, 4)

@@ -10,15 +10,21 @@ store layout the kernels hand them; the three multiply-accumulate kernels
 (``limbs_eval_mac``, ``stacked_pmult_mac``, ``bconv_matmul``) must equal the
 golden ones on the same moduli, at every term count the accumulator has an
 edge at, in the C loop and in the numpy bodies an install without the
-library runs.  Whatever the loader returns, the results stay golden.
+library runs; so must the TFHE wave kernels on it, ``external_product_mac``
+and the gadget decomposition ``gadget_decompose_rows``, at every modulus
+below 2^32, factor and value its float quotient has an edge at.  Whatever
+the loader returns, the results stay golden.
 """
 
+import collections
 import os
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fhe import backend as backend_module
 from repro.fhe import modmath, native
@@ -26,8 +32,10 @@ from repro.fhe.backend import NumpyBackend, PythonBackend, available_backends
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.rns import RNSBasis, _bconv_plan
+from repro.fhe.tfhe.ggsw import gadget_factors
 
 PYTHON = PythonBackend()
+HYBRID_Q = TFHEParameters.hybrid().modulus
 needs_numpy = pytest.mark.skipif(
     "numpy" not in available_backends(), reason="numpy backend unavailable")
 needs_library = pytest.mark.skipif(
@@ -52,14 +60,19 @@ def failing_compiler(tmp_path):
     return str(path)
 
 
+def _source_without(name, directory, monkeypatch):
+    """``native.SOURCE`` with entry point ``name`` renamed: a library that
+    builds but lacks it."""
+    source = directory / f"without-{name}.c"
+    source.write_text(native.SOURCE.read_text().replace(
+        f"void {name}(", f"void {name}_renamed("))
+    monkeypatch.setattr(native, "SOURCE", source)
+
+
 @pytest.fixture
 def source_without_mac(tmp_path, monkeypatch):
-    """``native.SOURCE`` with ``mac32`` renamed: a library that builds but
-    lacks one entry point."""
-    source = tmp_path / "ntt32.c"
-    source.write_text(native.SOURCE.read_text().replace(
-        "void mac32(", "void mac32_renamed("))
-    monkeypatch.setattr(native, "SOURCE", source)
+    """A library that builds but lacks ``mac32``."""
+    _source_without("mac32", tmp_path, monkeypatch)
 
 
 def _replace(path, data):
@@ -98,11 +111,15 @@ class TestLoader:
         assert native.build(cache.parent / "missing", native._compiler()) is None
 
     @needs_library
-    @pytest.mark.usefixtures("source_without_mac")
-    def test_a_library_missing_an_entry_point_is_refused(self, cache):
-        assert native.build(cache, native._compiler()) is None
-        # Built and cached (it compiled), but never bound.
-        assert len(list(cache.iterdir())) == 1
+    def test_a_library_missing_an_entry_point_is_refused(self, tmp_path, monkeypatch):
+        assert "decompose32" in native.SIGNATURES
+        for name in native.SIGNATURES:
+            cache = tmp_path / name
+            cache.mkdir(mode=0o700)
+            _source_without(name, tmp_path, monkeypatch)
+            assert native.build(cache, native._compiler()) is None, name
+            # Built and cached (it compiled), but never bound.
+            assert len(list(cache.iterdir())) == 1
 
     def test_the_answer_is_decided_once_per_process(self, cache, monkeypatch):
         calls = []
@@ -160,7 +177,8 @@ class TestCachedLibrary:
                                   "missing-entry-point"])
 def test_the_transforms_stay_golden_whatever_the_loader_returns(
         case, cache, failing_compiler, request, monkeypatch):
-    """The transforms, and the multiply-accumulate kernels with them."""
+    """The transforms, and the multiply-accumulate and TFHE wave kernels
+    with them."""
     compiler = {"no-compiler": None, "failing-compiler": failing_compiler}.get(
         case, native._compiler())
     if case in ("writable-file", "truncated-file", "missing-entry-point"):
@@ -187,6 +205,10 @@ def test_the_transforms_stay_golden_whatever_the_loader_returns(
     assert forward == [PYTHON.ntt_forward(context, row) for row in rows]
     assert backend.ntt_inverse_batch(context, forward) == rows
     _check_macs(backend, 256, modmath.find_ntt_primes(32, 256, 4), 3, seed=5)
+    q = context.modulus
+    _decompose(backend, backend.pack_limbs(rows, (q,) * 3), q,
+               gadget_factors(q, 64, 5))
+    _external_product(backend, q, 256, members=2, levels=5, k=1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,37 +374,63 @@ def _check_macs(backend, n, moduli, terms, seed, edge=False):
     return eval_mac, pmult
 
 
+def _decompose(backend, store, q, factors):
+    """``backend.gadget_decompose_rows`` against the golden one."""
+    expected = PYTHON.gadget_decompose_rows(_rows(store), q, factors)
+    assert _rows(backend.gadget_decompose_rows(store, q, factors)) == expected
+    return expected
+
+
+def _external_product(backend, q, n, members, levels, k, seed=0, edge=False):
+    """``backend.external_product_mac`` of ``members`` wave members, each
+    with ``levels * (k + 1)`` digit rows, against a GGSW slice of
+    ``(k + 1)`` components per digit row, compared with the golden one; a
+    member or key row count that does not split the rows raises its error."""
+    per_member = levels * (k + 1)
+    fwd = _stores((q,) * (members * per_member), n, 1, seed, edge)[0]
+    key = _stores((q,) * (per_member * (k + 1)), n, 1, seed + 1, edge)[0]
+    expected = PYTHON.external_product_mac(_rows(fwd), _rows(key), members, q)
+    assert _rows(backend.external_product_mac(fwd, key, members, q)) == expected
+    for count, rows in ((0, key), (len(fwd) + 1, key), (members, key[:-1])):
+        with pytest.raises(ValueError, match="row counts"):
+            backend.external_product_mac(fwd, rows, count, q)
+    return expected
+
+
 class _Route:
-    """Which multiply-accumulate ran: ``native`` says which one should have,
-    ``calls`` counts the C loop's calls."""
+    """Which body ran: ``native`` says whether the C library should have,
+    ``calls`` counts the calls of its entries ``_mac32`` / ``_decompose32``."""
 
     def __init__(self, native_route):
         self.native = native_route
-        self.calls = 0
+        self.calls = collections.Counter()
 
     def backend(self):
         return NumpyBackend(min_vector_length=0, min_ntt_length=0)
 
-    def check(self):
-        assert (self.calls > 0) == self.native
+    def check(self, entry="_mac32"):
+        assert (self.calls[entry] > 0) == self.native
 
 
 @pytest.fixture(params=["native", "numpy"])
 def route(request, monkeypatch):
-    """The C loop where the library built, and the numpy bodies an install
+    """The C library where it built, and the numpy bodies an install
     without it runs (``no_native_library``)."""
     if request.param == "numpy":
         request.getfixturevalue("no_native_library")
     elif native.library() is None:
         pytest.skip("the native library did not build here")
     chosen = _Route(request.param == "native")
-    mac32 = backend_module._mac32
 
-    def counted(*args):
-        chosen.calls += 1
-        return mac32(*args)
+    def counted(entry, body):
+        def call(*args):
+            chosen.calls[entry] += 1
+            return body(*args)
+        return call
 
-    monkeypatch.setattr(backend_module, "_mac32", counted)
+    for entry in ("_mac32", "_decompose32"):
+        monkeypatch.setattr(backend_module, entry,
+                            counted(entry, getattr(backend_module, entry)))
     return chosen
 
 
@@ -474,3 +522,147 @@ class TestNativeMacParity:
         with pytest.raises(ValueError):
             backend.stacked_pmult_mac([stores[1], short], [stores[2]] * 2,
                                       [stores[3]] * 2, moduli)
+
+    @pytest.mark.parametrize("members", [1, 2, 16])
+    @pytest.mark.parametrize("levels", [1, 5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_external_product_mac(self, route, members, levels, k):
+        """The hybrid modulus, and the largest NTT prime below 2^32 with every
+        operand at ``q - 1``: each output element is then the member's row
+        count, ``levels * (k + 1) * (q - 1)^2 = levels * (k + 1) (mod q)``."""
+        backend = route.backend()
+        _external_product(backend, HYBRID_Q, 64, members, levels, k,
+                          seed=members + levels + k)
+        q = modmath.find_ntt_prime(32, 64)
+        out = _external_product(backend, q, 64, members, levels, k, edge=True)
+        assert out == [[levels * (k + 1)] * 64] * (members * (k + 1))
+        route.check()
+
+
+# ---------------------------------------------------------------------------
+# Native decomposition parity: gadget_decompose_rows against golden
+# ---------------------------------------------------------------------------
+
+#: The two largest primes below 2^32 and the largest odd modulus below it.
+WIDE_MODULI = (4294967291, 4294967279, 4294967295)
+
+
+def _tfhe_chains():
+    """``(N, q, factors)`` of every TFHE parameter set's bsk and ksk chain."""
+    chains = []
+    for params in (TFHEParameters.toy(), TFHEParameters.small(),
+                   TFHEParameters.hybrid()):
+        q = params.modulus
+        for base_log, levels in ((params.bsk_base_log, params.bsk_levels),
+                                 (params.ksk_base_log, params.ksk_levels)):
+            chains.append((params.polynomial_size, q,
+                           tuple(gadget_factors(q, 1 << base_log, levels))))
+    return chains
+
+
+def _edge_rows(q, n, count, seed):
+    """``count`` uniform ``(count, n)`` rows below ``q``, each opening with
+    0, 1, q // 2, q // 2 + 1 and q - 1 (the centring edges)."""
+    np = pytest.importorskip("numpy")
+    rows = np.random.default_rng(seed).integers(0, q, size=(count, n), dtype=np.uint64)
+    edges = [0, 1, q // 2, q // 2 + 1, q - 1][:n]
+    rows[:, :len(edges)] = edges
+    return rows
+
+
+def _ties(values, q, factors):
+    """``(level, sign)`` of every exact tie (``2 res + f`` a multiple of
+    ``2 f``, ``res`` not zero) the golden walk of ``values`` meets."""
+    seen = set()
+    for value in values:
+        res = modmath.centered(value, q)
+        for level, f in enumerate(factors):
+            if f and res and (2 * res + f) % (2 * f) == 0:
+                seen.add((level, res > 0))
+            res -= (2 * res + f) // (2 * f) * f if f else 0
+    return seen
+
+
+@needs_numpy
+class TestNativeDecomposeParity:
+    @pytest.mark.parametrize("n,q,factors", _tfhe_chains())
+    def test_every_tfhe_chain(self, route, n, q, factors):
+        _decompose(route.backend(), _edge_rows(q, n, 6, seed=len(factors)), q, factors)
+        route.check("_decompose32")
+
+    @pytest.mark.parametrize("q", WIDE_MODULI)
+    def test_the_widest_moduli(self, route, q):
+        assert [p for p in range(WIDE_MODULI[1], 1 << 32)
+                if modmath.is_prime(p)] == sorted(WIDE_MODULI[:2])
+        rows = _edge_rows(q, 300, 4, seed=q % 1000)
+        for factors in (gadget_factors(q, 1 << 8, 4), gadget_factors(q, 3, 20),
+                        (q - 1, q // 2, q // 2 + 1, 2, 1)):
+            _decompose(route.backend(), rows, q, factors)
+        route.check("_decompose32")
+
+    @pytest.mark.parametrize("factors", [(0,), (1,), (0, 1), (1, 0, 7),
+                                         (HYBRID_Q // 3, 0, 1, 0)])
+    def test_zero_and_unit_factors(self, route, factors):
+        q = HYBRID_Q
+        digits = _decompose(route.backend(), _edge_rows(q, 64, 3, seed=1), q, factors)
+        for level, f in enumerate(factors):
+            if f == 0:
+                assert all(set(row) == {0} for row in digits[level::len(factors)])
+        route.check("_decompose32")
+
+    def test_exact_ties_of_both_signs_at_every_level(self, route):
+        """Every factor even, so ``res = k f + f / 2`` is a tie.  At ``f = 98``
+        the double quotient of the tie ``res = 49`` is just below 1 (found by
+        search): its truncation is 0, and only the upward correction lifts it."""
+        np = pytest.importorskip("numpy")
+        assert int(196 * (1.0 / 196)) == 0
+        for q in (HYBRID_Q, WIDE_MODULI[0]):
+            factors = (1 << 26, 1 << 20, 1 << 14, 98, 2)
+            values = sorted({sign * (k * f + f // 2) % q for f in factors
+                             for k in range(4) for sign in (1, -1)})
+            assert _ties(values, q, factors) == {
+                (level, sign) for level in range(5) for sign in (True, False)}
+            rows = np.array([values, values[::-1]], dtype=np.uint64)
+            _decompose(route.backend(), rows, q, factors)
+        route.check("_decompose32")
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 300])
+    def test_widths_around_the_block(self, route, n):
+        q = HYBRID_Q
+        _decompose(route.backend(), _edge_rows(q, n, 3, seed=n), q,
+                   gadget_factors(q, 64, 5))
+        route.check("_decompose32")
+
+    def test_layouts(self, route):
+        """uint32 (wire-decoded), strided, Fortran-ordered and empty stores."""
+        np = pytest.importorskip("numpy")
+        q = WIDE_MODULI[0]
+        factors = gadget_factors(q, 1 << 6, 5)
+        wide = _edge_rows(q, 600, 5, seed=2)
+        stores = (wide.astype(np.uint32), wide[:, ::2], wide[::2, 1::3],
+                  np.asfortranarray(wide), np.zeros((0, 64), dtype=np.uint64))
+        assert not stores[1].flags.c_contiguous and not stores[2].flags.c_contiguous
+        for store in stores:
+            _decompose(route.backend(), store, q, factors)
+        route.check("_decompose32")
+
+    def test_what_the_library_does_not_take_runs_the_numpy_body(self, route):
+        """A factor outside ``[0, q)``, and moduli of 2^32 and above."""
+        backend = route.backend()
+        q = HYBRID_Q
+        rows = _edge_rows(q, 64, 2, seed=3)
+        _decompose(backend, rows, q, (q, 5))
+        _decompose(backend, rows, q, (q + 7, q // 64))
+        for wide in ((1 << 32) + 15, modmath.find_ntt_prime(36, 64)):
+            _decompose(backend, _edge_rows(wide, 64, 2, seed=4), wide,
+                       gadget_factors(wide, 1 << 6, 5))
+        assert route.calls["_decompose32"] == 0
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(3, (1 << 32) - 1), st.integers(2, 1 << 16),
+           st.integers(1, 8), st.integers(0, 1 << 16))
+    def test_sweep(self, route, q, base, levels, seed):
+        _decompose(route.backend(), _edge_rows(q, 37, 3, seed), q,
+                   gadget_factors(q, base, levels))
+        route.check("_decompose32")
