@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are seven families of fast-path /
+exactness is asserted in tier-1; left here are eight families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -19,6 +19,9 @@ the speed-up (the fast path reads ``(1.0)``):
 * the native (C) vs the matrix word-32 transform core on one
   ``stacked_ntt`` of 36 rows (N = 2^11, 30-bit) — the e2e workloads run
   only the core the box built;
+* the native (C) vs the golden word-64 transform on one ``stacked_ntt`` of
+  the hybrid query's repack shape (16 stores of its 40/42-bit extended
+  basis, N = 64) — the same;
 * the native (C) vs the numpy word-32 multiply-accumulate on one keyswitch
   ``limbs_eval_mac`` (N = 2^11, 12 limbs, 3 digits x 2 components) — the
   same;
@@ -46,6 +49,7 @@ from repro.fhe.ckks import CKKSContext, PackedBootstrap
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.tfhe.ggsw import gadget_factors
+from repro.workloads.hybrid_workloads import hybrid_query_parameters
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -242,6 +246,39 @@ def test_word32_transform_core(benchmark, limb_stack, core, monkeypatch):
         monkeypatch.setattr(native, "library", lambda: None)
     backend = NumpyBackend()
     contexts, stores = limb_stack
+    backend.stacked_ntt(contexts, stores)          # tables outside the timing
+    benchmark(backend.stacked_ntt, contexts, stores)
+
+
+# ---------------------------------------------------------------------------
+# native vs golden word-64 transform, the hybrid query's repack shape
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def repack_stack():
+    """16 stores over the hybrid query's level-0 extended basis (N = 64)."""
+    import numpy as np
+
+    params = hybrid_query_parameters()[0]
+    moduli = params.extended_basis(0).moduli
+    contexts = tuple(NTTContext(params.ring_degree, q) for q in moduli)
+    column = np.array(moduli, dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(0x64)
+    return contexts, [rng.integers(0, 1 << 62, size=column.shape[:1] + (64,),
+                                   dtype=np.uint64) % column for _ in range(16)]
+
+
+@pytest.mark.benchmark(
+    group="native vs golden: word-64 stacked_ntt (N=64, 16 stores, 40/42-bit)")
+@pytest.mark.parametrize("core", ["native", "golden"])
+def test_word64_transform_core(benchmark, repack_stack, core, monkeypatch):
+    if core == "native" and native.library() is None:
+        pytest.skip("the native library did not build on this box")
+    if core == "golden":
+        # Without the library the word-64 transforms are the golden ones.
+        monkeypatch.setattr(native, "library", lambda: None)
+    backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+    contexts, stores = repack_stack
     backend.stacked_ntt(contexts, stores)          # tables outside the timing
     benchmark(backend.stacked_ntt, contexts, stores)
 

@@ -19,8 +19,8 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # The word-32 NTT source, compiled on first use (repro.fhe.native).
-    package_data={"repro.fhe": ["ntt32.c"]},
+    # The native library's source, compiled on first use (repro.fhe.native).
+    package_data={"repro.fhe": ["native.c"]},
     # The core library is dependency-free: all FHE arithmetic runs on the
     # exact pure-Python backend.  numpy is an optional extra enabling the
     # vectorized arithmetic backend (and the CKKS canonical-embedding

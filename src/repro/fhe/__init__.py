@@ -12,8 +12,9 @@ All ring arithmetic dispatches through a pluggable backend
 
 * ``"python"`` — exact pure-Python integers; the golden reference.
 * ``"numpy"`` — vectorized ``uint64`` arithmetic (direct-word products for
-  <=32-bit moduli, Montgomery/Shoup reduction up to 62-bit moduli); roughly
-  an order of magnitude faster on realistic ring degrees.
+  <=32-bit moduli; transforms and multiply-accumulates in a small C library
+  up to 62-bit moduli, compiled on first use); roughly an order of
+  magnitude faster on realistic ring degrees.
 
 Selecting a backend:
 

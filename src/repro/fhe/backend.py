@@ -14,16 +14,15 @@ here.  Two implementations are registered:
   and a single coefficient row (the stack of one) run the same transform
   and element-wise code.  The family is parameterised by *word size* only.
   Products of operands up to 32 bits are computed directly in a 64-bit
-  word; for the 33..62-bit primes of :mod:`repro.fhe.params` the backend
-  switches to Shoup/Montgomery reduction built on an emulated 64x64 ->
-  128-bit multiply (32-bit limb splitting), so results stay exact with no
-  overflow for every modulus the parameter sets produce (<= 61 bits).  The
-  negacyclic NTT of <= 32-bit moduli is C (:mod:`repro.fhe.native`), or
-  where no library loaded the four-step split as two exact float64 matrix
-  products on BLAS; wider moduli keep Harvey-lazy stage loops.  The word
-  size is read off the moduli; there is no switch to set.
+  word.  The negacyclic NTT and the multiply-accumulates are C
+  (:mod:`repro.fhe.native`) at both word sizes: below 2^32, and for the
+  33..62-bit primes of :mod:`repro.fhe.params` with 128-bit products.
+  Where no library loaded, the word-32 NTT is the four-step split as two
+  exact float64 matrix products on BLAS and the word-32 MACs are numpy,
+  while the word-64 transforms and products are the golden kernels.  The
+  word size is read off the moduli; there is no switch to set.
   It subclasses the python backend: moduli that do not fit this scheme
-  (>= 2^62, or even moduli above 2^32) transparently fall back to the
+  (>= 2^62, or even moduli in a transform) transparently fall back to the
   inherited golden kernels, as do tiny vectors where conversion overhead
   would dominate.
 
@@ -480,22 +479,32 @@ class ArithmeticBackend:
             for x, y, s, q in zip(rows_a, rows_b, scalars, moduli)
         ]
 
-    def bconv_matmul(self, store, plan: "BConvPlan"):
-        """Fast basis conversion as one modular matrix product (**BConv**).
+    def bconv_matmul(self, stores, plan: "BConvPlan"):
+        """Fast basis conversion as one modular matrix product (**BConv**)
+        for every store of a member wave.
 
         Computes ``y_j = sum_i [x_i * (Q/q_i)^{-1} mod q_i] * (Q/q_i) mod p_j``
         for every target modulus using the precomputed tables in ``plan``.
-        Returns a store over the target moduli.
+        ``stores`` is a list of stores over the plan's source moduli; returns
+        one store over the target moduli per member, in order, which
+        vectorized backends convert in one dispatch (as :meth:`stacked_ntt`
+        stacks its stores).  A bare store is a wave of one and returns a
+        bare store.
         """
-        rows = self.store_rows(store)
-        scaled = [
-            self.scalar_mul(row, inv, q)
-            for row, inv, q in zip(rows, plan.inverses, plan.source_moduli)
-        ]
-        return [
-            self.weighted_sum(scaled, weights, p)
-            for weights, p in zip(plan.weights, plan.target_moduli)
-        ]
+        if len(stores) and not self._is_store(stores[0]):
+            return self.bconv_matmul([stores], plan)[0]
+        out = []
+        for store in stores:
+            scaled = [
+                self.scalar_mul(row, inv, q)
+                for row, inv, q in zip(self.store_rows(store), plan.inverses,
+                                       plan.source_moduli)
+            ]
+            out.append([
+                self.weighted_sum(scaled, weights, p)
+                for weights, p in zip(plan.weights, plan.target_moduli)
+            ])
+        return out
 
     def batched_ntt(self, contexts, store):
         """Forward NTT of every limb row (row ``i`` under ``contexts[i]``)."""
@@ -961,18 +970,21 @@ class PythonBackend(ArithmeticBackend):
 #   as two exact matrix products on BLAS (:class:`_MatrixNTT`) — Trinity's
 #   NTTU phase and CU MAC-array phase — so an ``N``-point row is read about
 #   thirty times instead of ``13 log2 N`` times;
-# * word 64 — moduli up to 62 bits: Harvey-lazy butterflies over an emulated
-#   64x64 -> 128-bit multiply (32-bit limb splitting), ``beta = 2^64``
-#   constants, and Montgomery reduction where both operands vary.  (The
+# * word 64 — moduli up to 62 bits: the library's Harvey-lazy transforms
+#   and 128-bit multiply-accumulate, ``beta = 2^64`` constants.  Without
+#   the library the word-64 transforms and products are the golden kernels
+#   (``super()``); the fixed-scalar products (:func:`_shoup_mul_relaxed`)
+#   and the element-wise kernels stay numpy at either word size.  (The
 #   quotient of a 62-bit modulus does not fit a float64, so the matrix form
 #   stops at word 32.)
 #
-# Transforms branch on it in :func:`_ntt` / :func:`_intt`, fixed-operand
-# products in :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`;
-# nothing else does.  The native library holds the word-32 transforms, one
-# multiply-accumulate (:func:`_mac32`), which the keyswitch MAC, the
-# plaintext MAC, BConv and the TFHE external product run on when it loaded,
-# and the TFHE gadget decomposition (:func:`_decompose32`); their numpy
+# Transforms pick the library's entry of the word size in
+# :func:`_native_transform`, fixed-operand products branch in
+# :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`; nothing else
+# does.  The library's multiply-accumulate (:func:`_mac`), ``mac32`` or
+# ``mac64``, is what the keyswitch MAC, the plaintext MAC, BConv and the
+# TFHE external product run on where it loaded, and it holds the TFHE
+# gadget decomposition below 2^32 (:func:`_decompose32`); the word-32 numpy
 # bodies are what an install without it runs.
 
 if _np is not None:
@@ -983,66 +995,11 @@ if _np is not None:
         """Word size of the fixed-operand constants for these moduli."""
         return 32 if all(int(q).bit_length() <= 32 for q in moduli) else 64
 
-    def _mul64(a, b):
-        """Emulated full 64x64 -> 128-bit multiply: returns ``(hi, lo)``.
-
-        Operands are uint64 arrays (or scalars); the product is assembled
-        from four 32x32 partial products, each of which fits a 64-bit word.
-        """
-        a_lo = a & _M32
-        a_hi = a >> _S32
-        b_lo = b & _M32
-        b_hi = b >> _S32
-        lo_lo = a_lo * b_lo
-        mid1 = a_hi * b_lo
-        mid2 = a_lo * b_hi
-        cross = (lo_lo >> _S32) + (mid1 & _M32) + (mid2 & _M32)
-        lo = (cross << _S32) | (lo_lo & _M32)
-        hi = (a_hi * b_hi) + (mid1 >> _S32) + (mid2 >> _S32) + (cross >> _S32)
-        return hi, lo
-
-    class _Montgomery:
-        """Montgomery arithmetic (R = 2^64) under per-row odd moduli < 2^62.
-
-        The constants are ``(L, 1)`` columns, so every method broadcasts
-        over an ``(..., L, n)`` array; one modulus is the ``L = 1`` case.
-        """
-
-        __slots__ = ("q", "neg_q_inv", "r2")
-
-        def __init__(self, moduli):
-            def column(values):
-                return _np.array(values, dtype=_np.uint64)[:, None]
-
-            self.q = column(moduli)
-            self.neg_q_inv = column(
-                [(-pow(q, -1, 1 << 64)) % (1 << 64) for q in moduli]
-            )
-            self.r2 = column([pow(1 << 64, 2, q) for q in moduli])
-
-        def redc(self, hi, lo):
-            """Montgomery reduction of a 128-bit value: ``(hi:lo) * 2^-64 mod q``."""
-            m = lo * self.neg_q_inv                     # mod 2^64 (wraps)
-            mq_hi, _mq_lo = _mul64(m, self.q)
-            # lo + mq_lo == 0 mod 2^64 by construction; the carry out of that
-            # addition is exactly 1 whenever lo != 0.
-            t = hi + mq_hi + (lo != _np.uint64(0)).astype(_np.uint64)
-            return _np.where(t >= self.q, t - self.q, t)
-
-        def mont_mul(self, a, b):
-            """``a * b * 2^-64 mod q`` for operands < q (Montgomery product)."""
-            return self.redc(*_mul64(a, b))
-
-        def mulmod(self, a, b):
-            """Plain ``a * b mod q`` for reduced operands (two reductions)."""
-            return self.mont_mul(self.mont_mul(a, b), self.r2)
-
     def _shoup32_mul(y, w, s32, q_u):
         """``w * y mod q`` for ``q < 2^32`` via *direct* single-word products.
 
-        ``s32 = floor(w * 2^32 / q)``.  Every product fits one 64-bit word —
-        no 32-bit limb splitting, no emulated 128-bit multiply — and the
-        result comes out fully reduced into ``[0, q)``.  Precondition:
+        ``s32 = floor(w * 2^32 / q)``.  Every product fits one 64-bit word,
+        and the result comes out fully reduced into ``[0, q)``.  Precondition:
         ``y < 2^32`` (holds whenever the operands stay reduced below ``q``).
         """
         t = (y * s32) >> _S32
@@ -1050,14 +1007,15 @@ if _np is not None:
         return _np.minimum(r, r - q_u)
 
     def _shoup_mul_relaxed(y, w, ws_lo, ws_hi, q_u):
-        """``w * y mod q`` up to THREE extra ``q``: result in ``[0, 4q)``.
+        """``w * y mod q`` up to THREE extra ``q``: result in ``[0, 4q)``,
+        for any uint64 ``y`` (the word-64 fixed-scalar multiply).
 
-        Like :func:`_shoup_mul_lazy` but drops the low-low partial product
-        from the high-word estimate: with ``t' = hi*hi + (hi*lo >> 32) +
-        (lo*hi >> 32)`` the exact quotient satisfies ``t' <= t <= t' + 2``,
-        so the remainder picks up at most ``2q`` beyond the usual lazy
-        bound.  Seven fewer vector ops on the hottest scalar-multiply path;
-        callers reduce from ``[0, 4q)`` (requires ``4q < 2^64``).
+        ``ws = floor(w * 2^64 / q)`` comes split into 32-bit halves.  The
+        high word of ``y * ws`` is estimated without the low-low partial
+        product: with ``t' = hi*hi + (hi*lo >> 32) + (lo*hi >> 32)`` the
+        exact quotient satisfies ``t' <= t <= t' + 2``, so the remainder
+        picks up at most ``2q`` beyond the lazy ``[0, 2q)`` bound; callers
+        reduce from ``[0, 4q)`` (requires ``4q < 2^64``).
         """
         y_lo = y & _M32
         y_hi = y >> _S32
@@ -1072,36 +1030,6 @@ if _np is not None:
         result = y * w
         result -= t
         return result               # wraps mod 2^64; true value is < 4q
-
-    def _shoup_mul_lazy(y, w, ws_lo, ws_hi, q_u):
-        """``w * y mod q`` up to one extra ``q``: result in ``[0, 2q)``.
-
-        ``w`` is the fixed operand with precomputed Shoup constant
-        ``ws = floor(w * 2^64 / q)`` (split into ``ws_lo``/``ws_hi``); ``y``
-        may be ANY uint64 value — the bound holds without preconditions,
-        which is what lets the butterflies run lazily (Harvey-style).
-        In-place ufuncs keep the temporary count down; this is the single
-        hottest code path of the backend.
-        """
-        y_lo = y & _M32
-        y_hi = y >> _S32
-        mid1 = y_hi * ws_lo
-        mid2 = y_lo * ws_hi
-        cross = y_lo * ws_lo
-        cross >>= _S32
-        cross += mid1 & _M32
-        cross += mid2 & _M32
-        cross >>= _S32
-        mid1 >>= _S32
-        mid2 >>= _S32
-        t = y_hi * ws_hi            # y_hi is full shape, so t is too
-        t += mid1
-        t += mid2
-        t += cross
-        t *= q_u
-        result = y * w
-        result -= t
-        return result               # wraps mod 2^64; true value is < 2q
 
     def _fixed_operand(rows, moduli, word: int) -> tuple:
         """Fixed multiplicands with their Shoup constants, one row per modulus.
@@ -1133,20 +1061,16 @@ if _np is not None:
             array([s >> 32 for s in shoup]),
         )
 
-    def _fixed_mul(y, operand, q, word: int, lazy: bool = False):
+    def _fixed_mul(y, operand, q, word: int):
         """``y * w mod q`` against a :func:`_fixed_operand`, fully reduced.
 
         The one place a fixed-operand product branches on the word size.
         Word 32 needs ``y < 2^32`` (reduced inputs); word 64 takes any
-        uint64 ``y``.  ``lazy=True`` allows a representative below ``4q``
-        (what the word-64 multiply produces before its two conditional
-        subtractions) for callers that accumulate before reducing.
+        uint64 ``y``.
         """
         if word == 32:
             return _shoup32_mul(y, *operand, q)
         v = _shoup_mul_relaxed(y, *operand, q)
-        if lazy:
-            return v
         v = _np.minimum(v, v - (q + q))
         return _np.minimum(v, v - q)
 
@@ -1330,16 +1254,19 @@ if _np is not None:
             _np.subtract(acc, self.q, out=word)
             _np.minimum(acc.reshape(out.shape), word.reshape(out.shape), out=out)
 
-    def _shoup_table(context):
-        """The native core's constants for one ``(N, q)``: one uint32 array
-        in the layout given at the top of ``ntt32.c``."""
-        q = context.modulus
-        parts = [_np.array([q, context.n_inv, (context.n_inv << 32) // q, 0],
-                           dtype=_np.uint64)]
+    def _shoup_table(context, word: int):
+        """The native core's constants for one ``(N, q)``: one array of
+        uint32 (word 32) or uint64 (word 64) in the layout given at the top
+        of ``native.c``."""
+        q, n_inv = context.modulus, context.n_inv
+        parts = [_np.array([q, n_inv, (n_inv << word) // q, 0], dtype=_np.uint64)]
         for twiddles in (context._fwd_twiddles, context._inv_twiddles):
             w = _np.array(twiddles, dtype=_np.uint64)
-            parts += [w, (w << _S32) // _np.uint64(q)]
-        return _np.concatenate(parts).astype(_np.uint32)
+            # floor(w 2^64 / q) needs 128 bits: python ints.
+            shoup = ((w << _S32) // _np.uint64(q) if word == 32
+                     else [(int(v) << 64) // q for v in twiddles])
+            parts += [w, _np.array(shoup, dtype=_np.uint64)]
+        return _np.concatenate(parts).astype(f"uint{word}")
 
     class _NTTTables:
         """Transform tables for a tuple of same-degree NTT contexts.
@@ -1347,76 +1274,32 @@ if _np is not None:
         Per-limb constants are ``(L, 1)`` columns, so a kernel handles every
         limb of an ``(..., L, n)`` stack at once under its own modulus; a
         single context is ``L = 1``, which also serves any number of rows
-        under that one modulus.  What the transform itself reads depends on
-        ``word``:
-
-        * word 32 — one core per context, held once per ``(N, q)`` in the
-          cached single-context tables (a tuple of contexts only collects
-          references, so a modulus costs the same however many bases it
-          appears in): ``shoup`` / ``addresses`` for the ``native`` library,
-          else ``matrix`` (:class:`_MatrixNTT`, applied limb by limb).
-        * word 64 — ``fwd`` / ``inv`` are ``(L, n)`` Shoup twiddle matrices
-          (:func:`_fixed_operand` tuples, concatenated from the
-          single-context tables), ``fwd_stages`` / ``inv_stages`` the same
-          twiddles cut into the per-stage ``(L, m, 1)`` views the
-          butterflies multiply by, in stage order, so the stage loops slice
-          nothing; ``n_inv`` scales the inverse, and ``r`` is
-          ``R = 2^64 mod q``, which :func:`_eval_mul` uses to leave the
-          Montgomery domain in one REDC.
+        under that one modulus.  The transform's tables are held once per
+        ``(N, q)`` in the cached single-context tables (a tuple of contexts
+        only collects references, so a modulus costs the same however many
+        bases it appears in): ``shoup`` / ``addresses`` for the ``native``
+        library at either word size, else ``matrix`` (:class:`_MatrixNTT`,
+        word 32 only, applied limb by limb).
         """
 
-        __slots__ = ("n", "word", "key_form", "q", "mont", "native", "shoup",
-                     "addresses", "matrix", "q2", "q_s", "q2_s", "fwd", "inv",
-                     "fwd_stages", "inv_stages", "n_inv", "r")
+        __slots__ = ("n", "word", "q", "native", "shoup", "addresses", "matrix")
 
-        def __init__(self, contexts, word: int, mont, singles=None):
-            moduli = [ctx.modulus for ctx in contexts]
+        def __init__(self, contexts, word: int, singles=None):
             self.n = contexts[0].ring_degree
             self.word = word
-            # Names the key form of :func:`_eval_mul` on ``limbs_eval_key``
-            # handles: one form per word size.
-            self.key_form = f"numpy{word}"
-            self.mont = mont
+            moduli = [ctx.modulus for ctx in contexts]
             self.q = _np.array(moduli, dtype=_np.uint64)[:, None]
-            self.native = _native.library() if word == 32 else None
+            self.native = _native.library()
             if self.native is not None:
-                self.shoup = ([_shoup_table(contexts[0])] if singles is None
+                self.shoup = ([_shoup_table(contexts[0], word)] if singles is None
                               else [single.shoup[0] for single in singles])
                 self.addresses = _np.array(
                     [table.ctypes.data for table in self.shoup], dtype=_np.uintp)
-                return
-            if word == 32:
+            else:
                 self.matrix = (
                     [_MatrixNTT(contexts[0])] if singles is None
                     else [single.matrix[0] for single in singles]
                 )
-                return
-            self.q2 = self.q * _np.uint64(2)
-            # Trailing axis for the (..., L, blocks, t) butterfly views.
-            self.q_s = self.q[:, :, None]
-            self.q2_s = self.q2[:, :, None]
-            if singles is None:
-                (ctx,), (q,) = contexts, moduli
-                self.fwd = _fixed_operand([ctx._fwd_twiddles], moduli, word)
-                self.inv = _fixed_operand([ctx._inv_twiddles], moduli, word)
-                self.n_inv = _fixed_operand([[ctx.n_inv]], moduli, word)
-                self.r = _fixed_operand([[(1 << 64) % q]], moduli, 64)
-            else:
-                for name in ("fwd", "inv", "n_inv", "r"):
-                    parts = [getattr(single, name) for single in singles]
-                    setattr(self, name, tuple(
-                        _np.concatenate(arrays) for arrays in zip(*parts)
-                    ))
-            # Stage ``m`` (m = 1, 2, 4, ...) uses twiddles [m, 2m): forward
-            # walks them upwards, inverse downwards.
-            starts = [1 << k for k in range(self.n.bit_length() - 1)]
-            self.fwd_stages = [
-                tuple(w[:, m:2 * m, None] for w in self.fwd) for m in starts
-            ]
-            self.inv_stages = [
-                tuple(w[:, m:2 * m, None] for w in self.inv)
-                for m in reversed(starts)
-            ]
 
     def _matrix_transform(tabs, x, inverse: bool, scratch=None):
         """The word-32 core: each limb's rows through its :class:`_MatrixNTT`.
@@ -1435,60 +1318,18 @@ if _np is not None:
             matrix.transform(stack[:, i], out[:, i], inverse, scratch)
         return out.reshape(x.shape)
 
-    def _native_transform(tabs, x, function):
-        """The word-32 native core: ``function`` in place over a fresh
-        C-ordered uint64 copy of ``x``, row ``r`` under limb ``r % L``."""
+    def _native_transform(tabs, x, inverse: bool):
+        """The native core: its forward (or inverse) transform of the word
+        size in place over a fresh C-ordered uint64 copy of ``x``, row ``r``
+        under limb ``r % L``."""
         out = _np.array(x, dtype=_np.uint64, order="C")
         rows, limbs = out.size // tabs.n, len(tabs.shoup)
         if out.shape[-1] != tabs.n or rows % limbs:
             raise ValueError(f"{out.shape} is not rows of {tabs.n} over {limbs} limbs")
-        function(out.ctypes.data, rows, tabs.n, limbs, tabs.addresses.ctypes.data)
+        name = f"ntt{tabs.word}_{'inverse' if inverse else 'forward'}"
+        getattr(tabs.native, name)(out.ctypes.data, rows, tabs.n, limbs,
+                                   tabs.addresses.ctypes.data)
         return out
-
-    def _forward_stages64(x, tabs):
-        """Cooley-Tukey stages with Harvey lazy reduction (word 64).
-
-        In place over ``(..., L, n)``; accepts and produces values below
-        ``4q`` (the caller reduces once at the end).  Conditional
-        subtraction uses the wraparound trick ``min(v, v - q)``: when
-        ``v < q`` the subtraction wraps to a huge value and ``min`` keeps
-        ``v``, else it keeps the reduced value.
-        """
-        q_s = tabs.q_s
-        q2_s = tabs.q2_s
-        lead = x.shape[:-1]
-        t = tabs.n
-        m = 1
-        for twiddles in tabs.fwd_stages:
-            t //= 2
-            blocks = x.reshape(lead + (m, 2 * t))
-            u0 = blocks[..., :t]
-            u = _np.minimum(u0, u0 - q2_s)                 # < 2q
-            v = _shoup_mul_lazy(blocks[..., t:], *twiddles, q_s)   # < 2q
-            _np.add(u, v, out=blocks[..., :t])             # < 4q
-            v -= q2_s
-            _np.subtract(u, v, out=blocks[..., t:])        # u - v + 2q < 4q
-            m *= 2
-        return x
-
-    def _inverse_stages64(x, tabs):
-        """Gentleman-Sande stages with lazy reduction (word 64, values < 2q)."""
-        q_s = tabs.q_s
-        q2_s = tabs.q2_s
-        lead = x.shape[:-1]
-        t = 1
-        h = tabs.n
-        for twiddles in tabs.inv_stages:
-            h //= 2
-            blocks = x.reshape(lead + (h, 2 * t))
-            u = blocks[..., :t]
-            v = blocks[..., t:]
-            s = u + v                                      # < 4q
-            d = u + (q2_s - v)                             # < 4q (true value, fine for Shoup)
-            _np.minimum(s, s - q2_s, out=blocks[..., :t])  # < 2q
-            blocks[..., t:] = _shoup_mul_lazy(d, *twiddles, q_s)   # < 2q
-            t *= 2
-        return x
 
     def _ntt(tabs, x, scratch=None):
         """Forward negacyclic NTT of every row of ``x``, fully reduced.
@@ -1501,50 +1342,31 @@ if _np is not None:
         the batch kernels; only the word-32 matrix core keeps anything in it.
         """
         if tabs.native is not None:
-            return _native_transform(tabs, x, tabs.native.ntt32_forward)
-        if tabs.word == 32:
-            return _matrix_transform(tabs, x, inverse=False, scratch=scratch)
-        x = _forward_stages64(x.copy(), tabs)
-        x = _np.minimum(x, x - tabs.q2)
-        return _np.minimum(x, x - tabs.q)
+            return _native_transform(tabs, x, inverse=False)
+        return _matrix_transform(tabs, x, inverse=False, scratch=scratch)
 
     def _intt(tabs, x, scratch=None):
         """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
         if tabs.native is not None:
-            return _native_transform(tabs, x, tabs.native.ntt32_inverse)
-        if tabs.word == 32:
-            return _matrix_transform(tabs, x, inverse=True, scratch=scratch)
-        x = _inverse_stages64(x.copy(), tabs)
-        return _fixed_mul(x, tabs.n_inv, tabs.q, 64)
+            return _native_transform(tabs, x, inverse=True)
+        return _matrix_transform(tabs, x, inverse=True, scratch=scratch)
 
-    def _eval_mul(tabs, x, key):
-        """Pointwise ``x * key mod q_i`` of two transforms, fully reduced.
+    def _eval_mul(tabs, x, y):
+        """Pointwise ``x * y mod q_i`` of two fully reduced transforms.
 
         The one place an evaluation-domain product branches on the word
-        size.  ``key`` is in *key form*.  Word 32: transforms are fully
-        reduced, the product is one 64-bit multiply plus one remainder, and
-        key form is the plain transform.  Word 64: key form is the transform
-        of ``key * R`` (``R = 2^64``), so one Montgomery product
-        ``(x)(key R) R^-1`` is already the plain product — no second REDC.
-
-        ``x=None`` is the preparation step: ``key`` holds coefficient rows,
-        and the result (below ``2q``, possibly ``key`` itself) is what to
-        forward-transform to get key form.  The transform is linear, so
-        scaling by ``R`` before it scales the evaluation values by ``R``.
+        size: word 32 is one 64-bit multiply plus one remainder, word 64 a
+        one-term :func:`_mac` (there are word-64 tables only where the
+        library loaded).
         """
         if tabs.word == 32:
-            return key if x is None else (x * key) % tabs.q
-        if x is None:
-            return _shoup_mul_lazy(key, *tabs.r, tabs.q)
-        return tabs.mont.mont_mul(x, key)
+            return (x * y) % tabs.q
+        return _product(tabs.native, x, y, tabs.q)
 
     def _convolve(tabs, x, y):
-        """Negacyclic products of matching rows of two coefficient arrays.
-
-        Both forward transforms ride one stacked array: the stage loop is
-        overhead-bound at small sizes, so batching nearly halves its cost.
-        """
-        z = _ntt(tabs, _np.stack([x, _eval_mul(tabs, None, y)]))
+        """Negacyclic products of matching rows of two coefficient arrays;
+        both forward transforms ride one stacked array."""
+        z = _ntt(tabs, _np.stack([x, y]))
         return _intt(tabs, _eval_mul(tabs, z[0], z[1]))
 
     def _row_table(mats, rows: int, n: int):
@@ -1557,13 +1379,14 @@ if _np is not None:
         bases = _np.array([m.ctypes.data for m in held], dtype=_np.uintp)
         return held, bases[:, None] + _np.arange(rows, dtype=_np.uintp) * _np.uintp(8 * n)
 
-    def _mac32(lib, a, b, q, n: int, b_step: int, held):
-        """``sum_k a[..., k] * b[..., k] mod q[...]``, the native word-32
-        multiply-accumulate, as a fresh ``(..., n)`` uint64 array.
+    def _mac(lib, word: int, a, b, q, n: int, b_step: int, held):
+        """``sum_k a[..., k] * b[..., k] mod q[...]``, the native
+        multiply-accumulate of the word size (``mac32`` / ``mac64``), as a
+        fresh ``(..., n)`` uint64 array.
 
         ``a`` / ``b`` are ``(..., terms)`` tables of addresses into ``held``
         (which this frame keeps alive until the C call returns): of rows of
-        ``n`` values below 2^32, or for ``b_step = 0`` of one scalar each.
+        ``n`` reduced values, or for ``b_step = 0`` of one scalar each.
         ``q`` broadcasts to ``a.shape[:-1]``.
         """
         if a.shape != b.shape:
@@ -1573,9 +1396,21 @@ if _np is not None:
         b = _np.ascontiguousarray(b, dtype=_np.uintp)
         q = _np.ascontiguousarray(_np.broadcast_to(q, shape), dtype=_np.uint64)
         out = _np.empty(shape + (n,), dtype=_np.uint64)
-        lib.mac32(out.ctypes.data, q.size, a.shape[-1], n, a.ctypes.data,
-                  b.ctypes.data, b_step, q.ctypes.data)
+        getattr(lib, f"mac{word}")(out.ctypes.data, q.size, a.shape[-1], n,
+                                   a.ctypes.data, b.ctypes.data, b_step,
+                                   q.ctypes.data)
         return out
+
+    def _product(lib, x, y, q):
+        """``x * y mod q`` of reduced word-64 arrays that broadcast
+        together, ``q`` a column against their rows: a one-term ``mac64``."""
+        x, y = _np.broadcast_arrays(x, y)
+        n = x.shape[-1]
+        rows = x.size // n if n else 0
+        held, table = _row_table([x.reshape(rows, n), y.reshape(rows, n)], rows, n)
+        q = _np.broadcast_to(q, x.shape[:-1] + (1,)).reshape(rows)
+        return _mac(lib, 64, table[0][:, None], table[1][:, None], q, n, 1,
+                    held).reshape(x.shape)
 
     def _decompose32(lib, x, q: int, factors):
         """The golden signed gadget decomposition of every row of the
@@ -1591,7 +1426,8 @@ if _np is not None:
 
 
 class NumpyBackend(PythonBackend):
-    """Vectorized uint64 backend (direct-word or Montgomery/Shoup reduction).
+    """Vectorized uint64 backend (direct-word or Shoup reduction, and the
+    native library's transforms and multiply-accumulates).
 
     Every kernel it cannot vectorize falls back to the golden one it
     inherits, through ``super()``.  ``min_vector_length`` /
@@ -1609,14 +1445,15 @@ class NumpyBackend(PythonBackend):
     input and cross over to the python backend below the thresholds — and
     run the same array cores as the limb-stack kernels on a ``(1, N)`` view.
 
-    Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`,
-    which pick a core from the moduli: when every modulus fits 32 bits, the
-    C loop of :mod:`repro.fhe.native`, or where it did not load two exact
-    float64 matrix products per row (the only float path in the backend —
-    exact by a digit budget fixed when the table is built, not by a
-    tolerance, so BLAS threading or summation order cannot change a bit);
-    Harvey-lazy stage loops otherwise.  Tables are cached per context tuple
-    in :meth:`_tables`; what costs memory is held once per ``(N, q)``.
+    Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`:
+    the C loops of :mod:`repro.fhe.native` at the word size of the moduli
+    where it loaded.  Where it did not, word-32 moduli run two exact float64
+    matrix products per row (the only float path in the backend — exact by
+    a digit budget fixed when the table is built, not by a tolerance, so
+    BLAS threading or summation order cannot change a bit) and word-64
+    moduli the golden kernels: word 64 runs in C or golden.  Tables are
+    cached per context tuple in :meth:`_tables`; what costs memory is held
+    once per ``(N, q)``.
     """
 
     name = "numpy"
@@ -1626,7 +1463,6 @@ class NumpyBackend(PythonBackend):
             raise RuntimeError("numpy is not available")
         self.min_vector_length = min_vector_length
         self.min_ntt_length = min_ntt_length
-        self._mont_cache: Dict[tuple, "_Montgomery | None"] = {}
         self._ntt_tables: Dict[tuple, "_NTTTables | None"] = {}
         self._q_col_cache: Dict[tuple, object] = {}
 
@@ -1635,17 +1471,6 @@ class NumpyBackend(PythonBackend):
     def _moduli_fit(moduli) -> bool:
         """Every modulus is within the vectorized word cap."""
         return all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
-
-    def _mont(self, moduli) -> "_Montgomery | None":
-        """Montgomery constants for these moduli (``None`` unless all are odd
-        and below 2^62)."""
-        key = tuple(moduli)
-        try:
-            return self._mont_cache[key]
-        except KeyError:
-            usable = self._moduli_fit(key) and all(q % 2 for q in key)
-            mont = self._mont_cache[key] = _Montgomery(key) if usable else None
-            return mont
 
     def _linear_ok(self, q: int, *sequences) -> bool:
         """Whether a single-row kernel should run vectorized: the modulus
@@ -1657,9 +1482,9 @@ class NumpyBackend(PythonBackend):
 
     def _mul_ok(self, q: int, *sequences) -> bool:
         """:meth:`_linear_ok`, and products of two variable operands reduce
-        (directly in one word, or through Montgomery)."""
+        (directly in one word, or on the native ``mac64``)."""
         return self._linear_ok(q, *sequences) and (
-            q <= (1 << 32) or self._mont((q,)) is not None
+            q <= (1 << 32) or _native.library() is not None
         )
 
     def _limbs_ok(self, moduli, matrix) -> bool:
@@ -1728,12 +1553,12 @@ class NumpyBackend(PythonBackend):
         return _np.where(x == _np.uint64(0), x, q - x)
 
     def _mulmod(self, x, y, moduli):
-        """``x * y mod q_i`` of reduced operands (``None`` if some modulus is
-        neither single-word nor Montgomery-friendly)."""
+        """``x * y mod q_i`` of reduced operands (``None`` for a modulus
+        above 2^32 where the native library did not load)."""
         if all(int(q) <= (1 << 32) for q in moduli):
             return (x * y) % self._q_col(moduli)
-        mont = self._mont(moduli)
-        return None if mont is None else mont.mulmod(x, y)
+        lib = _native.library()
+        return None if lib is None else _product(lib, x, y, self._q_col(moduli))
 
     def _scale(self, x, scalars, moduli):
         """Row ``i`` of ``x`` times the fixed ``scalars[i]``, fully reduced."""
@@ -1784,12 +1609,13 @@ class NumpyBackend(PythonBackend):
         """Transform tables for a tuple of same-degree NTT contexts.
 
         ``None`` when the vectorized transforms cannot serve them (ring
-        below the crossover, mixed degrees, or a modulus that is even or
-        above 2^62: the lazy butterflies keep values in ``[0, 4q)``, so
-        ``4q`` must fit a word).  ``word`` is chosen from the moduli; the
-        argument exists so a multi-limb table can ask for its single-context
-        parts — where the word-32 matrices and the word-64 Shoup twiddles
-        are built, once per ``(n, q)`` — in its own word size.
+        below the crossover, mixed degrees, a modulus that is even or above
+        2^62 — the word-64 butterflies keep values in ``[0, 4q)``, so ``4q``
+        must fit a word — or a word-64 modulus where the native library did
+        not load).  ``word`` is chosen from the moduli; the argument exists
+        so a multi-limb table can ask for its single-context parts — where
+        the native tables and the word-32 matrices are built, once per
+        ``(n, q)`` — in its own word size.
         """
         if not contexts:
             return None
@@ -1804,13 +1630,15 @@ class NumpyBackend(PythonBackend):
         if word is None:
             tabs = self._tables(contexts, _word(moduli))
         elif (
-            n >= self.min_ntt_length and self._mont(moduli) is not None
+            n >= self.min_ntt_length and self._moduli_fit(moduli)
+            and all(q % 2 for q in moduli)
+            and (word == 32 or _native.library() is not None)
             and all(ctx.ring_degree == n for ctx in contexts)
         ):
             singles = None if len(contexts) == 1 else [
                 self._tables((ctx,), word) for ctx in contexts
             ]
-            tabs = _NTTTables(contexts, word, self._mont(moduli), singles)
+            tabs = _NTTTables(contexts, word, singles)
         self._ntt_tables[key] = tabs
         return tabs
 
@@ -2162,73 +1990,74 @@ class NumpyBackend(PythonBackend):
         tables = plan.cache.get("numpy")
         if tables is None:
             word = _word(plan.source_moduli + plan.target_moduli)
-            count = len(plan.source_moduli)
             inverses = _fixed_operand(
                 [[inv] for inv in plan.inverses], plan.source_moduli, word
             )
-            # Per-source-limb weight columns with per-target Shoup constants:
-            # weights[i] multiplies one source row into all target rows.
-            weights = [
-                _fixed_operand([[row[i]] for row in plan.weights],
-                               plan.target_moduli, word)
-                for i in range(count)
-            ]
-            # Lazy accumulation budget: a lazy term is below 4p, so the
-            # unreduced sum needs bits(p) + 2 + ceil(log2(Ls)) <= 64 (always
-            # true at word 32, where terms are in fact below p).
-            lazy = (
-                max(int(p).bit_length() for p in plan.target_moduli) + 2
-                + max(1, (count - 1).bit_length()) <= 64
-            )
-            # The (targets, sources) weights, reduced: what the native route
-            # reads at word 32.
-            matrix = _np.array(plan.weights, dtype=_np.uint64) if word == 32 else None
-            # Plain accumulation budget: when every ``weight * scaled``
-            # product and the sum of all ``count`` of them fit one word —
-            # bits(q) + bits(p) + ceil(log2(Ls)) <= 64 — the conversion is
-            # one (targets, sources) integer matrix product and one ``%``.
-            plain = None
-            if word == 32 and (
-                max(int(q).bit_length() for q in plan.source_moduli)
-                + max(int(p).bit_length() for p in plan.target_moduli)
-                + (count - 1).bit_length() <= 64
-            ):
-                plain = matrix
-            tables = (word, lazy, inverses, weights, matrix, plain)
+            # The (targets, sources) weights, reduced, and the address of
+            # each: what the native MAC reads.
+            matrix = _np.array(plan.weights, dtype=_np.uint64)
+            cells = matrix.ctypes.data + _np.arange(
+                matrix.size, dtype=_np.uintp).reshape(matrix.shape) * _np.uintp(8)
+            # Word 32 without the library: per-source-limb weight columns with
+            # per-target Shoup constants (weights[i] multiplies one source row
+            # into all target rows), or, when every ``weight * scaled``
+            # product and the sum of all of them fit one word — bits(q) +
+            # bits(p) + ceil(log2(Ls)) <= 64 — one integer matrix product.
+            weights = plain = None
+            if word == 32:
+                weights = [
+                    _fixed_operand([[row[i]] for row in plan.weights],
+                                   plan.target_moduli, word)
+                    for i in range(len(plan.source_moduli))
+                ]
+                if (
+                    max(int(q).bit_length() for q in plan.source_moduli)
+                    + max(int(p).bit_length() for p in plan.target_moduli)
+                    + (len(plan.source_moduli) - 1).bit_length() <= 64
+                ):
+                    plain = matrix
+            tables = (word, inverses, weights, matrix, cells, plain)
             plan.cache["numpy"] = tables
         return tables
 
-    def bconv_matmul(self, store, plan):
-        x = self._matrix(store)
+    def bconv_matmul(self, stores, plan):
+        if not len(stores) or not self._is_store(stores[0]):
+            # No members, or one bare store: the golden kernel's to unwrap.
+            return super().bconv_matmul(stores, plan)
+        mats = [self._matrix(store) for store in stores]
+        word, inverses, weights, matrix, cells, plain = self._bconv_tables(plan)
+        lib = _native.library()
         if (
-            not self._limbs_ok(plan.source_moduli, x)
-            or not self._moduli_fit(plan.target_moduli)
+            any(x is None or x.size < self.min_vector_length for x in mats)
+            or not self._moduli_fit(plan.source_moduli + plan.target_moduli)
+            or (word == 64 and lib is None)
         ):
-            return super().bconv_matmul(store, plan)
-        word, lazy, inverses, weights, matrix, plain = self._bconv_tables(plan)
+            return super().bconv_matmul(stores, plan)
         q_tgt = self._q_col(plan.target_moduli)
-        # Step 1: x_i * (Q/q_i)^{-1} mod q_i, fully reduced — the weighted
-        # sum needs the canonical residue in [0, q_i), not a lazy
-        # representative (a different representative would shift the result
-        # by k * q_i * w mod p_j).
-        scaled = _fixed_mul(x, inverses, self._q_col(plan.source_moduli), word)
-        lib = _native.library() if word == 32 else None
+        # Step 1, for the whole wave at once: x_i * (Q/q_i)^{-1} mod q_i,
+        # fully reduced — the weighted sum needs the canonical residue in
+        # [0, q_i), not a lazy representative (a different representative
+        # would shift the result by k * q_i * w mod p_j).
+        scaled = _fixed_mul(_np.stack(mats), inverses,
+                            self._q_col(plan.source_moduli), word)
+        members, sources, n = scaled.shape
         if lib is not None:
-            # Every target row sums all source rows, each times one scalar.
-            held, rows = _row_table([scaled], *scaled.shape)
-            cells = matrix.ctypes.data + _np.arange(
-                matrix.size, dtype=_np.uintp).reshape(matrix.shape) * _np.uintp(8)
-            return _mac32(lib, _np.broadcast_to(rows, matrix.shape), cells,
-                          q_tgt[:, 0], scaled.shape[1], 0, (held, matrix))
+            # Output (member m, target t) sums member m's scaled rows, row i
+            # times the scalar weight (t, i).
+            held, rows = _row_table([scaled.reshape(members * sources, n)],
+                                    members * sources, n)
+            shape = (members,) + matrix.shape
+            rows = _np.broadcast_to(rows.reshape(members, 1, sources), shape)
+            return list(_mac(lib, word, rows, _np.broadcast_to(cells, shape),
+                             q_tgt[:, 0], n, 0, (held, matrix)))
         if plain is not None:
-            return (plain @ scaled) % q_tgt
-        # Step 2: one source limb into all target rows per pass.
-        acc = _np.zeros((len(plan.target_moduli), x.shape[1]), dtype=_np.uint64)
-        for row, weight in zip(scaled, weights):
-            acc += _fixed_mul(row, weight, q_tgt, word, lazy=lazy)
-            if not lazy:
-                acc = _np.minimum(acc, acc - q_tgt)
-        return acc % q_tgt if lazy else acc
+            return list((plain @ scaled) % q_tgt)
+        # Step 2: one source limb into all target rows per pass; each term
+        # is below p < 2^32, so the sum of Ls of them fits a word.
+        acc = _np.zeros((members, len(plan.target_moduli), n), dtype=_np.uint64)
+        for i, weight in enumerate(weights):
+            acc += _fixed_mul(scaled[:, i, None], weight, q_tgt, word)
+        return list(acc % q_tgt)
 
     def _transform(self, core, contexts, stores):
         """``core`` (:func:`_ntt` / :func:`_intt`) over several stores stacked
@@ -2268,16 +2097,15 @@ class NumpyBackend(PythonBackend):
         x = self._matrix(store)
         if tabs is None or x is None:
             return super().limbs_eval_key(contexts, store)
-        payload = _ntt(tabs, _eval_mul(tabs, None, x))
-        return (tabs.key_form, payload, store)
+        return ("eval", _ntt(tabs, x), store)
 
     def limbs_eval_mac(self, contexts, digit_stores, key_handles):
         tabs = self._tables(tuple(contexts))
         mats = [self._matrix(store) for store in digit_stores]
         if (
             tabs is None or any(m is None for m in mats)
-            # Only key-form payloads this backend made for this word size.
-            or any(handle[0] != tabs.key_form
+            # Only payloads that hold the key's transform already.
+            or any(handle[0] != "eval"
                    for handles in key_handles for handle in handles)
         ):
             return super().limbs_eval_mac(contexts, digit_stores, key_handles)
@@ -2289,8 +2117,8 @@ class NumpyBackend(PythonBackend):
             keys, b = _row_table([handle[1] for handles in key_handles
                                   for handle in handles], limbs, tabs.n)
             b = b.reshape(len(mats), width, limbs).transpose(1, 2, 0)
-            return list(_mac32(tabs.native, _np.broadcast_to(a.T, b.shape), b,
-                               tabs.q[:, 0], tabs.n, 1, (digits, keys)))
+            return list(_mac(tabs.native, tabs.word, _np.broadcast_to(a.T, b.shape),
+                             b, tabs.q[:, 0], tabs.n, 1, (digits, keys)))
         accs = []
         for component in range(len(key_handles[0])):
             acc = None
@@ -2319,24 +2147,26 @@ class NumpyBackend(PythonBackend):
             raise ValueError("stacked_pmult_mac needs matching non-empty stores")
         mats = [self._matrix(s) for s in (*c0_stores, *c1_stores, *pt_stores)]
         q_max = max(int(q) for q in moduli)
+        lib = _native.library()
         if (
             any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0])
-            or (q_max > (1 << 32) and self._mont(moduli) is None)
+            or (q_max > (1 << 32) and lib is None)
         ):
             return super().stacked_pmult_mac(c0_stores, c1_stores, pt_stores,
                                              moduli)
         q = self._q_col(moduli)
-        lib = _native.library() if q_max.bit_length() <= 32 else None
         if lib is not None:
             # Output (component c, limb l) sums store i's row l times plaintext i's.
             held, rows = _row_table(mats, len(moduli), mats[0].shape[-1])
             comps = rows[:2 * count].reshape(2, count, -1).transpose(0, 2, 1)
             pts = _np.broadcast_to(rows[2 * count:].T, comps.shape)
-            acc = _mac32(lib, comps, pts, q[:, 0], mats[0].shape[-1], 1, held)
+            acc = _mac(lib, _word(moduli), comps, pts, q[:, 0],
+                       mats[0].shape[-1], 1, held)
             return acc[0], acc[1]
-        # Plain products of reduced operands sum in one word ``budget`` at a
-        # time (16 at 30-bit moduli), so the ``%`` runs once per ``budget``
-        # terms; a budget of one is the reduced product of :meth:`_mulmod`.
+        # Word 32 without the library: plain products of reduced operands
+        # sum in one word ``budget`` at a time (16 at 30-bit moduli), so the
+        # ``%`` runs once per ``budget`` terms; a budget of one is the
+        # reduced product of :meth:`_mulmod`.
         budget = 1 << max(0, 64 - 2 * q_max.bit_length())
         pts = mats[2 * count:]
         accs = []
@@ -2437,22 +2267,22 @@ class NumpyBackend(PythonBackend):
     def external_product_mac(self, fwd, key_rows, members, q):
         x = self._matrix(fwd)
         y = self._matrix(key_rows)
-        # A group of one is the reduced product of :meth:`_mulmod`: the
-        # full 32-bit moduli, and the wider ones on their Montgomery path.
+        # A group of one is the reduced product of :meth:`_mulmod` (the full
+        # 32-bit moduli; the wider ones run only on the library).
         group = max(1, _mac_group(q))
+        lib = _native.library()
         if (
             x is None or y is None or not self._mul_ok(q)
             or x.size < self.min_vector_length
             # Every count mismatch is the golden kernel's error to raise.
             or not 0 < members <= len(x)
             or len(x) % members or len(y) % (len(x) // members)
-            # Reduced group sums are added before one final remainder.
-            or -(-len(x) // (members * group)) * q > 1 << 64
+            # The numpy body adds reduced group sums before one remainder.
+            or (lib is None and -(-len(x) // (members * group)) * q > 1 << 64)
         ):
             return super().external_product_mac(fwd, key_rows, members, q)
         n = x.shape[1]
         per_member = len(x) // members
-        lib = _native.library() if q < 1 << 32 else None
         if lib is not None:
             # Output (m, c) sums fwd row m * R + r times key row r * (k + 1) + c.
             digits, a = _row_table([x], len(x), n)
@@ -2460,8 +2290,8 @@ class NumpyBackend(PythonBackend):
             shape = (members, len(y) // per_member, per_member)
             a = _np.broadcast_to(a.reshape(members, 1, per_member), shape)
             b = _np.broadcast_to(b.reshape(per_member, -1).T, shape)
-            return _mac32(lib, a, b, _np.uint64(q), n, 1,
-                          (digits, keys)).reshape(-1, n)
+            return _mac(lib, _word((q,)), a, b, _np.uint64(q), n, 1,
+                        (digits, keys)).reshape(-1, n)
         x = x.reshape(members, per_member, n)
         y = y.reshape(per_member, -1, n)
         q_u = _np.uint64(q)

@@ -85,9 +85,9 @@ def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
     accumulators of a keyswitch wave chunk) in their own residency domain.
 
     BConv is a coefficient-wise map, so only the ``|P|`` special rows have
-    to be coefficients: one BConv dispatch per polynomial lifts them into
-    C_l, and one fused ``batched_sub_scaled`` dispatch applies
-    ``(x_i - conv_i) * P^{-1} mod q_i`` to the Q rows.  Evaluation-resident
+    to be coefficients: one BConv dispatch for all polynomials lifts them
+    into C_l, and one fused ``batched_sub_scaled`` dispatch per polynomial
+    applies ``(x_i - conv_i) * P^{-1} mod q_i`` to its Q rows.  Evaluation-resident
     input never leaves the evaluation domain — its P rows alone are
     inverse-transformed (one stacked dispatch for all polynomials) and the
     lifted ``(level+1, N)`` stores forward-transformed (one more), the same
@@ -113,7 +113,7 @@ def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
         contexts = _limb_contexts(n, extended)
         p_parts = backend.stacked_intt(contexts[num_q:], p_parts)
     plan = _bconv_plan(params.special_basis(), target_basis)
-    lifted = [backend.bconv_matmul(part, plan) for part in p_parts]
+    lifted = backend.bconv_matmul(p_parts, plan)
     if domain == "eval":
         lifted = backend.stacked_ntt(contexts[:num_q], lifted)
     return [
@@ -282,11 +282,10 @@ def hoist_wave(polys, params: CKKSParameters, level: int) -> List[HoistedDigits]
     + forward NTTs, the transforms stacked across sources *and* digits.
 
     Per :data:`WAVE_ELEMENTS` chunk: one ``stacked_intt`` returns the
-    evaluation-resident sources to coefficients (none, no dispatch), BConv
-    stays one ``bconv_matmul`` per digit per polynomial (widening it along N
-    falls out of cache), and one ``stacked_ntt`` transforms all
-    ``sources x digits`` lifted stores.  All sources must sit at ``level``
-    in one ring.
+    evaluation-resident sources to coefficients (none, no dispatch), one
+    ``bconv_matmul`` per digit lifts that digit of every source, and one
+    ``stacked_ntt`` transforms all ``sources x digits`` lifted stores.  All
+    sources must sit at ``level`` in one ring.
     """
     if not polys:
         return []
@@ -314,11 +313,12 @@ def hoist_wave(polys, params: CKKSParameters, level: int) -> List[HoistedDigits]
             stores[i] = store
     hoisted = []
     for chunk in _chunks(stores, len(slices) * len(extended) * n):
-        lifted = [
-            backend.bconv_matmul(store[start:stop], plan)
-            for store in chunk
+        per_digit = [
+            backend.bconv_matmul([store[start:stop] for store in chunk], plan)
             for (start, stop), plan in zip(slices, plans)
         ]
+        # Source-major, as the hoists below are cut.
+        lifted = [digits[i] for i in range(len(chunk)) for digits in per_digit]
         if contexts is not None:
             lifted = backend.stacked_ntt(contexts, lifted)
         else:

@@ -1,0 +1,350 @@
+/*
+ * The numpy backend's native library: the negacyclic NTT / INTT and one
+ * multiply-accumulate at two word sizes, and the TFHE gadget decomposition.
+ * Word 32 takes every modulus below 2^32, word 64 every modulus below 2^62.
+ *
+ * The transforms run in place over a contiguous (rows, n) uint64 array.
+ * Row r runs under tables[r % limbs], each one array laid out by
+ * _shoup_table in backend.py, uint32 for word 32 and uint64 for word 64:
+ * q, n^-1, floor(n^-1 beta / q), 0, then the golden transforms'
+ * bit-reversed psi powers [n] and their Shoup constants floor(w beta / q)
+ * [n], then the same for psi^-1, with beta = 2^32 or 2^64.
+ *
+ * Word 32 keeps values fully reduced: the special moduli reach 32 bits, so
+ * 2q would break the y < 2^32 the Shoup multiply needs.  Word 64 is
+ * Harvey-lazy: the Shoup product y w - floor(y ws / 2^64) q is in [0, 2q)
+ * for ANY y < 2^64 (ws is below w 2^64 / q by less than one, so the
+ * quotient is short by less than y / 2^64 + 1 < 2), and q < 2^62 keeps
+ * 4q below 2^64.  The forward transform takes rows below 4q (the backend
+ * hands it rows below 2q), brings each butterfly's u below 2q and leaves
+ * u + y, u + 2q - y below 4q; the inverse takes rows below 2q, keeps the
+ * sum below 2q and feeds x + 2q - y < 4q to the Shoup product.  Both leave
+ * every value fully reduced.
+ *
+ * decompose32's quotients floor((2 res + f) / (2 f)) are a truncated double
+ * product with one integer correction.  The residual stays in [-q/2, q/2]
+ * and 0 < f < q < 2^32, so 2 res + f and 2 f (below 2^34) are exact doubles,
+ * and the product with the rounded 1 / (2 f) is within 2^-52 of the quotient
+ * relatively: within 2^-18 / (2 f) of it, below the 1 / (2 f) spacing of such
+ * quotients.  So the estimate never passes an integer the quotient does not
+ * reach, its truncation is within one of the floor, and the sign of the
+ * remainder num - d 2 f says which way.
+ *
+ * Every reduction and correction step carries a unique step tag; removing
+ * the step it marks makes a test in tests/test_native.py fail.
+ */
+#include <stddef.h>
+#include <stdint.h>
+
+typedef unsigned __int128 u128;
+
+/* w * y mod q for y < 2^32, with ws = floor(w 2^32 / q): fully reduced. */
+static inline uint64_t shoup_mul(uint64_t y, uint64_t w, uint64_t ws, uint64_t q)
+{
+    uint64_t quot = ((uint64_t)(uint32_t)y * ws) >> 32;
+    uint64_t r = (uint64_t)(uint32_t)y * w - quot * q;   /* [0, 2q) */
+    return r >= q ? r - q : r;                          /* step: shoup32-correct */
+}
+
+/* Cooley-Tukey with merged psi, bit-reversed output (golden ntt_forward). */
+static void forward_row(uint64_t *a, size_t n, const uint32_t *table)
+{
+    const uint64_t q = table[0];
+    const uint32_t *w = table + 4, *ws = w + n;
+    for (size_t m = 1, t = n / 2; m < n; m *= 2, t /= 2) {
+        for (size_t i = 0; i < m; i++) {
+            uint64_t *u = a + 2 * i * t, *v = u + t;
+            const uint64_t s = w[m + i], ss = ws[m + i];
+            for (size_t j = 0; j < t; j++) {
+                uint64_t x = u[j], y = shoup_mul(v[j], s, ss, q);
+                uint64_t sum = x + y, diff = x + q - y;
+                u[j] = sum >= q ? sum - q : sum;        /* step: ntt32-forward-sum */
+                v[j] = diff >= q ? diff - q : diff;     /* step: ntt32-forward-diff */
+            }
+        }
+    }
+}
+
+/* Gentleman-Sande with merged psi^-1, then n^-1 (golden ntt_inverse). */
+static void inverse_row(uint64_t *a, size_t n, const uint32_t *table)
+{
+    const uint64_t q = table[0], n_inv = table[1], n_inv_s = table[2];
+    const uint32_t *w = table + 4 + 2 * n, *ws = w + n;
+    for (size_t h = n / 2, t = 1; h >= 1; h /= 2, t *= 2) {
+        for (size_t i = 0; i < h; i++) {
+            uint64_t *u = a + 2 * i * t, *v = u + t;
+            const uint64_t s = w[h + i], ss = ws[h + i];
+            for (size_t j = 0; j < t; j++) {
+                uint64_t x = u[j], y = v[j];
+                uint64_t sum = x + y, diff = x + q - y;
+                u[j] = sum >= q ? sum - q : sum;        /* step: ntt32-inverse-sum */
+                diff = diff >= q ? diff - q : diff;     /* step: ntt32-inverse-diff */
+                v[j] = shoup_mul(diff, s, ss, q);
+            }
+        }
+    }
+    for (size_t j = 0; j < n; j++)
+        a[j] = shoup_mul(a[j], n_inv, n_inv_s, q);
+}
+
+void ntt32_forward(uint64_t *x, size_t rows, size_t n, size_t limbs,
+                   const uint32_t *const *tables)
+{
+    for (size_t r = 0; r < rows; r++)
+        forward_row(x + r * n, n, tables[r % limbs]);
+}
+
+void ntt32_inverse(uint64_t *x, size_t rows, size_t n, size_t limbs,
+                   const uint32_t *const *tables)
+{
+    for (size_t r = 0; r < rows; r++)
+        inverse_row(x + r * n, n, tables[r % limbs]);
+}
+
+/* w * y mod q up to one extra q ([0, 2q)) for any y < 2^64, w < q < 2^62,
+ * ws = floor(w 2^64 / q) (the bound is in the header). */
+static inline uint64_t shoup64(uint64_t y, uint64_t w, uint64_t ws, uint64_t q)
+{
+    return y * w - (uint64_t)(((u128)y * ws) >> 64) * q;
+}
+
+/* Harvey-lazy Cooley-Tukey (golden ntt_forward): rows below 4q in, fully
+ * reduced out. */
+static void forward_row64(uint64_t *a, size_t n, const uint64_t *table)
+{
+    const uint64_t q = table[0], q2 = 2 * q;
+    const uint64_t *w = table + 4, *ws = w + n;
+    for (size_t m = 1, t = n / 2; m < n; m *= 2, t /= 2) {
+        for (size_t i = 0; i < m; i++) {
+            uint64_t *u = a + 2 * i * t, *v = u + t;
+            const uint64_t s = w[m + i], ss = ws[m + i];
+            for (size_t j = 0; j < t; j++) {
+                uint64_t x = u[j], y = shoup64(v[j], s, ss, q);    /* [0, 2q) */
+                x = x >= q2 ? x - q2 : x;               /* step: ntt64-forward-u */
+                u[j] = x + y;                                       /* [0, 4q) */
+                v[j] = x + q2 - y;                                  /* (0, 4q) */
+            }
+        }
+    }
+    for (size_t j = 0; j < n; j++) {
+        uint64_t x = a[j];
+        x = x >= q2 ? x - q2 : x;                       /* step: ntt64-forward-out-2q */
+        a[j] = x >= q ? x - q : x;                      /* step: ntt64-forward-out-q */
+    }
+}
+
+/* Harvey-lazy Gentleman-Sande, then n^-1 (golden ntt_inverse): rows below
+ * 2q in, fully reduced out. */
+static void inverse_row64(uint64_t *a, size_t n, const uint64_t *table)
+{
+    const uint64_t q = table[0], q2 = 2 * q, n_inv = table[1], n_inv_s = table[2];
+    const uint64_t *w = table + 4 + 2 * n, *ws = w + n;
+    for (size_t h = n / 2, t = 1; h >= 1; h /= 2, t *= 2) {
+        for (size_t i = 0; i < h; i++) {
+            uint64_t *u = a + 2 * i * t, *v = u + t;
+            const uint64_t s = w[h + i], ss = ws[h + i];
+            for (size_t j = 0; j < t; j++) {
+                uint64_t x = u[j], y = v[j], sum = x + y;           /* [0, 4q) */
+                u[j] = sum >= q2 ? sum - q2 : sum;      /* step: ntt64-inverse-sum */
+                v[j] = shoup64(x + q2 - y, s, ss, q);               /* [0, 2q) */
+            }
+        }
+    }
+    for (size_t j = 0; j < n; j++) {
+        uint64_t x = shoup64(a[j], n_inv, n_inv_s, q);
+        a[j] = x >= q ? x - q : x;                      /* step: ntt64-inverse-out */
+    }
+}
+
+void ntt64_forward(uint64_t *x, size_t rows, size_t n, size_t limbs,
+                   const uint64_t *const *tables)
+{
+    for (size_t r = 0; r < rows; r++)
+        forward_row64(x + r * n, n, tables[r % limbs]);
+}
+
+void ntt64_inverse(uint64_t *x, size_t rows, size_t n, size_t limbs,
+                   const uint64_t *const *tables)
+{
+    for (size_t r = 0; r < rows; r++)
+        inverse_row64(x + r * n, n, tables[r % limbs]);
+}
+
+/* w * y mod q up to one extra q ([0, 2q)), for y < 2^32 and w < q. */
+static inline uint64_t shoup_lazy(uint64_t y, uint64_t w, uint64_t ws, uint64_t q)
+{
+    return (uint64_t)(uint32_t)y * w - (((uint64_t)(uint32_t)y * ws) >> 32) * q;
+}
+
+#define MAC_BLOCK 256
+
+/* The length of a block: size, or the rest of the row if it is shorter. */
+static inline size_t block_len(size_t rest, size_t size)
+{
+    if (rest < size)
+        return rest;
+    return size;
+}
+
+/*
+ * out[o][j] = sum_k a[o][k][j] * b[o][k][j * b_step] mod q[o], fully reduced,
+ * over a contiguous (outputs, n) uint64 out.  a and b are per-output pointer
+ * tables, (outputs, terms) row-major, to uint64 rows of values below 2^32;
+ * b_step is 1 for rows and 0 for one scalar per term (BConv's weights).
+ * The 32x32 -> 64-bit products are summed in split 32-bit halves, exact for
+ * terms < 2^32, and each output element is reduced once: the sum is
+ * h1 2^64 + h0 2^32 + l with 32-bit digits, so it is congruent to
+ * h1 (2^64 mod q) + h0 (2^32 mod q) + l, three Shoup products below 6q.
+ */
+void mac32(uint64_t *out, size_t outputs, size_t terms, size_t n,
+           const uint64_t *const *a, const uint64_t *const *b, size_t b_step,
+           const uint64_t *moduli)
+{
+    const uint64_t mask = 0xFFFFFFFFu;
+    uint64_t lo[MAC_BLOCK], hi[MAC_BLOCK];
+    for (size_t o = 0; o < outputs; o++) {
+        const uint64_t q = moduli[o], c32 = (mask + 1) % q, c64 = c32 * c32 % q;
+        const uint64_t c32s = (c32 << 32) / q, c64s = (c64 << 32) / q;
+        const uint64_t ones = (mask + 1) / q;
+        const uint64_t *const *ao = a + o * terms, *const *bo = b + o * terms;
+        for (size_t start = 0; start < n; start += MAC_BLOCK) {
+            const size_t len = block_len(n - start, MAC_BLOCK);
+            for (size_t j = 0; j < len; j++)
+                lo[j] = hi[j] = 0;
+            for (size_t k = 0; k < terms; k++) {
+                const uint64_t *x = ao[k] + start;
+                if (b_step) {
+                    const uint64_t *y = bo[k] + start;
+                    for (size_t j = 0; j < len; j++) {
+                        uint64_t p = (uint64_t)(uint32_t)x[j] * (uint32_t)y[j];
+                        lo[j] += p & mask;
+                        hi[j] += p >> 32;
+                    }
+                } else {
+                    const uint64_t w = (uint32_t)*bo[k];
+                    for (size_t j = 0; j < len; j++) {
+                        uint64_t p = (uint64_t)(uint32_t)x[j] * w;
+                        lo[j] += p & mask;
+                        hi[j] += p >> 32;
+                    }
+                }
+            }
+            uint64_t *z = out + o * n + start;
+            for (size_t j = 0; j < len; j++) {
+                uint64_t high = hi[j] + (lo[j] >> 32);
+                uint64_t r = shoup_lazy(high >> 32, c64, c64s, q)
+                             + shoup_lazy(high, c32, c32s, q)
+                             + shoup_lazy(lo[j], 1, ones, q);
+                r = r >= 4 * q ? r - 4 * q : r;         /* step: mac32-correct-4q */
+                r = r >= 2 * q ? r - 2 * q : r;         /* step: mac32-correct-2q */
+                z[j] = r >= q ? r - q : r;              /* step: mac32-correct-q */
+            }
+        }
+    }
+}
+
+/*
+ * Folds to fit a 128-bit sum: operands below 2^62 make every product below
+ * 2^124, and a folded sum is below 4q < 2^64, so 4q + 16 (2^62 - 1)^2 <
+ * 2^128; a seventeenth product could wrap it.
+ */
+#define MAC64_FOLD 16
+
+/* A 128-bit sum h 2^64 + l, congruent to h (2^64 mod q) + l: two Shoup
+ * products below 2q each, so below 4q. */
+static inline uint64_t fold64(u128 v, uint64_t c, uint64_t cs, uint64_t ones,
+                              uint64_t q)
+{
+    return shoup64((uint64_t)(v >> 64), c, cs, q) + shoup64((uint64_t)v, 1, ones, q);
+}
+
+/*
+ * mac32's contract for moduli 2 <= q < 2^62 and operands below 2^62 (each
+ * reduced under its own modulus): out[o][j] = sum_k a[o][k][j] *
+ * b[o][k][j * b_step] mod q[o], fully reduced.  The 128-bit products are
+ * summed in one 128-bit accumulator per element, folded below 4q after
+ * every MAC64_FOLD terms and once at the end, then corrected from [0, 4q).
+ */
+void mac64(uint64_t *out, size_t outputs, size_t terms, size_t n,
+           const uint64_t *const *a, const uint64_t *const *b, size_t b_step,
+           const uint64_t *moduli)
+{
+    u128 acc[MAC_BLOCK];
+    for (size_t o = 0; o < outputs; o++) {
+        const uint64_t q = moduli[o], c = (uint64_t)(((u128)1 << 64) % q);
+        const uint64_t cs = (uint64_t)(((u128)c << 64) / q);
+        const uint64_t ones = (uint64_t)(((u128)1 << 64) / q);
+        const uint64_t *const *ao = a + o * terms, *const *bo = b + o * terms;
+        for (size_t start = 0; start < n; start += MAC_BLOCK) {
+            const size_t len = block_len(n - start, MAC_BLOCK);
+            for (size_t j = 0; j < len; j++)
+                acc[j] = 0;
+            for (size_t k = 0; k < terms; k++) {
+                if (k && k % MAC64_FOLD == 0)           /* step: mac64-fold */
+                    for (size_t j = 0; j < len; j++)
+                        acc[j] = fold64(acc[j], c, cs, ones, q);
+                const uint64_t *x = ao[k] + start;
+                if (b_step) {
+                    const uint64_t *y = bo[k] + start;
+                    for (size_t j = 0; j < len; j++)
+                        acc[j] += (u128)x[j] * y[j];
+                } else {
+                    const uint64_t w = *bo[k];
+                    for (size_t j = 0; j < len; j++)
+                        acc[j] += (u128)x[j] * w;
+                }
+            }
+            uint64_t *z = out + o * n + start;
+            for (size_t j = 0; j < len; j++) {
+                uint64_t r = fold64(acc[j], c, cs, ones, q);
+                r = r >= 2 * q ? r - 2 * q : r;         /* step: mac64-correct-2q */
+                z[j] = r >= q ? r - q : r;              /* step: mac64-correct-q */
+            }
+        }
+    }
+}
+
+#define DECOMPOSE_BLOCK 256
+
+/*
+ * The golden signed gadget walk of every value of a contiguous (rows, n)
+ * uint64 x reduced below q < 2^32 (a store): centre the residual into
+ * (-q/2, q/2], then per factor f (each in [0, q); 0 gives digit 0)
+ * digit = floor((2 res + f) / (2 f)) and res -= digit f.  Digits are
+ * reduced into [0, q) and laid out level-innermost: row r's digit for
+ * factors[l] is out row r * levels + l.
+ */
+void decompose32(uint64_t *out, const uint64_t *x, size_t rows, size_t n,
+                 uint64_t q, size_t levels, const uint64_t *factors)
+{
+    int64_t res[DECOMPOSE_BLOCK];
+    const int64_t q64 = (int64_t)q, half = (int64_t)(q / 2);
+    for (size_t r = 0; r < rows; r++) {
+        for (size_t start = 0; start < n; start += DECOMPOSE_BLOCK) {
+            const size_t len = block_len(n - start, DECOMPOSE_BLOCK);
+            const uint64_t *row = x + r * n + start;
+            for (size_t j = 0; j < len; j++) {
+                const int64_t v = (int64_t)row[j];
+                res[j] = v > half ? v - q64 : v;        /* step: decompose32-centre */
+            }
+            for (size_t l = 0; l < levels; l++) {
+                uint64_t *z = out + (r * levels + l) * n + start;
+                const int64_t f = (int64_t)factors[l], f2 = 2 * f;
+                if (f == 0) {
+                    for (size_t j = 0; j < len; j++)
+                        z[j] = 0;
+                    continue;
+                }
+                const double inv = 1.0 / (double)f2;
+                for (size_t j = 0; j < len; j++) {
+                    const int64_t num = 2 * res[j] + f;
+                    int64_t d = (int64_t)((double)num * inv);
+                    const int64_t rem = num - d * f2;
+                    d += (rem >= f2) - (rem < 0);       /* step: decompose32-quotient */
+                    res[j] -= d * f;
+                    z[j] = (uint64_t)(d < 0 ? d + q64 : d);  /* step: decompose32-digit */
+                }
+            }
+        }
+    }
+}

@@ -1,10 +1,12 @@
-"""The word-32 library of ``ntt32.c``, compiled on first use (stdlib only):
-the negacyclic NTT / INTT, one multiply-accumulate (keyswitch MAC,
-plaintext MAC, BConv, the TFHE external product) and the TFHE gadget
+"""The numpy backend's library of ``native.c``, compiled on first use
+(stdlib only): the negacyclic NTT / INTT and one multiply-accumulate
+(keyswitch MAC, plaintext MAC, BConv, the TFHE external product) at word
+32 (moduli below 2^32) and word 64 (below 2^62), and the TFHE gadget
 decomposition.
 
 :func:`library` is the one entry point; ``None`` means the numpy backend
-runs its matrix NTT and numpy MAC and decomposition bodies instead.
+runs its word-32 matrix NTT and numpy MAC and decomposition bodies instead,
+and its word-64 transforms and products fall back to the golden kernels.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-#: The C source: one forward and one inverse transform, one multiply-accumulate,
-#: one gadget decomposition.
-SOURCE = Path(__file__).with_name("ntt32.c")
+#: The C source: a forward and an inverse transform and a multiply-accumulate
+#: per word size, one gadget decomposition.
+SOURCE = Path(__file__).with_name("native.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 #: Bytes of the sha256 trailer appended to a built library.
@@ -32,7 +34,7 @@ _DIGEST = 32
 
 @functools.lru_cache(maxsize=None)
 def library() -> Optional[ctypes.CDLL]:
-    """The loaded word-32 library, or ``None`` on any failure (decided
+    """The loaded library, or ``None`` on any failure (decided
     once per process; later calls return the first answer)."""
     directory = _cache_directory()
     return None if directory is None else build(directory, _compiler())
@@ -60,7 +62,7 @@ def build(directory: Path, compiler: Optional[str]) -> Optional[ctypes.CDLL]:
         key = hashlib.sha256(b"\0".join(
             [SOURCE.read_bytes(), " ".join(FLAGS).encode(), version, _cpu()]
         )).hexdigest()
-        path = directory / f"ntt32-{key[:24]}.so"
+        path = directory / f"native-{key[:24]}.so"
         if not _intact(path):
             _compile(compiler, path)
             if not _intact(path):
@@ -128,6 +130,9 @@ SIGNATURES = {
     "ntt32_forward": (_P, _N, _N, _N, _P),
     "ntt32_inverse": (_P, _N, _N, _N, _P),
     "mac32": (_P, _N, _N, _N, _P, _P, _N, _P),
+    "ntt64_forward": (_P, _N, _N, _N, _P),
+    "ntt64_inverse": (_P, _N, _N, _N, _P),
+    "mac64": (_P, _N, _N, _N, _P, _P, _N, _P),
     "decompose32": (_P, _P, _N, _N, ctypes.c_uint64, _N, _P),
 }
 

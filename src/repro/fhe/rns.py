@@ -564,5 +564,5 @@ def fast_basis_conversion(
         # be silently wrong — the hoist phase converts before decomposing.
         raise ValueError("fast basis conversion requires a coefficient-resident input")
     plan = _bconv_plan(poly.basis, target_basis)
-    store = active_backend().bconv_matmul(poly.store(), plan)
+    (store,) = active_backend().bconv_matmul([poly.store()], plan)
     return RNSPolynomial._from_store(poly.ring_degree, target_basis, store)

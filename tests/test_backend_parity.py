@@ -1231,7 +1231,7 @@ def _width_cases(moduli, n, seed):
             k.batched_sub_scaled(s(a), s(b), scalars, moduli),
             k.batched_sub_scaled(s(a), s(b)[0], scalars, moduli, b_modulus=q),
         ],
-        "bconv_matmul": lambda k, s: k.bconv_matmul(s(a[:2]), plan),
+        "bconv_matmul": lambda k, s: k.bconv_matmul([s(a[:2]), s(b[:2])], plan),
         "batched_ntt": lambda k, s: k.batched_ntt(contexts, s(a)),
         "batched_intt": lambda k, s: k.batched_intt(contexts, s(a)),
         "stacked_ntt": lambda k, s: k.stacked_ntt(contexts, [s(a), s(b)]),

@@ -368,9 +368,9 @@ class TestHoistedResidency:
     @pytest.mark.parametrize("resident", [False, True], ids=["coeff", "eval"])
     @pytest.mark.parametrize("sources", [1, 3])
     def test_a_hoist_is_one_stacked_ntt(self, keyed, sources, resident):
-        """``digits`` BConvs per source, one ``stacked_ntt`` over ``sources x
-        digits x (level+1+|P|)`` rows, one ``stacked_intt`` iff a source was
-        evaluation-resident — nothing else."""
+        """One BConv per digit for all sources, one ``stacked_ntt`` over
+        ``sources x digits x (level+1+|P|)`` rows, one ``stacked_intt`` iff a
+        source was evaluation-resident — nothing else."""
         params, _keys, relin, _ct = keyed
         level = params.max_level
         extended = level + 1 + len(params.special_moduli)
@@ -388,7 +388,7 @@ class TestHoistedResidency:
                 singles = [hoist_decompose(poly, params, level) for poly in polys]
             assert [h.num_digits for h in hoisted] == [relin.num_digits] * sources
             assert sorted(name for name, _ in wave_log) == sorted(
-                ["bconv_matmul"] * relin.num_digits * sources
+                ["bconv_matmul"] * relin.num_digits
                 + ["stacked_intt"] * resident + ["stacked_ntt"])
             forward, = [args for name, args in wave_log if name == "stacked_ntt"]
             assert self._rows_of(forward) == sources * relin.num_digits * extended
@@ -418,8 +418,9 @@ class TestHoistedResidency:
 
     def test_a_wave_of_k_keyswitches_pays_one_mod_down(self, keyed):
         """``k`` MACs (a gather per Galois member), then one ``stacked_intt``
-        of ``2k x |P|`` rows, ``2k`` BConvs, one ``stacked_ntt`` of ``2k x
-        (level+1)`` rows and ``2k`` subtract-and-scales."""
+        of ``2k x |P|`` rows, one BConv of all ``2k`` polynomials, one
+        ``stacked_ntt`` of ``2k x (level+1)`` rows and ``2k``
+        subtract-and-scales."""
         params = keyed[0]
         level, special = params.max_level, len(params.special_moduli)
         for inner in BACKENDS:
@@ -432,7 +433,7 @@ class TestHoistedResidency:
                 singles = [keyswitch_hoisted(*member) for member in members]
             assert sorted(name for name, _ in wave_log) == sorted(
                 ["stacked_gather"] * (k - 1) + ["limbs_eval_mac"] * k
-                + ["stacked_intt", "stacked_ntt"] + ["bconv_matmul"] * 2 * k
+                + ["stacked_intt", "stacked_ntt", "bconv_matmul"]
                 + ["batched_sub_scaled"] * 2 * k)
             inverse, = [args for name, args in wave_log if name == "stacked_intt"]
             forward, = [args for name, args in wave_log if name == "stacked_ntt"]
@@ -490,9 +491,11 @@ class TestHoistedResidency:
             assert self._rows_of(inverse) == level + 1
             assert self._rows_of(forward) == relin.num_digits * (
                 level + 1 + special)
-            # Both rotations share the one evaluation-domain ModDown.
+            # Both rotations share the one evaluation-domain ModDown, and
+            # its one BConv lifts all four accumulators.
             assert self._rows_of(after_inverse) == 2 * 2 * special
             assert self._rows_of(after_forward) == 2 * 2 * (level + 1)
+            assert kernels.count("bconv_matmul") == relin.num_digits + 1
 
 
 @needs_numpy
