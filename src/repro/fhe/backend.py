@@ -17,10 +17,9 @@ here.  Two implementations are registered:
   word.  The negacyclic NTT and the multiply-accumulates are C
   (:mod:`repro.fhe.native`) at both word sizes: below 2^32, and for the
   33..62-bit primes of :mod:`repro.fhe.params` with 128-bit products.
-  Where no library loaded, the word-32 NTT is the four-step split as two
-  exact float64 matrix products on BLAS and the word-32 MACs are numpy,
-  while the word-64 transforms and products are the golden kernels.  The
-  word size is read off the moduli; there is no switch to set.
+  Where no library loaded, every transform and multiply-accumulate is the
+  golden kernel.  The word size is read off the moduli; there is no switch
+  to set.
   It subclasses the python backend: moduli that do not fit this scheme
   (>= 2^62, or even moduli in a transform) transparently fall back to the
   inherited golden kernels, as do tiny vectors where conversion overhead
@@ -105,19 +104,6 @@ def _bit_reverse_indices(length: int) -> tuple:
             value >>= 1
         result[i] = rev
     return tuple(result)
-
-
-def _mac_group(q: int) -> int:
-    """How many products of two residues below ``q`` sum in one 64-bit word.
-
-    ``g = (2^64 - 1) // (q - 1)^2``: the largest count with
-    ``g * (q - 1)^2 < 2^64``.  4 at the 31-bit TFHE prime, 1 at a full
-    32-bit modulus, 0 where a single product already needs two words.
-    """
-    worst = max(1, (q - 1) ** 2)
-    group = ((1 << 64) - 1) // worst
-    assert group * worst < 1 << 64 <= (group + 1) * worst, q
-    return group
 
 
 @lru_cache(maxsize=256)
@@ -692,22 +678,17 @@ class ArithmeticBackend:
     # to a store, so the accumulator never becomes Python lists between
     # the initial rotation and SampleExtract.
 
-    def ntt_forward_batch(self, context, rows, scratch=None):
+    def ntt_forward_batch(self, context, rows):
         """Independent forward NTTs of several rows under one modulus.
 
         Store-preserving: a store comes back as a store, a list of rows as
-        a list of rows.  ``scratch`` is an optional plain dict the *caller*
-        owns: a backend may keep its work buffers in it between calls (a
-        blind rotation hands one dict to every transform of its wave) and
-        nothing else may read it.  What comes back never aliases it — the
-        result is always fresh, whoever holds it later.  The golden
-        implementation ignores it.
+        a list of rows.  What comes back is always fresh: it never aliases
+        the input or an earlier result.
         """
         return [self.ntt_forward(context, row) for row in rows]
 
-    def ntt_inverse_batch(self, context, rows, scratch=None):
-        """Independent inverse NTTs of several rows under one modulus
-        (``scratch`` as in :meth:`ntt_forward_batch`)."""
+    def ntt_inverse_batch(self, context, rows):
+        """Independent inverse NTTs of several rows under one modulus."""
         return [self.ntt_inverse(context, row) for row in rows]
 
     def rows_monomial_multiply(self, store, q: int, degrees, group: int):
@@ -757,10 +738,6 @@ class ArithmeticBackend:
         rows of one GGSW ciphertext (row ``r * (k + 1) + c`` is component
         ``c`` of GLWE row ``r``).  Returns the ``members * (k + 1)`` rows
         ``out[m, c] = sum_r fwd[m, r] * key[r, c] mod q``, member-major.
-
-        The group rule a vectorized backend may use: products of operands
-        reduced below ``q`` are summed :func:`_mac_group` at a time in one
-        64-bit word and reduced once per group, not once per product.
         """
         digits = self.store_rows(fwd)
         key = self.store_rows(key_rows)
@@ -965,27 +942,21 @@ class PythonBackend(ArithmeticBackend):
 #
 # * word 32 — every modulus fits 32 bits, so a product of two reduced values
 #   fits one 64-bit word: ``beta = 2^32`` Shoup constants, values fully
-#   reduced after every step.  The transform is :func:`_native_transform`
-#   where :mod:`repro.fhe.native` loaded, else the four-step split written
-#   as two exact matrix products on BLAS (:class:`_MatrixNTT`) — Trinity's
-#   NTTU phase and CU MAC-array phase — so an ``N``-point row is read about
-#   thirty times instead of ``13 log2 N`` times;
+#   reduced after every step;
 # * word 64 — moduli up to 62 bits: the library's Harvey-lazy transforms
-#   and 128-bit multiply-accumulate, ``beta = 2^64`` constants.  Without
-#   the library the word-64 transforms and products are the golden kernels
-#   (``super()``); the fixed-scalar products (:func:`_shoup_mul_relaxed`)
-#   and the element-wise kernels stay numpy at either word size.  (The
-#   quotient of a 62-bit modulus does not fit a float64, so the matrix form
-#   stops at word 32.)
+#   and 128-bit multiply-accumulate, ``beta = 2^64`` constants.
 #
 # Transforms pick the library's entry of the word size in
 # :func:`_native_transform`, fixed-operand products branch in
 # :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`; nothing else
 # does.  The library's multiply-accumulate (:func:`_mac`), ``mac32`` or
 # ``mac64``, is what the keyswitch MAC, the plaintext MAC, BConv and the
-# TFHE external product run on where it loaded, and it holds the TFHE
-# gadget decomposition below 2^32 (:func:`_decompose32`); the word-32 numpy
-# bodies are what an install without it runs.
+# TFHE external product run on, and it holds the TFHE gadget decomposition
+# below 2^32 (:func:`_decompose32`).  Without the library every transform
+# and multiply-accumulate, at either word size, is the golden kernel
+# (``super()``): there are no transform tables then.  The fixed-scalar
+# products (:func:`_fixed_mul`), the element-wise kernels and the int64
+# gadget decomposition stay numpy either way.
 
 if _np is not None:
     _M32 = _np.uint64(0xFFFFFFFF)
@@ -1074,186 +1045,6 @@ if _np is not None:
         v = _np.minimum(v, v - (q + q))
         return _np.minimum(v, v - q)
 
-    def _exact_digits(inner: int, bits: int) -> tuple:
-        """``(digits, digit_bits)`` of an exact float64 matrix product.
-
-        The budget rule of :class:`_ExactMatrix`: a fixed matrix is cut into
-        ``digits`` centred digits of magnitude at most ``2^(digit_bits-1)``,
-        and a dot product of ``inner`` of them with values below ``2^bits``
-        must stay below ``2^53`` — then every partial sum is an integer a
-        float64 holds exactly, whatever order (or FMA, or thread count) BLAS
-        sums in.  The quotient estimate sums ``inner`` terms below
-        ``2^bits / 2`` with one rounding each for ``w/q``, the product, the
-        running sum and the final ``- 1/4``; it must land within ``1/4``.
-        """
-        x_max = (1 << bits) - 1
-        # (inner + 3) * 2^-53 * inner * x_max / 2 < 1/4
-        if (inner + 3) * inner * x_max >= 1 << 52:
-            raise ValueError(
-                f"no exact float64 product for {inner} terms of {bits} bits")
-        digits = 1
-        while x_max * (1 << (-(-bits // digits) - 1)) * inner >= 1 << 53:
-            digits += 1
-        return digits, -(-bits // digits)
-
-    class _ExactMatrix:
-        """A fixed matrix modulo ``q < 2^32`` that multiplies exactly on BLAS.
-
-        The residues are centred into ``(-q/2, q/2]`` and cut into centred
-        digits (:func:`_exact_digits`), each kept as a float64 matrix, most
-        significant first; ``quot`` holds ``w / q``.  A product with reduced
-        float64 values is then one ``np.matmul`` per digit — exact integers
-        below ``2^53`` — plus one for the quotient estimate, which is within
-        ``1/4`` of ``sum / q``; so ``floor(quot - 1/4)`` is the true
-        quotient or one less, and ``sum - floor(...) * q``, recombined in
-        wrapping 64-bit words, lands in ``[0, 2q)``.
-        """
-
-        __slots__ = ("digits", "quot", "shift", "q")
-
-        def __init__(self, residues, q: int):
-            inner = residues.shape[0]
-            count, digit_bits = _exact_digits(inner, q.bit_length())
-            rest = _np.where(residues > q // 2, residues - q, residues)
-            self.quot = rest / float(q)
-            half = 1 << (digit_bits - 1)
-            digits = []
-            for _ in range(count - 1):
-                low = ((rest + half) & (2 * half - 1)) - half
-                rest = (rest - low) // (2 * half)
-                digits.append(low)
-            digits.append(rest)
-            assert all(abs(d).max() <= half for d in digits), (inner, q)
-            self.digits = [d.astype(_np.float64) for d in reversed(digits)]
-            self.shift = _np.uint64(digit_bits)
-            self.q = _np.uint64(q)
-
-        def product(self, f, left: bool, partial, acc, word):
-            """``M @ f`` (``left``) or ``f @ M`` modulo ``q``, in ``[0, 2q)``.
-
-            ``f`` is a float64 ``(..., R, C)`` stack of values below
-            ``2^bits(q)``.  The result is written to ``acc``; ``partial``
-            (float64), ``acc`` and ``word`` (uint64) are work buffers of
-            ``f``'s shape, all overwritten, none of them ``f``.
-            """
-            if not left:
-                # On the right the whole stack is one GEMM, not one per matrix.
-                f, partial, acc, word = (
-                    a.reshape(-1, a.shape[-1]) for a in (f, partial, acc, word))
-
-            def matmul(m):
-                return (_np.matmul(m, f, out=partial) if left
-                        else _np.matmul(f, m, out=partial))
-
-            # Through int64: the sums are signed, the words wrap.
-            _np.copyto(acc.view(_np.int64), matmul(self.digits[0]),
-                       casting="unsafe")
-            for digit in self.digits[1:]:
-                acc <<= self.shift
-                _np.copyto(word.view(_np.int64), matmul(digit), casting="unsafe")
-                acc += word
-            quot = matmul(self.quot)
-            quot -= 0.25
-            _np.floor(quot, out=quot)
-            _np.copyto(word.view(_np.int64), quot, casting="unsafe")
-            word *= self.q
-            acc -= word
-
-    class _MatrixNTT:
-        """The word-32 negacyclic NTT of one ``(N, q)`` as two matrix products.
-
-        A row is viewed as an ``R x C`` matrix (``R = 2^floor(log2(N)/2)``):
-        with ``i = C i1 + i2`` and ``k = k1 + R k2``, and ``psi^(2N) = 1``,
-
-            ``X[k] = sum_i2 psi^(2R k2 i2) psi^(i2 (2 k1 + 1))
-                     sum_i1 psi^(C i1 (2 k1 + 1)) x[i1, i2]``
-
-        — left-multiply by the ``R x R`` negacyclic matrix, twiddle
-        element-wise (:func:`_shoup32_mul`), right-multiply by the ``C x C``
-        cyclic matrix.  Output slot ``(a, b)`` of the bit-reversed order the
-        golden transform produces holds ``X[brv_R(a) + R brv_C(b)]``, so the
-        permutation is the row order of the first matrix and the column
-        order of the second: no transpose, gather or copy.  The inverse is
-        the mirrored flow with ``n^-1`` folded into its twiddles.  Both
-        products are :class:`_ExactMatrix`; ``lazy`` says the first one's
-        ``[0, 2q)`` residue already meets the twiddle's ``y < 2^32``.
-        """
-
-        __slots__ = ("shape", "q", "lazy", "fwd", "inv")
-
-        def __init__(self, context):
-            n, q = context.ring_degree, context.modulus
-            rows = 1 << ((n.bit_length() - 1) // 2)
-            cols = n // rows
-            self.shape = (-1, rows, cols)
-            self.q = _np.uint64(q)
-            self.lazy = 2 * q <= 1 << 32
-            i1 = _np.arange(rows, dtype=_np.int64)
-            i2 = _np.arange(cols, dtype=_np.int64)
-            k1 = _np.array(_bit_reverse_indices(rows), dtype=_np.int64)
-            k2 = _np.array(_bit_reverse_indices(cols), dtype=_np.int64)
-
-            def build(powers, scale):
-                table = _np.array(powers, dtype=_np.int64)
-
-                def power(exponent):
-                    # psi^N = -1; no power of psi is zero.
-                    value = table[exponent % n]
-                    return _np.where(exponent % (2 * n) >= n, q - value, value)
-
-                twiddle = power(_np.outer(2 * k1 + 1, i2)).ravel().tolist()
-                twiddle = _fixed_operand([[w * scale for w in twiddle]], (q,), 32)
-                return (
-                    power(cols * _np.outer(2 * k1 + 1, i1)),    # [k1, i1]
-                    tuple(w.reshape(rows, cols) for w in twiddle),
-                    power(2 * rows * _np.outer(i2, k2)),        # [i2, k2]
-                )
-
-            left, twiddle, right = build(context._psi_powers, 1)
-            self.fwd = (_ExactMatrix(left, q), twiddle, _ExactMatrix(right, q))
-            left, twiddle, right = build(context._psi_inv_powers, context.n_inv)
-            # Copies, so the digit matrices come out in C order like the
-            # forward ones (transposed views make the products ~10% slower).
-            self.inv = (_ExactMatrix(right.T.copy(), q), twiddle,
-                        _ExactMatrix(left.T.copy(), q))
-
-        def transform(self, x, out, inverse: bool, scratch) -> None:
-            """NTT (or its inverse) of the rows of ``x`` into ``out``.
-
-            Both are ``(rows, N)`` uint64, ``x`` reduced below ``q`` (the
-            digit budget is sized for it); ``out`` comes out reduced.  Every
-            pass in between runs in place over four ``(rows, N)`` work
-            buffers: two float64 (``values``, what a product reads;
-            ``partial``, what one GEMM writes) and two uint64 (``acc``, the
-            residue being built; ``word``, the other operand of a pass).
-            They live in ``scratch``, a dict the caller owns, keyed by
-            ``x.shape`` and made on first use: the next transform of as many
-            rows of this degree reuses them.  ``out`` is never one of them.
-            """
-            buffers = scratch.get(x.shape)
-            if buffers is None:
-                buffers = scratch[x.shape] = tuple(
-                    _np.empty((len(x),) + self.shape[1:], dtype=dtype)
-                    for dtype in (_np.float64, _np.float64, _np.uint64, _np.uint64))
-            values, partial, acc, word = buffers
-            first, (w, s32), second = self.inv if inverse else self.fwd
-            _np.copyto(values, x.reshape(self.shape))
-            first.product(values, not inverse, partial, acc, word)
-            if not self.lazy:
-                _np.subtract(acc, self.q, out=word)
-                _np.minimum(acc, word, out=acc)
-            # The twiddle, :func:`_shoup32_mul` in place.
-            _np.multiply(acc, s32, out=word)
-            word >>= _S32
-            word *= self.q
-            acc *= w
-            acc -= word
-            _np.subtract(acc, self.q, out=word)
-            _np.minimum(acc, word, out=values)
-            second.product(values, inverse, partial, acc, word)
-            _np.subtract(acc, self.q, out=word)
-            _np.minimum(acc.reshape(out.shape), word.reshape(out.shape), out=out)
-
     def _shoup_table(context, word: int):
         """The native core's constants for one ``(N, q)``: one array of
         uint32 (word 32) or uint64 (word 64) in the layout given at the top
@@ -1277,12 +1068,12 @@ if _np is not None:
         under that one modulus.  The transform's tables are held once per
         ``(N, q)`` in the cached single-context tables (a tuple of contexts
         only collects references, so a modulus costs the same however many
-        bases it appears in): ``shoup`` / ``addresses`` for the ``native``
-        library at either word size, else ``matrix`` (:class:`_MatrixNTT`,
-        word 32 only, applied limb by limb).
+        bases it appears in): ``shoup`` / ``addresses``, the ``native``
+        library's constants at either word size.  Tables exist only where
+        the library loaded.
         """
 
-        __slots__ = ("n", "word", "q", "native", "shoup", "addresses", "matrix")
+        __slots__ = ("n", "word", "q", "native", "shoup", "addresses")
 
         def __init__(self, contexts, word: int, singles=None):
             self.n = contexts[0].ring_degree
@@ -1290,33 +1081,10 @@ if _np is not None:
             moduli = [ctx.modulus for ctx in contexts]
             self.q = _np.array(moduli, dtype=_np.uint64)[:, None]
             self.native = _native.library()
-            if self.native is not None:
-                self.shoup = ([_shoup_table(contexts[0], word)] if singles is None
-                              else [single.shoup[0] for single in singles])
-                self.addresses = _np.array(
-                    [table.ctypes.data for table in self.shoup], dtype=_np.uintp)
-            else:
-                self.matrix = (
-                    [_MatrixNTT(contexts[0])] if singles is None
-                    else [single.matrix[0] for single in singles]
-                )
-
-    def _matrix_transform(tabs, x, inverse: bool, scratch=None):
-        """The word-32 core: each limb's rows through its :class:`_MatrixNTT`.
-
-        ``x`` is ``(..., L, n)``, or any ``(rows, n)`` under an ``L = 1``
-        table: both are ``(-1, L, n)``, limb ``i`` at ``[:, i]``.  The work
-        buffers of :meth:`_MatrixNTT.transform` are shared by the limbs and
-        live in ``scratch`` when the caller brings one, else for this call;
-        the result is a fresh array either way.
-        """
-        if scratch is None:
-            scratch = {}
-        stack = x.reshape(-1, len(tabs.matrix), tabs.n)
-        out = _np.empty(stack.shape, dtype=_np.uint64)
-        for i, matrix in enumerate(tabs.matrix):
-            matrix.transform(stack[:, i], out[:, i], inverse, scratch)
-        return out.reshape(x.shape)
+            self.shoup = ([_shoup_table(contexts[0], word)] if singles is None
+                          else [single.shoup[0] for single in singles])
+            self.addresses = _np.array(
+                [table.ctypes.data for table in self.shoup], dtype=_np.uintp)
 
     def _native_transform(tabs, x, inverse: bool):
         """The native core: its forward (or inverse) transform of the word
@@ -1331,33 +1099,27 @@ if _np is not None:
                                    tabs.addresses.ctypes.data)
         return out
 
-    def _ntt(tabs, x, scratch=None):
+    def _ntt(tabs, x):
         """Forward negacyclic NTT of every row of ``x``, fully reduced.
 
         ``x`` is a uint64 ``(..., L, n)`` array and is only read.  Word-32
-        rows arrive reduced below ``q`` — the exact-product digit budget is
-        sized for it; stores are reduced by contract and the list-in kernels
-        reduce through :meth:`NumpyBackend._to_array`.  Word-64 rows may be
-        anywhere below ``2q``.  ``scratch`` is the caller's buffer dict of
-        the batch kernels; only the word-32 matrix core keeps anything in it.
+        rows arrive reduced below ``q`` (no Harvey-lazy input may reach the
+        32-bit Shoup multiply); stores are reduced by contract and the
+        list-in kernels reduce through :meth:`NumpyBackend._to_array`.
+        Word-64 rows may be anywhere below ``2q``.
         """
-        if tabs.native is not None:
-            return _native_transform(tabs, x, inverse=False)
-        return _matrix_transform(tabs, x, inverse=False, scratch=scratch)
+        return _native_transform(tabs, x, inverse=False)
 
-    def _intt(tabs, x, scratch=None):
+    def _intt(tabs, x):
         """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
-        if tabs.native is not None:
-            return _native_transform(tabs, x, inverse=True)
-        return _matrix_transform(tabs, x, inverse=True, scratch=scratch)
+        return _native_transform(tabs, x, inverse=True)
 
     def _eval_mul(tabs, x, y):
         """Pointwise ``x * y mod q_i`` of two fully reduced transforms.
 
         The one place an evaluation-domain product branches on the word
         size: word 32 is one 64-bit multiply plus one remainder, word 64 a
-        one-term :func:`_mac` (there are word-64 tables only where the
-        library loaded).
+        one-term :func:`_mac`.
         """
         if tabs.word == 32:
             return (x * y) % tabs.q
@@ -1446,14 +1208,14 @@ class NumpyBackend(PythonBackend):
     run the same array cores as the limb-stack kernels on a ``(1, N)`` view.
 
     Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`:
-    the C loops of :mod:`repro.fhe.native` at the word size of the moduli
-    where it loaded.  Where it did not, word-32 moduli run two exact float64
-    matrix products per row (the only float path in the backend — exact by
-    a digit budget fixed when the table is built, not by a tolerance, so
-    BLAS threading or summation order cannot change a bit) and word-64
-    moduli the golden kernels: word 64 runs in C or golden.  Tables are
-    cached per context tuple in :meth:`_tables`; what costs memory is held
-    once per ``(N, q)``.
+    the C loops of :mod:`repro.fhe.native` at the word size of the moduli.
+    Each transform and multiply-accumulate kernel has one fast body, the
+    library's: where it did not load they are the golden kernels, at either
+    word size.  That is the price of an install without a compiler: the
+    transform-bound workloads of ``benchmarks/e2e`` run 60-120x fewer
+    operations per second than with the library (2-core x86 container).
+    Tables are cached per context tuple in :meth:`_tables`; what costs
+    memory is held once per ``(N, q)``.
     """
 
     name = "numpy"
@@ -1608,14 +1370,13 @@ class NumpyBackend(PythonBackend):
     def _tables(self, contexts, word: "int | None" = None) -> "_NTTTables | None":
         """Transform tables for a tuple of same-degree NTT contexts.
 
-        ``None`` when the vectorized transforms cannot serve them (ring
-        below the crossover, mixed degrees, a modulus that is even or above
-        2^62 — the word-64 butterflies keep values in ``[0, 4q)``, so ``4q``
-        must fit a word — or a word-64 modulus where the native library did
-        not load).  ``word`` is chosen from the moduli; the argument exists
-        so a multi-limb table can ask for its single-context parts — where
-        the native tables and the word-32 matrices are built, once per
-        ``(n, q)`` — in its own word size.
+        ``None`` when the native transforms cannot serve them (the library
+        did not load, ring below the crossover, mixed degrees, a modulus
+        that is even or above 2^62 — the word-64 butterflies keep values in
+        ``[0, 4q)``, so ``4q`` must fit a word).  ``word`` is chosen from
+        the moduli; the argument exists so a multi-limb table can ask for
+        its single-context parts — where the native tables are built, once
+        per ``(n, q)`` — in its own word size.
         """
         if not contexts:
             return None
@@ -1632,7 +1393,7 @@ class NumpyBackend(PythonBackend):
         elif (
             n >= self.min_ntt_length and self._moduli_fit(moduli)
             and all(q % 2 for q in moduli)
-            and (word == 32 or _native.library() is not None)
+            and _native.library() is not None
             and all(ctx.ring_degree == n for ctx in contexts)
         ):
             singles = None if len(contexts) == 1 else [
@@ -1998,25 +1759,7 @@ class NumpyBackend(PythonBackend):
             matrix = _np.array(plan.weights, dtype=_np.uint64)
             cells = matrix.ctypes.data + _np.arange(
                 matrix.size, dtype=_np.uintp).reshape(matrix.shape) * _np.uintp(8)
-            # Word 32 without the library: per-source-limb weight columns with
-            # per-target Shoup constants (weights[i] multiplies one source row
-            # into all target rows), or, when every ``weight * scaled``
-            # product and the sum of all of them fit one word — bits(q) +
-            # bits(p) + ceil(log2(Ls)) <= 64 — one integer matrix product.
-            weights = plain = None
-            if word == 32:
-                weights = [
-                    _fixed_operand([[row[i]] for row in plan.weights],
-                                   plan.target_moduli, word)
-                    for i in range(len(plan.source_moduli))
-                ]
-                if (
-                    max(int(q).bit_length() for q in plan.source_moduli)
-                    + max(int(p).bit_length() for p in plan.target_moduli)
-                    + (len(plan.source_moduli) - 1).bit_length() <= 64
-                ):
-                    plain = matrix
-            tables = (word, inverses, weights, matrix, cells, plain)
+            tables = (word, inverses, matrix, cells)
             plan.cache["numpy"] = tables
         return tables
 
@@ -2025,14 +1768,14 @@ class NumpyBackend(PythonBackend):
             # No members, or one bare store: the golden kernel's to unwrap.
             return super().bconv_matmul(stores, plan)
         mats = [self._matrix(store) for store in stores]
-        word, inverses, weights, matrix, cells, plain = self._bconv_tables(plan)
         lib = _native.library()
         if (
-            any(x is None or x.size < self.min_vector_length for x in mats)
+            lib is None
+            or any(x is None or x.size < self.min_vector_length for x in mats)
             or not self._moduli_fit(plan.source_moduli + plan.target_moduli)
-            or (word == 64 and lib is None)
         ):
             return super().bconv_matmul(stores, plan)
+        word, inverses, matrix, cells = self._bconv_tables(plan)
         q_tgt = self._q_col(plan.target_moduli)
         # Step 1, for the whole wave at once: x_i * (Q/q_i)^{-1} mod q_i,
         # fully reduced — the weighted sum needs the canonical residue in
@@ -2041,23 +1784,14 @@ class NumpyBackend(PythonBackend):
         scaled = _fixed_mul(_np.stack(mats), inverses,
                             self._q_col(plan.source_moduli), word)
         members, sources, n = scaled.shape
-        if lib is not None:
-            # Output (member m, target t) sums member m's scaled rows, row i
-            # times the scalar weight (t, i).
-            held, rows = _row_table([scaled.reshape(members * sources, n)],
-                                    members * sources, n)
-            shape = (members,) + matrix.shape
-            rows = _np.broadcast_to(rows.reshape(members, 1, sources), shape)
-            return list(_mac(lib, word, rows, _np.broadcast_to(cells, shape),
-                             q_tgt[:, 0], n, 0, (held, matrix)))
-        if plain is not None:
-            return list((plain @ scaled) % q_tgt)
-        # Step 2: one source limb into all target rows per pass; each term
-        # is below p < 2^32, so the sum of Ls of them fits a word.
-        acc = _np.zeros((members, len(plan.target_moduli), n), dtype=_np.uint64)
-        for i, weight in enumerate(weights):
-            acc += _fixed_mul(scaled[:, i, None], weight, q_tgt, word)
-        return list(acc % q_tgt)
+        # Output (member m, target t) sums member m's scaled rows, row i
+        # times the scalar weight (t, i).
+        held, rows = _row_table([scaled.reshape(members * sources, n)],
+                                members * sources, n)
+        shape = (members,) + matrix.shape
+        rows = _np.broadcast_to(rows.reshape(members, 1, sources), shape)
+        return list(_mac(lib, word, rows, _np.broadcast_to(cells, shape),
+                         q_tgt[:, 0], n, 0, (held, matrix)))
 
     def _transform(self, core, contexts, stores):
         """``core`` (:func:`_ntt` / :func:`_intt`) over several stores stacked
@@ -2109,24 +1843,15 @@ class NumpyBackend(PythonBackend):
                    for handles in key_handles for handle in handles)
         ):
             return super().limbs_eval_mac(contexts, digit_stores, key_handles)
-        if tabs.native is not None:
-            # Output (component c, limb l) sums digit j's row l times the
-            # row l of digit j's key component c.
-            limbs, width = len(contexts), len(key_handles[0])
-            digits, a = _row_table(mats, limbs, tabs.n)
-            keys, b = _row_table([handle[1] for handles in key_handles
-                                  for handle in handles], limbs, tabs.n)
-            b = b.reshape(len(mats), width, limbs).transpose(1, 2, 0)
-            return list(_mac(tabs.native, tabs.word, _np.broadcast_to(a.T, b.shape),
-                             b, tabs.q[:, 0], tabs.n, 1, (digits, keys)))
-        accs = []
-        for component in range(len(key_handles[0])):
-            acc = None
-            for mat, handles in zip(mats, key_handles):
-                term = _eval_mul(tabs, mat, handles[component][1])
-                acc = term if acc is None else self._add(acc, term, tabs.q)
-            accs.append(acc)
-        return accs
+        # Output (component c, limb l) sums digit j's row l times the row l
+        # of digit j's key component c.
+        limbs, width = len(contexts), len(key_handles[0])
+        digits, a = _row_table(mats, limbs, tabs.n)
+        keys, b = _row_table([handle[1] for handles in key_handles
+                              for handle in handles], limbs, tabs.n)
+        b = b.reshape(len(mats), width, limbs).transpose(1, 2, 0)
+        return list(_mac(tabs.native, tabs.word, _np.broadcast_to(a.T, b.shape),
+                         b, tabs.q[:, 0], tabs.n, 1, (digits, keys)))
 
     def limbs_tensor_product(self, a0, a1, b0, b1, moduli):
         mats = [self._matrix(store) for store in (a0, a1, b0, b1)]
@@ -2146,44 +1871,21 @@ class NumpyBackend(PythonBackend):
         if not count or not (count == len(c1_stores) == len(pt_stores)):
             raise ValueError("stacked_pmult_mac needs matching non-empty stores")
         mats = [self._matrix(s) for s in (*c0_stores, *c1_stores, *pt_stores)]
-        q_max = max(int(q) for q in moduli)
         lib = _native.library()
         if (
-            any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0])
-            or (q_max > (1 << 32) and lib is None)
+            lib is None
+            or any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0])
         ):
             return super().stacked_pmult_mac(c0_stores, c1_stores, pt_stores,
                                              moduli)
         q = self._q_col(moduli)
-        if lib is not None:
-            # Output (component c, limb l) sums store i's row l times plaintext i's.
-            held, rows = _row_table(mats, len(moduli), mats[0].shape[-1])
-            comps = rows[:2 * count].reshape(2, count, -1).transpose(0, 2, 1)
-            pts = _np.broadcast_to(rows[2 * count:].T, comps.shape)
-            acc = _mac(lib, _word(moduli), comps, pts, q[:, 0],
-                       mats[0].shape[-1], 1, held)
-            return acc[0], acc[1]
-        # Word 32 without the library: plain products of reduced operands
-        # sum in one word ``budget`` at a time (16 at 30-bit moduli), so the
-        # ``%`` runs once per ``budget`` terms; a budget of one is the
-        # reduced product of :meth:`_mulmod`.
-        budget = 1 << max(0, 64 - 2 * q_max.bit_length())
-        pts = mats[2 * count:]
-        accs = []
-        for comps in (mats[:count], mats[count:2 * count]):
-            acc = None
-            for start in range(0, count, budget):
-                stop = min(start + budget, count)
-                if stop - start == 1:
-                    part = self._mulmod(comps[start], pts[start], moduli)
-                else:
-                    part = comps[start] * pts[start]
-                    for i in range(start + 1, stop):
-                        part += comps[i] * pts[i]
-                    part %= q
-                acc = part if acc is None else self._add(acc, part, q)
-            accs.append(acc)
-        return accs[0], accs[1]
+        # Output (component c, limb l) sums store i's row l times plaintext i's.
+        held, rows = _row_table(mats, len(moduli), mats[0].shape[-1])
+        comps = rows[:2 * count].reshape(2, count, -1).transpose(0, 2, 1)
+        pts = _np.broadcast_to(rows[2 * count:].T, comps.shape)
+        acc = _mac(lib, _word(moduli), comps, pts, q[:, 0],
+                   mats[0].shape[-1], 1, held)
+        return acc[0], acc[1]
 
     @staticmethod
     def _gather_index(spec: "GatherSpec"):
@@ -2216,7 +1918,7 @@ class NumpyBackend(PythonBackend):
         return self._permute(x, self._q_col(moduli), spec)
 
     # -- same-modulus row stores (TFHE blind rotation) ---------------------
-    def _transform_rows(self, core, context, rows, scratch):
+    def _transform_rows(self, core, context, rows):
         """``core`` over rows sharing one modulus — the ``L = 1`` tables
         broadcast over them; ``None`` if they cannot be (or there are none).
         Store in -> store out, lists in -> lists out."""
@@ -2224,17 +1926,17 @@ class NumpyBackend(PythonBackend):
         if tabs is None:
             return None
         if isinstance(rows, _np.ndarray):
-            return core(tabs, self._matrix(rows), scratch)
+            return core(tabs, self._matrix(rows))
         q = context.modulus
         rows = _np.stack([self._to_array(row, q) for row in rows])
-        return core(tabs, rows, scratch).tolist()
+        return core(tabs, rows).tolist()
 
-    def ntt_forward_batch(self, context, rows, scratch=None):
-        out = self._transform_rows(_ntt, context, rows, scratch)
+    def ntt_forward_batch(self, context, rows):
+        out = self._transform_rows(_ntt, context, rows)
         return super().ntt_forward_batch(context, rows) if out is None else out
 
-    def ntt_inverse_batch(self, context, rows, scratch=None):
-        out = self._transform_rows(_intt, context, rows, scratch)
+    def ntt_inverse_batch(self, context, rows):
+        out = self._transform_rows(_intt, context, rows)
         return super().ntt_inverse_batch(context, rows) if out is None else out
 
     def rows_monomial_multiply(self, store, q, degrees, group):
@@ -2267,50 +1969,25 @@ class NumpyBackend(PythonBackend):
     def external_product_mac(self, fwd, key_rows, members, q):
         x = self._matrix(fwd)
         y = self._matrix(key_rows)
-        # A group of one is the reduced product of :meth:`_mulmod` (the full
-        # 32-bit moduli; the wider ones run only on the library).
-        group = max(1, _mac_group(q))
         lib = _native.library()
         if (
-            x is None or y is None or not self._mul_ok(q)
+            lib is None or x is None or y is None or not self._mul_ok(q)
             or x.size < self.min_vector_length
             # Every count mismatch is the golden kernel's error to raise.
             or not 0 < members <= len(x)
             or len(x) % members or len(y) % (len(x) // members)
-            # The numpy body adds reduced group sums before one remainder.
-            or (lib is None and -(-len(x) // (members * group)) * q > 1 << 64)
         ):
             return super().external_product_mac(fwd, key_rows, members, q)
         n = x.shape[1]
         per_member = len(x) // members
-        if lib is not None:
-            # Output (m, c) sums fwd row m * R + r times key row r * (k + 1) + c.
-            digits, a = _row_table([x], len(x), n)
-            keys, b = _row_table([y], len(y), n)
-            shape = (members, len(y) // per_member, per_member)
-            a = _np.broadcast_to(a.reshape(members, 1, per_member), shape)
-            b = _np.broadcast_to(b.reshape(per_member, -1).T, shape)
-            return _mac(lib, _word((q,)), a, b, _np.uint64(q), n, 1,
-                        (digits, keys)).reshape(-1, n)
-        x = x.reshape(members, per_member, n)
-        y = y.reshape(per_member, -1, n)
-        q_u = _np.uint64(q)
-        acc = None
-        for start in range(0, per_member, group):
-            if group == 1:
-                part = self._mulmod(x[:, start, None], y[start], (q,))
-            else:
-                # ``group`` unreduced products per element, one remainder.
-                part = _np.einsum("mpn,pcn->mcn", x[:, start:start + group],
-                                  y[start:start + group])
-                part %= q_u
-            if acc is None:
-                acc = part
-            else:
-                acc += part
-        if per_member > group:
-            acc %= q_u
-        return acc.reshape(-1, n)
+        # Output (m, c) sums fwd row m * R + r times key row r * (k + 1) + c.
+        digits, a = _row_table([x], len(x), n)
+        keys, b = _row_table([y], len(y), n)
+        shape = (members, len(y) // per_member, per_member)
+        a = _np.broadcast_to(a.reshape(members, 1, per_member), shape)
+        b = _np.broadcast_to(b.reshape(per_member, -1).T, shape)
+        return _mac(lib, _word((q,)), a, b, _np.uint64(q), n, 1,
+                    (digits, keys)).reshape(-1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@
 32 (moduli below 2^32) and word 64 (below 2^62), and the TFHE gadget
 decomposition.
 
-:func:`library` is the one entry point; ``None`` means the numpy backend
-runs its word-32 matrix NTT and numpy MAC and decomposition bodies instead,
-and its word-64 transforms and products fall back to the golden kernels.
+:func:`library` is the one entry point; ``None`` means the numpy backend's
+transforms and multiply-accumulates fall back to the golden kernels at
+either word size, and its gadget decomposition runs its int64 numpy body.
 """
 
 from __future__ import annotations

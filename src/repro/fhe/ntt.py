@@ -6,11 +6,12 @@ tables (psi powers, bit-reversed twiddles) for one ``(N, q)`` pair, with
 forward/inverse transforms and negacyclic convolution.
 
 Trinity computes an NTT as the four-step (Bailey) split: the NTTU runs
-phase 1, the CUs run phase 2, with a twiddle in between.  The repo has one
-such split, ``repro.fhe.backend._MatrixNTT`` (each phase one exact matrix
-product on BLAS): for moduli up to 32 bits the numpy backend runs every
-CKKS limb and TFHE wave transform through it where :mod:`repro.fhe.native`
-did not load.  The golden python backend keeps the direct radix-2 loops.
+phase 1, the CUs run phase 2, with a twiddle in between.  The cost model
+prices that split (``repro.core.ntt_strategies``), and ``tests/test_ntt.py``
+keeps it written out (``four_step_forward`` / ``four_step_inverse``) as an
+oracle against the direct transform.  The library computes the direct
+radix-2 transform: the golden python loops, and the numpy backend's C
+butterflies of :mod:`repro.fhe.native`.
 
 The transforms execute on the active :mod:`repro.fhe.backend`
 (:func:`~repro.fhe.backend.active_backend`): the exact pure-Python reference

@@ -208,7 +208,6 @@ def blind_rotate_wave(
     accumulator = backend.rows_monomial_multiply(
         accumulator, q, [-lwe.b for lwe in switched], group
     )
-    scratch: dict = {}
     for i in range(bootstrapping_key.lwe_dimension):
         degrees = [lwe.a[i] for lwe in switched]
         if not any(degrees):
@@ -218,11 +217,11 @@ def blind_rotate_wave(
             backend.limbs_sub(rotated, accumulator, moduli), q, factors
         )
         product = backend.external_product_mac(
-            backend.ntt_forward_batch(context, digits, scratch),
+            backend.ntt_forward_batch(context, digits),
             key[i * span:(i + 1) * span], len(switched), q,
         )
         accumulator = backend.limbs_add(
-            accumulator, backend.ntt_inverse_batch(context, product, scratch),
+            accumulator, backend.ntt_inverse_batch(context, product),
             moduli,
         )
     return accumulator

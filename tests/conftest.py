@@ -21,18 +21,33 @@ import pytest
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: a whole example script run end to end (seconds)")
-    # The numpy word-32 transforms run through float64: a NaN or an
-    # out-of-range float -> int cast shows only as numpy's "invalid value
-    # encountered in cast" RuntimeWarning.
+    config.addinivalue_line(
+        "markers", "mutation: one native.c build per step tag with that step "
+        "removed (minutes); runs only where -m mutation selects it")
+    # The CKKS encoder and the gaussian sampler round float64 to int64: a
+    # NaN or an out-of-range float -> int cast, like a wrapping numpy scalar
+    # operation, shows only as a RuntimeWarning ("invalid value encountered
+    # in cast", "overflow encountered in ...").
     config.addinivalue_line("filterwarnings", "error::RuntimeWarning")
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip the ``mutation`` tests unless ``-m`` names them: the selection
+    is their only switch."""
+    if "mutation" in config.getoption("markexpr"):
+        return
+    skip = pytest.mark.skip(reason="opt-in: select with -m mutation")
+    for item in items:
+        if "mutation" in item.keywords:
+            item.add_marker(skip)
 
 
 @pytest.fixture
 def no_native_library(request, monkeypatch):
     """The numpy backend as on a box where the native library did not build
-    or load: word-32 transforms on the matrix core, and the keyswitch MAC,
-    the plaintext MAC, BConv, the TFHE external product and the gadget
-    decomposition on their numpy bodies.
+    or load: every transform and multiply-accumulate is the golden kernel
+    (there are no transform tables), and the gadget decomposition runs its
+    int64 numpy body.
 
     A test substitution, not a switch (production takes what the platform
     gives it): ``repro.fhe.native.library`` reads as ``None`` for the test,

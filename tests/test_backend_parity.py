@@ -17,8 +17,6 @@ import hashlib
 import itertools
 import math
 import random
-from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +28,7 @@ except ImportError:  # the whole module is skipped below
     np = None
 
 from repro.fhe import backend as backend_module
-from repro.fhe import modmath, native
+from repro.fhe import modmath
 from repro.fhe.backend import (
     ArithmeticBackend,
     NumpyBackend,
@@ -215,9 +213,10 @@ class TestNTTParity:
 
 
 @pytest.mark.usefixtures("no_native_library")
-class TestNTTParityOnTheMatrixCore(TestNTTParity):
-    """Every :class:`TestNTTParity` leg again on the matrix core: the word-32
-    transform of a box where the native library did not build."""
+class TestNTTParityWithoutTheLibrary(TestNTTParity):
+    """Every :class:`TestNTTParity` leg again on a box where the native
+    library did not build: no transform tables, so each numpy transform
+    kernel is the golden one, handed numpy stores."""
 
 
 class TestUnreducedInputParity:
@@ -669,20 +668,23 @@ class TestCenteredLiftParity:
                 assert big.infinity_norm() == product // 2
 
 
-def _without_library(run):
-    """``run()`` on the numpy bodies an install without the native library
-    runs (the plaintext MAC and BConv pick their route per call)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(native, "library", lambda: None)
-        return run()
+@pytest.fixture(params=["library", "no-library"])
+def library(request):
+    """Where it built, the native library; and an install without it
+    (``no_native_library``): the int64 numpy body of the gadget
+    decomposition, and the golden multiply-accumulates on numpy stores."""
+    if request.param == "no-library":
+        request.getfixturevalue("no_native_library")
 
 
+@pytest.mark.usefixtures("library")
 class TestReductionBudget:
     """``stacked_pmult_mac`` and ``bconv_matmul`` sum unreduced products and
-    reduce once per budget; the budget edges, with operands at ``q - 1``, on
-    the native loop where it loaded and on the numpy bodies.
-    (``external_product_mac``'s edges ride its own wave-kernel test below;
-    the helper that sizes its groups is checked here.)"""
+    reduce once per output element: operands at ``q - 1`` past the term
+    counts where 30-, 31- and 32-bit products would fill a word, and BConv
+    around the 64 bits one ``weight * scaled`` sum would need, in the native
+    loop and in the golden kernels on numpy stores.
+    (``external_product_mac``'s edges ride its own wave-kernel test below.)"""
 
     def _pmult_mac(self, bits, terms, seed=0):
         moduli = _primes(bits, 2)
@@ -691,11 +693,9 @@ class TestReductionBudget:
         expected = PYTHON.stacked_pmult_mac(*stores, moduli)
         actual = NUMPY.stacked_pmult_mac(*stores, moduli)
         assert tuple(map(_rows, actual)) == tuple(map(_rows, expected))
-        fallback = _without_library(lambda: NUMPY.stacked_pmult_mac(*stores, moduli))
-        assert tuple(map(_rows, fallback)) == tuple(map(_rows, expected))
         return actual
 
-    # Budgets 16, 4 and 1: each case needs a second reduction group.
+    # 16, 4 and 1 products of these widths fill a word: one more each.
     @pytest.mark.parametrize("bits,terms", [(30, 17), (31, 5), (32, 3)])
     def test_pmult_mac_past_the_budget(self, bits, terms):
         acc0, _ = self._pmult_mac(bits, terms)
@@ -711,22 +711,16 @@ class TestReductionBudget:
             row[1] = (q - 1) * modmath.mod_inverse(inv, q) % q   # scales to q - 1
         expected = PYTHON.bconv_matmul(store, plan)
         assert _rows(NUMPY.bconv_matmul(store, plan)) == expected
-        assert _rows(_without_library(lambda: NUMPY.bconv_matmul(store, plan))) == expected
-        return NUMPY._bconv_tables(plan)[-1] is not None
 
-    def test_bconv_takes_the_single_reduction_route_at_exactly_64_bits(self):
-        assert self._bconv(30, 32, sources=4)       # 30 + 32 + 2 = 64
+    # bits(q) + bits(p) + ceil(log2(sources)): 64, 65 and 65.
+    @pytest.mark.parametrize("source_bits,target_bits,sources",
+                             [(30, 32, 4), (30, 32, 5), (32, 32, 2)])
+    def test_bconv_around_a_64_bit_sum(self, source_bits, target_bits, sources):
+        self._bconv(source_bits, target_bits, sources)
 
-    def test_bconv_over_budget_falls_through(self):
-        assert not self._bconv(30, 32, sources=5)   # 30 + 32 + 3 = 65
-        assert not self._bconv(32, 32, sources=2)   # 32 + 32 + 1 = 65
-
-    @given(st.integers(2, 1 << 64))
-    def test_mac_group_is_the_most_products_one_word_holds(self, q):
-        g = backend_module._mac_group(q)
-        assert g * (q - 1) ** 2 < 1 << 64 <= (g + 1) * (q - 1) ** 2
-
-    @settings(max_examples=60, deadline=None)
+    # ``library`` holds for every example: no state to reset between them.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(28, 32), st.integers(28, 32), st.integers(1, 20),
            st.integers(0, 1 << 16))
     def test_sweep(self, bits, target_bits, terms, seed):
@@ -770,13 +764,6 @@ class TestWaveKernelParity:
             with pytest.raises(ValueError, match="do not split"):
                 backend.rows_monomial_multiply(rows, q, [1, 2], 2)
 
-    @pytest.fixture(params=["library", "no-library"])
-    def library(self, request):
-        """Where it built, the native library; and the numpy bodies an
-        install without it runs (``no_native_library``)."""
-        if request.param == "no-library":
-            request.getfixturevalue("no_native_library")
-
     @pytest.mark.usefixtures("library")
     def test_gadget_decompose_rows_is_stacked_gadget_decompose(self, q, n):
         rows = _wave_store(q, n, 4, 3)
@@ -809,16 +796,13 @@ class TestWaveKernelParity:
             for rows, count in ((fwd, 5), ([], 1), (fwd, 0), (fwd, len(fwd) + 1)):
                 with pytest.raises(ValueError, match="row counts"):
                     backend.external_product_mac(rows, key, count, q)
-        # The group bound at its edge: every digit and key residue at
-        # ``edge - 1``, the member's rows filling one group exactly, spilling
-        # one product into the next, and ending on a part-filled third.  The
-        # class's own modulus, the largest single-word one (2^32 is no NTT
-        # modulus, so the class cannot carry it) and a 20-bit prime whose
-        # group is millions wide: everything is one group.
+        # Every digit and key residue at ``edge - 1``, at member row counts
+        # where 64-bit sums of such products would fill a word at the 31-
+        # and 32-bit moduli (4 and 1) and past it: the class's own modulus,
+        # 2^32 (no NTT modulus, so the class cannot carry it) and a 20-bit
+        # prime.
         for edge in sorted({q, 1 << 32, modmath.find_ntt_prime(20, 64)}):
-            g = backend_module._mac_group(edge)
-            assert g * (edge - 1) ** 2 < 1 << 64 <= (g + 1) * (edge - 1) ** 2
-            for per_member in sorted({1, g, g + 1, 2 * g + 3} if 0 < g < 8 else {1, 5}):
+            for per_member in (1, 2, 4, 5, 11):
                 fwd = [[edge - 1] * 8] * (members * per_member)
                 key = [[edge - 1] * 8] * (per_member * width)
                 expected = PYTHON.external_product_mac(fwd, key, members, edge)
@@ -988,156 +972,6 @@ class TestSingleRowIsStackOfOne:
             out = getattr(default, name)(*args)
             assert out == getattr(PYTHON, name)(*args), name
             assert out == getattr(NUMPY, name)(*args), name
-
-
-# ---------------------------------------------------------------------------
-# The word-32 transform core: two exact matrix products
-# ---------------------------------------------------------------------------
-#
-# ``_ntt`` / ``_intt`` at word 32 are float64 matrix products whose
-# exactness is a budget, not a tolerance: these cases hold the budget rule
-# itself, the tables it sizes, and the transforms against the golden loops.
-
-@lru_cache(maxsize=None)
-def _matrix_context(n, bits, index):
-    return NTTContext(n, modmath.find_ntt_prime(bits, n, index=index))
-
-
-def _golden_rows(golden, contexts, x):
-    """``golden`` (python ``ntt_forward`` / ``ntt_inverse``) over every row
-    of ``x``, row ``(..., i, :)`` under ``contexts[i % len(contexts)]``."""
-    flat = x.reshape(-1, x.shape[-1])
-    return np.array(
-        [golden(contexts[i % len(contexts)], row.tolist())
-         for i, row in enumerate(flat)], dtype=np.uint64).reshape(x.shape)
-
-
-@pytest.mark.usefixtures("no_native_library")
-class TestMatrixNTT:
-    def _check(self, contexts, x, tabs=None):
-        tabs = tabs or NUMPY._tables(contexts)
-        assert tabs.word == 32
-        before = x.copy()
-        fwd = backend_module._ntt(tabs, x)
-        assert fwd.dtype == np.uint64 and fwd.shape == x.shape
-        assert np.array_equal(fwd, _golden_rows(PYTHON.ntt_forward, contexts, x))
-        assert np.array_equal(backend_module._intt(tabs, fwd), x)
-        assert np.array_equal(
-            backend_module._intt(tabs, x),
-            _golden_rows(PYTHON.ntt_inverse, contexts, x))
-        assert np.array_equal(x, before)          # inputs are only read
-        return tabs
-
-    @given(log_n=st.integers(2, 12), bits=st.integers(20, 32),
-           shape=st.sampled_from(["limbs", "stack", "wave"]),
-           seed=st.integers(0, 1 << 32))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_the_golden_transforms(self, log_n, bits, shape, seed):
-        n = 1 << log_n
-        bits = max(bits, log_n + 3)         # room for three 2N | q - 1 primes
-        limbs, count = {"limbs": (3, 1), "stack": (3, 2), "wave": (1, 5)}[shape]
-        contexts = tuple(_matrix_context(n, bits, i) for i in range(limbs))
-        rng = np.random.default_rng(seed)
-        flat = np.stack([
-            rng.integers(0, ctx.modulus, size=(count, n), dtype=np.uint64)
-            for ctx in contexts], axis=1)
-        # Edge rows: all zero, all q - 1, and q - 1 against a zero stride.
-        flat[0, 0] = 0
-        flat[-1, -1] = contexts[-1].modulus - 1
-        flat[-1, 0, ::2] = contexts[0].modulus - 1
-        # (L, n), (C, L, n), and (rows, n) under the L = 1 table of a wave.
-        x = {"limbs": flat[0], "stack": flat, "wave": flat[:, 0]}[shape]
-        self._check(contexts, x)
-        if shape == "limbs":
-            # A 32-bit store is the same store.
-            narrow = NUMPY.batched_ntt(contexts, x.astype(np.uint32))
-            assert np.array_equal(narrow, NUMPY.batched_ntt(contexts, x))
-            assert _rows(narrow) == [
-                PYTHON.ntt_forward(ctx, row.tolist()) for ctx, row in zip(contexts, x)]
-
-    @pytest.mark.parametrize("n,bits,inner,digits", [
-        # K = 128 at 32 bits: two 16-bit digits would reach 2^54.
-        (8192, 32, 128, 3),
-        (16384, 30, 128, 2),
-    ])
-    def test_large_rings_take_the_digits_the_budget_asks_for(
-            self, n, bits, inner, digits):
-        context = _matrix_context(n, bits, 0)
-        assert context.modulus.bit_length() == bits
-        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-        q = context.modulus
-        rng = np.random.default_rng(n)
-        x = rng.integers(0, q, size=(3, 1, n), dtype=np.uint64)
-        x[1] = q - 1
-        x[2, 0, ::2] = 0
-        tabs = self._check((context,), x, backend._tables((context,)))
-        (matrix,) = tabs.matrix
-        for first, _, second in (matrix.fwd, matrix.inv):
-            widest = max((first, second), key=lambda m: m.quot.shape[0])
-            assert widest.quot.shape == (inner, inner)
-            assert len(widest.digits) == digits
-
-    def test_budget_rule(self):
-        """Every plan ``_exact_digits`` returns keeps each digit dot product
-        below 2^53 and the quotient estimate within 1/4 — and is the
-        smallest such plan."""
-        exact_digits = backend_module._exact_digits
-        unit = Fraction(1, 1 << 53)
-        for inner in (1 << k for k in range(0, 10)):
-            for bits in range(2, 33):
-                x_bound = (1 << bits) - 1
-                digits, digit_bits = exact_digits(inner, bits)
-                assert digits * digit_bits >= bits
-                assert x_bound * (1 << (digit_bits - 1)) * inner < 1 << 53
-                if digits > 1:
-                    fewer = -(-bits // (digits - 1))
-                    assert x_bound * (1 << (fewer - 1)) * inner >= 1 << 53
-                # ``inner`` terms below x_bound / 2, rounded at ``w / q``, at
-                # the product, in the running sum and at the final ``- 1/4``.
-                error = (inner + 3) * unit * inner * Fraction(x_bound, 2)
-                assert error < Fraction(1, 4)
-        with pytest.raises(ValueError, match="no exact float64 product"):
-            exact_digits(1 << 10, 32)
-
-    @pytest.mark.parametrize("n,bits", [(256, 31), (1024, 30), (2048, 32), (64, 20)])
-    def test_tables_stay_inside_the_budget(self, n, bits):
-        """The matrices a table holds: digits recombine to the residues, no
-        digit exceeds its bound, and the float64 quotient estimate of the
-        worst rows is within 1/4 of the exact rational."""
-        context = _matrix_context(n, bits, 0)
-        q = context.modulus
-        (matrix,) = NUMPY._tables((context,)).matrix
-        rng = np.random.default_rng(bits)
-        for first, _, second in (matrix.fwd, matrix.inv):
-            for m in (first, second):
-                inner = m.quot.shape[0]
-                digits, digit_bits = backend_module._exact_digits(inner, bits)
-                assert len(m.digits) == digits and int(m.shift) == digit_bits
-                assert all(np.abs(d).max() <= 1 << (digit_bits - 1) for d in m.digits)
-                centred = [[int(v) for v in row] for row in np.rint(m.quot * q)]
-                value = [[0] * inner for _ in range(inner)]
-                for digit in m.digits:
-                    value = [[(v << digit_bits) + int(d) for v, d in zip(vr, dr)]
-                             for vr, dr in zip(value, digit)]
-                assert value == centred
-                assert all(2 * abs(v) < q for row in centred for v in row)
-                columns = np.stack([
-                    np.full(inner, q - 1), np.where(m.quot[0] > 0, q - 1, 0),
-                    rng.integers(0, q, size=inner)], axis=1).astype(np.float64)
-                estimate = np.matmul(m.quot, columns)
-                for i, row in enumerate(centred):
-                    for j in range(columns.shape[1]):
-                        exact = Fraction(
-                            sum(w * int(x) for w, x in zip(row, columns[:, j])), q)
-                        assert abs(Fraction(float(estimate[i, j])) - exact) < Fraction(1, 4)
-
-    def test_context_tuples_share_a_modulus_matrices(self):
-        a, b, c = (_matrix_context(64, 30, i) for i in range(3))
-        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-        first, second = backend._tables((a, b)), backend._tables((b, c))
-        assert first.matrix[1] is second.matrix[0] is backend._tables((b,)).matrix[0]
-        assert first.matrix[0] is not first.matrix[1]
 
 
 def _public_kernels():

@@ -8,14 +8,16 @@ the golden python ones on every ``(N, q)`` of the parameter sets, on the
 largest NTT-friendly primes below 2^32 for N = 2 ... 4096 and below 2^62
 and 2^61 for N = 64, 128 and 2048, and on every store layout the kernels
 hand them; the three multiply-accumulate kernels (``limbs_eval_mac``,
-``stacked_pmult_mac``, ``bconv_matmul``) must equal the golden ones on the
-same moduli, at every term count the accumulator has an edge at, in the C
-loop and in the bodies an install without the library runs (numpy at word
-32, golden at word 64); so must the TFHE wave kernels on it,
-``external_product_mac`` and the gadget decomposition
-``gadget_decompose_rows``, at every modulus below 2^32, factor and value its
-float quotient has an edge at.  Whatever the loader returns, the results
-stay golden, and every reduction step of the C source carries a step tag.
+``stacked_pmult_mac``, ``bconv_matmul``) and the TFHE external product
+``external_product_mac`` must equal the golden ones on the same moduli, at
+every term count the accumulator has an edge at, in the C loop and in the
+golden kernels an install without the library runs on numpy stores (every
+operand a uint64 scalar, at ``q - 1`` too); the gadget decomposition
+``gadget_decompose_rows`` must, at every modulus below 2^32, factor and
+value its float quotient has an edge at, in the C loop and in the int64
+numpy body an install without the library runs.  Whatever the loader
+returns, the results stay golden, and every reduction step of the C source
+carries a step tag (``tests/test_native_mutation.py`` removes each in turn).
 """
 
 import collections
@@ -240,6 +242,22 @@ class TestCachedLibrary:
         assert native._intact(built)
 
 
+#: The kernels whose only fast body is the library's: without it the numpy
+#: backend runs these golden bodies through ``super()``.
+GOLDEN_WITHOUT_LIBRARY = ("ntt_forward_batch", "ntt_inverse_batch",
+                          "limbs_eval_mac", "stacked_pmult_mac", "bconv_matmul",
+                          "external_product_mac")
+
+
+def _counting(body, name, calls):
+    """``body`` counting in ``calls`` the calls a numpy backend makes."""
+    def call(self, *args):
+        if isinstance(self, NumpyBackend):
+            calls[name] += 1
+        return body(self, *args)
+    return call
+
+
 @needs_numpy
 @pytest.mark.parametrize("case", ["no-compiler", "failing-compiler",
                                   "writable-file", "truncated-file",
@@ -247,7 +265,8 @@ class TestCachedLibrary:
 def test_the_transforms_stay_golden_whatever_the_loader_returns(
         case, cache, failing_compiler, request, monkeypatch):
     """The transforms, and the multiply-accumulate and TFHE wave kernels
-    with them."""
+    with them: without a library there are no transform tables at either
+    word size, and each of those kernels is the golden body."""
     compiler = {"no-compiler": None, "failing-compiler": failing_compiler}.get(
         case, native._compiler())
     if case in ("writable-file", "truncated-file", "missing-entry-point"):
@@ -265,9 +284,14 @@ def test_the_transforms_stay_golden_whatever_the_loader_returns(
     lib = native.build(cache, compiler)
     assert (lib is None) == (case != "truncated-file")
     monkeypatch.setattr(native, "library", lambda: lib)
+    golden = collections.Counter()
+    for name in GOLDEN_WITHOUT_LIBRARY:
+        monkeypatch.setattr(PythonBackend, name,
+                            _counting(getattr(PythonBackend, name), name, golden))
     backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
     context = NTTContext(256, TFHEParameters.hybrid().modulus)
-    assert (backend._tables((context,)).native is None) == (lib is None)
+    tables = backend._tables((context,))
+    assert tables is None if lib is None else tables.native is lib
     rng = random.Random(5)
     rows = [[rng.randrange(context.modulus) for _ in range(256)] for _ in range(3)]
     forward = backend.ntt_forward_batch(context, rows)
@@ -285,6 +309,12 @@ def test_the_transforms_stay_golden_whatever_the_loader_returns(
     assert backend.ntt_forward_batch(wide, rows) == [
         PYTHON.ntt_forward(wide, row) for row in rows]
     _check_macs(backend, 64, modmath.find_ntt_primes(40, 64, 4), 3, seed=5)
+    if lib is None:
+        assert set(golden) == set(GOLDEN_WITHOUT_LIBRARY)
+    else:
+        # BConv's bare store and the external product's count errors are
+        # the golden kernel's to unwrap and raise, library or not.
+        assert set(golden) <= {"bconv_matmul", "external_product_mac"}
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +622,10 @@ class _CountedLibrary:
 
 @pytest.fixture(params=["native", "numpy"])
 def route(request, monkeypatch):
-    """The C library where it built, and the numpy (word 32) and golden
-    (word 64) bodies an install without it runs (``no_native_library``)."""
+    """The C library where it built, counting its calls; and the numpy
+    backend of an install without it (``no_native_library``): the int64
+    numpy body of the gadget decomposition, and the golden kernels, on numpy
+    stores, of every multiply-accumulate."""
     if request.param == "numpy":
         request.getfixturevalue("no_native_library")
     elif native.library() is None:

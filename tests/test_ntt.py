@@ -61,9 +61,9 @@ def _split(context, rows):
 def four_step_forward(context, coeffs, rows):
     """The four-step (Bailey) split of the negacyclic NTT, written out.
 
-    The numpy backend's word-32 transform (``_MatrixNTT``) computes exactly
-    this for ``rows = 2^floor(log2(N)/2)``; here any ``rows x cols`` view
-    works.  With ``i = cols i1 + i2`` and ``k = k1 + rows k2``: phase 1 is
+    Trinity's NTTU / CU split (priced in ``repro.core.ntt_strategies``) for
+    any ``rows x cols`` view, the oracle the direct transforms of both
+    backends are checked against.  With ``i = cols i1 + i2`` and ``k = k1 + rows k2``: phase 1 is
     a length-``rows`` negacyclic transform down each column, then a
     twiddle ``psi^(i2 (2 k1 + 1))``, then phase 2 a length-``cols`` cyclic
     transform along each row.  Slot ``(a, b)`` holds
@@ -195,8 +195,7 @@ class TestNTTContext:
 
 class TestFourStepNTT:
     """The four-step split against the direct radix-2 transform, on the
-    golden backend; the numpy backend's word-32 transform is the split with
-    the square-ish view, checked last."""
+    golden backend (``TestNTTPropertiesPerBackend`` checks it on both)."""
 
     @pytest.mark.parametrize("degree,rows", [(16, 4), (64, 8), (256, 16), (256, 4), (1024, 32)])
     def test_matches_direct_forward(self, degree, rows):
@@ -215,23 +214,6 @@ class TestFourStepNTT:
         assert four_step_inverse(context, values, rows) == coeffs
         with use_backend(PythonBackend()):
             assert four_step_inverse(context, values, rows) == context.inverse(values)
-
-    @pytest.mark.skipif("numpy" not in available_backends(),
-                        reason="numpy backend unavailable")
-    @pytest.mark.usefixtures("no_native_library")
-    @pytest.mark.parametrize("degree", [16, 64, 256, 1024])
-    def test_numpy_word32_transform_is_the_square_split(self, degree):
-        context = make_context(degree)
-        numpy_backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-        (matrix,) = numpy_backend._tables((context,)).matrix
-        rows = 1 << ((degree.bit_length() - 1) // 2)
-        assert matrix.shape == (-1, rows, degree // rows)
-        rng = random.Random(degree * 5)
-        coeffs = [rng.randrange(context.modulus) for _ in range(degree)]
-        values = numpy_backend.ntt_forward(context, coeffs)
-        assert values == four_step_forward(context, coeffs, rows)
-        assert numpy_backend.ntt_inverse(context, values) == \
-            four_step_inverse(context, values, rows) == coeffs
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)

@@ -58,7 +58,7 @@ else:  # pragma: no cover - exercised only on numpy-less installs
 
 #: The two level-0 conversion rings of the repo: the hybrid threshold query
 #: (40-bit moduli, the word-64 kernels) and ``test_conversion.py``'s context
-#: (30-bit moduli, the word-32 matrix NTT).
+#: (30-bit moduli, the word-32 kernels).
 PARAMS = {
     "hybrid-query": hybrid_query_parameters()[0],
     "conversion": CKKSParameters(

@@ -711,11 +711,10 @@ def test_every_override_keeps_the_kernel_signature():
 
 
 @pytest.mark.skipif(not NUMPY_BACKENDS, reason="numpy backend unavailable")
-class TestWaveScratch:
-    """The batch transforms' optional ``scratch``: nothing a transform
-    returns lives in it.  On the matrix core the caller's dict holds the
-    work buffers and serves any sequence of row counts; the native core
-    needs none and leaves it empty."""
+class TestFreshWaveStores:
+    """What a batch transform returns is always a fresh store: it aliases
+    neither its input nor an earlier result, so a cached evaluation key is
+    never overwritten by the next wave."""
 
     @pytest.fixture(scope="class")
     def ring(self):
@@ -731,74 +730,16 @@ class TestWaveScratch:
         return NTTContext(256, q), rows
 
     @pytest.mark.parametrize("kernel", ["ntt_forward_batch", "ntt_inverse_batch"])
-    def test_the_native_core_returns_fresh_stores_and_no_scratch(self, ring, kernel):
+    def test_a_batch_transform_returns_a_fresh_store(self, ring, kernel):
         np = pytest.importorskip("numpy")
-        from repro.fhe import native
-
-        if native.library() is None:
-            pytest.skip("the native library did not build here")
         context, rows = ring
         transform = getattr(NUMPY_BACKENDS["numpy"], kernel)
-        store, scratch = rows(160), {}
+        store = rows(160)
         kept = store.copy()
-        out = transform(context, store, scratch)
-        again = transform(context, store, scratch)
-        assert scratch == {}
+        out = transform(context, store)
+        again = transform(context, store)
         assert not np.shares_memory(out, store) and not np.shares_memory(out, again)
         assert np.array_equal(store, kept) and np.array_equal(out, again)
-
-    @pytest.mark.usefixtures("no_native_library")
-    @pytest.mark.parametrize("kernel", ["ntt_forward_batch", "ntt_inverse_batch"])
-    def test_a_returned_store_is_never_a_scratch_buffer(self, ring, kernel):
-        np = pytest.importorskip("numpy")
-        context, rows = ring
-        transform = getattr(NUMPY_BACKENDS["numpy"], kernel)
-        first, second, scratch = rows(160), rows(160), {}
-        out = transform(context, first, scratch)
-        buffers = [buffer for held in scratch.values() for buffer in held]
-        assert buffers and not any(np.shares_memory(out, b) for b in buffers)
-        kept = out.copy()
-        again = transform(context, second, scratch)
-        assert [b.ctypes.data for held in scratch.values() for b in held] == \
-            [b.ctypes.data for b in buffers]                    # reused, not remade
-        assert not any(np.shares_memory(again, b) for b in buffers)
-        assert np.array_equal(out, kept)
-        assert np.array_equal(out, transform(context, first))
-        assert np.array_equal(again, transform(context, second))
-
-    @pytest.mark.usefixtures("no_native_library")
-    def test_one_scratch_survives_a_change_of_row_count(self, ring, waves):
-        np = pytest.importorskip("numpy")
-        context, rows = ring
-        scratch = {}
-
-        class OneScratch(NumpyBackend):
-            """Every batch transform gets the test's dict, not the wave's."""
-
-            def ntt_forward_batch(self, context, rows, scratch_=None):
-                return super().ntt_forward_batch(context, rows, scratch)
-
-            def ntt_inverse_batch(self, context, rows, scratch_=None):
-                return super().ntt_inverse_batch(context, rows, scratch)
-
-        backend = OneScratch(min_vector_length=0, min_ntt_length=0)
-        wide, narrow = rows(160), rows(32)
-        forward = backend.ntt_forward_batch(context, wide)
-        inverse = backend.ntt_inverse_batch(context, narrow)
-        assert len(scratch) == 2
-        wave = waves("hybrid")
-        with use_backend(backend):
-            store = blind_rotate_wave(
-                wave.vectors[:4], wave.switched[:4], wave.context.bootstrapping_key)
-        assert backend.unpack_limbs(store) == wave.reference_rows(4)
-        # The wave's own 40 and 8 rows joined them (and the key's, if this
-        # backend name had no evaluation key yet).
-        assert {(160, 256), (32, 256), (40, 256), (8, 256)} <= set(scratch)
-        plain = NUMPY_BACKENDS["numpy"]
-        assert np.array_equal(forward, plain.ntt_forward_batch(context, wide))
-        assert np.array_equal(inverse, plain.ntt_inverse_batch(context, narrow))
-        assert np.array_equal(
-            backend.ntt_forward_batch(context, wide), forward)
 
     def test_waves_of_changing_size_match_the_python_backend(self):
         context = TFHEContext(TFHEParameters.hybrid(), seed=3)
@@ -817,7 +758,7 @@ class TestWaveScratch:
                     context, ciphertexts[:size], vectors[:size])
                 assert _same(outputs, expected[:size])
         # Three waves later the cached evaluation key is the bytes it was:
-        # it came out of a transform, and no scratch ever held it.
+        # it came out of a transform, and no later transform wrote over it.
         assert context.bootstrapping_key._eval_cache[backend.name].tobytes() == key_bytes
 
 
