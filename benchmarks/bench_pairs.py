@@ -6,9 +6,12 @@ reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
 
-* numpy vs python backend on ``ntt_forward`` and ``negacyclic_convolution``
-  (N = 2^12, one 40-bit prime) — the e2e workloads only ever run the numpy
-  backend;
+* numpy vs python backend on ``NTTContext.forward`` and
+  ``NTTContext.negacyclic_convolution`` (N = 2^12, one 40-bit prime), which
+  dispatch ``ntt_forward_batch`` on a batch of one and ``limbs_convolution``
+  on one-row stores (the groups keep their ``ntt_forward`` /
+  ``negacyclic_convolution`` names) — the e2e workloads only ever run the
+  numpy backend;
 * ``rotate_hoisted`` vs one ``rotate`` per step on a 16-step BSGS rotation
   set (N = 2^12, L = 8, 30-bit) — the traced round reports planned programs,
   where hoists are already fused;

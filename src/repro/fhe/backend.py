@@ -135,6 +135,71 @@ def _garner_prefix(moduli: tuple) -> tuple:
     return product, tuple(steps)
 
 
+# -- golden row arithmetic ---------------------------------------------------
+#
+# The exact python-int bodies several golden store kernels share.  They are
+# the reference, not kernels: callers reach them through a store kernel.
+
+def _forward_row(context, coefficients) -> List[int]:
+    """Negacyclic forward NTT of one row of integers (reduced here)."""
+    n, q = context.ring_degree, context.modulus
+    if len(coefficients) != n:
+        raise ValueError(f"expected {n} elements, got {len(coefficients)}")
+    values = [int(c) % q for c in coefficients]
+    twiddles = context._fwd_twiddles
+    # Cooley-Tukey, decimation in time, merged psi twisting (Longa-Naehrig).
+    t = n
+    m = 1
+    while m < n:
+        t //= 2
+        for i in range(m):
+            j1 = 2 * i * t
+            j2 = j1 + t
+            s = twiddles[m + i]
+            for j in range(j1, j2):
+                u = values[j]
+                v = (values[j + t] * s) % q
+                values[j] = (u + v) % q
+                values[j + t] = (u - v) % q
+        m *= 2
+    return values
+
+
+def _inverse_row(context, values) -> List[int]:
+    """Inverse of :func:`_forward_row`, including the ``n^-1`` scaling."""
+    n, q = context.ring_degree, context.modulus
+    if len(values) != n:
+        raise ValueError(f"expected {n} elements, got {len(values)}")
+    coeffs = [int(v) % q for v in values]
+    twiddles = context._inv_twiddles
+    # Gentleman-Sande, decimation in frequency, merged psi^-1 twisting.
+    t = 1
+    m = n
+    while m > 1:
+        j1 = 0
+        h = m // 2
+        for i in range(h):
+            j2 = j1 + t
+            s = twiddles[h + i]
+            for j in range(j1, j2):
+                u = coeffs[j]
+                v = coeffs[j + t]
+                coeffs[j] = (u + v) % q
+                coeffs[j + t] = ((u - v) * s) % q
+            j1 += 2 * t
+        t *= 2
+        m = h
+    n_inv = context.n_inv
+    return [(c * n_inv) % q for c in coeffs]
+
+
+def _weighted_sum(rows, weights, q: int) -> List[int]:
+    """``sum_i rows[i] * weights[i] mod q`` over python-int rows — one output
+    row of BConv and of the LWE key-switching product."""
+    weights = [w % q for w in weights]
+    return [sum(map(operator.mul, column, weights)) % q for column in zip(*rows)]
+
+
 class PermSpec:
     """A signed coefficient permutation of a power-of-two ring.
 
@@ -197,25 +262,23 @@ class BConvPlan:
 class ArithmeticBackend:
     """Interface every arithmetic backend implements.
 
-    All methods are *exact* and never alias their inputs.  There are two
-    calling conventions:
-
-    * **Rows** — the single-row kernels (``add`` ... ``weighted_sum``,
-      ``signed_permute``, ``gadget_decompose``, ``ntt_forward`` /
-      ``ntt_inverse`` / ``negacyclic_convolution``) take Python-int
-      sequences, already reduced or not — reduction modulo ``q`` is part of
-      the contract — and return fresh Python lists reduced into ``[0, q)``.
-    * **Stores** — every other kernel takes and returns *limb stores*:
-      opaque, backend-owned stacks of rows that are already reduced (see
-      "packed limb-major kernels" below).  A plain list of rows is always
-      accepted as a store; what comes back is the backend's own form.  The
-      same-modulus batch kernels (``ntt_forward_batch``, ``mat_mulmod``)
-      preserve the form they are given: store in, store out; lists in,
-      lists out.  How wide a store's elements are is the backend's own
-      business and never part of a value: ``limbs_from_words`` may keep
-      4-byte wire words narrow at rest, every kernel accepts any width its
-      backend produces and returns its usual one, and stores compare
-      through ``store_rows`` (``coefficient_rows()``), not by dtype.
+    All methods are *exact* and never alias their inputs.  There is one
+    calling convention: every kernel takes and returns *limb stores* —
+    opaque, backend-owned stacks of rows that are already reduced (see
+    "packed limb-major kernels" below) — except the five that create a
+    store out of something else (``limbs_zero``, ``reduce_limbs``, the two
+    samplers, ``limbs_from_words``).  A single coefficient row is the stack
+    of one: ``store_rows(kernel([row], ...))[0]``.  A plain list of rows is
+    always accepted as a store; what comes back is the backend's own form.
+    The same-modulus batch kernels (``ntt_forward_batch`` /
+    ``ntt_inverse_batch``, ``mat_mulmod``) preserve the form they are
+    given: store in, store out; lists in, lists out — and their list form
+    also takes unreduced or negative integers, reducing them first.  How
+    wide a store's elements are is the backend's own business and never
+    part of a value: ``limbs_from_words`` may keep 4-byte wire words narrow
+    at rest, every kernel accepts any width its backend produces and
+    returns its usual one, and stores compare through ``store_rows``
+    (``coefficient_rows()``), not by dtype.
 
     The NTT entry points receive the :class:`~repro.fhe.ntt.NTTContext`
     (duck typed — only its precomputed tables are read), so backends can
@@ -223,26 +286,6 @@ class ArithmeticBackend:
     """
 
     name: str = "abstract"
-
-    # -- element-wise modular vector ops ----------------------------------
-    def add(self, a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
-        raise NotImplementedError
-
-    def sub(self, a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
-        raise NotImplementedError
-
-    def neg(self, a: Sequence[int], q: int) -> List[int]:
-        raise NotImplementedError
-
-    def mul(self, a: Sequence[int], b: Sequence[int], q: int) -> List[int]:
-        raise NotImplementedError
-
-    def scalar_mul(self, a: Sequence[int], scalar: int, q: int) -> List[int]:
-        raise NotImplementedError
-
-    def weighted_sum(self, rows: Sequence[Sequence[int]], weights: Sequence[int], q: int) -> List[int]:
-        """``sum_i rows[i] * weights[i] mod q`` — the BConv accumulation kernel."""
-        raise NotImplementedError
 
     # -- packed limb-major (RNS) kernels -----------------------------------
     #
@@ -254,9 +297,10 @@ class ArithmeticBackend:
     # uint64 matrix so that a whole RNS operation is one vectorized
     # dispatch.  Both representations support ``len()`` and row slicing
     # (``store[a:b]``), and stores are immutable by convention — kernels
-    # always allocate their outputs.  The base implementations below loop
-    # over the per-limb scalar kernels and are therefore the bit-exact
-    # golden reference for every vectorized override.
+    # always allocate their outputs.  The base implementations below compute
+    # every row in python ints (sharing the golden row arithmetic above) and
+    # are therefore the bit-exact golden reference for every vectorized
+    # override.
     #
     # Two kernels are the wire codec — ``limbs_to_words`` (store ->
     # little-endian fixed-width words) and ``limbs_from_words`` (words ->
@@ -291,7 +335,7 @@ class ArithmeticBackend:
         tolist = getattr(store, "tolist", None)
         if tolist is not None:
             return tolist()
-        return [row if isinstance(row, list) else list(row) for row in store]
+        return [ArithmeticBackend._row_ints(row) for row in store]
 
     @staticmethod
     def _row_ints(row) -> List[int]:
@@ -312,10 +356,6 @@ class ArithmeticBackend:
     def pack_limbs(self, rows, moduli) -> object:
         """Pack already-reduced coefficient rows into this backend's store."""
         return self.store_rows(rows)
-
-    def unpack_limbs(self, store) -> List[List[int]]:
-        """Inverse of :meth:`pack_limbs` (always python-int rows)."""
-        return self.store_rows(store)
 
     def limbs_to_words(self, store, word: int) -> bytes:
         """A store as little-endian ``word``-byte words, row after row.
@@ -417,31 +457,32 @@ class ArithmeticBackend:
 
     def limbs_add(self, a, b, moduli):
         return [
-            self.add(x, y, q)
-            for x, y, q in zip(self.store_rows(a), self.store_rows(b), moduli)
+            [(x + y) % q for x, y in zip(u, v)]
+            for u, v, q in zip(self.store_rows(a), self.store_rows(b), moduli)
         ]
 
     def limbs_sub(self, a, b, moduli):
         return [
-            self.sub(x, y, q)
-            for x, y, q in zip(self.store_rows(a), self.store_rows(b), moduli)
+            [(x - y) % q for x, y in zip(u, v)]
+            for u, v, q in zip(self.store_rows(a), self.store_rows(b), moduli)
         ]
 
     def limbs_neg(self, a, moduli):
-        return [self.neg(x, q) for x, q in zip(self.store_rows(a), moduli)]
+        return [[(-x) % q for x in u] for u, q in zip(self.store_rows(a), moduli)]
 
     def limbs_mul(self, a, b, moduli):
         """Element-wise per-limb product (NTT-domain pointwise multiply)."""
         return [
-            self.mul(x, y, q)
-            for x, y, q in zip(self.store_rows(a), self.store_rows(b), moduli)
+            [(int(x) * int(y)) % q for x, y in zip(u, v)]
+            for u, v, q in zip(self.store_rows(a), self.store_rows(b), moduli)
         ]
 
     def limbs_scalar_mul(self, a, scalars, moduli):
-        """Per-limb scalar product: row ``i`` times ``scalars[i]`` mod ``q_i``."""
+        """Per-limb scalar product: row ``i`` times ``scalars[i]`` mod ``q_i``
+        (any integer scalar, reduced here)."""
         return [
-            self.scalar_mul(x, s, q)
-            for x, s, q in zip(self.store_rows(a), scalars, moduli)
+            [(x * (s % q)) % q for x in u]
+            for u, s, q in zip(self.store_rows(a), scalars, moduli)
         ]
 
     def batched_sub_scaled(self, a, b, scalars, moduli, b_modulus: "int | None" = None):
@@ -482,12 +523,12 @@ class ArithmeticBackend:
         out = []
         for store in stores:
             scaled = [
-                self.scalar_mul(row, inv, q)
+                [x * inv % q for x in row]
                 for row, inv, q in zip(self.store_rows(store), plan.inverses,
                                        plan.source_moduli)
             ]
             out.append([
-                self.weighted_sum(scaled, weights, p)
+                _weighted_sum(scaled, weights, p)
                 for weights, p in zip(plan.weights, plan.target_moduli)
             ])
         return out
@@ -495,23 +536,27 @@ class ArithmeticBackend:
     def batched_ntt(self, contexts, store):
         """Forward NTT of every limb row (row ``i`` under ``contexts[i]``)."""
         return [
-            self.ntt_forward(ctx, row)
+            _forward_row(ctx, row)
             for ctx, row in zip(contexts, self.store_rows(store))
         ]
 
     def batched_intt(self, contexts, store):
         """Inverse NTT of every limb row (row ``i`` under ``contexts[i]``)."""
         return [
-            self.ntt_inverse(ctx, row)
+            _inverse_row(ctx, row)
             for ctx, row in zip(contexts, self.store_rows(store))
         ]
 
     def limbs_convolution(self, contexts, a, b):
-        """Negacyclic convolution of matching limb rows."""
-        return [
-            self.negacyclic_convolution(ctx, x, y)
-            for ctx, x, y in zip(contexts, self.store_rows(a), self.store_rows(b))
-        ]
+        """Negacyclic convolution of matching limb rows (in Z_q[X]/(X^N+1),
+        via the NTT)."""
+        out = []
+        for ctx, x, y in zip(contexts, self.store_rows(a), self.store_rows(b)):
+            q = ctx.modulus
+            product = [u * v % q for u, v in zip(_forward_row(ctx, x),
+                                                 _forward_row(ctx, y))]
+            out.append(_inverse_row(ctx, product))
+        return out
 
     def limbs_eval_key(self, contexts, store):
         """Prepare a fixed multiplicand (an evaluation key) for repeated
@@ -641,22 +686,17 @@ class ArithmeticBackend:
         values = self._row_ints(row)
         return [[v % q for v in values] for q in moduli]
 
-    def signed_permute(self, values, q: int, spec: "PermSpec") -> List[int]:
-        """Apply a signed coefficient permutation (monomial mul / automorphism)."""
-        out = [0] * len(values)
-        dest = spec.dest
-        negate = spec.negate
-        for i, value in enumerate(values):
-            value = int(value) % q
-            out[dest[i]] = (q - value) % q if negate[i] else value
-        return out
-
     def limbs_signed_permute(self, store, moduli, spec: "PermSpec"):
-        """Apply one signed permutation to every limb row."""
-        return [
-            self.signed_permute(row, q, spec)
-            for row, q in zip(self.store_rows(store), moduli)
-        ]
+        """Apply one signed coefficient permutation (monomial multiplication
+        or automorphism) to every limb row."""
+        dest, negate = spec.dest, spec.negate
+        out = []
+        for row, q in zip(self.store_rows(store), moduli):
+            permuted = [0] * len(row)
+            for i, value in enumerate(row):
+                permuted[dest[i]] = (q - value) % q if negate[i] else value
+            out.append(permuted)
+        return out
 
     def limbs_gather(self, store, spec: "GatherSpec"):
         """Apply one sign-free gather to every limb row.
@@ -682,14 +722,15 @@ class ArithmeticBackend:
         """Independent forward NTTs of several rows under one modulus.
 
         Store-preserving: a store comes back as a store, a list of rows as
-        a list of rows.  What comes back is always fresh: it never aliases
-        the input or an earlier result.
+        a list of rows, whose integers may be unreduced or negative.  What
+        comes back is always fresh: it never aliases the input or an
+        earlier result.
         """
-        return [self.ntt_forward(context, row) for row in rows]
+        return [_forward_row(context, row) for row in self.store_rows(rows)]
 
     def ntt_inverse_batch(self, context, rows):
         """Independent inverse NTTs of several rows under one modulus."""
-        return [self.ntt_inverse(context, row) for row in rows]
+        return [_inverse_row(context, row) for row in self.store_rows(rows)]
 
     def rows_monomial_multiply(self, store, q: int, degrees, group: int):
         """Multiply row block ``g`` of ``store`` by ``X^degrees[g]`` (negacyclic).
@@ -722,12 +763,25 @@ class ArithmeticBackend:
     def gadget_decompose_rows(self, store, q: int, factors):
         """Signed gadget decomposition of every row: ``R`` rows in,
         ``R * len(factors)`` rows out (row ``r``'s digits, most significant
-        first, at ``[r * levels, (r + 1) * levels)``) — exactly the stacked
-        :meth:`gadget_decompose` of each row.
+        first, reduced into ``[0, q)``, at ``[r * levels, (r + 1) *
+        levels)``).
+
+        The greedy residual-based digit extraction of
+        :meth:`Polynomial.decompose`: each coefficient is centred into
+        ``(-q/2, q/2]`` and every factor in turn takes the rounded quotient
+        of what is left (a factor of 0 gives the digit 0).
         """
+        half = q // 2
         out = []
         for row in self.store_rows(store):
-            out.extend(self.gadget_decompose(row, q, factors))
+            digits = [[0] * len(row) for _ in factors]
+            for idx, coefficient in enumerate(row):
+                residual = coefficient - q if coefficient > half else coefficient
+                for level, factor in enumerate(factors):
+                    digit = 0 if factor == 0 else (2 * residual + factor) // (2 * factor)
+                    residual -= digit * factor
+                    digits[level][idx] = digit % q
+            out.extend(digits)
         return out
 
     def external_product_mac(self, fwd, key_rows, members: int, q: int):
@@ -769,8 +823,8 @@ class ArithmeticBackend:
         weight vector: the ``(M * levels, W)`` output of
         :meth:`gadget_decompose_rows` multiplies a ``(levels * W, C)`` key
         as it stands.  The base implementation reduces each output row to
-        one :meth:`weighted_sum` over the non-zero weights, so it is the
-        bit-exact golden reference for vectorized overrides.
+        one weighted sum over the non-zero weights, so it is the bit-exact
+        golden reference for vectorized overrides.
         """
         matrix = self.store_rows(matrix)
         rows = self.store_rows(rows)
@@ -793,139 +847,20 @@ class ArithmeticBackend:
             if not live:
                 out.append([0] * width)
                 continue
-            out.append(self.weighted_sum(
+            out.append(_weighted_sum(
                 [m for _, m in live], [w for w, _ in live], q
             ))
         return out
 
-    def gadget_decompose(self, coefficients, modulus: int, factors) -> List[List[int]]:
-        """Signed gadget decomposition of one coefficient row.
-
-        Returns ``len(factors)`` digit rows (most significant first, reduced
-        into ``[0, modulus)``) using the same greedy residual-based digit
-        extraction as :meth:`Polynomial.decompose` — this *is* that kernel,
-        hoisted into the backend so it can vectorize.
-        """
-        digits = [[0] * len(coefficients) for _ in factors]
-        half = modulus // 2
-        for idx, coefficient in enumerate(coefficients):
-            residual = int(coefficient) % modulus
-            if residual > half:
-                residual -= modulus
-            for level, factor in enumerate(factors):
-                digit = 0 if factor == 0 else (2 * residual + factor) // (2 * factor)
-                residual -= digit * factor
-                digits[level][idx] = digit % modulus
-        return digits
-
-    # -- NTT kernels -------------------------------------------------------
-    def ntt_forward(self, context, coefficients: Sequence[int]) -> List[int]:
-        raise NotImplementedError
-
-    def ntt_inverse(self, context, values: Sequence[int]) -> List[int]:
-        raise NotImplementedError
-
-    def negacyclic_convolution(self, context, a: Sequence[int], b: Sequence[int]) -> List[int]:
-        """Multiply two polynomials in Z_q[X]/(X^N+1) via the NTT."""
-        fa = self.ntt_forward(context, a)
-        fb = self.ntt_forward(context, b)
-        return self.ntt_inverse(context, self.mul(fa, fb, context.modulus))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
 
-    @staticmethod
-    def _check_length(context, sequence: Sequence[int]) -> None:
-        if len(sequence) != context.ring_degree:
-            raise ValueError(
-                f"expected {context.ring_degree} elements, got {len(sequence)}"
-            )
-
 
 class PythonBackend(ArithmeticBackend):
-    """Exact pure-Python reference backend (the seed implementation)."""
+    """Exact pure-Python reference backend (the seed implementation): the
+    golden kernels of :class:`ArithmeticBackend`, as they stand."""
 
     name = "python"
-
-    # -- element-wise ------------------------------------------------------
-    def add(self, a, b, q):
-        return [(x + y) % q for x, y in zip(a, b)]
-
-    def sub(self, a, b, q):
-        return [(x - y) % q for x, y in zip(a, b)]
-
-    def neg(self, a, q):
-        return [(-x) % q for x in a]
-
-    def mul(self, a, b, q):
-        return [(int(x) * int(y)) % q for x, y in zip(a, b)]
-
-    def scalar_mul(self, a, scalar, q):
-        scalar %= q
-        return [(x * scalar) % q for x in a]
-
-    def weighted_sum(self, rows, weights, q):
-        if len(rows) != len(weights):
-            raise ValueError("rows and weights must have equal length")
-        if not rows:
-            raise ValueError("weighted_sum needs at least one row")
-        length = len(rows[0])
-        result = [0] * length
-        for row, weight in zip(rows, weights):
-            weight %= q
-            for idx in range(length):
-                result[idx] = (result[idx] + row[idx] * weight) % q
-        return result
-
-    # -- NTT ---------------------------------------------------------------
-    def ntt_forward(self, context, coefficients):
-        self._check_length(context, coefficients)
-        n = context.ring_degree
-        q = context.modulus
-        values = [int(c) % q for c in coefficients]
-        twiddles = context._fwd_twiddles
-        # Cooley-Tukey, decimation in time, merged psi twisting (Longa-Naehrig).
-        t = n
-        m = 1
-        while m < n:
-            t //= 2
-            for i in range(m):
-                j1 = 2 * i * t
-                j2 = j1 + t
-                s = twiddles[m + i]
-                for j in range(j1, j2):
-                    u = values[j]
-                    v = (values[j + t] * s) % q
-                    values[j] = (u + v) % q
-                    values[j + t] = (u - v) % q
-            m *= 2
-        return values
-
-    def ntt_inverse(self, context, values):
-        self._check_length(context, values)
-        n = context.ring_degree
-        q = context.modulus
-        coeffs = [int(v) % q for v in values]
-        twiddles = context._inv_twiddles
-        # Gentleman-Sande, decimation in frequency, merged psi^-1 twisting.
-        t = 1
-        m = n
-        while m > 1:
-            j1 = 0
-            h = m // 2
-            for i in range(h):
-                j2 = j1 + t
-                s = twiddles[h + i]
-                for j in range(j1, j2):
-                    u = coeffs[j]
-                    v = coeffs[j + t]
-                    coeffs[j] = (u + v) % q
-                    coeffs[j + t] = ((u - v) * s) % q
-                j1 += 2 * t
-            t *= 2
-            m = h
-        n_inv = context.n_inv
-        return [(c * n_inv) % q for c in coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -1104,8 +1039,9 @@ if _np is not None:
 
         ``x`` is a uint64 ``(..., L, n)`` array and is only read.  Word-32
         rows arrive reduced below ``q`` (no Harvey-lazy input may reach the
-        32-bit Shoup multiply); stores are reduced by contract and the
-        list-in kernels reduce through :meth:`NumpyBackend._to_array`.
+        32-bit Shoup multiply); stores are reduced by contract and the list
+        form of ``ntt_forward_batch`` / ``ntt_inverse_batch`` reduces
+        through :meth:`NumpyBackend._to_array`.
         Word-64 rows may be anywhere below ``2q``.
         """
         return _native_transform(tabs, x, inverse=False)
@@ -1193,26 +1129,24 @@ class NumpyBackend(PythonBackend):
 
     Every kernel it cannot vectorize falls back to the golden one it
     inherits, through ``super()``.  ``min_vector_length`` /
-    ``min_ntt_length`` tune the crossovers below which that happens
-    (list<->array round-trips dominate for tiny rings; measured break-even
-    is ~512 elements for the element-wise ops and ~128 points for the
-    transforms).  Set both to 0 to force the vectorized path everywhere (the
-    parity tests do).
+    ``min_ntt_length`` tune the crossovers of the store kernels below which
+    that happens (list<->array round-trips dominate for tiny stores;
+    measured break-even is ~512 elements for the element-wise ops and ~128
+    points for the transforms).  Set both to 0 to force the vectorized path
+    everywhere (the parity tests do).
 
     Stores are ``(L, N)`` uint64 matrices — except one decoded from 4-byte
     wire words, which rests as uint32 (its wire size) until the first kernel
-    reads it through :meth:`_matrix`; kernel outputs are always uint64.  The
-    single-row kernels (``add`` ... ``negacyclic_convolution``) keep the
-    list-in / list-out contract of the interface — they reduce unreduced
-    input and cross over to the python backend below the thresholds — and
-    run the same array cores as the limb-stack kernels on a ``(1, N)`` view.
+    reads it through :meth:`_matrix`; kernel outputs are always uint64.  A
+    single coefficient row (a :class:`~repro.fhe.polynomial.Polynomial`)
+    is the ``(1, N)`` store of one and runs the same array cores.
 
     Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`:
     the C loops of :mod:`repro.fhe.native` at the word size of the moduli.
     Each transform and multiply-accumulate kernel has one fast body, the
     library's: where it did not load they are the golden kernels, at either
     word size.  That is the price of an install without a compiler: the
-    transform-bound workloads of ``benchmarks/e2e`` run 60-120x fewer
+    transform-bound workloads of ``benchmarks/e2e`` run 50-110x fewer
     operations per second than with the library (2-core x86 container).
     Tables are cached per context tuple in :meth:`_tables`; what costs
     memory is held once per ``(N, q)``.
@@ -1234,21 +1168,6 @@ class NumpyBackend(PythonBackend):
         """Every modulus is within the vectorized word cap."""
         return all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
 
-    def _linear_ok(self, q: int, *sequences) -> bool:
-        """Whether a single-row kernel should run vectorized: the modulus
-        fits a word with headroom and every row clears the size crossover.
-        Fixed-operand (Shoup) multiplies need nothing more."""
-        if q.bit_length() > NUMPY_MAX_MODULUS_BITS:
-            return False
-        return all(len(s) >= self.min_vector_length for s in sequences)
-
-    def _mul_ok(self, q: int, *sequences) -> bool:
-        """:meth:`_linear_ok`, and products of two variable operands reduce
-        (directly in one word, or on the native ``mac64``)."""
-        return self._linear_ok(q, *sequences) and (
-            q <= (1 << 32) or _native.library() is not None
-        )
-
     def _limbs_ok(self, moduli, matrix) -> bool:
         if matrix is None:
             return False
@@ -1266,10 +1185,6 @@ class NumpyBackend(PythonBackend):
         if (arr >= q_u).any():
             arr = arr % q_u
         return arr
-
-    def _row(self, values: Sequence[int], q: int):
-        """One coefficient row as a fresh reduced ``(1, n)`` stack of one."""
-        return self._to_array(values, q)[None, :]
 
     @staticmethod
     def _matrix(store):
@@ -1349,8 +1264,9 @@ class NumpyBackend(PythonBackend):
     def _decompose_digits(values, modulus, factors) -> list:
         """One digit array per factor for reduced int64 ``values`` (any shape).
 
-        The greedy residual walk of the golden :meth:`gadget_decompose`,
-        vectorized; digits come out reduced into ``[0, modulus)``.
+        The greedy residual walk of the golden
+        :meth:`~ArithmeticBackend.gadget_decompose_rows`, vectorized; digits
+        come out reduced into ``[0, modulus)``.
         """
         q64 = _np.int64(modulus)
         # Centring into (-q/2, q/2], matching modmath.centered exactly.
@@ -1403,46 +1319,6 @@ class NumpyBackend(PythonBackend):
         self._ntt_tables[key] = tabs
         return tabs
 
-    # -- single-row kernels: the L = 1 case ---------------------------------
-    def add(self, a, b, q):
-        if not self._linear_ok(q, a, b):
-            return super().add(a, b, q)
-        return self._add(self._row(a, q), self._row(b, q), _np.uint64(q))[0].tolist()
-
-    def sub(self, a, b, q):
-        if not self._linear_ok(q, a, b):
-            return super().sub(a, b, q)
-        return self._sub(self._row(a, q), self._row(b, q), _np.uint64(q))[0].tolist()
-
-    def neg(self, a, q):
-        if not self._linear_ok(q, a):
-            return super().neg(a, q)
-        return self._neg(self._row(a, q), _np.uint64(q))[0].tolist()
-
-    def mul(self, a, b, q):
-        if not self._mul_ok(q, a, b):
-            return super().mul(a, b, q)
-        return self._mulmod(self._row(a, q), self._row(b, q), (q,))[0].tolist()
-
-    def scalar_mul(self, a, scalar, q):
-        if not self._linear_ok(q, a):
-            return super().scalar_mul(a, scalar, q)
-        return self._scale(self._row(a, q), (scalar,), (q,))[0].tolist()
-
-    def weighted_sum(self, rows, weights, q):
-        if len(rows) != len(weights):
-            raise ValueError("rows and weights must have equal length")
-        if not rows:
-            raise ValueError("weighted_sum needs at least one row")
-        if not self._linear_ok(q, *rows):
-            return super().weighted_sum(rows, weights, q)
-        x = _np.stack([self._to_array(row, q) for row in rows])
-        terms = self._scale(x, weights, (q,) * len(rows))
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = self._add(acc, term, _np.uint64(q))
-        return acc.tolist()
-
     def mat_mulmod(self, rows, matrix, q):
         # Split the right operand into ``width``-bit limbs so every integer
         # matmul stays exact in uint64: each partial product is below
@@ -1475,45 +1351,6 @@ class NumpyBackend(PythonBackend):
             partial = (lhs @ ((rhs >> _np.uint64(limb * width)) & mask)) % q_u
             acc = partial if acc is None else ((acc << shift) + partial) % q_u
         return acc if isinstance(rows, _np.ndarray) else acc.tolist()
-
-    def signed_permute(self, values, q, spec):
-        if not self._linear_ok(q, values):
-            return super().signed_permute(values, q, spec)
-        return self._permute(self._row(values, q), _np.uint64(q), spec)[0].tolist()
-
-    def gadget_decompose(self, coefficients, modulus, factors):
-        if not self._linear_ok(modulus, coefficients):
-            return super().gadget_decompose(coefficients, modulus, factors)
-        try:
-            arr = _np.array(coefficients, dtype=_np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return super().gadget_decompose(coefficients, modulus, factors)
-        # int64 ``%`` with a positive divisor is non-negative, like python's.
-        digits = self._decompose_digits(arr % _np.int64(modulus), modulus, factors)
-        return [digit.tolist() for digit in digits]
-
-    def ntt_forward(self, context, coefficients):
-        self._check_length(context, coefficients)
-        tabs = self._tables((context,))
-        if tabs is None:
-            return super().ntt_forward(context, coefficients)
-        return _ntt(tabs, self._row(coefficients, context.modulus))[0].tolist()
-
-    def ntt_inverse(self, context, values):
-        self._check_length(context, values)
-        tabs = self._tables((context,))
-        if tabs is None:
-            return super().ntt_inverse(context, values)
-        return _intt(tabs, self._row(values, context.modulus))[0].tolist()
-
-    def negacyclic_convolution(self, context, a, b):
-        self._check_length(context, a)
-        self._check_length(context, b)
-        tabs = self._tables((context,))
-        if tabs is None:
-            return super().negacyclic_convolution(context, a, b)
-        q = context.modulus
-        return _convolve(tabs, self._row(a, q), self._row(b, q))[0].tolist()
 
     # -- creating stores ----------------------------------------------------
     def pack_limbs(self, rows, moduli):
@@ -1971,7 +1808,7 @@ class NumpyBackend(PythonBackend):
         y = self._matrix(key_rows)
         lib = _native.library()
         if (
-            lib is None or x is None or y is None or not self._mul_ok(q)
+            lib is None or x is None or y is None or not self._moduli_fit((q,))
             or x.size < self.min_vector_length
             # Every count mismatch is the golden kernel's error to raise.
             or not 0 < members <= len(x)

@@ -80,20 +80,32 @@ class NTTContext:
         return self.backend if self.backend is not None else active_backend()
 
     # -- forward / inverse ------------------------------------------------
+    # One row is the batch of one; the list form of the batch kernels takes
+    # unreduced and negative integers.
     def forward(self, coefficients: Sequence[int]) -> List[int]:
         """Negacyclic forward NTT (coefficient -> evaluation representation)."""
-        return self.active_backend().ntt_forward(self, coefficients)
+        return self.active_backend().ntt_forward_batch(self, [coefficients])[0]
 
     def inverse(self, values: Sequence[int]) -> List[int]:
         """Negacyclic inverse NTT (evaluation -> coefficient representation)."""
-        return self.active_backend().ntt_inverse(self, values)
+        return self.active_backend().ntt_inverse_batch(self, [values])[0]
 
     # -- convenience ------------------------------------------------------
     def negacyclic_convolution(
         self, a: Sequence[int], b: Sequence[int]
     ) -> List[int]:
-        """Multiply two polynomials in Z_q[X]/(X^N+1) via the NTT."""
-        return self.active_backend().negacyclic_convolution(self, a, b)
+        """Multiply two polynomials in Z_q[X]/(X^N+1) via the NTT.
+
+        ``a`` and ``b`` may be unreduced or negative: they are reduced into
+        one-row stores first, which the convolution kernel requires.
+        """
+        n, q = self.ring_degree, self.modulus
+        for row in (a, b):
+            if len(row) != n:
+                raise ValueError(f"expected {n} elements, got {len(row)}")
+        backend = self.active_backend()
+        x, y = (backend.reduce_limbs(row, (q,), n) for row in (a, b))
+        return backend.store_rows(backend.limbs_convolution((self,), x, y))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NTTContext(N={self.ring_degree}, q={self.modulus})"

@@ -219,36 +219,39 @@ class Polynomial:
         return all(c == 0 for c in self.coefficients)
 
     # -- arithmetic ----------------------------------------------------------
-    # Element-wise ops and the NTT convolution dispatch to the active
-    # arithmetic backend (see repro.fhe.backend); every backend returns
-    # exact, fully-reduced coefficient lists.
+    # A polynomial is the one-row store of the active arithmetic backend's
+    # store kernels (see repro.fhe.backend): each op runs its kernel on
+    # ``[coefficients]`` under ``(q,)`` and reads row 0 back — exact and
+    # fully reduced on every backend.
+    def _from_store(self, store) -> "Polynomial":
+        """The polynomial of this ring held in row 0 of a kernel's output."""
+        row = active_backend().store_rows(store)[0]
+        return Polynomial._from_reduced(self.ring_degree, self.modulus, row)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        q = self.modulus
-        coeffs = active_backend().add(self.coefficients, other.coefficients, q)
-        return Polynomial._from_reduced(self.ring_degree, q, coeffs)
+        return self._from_store(active_backend().limbs_add(
+            [self.coefficients], [other.coefficients], (self.modulus,)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
-        q = self.modulus
-        coeffs = active_backend().sub(self.coefficients, other.coefficients, q)
-        return Polynomial._from_reduced(self.ring_degree, q, coeffs)
+        return self._from_store(active_backend().limbs_sub(
+            [self.coefficients], [other.coefficients], (self.modulus,)))
 
     def __neg__(self) -> "Polynomial":
-        q = self.modulus
-        coeffs = active_backend().neg(self.coefficients, q)
-        return Polynomial._from_reduced(self.ring_degree, q, coeffs)
+        return self._from_store(
+            active_backend().limbs_neg([self.coefficients], (self.modulus,)))
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
             return self.scalar_multiply(other)
         self._check_compatible(other)
         context = _ntt_context(self.ring_degree, self.modulus)
-        if context is not None:
-            coeffs = context.negacyclic_convolution(self.coefficients, other.coefficients)
-        else:
-            coeffs = self._schoolbook_multiply(other)
-        return Polynomial._from_reduced(self.ring_degree, self.modulus, coeffs)
+        if context is None:
+            return Polynomial._from_reduced(
+                self.ring_degree, self.modulus, self._schoolbook_multiply(other))
+        return self._from_store(active_backend().limbs_convolution(
+            (context,), [self.coefficients], [other.coefficients]))
 
     __rmul__ = __mul__
 
@@ -272,26 +275,23 @@ class Polynomial:
 
     def scalar_multiply(self, scalar: int) -> "Polynomial":
         """Multiply every coefficient by an integer scalar."""
-        q = self.modulus
-        coeffs = active_backend().scalar_mul(self.coefficients, scalar % q, q)
-        return Polynomial._from_reduced(self.ring_degree, q, coeffs)
+        return self._from_store(active_backend().limbs_scalar_mul(
+            [self.coefficients], (scalar,), (self.modulus,)))
 
     def multiply_by_monomial(self, degree: int) -> "Polynomial":
         """Return ``self * X^degree`` (negacyclic rotation; degree may be negative)."""
         n = self.ring_degree
-        q = self.modulus
         spec = monomial_spec(n, degree % (2 * n))
-        coeffs = active_backend().signed_permute(self.coefficients, q, spec)
-        return Polynomial._from_reduced(n, q, coeffs)
+        return self._from_store(active_backend().limbs_signed_permute(
+            [self.coefficients], (self.modulus,), spec))
 
     # -- structural transforms ------------------------------------------------
     def automorphism(self, power: int) -> "Polynomial":
         """Apply the ring automorphism ``X -> X^power`` (``power`` odd, mod 2N)."""
         n = self.ring_degree
-        q = self.modulus
         spec = automorphism_spec(n, power % (2 * n))
-        coeffs = active_backend().signed_permute(self.coefficients, q, spec)
-        return Polynomial._from_reduced(n, q, coeffs)
+        return self._from_store(active_backend().limbs_signed_permute(
+            [self.coefficients], (self.modulus,), spec))
 
     def decompose(self, base: int, levels: int) -> List["Polynomial"]:
         """Signed gadget decomposition into ``levels`` digits of the given ``base``.
@@ -308,8 +308,9 @@ class Polynomial:
         n = self.ring_degree
         q = self.modulus
         factors = [q // (base ** (j + 1)) for j in range(levels)]
-        digits = active_backend().gadget_decompose(self.coefficients, q, factors)
-        return [Polynomial._from_reduced(n, q, d) for d in digits]
+        backend = active_backend()
+        digits = backend.gadget_decompose_rows([self.coefficients], q, factors)
+        return [Polynomial._from_reduced(n, q, d) for d in backend.store_rows(digits)]
 
     def switch_modulus(self, new_modulus: int) -> "Polynomial":
         """Scale-and-round the coefficients from modulus ``q`` to ``new_modulus``."""

@@ -26,8 +26,8 @@ dispatch over the whole stack instead of a Python loop over limbs.  The
 ``limbs`` view (a list of per-limb :class:`~repro.fhe.polynomial.Polynomial`
 objects) is materialized lazily for code that wants per-limb access; both
 representations describe the same reduced residues, and the pure-python
-backend executes the packed entry points as per-limb loops over the original
-scalar kernels, keeping it the bit-exact golden reference.
+backend executes the packed entry points as per-limb python-int loops,
+keeping it the bit-exact golden reference.
 
 The element counts of these functions are what the kernel-level cost model in
 :mod:`repro.kernels.opcounts` charges for BConv; the functional versions here
@@ -261,7 +261,7 @@ class RNSPolynomial:
         if self.domain != "coeff":
             return self.to_coeff().limbs
         if self._limbs is None:
-            rows = active_backend().unpack_limbs(self._rows)
+            rows = active_backend().store_rows(self._rows)
             self._limbs = [
                 Polynomial._from_reduced(self.ring_degree, q, row)
                 for q, row in zip(self.basis.moduli, rows)

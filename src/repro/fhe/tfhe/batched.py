@@ -93,7 +93,7 @@ def _keyswitch_wave(components, bodies: Sequence[int], ksk: KeySwitchingKey,
         LWECiphertext(
             a=row[:output_dimension], b=(b + row[output_dimension]) % q, modulus=q
         )
-        for b, row in zip(bodies, backend.unpack_limbs(sums))
+        for b, row in zip(bodies, backend.store_rows(sums))
     ]
 
 
@@ -108,7 +108,7 @@ def batched_lwe_keyswitch(
     ciphertext: the accumulation is the same exact modular sum
     ``(0, .., 0, b') - sum_ij Decomp(a'_i)_j * ksk[i][j]``, evaluated as a
     single ``digits @ (-ksk)`` matrix product over every member at once
-    instead of one per-row ``weighted_sum`` walk per member.  Zero digits
+    instead of one single-vector ``mat_mulmod`` per member.  Zero digits
     contribute nothing either way, so skipping the sparsity filter changes
     no output bit.
     """
@@ -165,7 +165,7 @@ def batched_programmable_bootstrap(
             )
             for c in range(k)
         ]
-        bodies = [row[0] for row in backend.unpack_limbs(accumulator[k::k + 1])]
+        bodies = [row[0] for row in backend.store_rows(accumulator[k::k + 1])]
         return _keyswitch_wave(
             masks, bodies, context.keyswitching_key, params.lwe_dimension, backend
         )

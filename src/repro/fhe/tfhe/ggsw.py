@@ -156,16 +156,16 @@ def external_product(ggsw: GGSWCiphertext, glwe: GLWECiphertext) -> GLWECipherte
         return accumulator
     backend = active_backend()
     factors = gadget_factors(q, base, levels)
-    digit_rows: List[List[int]] = []
-    for component in components:
-        digit_rows.extend(backend.gadget_decompose(component.coefficients, q, factors))
+    # Every component in one dispatch, level innermost.
+    digit_rows = backend.store_rows(backend.gadget_decompose_rows(
+        [component.coefficients for component in components], q, factors))
     count = len(digit_rows)
     fwd = backend.ntt_forward_batch(
         context, digit_rows + ggsw_coefficient_rows(ggsw)
     )
     # The wave kernel on a wave of one; it returns a store.
     out_rows = backend.external_product_mac(fwd[:count], fwd[count:], 1, q)
-    inv = backend.unpack_limbs(backend.ntt_inverse_batch(context, out_rows))
+    inv = backend.store_rows(backend.ntt_inverse_batch(context, out_rows))
     polys = [Polynomial._from_reduced(n, q, row) for row in inv]
     return GLWECiphertext(mask=polys[:k], body=polys[k])
 

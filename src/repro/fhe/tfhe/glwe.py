@@ -91,7 +91,7 @@ class GLWECiphertext:
         backend = active_backend()
         spec = monomial_spec(n, degree % (2 * n))
         rows = self.coefficient_rows()
-        out = backend.unpack_limbs(
+        out = backend.store_rows(
             backend.limbs_signed_permute(rows, (q,) * len(rows), spec)
         )
         return GLWECiphertext.from_rows(n, q, out)

@@ -241,7 +241,7 @@ def blind_rotate(
     store = blind_rotate_wave([test_vector], [switched], bootstrapping_key)
     return GLWECiphertext.from_rows(
         test_vector.ring_degree, test_vector.modulus,
-        active_backend().unpack_limbs(store),
+        active_backend().store_rows(store),
     )
 
 
@@ -294,8 +294,9 @@ def lwe_keyswitch(ciphertext: LWECiphertext, ksk: KeySwitchingKey,
 
     Implements line 17 of Algorithm 2:
     ``c'' = (0, ..., 0, b') - sum_i sum_j Decomp(a'_i)_j * ksk[i][j]``.
-    The mask accumulation runs as one ``weighted_sum`` backend dispatch over
-    all contributing ksk rows instead of ``k*N*l_k`` per-row vector updates.
+    The mask accumulation runs as one ``mat_mulmod`` backend dispatch (a
+    single weight vector against all contributing ksk rows) instead of
+    ``k*N*l_k`` per-row vector updates.
     """
     q = ciphertext.modulus
     rows: List[List[int]] = []
@@ -314,7 +315,7 @@ def lwe_keyswitch(ciphertext: LWECiphertext, ksk: KeySwitchingKey,
             b_acc = (b_acc - digit * row.b) % q
     if not rows:
         return LWECiphertext(a=[0] * output_dimension, b=b_acc, modulus=q)
-    a = active_backend().weighted_sum(rows, weights, q)
+    a = active_backend().mat_mulmod([weights], rows, q)[0]
     return LWECiphertext(a=a, b=b_acc, modulus=q)
 
 

@@ -107,19 +107,42 @@ def _vectors(q, n, seed, count=2):
 @pytest.mark.parametrize("q,n", MODULUS_COMBOS)
 class TestElementwiseParity:
     def test_add_sub_neg(self, q, n):
+        """On one-row stores and through the :class:`Polynomial` ring ops
+        built on them."""
         a, b = _vectors(q, n, 1)
-        assert NUMPY.add(a, b, q) == PYTHON.add(a, b, q)
-        assert NUMPY.sub(a, b, q) == PYTHON.sub(a, b, q)
-        assert NUMPY.neg(a, q) == PYTHON.neg(a, q)
+        moduli = (q,)
+        sa, sb = NUMPY.pack_limbs([a], moduli), NUMPY.pack_limbs([b], moduli)
+        golden = [PYTHON.limbs_add([a], [b], moduli), PYTHON.limbs_sub([a], [b], moduli),
+                  PYTHON.limbs_neg([a], moduli)]
+        assert golden == [[[(x + y) % q for x, y in zip(a, b)]],
+                          [[(x - y) % q for x, y in zip(a, b)]], [[-x % q for x in a]]]
+        assert [_rows(NUMPY.limbs_add(sa, sb, moduli)), _rows(NUMPY.limbs_sub(sa, sb, moduli)),
+                _rows(NUMPY.limbs_neg(sa, moduli))] == golden
+        for backend in (PYTHON, NUMPY):
+            with use_backend(backend):
+                x, y = Polynomial(n, q, a), Polynomial(n, q, b)
+                assert [[(x + y).coefficients], [(x - y).coefficients],
+                        [(-x).coefficients]] == golden
 
     def test_mul(self, q, n):
         a, b = _vectors(q, n, 2)
-        assert NUMPY.mul(a, b, q) == PYTHON.mul(a, b, q)
+        moduli = (q,)
+        sa, sb = NUMPY.pack_limbs([a], moduli), NUMPY.pack_limbs([b], moduli)
+        golden = PYTHON.limbs_mul([a], [b], moduli)
+        assert golden == [[x * y % q for x, y in zip(a, b)]]
+        assert _rows(NUMPY.limbs_mul(sa, sb, moduli)) == golden
 
     def test_scalar_mul(self, q, n):
         (a,) = _vectors(q, n, 3, count=1)
+        moduli = (q,)
+        sa = NUMPY.pack_limbs([a], moduli)
         for scalar in (0, 1, q - 1, q // 3):
-            assert NUMPY.scalar_mul(a, scalar, q) == PYTHON.scalar_mul(a, scalar, q)
+            golden = PYTHON.limbs_scalar_mul([a], [scalar], moduli)
+            assert golden == [[x * scalar % q for x in a]]
+            assert _rows(NUMPY.limbs_scalar_mul(sa, [scalar], moduli)) == golden
+            for backend in (PYTHON, NUMPY):
+                with use_backend(backend):
+                    assert [Polynomial(n, q, a).scalar_multiply(scalar).coefficients] == golden
 
     def test_batched_sub_scaled(self, q, n):
         a, b = _vectors(q, n, 4)
@@ -134,10 +157,15 @@ class TestElementwiseParity:
                 sa, sb[0], [scalar], moduli, b_modulus=q)) == golden
 
     def test_weighted_sum(self, q, n):
+        """One weight vector against four rows: ``mat_mulmod`` lists in,
+        lists out, as the LWE keyswitch calls it."""
         rows = _vectors(q, n, 5, count=4)
         rng = random.Random(q ^ n)
         weights = [rng.randrange(q) for _ in rows]
-        assert NUMPY.weighted_sum(rows, weights, q) == PYTHON.weighted_sum(rows, weights, q)
+        expected = [[sum(w * x for w, x in zip(weights, column)) % q
+                     for column in zip(*rows)]]
+        assert PYTHON.mat_mulmod([weights], rows, q) == expected
+        assert NUMPY.mat_mulmod([weights], rows, q) == expected
 
     def test_limb_kernels_are_plain_modular_arithmetic(self, q, n):
         """The element-wise store kernels on a two-limb store of this
@@ -169,26 +197,35 @@ class TestElementwiseParity:
 @pytest.mark.parametrize("q,n", MODULUS_COMBOS)
 class TestNTTParity:
     def test_forward_inverse(self, q, n):
-        context = NTTContext(n, q)
+        """:meth:`NTTContext.forward` / ``inverse`` on each backend, and the
+        one-row store through ``batched_ntt`` / ``batched_intt``."""
+        golden_context = NTTContext(n, q, backend=PYTHON)
+        context = NTTContext(n, q, backend=NUMPY)
         (a,) = _vectors(q, n, 6, count=1)
-        fwd_py = PYTHON.ntt_forward(context, a)
-        fwd_np = NUMPY.ntt_forward(context, a)
+        fwd_py = golden_context.forward(a)
+        fwd_np = context.forward(a)
         assert fwd_np == fwd_py
-        assert NUMPY.ntt_inverse(context, fwd_np) == PYTHON.ntt_inverse(context, fwd_py) == a
+        assert context.inverse(fwd_np) == golden_context.inverse(fwd_py) == a
+        out = NUMPY.batched_ntt([context], NUMPY.pack_limbs([a], (q,)))
+        assert _rows(out) == [fwd_py]
+        assert _rows(NUMPY.batched_intt([context], out)) == [a]
 
     def test_negacyclic_convolution(self, q, n):
-        context = NTTContext(n, q)
+        golden_context = NTTContext(n, q, backend=PYTHON)
+        context = NTTContext(n, q, backend=NUMPY)
         a, b = _vectors(q, n, 7)
-        assert NUMPY.negacyclic_convolution(context, a, b) == \
-            PYTHON.negacyclic_convolution(context, a, b)
+        golden = golden_context.negacyclic_convolution(a, b)
+        assert context.negacyclic_convolution(a, b) == golden
+        sa, sb = (NUMPY.pack_limbs([row], (q,)) for row in (a, b))
+        assert _rows(NUMPY.limbs_convolution([context], sa, sb)) == [golden]
 
     def test_batched_transforms_are_per_limb(self, q, n):
         """``batched_ntt`` / ``batched_intt`` over a three-limb store of this
-        modulus are the golden single-row transforms, limb by limb."""
+        modulus are the golden transforms of its rows, limb by limb."""
         context = NTTContext(n, q)
         rows = _vectors(q, n, 8, count=3)
         contexts = (context,) * len(rows)
-        forward = [PYTHON.ntt_forward(context, row) for row in rows]
+        forward = PYTHON.ntt_forward_batch(context, rows)
         assert PYTHON.batched_ntt(contexts, rows) == forward
         out = NUMPY.batched_ntt(contexts, NUMPY.pack_limbs(rows, (q,) * len(rows)))
         assert _rows(out) == forward
@@ -207,8 +244,7 @@ class TestNTTParity:
         out = NUMPY.stacked_ntt(contexts, packed)
         assert [_rows(store) for store in out] == forward
         assert [_rows(store) for store in NUMPY.stacked_intt(contexts, out)] == stores
-        (a, b), (c, d) = stores[0], stores[1]
-        golden = [PYTHON.negacyclic_convolution(context, x, y) for x, y in ((a, c), (b, d))]
+        golden = PYTHON.limbs_convolution(contexts, stores[0], stores[1])
         assert _rows(NUMPY.limbs_convolution(contexts, packed[0], packed[1])) == golden
 
 
@@ -219,6 +255,22 @@ class TestNTTParityWithoutTheLibrary(TestNTTParity):
     kernel is the golden one, handed numpy stores."""
 
 
+def _unreduced_entry_points(backend, n, q, a, b):
+    """What the entry points that take unreduced integers return on
+    ``backend``: ``Polynomial(...)`` and its ring ops, the three
+    :class:`NTTContext` methods (when ``q`` is an NTT prime) and
+    ``reduce_limbs``."""
+    with use_backend(backend):
+        x, y = Polynomial(n, q, a), Polynomial(n, q, b)
+        out = [x.coefficients, (x + y).coefficients, (x * y).coefficients,
+               _rows(backend.reduce_limbs(a, (q,), n))]
+        if modmath.is_prime(q) and (q - 1) % (2 * n) == 0:
+            context = NTTContext(n, q)
+            out += [context.forward(a), context.inverse(b),
+                    context.negacyclic_convolution(a, b)]
+    return out
+
+
 class TestUnreducedInputParity:
     """Backends must agree even on not-yet-reduced / negative inputs."""
 
@@ -227,20 +279,21 @@ class TestUnreducedInputParity:
         rng = random.Random(11)
         a = [rng.randrange(-5 * q, 5 * q) for _ in range(64)]
         b = [rng.randrange(2**70) for _ in range(64)]
-        assert NUMPY.add(a, b, q) == PYTHON.add(a, b, q)
-        assert NUMPY.mul(a, b, q) == PYTHON.mul(a, b, q)
-        context = NTTContext(64, q)
-        assert NUMPY.ntt_forward(context, a) == PYTHON.ntt_forward(context, a)
+        golden = _unreduced_entry_points(PYTHON, 64, q, a, b)
+        assert golden[0] == [v % q for v in a]
+        assert len(golden) == 7
+        assert _unreduced_entry_points(NUMPY, 64, q, a, b) == golden
 
     def test_big_modulus_falls_back_exactly(self):
         # A CRT-product modulus far beyond 62 bits must still work on the
         # numpy backend (via its exact python fallback).
         q = (1 << 100) + 7
         rng = random.Random(12)
-        a = [rng.randrange(q) for _ in range(32)]
+        a = [rng.randrange(-q, 2 * q) for _ in range(32)]
         b = [rng.randrange(q) for _ in range(32)]
-        assert NUMPY.add(a, b, q) == PYTHON.add(a, b, q)
-        assert NUMPY.mul(a, b, q) == PYTHON.mul(a, b, q)
+        golden = _unreduced_entry_points(PYTHON, 32, q, a, b)
+        assert golden[0] == [v % q for v in a]
+        assert _unreduced_entry_points(NUMPY, 32, q, a, b) == golden
 
 
 class TestRNSParity:
@@ -519,6 +572,20 @@ def _rows(store):
     return PYTHON.store_rows(store)
 
 
+def _decompose_reference(row, q, factors):
+    """The signed gadget digits of one row, most significant first: each
+    coefficient centred (``modmath.centered``), then the greedy rounded
+    quotient per factor, reduced into ``[0, q)``."""
+    digits = [[0] * len(row) for _ in factors]
+    for idx, value in enumerate(row):
+        residual = modmath.centered(value, q)
+        for level, factor in enumerate(factors):
+            digit = 0 if factor == 0 else (2 * residual + factor) // (2 * factor)
+            residual -= digit * factor
+            digits[level][idx] = digit % q
+    return digits
+
+
 def _primes(bits, count, skip=0):
     """``count`` distinct primes just below ``2^bits`` (after ``skip``)."""
     return tuple(modmath.find_ntt_primes(bits, 64, skip + count)[skip:])
@@ -770,8 +837,7 @@ class TestWaveKernelParity:
         rows[0][:3] = [0, q - 1, q // 2]
         factors = [q // (1 << (6 * (j + 1))) for j in range(5)] + [0]
         expected = [
-            digits for row in rows
-            for digits in PYTHON.gadget_decompose(row, q, factors)
+            digits for row in rows for digits in _decompose_reference(row, q, factors)
         ]
         assert PYTHON.gadget_decompose_rows(rows, q, factors) == expected
         packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
@@ -865,12 +931,13 @@ STACK_OF_ONE_PRIMES = [
 @pytest.mark.parametrize("q", STACK_OF_ONE_PRIMES,
                          ids=[f"{q.bit_length()}bit" for q in STACK_OF_ONE_PRIMES])
 class TestSingleRowIsStackOfOne:
-    """Each single-row kernel == row 0 of its limb-stack kernel on a one-row
-    store == the python golden.
+    """A single row is the stack of one: each store kernel on a one-row
+    store == the python golden, and the entry points that take one row
+    (:class:`Polynomial`, :class:`NTTContext`) are row 0 of it.
 
-    The row kernels additionally take unreduced and negative input (stores
-    are reduced by contract, so the stack side sees the reduced row) and
-    cross over to python below the size thresholds.
+    Those entry points also take unreduced and negative input (stores are
+    reduced by contract, so the kernels see the reduced row), and below the
+    size thresholds the default numpy backend answers with the golden body.
     """
 
     N = STACK_OF_ONE_N
@@ -887,17 +954,25 @@ class TestSingleRowIsStackOfOne:
         (a, b), (ra, rb) = self._inputs(q, seed)
         moduli = (q,)
         sa, sb = NUMPY.pack_limbs([ra], moduli), NUMPY.pack_limbs([rb], moduli)
-        for row, stack, golden in (
-            (NUMPY.add(a, b, q), NUMPY.limbs_add(sa, sb, moduli), PYTHON.add(a, b, q)),
-            (NUMPY.sub(a, b, q), NUMPY.limbs_sub(sa, sb, moduli), PYTHON.sub(a, b, q)),
-            (NUMPY.neg(a, q), NUMPY.limbs_neg(sa, moduli), PYTHON.neg(a, q)),
-            (NUMPY.mul(a, b, q), NUMPY.limbs_mul(sa, sb, moduli), PYTHON.mul(a, b, q)),
-            (NUMPY.scalar_mul(a, scalar, q),
-             NUMPY.limbs_scalar_mul(sa, [scalar], moduli),
-             PYTHON.scalar_mul(a, scalar, q)),
-        ):
-            assert isinstance(row, list) and isinstance(stack, np.ndarray)
-            assert row == _rows(stack)[0] == golden
+        with use_backend(NUMPY):
+            x, y = Polynomial(self.N, q, a), Polynomial(self.N, q, b)
+            rows = [x + y, x - y, -x, x.scalar_multiply(scalar)]
+        for row, stack, golden in zip(rows, (
+            NUMPY.limbs_add(sa, sb, moduli), NUMPY.limbs_sub(sa, sb, moduli),
+            NUMPY.limbs_neg(sa, moduli), NUMPY.limbs_scalar_mul(sa, [scalar], moduli),
+        ), (
+            PYTHON.limbs_add([ra], [rb], moduli), PYTHON.limbs_sub([ra], [rb], moduli),
+            PYTHON.limbs_neg([ra], moduli),
+            PYTHON.limbs_scalar_mul([ra], [scalar], moduli),
+        )):
+            assert isinstance(stack, np.ndarray)
+            assert row.coefficients == _rows(stack)[0] == golden[0]
+        product = NUMPY.limbs_mul(sa, sb, moduli)
+        assert isinstance(product, np.ndarray)
+        assert _rows(product) == PYTHON.limbs_mul([ra], [rb], moduli) == \
+            [[u * v % q for u, v in zip(ra, rb)]]
+        assert PYTHON.limbs_scalar_mul([ra], [scalar], moduli) == \
+            [[u * scalar % q for u in ra]]
 
     @given(seed=st.integers(0, 1 << 32), degree=st.integers(-200, 200))
     @settings(max_examples=25, deadline=None)
@@ -905,48 +980,52 @@ class TestSingleRowIsStackOfOne:
         (a, _), (ra, _) = self._inputs(q, seed)
         moduli = (q,)
         sa = NUMPY.pack_limbs([ra], moduli)
-        for spec in (monomial_spec(self.N, degree),
-                     automorphism_spec(self.N, 2 * degree + 1)):
-            golden = PYTHON.signed_permute(a, q, spec)
-            assert NUMPY.signed_permute(a, q, spec) == golden
-            assert _rows(NUMPY.limbs_signed_permute(sa, moduli, spec)) == [golden]
+        for spec, op in ((monomial_spec(self.N, degree % (2 * self.N)),
+                          lambda p: p.multiply_by_monomial(degree)),
+                         (automorphism_spec(self.N, (2 * degree + 1) % (2 * self.N)),
+                          lambda p: p.automorphism(2 * degree + 1))):
+            golden = PYTHON.limbs_signed_permute([ra], moduli, spec)
+            assert _rows(NUMPY.limbs_signed_permute(sa, moduli, spec)) == golden
+            with use_backend(NUMPY):
+                assert [op(Polynomial(self.N, q, a)).coefficients] == golden
         factors = [q // (1 << (6 * (j + 1))) for j in range(3)] + [0]
-        golden = PYTHON.gadget_decompose(a, q, factors)
-        assert NUMPY.gadget_decompose(a, q, factors) == golden
+        golden = PYTHON.gadget_decompose_rows([ra], q, factors)
+        assert golden == _decompose_reference(ra, q, factors)
         assert _rows(NUMPY.gadget_decompose_rows(sa, q, factors)) == golden
 
     @given(seed=st.integers(0, 1 << 32))
     @settings(max_examples=25, deadline=None)
     def test_transforms(self, q, seed):
         (a, b), (ra, rb) = self._inputs(q, seed)
-        context = NTTContext(self.N, q)
+        golden_context = NTTContext(self.N, q)
+        context = NTTContext(self.N, q, backend=NUMPY)
         sa, sb = NUMPY.pack_limbs([ra], (q,)), NUMPY.pack_limbs([rb], (q,))
         for row, stack, golden in (
-            (NUMPY.ntt_forward(context, a), NUMPY.batched_ntt([context], sa),
-             PYTHON.ntt_forward(context, a)),
-            (NUMPY.ntt_inverse(context, a), NUMPY.batched_intt([context], sa),
-             PYTHON.ntt_inverse(context, a)),
-            (NUMPY.negacyclic_convolution(context, a, b),
+            (context.forward(a), NUMPY.batched_ntt([context], sa),
+             PYTHON.batched_ntt([golden_context], [ra])),
+            (context.inverse(a), NUMPY.batched_intt([context], sa),
+             PYTHON.batched_intt([golden_context], [ra])),
+            (context.negacyclic_convolution(a, b),
              NUMPY.limbs_convolution([context], sa, sb),
-             PYTHON.negacyclic_convolution(context, a, b)),
+             PYTHON.limbs_convolution([golden_context], [ra], [rb])),
         ):
             assert isinstance(row, list) and isinstance(stack, np.ndarray)
-            assert row == _rows(stack)[0] == golden
+            assert row == _rows(stack)[0] == golden[0]
 
     @given(seed=st.integers(0, 1 << 32), count=st.integers(1, 5))
     @settings(max_examples=25, deadline=None)
     def test_same_modulus_batch_is_a_stack_of_equal_contexts(self, q, seed, count):
-        context = NTTContext(self.N, q)
+        context = NTTContext(self.N, q, backend=NUMPY)
         rows = _wave_store(q, self.N, count, seed)
         packed = NUMPY.pack_limbs(rows, (q,) * count)
         for batch, stacked, single, golden in (
-            (NUMPY.ntt_forward_batch, NUMPY.batched_ntt, NUMPY.ntt_forward,
-             PYTHON.ntt_forward),
-            (NUMPY.ntt_inverse_batch, NUMPY.batched_intt, NUMPY.ntt_inverse,
-             PYTHON.ntt_inverse),
+            (NUMPY.ntt_forward_batch, NUMPY.batched_ntt, context.forward,
+             PYTHON.batched_ntt),
+            (NUMPY.ntt_inverse_batch, NUMPY.batched_intt, context.inverse,
+             PYTHON.batched_intt),
         ):
-            expected = [golden(context, row) for row in rows]
-            assert [single(context, row) for row in rows] == expected
+            expected = golden((context,) * count, rows)
+            assert [single(row) for row in rows] == expected
             for given_rows in (rows, packed):
                 out = batch(context, given_rows)
                 # Lists in, lists out; store in, store out.
@@ -957,21 +1036,24 @@ class TestSingleRowIsStackOfOne:
     def test_below_the_crossovers_the_golden_backend_answers(self, q):
         default = NumpyBackend()
         assert self.N < default.min_ntt_length < default.min_vector_length
-        (a, b), _ = self._inputs(q, 5)
+        _, (a, b) = self._inputs(q, 5)
         context = NTTContext(self.N, q)
         spec = monomial_spec(self.N, 3)
         factors = [q // (1 << 6), q // (1 << 12)]
+        moduli = (q,)
         for name, args in (
-            ("add", (a, b, q)), ("sub", (a, b, q)), ("neg", (a, q)),
-            ("mul", (a, b, q)), ("scalar_mul", (a, -7, q)),
-            ("signed_permute", (a, q, spec)),
-            ("gadget_decompose", (a, q, factors)),
-            ("ntt_forward", (context, a)), ("ntt_inverse", (context, a)),
-            ("negacyclic_convolution", (context, a, b)),
+            ("limbs_add", ([a], [b], moduli)), ("limbs_sub", ([a], [b], moduli)),
+            ("limbs_neg", ([a], moduli)), ("limbs_mul", ([a], [b], moduli)),
+            ("limbs_scalar_mul", ([a], [-7], moduli)),
+            ("limbs_signed_permute", ([a], moduli, spec)),
+            ("gadget_decompose_rows", ([a], q, factors)),
+            ("ntt_forward_batch", (context, [a])), ("ntt_inverse_batch", (context, [a])),
+            ("limbs_convolution", ((context,), [a], [b])),
         ):
             out = getattr(default, name)(*args)
+            assert isinstance(out, list), name
             assert out == getattr(PYTHON, name)(*args), name
-            assert out == getattr(NUMPY, name)(*args), name
+            assert out == _rows(getattr(NUMPY, name)(*args)), name
 
 
 def _public_kernels():
@@ -1013,12 +1095,9 @@ def test_every_public_kernel_has_a_caller():
 # store, or has a case here that runs it on 64-bit, 32-bit and mixed copies
 # of one reduced input.
 
-#: Public kernels that never receive a store: the single-row (list) kernels
-#: and the ones that make a store out of something else.
+#: Public kernels that never receive a store: the ones that make a store
+#: out of something else.
 STORELESS_KERNELS = {
-    "add", "sub", "neg", "mul", "scalar_mul", "weighted_sum",
-    "signed_permute", "gadget_decompose",
-    "ntt_forward", "ntt_inverse", "negacyclic_convolution",
     "limbs_zero", "reduce_limbs", "sample_uniform_limbs", "sample_error_limbs",
     "limbs_from_words",
 }
@@ -1052,7 +1131,6 @@ def _width_cases(moduli, n, seed):
     return {
         "store_rows": lambda k, s: k.store_rows(s(a)),
         "pack_limbs": lambda k, s: k.pack_limbs(s(a), moduli),
-        "unpack_limbs": lambda k, s: k.unpack_limbs(s(a)),
         "limbs_to_words": lambda k, s: [k.limbs_to_words(s(a), 8)] + (
             [k.limbs_to_words(s(a), 4)] if max(moduli) < 1 << 32 else []),
         "limbs_add": lambda k, s: k.limbs_add(s(a), s(b), moduli),

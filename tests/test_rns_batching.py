@@ -161,10 +161,7 @@ class TestPackedParity:
             store = poly.store()
             fwd = PACKED.batched_ntt(contexts, store)
             back = PACKED.batched_intt(contexts, fwd)
-        expected_fwd = [
-            PYTHON.ntt_forward(ctx, row)
-            for ctx, row in zip(contexts, poly.coefficient_rows())
-        ]
+        expected_fwd = PYTHON.batched_ntt(contexts, poly.coefficient_rows())
         assert PACKED.store_rows(fwd) == expected_fwd
         assert PACKED.store_rows(back) == poly.coefficient_rows()
 
@@ -250,8 +247,9 @@ class TestGadgetDecomposeParity:
         coeffs = [rng.randrange(q) for _ in range(degree - 4)]
         coeffs += [0, q - 1, q // 2, q // 2 + 1]
         factors = [q // (8 ** (j + 1)) for j in range(5)]
-        expected = PYTHON.gadget_decompose(coeffs, q, factors)
-        assert PACKED.gadget_decompose(coeffs, q, factors) == expected
+        expected = PYTHON.gadget_decompose_rows([coeffs], q, factors)
+        packed = PACKED.gadget_decompose_rows([coeffs], q, factors)
+        assert PACKED.store_rows(packed) == expected
 
     @pytest.mark.parametrize("bits", [32, 62])
     def test_matches_centered_reference(self, bits):
@@ -269,8 +267,9 @@ class TestGadgetDecomposeParity:
                 digit = 0 if factor == 0 else (2 * residual + factor) // (2 * factor)
                 residual -= digit * factor
                 expected[level][idx] = digit % q
-        assert PYTHON.gadget_decompose(coeffs, q, factors) == expected
-        assert PACKED.gadget_decompose(coeffs, q, factors) == expected
+        assert PYTHON.gadget_decompose_rows([coeffs], q, factors) == expected
+        packed = PACKED.gadget_decompose_rows([coeffs], q, factors)
+        assert PACKED.store_rows(packed) == expected
 
     def test_polynomial_decompose_both_backends(self):
         q = modmath.find_ntt_prime(32, 128)

@@ -660,7 +660,7 @@ def _uniform_ct(params, seed):
 @pytest.mark.parametrize("params", [TOY, PARAM_SETS[3]], ids=["word8", "word4"])
 def test_numpy_round_trip_never_builds_python_int_rows(params):
     """A counting shim as the active backend: no ``store_rows`` /
-    ``pack_limbs`` / ``unpack_limbs`` dispatch, nested ones included."""
+    ``pack_limbs`` dispatch, nested ones included."""
     seen = []
 
     class Counting(NumpyBackend):
@@ -671,10 +671,6 @@ def test_numpy_round_trip_never_builds_python_int_rows(params):
         def pack_limbs(self, rows, moduli):
             seen.append("pack_limbs")
             return super().pack_limbs(rows, moduli)
-
-        def unpack_limbs(self, store):
-            seen.append("unpack_limbs")
-            return super().unpack_limbs(store)
 
     with use_backend(Counting(min_vector_length=0, min_ntt_length=0)):
         ct = _uniform_ct(params, 17)

@@ -455,7 +455,7 @@ class TestResidentWaveParity:
             store = blind_rotate_wave(
                 wave.vectors[:size], wave.switched[:size],
                 wave.context.bootstrapping_key)
-            assert backend.unpack_limbs(store) == wave.reference_rows(size)
+            assert backend.store_rows(store) == wave.reference_rows(size)
             outputs = batched_programmable_bootstrap(
                 wave.context, wave.ciphertexts[:size], wave.vectors[:size])
         assert _same(outputs, wave.reference_outputs(size))
@@ -472,7 +472,7 @@ class TestResidentWaveParity:
             store = blind_rotate_wave(
                 wave.vectors[:size], wave.switched[:size],
                 wave.context.bootstrapping_key)
-            assert backend.unpack_limbs(store) == wave.reference_rows(size)
+            assert backend.store_rows(store) == wave.reference_rows(size)
             outputs = batched_programmable_bootstrap(
                 wave.context, wave.ciphertexts[:size], wave.vectors[:size])
         assert _same(outputs, wave.reference_outputs(size))
@@ -499,7 +499,7 @@ class TestResidentWaveParity:
         for backend in ("numpy-default", "numpy"):
             with use_backend(NUMPY_BACKENDS[backend]):
                 store = blind_rotate_wave(wave.vectors[:2], wave.switched[:2], key)
-                assert NUMPY_BACKENDS[backend].unpack_limbs(store) == \
+                assert NUMPY_BACKENDS[backend].store_rows(store) == \
                     wave.reference_rows(2)
         assert list(key._eval_cache) == ["numpy"]
 
@@ -515,7 +515,7 @@ class TestResidentWaveParity:
                 store = blind_rotate_wave(
                     wave.vectors[:3], wave.switched[:3],
                     wave.context.bootstrapping_key)
-                assert backend.unpack_limbs(store) == wave.reference_rows(3)
+                assert backend.store_rows(store) == wave.reference_rows(3)
                 outputs = batched_programmable_bootstrap(
                     wave.context, wave.ciphertexts[:3], wave.vectors[:3])
             assert _same(outputs, wave.reference_outputs(3))
@@ -543,7 +543,7 @@ class TestResidentWaveParity:
                     accumulator = cmux(row, accumulator.multiply_by_monomial(a_i),
                                        accumulator)
             expected.extend(accumulator.coefficient_rows())
-        assert active_backend().unpack_limbs(store) == expected
+        assert active_backend().store_rows(store) == expected
         assert not key._eval_cache
 
 
@@ -630,7 +630,7 @@ class TestResidency:
         resident = log[log.index("rows_monomial_multiply"):
                        log.index("limbs_signed_permute")]
         assert len(resident) == 1 + 7 * n_lwe
-        assert not {"unpack_limbs", "store_rows", "pack_limbs"} & set(resident)
+        assert not {"store_rows", "pack_limbs"} & set(resident)
         # The key handle is built once: the second wave only reads it.
         assert context.bootstrapping_key._eval_cache[counting.name] is handle
         assert log.count("ntt_forward_batch") == n_lwe + 1
