@@ -60,6 +60,8 @@ __all__ = [
     "ArithmeticBackend",
     "PythonBackend",
     "NumpyBackend",
+    "WrappedBackend",
+    "KERNELS",
     "PermSpec",
     "GatherSpec",
     "BConvPlan",
@@ -861,6 +863,46 @@ class PythonBackend(ArithmeticBackend):
     golden kernels of :class:`ArithmeticBackend`, as they stand."""
 
     name = "python"
+
+
+#: Every public kernel of the backend interface, sorted.
+KERNELS = tuple(sorted(
+    name for name in vars(ArithmeticBackend)
+    if not name.startswith("_") and callable(getattr(ArithmeticBackend, name))
+))
+
+
+class WrappedBackend(ArithmeticBackend):
+    """Forward every kernel of :data:`KERNELS` to ``inner`` through the
+    :meth:`_dispatch` hook, counting the calls in ``calls``.
+
+    A kernel body's nested calls (a numpy kernel falling back through
+    ``super()``) run on ``inner``, and no kernel body resolves
+    :func:`active_backend`, so only top-level dispatches are seen.
+    """
+
+    prefix = "wrapped"
+
+    def __init__(self, inner: ArithmeticBackend):
+        self.inner = inner
+        self.calls: Dict[str, int] = {}
+        self.name = f"{self.prefix}:{inner.name}"
+
+    def _dispatch(self, kernel: str, func, args, kwargs):
+        return func(*args, **kwargs)
+
+
+def _forwarder(kernel: str):
+    def forward(self, *args, **kwargs):
+        self.calls[kernel] = self.calls.get(kernel, 0) + 1
+        return self._dispatch(kernel, getattr(self.inner, kernel), args, kwargs)
+
+    forward.__name__, forward.__qualname__ = kernel, f"WrappedBackend.{kernel}"
+    return forward
+
+
+for _kernel in KERNELS:
+    setattr(WrappedBackend, _kernel, _forwarder(_kernel))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ static inline uint64_t shoup_mul(uint64_t y, uint64_t w, uint64_t ws, uint64_t q
     return r >= q ? r - q : r;                          /* step: shoup32-correct */
 }
 
-/* Cooley-Tukey with merged psi, bit-reversed output (golden ntt_forward). */
+/* Cooley-Tukey with merged psi, bit-reversed output (golden _forward_row). */
 static void forward_row(uint64_t *a, size_t n, const uint32_t *table)
 {
     const uint64_t q = table[0];
@@ -65,7 +65,7 @@ static void forward_row(uint64_t *a, size_t n, const uint32_t *table)
     }
 }
 
-/* Gentleman-Sande with merged psi^-1, then n^-1 (golden ntt_inverse). */
+/* Gentleman-Sande with merged psi^-1, then n^-1 (golden _inverse_row). */
 static void inverse_row(uint64_t *a, size_t n, const uint32_t *table)
 {
     const uint64_t q = table[0], n_inv = table[1], n_inv_s = table[2];
@@ -108,7 +108,7 @@ static inline uint64_t shoup64(uint64_t y, uint64_t w, uint64_t ws, uint64_t q)
     return y * w - (uint64_t)(((u128)y * ws) >> 64) * q;
 }
 
-/* Harvey-lazy Cooley-Tukey (golden ntt_forward): rows below 4q in, fully
+/* Harvey-lazy Cooley-Tukey (golden _forward_row): rows below 4q in, fully
  * reduced out. */
 static void forward_row64(uint64_t *a, size_t n, const uint64_t *table)
 {
@@ -133,7 +133,7 @@ static void forward_row64(uint64_t *a, size_t n, const uint64_t *table)
     }
 }
 
-/* Harvey-lazy Gentleman-Sande, then n^-1 (golden ntt_inverse): rows below
+/* Harvey-lazy Gentleman-Sande, then n^-1 (golden _inverse_row): rows below
  * 2q in, fully reduced out. */
 static void inverse_row64(uint64_t *a, size_t n, const uint64_t *table)
 {

@@ -164,15 +164,12 @@ def blind_rotate_wave(
     leaves it unchanged bit for bit, exactly as if it had been skipped; an
     iteration is skipped outright when every member's ``a_i`` is zero.
 
-    The wave owns the work buffers of its transforms: one plain dict, made
-    here, goes to the forward and the inverse batch of every step, so the
-    backend builds its ``(rows, N)`` temporaries once per wave instead of
-    once per call (at wave 16 that was 1.6 MB handed back to the allocator
-    and faulted in again, ``2 * n_lwe`` times).  The dict dies with this
-    call — nothing is kept on the backend, a table or a module.  What a
-    transform *returns* is never one of those buffers: each step's product
-    is still being read when the next transform overwrites them, and
-    :meth:`BootstrappingKey.eval_store` caches a transform's result for good.
+    Each transform of a step returns a fresh store (the C transform runs in
+    place on one copy of its input, the golden one builds new rows), and no
+    work buffer is kept on the backend, a table or a module.  Nothing may
+    alias an earlier result: each step's product is still being read when
+    the next transform runs, and :meth:`BootstrappingKey.eval_store` caches
+    a transform's result for good.
     """
     first = test_vectors[0]
     n, q, group = first.ring_degree, first.modulus, first.glwe_dimension + 1

@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..fhe.backend import ArithmeticBackend
+from ..fhe.backend import KERNELS, ArithmeticBackend, WrappedBackend
 
 __all__ = [
     "InjectedFault",
@@ -86,9 +86,10 @@ class InjectedFault(RuntimeError):
 class FaultSpec:
     """One injection rule: which kernel, which mode, and when.
 
-    Calls to ``kernel`` are numbered from zero; calls before ``start_call``
-    are never faulted, afterwards each call is faulted with ``probability``
-    until ``max_injections`` faults have fired (``None`` = unbounded).
+    Calls to ``kernel`` (one of :data:`~repro.fhe.backend.KERNELS`) are
+    numbered from zero; calls before ``start_call`` are never faulted,
+    afterwards each call is faulted with ``probability`` until
+    ``max_injections`` faults have fired (``None`` = unbounded).
     Bounding injections is what gives a soak a deterministic recovery tail:
     once the budget is spent the backend is clean again.
     """
@@ -100,6 +101,9 @@ class FaultSpec:
     max_injections: "Optional[int]" = None
 
     def __post_init__(self):
+        if self.kernel not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kernel!r}: no backend "
+                             f"has it, so the spec could never fire")
         if self.mode not in FAULT_MODES:
             raise ValueError(f"unknown fault mode {self.mode!r}; "
                              f"expected one of {FAULT_MODES}")
@@ -196,54 +200,39 @@ def _corrupt_result(kernel: str, args, result, backend: ArithmeticBackend):
     return _corrupt_store(result, moduli, backend)
 
 
-class FaultInjectingBackend(ArithmeticBackend):
+class FaultInjectingBackend(WrappedBackend):
     """Wrap any backend; targeted kernels raise / stall / corrupt on schedule.
 
-    Every public method of ``inner`` is forwarded; only kernels named in
-    the schedule pay the per-call ``draw``.  Nested kernel calls inside the
+    A :class:`~repro.fhe.backend.WrappedBackend`: only kernels named in the
+    schedule pay the per-call ``draw``.  Nested kernel calls inside the
     inner backend's own implementations bypass the wrapper, so a fault maps
     to exactly one evaluator-level dispatch.  ``sleep`` is injectable so a
     "stall" can advance a :class:`~repro.serve.resilience.ManualClock`
     instead of blocking the test process.
     """
 
+    prefix = "chaos"
+
     def __init__(self, inner: ArithmeticBackend, schedule: FaultSchedule, *,
                  sleep: Callable[[float], None] = time.sleep):
-        self.inner = inner
+        super().__init__(inner)
         self.schedule = schedule
         self._sleep = sleep
-        for attr in dir(type(inner)):
-            if attr.startswith("_"):
-                continue
-            bound = getattr(inner, attr)
-            if not callable(bound):
-                continue
-            if attr in schedule.kernels:
-                setattr(self, attr, self._wrap(attr, bound))
-            else:
-                setattr(self, attr, bound)
-        self.name = f"chaos:{inner.name}"
 
-    def _wrap(self, kernel: str, func: Callable) -> Callable:
-        def dispatch(*args, **kwargs):
-            mode = self.schedule.draw(kernel)
-            if mode == "raise":
-                raise InjectedFault(
-                    f"injected fault in {kernel} "
-                    f"(call {self.schedule.calls()[kernel] - 1})")
-            if mode == "stall":
-                self._sleep(self.schedule.stall_seconds)
-            result = func(*args, **kwargs)
-            if mode == "corrupt":
-                return _corrupt_result(kernel, args, result, self.inner)
-            return result
-
-        dispatch.__name__ = f"chaos_{kernel}"
-        return dispatch
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FaultInjectingBackend({self.inner!r}, "
-                f"kernels={sorted(self.schedule.kernels)})")
+    def _dispatch(self, kernel: str, func: Callable, args, kwargs):
+        if kernel not in self.schedule.kernels:
+            return func(*args, **kwargs)
+        mode = self.schedule.draw(kernel)
+        if mode == "raise":
+            raise InjectedFault(
+                f"injected fault in {kernel} "
+                f"(call {self.schedule.calls()[kernel] - 1})")
+        if mode == "stall":
+            self._sleep(self.schedule.stall_seconds)
+        result = func(*args, **kwargs)
+        if mode == "corrupt":
+            return _corrupt_result(kernel, args, result, self.inner)
+        return result
 
 
 def corrupt_payload(blob: bytes, rng: "Optional[random.Random]" = None, *,

@@ -30,6 +30,7 @@ except ImportError:  # the whole module is skipped below
 from repro.fhe import backend as backend_module
 from repro.fhe import modmath
 from repro.fhe.backend import (
+    KERNELS,
     ArithmeticBackend,
     NumpyBackend,
     PythonBackend,
@@ -1056,14 +1057,6 @@ class TestSingleRowIsStackOfOne:
             assert out == _rows(getattr(NUMPY, name)(*args)), name
 
 
-def _public_kernels():
-    from repro.fhe.backend import ArithmeticBackend
-    return {
-        name for name in vars(ArithmeticBackend)
-        if not name.startswith("_") and callable(getattr(ArithmeticBackend, name))
-    }
-
-
 def test_every_public_kernel_has_a_caller():
     """Census: a public ``ArithmeticBackend`` method that no module under
     ``src/repro`` other than ``fhe/backend.py`` references is dead weight
@@ -1082,7 +1075,7 @@ def test_every_public_kernel_has_a_caller():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute)
     }
-    assert sorted(_public_kernels() - referenced) == []
+    assert sorted(set(KERNELS) - referenced) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1182,9 +1175,9 @@ def _plain(value):
 def test_every_store_kernel_has_a_width_case():
     cases = set(_width_cases(tuple(modmath.find_ntt_primes(30, 32, 4)), 32, 0))
     # Names a deleted kernel would otherwise leave behind in the list.
-    assert sorted(STORELESS_KERNELS - _public_kernels()) == []
+    assert sorted(STORELESS_KERNELS - set(KERNELS)) == []
     assert not cases & STORELESS_KERNELS
-    assert _public_kernels() == cases | STORELESS_KERNELS
+    assert set(KERNELS) == cases | STORELESS_KERNELS
 
 
 @pytest.mark.parametrize("bits", [30, 36], ids=["word32", "word64-reads-narrow"])

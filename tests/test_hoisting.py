@@ -34,8 +34,8 @@ import random
 import pytest
 
 from repro.fhe.backend import (
-    ArithmeticBackend,
     PythonBackend,
+    WrappedBackend,
     available_backends,
     use_backend,
 )
@@ -312,26 +312,21 @@ class TestModDown:
             mod_down(_random_poly(params, 53), params, top)   # no P rows
 
 
-class _CountingBackend(ArithmeticBackend):
-    """Forward every public kernel of ``inner``; log ``(kernel, args)`` of
-    the top-level calls (the pattern of ``test_tfhe.py::TestResidency``)."""
+class _CountingBackend(WrappedBackend):
+    """Log ``(kernel, args)`` of the top-level calls (the pattern of
+    ``test_tfhe.py::TestResidency``)."""
+
+    prefix = "counting"
 
     def __init__(self, inner):
-        self.inner = inner
+        super().__init__(inner)
         self.log = []
-        for attr in dir(type(inner)):
-            bound = getattr(inner, attr)
-            if not attr.startswith("_") and callable(bound):
-                setattr(self, attr, self._logged(attr, bound))
-        self.name = f"counting:{inner.name}"
 
-    def _logged(self, kernel, func):
-        def dispatch(*args, **kwargs):
-            self.log.append((kernel, args))
-            return func(*args, **kwargs)
-        return dispatch
+    def _dispatch(self, kernel, func, args, kwargs):
+        self.log.append((kernel, args))
+        return func(*args, **kwargs)
 
-    def calls(self, kernel):
+    def args_of(self, kernel):
         return [args for name, args in self.log if name == kernel]
 
 
@@ -356,14 +351,14 @@ class TestHoistedResidency:
                 counting.log.clear()
                 f0, f1 = keyswitch_hoisted(hoisted, relin)
             assert f0.domain == f1.domain == "eval"
-            (contexts, stores), = counting.calls("stacked_intt")
+            (contexts, stores), = counting.args_of("stacked_intt")
             assert len(contexts) == len(params.special_moduli)
             assert [len(store) for store in stores] == [len(contexts)] * 2
-            (contexts, stores), = counting.calls("stacked_ntt")
+            (contexts, stores), = counting.args_of("stacked_ntt")
             assert len(contexts) == level + 1
             assert [len(store) for store in stores] == [level + 1] * 2
-            assert not counting.calls("batched_intt")
-            assert not counting.calls("batched_ntt")
+            assert not counting.args_of("batched_intt")
+            assert not counting.args_of("batched_ntt")
 
     @pytest.mark.parametrize("resident", [False, True], ids=["coeff", "eval"])
     @pytest.mark.parametrize("sources", [1, 3])
@@ -439,7 +434,7 @@ class TestHoistedResidency:
             forward, = [args for name, args in wave_log if name == "stacked_ntt"]
             assert self._rows_of(inverse) == 2 * k * special
             assert self._rows_of(forward) == 2 * k * (level + 1)
-            assert len(counting.calls("stacked_intt")) == k    # one per call
+            assert len(counting.args_of("stacked_intt")) == k    # one per call
             assert [tuple(map(_rows, pair)) for pair in pairs] == [
                 tuple(map(_rows, pair)) for pair in singles]
 
@@ -457,9 +452,9 @@ class TestHoistedResidency:
                 monkeypatch.setattr(keyswitch_module, "WAVE_ELEMENTS", member_elements)
                 cut = keyswitch_wave(members)
                 monkeypatch.undo()
-            assert [len(stores) for _, stores in counting.calls("stacked_intt")] \
+            assert [len(stores) for _, stores in counting.args_of("stacked_intt")] \
                 == [2] * len(members)
-            assert [len(stores) for _, stores in counting.calls("stacked_ntt")] \
+            assert [len(stores) for _, stores in counting.args_of("stacked_ntt")] \
                 == [2] * len(members)
             assert [tuple(map(_rows, pair)) for pair in cut] == [
                 tuple(map(_rows, pair)) for pair in whole]
@@ -486,8 +481,8 @@ class TestHoistedResidency:
             assert sorted(hoist) == sorted(
                 ["stacked_intt"] + ["bconv_matmul"] * relin.num_digits
                 + ["stacked_ntt", "stacked_gather"])
-            inverse, after_inverse = counting.calls("stacked_intt")
-            forward, after_forward = counting.calls("stacked_ntt")
+            inverse, after_inverse = counting.args_of("stacked_intt")
+            forward, after_forward = counting.args_of("stacked_ntt")
             assert self._rows_of(inverse) == level + 1
             assert self._rows_of(forward) == relin.num_digits * (
                 level + 1 + special)
@@ -652,10 +647,10 @@ class TestKeyGroups:
             keys = CKKSKeyGenerator(params, seed=3, backend=counting).generate()
             counting.log.clear()
             keys.ensure_rotation_keys([1, 2, 3, 4, 5], level)     # 2 + 2 + 1 keys
-            assert len(counting.calls("batched_ntt")) == 1        # the secret
-            assert not counting.calls("batched_intt")
+            assert len(counting.args_of("batched_ntt")) == 1        # the secret
+            assert not counting.args_of("batched_intt")
             for kernel in ("stacked_ntt", "stacked_intt"):
-                assert [len(stores) for _contexts, stores in counting.calls(kernel)] \
+                assert [len(stores) for _contexts, stores in counting.args_of(kernel)] \
                     == [2 * digits, 2 * digits, digits], (inner.name, kernel)
 
     def test_lazy_keys_are_generated_on_the_generator_backend(self, params):
@@ -667,7 +662,7 @@ class TestKeyGroups:
         with use_backend(ambient):
             keys.ensure_rotation_keys([1, 2], params.max_level)
             keys.relinearization_key(params.max_level)
-        assert len(pinned.calls("stacked_ntt")) == 2
+        assert len(pinned.args_of("stacked_ntt")) == 2
         assert ambient.log == []
 
 
@@ -685,7 +680,7 @@ def test_pinned_context_generates_rotation_keys_on_its_backend():
     with use_backend(ambient):
         generated = transform.generate_rotation_keys(context.keys)
     assert len(generated) >= 2
-    assert pinned.calls("stacked_ntt") and pinned.calls("stacked_intt")
+    assert pinned.args_of("stacked_ntt") and pinned.args_of("stacked_intt")
     assert ambient.log == []
 
 

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fhe.backend import (
-    ArithmeticBackend,
     PythonBackend,
+    WrappedBackend,
     available_backends,
     use_backend,
 )
@@ -40,7 +40,6 @@ from repro.fhe.params import CKKSParameters
 from repro.fhe.polynomial import Polynomial
 from repro.fhe.rns import RNSPolynomial
 from repro.fhe.tfhe.lwe import LWECiphertext
-from repro.serve.chaos import FaultInjectingBackend, FaultSchedule, FaultSpec
 from repro.workloads.hybrid_workloads import hybrid_query_parameters
 
 numpy_missing = "numpy" not in available_backends()
@@ -247,26 +246,14 @@ class TestAgainstRecursiveReference:
 # Typed failures, before any dispatch
 # ---------------------------------------------------------------------------
 
-#: Every public kernel of the backend interface, counted by the census.
-KERNELS = sorted(
-    name for name in dir(ArithmeticBackend)
-    if not name.startswith("_") and callable(getattr(ArithmeticBackend, name))
-)
-
-
-def _counting(backend):
-    schedule = FaultSchedule([FaultSpec(kernel, "raise", 0.0) for kernel in KERNELS])
-    return FaultInjectingBackend(backend, schedule), schedule
-
-
 class TestRejectsUpFront:
     PARAMS = PARAMS["hybrid-query"]
 
     def _raises(self, lwes, match):
-        backend, schedule = _counting(PythonBackend())
+        backend = WrappedBackend(PythonBackend())
         with pytest.raises(ValueError, match=match):
             repack_lwe_ciphertexts(lwes, _evaluator(self.PARAMS, backend))
-        assert schedule.calls() == {}
+        assert backend.calls == {}
 
     def test_more_lwes_than_the_ring_degree(self):
         lwes = _random_lwes(self.PARAMS, 1, seed=0) * 128
@@ -289,7 +276,7 @@ class TestRejectsUpFront:
 
     def test_mismatched_ciphertexts(self):
         params = self.PARAMS
-        backend, schedule = _counting(PythonBackend())
+        backend = WrappedBackend(PythonBackend())
         evaluator = _evaluator(params, backend)
         with use_backend(PythonBackend()):
             embedded = [_reference_embedding(lwe, evaluator)
@@ -304,7 +291,7 @@ class TestRejectsUpFront:
                                ([embedded[0], scaled], "member 1 .* scale")):
             with pytest.raises(ValueError, match=match):
                 pack_lwes(members, evaluator)
-        assert schedule.calls() == {}
+        assert backend.calls == {}
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +307,15 @@ def _repack_census(nslot, inner):
     counting backend is also the active one, as in the executor, so nothing
     the repack runs outside the evaluator's backend goes uncounted."""
     params = PARAMS["hybrid-query"]
-    backend, schedule = _counting(inner)
+    backend = WrappedBackend(inner)
     evaluator = _evaluator(params, backend)
     lwes = _random_lwes(params, nslot, seed=nslot)
     with use_backend(backend):
         repack_lwe_ciphertexts(lwes, evaluator)
-        before = schedule.calls()
+        before = dict(backend.calls)
         repack_lwe_ciphertexts(lwes, evaluator)
     return {kernel: count - before.get(kernel, 0)
-            for kernel, count in schedule.calls().items()
+            for kernel, count in backend.calls.items()
             if count - before.get(kernel, 0)}
 
 

@@ -26,6 +26,7 @@ import random
 import pytest
 
 from repro.fhe.backend import (
+    KERNELS,
     ArithmeticBackend,
     NumpyBackend,
     PythonBackend,
@@ -39,6 +40,7 @@ from repro.fhe.polynomial import Polynomial
 from repro.fhe.program import HETrace, ProgramExecutor
 from repro.fhe.rns import RNSPolynomial
 from repro.serve import (
+    CORRUPTIBLE_KERNELS,
     AdmissionController,
     BreakerBoard,
     CircuitBreaker,
@@ -547,8 +549,18 @@ def test_fault_spec_validation():
         FaultSpec("batched_ntt", "explode")
     with pytest.raises(ValueError):
         FaultSpec("batched_ntt", "raise", probability=1.5)
-    with pytest.raises(ValueError):
-        FaultSpec("modmul", "corrupt")  # not a corruptible kernel
+    with pytest.raises(ValueError, match="does not support corruption"):
+        FaultSpec("limbs_neg", "corrupt")  # not a corruptible kernel
+
+
+def test_fault_spec_rejects_a_kernel_no_backend_has():
+    """A spec naming no kernel could never fire, and the chaos run would
+    test nothing without anyone noticing."""
+    for kernel in ("ntt_forward", "modmul"):
+        for mode in ("raise", "stall", "corrupt"):
+            with pytest.raises(ValueError, match=f"unknown kernel '{kernel}'"):
+                FaultSpec(kernel, mode)
+    assert CORRUPTIBLE_KERNELS <= set(KERNELS)
 
 
 def test_fault_schedule_is_seeded_and_bounded():

@@ -7,9 +7,11 @@ import random
 import pytest
 
 from repro.fhe.backend import (
+    KERNELS,
     ArithmeticBackend,
     NumpyBackend,
     PythonBackend,
+    WrappedBackend,
     active_backend,
     available_backends,
     use_backend,
@@ -583,28 +585,20 @@ class TestWaveEntryValidation:
                 ksk, params.lwe_dimension)
 
 
-class _CountingBackend(ArithmeticBackend):
-    """Forward every public kernel of ``inner``; log the top-level calls.
+class _CountingBackend(WrappedBackend):
+    """Log the kernel name of every top-level call: the inner backend's own
+    nested kernel calls are not seen, so only what the TFHE layer dispatches
+    is logged."""
 
-    Built like ``FaultInjectingBackend``: the inner backend's own nested
-    kernel calls go to the clean inner instance, so only what the TFHE
-    layer dispatches is logged.
-    """
+    prefix = "counting"
 
     def __init__(self, inner):
-        self.inner = inner
+        super().__init__(inner)
         self.log = []
-        for attr in dir(type(inner)):
-            bound = getattr(inner, attr)
-            if not attr.startswith("_") and callable(bound):
-                setattr(self, attr, self._logged(attr, bound))
-        self.name = f"counting:{inner.name}"
 
-    def _logged(self, kernel, func):
-        def dispatch(*args, **kwargs):
-            self.log.append(kernel)
-            return func(*args, **kwargs)
-        return dispatch
+    def _dispatch(self, kernel, func, args, kwargs):
+        self.log.append(kernel)
+        return func(*args, **kwargs)
 
 
 class TestResidency:
@@ -639,8 +633,6 @@ class TestResidency:
         assert _same(first, second)
 
     def test_wrapped_backend_caches_under_its_own_name(self, hybrid):
-        from repro.serve.chaos import FaultInjectingBackend, FaultSchedule
-
         context, ciphertexts, vectors = hybrid
         clean = REFERENCE_BACKEND
         with use_backend(clean):
@@ -649,15 +641,15 @@ class TestResidency:
         bsk, ksk = context.bootstrapping_key, context.keyswitching_key
         clean_handle = bsk._eval_cache[clean.name]
         clean_matrices = dict(ksk._flat_cache)
-        chaos = FaultInjectingBackend(clean, FaultSchedule([]))
-        with use_backend(chaos):
+        wrapped = WrappedBackend(clean)
+        with use_backend(wrapped):
             outputs = batched_programmable_bootstrap(
                 context, ciphertexts[:2], vectors[:2])
         assert _same(outputs, expected)
-        assert sorted(bsk._eval_cache) == sorted([clean.name, chaos.name])
+        assert sorted(bsk._eval_cache) == sorted([clean.name, wrapped.name])
         assert bsk._eval_cache[clean.name] is clean_handle
-        assert bsk._eval_cache[chaos.name] is not clean_handle
-        assert {name for name, _ in ksk._flat_cache} == {clean.name, chaos.name}
+        assert bsk._eval_cache[wrapped.name] is not clean_handle
+        assert {name for name, _ in ksk._flat_cache} == {clean.name, wrapped.name}
         assert all(ksk._flat_cache[key] is value
                    for key, value in clean_matrices.items())
 
@@ -682,11 +674,19 @@ class TestResidency:
         assert gates.decrypt(out) is True
 
 
+_BACKEND_CLASSES = [PythonBackend] + ([NumpyBackend] if NUMPY_BACKENDS else [])
+
+
+def _public_callables(obj):
+    return {name for name in dir(obj)
+            if not name.startswith("_") and callable(getattr(obj, name))}
+
+
 def test_every_override_keeps_the_kernel_signature():
     """Census: a public kernel overridden in a backend takes the parameters
     of its ``ArithmeticBackend`` definition — names, order, kinds, defaults.
 
-    Wrappers (``_CountingBackend`` above, the chaos and timing backends)
+    Wrappers (``WrappedBackend`` and its subclasses, the timing backend)
     forward whatever they are given, so an optional argument added to the
     golden kernel and missed in one override would surface only on the
     backend a run did not pick.  Lives here, not beside the caller census in
@@ -699,15 +699,57 @@ def test_every_override_keeps_the_kernel_signature():
         return [(p.name, p.kind, p.default)
                 for p in inspect.signature(kernel).parameters.values()]
 
-    backends = [PythonBackend] + ([NumpyBackend] if NUMPY_BACKENDS else [])
     mismatched = [
         f"{cls.__name__}.{name}"
-        for cls in backends for name in vars(cls)
-        if not name.startswith("_") and callable(getattr(cls, name))
-        and hasattr(ArithmeticBackend, name)
+        for cls in _BACKEND_CLASSES for name in vars(cls) if name in KERNELS
         and parameters(getattr(cls, name)) != parameters(getattr(ArithmeticBackend, name))
     ]
     assert mismatched == []
+
+
+class TestWrappedBackend:
+    """The one wrapping base: it forwards ``KERNELS``, all of them and
+    nothing else, changes no result and counts top-level calls only."""
+
+    def test_forwards_exactly_the_kernels_from_the_class(self):
+        wrapped = WrappedBackend(PythonBackend())
+        assert _public_callables(wrapped) == set(KERNELS)
+        assert all(name in vars(WrappedBackend) for name in KERNELS)
+        assert vars(wrapped).keys() == {"inner", "calls", "name"}
+        assert wrapped.name == "wrapped:python"
+
+    def test_no_backend_defines_a_kernel_outside_the_list(self):
+        """A public callable outside ``KERNELS`` would be missed by every
+        wrapper, silently."""
+        for cls in _BACKEND_CLASSES:
+            assert _public_callables(cls) - set(KERNELS) == set(), cls.__name__
+
+    @pytest.mark.parametrize("inner", [PythonBackend(), *NUMPY_BACKENDS.values()],
+                             ids=["python", *NUMPY_BACKENDS])
+    def test_results_are_bit_identical_to_the_inner_backend(self, inner):
+        params = TFHEParameters.toy()
+        wrapped = WrappedBackend(inner)
+        outputs = []
+        for backend in (inner, wrapped):
+            context = TFHEContext(params, seed=9, backend=backend)
+            ciphertexts = [context.encrypt(m % 2) for m in range(4)]
+            with use_backend(backend):
+                outputs.append(batched_programmable_bootstrap(
+                    context, ciphertexts, [context.identity_test_vector()] * 4))
+        assert _same(outputs[1], outputs[0])
+        assert wrapped.calls["rows_monomial_multiply"] > 0
+
+    @pytest.mark.skipif(not NUMPY_BACKENDS, reason="numpy backend unavailable")
+    def test_a_numpy_fallback_through_super_counts_once(self):
+        """Below the crossover the numpy tensor product is the golden one,
+        whose three ``limbs_mul`` and one ``limbs_add`` run on ``inner``."""
+        inner = NUMPY_BACKENDS["numpy-default"]
+        wrapped = WrappedBackend(inner)
+        rows, moduli = [[1, 2, 3, 4]], (17,)
+        product = wrapped.limbs_tensor_product(rows, rows, rows, rows, moduli)
+        assert wrapped.calls == {"limbs_tensor_product": 1}
+        assert [inner.store_rows(d) for d in product] == [
+            [[1, 4, 9, 16]], [[2, 8, 1, 15]], [[1, 4, 9, 16]]]
 
 
 @pytest.mark.skipif(not NUMPY_BACKENDS, reason="numpy backend unavailable")
