@@ -41,7 +41,7 @@ from typing import List, Sequence
 
 from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import CKKSParameters
-from ..rns import RNSPolynomial, _limb_contexts
+from ..rns import RNSPolynomial
 from .ciphertext import CKKSCiphertext, CKKSPlaintext
 from .keys import (
     CKKSKeySet,
@@ -211,9 +211,6 @@ class CKKSEvaluator:
         level = a.level
         with self._arith():
             basis = a.c0.basis
-            contexts = _limb_contexts(a.ring_degree, basis)
-            if contexts is None:
-                return self._multiply_coeff(a, b)
             a_eval = self.to_eval(a)
             b_eval = a_eval if b is a else self.to_eval(b)
             backend = active_backend()
@@ -245,8 +242,7 @@ class CKKSEvaluator:
         Four per-component convolutions plus the naive (per-digit) hybrid
         keyswitch — the pre-hoisting execution shape.  Kept as the exact
         reference the parity suite and ``benchmarks/bench_pairs.py`` compare
-        the NTT-resident path against, and as the fallback for bases whose
-        moduli are not NTT-friendly.
+        the NTT-resident path against.
         """
         self._check_levels(a, b)
         level = a.level

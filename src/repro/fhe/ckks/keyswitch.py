@@ -188,8 +188,8 @@ def _hybrid_keyswitch(polys, keyswitch_key, params: CKKSParameters,
     of one call per member: the MAC is row-wise and the transforms exact.
     """
     hoisted = hoist_wave(polys, params, level)
-    if not hoisted or hoisted[0].contexts is None:
-        return keyswitch_wave([(h, keyswitch_key, None) for h in hoisted])
+    if not hoisted:
+        return []
     if hoisted[0].num_digits != keyswitch_key.num_digits:
         raise ValueError(f"keyswitch key has {keyswitch_key.num_digits} digits, "
                          f"expected {hoisted[0].num_digits}")
@@ -242,17 +242,15 @@ class HoistedDigits:
     BSGS linear transforms pay ``(baby-1)`` *hoisted* rotations instead of
     full HRotates.
 
-    ``digits`` holds one evaluation-domain store per digit; on
-    non-NTT-friendly bases ``contexts`` is ``None`` and they are the lifted
-    coefficient-domain polynomials, which drive an exact convolution
-    fallback with the same semantics.
+    ``digits`` holds one evaluation-domain store per digit, transformed
+    under ``contexts``, the NTT contexts of the extended basis.
     """
 
     params: CKKSParameters
     level: int
     ring_degree: int
     extended: RNSBasis
-    contexts: "list | None"
+    contexts: list
     digits: list
 
     @property
@@ -318,11 +316,9 @@ def hoist_wave(polys, params: CKKSParameters, level: int) -> List[HoistedDigits]
             for (start, stop), plan in zip(slices, plans)
         ]
         # Source-major, as the hoists below are cut.
-        lifted = [digits[i] for i in range(len(chunk)) for digits in per_digit]
-        if contexts is not None:
-            lifted = backend.stacked_ntt(contexts, lifted)
-        else:
-            lifted = [RNSPolynomial._from_store(n, extended, s) for s in lifted]
+        lifted = backend.stacked_ntt(
+            contexts,
+            [digits[i] for i in range(len(chunk)) for digits in per_digit])
         hoisted.extend(
             HoistedDigits(params, level, n, extended, contexts,
                           lifted[k:k + len(slices)])
@@ -361,9 +357,8 @@ def keyswitch_wave(members) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
     and ``k`` MACs, then one stacked inverse NTT over the ``|P|`` special
     rows of all ``2k`` accumulators and one stacked forward NTT over their
     lifted ``(level+1, N)`` stores.  Pairs are returned
-    **evaluation-resident** on NTT-friendly bases (a coefficient-resident
-    caller converts with ``to_coeff()``) and coefficient-resident from the
-    convolution fallback.  Results are bit-identical to the naive pipeline
+    **evaluation-resident** (a coefficient-resident caller converts with
+    ``to_coeff()``).  Results are bit-identical to the naive pipeline
     for ``galois_element=None`` (the transforms are linear bijections), and
     to one call per member whatever the wave.
 
@@ -396,32 +391,19 @@ def keyswitch_wave(members) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
 
 def _accumulate(hoisted: HoistedDigits, keyswitch_key, galois_element):
     """The two C_l ∪ P accumulators ``sum_j sigma_g(digit_j) * key_j`` of one
-    wave member, in the hoist's own domain."""
+    wave member, evaluation-resident."""
     n = hoisted.ring_degree
-    extended = hoisted.extended
     backend = active_backend()
     contexts = hoisted.contexts
-    if contexts is not None:
-        digit_stores = hoisted.digits
-        if galois_element is not None:
-            # All digits permute under one gather — a single stacked
-            # (beta, L, N) dispatch instead of one gather per digit.
-            spec = galois_eval_spec(n, galois_element)
-            digit_stores = backend.stacked_gather(digit_stores, spec)
-        handles = _eval_key_handles(keyswitch_key, backend, contexts)
-        # The accumulators stay evaluation-resident through ModDown.
-        return [
-            RNSPolynomial._from_store(n, extended, store, domain="eval")
-            for store in backend.limbs_eval_mac(contexts, digit_stores, handles)
-        ]
-    # Exact coefficient-domain fallback (non-NTT-friendly moduli): the
-    # automorphism is applied to the lifted digits directly, matching
-    # the eval-domain gather semantics bit for bit.
-    acc0 = RNSPolynomial(n, extended)
-    acc1 = RNSPolynomial(n, extended)
-    for lifted, (b_j, a_j) in zip(hoisted.digits, keyswitch_key.digit_keys):
-        if galois_element is not None:
-            lifted = lifted.automorphism(galois_element)
-        acc0 = acc0 + lifted * b_j
-        acc1 = acc1 + lifted * a_j
-    return [acc0, acc1]
+    digit_stores = hoisted.digits
+    if galois_element is not None:
+        # All digits permute under one gather — a single stacked
+        # (beta, L, N) dispatch instead of one gather per digit.
+        spec = galois_eval_spec(n, galois_element)
+        digit_stores = backend.stacked_gather(digit_stores, spec)
+    handles = _eval_key_handles(keyswitch_key, backend, contexts)
+    # The accumulators stay evaluation-resident through ModDown.
+    return [
+        RNSPolynomial._from_store(n, hoisted.extended, store, domain="eval")
+        for store in backend.limbs_eval_mac(contexts, digit_stores, handles)
+    ]

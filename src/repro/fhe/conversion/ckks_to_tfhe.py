@@ -26,14 +26,14 @@ def sample_extract_rlwe(ciphertext: CKKSCiphertext, index: int) -> LWECiphertext
     rewritten to the standard ``b - <a, -s>``; we return it with the mask
     already negated so the standard ``b - <a, s>`` convention holds.
     """
-    if len(ciphertext.c0.limbs) != 1:
+    if len(ciphertext.c0.basis) != 1:
         raise ValueError("sample_extract_rlwe expects a single-limb (level-0) ciphertext")
     n = ciphertext.ring_degree
     if not 0 <= index < n:
         raise ValueError(f"index {index} out of range [0, {n})")
     q = ciphertext.c0.basis.moduli[0]
-    c0 = ciphertext.c0.limbs[0].coefficients
-    c1 = ciphertext.c1.limbs[0].coefficients
+    c0 = ciphertext.c0.coefficient_rows()[0]
+    c1 = ciphertext.c1.coefficient_rows()[0]
     # (c1 * s)[index] = sum_j m_j * s_j with m_j = c1[index-j] for j <= index
     # and m_j = -c1[index-j+N] for j > index.  phase = b - <a, s> with a = -m.
     a: List[int] = []

@@ -5,8 +5,9 @@ It stores coefficients as a plain Python list of ints reduced modulo ``q``
 and supports the operations the schemes need:
 
 * addition, subtraction, negation, scalar and polynomial multiplication
-  (negacyclic, via an :class:`~repro.fhe.ntt.NTTContext` when one is
-  available for the modulus, schoolbook otherwise),
+  (negacyclic, via the :class:`~repro.fhe.ntt.NTTContext` of the modulus:
+  a product over a modulus that is not NTT-friendly for ``N`` raises
+  ``ValueError``),
 * monomial multiplication ``P(X) * X^r`` (used by TFHE rotations),
 * automorphism ``X -> X^k`` (used by CKKS HRotate and the field trace),
 * gadget/base decomposition (used by hybrid keyswitch and GGSW products),
@@ -46,13 +47,12 @@ __all__ = [
 _NTT_CACHE: Dict[Tuple[int, int], NTTContext] = {}
 
 
-def _ntt_context(ring_degree: int, modulus: int) -> NTTContext | None:
+def _ntt_context(ring_degree: int, modulus: int) -> NTTContext:
+    """The cached NTT context of ``(N, q)``; ``NTTContext`` raises
+    ``ValueError`` when ``q`` is not NTT-friendly for ``N``."""
     key = (ring_degree, modulus)
     if key not in _NTT_CACHE:
-        try:
-            _NTT_CACHE[key] = NTTContext(ring_degree, modulus)
-        except ValueError:
-            _NTT_CACHE[key] = None  # type: ignore[assignment]
+        _NTT_CACHE[key] = NTTContext(ring_degree, modulus)
     return _NTT_CACHE[key]
 
 
@@ -247,31 +247,10 @@ class Polynomial:
             return self.scalar_multiply(other)
         self._check_compatible(other)
         context = _ntt_context(self.ring_degree, self.modulus)
-        if context is None:
-            return Polynomial._from_reduced(
-                self.ring_degree, self.modulus, self._schoolbook_multiply(other))
         return self._from_store(active_backend().limbs_convolution(
             (context,), [self.coefficients], [other.coefficients]))
 
     __rmul__ = __mul__
-
-    def _schoolbook_multiply(self, other: "Polynomial") -> List[int]:
-        n = self.ring_degree
-        q = self.modulus
-        result = [0] * n
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if b == 0:
-                    continue
-                k = i + j
-                term = a * b
-                if k >= n:
-                    result[k - n] = (result[k - n] - term) % q
-                else:
-                    result[k] = (result[k] + term) % q
-        return result
 
     def scalar_multiply(self, scalar: int) -> "Polynomial":
         """Multiply every coefficient by an integer scalar."""
@@ -334,20 +313,13 @@ class Polynomial:
     # -- representation helpers -----------------------------------------------
     def to_ntt(self) -> List[int]:
         """Evaluation representation (forward NTT) of the coefficients."""
-        context = _ntt_context(self.ring_degree, self.modulus)
-        if context is None:
-            raise ValueError(
-                f"modulus {self.modulus} is not NTT-friendly for N={self.ring_degree}"
-            )
-        return context.forward(self.coefficients)
+        return _ntt_context(self.ring_degree, self.modulus).forward(self.coefficients)
 
     @classmethod
     def from_ntt(cls, ring_degree: int, modulus: int, values: Sequence[int]) -> "Polynomial":
         """Build a polynomial from its evaluation representation."""
-        context = _ntt_context(ring_degree, modulus)
-        if context is None:
-            raise ValueError(f"modulus {modulus} is not NTT-friendly for N={ring_degree}")
-        return cls(ring_degree, modulus, context.inverse(list(values)))
+        return cls(ring_degree, modulus,
+                   _ntt_context(ring_degree, modulus).inverse(list(values)))
 
     def centered_coefficients(self) -> List[int]:
         """Coefficients mapped to the centred interval (-q/2, q/2] — the

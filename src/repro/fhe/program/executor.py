@@ -232,8 +232,7 @@ class _Run:
         When the planner grouped this node with siblings (same direction,
         same level), the whole group's ``(2 * members, L, N)`` store stack
         converts in a single ``stacked_ntt``/``stacked_intt`` backend
-        dispatch.  Ungrouped nodes (and non-NTT-friendly bases) run the
-        plain per-ciphertext conversion.
+        dispatch.  Ungrouped nodes run the plain per-ciphertext conversion.
         """
         target = OP_TABLE[node.op].converts_to
         single = self.ev.to_eval if target == "eval" else self.ev.to_coeff
@@ -253,9 +252,9 @@ class _Run:
             return []
         basis = pending[0].c0.basis
         n = pending[0].ring_degree
-        contexts = _limb_contexts(n, basis)
-        if contexts is None or any(ct.c0.basis != basis for ct in pending):
+        if any(ct.c0.basis != basis for ct in pending):
             return [single(ct) for ct in pending]
+        contexts = _limb_contexts(n, basis)
         backend = active_backend()
         stores = [c.store() for ct in pending for c in (ct.c0, ct.c1)]
         stacked = (

@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..rns import _limb_contexts
 from .ir import HENode, HEProgram, SCHEME_SWITCH_OPS
 from .ops import OP_TABLE, infer, required_keys
 
@@ -587,28 +586,18 @@ def plan_program(program: HEProgram, optimize: bool = True) -> PlannedProgram:
     hoist sharing.  Dead-code elimination runs in **both** modes (a dead
     node is not part of the computation either path should perform, and
     both paths must agree on the Galois-key set they demand).
-    Domain/batching passes are skipped automatically on non-NTT-friendly
-    moduli (no evaluation domain exists there).
     """
     stats = dict.fromkeys(STATS_KEYS, 0)
     planned = _align(program, stats)
     planned = _eliminate_dead_code(planned, stats)
-    ntt_friendly = (
-        _limb_contexts(program.params.ring_degree, program.params.basis())
-        is not None
-    )
-    if optimize and ntt_friendly:
+    if optimize:
         planned = _plan_domains(planned, stats)
         planned = _fuse_pmult_macs(planned, stats)
-    if optimize:
-        # Waves depend on neither chain being NTT-friendly (a keyswitch wave
-        # has its convolution fallback, the TFHE modulus is NTT-friendly by
-        # construction).  The reorder is the *last* rebuilding pass: a
-        # conversion the residency pass puts in front of one member must
-        # not land between a wave's first member and a later member's
-        # source, and conversion stacking below needs the final node order.
+        # The wave reorder is the *last* rebuilding pass: a conversion the
+        # residency pass puts in front of one member must not land between
+        # a wave's first member and a later member's source, and conversion
+        # stacking below needs the final node order.
         planned = _schedule_waves(planned, stats)
-    if optimize and ntt_friendly:
         _annotate_conversion_groups(planned, stats)
     _annotate_hoist_groups(planned, stats)
     stats["scheme_switches"] = sum(

@@ -9,7 +9,8 @@ variant).  This module provides:
   key the precomputed conversion tables),
 * :class:`RNSPolynomial` — a polynomial held limb-wise over an
   :class:`RNSBasis`, supporting element-wise arithmetic, NTT-domain
-  conversion, and limb dropping (Rescale),
+  conversion, and limb dropping (Rescale); every modulus of a basis that
+  is multiplied or transformed is NTT-friendly for the ring degree,
 * :func:`fast_basis_conversion` — the **BConv** kernel of the paper: the
   approximate base-conversion (HPS/BEHZ style) used by hybrid keyswitch to
   move a polynomial from basis ``C`` to basis ``D`` without reconstructing the
@@ -23,11 +24,10 @@ uint64 matrix on the numpy backend, a list of coefficient rows on the python
 backend).  Every RNS-level operation — add/sub/neg, limb-wise NTT
 multiplication, Rescale, BConv, automorphisms — is a *single* backend
 dispatch over the whole stack instead of a Python loop over limbs.  The
-``limbs`` view (a list of per-limb :class:`~repro.fhe.polynomial.Polynomial`
-objects) is materialized lazily for code that wants per-limb access; both
-representations describe the same reduced residues, and the pure-python
-backend executes the packed entry points as per-limb python-int loops,
-keeping it the bit-exact golden reference.
+store is the only representation (:meth:`RNSPolynomial.coefficient_rows`
+reads it back as python ints), and the pure-python backend executes the
+packed entry points as per-limb python-int loops, keeping it the bit-exact
+golden reference.
 
 The element counts of these functions are what the kernel-level cost model in
 :mod:`repro.kernels.opcounts` charges for BConv; the functional versions here
@@ -150,23 +150,16 @@ def _bconv_plan(source: RNSBasis, target: RNSBasis) -> BConvPlan:
 
 
 def _limb_contexts(ring_degree: int, basis: RNSBasis):
-    """Per-limb NTT contexts, or ``None`` if any modulus is not NTT-friendly."""
-    contexts = []
-    for q in basis.moduli:
-        context = _ntt_context(ring_degree, q)
-        if context is None:
-            return None
-        contexts.append(context)
-    return contexts
+    """Per-limb NTT contexts; ``ValueError`` if a modulus is not NTT-friendly."""
+    return [_ntt_context(ring_degree, q) for q in basis.moduli]
 
 
 class RNSPolynomial:
     """A polynomial in R_Q stored limb-major over an :class:`RNSBasis`.
 
-    The residues live in a packed backend *limb store* (``_rows``); a list of
-    per-limb :class:`Polynomial` views (``_limbs``) is materialized lazily on
-    first access to :attr:`limbs`.  At least one representation is always
-    present, and both are immutable by convention.
+    The residues live in one packed backend *limb store* (``_rows``),
+    immutable by convention.  ``limbs`` given to the constructor are
+    validated against the basis and packed at once on the active backend.
 
     ``domain`` records which representation the rows hold: ``"coeff"``
     (coefficients — the default everywhere) or ``"eval"`` (the per-limb
@@ -178,15 +171,13 @@ class RNSPolynomial:
     same ring element, and every cross-domain round trip is bit-exact.
     """
 
-    __slots__ = ("ring_degree", "basis", "domain", "_limbs", "_rows")
+    __slots__ = ("ring_degree", "basis", "domain", "_rows")
 
     def __init__(self, ring_degree: int, basis: RNSBasis, limbs: Sequence[Polynomial] | None = None):
         self.ring_degree = ring_degree
         self.basis = basis
         self.domain = "coeff"
-        self._rows = None
         if limbs is None:
-            self._limbs = None
             self._rows = active_backend().limbs_zero(len(basis), ring_degree)
         else:
             limbs = list(limbs)
@@ -195,7 +186,8 @@ class RNSPolynomial:
             for limb, q in zip(limbs, basis):
                 if limb.modulus != q or limb.ring_degree != ring_degree:
                     raise ValueError("limb does not match basis modulus / ring degree")
-            self._limbs = limbs
+            self._rows = active_backend().pack_limbs(
+                [limb.coefficients for limb in limbs], tuple(basis.moduli))
 
     # -- representations ------------------------------------------------------
     @classmethod
@@ -207,7 +199,6 @@ class RNSPolynomial:
         poly.basis = basis
         poly.domain = domain
         poly._rows = store
-        poly._limbs = None
         return poly
 
     # -- domain conversion -----------------------------------------------------
@@ -215,17 +206,11 @@ class RNSPolynomial:
         """The same ring element in the evaluation (NTT) domain.
 
         One batched forward-NTT dispatch over the whole limb stack; a no-op
-        when already evaluation-resident.  Requires every modulus of the
-        basis to be NTT-friendly.
+        when already evaluation-resident.
         """
         if self.domain == "eval":
             return self
         contexts = _limb_contexts(self.ring_degree, self.basis)
-        if contexts is None:
-            raise ValueError(
-                "basis contains non-NTT-friendly moduli; cannot convert to the "
-                "evaluation domain"
-            )
         store = active_backend().batched_ntt(contexts, self.store())
         return RNSPolynomial._from_store(
             self.ring_degree, self.basis, store, domain="eval"
@@ -243,30 +228,8 @@ class RNSPolynomial:
         )
 
     def store(self):
-        """The packed limb-major backend store (packing lazily on first use)."""
-        if self._rows is None:
-            self._rows = active_backend().pack_limbs(
-                [limb.coefficients for limb in self._limbs], tuple(self.basis.moduli)
-            )
+        """The packed limb-major backend store."""
         return self._rows
-
-    @property
-    def limbs(self) -> List[Polynomial]:
-        """Per-limb :class:`Polynomial` views (materialized lazily).
-
-        Limb views are *coefficient* polynomials, so an evaluation-resident
-        polynomial converts first (read-only and exact — this accessor is a
-        decode boundary of the domain-residency convention).
-        """
-        if self.domain != "coeff":
-            return self.to_coeff().limbs
-        if self._limbs is None:
-            rows = active_backend().store_rows(self._rows)
-            self._limbs = [
-                Polynomial._from_reduced(self.ring_degree, q, row)
-                for q, row in zip(self.basis.moduli, rows)
-            ]
-        return self._limbs
 
     def coefficient_rows(self) -> List[List[int]]:
         """The *coefficient* residue rows as plain python-int lists (limb-major).
@@ -278,8 +241,6 @@ class RNSPolynomial:
         """
         if self.domain != "coeff":
             return self.to_coeff().coefficient_rows()
-        if self._limbs is not None:
-            return [limb.coefficients for limb in self._limbs]
         return active_backend().store_rows(self._rows)
 
     # -- constructors ---------------------------------------------------------
@@ -388,16 +349,9 @@ class RNSPolynomial:
             return RNSPolynomial._from_store(
                 self.ring_degree, self.basis, store, domain="eval"
             )
-        contexts = _limb_contexts(self.ring_degree, self.basis)
-        if contexts is None:
-            # Non-NTT-friendly moduli: per-limb schoolbook via Polynomial.
-            return RNSPolynomial(
-                self.ring_degree,
-                self.basis,
-                [a * b for a, b in zip(self.limbs, other.limbs)],
-            )
         store = active_backend().limbs_convolution(
-            contexts, self.store(), other.store()
+            _limb_contexts(self.ring_degree, self.basis),
+            self.store(), other.store()
         )
         return RNSPolynomial._from_store(self.ring_degree, self.basis, store)
 

@@ -145,15 +145,6 @@ def external_product(ggsw: GGSWCiphertext, glwe: GLWECiphertext) -> GLWECipherte
     q = glwe.modulus
     components = list(glwe.mask) + [glwe.body]
     context = _ntt_context(n, q)
-    if context is None:
-        # Non-NTT-friendly ring: fall back to per-row polynomial products.
-        accumulator = GLWECiphertext.zero(k, n, q)
-        for i in range(k + 1):
-            digits = components[i].decompose(base, levels)
-            for j in range(levels):
-                row = ggsw.rows[i][j]
-                accumulator = accumulator + row.multiply_by_polynomial(digits[j])
-        return accumulator
     backend = active_backend()
     factors = gadget_factors(q, base, levels)
     # Every component in one dispatch, level innermost.

@@ -107,12 +107,6 @@ class GLWECiphertext:
         polys = [Polynomial._from_reduced(ring_degree, modulus, row) for row in rows]
         return cls(mask=polys[:-1], body=polys[-1])
 
-    def multiply_by_polynomial(self, poly: Polynomial) -> "GLWECiphertext":
-        """Multiply every component by a public plaintext polynomial."""
-        return GLWECiphertext(
-            mask=[a * poly for a in self.mask], body=self.body * poly
-        )
-
     def _check(self, other: "GLWECiphertext") -> None:
         if (
             self.glwe_dimension != other.glwe_dimension

@@ -31,7 +31,7 @@ from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import TFHEParameters
 from ..polynomial import Polynomial, _ntt_context
 from .ggsw import (
-    GGSWCiphertext, GGSWContext, cmux, gadget_factors, ggsw_coefficient_rows,
+    GGSWCiphertext, GGSWContext, gadget_factors, ggsw_coefficient_rows,
 )
 from .glwe import GLWECiphertext, GLWEContext, GLWESecretKey
 from .lwe import LWECiphertext, LWEContext, LWESecretKey
@@ -183,18 +183,6 @@ def blind_rotate_wave(
     backend = active_backend()
     moduli = (q,) * (len(switched) * group)
     context = _ntt_context(n, q)
-    if context is None:
-        # Non-NTT ring: there is no evaluation domain to stay resident in.
-        rows = []
-        for accumulator, lwe in zip(test_vectors, switched):
-            accumulator = accumulator.multiply_by_monomial(-lwe.b)
-            for a_i, ggsw in zip(lwe.a, bootstrapping_key.ggsw_rows):
-                if a_i:
-                    accumulator = cmux(
-                        ggsw, accumulator.multiply_by_monomial(a_i), accumulator
-                    )
-            rows.extend(accumulator.coefficient_rows())
-        return backend.pack_limbs(rows, moduli)
     ggsw = bootstrapping_key.ggsw_rows[0]
     factors = gadget_factors(q, ggsw.base, ggsw.levels)
     span = group * ggsw.levels * group

@@ -258,17 +258,17 @@ class TestNTTParityWithoutTheLibrary(TestNTTParity):
 
 def _unreduced_entry_points(backend, n, q, a, b):
     """What the entry points that take unreduced integers return on
-    ``backend``: ``Polynomial(...)`` and its ring ops, the three
-    :class:`NTTContext` methods (when ``q`` is an NTT prime) and
-    ``reduce_limbs``."""
+    ``backend``: ``Polynomial(...)``, its sum and ``reduce_limbs``, plus the
+    ring product and the three :class:`NTTContext` methods when ``q`` is an
+    NTT prime."""
     with use_backend(backend):
         x, y = Polynomial(n, q, a), Polynomial(n, q, b)
-        out = [x.coefficients, (x + y).coefficients, (x * y).coefficients,
+        out = [x.coefficients, (x + y).coefficients,
                _rows(backend.reduce_limbs(a, (q,), n))]
         if modmath.is_prime(q) and (q - 1) % (2 * n) == 0:
             context = NTTContext(n, q)
-            out += [context.forward(a), context.inverse(b),
-                    context.negacyclic_convolution(a, b)]
+            out += [(x * y).coefficients, context.forward(a),
+                    context.inverse(b), context.negacyclic_convolution(a, b)]
     return out
 
 

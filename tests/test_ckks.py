@@ -55,7 +55,7 @@ class TestEncoder:
     def test_encode_at_lower_level(self, toy_context):
         plaintext = toy_context.encoder.encode([1.0, 2.0], level=1)
         assert plaintext.level == 1
-        assert len(plaintext.poly.limbs) == 2
+        assert len(plaintext.poly.basis) == 2
 
 
     def test_value_that_would_wrap_raises(self):

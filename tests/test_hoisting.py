@@ -28,6 +28,7 @@ is part of the no-numpy CI leg; encoder-based semantic tests skip without
 numpy.
 """
 
+import dataclasses
 import math
 import random
 
@@ -61,6 +62,8 @@ from repro.fhe.modmath import mod_inverse
 from repro.fhe.params import CKKSParameters
 from repro.fhe.polynomial import Polynomial, galois_eval_spec
 from repro.fhe.rns import RNSPolynomial, _limb_contexts
+
+from test_ntt import non_ntt_prime
 
 numpy_missing = "numpy" not in available_backends()
 needs_numpy = pytest.mark.skipif(numpy_missing, reason="numpy backend unavailable")
@@ -243,25 +246,25 @@ class TestHoistedKeyswitch:
         with pytest.raises(ValueError):
             keyswitch_hoisted(hoisted, relin)
 
-    def test_convolution_fallback_matches_hybrid(self, keyed, monkeypatch):
-        """Without per-limb NTT contexts (non-NTT-friendly moduli) the wave
-        keeps lifted coefficient digits and stays coefficient-resident."""
-        params, keys, relin, ct = keyed
+    def test_non_ntt_special_modulus_raises(self, keyed):
+        """An extended basis holding a non-NTT prime has no evaluation
+        domain to hoist into: the hoist raises on every backend, before any
+        digit is lifted."""
+        params, _keys, _relin, ct = keyed
         level = params.max_level
-        g = galois_element_for_rotation(params.ring_degree, 1)
-        with use_backend(PYTHON):
-            expected = keyswitch_wave([
-                (hoist_decompose(ct.c1, params, level), relin, None),
-                (hoist_decompose(ct.c1, params, level), keys.galois_key(g, level), g)])
-            monkeypatch.setattr(keyswitch_module, "_limb_contexts",
-                                lambda n, basis: None)
-            first, second = hoist_wave([ct.c1, ct.c1], params, level)
-            assert first.contexts is None and first.num_digits == relin.num_digits
-            fallback = keyswitch_wave(
-                [(first, relin, None), (second, keys.galois_key(g, level), g)])
-        for got, want in zip(fallback, expected):
-            assert got[0].domain == got[1].domain == "coeff"
-            assert tuple(map(_rows, got)) == tuple(map(_rows, want))
+        bad = dataclasses.replace(params)
+        bad.__dict__["special_moduli"] = params.special_moduli[:-1] + (
+            non_ntt_prime(params.special_modulus_bits, params.ring_degree),)
+        assert bad.extended_basis(level).moduli[:level + 1] == \
+            params.basis(level).moduli
+        for backend in BACKENDS:
+            with use_backend(backend):
+                assert hoist_wave([ct.c1], params, level)[0].num_digits == \
+                    len(params.digit_slices(level))
+                for hoist in (lambda: hoist_wave([ct.c1, ct.c1], bad, level),
+                              lambda: hoist_decompose(ct.c1, bad, level)):
+                    with pytest.raises(ValueError, match="not NTT-friendly"):
+                        hoist()
 
     def test_a_wave_refuses_mismatched_members_by_name(self, keyed):
         """Members that disagree on level or digit count are named, not

@@ -42,6 +42,15 @@ def naive_negacyclic_multiply(a, b, modulus):
     return result
 
 
+def non_ntt_prime(bits, degree):
+    """The largest prime below ``2**bits`` that has no 2N-th root of unity
+    (``p != 1 mod 2N``), so every ring product over it must raise."""
+    p = (1 << bits) - 1
+    while not (modmath.is_prime(p) and (p - 1) % (2 * degree)):
+        p -= 2
+    return p
+
+
 def _root_powers(context, root):
     """``root^e mod q`` for ``e`` in ``[0, 2N)`` (``root^(2N) = 1``)."""
     n, q = context.ring_degree, context.modulus

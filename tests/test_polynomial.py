@@ -92,16 +92,6 @@ class TestArithmetic:
         a = random_poly(4)
         assert a * Polynomial.one(DEGREE, MODULUS) == a
 
-    def test_multiplication_matches_schoolbook_for_non_ntt_modulus(self):
-        # 23 is prime but 23 != 1 mod 16, so the schoolbook path is used.
-        a = Polynomial(8, 23, [1, 2, 3, 4, 5, 6, 7, 8])
-        b = Polynomial(8, 23, [8, 7, 6, 5, 4, 3, 2, 1])
-        ntt_modulus = modmath.find_ntt_prime(20, 8)
-        a2 = Polynomial(8, ntt_modulus, a.coefficients)
-        b2 = Polynomial(8, ntt_modulus, b.coefficients)
-        # Compare the centred result of both paths on small inputs (no wrap).
-        assert (a * b).coefficients == [c % 23 for c in (a2 * b2).centered_coefficients()]
-
     def test_scalar_multiplication(self):
         a = random_poly(5)
         assert a.scalar_multiply(3) == a + a + a
@@ -219,8 +209,14 @@ class TestNTTRepresentation:
         assert product_via_ntt == a * b
 
     def test_non_ntt_friendly_modulus_raises(self):
-        with pytest.raises(ValueError):
-            Polynomial(8, 23, [1, 2]).to_ntt()
+        # 23 is prime but 23 != 1 mod 16: every ring product refuses it, while
+        # construction, addition and the modulus switch to 2N stay legal.
+        a = Polynomial(8, 23, [1, 2])
+        assert (a + a).coefficients[:2] == [2, 4]
+        assert a.switch_modulus(16).modulus == 16
+        for product in (a.to_ntt, lambda: a * a):
+            with pytest.raises(ValueError, match="not NTT-friendly"):
+                product()
 
 
 class TestSampling:

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fhe import modmath
-from repro.fhe.polynomial import Polynomial
 from repro.fhe.rns import (
     RNSBasis,
     RNSPolynomial,
     exact_basis_conversion,
     fast_basis_conversion,
 )
+
+from test_ntt import naive_negacyclic_multiply, non_ntt_prime
 
 DEGREE = 16
 
@@ -86,9 +87,23 @@ class TestRNSPolynomial:
         b_coeffs = [rng.randrange(1000) for _ in range(DEGREE)]
         a = RNSPolynomial.from_integer_coefficients(DEGREE, basis, a_coeffs)
         b = RNSPolynomial.from_integer_coefficients(DEGREE, basis, b_coeffs)
-        big_a = Polynomial(DEGREE, basis.product, a_coeffs)
-        big_b = Polynomial(DEGREE, basis.product, b_coeffs)
-        assert (a * b).to_integer_coefficients() == (big_a * big_b).coefficients
+        assert (a * b).to_integer_coefficients() == naive_negacyclic_multiply(
+            a_coeffs, b_coeffs, basis.product)
+
+    def test_non_ntt_modulus_in_basis_raises(self):
+        """A basis holding a non-NTT prime carries residues, sums and BConv
+        (all coefficient-wise), but every ring product over it raises."""
+        basis = RNSBasis([make_basis(1).moduli[0], non_ntt_prime(24, DEGREE)])
+        coeffs = list(range(DEGREE))
+        poly = RNSPolynomial.from_integer_coefficients(DEGREE, basis, coeffs)
+        assert (poly + poly).to_integer_coefficients() == [2 * c for c in coeffs]
+        target = make_basis(3, offset=1)
+        fast = fast_basis_conversion(poly, target)
+        for c, residues in zip(coeffs, zip(*fast.coefficient_rows())):
+            assert (target.reconstruct(list(residues)) - c) % basis.product == 0
+        for product in (poly.to_eval, lambda: poly * poly):
+            with pytest.raises(ValueError, match="not NTT-friendly"):
+                product()
 
     def test_scalar_multiplication(self):
         basis = make_basis(2)
@@ -166,7 +181,7 @@ class TestBasisConversion:
         poly = RNSPolynomial.from_integer_coefficients(DEGREE, source, coeffs)
         fast = fast_basis_conversion(poly, target)
         for idx in range(DEGREE):
-            residues = [limb.coefficients[idx] for limb in fast.limbs]
+            residues = [row[idx] for row in fast.coefficient_rows()]
             value = target.reconstruct(residues)
             # fast conversion returns x + u * Q with 0 <= u < len(source basis)
             difference = value - coeffs[idx]
@@ -182,7 +197,7 @@ class TestBasisConversion:
             DEGREE, source, [value] + [0] * (DEGREE - 1)
         )
         fast = fast_basis_conversion(poly, target)
-        recovered = fast.limbs[0].coefficients[0]
+        recovered = fast.coefficient_rows()[0][0]
         q = target.moduli[0]
         # Correct up to a small multiple of the source product.
         assert (recovered - value) % q in {

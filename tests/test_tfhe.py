@@ -12,7 +12,6 @@ from repro.fhe.backend import (
     NumpyBackend,
     PythonBackend,
     WrappedBackend,
-    active_backend,
     available_backends,
     use_backend,
 )
@@ -33,8 +32,13 @@ from repro.fhe.tfhe.batched import (
     batched_programmable_bootstrap,
     sign_test_vector,
 )
-from repro.fhe.tfhe.ggsw import GGSWContext, cmux, ggsw_coefficient_rows
-from repro.fhe.tfhe.glwe import GLWEContext
+from repro.fhe.tfhe.ggsw import (
+    GGSWCiphertext,
+    GGSWContext,
+    cmux,
+    ggsw_coefficient_rows,
+)
+from repro.fhe.tfhe.glwe import GLWECiphertext, GLWEContext
 from repro.fhe.tfhe.pbs import (
     BootstrappingKey,
     blind_rotate,
@@ -45,6 +49,8 @@ from repro.fhe.tfhe.pbs import (
     signed_decompose,
 )
 from repro.workloads.hybrid_workloads import hybrid_query_parameters
+
+from test_ntt import non_ntt_prime
 
 
 @pytest.fixture(scope="module")
@@ -524,28 +530,36 @@ class TestResidentWaveParity:
         assert wave.context.decrypt(outputs[0]) == wave.context.decrypt(
             wave.context.programmable_bootstrap(wave.ciphertexts[0], wave.vectors[0]))
 
-    def test_non_ntt_ring_takes_the_list_level_loop(self):
+    def test_non_ntt_ring_raises(self):
+        """Over a prime ring with no 2N-th root of unity, encryption, the
+        phase, the list-level external product and the blind-rotation wave
+        all raise; trivial ciphertexts and monomial rotations stay legal."""
+        n = 8
+        q = non_ntt_prime(16, n)
         params = TFHEParameters(
-            polynomial_size=8, lwe_dimension=3, bsk_levels=2, bsk_base_log=4,
+            polynomial_size=n, lwe_dimension=3, bsk_levels=2, bsk_base_log=4,
             ksk_levels=2, ksk_base_log=4, modulus_bits=16, noise_stddev=0.0,
             security_bits=0, name="tfhe-non-ntt")
-        params.__dict__["modulus"] = 1 << 16        # no 2N-th root of unity
+        params.__dict__["modulus"] = q
         glwe = GLWEContext(params, seed=2)
-        ggsw = GGSWContext(params, glwe)
-        key = BootstrappingKey([ggsw.encrypt_scalar(bit) for bit in (1, 0, 1)])
-        vector = glwe.encrypt(Polynomial(8, 1 << 16, list(range(0, 8 << 12, 1 << 12))))
-        switched = [LWECiphertext(a=[3, 0, 9], b=5, modulus=16),
-                    LWECiphertext(a=[0, 7, 15], b=12, modulus=16)]
-        store = blind_rotate_wave([vector, vector], switched, key)
-        expected = []
-        for lwe in switched:
-            accumulator = vector.multiply_by_monomial(-lwe.b)
-            for a_i, row in zip(lwe.a, key.ggsw_rows):
-                if a_i:
-                    accumulator = cmux(row, accumulator.multiply_by_monomial(a_i),
-                                       accumulator)
-            expected.extend(accumulator.coefficient_rows())
-        assert active_backend().store_rows(store) == expected
+        message = Polynomial(n, q, list(range(0, n << 12, 1 << 12)))
+        vector = GLWECiphertext.trivial(message, params.glwe_dimension)
+        assert vector.multiply_by_monomial(3).body == message.multiply_by_monomial(3)
+        zero = GGSWCiphertext(
+            rows=[[GLWECiphertext.zero(params.glwe_dimension, n, q)
+                   for _ in range(params.bsk_levels)]
+                  for _ in range(params.glwe_dimension + 1)],
+            base=1 << params.bsk_base_log, levels=params.bsk_levels)
+        key = BootstrappingKey([zero] * params.lwe_dimension)
+        switched = [LWECiphertext(a=[3, 0, 9], b=5, modulus=2 * n),
+                    LWECiphertext(a=[0, 7, 15], b=12, modulus=2 * n)]
+        for refused in (lambda: glwe.encrypt(message),
+                        lambda: glwe.phase(vector),
+                        lambda: GGSWContext(params, glwe).encrypt_scalar(1),
+                        lambda: cmux(zero, vector, vector),
+                        lambda: blind_rotate_wave([vector, vector], switched, key)):
+            with pytest.raises(ValueError, match="not NTT-friendly"):
+                refused()
         assert not key._eval_cache
 
 
