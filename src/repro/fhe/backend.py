@@ -768,10 +768,9 @@ class ArithmeticBackend:
         first, reduced into ``[0, q)``, at ``[r * levels, (r + 1) *
         levels)``).
 
-        The greedy residual-based digit extraction of
-        :meth:`Polynomial.decompose`: each coefficient is centred into
-        ``(-q/2, q/2]`` and every factor in turn takes the rounded quotient
-        of what is left (a factor of 0 gives the digit 0).
+        Greedy residual-based digit extraction: each coefficient is
+        centred into ``(-q/2, q/2]`` and every factor in turn takes the
+        rounded quotient of what is left (a factor of 0 gives the digit 0).
         """
         half = q // 2
         out = []
@@ -1180,8 +1179,9 @@ class NumpyBackend(PythonBackend):
     Stores are ``(L, N)`` uint64 matrices — except one decoded from 4-byte
     wire words, which rests as uint32 (its wire size) until the first kernel
     reads it through :meth:`_matrix`; kernel outputs are always uint64.  A
-    single coefficient row (a :class:`~repro.fhe.polynomial.Polynomial`)
-    is the ``(1, N)`` store of one and runs the same array cores.
+    single coefficient row (a one-limb
+    :class:`~repro.fhe.rns.RNSPolynomial`) is the ``(1, N)`` store of one
+    and runs the same array cores.
 
     Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`:
     the C loops of :mod:`repro.fhe.native` at the word size of the moduli.
@@ -1959,7 +1959,7 @@ def use_backend(backend: "ArithmeticBackend | str | None") -> Iterator[Arithmeti
 
     This is how an explicit per-object backend choice (e.g.
     ``CKKSEvaluator(..., backend="numpy")``) is threaded down through code
-    that operates on plain :class:`~repro.fhe.polynomial.Polynomial` values.
+    that operates on plain :class:`~repro.fhe.rns.RNSPolynomial` values.
     """
     resolved = _resolve(backend)
     if resolved is None:

@@ -87,8 +87,8 @@ class CKKSContext:
         # Restrict the public key to the plaintext's level.
         pk_b = self.keys.public.b.keep_limbs(plaintext.level + 1)
         pk_a = self.keys.public.a.keep_limbs(plaintext.level + 1)
-        v = sample_ternary(n, 3, self.rng)
-        v = RNSPolynomial.from_integer_coefficients(n, basis, v.centered_coefficients())
+        v = RNSPolynomial.from_integer_coefficients(
+            n, basis, sample_ternary(n, self.rng))
         e0 = sample_error(n, basis, self.rng, self.error_stddev)
         e1 = sample_error(n, basis, self.rng, self.error_stddev)
         # One stacked forward transform (v serves both products) and one

@@ -41,7 +41,7 @@ from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..modmath import mod_inverse
 from ..params import CKKSParameters
 from ..polynomial import sample_ternary
-from ..rns import RNSBasis, RNSPolynomial, _limb_contexts
+from ..rns import RNSBasis, RNSPolynomial, _limb_contexts, sample_error
 
 __all__ = [
     "CKKSSecretKey",
@@ -65,25 +65,6 @@ def galois_element_for_conjugation(ring_degree: int) -> int:
     """The Galois element ``2N - 1`` (i.e. ``X -> X^-1``) implementing
     slot-wise complex conjugation."""
     return 2 * ring_degree - 1
-
-
-def sample_error(ring_degree: int, basis: RNSBasis, rng: random.Random,
-                 stddev: float) -> RNSPolynomial:
-    """Rounded-gaussian error polynomial over ``basis`` (zero, and no draw,
-    when ``stddev <= 0``).
-
-    One ``sample_error_limbs`` dispatch — draws and residue reduction
-    together.  Like the uniform sampler, every backend returns the integers
-    of the scalar ``round(rng.gauss(0.0, stddev))`` loop and leaves ``rng``
-    where that loop leaves it, so public keys, evaluation keys and fresh
-    ciphertexts do not depend on the backend.
-    """
-    if stddev <= 0:
-        return RNSPolynomial(ring_degree, basis)
-    store = active_backend().sample_error_limbs(
-        rng, tuple(basis.moduli), ring_degree, stddev
-    )
-    return RNSPolynomial._from_store(ring_degree, basis, store)
 
 
 #: Residues one stacked transform of evaluation-key generation may carry; a
@@ -283,10 +264,9 @@ class CKKSKeyGenerator:
     def generate(self) -> CKKSKeySet:
         """Generate a fresh secret/public key pair (evaluation keys are lazy)."""
         params = self.params
-        secret_poly = sample_ternary(
-            params.ring_degree, 3, self.rng, hamming_weight=self.secret_hamming_weight
-        )
-        secret = CKKSSecretKey(tuple(secret_poly.centered_coefficients()))
+        secret = CKKSSecretKey(tuple(sample_ternary(
+            params.ring_degree, self.rng, hamming_weight=self.secret_hamming_weight
+        )))
         with use_backend(self.backend):
             public = self._make_public_key(secret)
         return CKKSKeySet(params=params, secret=secret, public=public, _generator=self)

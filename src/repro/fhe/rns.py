@@ -43,14 +43,16 @@ from typing import Iterable, List, Sequence
 from .backend import BConvPlan, active_backend
 from .modmath import mod_inverse
 from .polynomial import (
-    Polynomial,
     _ntt_context,
     automorphism_spec,
     galois_eval_spec,
     monomial_spec,
 )
 
-__all__ = ["RNSBasis", "RNSPolynomial", "fast_basis_conversion", "exact_basis_conversion"]
+__all__ = [
+    "RNSBasis", "RNSPolynomial", "sample_error", "fast_basis_conversion",
+    "exact_basis_conversion",
+]
 
 
 class RNSBasis:
@@ -149,6 +151,11 @@ def _bconv_plan(source: RNSBasis, target: RNSBasis) -> BConvPlan:
     return BConvPlan(source.moduli, target.moduli, source._crt_inverses, weights)
 
 
+def _check_degree(ring_degree: int) -> None:
+    if ring_degree <= 0 or ring_degree & (ring_degree - 1):
+        raise ValueError("ring_degree must be a power of two")
+
+
 def _limb_contexts(ring_degree: int, basis: RNSBasis):
     """Per-limb NTT contexts; ``ValueError`` if a modulus is not NTT-friendly."""
     return [_ntt_context(ring_degree, q) for q in basis.moduli]
@@ -158,8 +165,9 @@ class RNSPolynomial:
     """A polynomial in R_Q stored limb-major over an :class:`RNSBasis`.
 
     The residues live in one packed backend *limb store* (``_rows``),
-    immutable by convention.  ``limbs`` given to the constructor are
-    validated against the basis and packed at once on the active backend.
+    immutable by convention.  A ring over one modulus ``q`` is the
+    one-limb basis ``RNSBasis([q])``: TFHE messages and secrets, a decoded
+    plaintext over ``Q``.  The ring degree is a power of two.
 
     ``domain`` records which representation the rows hold: ``"coeff"``
     (coefficients — the default everywhere) or ``"eval"`` (the per-limb
@@ -173,21 +181,13 @@ class RNSPolynomial:
 
     __slots__ = ("ring_degree", "basis", "domain", "_rows")
 
-    def __init__(self, ring_degree: int, basis: RNSBasis, limbs: Sequence[Polynomial] | None = None):
+    def __init__(self, ring_degree: int, basis: RNSBasis):
+        """The zero polynomial of ``R_Q``."""
+        _check_degree(ring_degree)
         self.ring_degree = ring_degree
         self.basis = basis
         self.domain = "coeff"
-        if limbs is None:
-            self._rows = active_backend().limbs_zero(len(basis), ring_degree)
-        else:
-            limbs = list(limbs)
-            if len(limbs) != len(basis):
-                raise ValueError("limb count does not match basis size")
-            for limb, q in zip(limbs, basis):
-                if limb.modulus != q or limb.ring_degree != ring_degree:
-                    raise ValueError("limb does not match basis modulus / ring degree")
-            self._rows = active_backend().pack_limbs(
-                [limb.coefficients for limb in limbs], tuple(basis.moduli))
+        self._rows = active_backend().limbs_zero(len(basis), ring_degree)
 
     # -- representations ------------------------------------------------------
     @classmethod
@@ -253,6 +253,7 @@ class RNSPolynomial:
         One ``reduce_limbs`` dispatch; short inputs are zero-padded and
         over-long ones raise ``ValueError``.
         """
+        _check_degree(ring_degree)
         store = active_backend().reduce_limbs(
             coefficients, tuple(basis.moduli), ring_degree
         )
@@ -265,6 +266,7 @@ class RNSPolynomial:
         Consumes ``rng`` exactly like ``rng.randrange(q)`` per coefficient,
         limb after limb, on every backend.
         """
+        _check_degree(ring_degree)
         store = active_backend().sample_uniform_limbs(
             rng, tuple(basis.moduli), ring_degree
         )
@@ -294,10 +296,12 @@ class RNSPolynomial:
         product = self.basis.product
         return [c + product if c < 0 else c for c in self.centered_coefficients()]
 
-    def to_polynomial(self) -> Polynomial:
-        """Single big-modulus polynomial with modulus ``Q`` (CRT reconstruction)."""
-        return Polynomial._from_reduced(
-            self.ring_degree, self.basis.product, self.to_integer_coefficients())
+    def to_polynomial(self) -> "RNSPolynomial":
+        """The same element as a one-limb polynomial over ``RNSBasis([Q])``
+        (CRT reconstruction)."""
+        return RNSPolynomial.from_integer_coefficients(
+            self.ring_degree, RNSBasis([self.basis.product]),
+            self.centered_coefficients())
 
     # -- arithmetic -------------------------------------------------------------
     def _check_compatible(self, other: "RNSPolynomial") -> None:
@@ -477,6 +481,25 @@ class RNSPolynomial:
             self.ring_degree, self.basis.subset(count), new_store,
             domain=self.domain,
         )
+
+
+def sample_error(ring_degree: int, basis: RNSBasis, rng,
+                 stddev: float) -> RNSPolynomial:
+    """Rounded-gaussian error polynomial over ``basis`` (zero, and no draw,
+    when ``stddev <= 0``).
+
+    One ``sample_error_limbs`` dispatch — draws and residue reduction
+    together.  Like the uniform sampler, every backend returns the integers
+    of the scalar ``round(rng.gauss(0.0, stddev))`` loop and leaves ``rng``
+    where that loop leaves it, so public keys, evaluation keys and fresh
+    ciphertexts do not depend on the backend.
+    """
+    if stddev <= 0:
+        return RNSPolynomial(ring_degree, basis)
+    store = active_backend().sample_error_limbs(
+        rng, tuple(basis.moduli), ring_degree, stddev
+    )
+    return RNSPolynomial._from_store(ring_degree, basis, store)
 
 
 def exact_basis_conversion(

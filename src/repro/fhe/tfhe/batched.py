@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import List, Sequence
 
 from ..backend import ArithmeticBackend, PermSpec, active_backend, use_backend
-from ..polynomial import Polynomial
+from ..rns import RNSPolynomial
 from .ggsw import gadget_factors
 from .glwe import GLWECiphertext
 from .lwe import LWECiphertext
@@ -46,8 +46,9 @@ def sign_test_vector(context: TFHEContext, amplitude: int) -> GLWECiphertext:
     outcomes to ``{2 * amplitude, 0}`` (see :func:`gate_bootstrap`).
     """
     params = context.params
-    n, q = params.polynomial_size, params.modulus
-    table = Polynomial(n, q, [amplitude % q] * n)
+    n = params.polynomial_size
+    table = RNSPolynomial.from_integer_coefficients(
+        n, context.glwe.basis, [amplitude] * n)
     return GLWECiphertext.trivial(table, params.glwe_dimension)
 
 

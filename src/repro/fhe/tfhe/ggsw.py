@@ -26,7 +26,8 @@ from typing import List
 
 from ..backend import active_backend
 from ..params import TFHEParameters
-from ..polynomial import Polynomial, _ntt_context
+from ..polynomial import _ntt_context
+from ..rns import RNSPolynomial
 from .glwe import GLWECiphertext, GLWEContext
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
 
 def gadget_factors(modulus: int, base: int, levels: int) -> List[int]:
     """The gadget vector ``g_j = round(q / B^(j+1))`` for ``j = 0..levels-1``."""
+    if base < 2:
+        raise ValueError("decomposition base must be >= 2")
     return [modulus // (base ** (j + 1)) for j in range(levels)]
 
 
@@ -71,41 +74,35 @@ class GGSWContext:
     def encrypt_scalar(self, message: int, noise_stddev: float | None = None) -> GGSWCiphertext:
         """GGSW encryption of a small scalar (typically a secret key bit)."""
         return self.encrypt_polynomial(
-            Polynomial.monomial(
-                self.params.polynomial_size, self.params.modulus, 0, message
-            ),
+            RNSPolynomial.from_integer_coefficients(
+                self.params.polynomial_size, self.glwe_context.basis, [message]),
             noise_stddev=noise_stddev,
         )
 
-    def encrypt_polynomial(self, message: Polynomial,
+    def encrypt_polynomial(self, message: RNSPolynomial,
                            noise_stddev: float | None = None) -> GGSWCiphertext:
-        """GGSW encryption of a small polynomial message."""
+        """GGSW encryption of a small polynomial message.
+
+        Row ``(i, j)`` is an encryption of zero with ``m * g_j`` added to
+        component ``i``: its phase is ``-m * S_i * g_j`` for a mask
+        component (phase = B - sum A_u S_u) and ``m * g_j`` for the body.
+        """
         params = self.params
-        q = params.modulus
         k = params.glwe_dimension
         base = params.bsk_base
         levels = params.bsk_levels
-        factors = gadget_factors(q, base, levels)
-        secret_polys = self.glwe_context.secret.polynomials
+        zero = RNSPolynomial(params.polynomial_size, self.glwe_context.basis)
+        scaled = [message * factor
+                  for factor in gadget_factors(params.modulus, base, levels)]
         rows: List[List[GLWECiphertext]] = []
         for i in range(k + 1):
             component_rows = []
-            for j in range(levels):
-                zero_enc = self.glwe_context.encrypt(
-                    Polynomial.zero(params.polynomial_size, q), noise_stddev=noise_stddev
-                )
-                if i < k:
-                    # Mask row: add m * g_j to mask component i, so that the
-                    # row's phase is -m * S_i * g_j (phase = B - sum A_u S_u).
-                    payload = message.scalar_multiply(factors[j])
-                    new_mask = list(zero_enc.mask)
-                    new_mask[i] = new_mask[i] + payload
-                    row = GLWECiphertext(mask=new_mask, body=zero_enc.body)
-                else:
-                    # Body row: add m * g_j to the body (phase = m * g_j).
-                    payload = message.scalar_multiply(factors[j])
-                    row = GLWECiphertext(mask=list(zero_enc.mask), body=zero_enc.body + payload)
-                component_rows.append(row)
+            for payload in scaled:
+                zero_enc = self.glwe_context.encrypt(zero, noise_stddev=noise_stddev)
+                components = [zero] * (k + 1)
+                components[i] = payload
+                component_rows.append(
+                    zero_enc + GLWECiphertext.from_components(components))
             rows.append(component_rows)
         return GGSWCiphertext(rows=rows, base=base, levels=levels)
 
@@ -118,10 +115,10 @@ def ggsw_coefficient_rows(ggsw: GGSWCiphertext) -> List[List[int]]:
     innermost.
     """
     return [
-        poly.coefficients
+        coefficients
         for component_rows in ggsw.rows
         for row in component_rows
-        for poly in list(row.mask) + [row.body]
+        for coefficients in row.coefficient_rows()
     ]
 
 
@@ -140,25 +137,22 @@ def external_product(ggsw: GGSWCiphertext, glwe: GLWECiphertext) -> GLWECipherte
         raise ValueError("GGSW and GLWE ciphertexts are incompatible")
     base = ggsw.base
     levels = ggsw.levels
-    k = ggsw.glwe_dimension
-    n = glwe.ring_degree
     q = glwe.modulus
-    components = list(glwe.mask) + [glwe.body]
-    context = _ntt_context(n, q)
+    context = _ntt_context(glwe.ring_degree, q)
     backend = active_backend()
     factors = gadget_factors(q, base, levels)
     # Every component in one dispatch, level innermost.
-    digit_rows = backend.store_rows(backend.gadget_decompose_rows(
-        [component.coefficients for component in components], q, factors))
+    digit_rows = backend.store_rows(
+        backend.gadget_decompose_rows(glwe.store(), q, factors))
     count = len(digit_rows)
     fwd = backend.ntt_forward_batch(
         context, digit_rows + ggsw_coefficient_rows(ggsw)
     )
     # The wave kernel on a wave of one; it returns a store.
     out_rows = backend.external_product_mac(fwd[:count], fwd[count:], 1, q)
-    inv = backend.store_rows(backend.ntt_inverse_batch(context, out_rows))
-    polys = [Polynomial._from_reduced(n, q, row) for row in inv]
-    return GLWECiphertext(mask=polys[:k], body=polys[k])
+    return GLWECiphertext(
+        glwe.ring_degree, glwe.basis,
+        backend.ntt_inverse_batch(context, out_rows))
 
 
 def cmux(selector: GGSWCiphertext, when_true: GLWECiphertext,

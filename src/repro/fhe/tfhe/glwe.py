@@ -6,17 +6,23 @@ A GLWE ciphertext under a secret ``(S_1, ..., S_k)`` of ring polynomials is
 
 all in ``R_q = Z_q[X]/(X^N + 1)``.  For ``k = 1`` this is an RLWE ciphertext;
 for ``N = 1`` it degenerates to LWE.  The *phase* is ``B - sum_i A_i * S_i``.
+
+Messages, secrets and every component are one-limb
+:class:`~repro.fhe.rns.RNSPolynomial` values over ``RNSBasis([q])``, and a
+ciphertext is one ``(k + 1, N)`` backend store — the block it occupies in a
+blind-rotation wave — so each linear homomorphism is one kernel dispatch.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import TFHEParameters
-from ..polynomial import Polynomial, monomial_spec, sample_gaussian, sample_uniform
+from ..polynomial import monomial_spec
+from ..rns import RNSBasis, RNSPolynomial, sample_error
 
 __all__ = ["GLWESecretKey", "GLWECiphertext", "GLWEContext"]
 
@@ -25,7 +31,7 @@ __all__ = ["GLWESecretKey", "GLWECiphertext", "GLWEContext"]
 class GLWESecretKey:
     """A GLWE secret: ``k`` binary polynomials of degree ``N``."""
 
-    polynomials: Tuple[Polynomial, ...]
+    polynomials: Tuple[RNSPolynomial, ...]
 
     @property
     def glwe_dimension(self) -> int:
@@ -43,100 +49,110 @@ class GLWESecretKey:
         return coefficients
 
 
-@dataclass
 class GLWECiphertext:
-    """A GLWE ciphertext ``(A_1, ..., A_k, B)``."""
+    """A GLWE ciphertext ``(A_1, ..., A_k, B)``: one ``(k + 1, N)`` backend
+    store over the one-limb ``basis``, mask rows first (adopted, not copied;
+    immutable by convention)."""
 
-    mask: List[Polynomial]
-    body: Polynomial
+    __slots__ = ("ring_degree", "basis", "_rows")
+
+    def __init__(self, ring_degree: int, basis: RNSBasis, store):
+        self.ring_degree = ring_degree
+        self.basis = basis
+        self._rows = store
+
+    @classmethod
+    def _pack(cls, ring_degree: int, basis: RNSBasis, rows) -> "GLWECiphertext":
+        store = active_backend().pack_limbs(rows, tuple(basis.moduli) * len(rows))
+        return cls(ring_degree, basis, store)
+
+    @classmethod
+    def from_components(cls, components: Sequence[RNSPolynomial]) -> "GLWECiphertext":
+        """The ciphertext whose components, mask first, are these one-limb
+        polynomials: one ``pack_limbs`` dispatch."""
+        first = components[0]
+        return cls._pack(first.ring_degree, first.basis,
+                         [row for poly in components for row in poly.store()])
+
+    @classmethod
+    def trivial(cls, message: RNSPolynomial, glwe_dimension: int) -> "GLWECiphertext":
+        """A noiseless public encryption (zero mask, body = message)."""
+        zero = [0] * message.ring_degree
+        return cls._pack(message.ring_degree, message.basis,
+                         [zero] * glwe_dimension + list(message.store()))
 
     @property
     def glwe_dimension(self) -> int:
-        return len(self.mask)
-
-    @property
-    def ring_degree(self) -> int:
-        return self.body.ring_degree
+        return len(self._rows) - 1
 
     @property
     def modulus(self) -> int:
-        return self.body.modulus
+        return self.basis.moduli[0]
 
-    # -- linear homomorphisms -------------------------------------------------
+    @property
+    def mask(self) -> List[RNSPolynomial]:
+        return [self._component(i) for i in range(self.glwe_dimension)]
+
+    @property
+    def body(self) -> RNSPolynomial:
+        return self._component(self.glwe_dimension)
+
+    def _component(self, index: int) -> RNSPolynomial:
+        return RNSPolynomial._from_store(
+            self.ring_degree, self.basis, self._rows[index:index + 1])
+
+    def store(self):
+        """The ``(k + 1, N)`` backend store — a ciphertext's block of a
+        blind-rotation wave store."""
+        return self._rows
+
+    def coefficient_rows(self) -> List[List[int]]:
+        """The ``k + 1`` component rows, mask first, as python ints."""
+        return active_backend().store_rows(self._rows)
+
+    def _moduli(self) -> tuple:
+        return (self.modulus,) * len(self._rows)
+
+    def _adopt(self, store) -> "GLWECiphertext":
+        return GLWECiphertext(self.ring_degree, self.basis, store)
+
+    # -- linear homomorphisms: one whole-store kernel each -------------------
     def __add__(self, other: "GLWECiphertext") -> "GLWECiphertext":
         self._check(other)
-        return GLWECiphertext(
-            mask=[a + b for a, b in zip(self.mask, other.mask)],
-            body=self.body + other.body,
-        )
+        return self._adopt(
+            active_backend().limbs_add(self._rows, other._rows, self._moduli()))
 
     def __sub__(self, other: "GLWECiphertext") -> "GLWECiphertext":
         self._check(other)
-        return GLWECiphertext(
-            mask=[a - b for a, b in zip(self.mask, other.mask)],
-            body=self.body - other.body,
-        )
+        return self._adopt(
+            active_backend().limbs_sub(self._rows, other._rows, self._moduli()))
 
     def __neg__(self) -> "GLWECiphertext":
-        return GLWECiphertext(mask=[-a for a in self.mask], body=-self.body)
+        return self._adopt(active_backend().limbs_neg(self._rows, self._moduli()))
 
     def multiply_by_monomial(self, degree: int) -> "GLWECiphertext":
-        """Rotate: multiply every component by ``X^degree`` (negacyclic).
-
-        All ``k + 1`` components ride one batched signed-permutation
-        dispatch — this runs twice per blind-rotation iteration.
-        """
+        """Rotate: multiply every component by ``X^degree`` (negacyclic) —
+        this runs twice per blind-rotation iteration."""
         n = self.ring_degree
-        q = self.modulus
-        backend = active_backend()
         spec = monomial_spec(n, degree % (2 * n))
-        rows = self.coefficient_rows()
-        out = backend.store_rows(
-            backend.limbs_signed_permute(rows, (q,) * len(rows), spec)
-        )
-        return GLWECiphertext.from_rows(n, q, out)
-
-    def coefficient_rows(self) -> List[List[int]]:
-        """The ``k + 1`` component rows, mask first — a ciphertext's block of
-        a blind-rotation wave store."""
-        return [poly.coefficients for poly in self.mask] + [self.body.coefficients]
-
-    @classmethod
-    def from_rows(cls, ring_degree: int, modulus: int, rows) -> "GLWECiphertext":
-        """Inverse of :meth:`coefficient_rows` (rows already reduced)."""
-        polys = [Polynomial._from_reduced(ring_degree, modulus, row) for row in rows]
-        return cls(mask=polys[:-1], body=polys[-1])
+        return self._adopt(active_backend().limbs_signed_permute(
+            self._rows, self._moduli(), spec))
 
     def _check(self, other: "GLWECiphertext") -> None:
         if (
             self.glwe_dimension != other.glwe_dimension
             or self.ring_degree != other.ring_degree
-            or self.modulus != other.modulus
+            or self.basis != other.basis
         ):
             raise ValueError("GLWE ciphertexts are incompatible")
-
-    @classmethod
-    def zero(cls, glwe_dimension: int, ring_degree: int, modulus: int) -> "GLWECiphertext":
-        """The trivial encryption of zero (all components zero)."""
-        return cls(
-            mask=[Polynomial.zero(ring_degree, modulus) for _ in range(glwe_dimension)],
-            body=Polynomial.zero(ring_degree, modulus),
-        )
-
-    @classmethod
-    def trivial(cls, message: Polynomial, glwe_dimension: int) -> "GLWECiphertext":
-        """A noiseless public encryption (zero mask, body = message)."""
-        return cls(
-            mask=[Polynomial.zero(message.ring_degree, message.modulus) for _ in range(glwe_dimension)],
-            body=message,
-        )
 
 
 class GLWEContext:
     """Encrypt/decrypt polynomial messages under a TFHE parameter set.
 
-    ``backend`` pins the arithmetic backend used by this context's ring
-    operations (encryption mask products and phase computation).
+    Messages are one-limb polynomials over :attr:`basis`.  ``backend`` pins
+    the arithmetic backend used by this context's ring operations
+    (encryption and phase computation).
     """
 
     def __init__(self, params: TFHEParameters, seed: int = 0,
@@ -144,33 +160,30 @@ class GLWEContext:
         self.params = params
         self.backend = backend
         self.rng = random.Random(seed ^ 0x61E3)
+        self.basis = RNSBasis([params.modulus])
         n = params.polynomial_size
-        q = params.modulus
         self.secret = GLWESecretKey(
             tuple(
-                Polynomial(n, q, [self.rng.randrange(2) for _ in range(n)])
+                RNSPolynomial.from_integer_coefficients(
+                    n, self.basis, [self.rng.randrange(2) for _ in range(n)])
                 for _ in range(params.glwe_dimension)
             )
         )
 
-    def encrypt(self, message: Polynomial, noise_stddev: float | None = None) -> GLWECiphertext:
+    def encrypt(self, message: RNSPolynomial, noise_stddev: float | None = None) -> GLWECiphertext:
         """Encrypt a plaintext polynomial (already encoded/scaled by the caller)."""
         params = self.params
         n = params.polynomial_size
-        q = params.modulus
         stddev = params.noise_stddev if noise_stddev is None else noise_stddev
-        mask = [sample_uniform(n, q, self.rng) for _ in range(params.glwe_dimension)]
-        if stddev > 0:
-            error = sample_gaussian(n, q, self.rng, stddev)
-        else:
-            error = Polynomial.zero(n, q)
         with use_backend(self.backend):
-            body = error + message
+            mask = [RNSPolynomial.sample_uniform(n, self.basis, self.rng)
+                    for _ in range(params.glwe_dimension)]
+            body = sample_error(n, self.basis, self.rng, stddev) + message
             for a, s in zip(mask, self.secret.polynomials):
                 body = body + a * s
-        return GLWECiphertext(mask=mask, body=body)
+            return GLWECiphertext.from_components(mask + [body])
 
-    def phase(self, ciphertext: GLWECiphertext) -> Polynomial:
+    def phase(self, ciphertext: GLWECiphertext) -> RNSPolynomial:
         """``B - sum_i A_i * S_i``: the encoded message plus noise."""
         with use_backend(self.backend):
             result = ciphertext.body

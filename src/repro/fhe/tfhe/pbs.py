@@ -29,10 +29,9 @@ from typing import Callable, Dict, List, Sequence
 
 from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import TFHEParameters
-from ..polynomial import Polynomial, _ntt_context
-from .ggsw import (
-    GGSWCiphertext, GGSWContext, gadget_factors, ggsw_coefficient_rows,
-)
+from ..polynomial import _ntt_context
+from ..rns import RNSPolynomial
+from .ggsw import GGSWCiphertext, GGSWContext, gadget_factors
 from .glwe import GLWECiphertext, GLWEContext, GLWESecretKey
 from .lwe import LWECiphertext, LWEContext, LWESecretKey
 
@@ -77,7 +76,11 @@ class BootstrappingKey:
         store = self._eval_cache.get(backend.name)
         if store is None:
             rows = [
-                row for ggsw in self.ggsw_rows for row in ggsw_coefficient_rows(ggsw)
+                row
+                for ggsw in self.ggsw_rows
+                for component_rows in ggsw.rows
+                for glwe in component_rows
+                for row in glwe.store()
             ]
             packed = backend.pack_limbs(rows, (context.modulus,) * len(rows))
             store = backend.ntt_forward_batch(context, packed)
@@ -188,7 +191,7 @@ def blind_rotate_wave(
     span = group * ggsw.levels * group
     key = bootstrapping_key.eval_store(context, backend)
     accumulator = backend.pack_limbs(
-        [row for tv in test_vectors for row in tv.coefficient_rows()], moduli
+        [row for tv in test_vectors for row in tv.store()], moduli
     )
     accumulator = backend.rows_monomial_multiply(
         accumulator, q, [-lwe.b for lwe in switched], group
@@ -221,12 +224,11 @@ def blind_rotate(
 
     ``switched`` must already be modulus-switched to ``2N``.  The result is a
     GLWE ciphertext whose plaintext is ``X^{-phase} * tv`` — the wave-of-one
-    case of :func:`blind_rotate_wave`, read back as a ciphertext.
+    case of :func:`blind_rotate_wave`, its store adopted as the ciphertext.
     """
-    store = blind_rotate_wave([test_vector], [switched], bootstrapping_key)
-    return GLWECiphertext.from_rows(
-        test_vector.ring_degree, test_vector.modulus,
-        active_backend().store_rows(store),
+    return GLWECiphertext(
+        test_vector.ring_degree, test_vector.basis,
+        blind_rotate_wave([test_vector], [switched], bootstrapping_key),
     )
 
 
@@ -240,15 +242,15 @@ def sample_extract(glwe: GLWECiphertext, index: int = 0) -> LWECiphertext:
     q = glwe.modulus
     if not 0 <= index < n:
         raise ValueError(f"index {index} out of range [0, {n})")
+    *mask, body = glwe.coefficient_rows()
     a: List[int] = []
-    for mask_poly in glwe.mask:
-        coeffs = mask_poly.coefficients
+    for coeffs in mask:
         for j in range(n):
             if j <= index:
-                a.append(coeffs[index - j] % q)
+                a.append(coeffs[index - j])
             else:
                 a.append((-coeffs[index - j + n]) % q)
-    return LWECiphertext(a=a, b=glwe.body.coefficients[index] % q, modulus=q)
+    return LWECiphertext(a=a, b=body[index], modulus=q)
 
 
 def signed_decompose(value: int, base: int, levels: int, modulus: int) -> List[int]:
@@ -256,7 +258,8 @@ def signed_decompose(value: int, base: int, levels: int, modulus: int) -> List[i
 
     Returns digits ``d_0..d_{levels-1}`` with ``|d_j|`` about ``base/2`` such
     that ``sum_j d_j * (modulus // base^(j+1))`` approximates ``value`` modulo
-    ``modulus`` (same greedy gadget as :meth:`Polynomial.decompose`).
+    ``modulus`` (the scalar case of
+    :meth:`~repro.fhe.backend.ArithmeticBackend.gadget_decompose_rows`).
     """
     factors = gadget_factors(modulus, base, levels)
     residual = value % modulus
@@ -363,13 +366,13 @@ class TFHEContext:
         """
         params = self.params
         n = params.polynomial_size
-        q = params.modulus
         t = params.plaintext_modulus
         coefficients = []
         for j in range(n):
             message = round(j * t / (2 * n)) % t
             coefficients.append(self.lwe.encode(function(message)))
-        table = Polynomial(n, q, coefficients)
+        table = RNSPolynomial.from_integer_coefficients(
+            n, self.glwe.basis, coefficients)
         return GLWECiphertext.trivial(table, params.glwe_dimension)
 
     def identity_test_vector(self) -> GLWECiphertext:

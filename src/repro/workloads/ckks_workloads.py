@@ -190,7 +190,7 @@ def resnet20_layer_operations(params: CKKSParameters, level: int,
     plan = linear_transform_plan(params.slots, level, diagonals=diagonals)
     ops = list(plan.operations())
     level -= 1
-    # Polynomial activation (degree-7 approximation: 3 levels).
+    # Activation: a degree-7 polynomial approximation (3 levels).
     for _ in range(3):
         ops.append(HomomorphicOp("HMult", max(level, 1), 1))
         ops.append(HomomorphicOp("PMult", max(level, 1), 2))

@@ -46,13 +46,10 @@ from repro.fhe.ckks.keys import galois_element_for_rotation
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.polynomial import (
-    Polynomial,
     automorphism_spec,
     galois_eval_spec,
     monomial_spec,
-    sample_gaussian,
     sample_ternary,
-    sample_uniform,
 )
 from repro.fhe.program import HETrace, ProgramExecutor, plan_program
 from repro.fhe.rns import (
@@ -61,6 +58,7 @@ from repro.fhe.rns import (
     _bconv_plan,
     exact_basis_conversion,
     fast_basis_conversion,
+    sample_error,
 )
 from repro.fhe.tfhe.pbs import TFHEContext
 
@@ -108,8 +106,8 @@ def _vectors(q, n, seed, count=2):
 @pytest.mark.parametrize("q,n", MODULUS_COMBOS)
 class TestElementwiseParity:
     def test_add_sub_neg(self, q, n):
-        """On one-row stores and through the :class:`Polynomial` ring ops
-        built on them."""
+        """On one-row stores and through the ring ops of a one-limb
+        :class:`RNSPolynomial` built on them."""
         a, b = _vectors(q, n, 1)
         moduli = (q,)
         sa, sb = NUMPY.pack_limbs([a], moduli), NUMPY.pack_limbs([b], moduli)
@@ -121,9 +119,9 @@ class TestElementwiseParity:
                 _rows(NUMPY.limbs_neg(sa, moduli))] == golden
         for backend in (PYTHON, NUMPY):
             with use_backend(backend):
-                x, y = Polynomial(n, q, a), Polynomial(n, q, b)
-                assert [[(x + y).coefficients], [(x - y).coefficients],
-                        [(-x).coefficients]] == golden
+                x, y = _ring(n, q, a), _ring(n, q, b)
+                assert [(x + y).coefficient_rows(), (x - y).coefficient_rows(),
+                        (-x).coefficient_rows()] == golden
 
     def test_mul(self, q, n):
         a, b = _vectors(q, n, 2)
@@ -143,7 +141,7 @@ class TestElementwiseParity:
             assert _rows(NUMPY.limbs_scalar_mul(sa, [scalar], moduli)) == golden
             for backend in (PYTHON, NUMPY):
                 with use_backend(backend):
-                    assert [Polynomial(n, q, a).scalar_multiply(scalar).coefficients] == golden
+                    assert (_ring(n, q, a) * scalar).coefficient_rows() == golden
 
     def test_batched_sub_scaled(self, q, n):
         a, b = _vectors(q, n, 4)
@@ -258,16 +256,16 @@ class TestNTTParityWithoutTheLibrary(TestNTTParity):
 
 def _unreduced_entry_points(backend, n, q, a, b):
     """What the entry points that take unreduced integers return on
-    ``backend``: ``Polynomial(...)``, its sum and ``reduce_limbs``, plus the
+    ``backend``: a one-limb ``RNSPolynomial``, its sum and ``reduce_limbs``, plus the
     ring product and the three :class:`NTTContext` methods when ``q`` is an
     NTT prime."""
     with use_backend(backend):
-        x, y = Polynomial(n, q, a), Polynomial(n, q, b)
-        out = [x.coefficients, (x + y).coefficients,
+        x, y = _ring(n, q, a), _ring(n, q, b)
+        out = [_row(x), _row(x + y),
                _rows(backend.reduce_limbs(a, (q,), n))]
         if modmath.is_prime(q) and (q - 1) % (2 * n) == 0:
             context = NTTContext(n, q)
-            out += [(x * y).coefficients, context.forward(a),
+            out += [_row(x * y), context.forward(a),
                     context.inverse(b), context.negacyclic_convolution(a, b)]
     return out
 
@@ -330,12 +328,12 @@ class TestRNSParity:
     def test_polynomial_ops_parity(self):
         q = modmath.find_ntt_prime(40, 256)
         rng = random.Random(15)
-        a = Polynomial(256, q, [rng.randrange(q) for _ in range(256)])
-        b = Polynomial(256, q, [rng.randrange(q) for _ in range(256)])
+        a = _ring(256, q, [rng.randrange(q) for _ in range(256)])
+        b = _ring(256, q, [rng.randrange(q) for _ in range(256)])
         with use_backend(PYTHON):
-            expected = (a + b, a - b, -a, a * b, a.scalar_multiply(12345))
+            expected = (a + b, a - b, -a, a * b, a * 12345)
         with use_backend(NUMPY):
-            actual = (a + b, a - b, -a, a * b, a.scalar_multiply(12345))
+            actual = (a + b, a - b, -a, a * b, a * 12345)
         assert actual == expected
 
 
@@ -393,10 +391,11 @@ class TestSamplerParity:
     def test_polynomial_sampler_shares_the_kernel(self):
         q = TFHEParameters.small().modulus
         golden_rng = random.Random(8)
-        expected = Polynomial(64, q, [golden_rng.randrange(q) for _ in range(64)])
+        expected = _ring(64, q, [golden_rng.randrange(q) for _ in range(64)])
         for backend in (PYTHON, NUMPY):
             with use_backend(backend):
-                assert sample_uniform(64, q, random.Random(8)) == expected
+                assert RNSPolynomial.sample_uniform(
+                    64, RNSBasis([q]), random.Random(8)) == expected
 
 
     @pytest.mark.parametrize("degree", [64, 1024, 2048])
@@ -405,15 +404,12 @@ class TestSamplerParity:
         one: the values of ``rng.choice((-1, 0, 1))`` per coefficient, and
         the generator left where that loop leaves it."""
         for seed in range(20):
-            modulus = (3, 97)[seed % 2]
             golden_rng = random.Random(seed)
-            expected = Polynomial(
-                degree, modulus,
-                [golden_rng.choice((-1, 0, 1)) for _ in range(degree)])
+            expected = [golden_rng.choice((-1, 0, 1)) for _ in range(degree)]
             for backend in (PYTHON, NUMPY):
                 with use_backend(backend):
                     rng = random.Random(seed)
-                    assert sample_ternary(degree, modulus, rng) == expected
+                    assert sample_ternary(degree, rng) == expected
                     assert rng.getstate() == golden_rng.getstate()
 
 
@@ -508,12 +504,12 @@ class TestErrorSamplerParity:
     def test_polynomial_sampler_shares_the_kernel(self):
         q = TFHEParameters.small().modulus
         golden_rng = random.Random(8)
-        expected = Polynomial(
+        expected = _ring(
             64, q, [round(golden_rng.gauss(0.0, 3.2)) for _ in range(64)])
         for backend in (PYTHON, NUMPY):
             with use_backend(backend):
                 rng = random.Random(8)
-                assert sample_gaussian(64, q, rng, 3.2) == expected
+                assert sample_error(64, RNSBasis([q]), rng, 3.2) == expected
                 assert rng.getstate() == golden_rng.getstate()
 
 
@@ -571,6 +567,16 @@ def _wave_store(q, n, rows, seed):
 
 def _rows(store):
     return PYTHON.store_rows(store)
+
+
+def _ring(n, q, coefficients):
+    """The one-limb polynomial of ``coefficients`` over ``RNSBasis([q])``."""
+    return RNSPolynomial.from_integer_coefficients(n, RNSBasis([q]), coefficients)
+
+
+def _row(poly):
+    (row,) = poly.coefficient_rows()
+    return row
 
 
 def _decompose_reference(row, q, factors):
@@ -731,7 +737,7 @@ class TestCenteredLiftParity:
                     assert view.to_integer_coefficients() == [v % product for v in values]
                     assert view.infinity_norm() == product // 2
                 big = poly.to_polynomial()
-                assert big == Polynomial(n, product, values)
+                assert big == _ring(n, product, values)
                 assert big.centered_coefficients() == values
                 assert big.infinity_norm() == product // 2
 
@@ -805,7 +811,7 @@ class TestWaveKernelParity:
         edge = [0, n, 2 * n - 1, -1, 5 * n + 3, -(2 * n) - 7]
         for group, degs in ((2, edge[:3]), (2, edge[3:]), (1, edge)):
             expected = [
-                Polynomial(n, q, rows[i]).multiply_by_monomial(degs[i // group]).coefficients
+                _row(_ring(n, q, rows[i]).multiply_by_monomial(degs[i // group]))
                 for i in range(len(rows))
             ]
             assert PYTHON.rows_monomial_multiply(rows, q, degs, group) == expected
@@ -822,7 +828,7 @@ class TestWaveKernelParity:
         packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
         assert _rows(NUMPY.rows_monomial_multiply(packed, q, degrees, group)) == expected
         assert expected == [
-            Polynomial(n, q, row).multiply_by_monomial(degrees[i // group]).coefficients
+            _row(_ring(n, q, row).multiply_by_monomial(degrees[i // group]))
             for i, row in enumerate(rows)
         ]
 
@@ -934,7 +940,7 @@ STACK_OF_ONE_PRIMES = [
 class TestSingleRowIsStackOfOne:
     """A single row is the stack of one: each store kernel on a one-row
     store == the python golden, and the entry points that take one row
-    (:class:`Polynomial`, :class:`NTTContext`) are row 0 of it.
+    (a one-limb :class:`RNSPolynomial`, :class:`NTTContext`) are row 0 of it.
 
     Those entry points also take unreduced and negative input (stores are
     reduced by contract, so the kernels see the reduced row), and below the
@@ -956,8 +962,8 @@ class TestSingleRowIsStackOfOne:
         moduli = (q,)
         sa, sb = NUMPY.pack_limbs([ra], moduli), NUMPY.pack_limbs([rb], moduli)
         with use_backend(NUMPY):
-            x, y = Polynomial(self.N, q, a), Polynomial(self.N, q, b)
-            rows = [x + y, x - y, -x, x.scalar_multiply(scalar)]
+            x, y = _ring(self.N, q, a), _ring(self.N, q, b)
+            rows = [x + y, x - y, -x, x * scalar]
         for row, stack, golden in zip(rows, (
             NUMPY.limbs_add(sa, sb, moduli), NUMPY.limbs_sub(sa, sb, moduli),
             NUMPY.limbs_neg(sa, moduli), NUMPY.limbs_scalar_mul(sa, [scalar], moduli),
@@ -967,7 +973,7 @@ class TestSingleRowIsStackOfOne:
             PYTHON.limbs_scalar_mul([ra], [scalar], moduli),
         )):
             assert isinstance(stack, np.ndarray)
-            assert row.coefficients == _rows(stack)[0] == golden[0]
+            assert _row(row) == _rows(stack)[0] == golden[0]
         product = NUMPY.limbs_mul(sa, sb, moduli)
         assert isinstance(product, np.ndarray)
         assert _rows(product) == PYTHON.limbs_mul([ra], [rb], moduli) == \
@@ -988,7 +994,7 @@ class TestSingleRowIsStackOfOne:
             golden = PYTHON.limbs_signed_permute([ra], moduli, spec)
             assert _rows(NUMPY.limbs_signed_permute(sa, moduli, spec)) == golden
             with use_backend(NUMPY):
-                assert [op(Polynomial(self.N, q, a)).coefficients] == golden
+                assert op(_ring(self.N, q, a)).coefficient_rows() == golden
         factors = [q // (1 << (6 * (j + 1))) for j in range(3)] + [0]
         golden = PYTHON.gadget_decompose_rows([ra], q, factors)
         assert golden == _decompose_reference(ra, q, factors)

@@ -37,7 +37,6 @@ from repro.fhe.ckks.ciphertext import CKKSCiphertext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import CKKSKeyGenerator, CKKSKeySet
 from repro.fhe.params import CKKSParameters
-from repro.fhe.polynomial import Polynomial
 from repro.fhe.rns import RNSPolynomial
 
 numpy_missing = "numpy" not in available_backends()
@@ -68,12 +67,7 @@ def _random_poly(params, seed, level=None):
 
     degree = params.ring_degree
     basis = params.basis(params.max_level if level is None else level)
-    rng = random.Random(seed ^ 0xB007)
-    limbs = [
-        Polynomial._from_reduced(degree, q, [rng.randrange(q) for _ in range(degree)])
-        for q in basis
-    ]
-    return RNSPolynomial(degree, basis, limbs)
+    return RNSPolynomial.sample_uniform(degree, basis, random.Random(seed ^ 0xB007))
 
 
 def _random_ct(params, seed, level=None):

@@ -84,7 +84,7 @@ class TestTFHEToCKKS:
         lwe = sample_extract_rlwe(ciphertext, 0)
         embedded = lwe_to_rlwe_embedding(lwe, ckks_context.evaluator)
         decrypted = ckks_context.decrypt(embedded)
-        constant = decrypted.poly.to_polynomial().centered_coefficients()[0]
+        constant = decrypted.poly.centered_coefficients()[0]
         assert constant == 1234
 
     def test_pack_two_lwes(self, ckks_context):
@@ -99,7 +99,7 @@ class TestTFHEToCKKS:
         ciphertext = ckks_context.encrypt_symmetric(plaintext)
         lwes = [sample_extract_rlwe(ciphertext, i) for i in range(2)]
         packed = repack_lwe_ciphertexts(lwes, ckks_context.evaluator)
-        decrypted = ckks_context.decrypt(packed).poly.to_polynomial().centered_coefficients()
+        decrypted = ckks_context.decrypt(packed).poly.centered_coefficients()
         stride = n // 2
         noise_budget = scale // 2
         assert abs(decrypted[0] - messages[0]) <= noise_budget
@@ -119,7 +119,7 @@ class TestTFHEToCKKS:
         ciphertext = ckks_context.encrypt_symmetric(plaintext)
         lwes = [sample_extract_rlwe(ciphertext, j) for j in range(nslot)]
         packed = repack_lwe_ciphertexts(lwes, ckks_context.evaluator)
-        decrypted = ckks_context.decrypt(packed).poly.to_polynomial().centered_coefficients()
+        decrypted = ckks_context.decrypt(packed).poly.centered_coefficients()
         stride = n // nslot
         noise_budget = scale // 2
         for j, message in enumerate(messages):

@@ -60,7 +60,7 @@ from repro.fhe.ckks.keyswitch import (
 )
 from repro.fhe.modmath import mod_inverse
 from repro.fhe.params import CKKSParameters
-from repro.fhe.polynomial import Polynomial, galois_eval_spec
+from repro.fhe.polynomial import galois_eval_spec
 from repro.fhe.rns import RNSPolynomial, _limb_contexts
 
 from test_ntt import non_ntt_prime
@@ -104,12 +104,7 @@ def _random_poly(params, seed, level=None, basis=None):
     degree = params.ring_degree
     if basis is None:
         basis = params.basis(params.max_level if level is None else level)
-    rng = random.Random(seed ^ 0x40157)
-    limbs = [
-        Polynomial._from_reduced(degree, q, [rng.randrange(q) for _ in range(degree)])
-        for q in basis
-    ]
-    return RNSPolynomial(degree, basis, limbs)
+    return RNSPolynomial.sample_uniform(degree, basis, random.Random(seed ^ 0x40157))
 
 
 def _rows(poly):

@@ -39,7 +39,7 @@ from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import CKKSKeyGenerator, CKKSKeySet
 from repro.fhe.conversion.bridge import SchemeBridge
 from repro.fhe.params import CKKSParameters, TFHEParameters
-from repro.fhe.polynomial import Polynomial, galois_eval_spec, sample_uniform
+from repro.fhe.polynomial import galois_eval_spec
 from repro.fhe.program import (
     HETrace,
     ProgramExecutor,
@@ -98,12 +98,7 @@ PARAM_IDS = [
 def _random_poly(params, seed, level=None):
     degree = params.ring_degree
     basis = params.basis(params.max_level if level is None else level)
-    rng = random.Random(seed ^ 0x9E0681)
-    limbs = [
-        Polynomial._from_reduced(degree, q, [rng.randrange(q) for _ in range(degree)])
-        for q in basis
-    ]
-    return RNSPolynomial(degree, basis, limbs)
+    return RNSPolynomial.sample_uniform(degree, basis, random.Random(seed ^ 0x9E0681))
 
 
 def _random_ct(params, seed, level=None, scale=None):
@@ -1264,7 +1259,7 @@ def _encrypt_coefficients(params, keys, coefficients, level, scale, seed=21):
     basis = params.basis(level)
     rng = random.Random(seed ^ 0xB1D9E)
     s = keys.secret.as_rns(n, basis)
-    a = RNSPolynomial(n, basis, [sample_uniform(n, q, rng) for q in basis])
+    a = RNSPolynomial.sample_uniform(n, basis, rng)
     pt = RNSPolynomial.from_integer_coefficients(
         n, basis, [int(c) for c in coefficients])
     return CKKSCiphertext(c0=-(a * s) + pt, c1=a, level=level,
@@ -1276,7 +1271,7 @@ def _phase_coefficients(params, keys, ct):
     c0 = ct.c0.to_coeff()
     c1 = ct.c1.to_coeff()
     s = keys.secret.as_rns(params.ring_degree, c0.basis)
-    return (c0 + c1 * s).to_polynomial().centered_coefficients()
+    return (c0 + c1 * s).centered_coefficients()
 
 
 def _hybrid_threshold_program(params, tparams, boost, amplitude, nslot=4,

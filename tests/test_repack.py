@@ -37,7 +37,6 @@ from repro.fhe.conversion.tfhe_to_ckks import (
 )
 from repro.fhe.modmath import mod_inverse
 from repro.fhe.params import CKKSParameters
-from repro.fhe.polynomial import Polynomial
 from repro.fhe.rns import RNSPolynomial
 from repro.fhe.tfhe.lwe import LWECiphertext
 from repro.workloads.hybrid_workloads import hybrid_query_parameters
@@ -119,8 +118,8 @@ def _reference_embedding(lwe, evaluator):
     c0 = [0] * n
     c0[0] = lwe.b % q
     return CKKSCiphertext(
-        c0=RNSPolynomial(n, basis, [Polynomial(n, q, c0)]),
-        c1=RNSPolynomial(n, basis, [Polynomial(n, q, c1)]),
+        c0=RNSPolynomial.from_integer_coefficients(n, basis, c0),
+        c1=RNSPolynomial.from_integer_coefficients(n, basis, c1),
         level=0, scale=1.0)
 
 

@@ -36,7 +36,6 @@ from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import CKKSKeyGenerator
 from repro.fhe.params import CKKSParameters
-from repro.fhe.polynomial import Polynomial
 from repro.fhe.program import HETrace, ProgramExecutor
 from repro.fhe.rns import RNSPolynomial
 from repro.serve import (
@@ -86,12 +85,7 @@ PACKED = None if numpy_missing else NumpyBackend(min_vector_length=0,
 def _random_poly(params, seed, level=None):
     degree = params.ring_degree
     basis = params.basis(params.max_level if level is None else level)
-    rng = random.Random(seed ^ 0x53EB7E)
-    limbs = [
-        Polynomial._from_reduced(degree, q, [rng.randrange(q) for _ in range(degree)])
-        for q in basis
-    ]
-    return RNSPolynomial(degree, basis, limbs)
+    return RNSPolynomial.sample_uniform(degree, basis, random.Random(seed ^ 0x53EB7E))
 
 
 def _random_ct(params, seed, level=None, scale=None):

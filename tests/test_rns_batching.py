@@ -31,7 +31,7 @@ from repro.fhe.backend import (
 from repro.fhe.ckks.keys import CKKSKeyGenerator
 from repro.fhe.ckks.keyswitch import hybrid_keyswitch, mod_down
 from repro.fhe.params import CKKSParameters, TFHEParameters
-from repro.fhe.polynomial import Polynomial, automorphism_spec, monomial_spec
+from repro.fhe.polynomial import automorphism_spec, monomial_spec
 from repro.fhe.rns import (
     RNSBasis,
     RNSPolynomial,
@@ -76,12 +76,7 @@ BASIS_IDS = [f"N{n}-L{len(b)}-{max(b.moduli).bit_length()}bit" for n, b in BASES
 
 
 def _random_poly(degree, basis, seed):
-    rng = random.Random(seed ^ 0xBA5E)
-    limbs = [
-        Polynomial._from_reduced(degree, q, [rng.randrange(q) for _ in range(degree)])
-        for q in basis
-    ]
-    return RNSPolynomial(degree, basis, limbs)
+    return RNSPolynomial.sample_uniform(degree, basis, random.Random(seed ^ 0xBA5E))
 
 
 def _rows(poly):
@@ -272,14 +267,21 @@ class TestGadgetDecomposeParity:
         assert PACKED.store_rows(packed) == expected
 
     def test_polynomial_decompose_both_backends(self):
+        """A one-limb polynomial's store, built and decomposed under each
+        backend, gives the same digits (the GLWE external product's use)."""
         q = modmath.find_ntt_prime(32, 128)
         rng = random.Random(99)
-        poly = Polynomial(128, q, [rng.randrange(q) for _ in range(128)])
-        with use_backend(PYTHON):
-            expected = poly.decompose(1 << 7, 3)
-        with use_backend(PACKED):
-            actual = poly.decompose(1 << 7, 3)
-        assert actual == expected
+        coeffs = [rng.randrange(q) for _ in range(128)]
+        factors = [q // (1 << (7 * (j + 1))) for j in range(3)]
+        digits = []
+        for backend in (PYTHON, PACKED):
+            with use_backend(backend):
+                poly = RNSPolynomial.from_integer_coefficients(
+                    128, RNSBasis([q]), coeffs)
+                digits.append(backend.store_rows(
+                    backend.gadget_decompose_rows(poly.store(), q, factors)))
+        assert digits[0] == digits[1] == PYTHON.gadget_decompose_rows(
+            [coeffs], q, factors)
 
 
 class TestBasisHashingAndPlans:

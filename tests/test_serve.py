@@ -42,7 +42,6 @@ from repro.fhe.ckks.keys import (
     galois_element_for_rotation,
 )
 from repro.fhe.params import CKKSParameters
-from repro.fhe.polynomial import Polynomial
 from repro.fhe.program import HETrace, LRUCache, ProgramExecutor
 from repro.fhe.rns import RNSBasis, RNSPolynomial
 from repro.serve import (
@@ -117,12 +116,7 @@ TOY = CKKSParameters.toy()
 def _random_poly(params, seed, level=None):
     degree = params.ring_degree
     basis = params.basis(params.max_level if level is None else level)
-    rng = random.Random(seed ^ 0x53EB7E)
-    limbs = [
-        Polynomial._from_reduced(degree, q, [rng.randrange(q) for _ in range(degree)])
-        for q in basis
-    ]
-    return RNSPolynomial(degree, basis, limbs)
+    return RNSPolynomial.sample_uniform(degree, basis, random.Random(seed ^ 0x53EB7E))
 
 
 def _random_ct(params, seed, level=None, scale=None):

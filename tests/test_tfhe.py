@@ -18,7 +18,8 @@ from repro.fhe.backend import (
 from repro.fhe.ckks.keys import CKKSKeyGenerator
 from repro.fhe.conversion.bridge import SchemeBridge
 from repro.fhe.params import TFHEParameters
-from repro.fhe.polynomial import Polynomial, _ntt_context
+from repro.fhe.polynomial import _ntt_context
+from repro.fhe.rns import RNSBasis, RNSPolynomial
 from repro.fhe.tfhe import (
     LWECiphertext,
     LWEContext,
@@ -51,6 +52,11 @@ from repro.fhe.tfhe.pbs import (
 from repro.workloads.hybrid_workloads import hybrid_query_parameters
 
 from test_ntt import non_ntt_prime
+
+
+def _ring(n, q, coefficients):
+    """A message: the one-limb polynomial over ``RNSBasis([q])``."""
+    return RNSPolynomial.from_integer_coefficients(n, RNSBasis([q]), coefficients)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +117,7 @@ class TestGLWE:
         context = GLWEContext(toy_params, seed=0)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        message = Polynomial(n, q, [toy_params.delta * (i % 3) for i in range(n)])
+        message = _ring(n, q, [toy_params.delta * (i % 3) for i in range(n)])
         ciphertext = context.encrypt(message, noise_stddev=0.0)
         assert context.phase(ciphertext) == message
 
@@ -119,8 +125,8 @@ class TestGLWE:
         context = GLWEContext(toy_params, seed=1)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        m1 = Polynomial(n, q, [100, 200, 300])
-        m2 = Polynomial(n, q, [50, -100, 25])
+        m1 = _ring(n, q, [100, 200, 300])
+        m2 = _ring(n, q, [50, -100, 25])
         c1 = context.encrypt(m1, noise_stddev=0.0)
         c2 = context.encrypt(m2, noise_stddev=0.0)
         assert context.phase(c1 + c2) == m1 + m2
@@ -129,7 +135,7 @@ class TestGLWE:
         context = GLWEContext(toy_params, seed=2)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        message = Polynomial(n, q, [1000] + [0] * (n - 1))
+        message = _ring(n, q, [1000] + [0] * (n - 1))
         ciphertext = context.encrypt(message, noise_stddev=0.0)
         rotated = ciphertext.multiply_by_monomial(3)
         assert context.phase(rotated) == message.multiply_by_monomial(3)
@@ -137,7 +143,7 @@ class TestGLWE:
     def test_trivial_encryption(self, toy_params):
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        message = Polynomial(n, q, [42])
+        message = _ring(n, q, [42])
         from repro.fhe.tfhe.glwe import GLWECiphertext
         trivial = GLWECiphertext.trivial(message, toy_params.glwe_dimension)
         context = GLWEContext(toy_params, seed=3)
@@ -171,13 +177,13 @@ class TestExternalProduct:
         ggsw_context = GGSWContext(toy_params, glwe_context)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        message = Polynomial(n, q, [toy_params.delta, 0, toy_params.delta // 2])
+        message = _ring(n, q, [toy_params.delta, 0, toy_params.delta // 2])
         glwe = glwe_context.encrypt(message, noise_stddev=0.0)
         for scalar in (0, 1):
             ggsw = ggsw_context.encrypt_scalar(scalar, noise_stddev=0.0)
             result = external_product(ggsw, glwe)
             phase = glwe_context.phase(result)
-            expected = message.scalar_multiply(scalar)
+            expected = message * scalar
             error = (phase - expected).infinity_norm()
             assert error < toy_params.delta // 8
 
@@ -186,9 +192,9 @@ class TestExternalProduct:
         ggsw_context = GGSWContext(toy_params, glwe_context)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        message = Polynomial(n, q, [toy_params.delta] + [0] * (n - 1))
+        message = _ring(n, q, [toy_params.delta] + [0] * (n - 1))
         glwe = glwe_context.encrypt(message, noise_stddev=0.0)
-        monomial = Polynomial.monomial(n, q, 2)
+        monomial = _ring(n, q, [0, 0, 1])
         ggsw = ggsw_context.encrypt_polynomial(monomial, noise_stddev=0.0)
         result = external_product(ggsw, glwe)
         phase = glwe_context.phase(result)
@@ -200,8 +206,8 @@ class TestExternalProduct:
         ggsw_context = GGSWContext(toy_params, glwe_context)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        m_true = Polynomial(n, q, [toy_params.delta * 1])
-        m_false = Polynomial(n, q, [toy_params.delta * 3])
+        m_true = _ring(n, q, [toy_params.delta * 1])
+        m_false = _ring(n, q, [toy_params.delta * 3])
         c_true = glwe_context.encrypt(m_true, noise_stddev=0.0)
         c_false = glwe_context.encrypt(m_false, noise_stddev=0.0)
         for bit, expected in ((1, m_true), (0, m_false)):
@@ -223,7 +229,7 @@ class TestPBSBuildingBlocks:
         glwe_context = GLWEContext(toy_params, seed=8)
         q = toy_params.modulus
         n = toy_params.polynomial_size
-        message = Polynomial(n, q, [toy_params.delta * 2, toy_params.delta, 0])
+        message = _ring(n, q, [toy_params.delta * 2, toy_params.delta, 0])
         ciphertext = glwe_context.encrypt(message, noise_stddev=0.0)
         from repro.fhe.tfhe.lwe import LWESecretKey
         flattened = LWESecretKey(tuple(glwe_context.secret.flattened_lwe_coefficients()))
@@ -237,7 +243,7 @@ class TestPBSBuildingBlocks:
     def test_sample_extract_index_out_of_range(self, toy_params):
         glwe_context = GLWEContext(toy_params, seed=9)
         ciphertext = glwe_context.encrypt(
-            Polynomial(toy_params.polynomial_size, toy_params.modulus, [0]), noise_stddev=0.0
+            _ring(toy_params.polynomial_size, toy_params.modulus, [0]), noise_stddev=0.0
         )
         with pytest.raises(ValueError):
             sample_extract(ciphertext, toy_params.polynomial_size)
@@ -542,11 +548,11 @@ class TestResidentWaveParity:
             security_bits=0, name="tfhe-non-ntt")
         params.__dict__["modulus"] = q
         glwe = GLWEContext(params, seed=2)
-        message = Polynomial(n, q, list(range(0, n << 12, 1 << 12)))
+        message = _ring(n, q, list(range(0, n << 12, 1 << 12)))
         vector = GLWECiphertext.trivial(message, params.glwe_dimension)
         assert vector.multiply_by_monomial(3).body == message.multiply_by_monomial(3)
         zero = GGSWCiphertext(
-            rows=[[GLWECiphertext.zero(params.glwe_dimension, n, q)
+            rows=[[GLWECiphertext.trivial(_ring(n, q, []), params.glwe_dimension)
                    for _ in range(params.bsk_levels)]
                   for _ in range(params.glwe_dimension + 1)],
             base=1 << params.bsk_base_log, levels=params.bsk_levels)
@@ -764,6 +770,36 @@ class TestWrappedBackend:
         assert wrapped.calls == {"limbs_tensor_product": 1}
         assert [inner.store_rows(d) for d in product] == [
             [[1, 4, 9, 16]], [[2, 8, 1, 15]], [[1, 4, 9, 16]]]
+
+
+class TestGLWEIsOneStore:
+    """A GLWE ciphertext is one ``(k + 1, N)`` store: each linear
+    homomorphism is one kernel over all of it, and nothing is read back.
+    Counted, not timed; the phase checks each result."""
+
+    @pytest.mark.parametrize("glwe_dimension", [1, 2])
+    @pytest.mark.parametrize("inner", [PythonBackend(), *NUMPY_BACKENDS.values()],
+                             ids=["python", *NUMPY_BACKENDS])
+    def test_linear_ops_dispatch_one_kernel(self, inner, glwe_dimension):
+        params = TFHEParameters(
+            polynomial_size=64, lwe_dimension=4, glwe_dimension=glwe_dimension,
+            noise_stddev=0.0, security_bits=0, name=f"tfhe-k{glwe_dimension}")
+        n, q = params.polynomial_size, params.modulus
+        context = GLWEContext(params, seed=12)
+        m1 = _ring(n, q, [params.delta * (i % 3) for i in range(n)])
+        m2 = _ring(n, q, [params.delta * (i % 2) for i in range(n)])
+        with use_backend(inner):
+            a, b = context.encrypt(m1), context.encrypt(m2)
+        for kernel, op in (("limbs_add", lambda x, y: x + y),
+                           ("limbs_sub", lambda x, y: x - y),
+                           ("limbs_neg", lambda x, y: -x),
+                           ("limbs_signed_permute",
+                            lambda x, y: x.multiply_by_monomial(5))):
+            wrapped = WrappedBackend(inner)
+            with use_backend(wrapped):
+                result = op(a, b)
+            assert wrapped.calls == {kernel: 1}, kernel
+            assert context.phase(result) == op(m1, m2), kernel
 
 
 @pytest.mark.skipif(not NUMPY_BACKENDS, reason="numpy backend unavailable")
