@@ -1062,12 +1062,13 @@ if _np is not None:
             self.addresses = _np.array(
                 [table.ctypes.data for table in self.shoup], dtype=_np.uintp)
 
-    def _native_transform(tabs, x, inverse: bool):
+    def _native_transform(tabs, out, inverse: bool):
         """The native core: its forward (or inverse) transform of the word
-        size in place over a fresh C-ordered uint64 copy of ``x``, row ``r``
-        under limb ``r % L``."""
-        out = _np.array(x, dtype=_np.uint64, order="C")
+        size in place over ``out``, a C-ordered uint64 array no one else
+        holds, row ``r`` under limb ``r % L``; returns ``out``."""
         rows, limbs = out.size // tabs.n, len(tabs.shoup)
+        if out.dtype != _np.uint64 or not out.flags.c_contiguous:
+            raise ValueError("a transform runs in place over a C-ordered uint64 array")
         if out.shape[-1] != tabs.n or rows % limbs:
             raise ValueError(f"{out.shape} is not rows of {tabs.n} over {limbs} limbs")
         name = f"ntt{tabs.word}_{'inverse' if inverse else 'forward'}"
@@ -1085,11 +1086,13 @@ if _np is not None:
         through :meth:`NumpyBackend._to_array`.
         Word-64 rows may be anywhere below ``2q``.
         """
-        return _native_transform(tabs, x, inverse=False)
+        return _native_transform(tabs, _np.array(x, dtype=_np.uint64, order="C"),
+                                 inverse=False)
 
     def _intt(tabs, x):
         """Inverse of :func:`_ntt`, including the ``n^-1`` scaling."""
-        return _native_transform(tabs, x, inverse=True)
+        return _native_transform(tabs, _np.array(x, dtype=_np.uint64, order="C"),
+                                 inverse=True)
 
     def _eval_mul(tabs, x, y):
         """Pointwise ``x * y mod q_i`` of two fully reduced transforms.
@@ -1104,9 +1107,11 @@ if _np is not None:
 
     def _convolve(tabs, x, y):
         """Negacyclic products of matching rows of two coefficient arrays;
-        both forward transforms ride one stacked array."""
-        z = _ntt(tabs, _np.stack([x, y]))
-        return _intt(tabs, _eval_mul(tabs, z[0], z[1]))
+        both forward transforms ride one stacked array.  Both transforms
+        run in place: the stack and the product are fresh arrays."""
+        z = _native_transform(tabs, _np.ascontiguousarray(_np.stack([x, y])),
+                              inverse=False)
+        return _native_transform(tabs, _eval_mul(tabs, z[0], z[1]), inverse=True)
 
     def _row_table(mats, rows: int, n: int):
         """C-ordered uint64 copies (where needed) of the ``(rows, n)`` arrays
@@ -1672,29 +1677,30 @@ class NumpyBackend(PythonBackend):
         return list(_mac(lib, word, rows, _np.broadcast_to(cells, shape),
                          q_tgt[:, 0], n, 0, (held, matrix)))
 
-    def _transform(self, core, contexts, stores):
-        """``core`` (:func:`_ntt` / :func:`_intt`) over several stores stacked
-        into one ``(C, L, n)`` dispatch; ``None`` if they cannot be."""
+    def _transform(self, inverse: bool, contexts, stores):
+        """The transform over several stores stacked into one ``(C, L, n)``
+        dispatch, in place over the stack (the one copy, unless a store's
+        layout makes the stack another order); ``None`` if they cannot be."""
         tabs = self._tables(tuple(contexts))
         mats = [self._matrix(store) for store in stores]
         if tabs is None or any(m is None for m in mats):
             return None
-        return core(tabs, _np.stack(mats))
+        return _native_transform(tabs, _np.ascontiguousarray(_np.stack(mats)), inverse)
 
     def batched_ntt(self, contexts, store):
-        out = self._transform(_ntt, contexts, [store])
+        out = self._transform(False, contexts, [store])
         return super().batched_ntt(contexts, store) if out is None else out[0]
 
     def batched_intt(self, contexts, store):
-        out = self._transform(_intt, contexts, [store])
+        out = self._transform(True, contexts, [store])
         return super().batched_intt(contexts, store) if out is None else out[0]
 
     def stacked_ntt(self, contexts, stores):
-        out = self._transform(_ntt, contexts, stores)
+        out = self._transform(False, contexts, stores)
         return super().stacked_ntt(contexts, stores) if out is None else list(out)
 
     def stacked_intt(self, contexts, stores):
-        out = self._transform(_intt, contexts, stores)
+        out = self._transform(True, contexts, stores)
         return super().stacked_intt(contexts, stores) if out is None else list(out)
 
     def limbs_convolution(self, contexts, a, b):

@@ -212,11 +212,17 @@ class _Run:
             batched_programmable_bootstrap, sign_test_vector,
         )
 
-        vectors = [
-            self.tfhe.make_test_vector(m.attrs["fn"]) if m.op == "pbs"
-            else sign_test_vector(self.tfhe, m.attrs["amplitude"])
-            for m in members
-        ]
+        # One table per distinct function (by identity, as CSE keys it) or
+        # sign amplitude, shared by every member that reads it.
+        tables, vectors = {}, []
+        for m in members:
+            pbs = m.op == "pbs"
+            key = (m.op, id(m.attrs["fn"]) if pbs else m.attrs["amplitude"])
+            if key not in tables:
+                tables[key] = (
+                    self.tfhe.make_test_vector(m.attrs["fn"]) if pbs
+                    else sign_test_vector(self.tfhe, m.attrs["amplitude"]))
+            vectors.append(tables[key])
         sources = [self.values[m.args[0]] for m in members]
         outputs = batched_programmable_bootstrap(self.tfhe, sources, vectors)
         return [

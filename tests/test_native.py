@@ -421,6 +421,28 @@ class TestNativeParity:
         x = rng.integers(0, 2 * q, size=(rows, n), dtype=np.uint64)
         self._check((NTTContext(n, q),), x)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(_word32_rings()), st.integers(1, 3),
+           st.integers(0, 1 << 16), st.booleans())
+    def test_word32_sweep(self, ring, rows, seed, edge):
+        """Rows of one ring, then a ``(C, L, N)`` stack of them under the
+        ring's modulus and two 30-bit ones (row ``r`` under table
+        ``r % L``); with ``edge`` the first row (of each limb) is ``q - 1``."""
+        np = pytest.importorskip("numpy")
+        n, q = ring
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, q, size=(rows, n), dtype=np.uint64)
+        contexts = tuple(NTTContext(n, p)
+                         for p in (q, *modmath.find_ntt_primes(30, n, 2)))
+        moduli = _moduli_column(contexts, len(contexts))
+        stack = rng.integers(0, 1 << 62, size=(rows, len(contexts), n),
+                             dtype=np.uint64) % moduli
+        if edge:
+            x[0] = q - 1
+            stack[0] = np.broadcast_to(moduli - np.uint64(1), stack[0].shape)
+        self._check((NTTContext(n, q),), x)
+        self._check(contexts, stack)
+
     def test_layouts(self):
         self._layouts((30, 30, 32))
 
@@ -448,6 +470,32 @@ class TestNativeParity:
         narrow = backend.batched_ntt(contexts, words.astype(np.uint32))
         assert np.array_equal(narrow, backend.batched_ntt(contexts, words))
         assert np.array_equal(backend.batched_intt(contexts, narrow), words)
+
+    @pytest.mark.parametrize("bits", [30, 40])
+    def test_the_stacked_transforms_only_read_their_stores(self, bits):
+        """The entry points that transform in place over their own stack
+        leave the caller's stores as they were and share no memory with
+        them or with each other's results; a Fortran-ordered store (whose
+        stack is not C-ordered) transforms like any other."""
+        np = pytest.importorskip("numpy")
+        contexts = tuple(NTTContext(64, q) for q in modmath.find_ntt_primes(bits, 64, 2))
+        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        moduli = _moduli_column(contexts, 2)
+        stores = [np.random.default_rng(seed).integers(
+            0, 1 << 62, size=(2, 64), dtype=np.uint64) % moduli for seed in (1, 2)]
+        stores[1] = np.asfortranarray(stores[1])
+        before = [store.copy() for store in stores]
+        outs = [backend.batched_ntt(contexts, stores[1]),
+                backend.batched_intt(contexts, stores[1]),
+                *backend.stacked_ntt(contexts, stores),
+                *backend.stacked_intt(contexts, stores),
+                backend.limbs_convolution(contexts, *stores)]
+        assert all(np.array_equal(a, b) for a, b in zip(stores, before))
+        assert np.array_equal(outs[0], PYTHON.batched_ntt(contexts, before[1]))
+        assert np.array_equal(outs[1], PYTHON.batched_intt(contexts, before[1]))
+        arrays = stores + outs
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
     def test_rows_that_do_not_fit_the_tables_are_refused(self):
         self._misfits(30)

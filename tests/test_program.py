@@ -33,6 +33,7 @@ from repro.fhe.backend import (
 )
 from repro.fhe.ckks import evaluator as evaluator_module
 from repro.fhe.ckks import keyswitch as keyswitch_module
+from repro.fhe.program import executor as executor_module
 from repro.fhe.ckks.bootstrap import linear_transform_plan
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
@@ -1477,6 +1478,70 @@ class TestHybridPlanner:
             self.PARAMS, self.TPARAMS, boost=1 << 28, amplitude=1 << 16)
         planned = plan_program(program, optimize=False)
         assert planned.stats.get("pbs_groups", 0) == 0
+
+
+class TestBootstrapWaveTables:
+    """A PBS wave builds one test vector per distinct table: ``pbs`` members
+    share theirs by function, ``gate_bootstrap`` members by amplitude."""
+
+    PARAMS, TPARAMS, BOOST, _ = HYBRID_PARAM_SETS[2]
+
+    def _program(self):
+        """Eight bootstraps of one wave over three tables: four signs at one
+        amplitude, two at another, two lookups of one function."""
+        identity = lambda m: m                      # noqa: E731
+        t = HETrace(self.PARAMS, tfhe_params=self.TPARAMS)
+        x = t.input("x", level=1, scale=float(self.PARAMS.scale))
+        lwes = [lwe.keyswitch_to_tfhe() for lwe in (x * self.BOOST).extract_lwes(8)]
+        outputs = {"high": [lwe.bootstrap_sign(1 << 16) for lwe in lwes[:4]],
+                   "low": [lwe.bootstrap_sign(1 << 15) for lwe in lwes[4:6]],
+                   "lut": [lwe.pbs(identity) for lwe in lwes[6:]]}
+        for name, bits in outputs.items():
+            t.output(name, t.repack([bit.keyswitch_to_ckks() for bit in bits]))
+        return t.program
+
+    def test_one_table_per_distinct_function_or_amplitude(self, monkeypatch):
+        program = self._program()
+        planned = plan_program(program)
+        assert (planned.stats["pbs_groups"], planned.stats["grouped_pbs"]) == (1, 8)
+        wave = executor_module._Run._bootstrap_wave
+        reference = None
+        for backend in BACKENDS:
+            counting = WrappedBackend(backend)
+            keys = _keyed(self.PARAMS)
+            tfhe = TFHEContext(self.TPARAMS, seed=7)
+            bridge = SchemeBridge(self.PARAMS, keys.secret, tfhe, seed=7)
+            executor = ProgramExecutor(
+                CKKSEvaluator(self.PARAMS, keys, backend=counting),
+                tfhe=tfhe, bridge=bridge)
+            waves = []
+
+            def counted(run, members):
+                before = dict(counting.calls)
+                out = wave(run, members)
+                waves.append((len(members), *(
+                    counting.calls[kernel] - before.get(kernel, 0)
+                    for kernel in ("reduce_limbs", "pack_limbs"))))
+                return out
+
+            monkeypatch.setattr(executor_module._Run, "_bootstrap_wave", counted)
+            with use_backend(counting):
+                ct = _encrypt_coefficients(
+                    self.PARAMS, keys,
+                    _hybrid_column(self.PARAMS, [3, 14, 2, 13, 5, 9, 1, 0], nslot=8),
+                    level=1, scale=self.PARAMS.scale)
+                planned_out = executor.run(planned, {"x": ct})
+                # (members, reduce_limbs, pack_limbs): one reduce and one
+                # pack per table (eight each before tables were shared), and
+                # the wave's own packs.
+                assert waves == [(8, 3, 6)], backend.name
+                del waves[:]
+                eager_out = executor.run_eager(program, {"x": ct})
+                assert waves == [(1, 1, 2)] * 8, backend.name
+            rows = {name: _rows(out) for name, out in planned_out.items()}
+            assert rows == {name: _rows(out) for name, out in eager_out.items()}
+            assert reference in (None, rows)          # cross-backend bit-exact
+            reference = rows
 
 
 class TestHybridLowering:
