@@ -33,7 +33,6 @@ __all__ = [
     "sign_test_vector",
     "batched_programmable_bootstrap",
     "batched_lwe_keyswitch",
-    "gate_bootstrap",
 ]
 
 
@@ -43,22 +42,14 @@ def sign_test_vector(context: TFHEContext, amplitude: int) -> GLWECiphertext:
     Blind rotation by a phase in ``[0, q/2)`` leaves the constant coefficient
     at ``+amplitude``; a phase in ``[-q/2, 0)`` crosses the negacyclic wrap
     and yields ``-amplitude``.  Adding ``amplitude`` afterwards maps the two
-    outcomes to ``{2 * amplitude, 0}`` (see :func:`gate_bootstrap`).
+    outcomes to ``{2 * amplitude, 0}``; the executor does that for a
+    ``gate_bootstrap`` node.
     """
     params = context.params
     n = params.polynomial_size
     table = RNSPolynomial.from_integer_coefficients(
         n, context.glwe.basis, [amplitude] * n)
     return GLWECiphertext.trivial(table, params.glwe_dimension)
-
-
-def gate_bootstrap(context: TFHEContext, ciphertext: LWECiphertext,
-                   amplitude: int) -> LWECiphertext:
-    """Sign bootstrap: phase >= 0 -> ``2 * amplitude``, phase < 0 -> ``0``."""
-    out = context.programmable_bootstrap(
-        ciphertext, sign_test_vector(context, amplitude)
-    )
-    return out.add_constant(amplitude)
 
 
 @lru_cache(maxsize=None)

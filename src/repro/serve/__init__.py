@@ -6,7 +6,9 @@ independent tenant requests into the big stacked ``(2, C, L, N)`` dispatches
 the batched kernels and the Trinity cost model are built around:
 
 * :mod:`~repro.serve.scheduler` — asyncio request admission, compatibility
-  grouping, joint-program execution with deadline-aware retrying fallback;
+  grouping, joint-program execution with deadline-aware retrying fallback,
+  and two bounded LRU caches (:class:`~repro.fhe.program.LRUCache`: planned
+  programs, materialized evaluation keys) whose counts it reports;
 * :mod:`~repro.serve.admission` — per-tenant token-bucket rate limits and
   global queue-depth backpressure, enforced before any homomorphic work;
 * :mod:`~repro.serve.resilience` — retry policy (exponential backoff with
@@ -17,8 +19,6 @@ the batched kernels and the Trinity cost model are built around:
   that makes chosen kernels raise/stall/corrupt, wire-payload corruption,
   and scheduler-level delays — the harness the resilience machinery is
   soaked against;
-* :mod:`~repro.serve.cache` — bounded LRU caches for planned programs and
-  materialized evaluation keys, with hit/miss/eviction stats;
 * :mod:`~repro.serve.serialization` — compact versioned wire format for RNS
   polynomials, ciphertexts, and keys, strictly validated on load;
 * :mod:`~repro.serve.traffic` — seeded synthetic multi-tenant load, the
@@ -37,7 +37,6 @@ ciphertexts flowing through demand a specific backend.
 """
 
 from .admission import AdmissionController, TokenBucket
-from .cache import KeyCache, LRUCache, PlanCache
 from .chaos import (
     CORRUPTIBLE_KERNELS,
     FaultEvent,
@@ -76,7 +75,6 @@ from .errors import (
 )
 from .net import ClientResponse, FrameTransport, ServingClient, ServingGateway
 from .resilience import (
-    BreakerBoard,
     CircuitBreaker,
     ManualClock,
     ResiliencePolicy,
@@ -125,7 +123,6 @@ __all__ = [
     "ManualClock",
     "RetryPolicy",
     "CircuitBreaker",
-    "BreakerBoard",
     "ResiliencePolicy",
     # chaos
     "InjectedFault",
@@ -136,10 +133,6 @@ __all__ = [
     "SchedulerDelayInjector",
     "corrupt_payload",
     "CORRUPTIBLE_KERNELS",
-    # caches
-    "LRUCache",
-    "PlanCache",
-    "KeyCache",
     # serialization
     "serialize",
     "deserialize",

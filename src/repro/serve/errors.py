@@ -37,12 +37,13 @@ the network protocol — never renumber a shipped code) and round-trips
 through ``to_wire()`` / :func:`error_from_wire`, so a rejection raised
 inside the scheduler arrives at a remote client as the *same* typed
 exception, machine-readable details (``retry_after_seconds``, the missing
-evaluation keys, ...) included.
+evaluation keys, ...) included.  A class names those details once, in its
+``details`` tuple; constructor, attributes and wire form all follow it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Sequence, Tuple, Type
 
 __all__ = [
     "ServeError",
@@ -88,6 +89,19 @@ class ServeError(Exception):
     """
 
     code = 1
+    #: Names of the machine-readable extras a class carries, declared once:
+    #: each is a keyword of the constructor, an attribute of the instance
+    #: (``None`` when not given) and a key of the wire details.
+    details: Tuple[str, ...] = ()
+
+    def __init__(self, message: str = "", **details: Any):
+        unknown = set(details) - set(self.details)
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no details "
+                            f"{sorted(unknown)}")
+        super().__init__(message)
+        for name in self.details:
+            setattr(self, name, details.get(name))
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -103,8 +117,8 @@ class ServeError(Exception):
 
     # -- wire round-trip -----------------------------------------------------
     def wire_details(self) -> Dict[str, Any]:
-        """Machine-readable, JSON-encodable extras (subclasses extend)."""
-        return {}
+        """Machine-readable, JSON-encodable extras: the declared details."""
+        return {name: getattr(self, name) for name in self.details}
 
     def to_wire(self) -> Dict[str, Any]:
         """The ``{code, message, details}`` triple an ERROR envelope ships."""
@@ -114,8 +128,8 @@ class ServeError(Exception):
     @classmethod
     def from_wire_details(cls, message: str,
                           details: Dict[str, Any]) -> "ServeError":
-        """Rebuild an instance from a wire triple (subclasses refine)."""
-        return cls(message)
+        """Rebuild an instance from a wire triple's declared details."""
+        return cls(message, **{name: details.get(name) for name in cls.details})
 
 
 _ERROR_CODES[ServeError.code] = ServeError
@@ -237,18 +251,13 @@ class MissingKeyError(RequestRejected):
     """
 
     code = 27
+    details = ("missing",)
 
-    def __init__(self, message: str, missing: "List[Tuple] | None" = None):
-        super().__init__(message)
-        self.missing = list(missing or [])
-
-    def wire_details(self) -> Dict[str, Any]:
-        return {"missing": [list(entry) for entry in self.missing]}
-
-    @classmethod
-    def from_wire_details(cls, message, details):
-        missing = [tuple(entry) for entry in details.get("missing", [])]
-        return cls(message, missing=missing)
+    def __init__(self, message: str = "",
+                 missing: "Optional[Sequence[Sequence]]" = None):
+        # JSON turns the tuples into lists on the wire; make them tuples.
+        super().__init__(message,
+                         missing=[tuple(entry) for entry in missing or ()])
 
 
 class SchemeMismatchError(RequestRejected):
@@ -262,20 +271,7 @@ class SchemeMismatchError(RequestRejected):
     """
 
     code = 31
-
-    def __init__(self, message: str, expected: "Optional[str]" = None,
-                 got: "Optional[str]" = None):
-        super().__init__(message)
-        self.expected = expected
-        self.got = got
-
-    def wire_details(self) -> Dict[str, Any]:
-        return {"expected": self.expected, "got": self.got}
-
-    @classmethod
-    def from_wire_details(cls, message, details):
-        return cls(message, expected=details.get("expected"),
-                   got=details.get("got"))
+    details = ("expected", "got")
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +286,7 @@ class RateLimitedError(RequestRejected):
     """
 
     code = 28
-
-    def __init__(self, message: str,
-                 retry_after_seconds: "Optional[float]" = None):
-        super().__init__(message)
-        self.retry_after_seconds = retry_after_seconds
-
-    def wire_details(self) -> Dict[str, Any]:
-        return {"retry_after_seconds": self.retry_after_seconds}
-
-    @classmethod
-    def from_wire_details(cls, message, details):
-        return cls(message,
-                   retry_after_seconds=details.get("retry_after_seconds"))
+    details = ("retry_after_seconds",)
 
 
 class OverloadedError(RequestRejected):
@@ -319,19 +303,7 @@ class CircuitOpenError(RequestRejected):
     """
 
     code = 30
-
-    def __init__(self, message: str,
-                 retry_after_seconds: "Optional[float]" = None):
-        super().__init__(message)
-        self.retry_after_seconds = retry_after_seconds
-
-    def wire_details(self) -> Dict[str, Any]:
-        return {"retry_after_seconds": self.retry_after_seconds}
-
-    @classmethod
-    def from_wire_details(cls, message, details):
-        return cls(message,
-                   retry_after_seconds=details.get("retry_after_seconds"))
+    details = ("retry_after_seconds",)
 
 
 # ---------------------------------------------------------------------------

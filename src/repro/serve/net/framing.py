@@ -59,7 +59,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from ..errors import (
     ProtocolError,
@@ -68,7 +68,7 @@ from ..errors import (
     ServeError,
     error_from_wire,
 )
-from ..serialization import KIND_SECRET_KEY, kind_name, payload_kind
+from ..serialization import KIND_SECRET_KEY, _Reader, kind_name, payload_kind
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -183,65 +183,42 @@ Envelope = Union[Hello, HelloAck, Request, Response, Error, Goodbye]
 
 
 # ---------------------------------------------------------------------------
-# Field packing
+# Field codecs
 # ---------------------------------------------------------------------------
 
-class _Reader:
-    """Cursor over a frame body; out-of-bounds reads are protocol errors."""
+class _Codec(NamedTuple):
+    """How one field crosses the wire: ``put`` appends its bytes to the
+    parts of a body, ``take`` reads it back from the body's cursor."""
 
-    __slots__ = ("data", "pos")
+    put: Callable[[List[bytes], Any], None]
+    take: Callable[[_Reader], Any]
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
+def _fixed(fmt: struct.Struct) -> _Codec:
+    return _Codec(lambda parts, value: parts.append(fmt.pack(value)),
+                  lambda reader: reader.unpack(fmt)[0])
+
+
+def _string(prefix: struct.Struct, what: str) -> _Codec:
+    """Length-prefixed UTF-8; ``prefix`` is u16 for names, u32 for fields
+    that may outgrow it (messages, JSON)."""
+    limit = 1 << (8 * prefix.size)
+
+    def put(parts, value):
+        raw = value.encode("utf-8")
+        if len(raw) >= limit:
             raise ProtocolError(
-                f"truncated envelope: wanted {count} bytes at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}")
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
+                f"{what} field of {len(raw)} bytes exceeds u{8 * prefix.size}")
+        parts += (prefix.pack(len(raw)), raw)
 
-    def unpack(self, fmt: struct.Struct):
-        return fmt.unpack(self.take(fmt.size))
+    def take(reader):
+        (length,) = reader.unpack(prefix)
+        try:
+            return reader.take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"undecodable {what} field: {exc}") from None
 
-    def expect_end(self) -> None:
-        if self.pos != len(self.data):
-            raise ProtocolError(
-                f"trailing bytes: envelope has {len(self.data) - self.pos} "
-                "unread bytes")
-
-
-def _pack_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ProtocolError(f"string field of {len(raw)} bytes exceeds u16")
-    return _U16.pack(len(raw)) + raw
-
-
-def _take_str(reader: _Reader) -> str:
-    (length,) = reader.unpack(_U16)
-    try:
-        return reader.take(length).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable string field: {exc}") from None
-
-
-def _pack_text(value: str) -> bytes:
-    """u32-prefixed UTF-8 for fields that may outgrow u16 (messages, JSON)."""
-    raw = value.encode("utf-8")
-    return _U32.pack(len(raw)) + raw
-
-
-def _take_text(reader: _Reader) -> str:
-    (length,) = reader.unpack(_U32)
-    try:
-        return reader.take(length).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"undecodable text field: {exc}") from None
+    return _Codec(put, take)
 
 
 def _guard_payload(blob: bytes, action: str) -> None:
@@ -256,50 +233,40 @@ def _guard_payload(blob: bytes, action: str) -> None:
             "never belong on the serving wire")
 
 
-def _pack_payloads(payloads: List[bytes], action: str) -> bytes:
+def _put_payloads(parts: List[bytes], payloads: List[bytes]) -> None:
     if len(payloads) > 0xFFFF:
         raise ProtocolError(f"{len(payloads)} payloads exceed the u16 count")
-    parts = [_U16.pack(len(payloads))]
+    parts.append(_U16.pack(len(payloads)))
     for blob in payloads:
         if not isinstance(blob, (bytes, bytearray, memoryview)):
             raise ProtocolError(
                 f"payload must be bytes, got {type(blob).__name__}")
-        _guard_payload(blob, action)
+        _guard_payload(blob, "send")
         parts += (_U32.pack(memoryview(blob).nbytes), blob)
-    return b"".join(parts)
 
 
-def _take_payloads(reader: _Reader, action: str) -> List[bytes]:
+def _take_payloads(reader: _Reader) -> List[bytes]:
     (count,) = reader.unpack(_U16)
     payloads = []
     for _ in range(count):
         (length,) = reader.unpack(_U32)
         blob = reader.take(length)
-        _guard_payload(blob, action)
+        _guard_payload(blob, "accept")
         payloads.append(blob)
     return payloads
 
 
-def _pack_opt_f64(value: Optional[float]) -> bytes:
-    return _F64.pack(math.nan if value is None else float(value))
-
-
-def _take_opt_f64(reader: _Reader) -> Optional[float]:
-    (value,) = reader.unpack(_F64)
-    return None if math.isnan(value) else value
-
-
-def _pack_details(details: Dict[str, Any]) -> bytes:
+def _put_details(parts: List[bytes], details: Dict[str, Any]) -> None:
     try:
-        return _pack_text(json.dumps(details or {}, sort_keys=True))
+        raw = json.dumps(details or {}, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"error details are not JSON-encodable: {exc}")
+    _TEXT.put(parts, raw)
 
 
 def _take_details(reader: _Reader) -> Dict[str, Any]:
-    raw = _take_text(reader)
     try:
-        details = json.loads(raw)
+        details = json.loads(_TEXT.take(reader))
     except ValueError as exc:
         raise ProtocolError(f"undecodable error details: {exc}") from None
     if not isinstance(details, dict):
@@ -308,81 +275,80 @@ def _take_details(reader: _Reader) -> Dict[str, Any]:
     return details
 
 
+def _put_opt_f64(parts: List[bytes], value: Optional[float]) -> None:
+    parts.append(_F64.pack(math.nan if value is None else float(value)))
+
+
+def _take_opt_f64(reader: _Reader) -> Optional[float]:
+    (value,) = reader.unpack(_F64)
+    return None if math.isnan(value) else value
+
+
+_U16_FIELD = _fixed(_U16)
+_U32_FIELD = _fixed(_U32)
+_U64_FIELD = _fixed(_U64)
+_F64_FIELD = _fixed(_F64)
+_STR = _string(_U16, "string")
+_TEXT = _string(_U32, "text")
+_BOOL = _Codec(lambda parts, value: parts.append(_U8.pack(1 if value else 0)),
+               lambda reader: bool(reader.unpack(_U8)[0]))
+_OPT_F64 = _Codec(_put_opt_f64, _take_opt_f64)  # NaN: no deadline
+_PAYLOADS = _Codec(_put_payloads, _take_payloads)
+_DETAILS = _Codec(_put_details, _take_details)
+
+
 # ---------------------------------------------------------------------------
 # Envelope codec
 # ---------------------------------------------------------------------------
 
+# Each envelope's tag and its fields in wire order: the one statement of
+# the body layout, which both directions of the codec walk.
+_LAYOUT: Dict[type, Tuple[int, Tuple[Tuple[str, _Codec], ...]]] = {
+    Hello: (TAG_HELLO, (("protocol_version", _U16_FIELD),
+                        ("tenant_id", _STR),
+                        ("client_name", _STR))),
+    HelloAck: (TAG_HELLO_ACK, (("protocol_version", _U16_FIELD),
+                               ("server_name", _STR),
+                               ("max_inflight", _U32_FIELD))),
+    Request: (TAG_REQUEST, (("request_id", _U64_FIELD),
+                            ("program", _STR),
+                            ("deadline_seconds", _OPT_F64),
+                            ("payloads", _PAYLOADS))),
+    Response: (TAG_RESPONSE, (("request_id", _U64_FIELD),
+                              ("batch_size", _U32_FIELD),
+                              ("batched", _BOOL),
+                              ("latency_seconds", _F64_FIELD),
+                              ("payloads", _PAYLOADS))),
+    Error: (TAG_ERROR, (("request_id", _U64_FIELD),
+                        ("code", _U32_FIELD),
+                        ("message", _TEXT),
+                        ("details", _DETAILS))),
+    Goodbye: (TAG_GOODBYE, (("reason", _STR),)),
+}
+_BY_TAG = {tag: (cls, fields) for cls, (tag, fields) in _LAYOUT.items()}
+
+
 def encode_envelope(envelope: Envelope) -> bytes:
     """Envelope -> frame body (tag + fields, no length prefix / crc)."""
-    if isinstance(envelope, Hello):
-        return (_U8.pack(TAG_HELLO)
-                + _U16.pack(envelope.protocol_version)
-                + _pack_str(envelope.tenant_id)
-                + _pack_str(envelope.client_name))
-    if isinstance(envelope, HelloAck):
-        return (_U8.pack(TAG_HELLO_ACK)
-                + _U16.pack(envelope.protocol_version)
-                + _pack_str(envelope.server_name)
-                + _U32.pack(envelope.max_inflight))
-    if isinstance(envelope, Request):
-        return (_U8.pack(TAG_REQUEST)
-                + _U64.pack(envelope.request_id)
-                + _pack_str(envelope.program)
-                + _pack_opt_f64(envelope.deadline_seconds)
-                + _pack_payloads(envelope.payloads, "send"))
-    if isinstance(envelope, Response):
-        return (_U8.pack(TAG_RESPONSE)
-                + _U64.pack(envelope.request_id)
-                + _U32.pack(envelope.batch_size)
-                + _U8.pack(1 if envelope.batched else 0)
-                + _F64.pack(envelope.latency_seconds)
-                + _pack_payloads(envelope.payloads, "send"))
-    if isinstance(envelope, Error):
-        return (_U8.pack(TAG_ERROR)
-                + _U64.pack(envelope.request_id)
-                + _U32.pack(envelope.code)
-                + _pack_text(envelope.message)
-                + _pack_details(envelope.details))
-    if isinstance(envelope, Goodbye):
-        return _U8.pack(TAG_GOODBYE) + _pack_str(envelope.reason)
-    raise ProtocolError(f"cannot encode {type(envelope).__name__}")
+    layout = _LAYOUT.get(type(envelope))
+    if layout is None:
+        raise ProtocolError(f"cannot encode {type(envelope).__name__}")
+    tag, fields = layout
+    parts = [_U8.pack(tag)]
+    for name, codec in fields:
+        codec.put(parts, getattr(envelope, name))
+    return b"".join(parts)
 
 
 def decode_envelope(body: bytes) -> Envelope:
     """Frame body -> envelope, strictly validated."""
-    reader = _Reader(bytes(body))
+    reader = _Reader(bytes(body), error=ProtocolError, what="envelope")
     (tag,) = reader.unpack(_U8)
-    if tag == TAG_HELLO:
-        (version,) = reader.unpack(_U16)
-        envelope = Hello(version, _take_str(reader), _take_str(reader))
-    elif tag == TAG_HELLO_ACK:
-        (version,) = reader.unpack(_U16)
-        name = _take_str(reader)
-        (max_inflight,) = reader.unpack(_U32)
-        envelope = HelloAck(version, name, max_inflight)
-    elif tag == TAG_REQUEST:
-        (request_id,) = reader.unpack(_U64)
-        program = _take_str(reader)
-        deadline = _take_opt_f64(reader)
-        envelope = Request(request_id, program,
-                           _take_payloads(reader, "accept"), deadline)
-    elif tag == TAG_RESPONSE:
-        (request_id,) = reader.unpack(_U64)
-        (batch_size,) = reader.unpack(_U32)
-        (batched,) = reader.unpack(_U8)
-        (latency,) = reader.unpack(_F64)
-        envelope = Response(request_id, _take_payloads(reader, "accept"),
-                            batch_size, bool(batched), latency)
-    elif tag == TAG_ERROR:
-        (request_id,) = reader.unpack(_U64)
-        (code,) = reader.unpack(_U32)
-        message = _take_text(reader)
-        envelope = Error(request_id, code, message, _take_details(reader))
-    elif tag == TAG_GOODBYE:
-        envelope = Goodbye(_take_str(reader))
-    else:
+    if tag not in _BY_TAG:
         raise ProtocolError(f"unknown envelope tag {tag}")
-    reader.expect_end()
+    cls, fields = _BY_TAG[tag]
+    envelope = cls(**{name: codec.take(reader) for name, codec in fields})
+    reader.expect_left(0)
     return envelope
 
 

@@ -14,8 +14,8 @@ scheduler only asks three questions and never hard-codes the answers:
   function are injectable, so tests run the whole retry ladder with a
   recording fake and never sleep for real.
 * *Should this (tenant, program) be executed at all right now?* — a
-  :class:`CircuitBreaker` per (tenant, program) pair, kept on a
-  :class:`BreakerBoard`.  After ``failure_threshold`` consecutive execution
+  :class:`CircuitBreaker` per (tenant, program) pair, kept in a dict on the
+  scheduler.  After ``failure_threshold`` consecutive execution
   failures the breaker opens and the scheduler sheds matching requests at
   admission with :class:`~repro.serve.errors.CircuitOpenError`; after
   ``reset_timeout`` it half-opens and lets ``half_open_probes`` requests
@@ -32,13 +32,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Optional
 
 __all__ = [
     "ManualClock",
     "RetryPolicy",
     "CircuitBreaker",
-    "BreakerBoard",
     "ResiliencePolicy",
 ]
 
@@ -193,41 +192,6 @@ class CircuitBreaker:
             self._open()
 
 
-class BreakerBoard:
-    """The scheduler's per-(tenant, program) breaker registry with stats."""
-
-    def __init__(self, factory: Callable[[], CircuitBreaker]):
-        self._factory = factory
-        self._breakers: Dict[Hashable, CircuitBreaker] = {}
-
-    def get(self, key: Hashable) -> CircuitBreaker:
-        breaker = self._breakers.get(key)
-        if breaker is None:
-            breaker = self._factory()
-            self._breakers[key] = breaker
-        return breaker
-
-    def peek(self, key: Hashable) -> "Optional[CircuitBreaker]":
-        return self._breakers.get(key)
-
-    def items(self):
-        return self._breakers.items()
-
-    def stats(self) -> Dict[str, Any]:
-        transitions = {"opened": 0, "half_opened": 0, "closed": 0}
-        states: Dict[str, str] = {}
-        open_now = 0
-        for key, breaker in self._breakers.items():
-            state = breaker.state
-            states["/".join(str(part) for part in key)] = state
-            if state == CircuitBreaker.OPEN:
-                open_now += 1
-            for name, count in breaker.transitions.items():
-                transitions[name] += count
-        return {"open_now": open_now, "transitions": transitions,
-                "states": states}
-
-
 @dataclass
 class ResiliencePolicy:
     """Everything the scheduler needs to degrade gracefully, in one object.
@@ -259,6 +223,3 @@ class ResiliencePolicy:
             half_open_probes=self.half_open_probes,
             clock=clock,
         )
-
-    def breaker_board(self, clock: Callable[[], float]) -> BreakerBoard:
-        return BreakerBoard(lambda: self.make_breaker(clock))

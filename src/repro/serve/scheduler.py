@@ -69,10 +69,9 @@ from ..fhe.ckks.ciphertext import CKKSCiphertext
 from ..fhe.ckks.evaluator import CKKSEvaluator
 from ..fhe.ckks.keys import CKKSKeySet
 from ..fhe.params import CKKSParameters
-from ..fhe.program import HETrace, ProgramExecutor
+from ..fhe.program import HETrace, LRUCache, ProgramExecutor, plan_program
 from ..fhe.tfhe.lwe import LWECiphertext
 from .admission import AdmissionController
-from .cache import KeyCache, PlanCache
 from .errors import (
     CircuitOpenError,
     CorruptResultError,
@@ -89,7 +88,7 @@ from .errors import (
     UnknownProgramError,
     UnknownTenantError,
 )
-from .resilience import ResiliencePolicy
+from .resilience import CircuitBreaker, ResiliencePolicy
 
 __all__ = [
     "HostedProgram",
@@ -204,12 +203,15 @@ class InferenceServer:
         self.max_batch_size = int(max_batch_size)
         self.batch_window = float(batch_window)
         self.backend = backend
-        self.plan_cache = PlanCache(plan_cache_capacity)
-        self.key_cache = KeyCache(key_cache_capacity)
+        # Planned programs by (program, level, scale, batch width) — every
+        # miss is one planner call — and materialized galois keys by
+        # (id(keys), element, level).
+        self.plan_cache = LRUCache(plan_cache_capacity)
+        self.key_cache = LRUCache(key_cache_capacity)
         self.admission = admission
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self._clock = clock
-        self._breakers = self.resilience.breaker_board(clock)
+        self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
         self._on_batch_start = on_batch_start
         self._programs: Dict[str, HostedProgram] = {}
         self._tenants: Dict[str, _Tenant] = {}
@@ -361,7 +363,7 @@ class InferenceServer:
 
     def _check_breaker(self, request: InferenceRequest) -> None:
         """Shed the request if its (tenant, program) breaker is open."""
-        breaker = self._breakers.peek((request.tenant_id, request.program))
+        breaker = self._breakers.get((request.tenant_id, request.program))
         if breaker is not None and not breaker.allow():
             raise CircuitOpenError(
                 f"circuit breaker open for tenant {request.tenant_id!r} "
@@ -393,13 +395,14 @@ class InferenceServer:
                     got="hybrid" if built.is_hybrid() else "ckks")
             return built
 
-        return self.plan_cache.get((program.name, level, scale, width), build)
+        return self.plan_cache.get_or_create(
+            (program.name, level, scale, width), lambda: plan_program(build()))
 
     def _provision_keys(self, tenant: _Tenant, planned) -> None:
         """Materialize the plan's galois keys through the bounded key cache."""
         keys = tenant.keys
         for element, level in planned.required_galois_elements():
-            self.key_cache.get(
+            self.key_cache.get_or_create(
                 (id(keys), element, level),
                 lambda element=element, level=level: keys.galois_key(element, level),
             )
@@ -598,8 +601,13 @@ class InferenceServer:
                         f"{pending.request.request_id}: {exc}") from exc
         return outputs
 
-    def _breaker_for(self, request: InferenceRequest):
-        return self._breakers.get((request.tenant_id, request.program))
+    def _breaker_for(self, request: InferenceRequest) -> CircuitBreaker:
+        key = (request.tenant_id, request.program)
+        breaker = self._breakers.get(key)
+        if breaker is None:
+            breaker = self._breakers[key] = self.resilience.make_breaker(
+                self._clock)
+        return breaker
 
     def _record_batch(self, width: int) -> None:
         self._counters["batches"] += 1
@@ -667,10 +675,22 @@ class InferenceServer:
                         for tid, counters in self._tenant_counters.items()},
             "batch_size_histogram": dict(sorted(self._batch_sizes.items())),
             "batching_efficiency": (batched_requests / batches) if batches else 0.0,
-            "plan_cache": self.plan_cache.stats(),
+            "plan_cache": {**self.plan_cache.stats(),
+                           "planner_calls": self.plan_cache.misses},
             "key_cache": self.key_cache.stats(),
             "admission": self.admission.stats() if self.admission else None,
-            "breakers": self._breakers.stats(),
+            "breakers": self._breaker_stats(),
             "pending": self._inflight,
             "queue_depth": self.queue_depth,
         }
+
+    def _breaker_stats(self) -> Dict[str, Any]:
+        transitions = {"opened": 0, "half_opened": 0, "closed": 0}
+        states: Dict[str, str] = {}
+        for (tenant_id, program), breaker in self._breakers.items():
+            states[f"{tenant_id}/{program}"] = breaker.state
+            for name, count in breaker.transitions.items():
+                transitions[name] += count
+        open_now = sum(state == CircuitBreaker.OPEN for state in states.values())
+        return {"open_now": open_now, "transitions": transitions,
+                "states": states}

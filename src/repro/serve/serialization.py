@@ -55,14 +55,19 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence, Type
 
 from ..fhe.backend import active_backend
 from ..fhe.ckks.ciphertext import CKKSCiphertext
 from ..fhe.ckks.keys import CKKSPublicKey, CKKSSecretKey, KeySwitchKey
 from ..fhe.params import _cached_basis
 from ..fhe.rns import RNSBasis, RNSPolynomial
-from .errors import CorruptPayloadError, SerializationError, UnsupportedVersionError
+from .errors import (
+    CorruptPayloadError,
+    SerializationError,
+    ServeError,
+    UnsupportedVersionError,
+)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -156,33 +161,38 @@ def kind_name(kind: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Low-level reader
+# Byte cursor
 # ---------------------------------------------------------------------------
 
 class _Reader:
-    """Cursor over the payload of an opened container (its ``kind`` and
-    ``word`` come from the header) that raises on any out-of-bounds read."""
+    """Cursor over a byte buffer that raises ``error`` on any read past its
+    end.  The one cursor of the serving wire: a container's reader carries
+    its header's ``kind`` and ``word``; the frame codec reads envelopes with
+    ``error=ProtocolError``."""
 
-    __slots__ = ("data", "pos", "kind", "word")
+    __slots__ = ("data", "pos", "kind", "word", "error", "what")
 
-    def __init__(self, data: memoryview, kind: int, word: int):
+    def __init__(self, data, kind: int = 0, word: int = 0, *,
+                 error: Type[ServeError] = SerializationError,
+                 what: str = "payload"):
         self.data = data
         self.pos = 0
         self.kind = kind
         self.word = word
+        self.error = error
+        self.what = what
 
-    def _need(self, count: int) -> int:
-        left = len(self.data) - self.pos
-        if count > left:
-            raise SerializationError(
-                f"truncated payload: wanted {count} bytes at offset {self.pos}, "
-                f"have {left}")
-        return left
+    def _truncated(self, count: int) -> ServeError:
+        return self.error(
+            f"truncated {self.what}: wanted {count} bytes at offset "
+            f"{self.pos}, have {len(self.data) - self.pos}")
 
-    def take(self, count: int) -> memoryview:
-        self._need(count)
-        chunk = self.data[self.pos:self.pos + count]
-        self.pos += count
+    def take(self, count: int):
+        end = self.pos + count
+        if end > len(self.data):
+            raise self._truncated(count)
+        chunk = self.data[self.pos:end]
+        self.pos = end
         return chunk
 
     def unpack(self, fmt: struct.Struct):
@@ -191,10 +201,12 @@ class _Reader:
     def expect_left(self, count: int) -> None:
         """Exactly ``count`` unread bytes remain — checked before they are
         decoded, so no allocation follows an unvalidated length."""
-        extra = self._need(count) - count
+        extra = len(self.data) - self.pos - count
+        if extra < 0:
+            raise self._truncated(count)
         if extra:
-            raise SerializationError(
-                f"trailing bytes: payload has {extra} unread bytes")
+            raise self.error(
+                f"trailing bytes: {self.what} has {extra} unread bytes")
 
 
 _U32 = struct.Struct("<I")

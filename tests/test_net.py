@@ -27,6 +27,7 @@ no-numpy CI leg.
 """
 
 import asyncio
+import hashlib
 import random
 import struct
 import zlib
@@ -97,7 +98,12 @@ from repro.serve.net.framing import (
     encode_envelope,
     encode_frame,
 )
-from repro.serve.serialization import KIND_CIPHERTEXT, KIND_SECRET_KEY
+from repro.serve.serialization import (
+    FORMAT_VERSION,
+    KIND_CIPHERTEXT,
+    KIND_SECRET_KEY,
+    MAGIC,
+)
 
 PYTHON = PythonBackend()
 TOY = CKKSParameters.toy()
@@ -320,6 +326,56 @@ def test_oversize_frame_refused_before_buffering():
         _receive_fed(frame, limit=64)
 
 
+# Payloads the frame moves untouched: a blob whose header says ciphertext
+# (so the secret-key guard reads it) and one whose header does not parse.
+_PIN_BLOB = (MAGIC + struct.pack("<HBB", FORMAT_VERSION, KIND_CIPHERTEXT, 8)
+             + bytes((7 * i + 3) % 256 for i in range(300)))
+_PIN_RAW = bytes(range(256))
+
+
+class TestFrameFormatPinned:
+    """The frame layout is part of the protocol: the sha256 of
+    ``encode_frame`` for one fixed instance of every envelope kind,
+    recorded before the envelope codec became one layout table.  A digest
+    that moves is a wire break, not a refactor."""
+
+    ENVELOPES = {
+        "hello": Hello(protocol_version=1, tenant_id="org-a",
+                       client_name="edge-7"),
+        "hello_ack": HelloAck(protocol_version=1, server_name="gw",
+                              max_inflight=16),
+        "request": Request(request_id=9, program="dense",
+                           payloads=[_PIN_BLOB, _PIN_RAW]),
+        "request_deadline": Request(request_id=2 ** 40, program="dénse",
+                                    payloads=[_PIN_BLOB],
+                                    deadline_seconds=1.5),
+        "response": Response(request_id=9, payloads=[_PIN_BLOB],
+                             batch_size=5, batched=True,
+                             latency_seconds=0.25),
+        "error": Error(request_id=3, code=27, message="keys absent: ü",
+                       details={"missing": [["galois", 5, 2], ["relin", 1]],
+                                "retry_after_seconds": 0.5}),
+        "goodbye": Goodbye(reason="draining"),
+    }
+
+    DIGESTS = {
+        "hello": "36c6d0f60a6be4fe9e3f5c74e7c4d4717a70bd43e8404c6f4c6065288c4bcca3",
+        "hello_ack": "2e8625120205ca36bde30a2d3a201bbc9558156fdf0e88c13ffd30337ef1ffd8",
+        "request": "acc7e424830c7a7d6e92b652618196e8cc3570a912039f8c7dbc44da33dab1b3",
+        "request_deadline": "97cc5decc029d611da96985d366f9dbaec1bf1daee24959ebe68d24430392e60",
+        "response": "d96e4b357edb8a1b4cbe797a607f7d01987223ce2455ff0a14fa3e2cc1527804",
+        "error": "bada549c48c4f258745d725b7a9d774dde7ab0ad12420df5ec3ed40bbd8835f3",
+        "goodbye": "e537af54995af671bab3116b0f74401f8039209acd4052d559365c5766599d84",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_frame_digest(self, name):
+        envelope = self.ENVELOPES[name]
+        frame = encode_frame(envelope)
+        assert hashlib.sha256(frame).hexdigest() == self.DIGESTS[name]
+        assert _receive_fed(frame) == envelope
+
+
 # ---------------------------------------------------------------------------
 # Wire error codes
 # ---------------------------------------------------------------------------
@@ -358,6 +414,35 @@ def test_error_wire_roundtrips_preserve_details():
     failure = ExecutionError("kernel down")
     failure.__cause__ = RuntimeError("boom")
     assert failure.to_wire()["details"] == {"cause": "RuntimeError"}
+
+
+# Sample details for every class that declares some; the rest carry none.
+_SAMPLE_DETAILS = {
+    MissingKeyError: {"missing": [("galois", 3, 2), ("relin", 1)]},
+    SchemeMismatchError: {"expected": "hybrid", "got": "ckks"},
+    RateLimitedError: {"retry_after_seconds": 0.75},
+    CircuitOpenError: {"retry_after_seconds": 2.0},
+}
+
+
+@pytest.mark.parametrize("cls", sorted(wire_code_registry().values(),
+                                       key=lambda cls: cls.code),
+                         ids=lambda cls: cls.__name__)
+def test_every_registered_error_roundtrips_through_the_wire(cls):
+    """Every class in the registry crosses an ERROR frame as itself, with
+    its message and its details."""
+    details = _SAMPLE_DETAILS.get(cls, {})
+    sent = cls(f"{cls.__name__} happened", **details)
+    frame = Error.from_exception(sent, request_id=7)
+    body = encode_envelope(frame)
+    received = decode_envelope(body)
+    assert encode_envelope(received) == body
+    back = received.to_exception()
+    assert type(back) is cls and back.code == cls.code
+    assert str(back) == str(sent)
+    assert back.to_wire() == sent.to_wire()
+    for name, value in details.items():
+        assert getattr(back, name) == value
 
 
 def test_scheme_mismatch_holds_code_31_and_roundtrips():

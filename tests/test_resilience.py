@@ -41,7 +41,6 @@ from repro.fhe.rns import RNSPolynomial
 from repro.serve import (
     CORRUPTIBLE_KERNELS,
     AdmissionController,
-    BreakerBoard,
     CircuitBreaker,
     CircuitOpenError,
     CorruptPayloadError,
@@ -415,17 +414,31 @@ def test_breaker_failed_probe_reopens():
     assert breaker.retry_after() == pytest.approx(0.5)
 
 
-def test_breaker_board_stats_aggregate():
+def test_server_breaker_stats_aggregate(monkeypatch):
+    """``stats()["breakers"]`` aggregates one breaker per (tenant,
+    program) that has executed, and names none that has not."""
     clock = ManualClock()
-    board = BreakerBoard(lambda: CircuitBreaker(failure_threshold=1,
-                                                clock=clock))
-    board.get(("t0", "dense")).record_failure()
-    board.get(("t1", "dense")).record_success()
-    stats = board.stats()
+    server, _, _ = _dense_server(
+        TOY, PYTHON, tenants=("t0", "t1", "t2"), clock=clock,
+        resilience=ResiliencePolicy(retry=RetryPolicy(max_attempts=1),
+                                    failure_threshold=1))
+    original = ProgramExecutor.run
+
+    def broken(self, program, inputs, optimize=True):
+        raise RuntimeError("backend down")
+
+    monkeypatch.setattr(ProgramExecutor, "run", broken)
+    failed = server.serve(
+        [InferenceRequest.single("t0", "dense", _random_ct(TOY, 1))],
+        return_exceptions=True)[0]
+    assert isinstance(failed, ExecutionError)
+    monkeypatch.setattr(ProgramExecutor, "run", original)
+    server.serve([InferenceRequest.single("t1", "dense", _random_ct(TOY, 2))])
+    stats = server.stats()["breakers"]
     assert stats["open_now"] == 1
     assert stats["states"] == {"t0/dense": "open", "t1/dense": "closed"}
-    assert stats["transitions"]["opened"] == 1
-    assert board.peek(("t2", "dense")) is None
+    assert stats["transitions"] == {"opened": 1, "half_opened": 0,
+                                    "closed": 0}
 
 
 def test_server_breaker_sheds_then_recovers(monkeypatch):

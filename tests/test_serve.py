@@ -53,7 +53,6 @@ from repro.serve import (
     MissingKeyError,
     OversizeBatchError,
     ParameterMismatchError,
-    PlanCache,
     ScaleMismatchError,
     SchemeMismatchError,
     SerializationError,
@@ -219,7 +218,7 @@ def test_batched_equals_sequential(params, backend):
     # The joint plan actually batches: one stacked conversion group spans
     # all five requests' input conversions.
     planned = server.plan_cache.get(("dense", params.max_level,
-                                     float(params.scale), 5), None)
+                                     float(params.scale), 5))
     assert planned.stats["stacked_conversion_groups"] >= 1
 
 
@@ -1002,56 +1001,99 @@ class TestLRUCache:
 
 
 class TestPlanCache:
-    def _build(self, level=None):
-        params = TOY
-        trace = HETrace(params)
-        x = trace.input("x", level=level)
-        trace.output("y", x.rotate(1) + x)
-        return trace.program
+    """The server's plan cache, read through ``stats()["plan_cache"]``:
+    every miss is one planner call, and a hit plans nothing."""
+
+    def _server(self, capacity):
+        server, _, _ = _dense_server(TOY, PYTHON,
+                                     plan_cache_capacity=capacity)
+        server.register_program("sum", lambda x: x + x)
+        server.register_program("low", lambda x: x + x,
+                                level=TOY.max_level - 1)
+        return server
+
+    def _serve_one(self, server, program, level=None):
+        server.serve([InferenceRequest.single(
+            "t0", program, _random_ct(TOY, 5, level=level))])
+        return server.stats()["plan_cache"]
 
     def test_hit_skips_replanning(self):
-        cache = PlanCache(capacity=4)
-        planned_a = cache.get(("p", 3), self._build)
-        assert cache.planner_calls == 1
-        planned_b = cache.get(("p", 3), self._build)
-        assert planned_b is planned_a          # same object, no re-plan
-        assert cache.planner_calls == 1        # the regression counter
-        cache.get(("p", 2), lambda: self._build(level=2))
-        assert cache.planner_calls == 2
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 2
+        server = self._server(capacity=4)
+        # Validation plans width 1 (a miss); execution at width 1 hits it.
+        stats = self._serve_one(server, "sum")
+        assert stats["planner_calls"] == 1
+        assert stats["hits"] == 1 and stats["misses"] == 1
+        stats = self._serve_one(server, "sum")
+        assert stats["planner_calls"] == 1     # the regression counter
+        assert stats["hits"] == 3 and stats["misses"] == 1
+        stats = self._serve_one(server, "low", level=TOY.max_level - 1)
         assert stats["planner_calls"] == 2
+        assert stats["hits"] == 4 and stats["misses"] == 2
+        assert stats["planner_calls"] == stats["misses"]
+        assert stats["size"] == 2 and stats["evictions"] == 0
 
     def test_capacity_evicts_and_replans(self):
-        cache = PlanCache(capacity=1)
-        cache.get(("a",), self._build)
-        cache.get(("b",), self._build)         # evicts ("a",)
-        cache.get(("a",), self._build)         # must re-plan
-        assert cache.planner_calls == 3
-        assert cache.stats()["evictions"] == 2
+        server = self._server(capacity=1)
+        self._serve_one(server, "sum")
+        self._serve_one(server, "low", level=TOY.max_level - 1)  # evicts sum
+        stats = self._serve_one(server, "sum")                   # re-plans
+        assert stats["planner_calls"] == 3
+        assert stats["evictions"] == 2
+        assert stats["size"] == 1 and stats["capacity"] == 1
 
 
 def test_server_plan_cache_hit_skips_replanning():
     server, _, _ = _dense_server(TOY, PYTHON)
     cts = [_random_ct(TOY, 3 * i) for i in range(3)]
     server.serve([InferenceRequest.single("t0", "dense", ct) for ct in cts])
-    calls_first = server.plan_cache.planner_calls
+    calls_first = server.stats()["plan_cache"]["planner_calls"]
     server.serve([InferenceRequest.single("t0", "dense", ct) for ct in cts])
     # Second identical pass: every plan (validation width-1 and joint
     # width-3) is a cache hit; the planner never runs again.
-    assert server.plan_cache.planner_calls == calls_first
-    assert server.stats()["plan_cache"]["hits"] > 0
+    stats = server.stats()["plan_cache"]
+    assert stats["planner_calls"] == calls_first
+    assert stats["hits"] > 0
 
 
 def test_server_key_cache_reuse_across_batches():
     server, _, _ = _dense_server(TOY, PYTHON)
     request = [InferenceRequest.single("t0", "dense", _random_ct(TOY, 1))]
     server.serve(request)
-    misses = server.key_cache.stats()["misses"]
+    misses = server.stats()["key_cache"]["misses"]
     server.serve([InferenceRequest.single("t0", "dense", _random_ct(TOY, 2))])
-    stats = server.key_cache.stats()
+    stats = server.stats()["key_cache"]
     assert stats["misses"] == misses           # no new key materialization
     assert stats["hits"] >= misses
+
+
+_CACHE_KEYS = {"size", "capacity", "hits", "misses", "evictions", "hit_rate"}
+
+
+def test_server_stats_schema_is_pinned():
+    """The key set of ``stats()``, nested, on a served server — operators
+    and the repo benchmark read these names (values are not pinned)."""
+    server, _, _ = _dense_server(TOY, PYTHON)
+    server.serve([InferenceRequest.single("t0", "dense", _random_ct(TOY, i))
+                  for i in range(2)])
+    stats = server.stats()
+    assert set(stats) == {
+        "submitted", "served", "rejected", "failed", "batches",
+        "batched_requests", "unbatched_fallbacks", "retries",
+        "execution_failures", "deadline_exceeded",
+        "output_validation_failures", "rejections", "failures", "tenants",
+        "batch_size_histogram", "batching_efficiency", "plan_cache",
+        "key_cache", "admission", "breakers", "pending", "queue_depth",
+    }
+    assert set(stats["plan_cache"]) == _CACHE_KEYS | {"planner_calls"}
+    assert set(stats["key_cache"]) == _CACHE_KEYS
+    assert set(stats["breakers"]) == {"open_now", "transitions", "states"}
+    assert set(stats["breakers"]["transitions"]) == {
+        "opened", "half_opened", "closed"}
+    assert set(stats["breakers"]["states"]) == {"t0/dense"}
+    assert set(stats["tenants"]) == {"t0"}
+    assert set(stats["tenants"]["t0"]) == {
+        "submitted", "served", "rejected", "failed"}
+    assert stats["admission"] is None
 
 
 @needs_numpy
