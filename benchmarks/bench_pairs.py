@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are nine families of fast-path /
+exactness is asserted in tier-1; left here are ten families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -28,6 +28,8 @@ the speed-up (the fast path reads ``(1.0)``):
 * the native (C) vs the golden word-32 multiply-accumulate on one keyswitch
   ``limbs_eval_mac`` (N = 2^11, 12 limbs, 3 digits x 2 components) — the
   same;
+* the native (C) vs the golden word-32 fixed-scalar product on one ModDown
+  ``batched_sub_scaled`` (N = 2^11, 9 limbs, 30-bit) — the same;
 * the native (C) vs the numpy TFHE gadget decomposition on one blind-rotation
   wave's ``gadget_decompose_rows`` (32 rows, N = 256, 5 levels, the hybrid
   31-bit modulus) — the same.
@@ -320,6 +322,38 @@ def test_word32_eval_mac(benchmark, eval_mac_operands, core, monkeypatch):
     # Key images outside the timing (the golden handle takes them on first use).
     backend.limbs_eval_mac(contexts, digits, handles)
     benchmark(backend.limbs_eval_mac, contexts, digits, handles)
+
+
+# ---------------------------------------------------------------------------
+# native vs golden word-32 fixed-scalar product, ModDown's shape
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def mod_down_operands():
+    """ModDown's ``(a - b) * P^-1`` over 9 30-bit limbs at N = 2^11: the
+    accumulator, the converted special part and the scalars."""
+    import numpy as np
+
+    degree = 1 << 11
+    moduli = modmath.find_ntt_primes(30, degree, 9)
+    column = np.array(moduli, dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(0x5CA1E)
+    a, b = (rng.integers(0, 1 << 62, size=(9, degree), dtype=np.uint64) % column
+            for _ in range(2))
+    scalars = [int(v) for v in rng.integers(1, 1 << 29, size=9)]
+    return a, b, scalars, moduli
+
+
+@pytest.mark.benchmark(
+    group="native vs golden: word-32 batched_sub_scaled (N=2^11, 9 limbs, 30-bit)")
+@pytest.mark.parametrize("core", ["native", "golden"])
+def test_word32_sub_scaled(benchmark, mod_down_operands, core, monkeypatch):
+    if core == "native" and native.library() is None:
+        pytest.skip("the native library did not build on this box")
+    if core == "golden":
+        # Without the library the fixed-scalar product is the golden one.
+        monkeypatch.setattr(native, "library", lambda: None)
+    benchmark(NumpyBackend().batched_sub_scaled, *mod_down_operands)
 
 
 # ---------------------------------------------------------------------------

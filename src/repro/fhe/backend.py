@@ -14,11 +14,11 @@ here.  Two implementations are registered:
   and a single coefficient row (the stack of one) run the same transform
   and element-wise code.  The family is parameterised by *word size* only.
   Products of operands up to 32 bits are computed directly in a 64-bit
-  word.  The negacyclic NTT and the multiply-accumulates are C
-  (:mod:`repro.fhe.native`) at both word sizes: below 2^32, and for the
-  33..62-bit primes of :mod:`repro.fhe.params` with 128-bit products.
-  Where no library loaded, every transform and multiply-accumulate is the
-  golden kernel.  The word size is read off the moduli; there is no switch
+  word.  The negacyclic NTT, the fixed-scalar products and the
+  multiply-accumulates are C (:mod:`repro.fhe.native`) at both word sizes:
+  below 2^32, and for the 33..62-bit primes of :mod:`repro.fhe.params` with
+  128-bit products.  Where no library loaded, every transform, fixed-scalar
+  product and multiply-accumulate is the golden kernel.  The word size is read off the moduli; there is no switch
   to set.
   It subclasses the python backend: moduli that do not fit this scheme
   (>= 2^62, or even moduli in a transform) transparently fall back to the
@@ -247,8 +247,8 @@ class BConvPlan:
     complement ``(Q/q_i) mod p_j`` — i.e. the ``(target x source)`` matrix of
     the fast-basis-conversion matrix product.  Plans are built once per
     ``(source, target)`` basis pair (see :mod:`repro.fhe.rns`); ``cache``
-    holds backend-derived tables (Shoup constants etc.) keyed by backend
-    name.
+    holds backend-derived tables (the numpy backend's weight matrix and the
+    addresses its MAC reads) keyed by backend name.
     """
 
     __slots__ = ("source_moduli", "target_moduli", "inverses", "weights", "cache")
@@ -919,107 +919,26 @@ for _kernel in KERNELS:
 # * word 32 — every modulus fits 32 bits, so a product of two reduced values
 #   fits one 64-bit word: ``beta = 2^32`` Shoup constants, values fully
 #   reduced after every step;
-# * word 64 — moduli up to 62 bits: the library's Harvey-lazy transforms
-#   and 128-bit multiply-accumulate, ``beta = 2^64`` constants.
+# * word 64 — moduli up to 62 bits: the library's Harvey-lazy transforms,
+#   128-bit products and multiply-accumulate, ``beta = 2^64`` constants.
 #
-# Transforms pick the library's entry of the word size in
-# :func:`_native_transform`, fixed-operand products branch in
-# :func:`_fixed_mul`, eval-domain products in :func:`_eval_mul`; nothing else
-# does.  The library's multiply-accumulate (:func:`_mac`), ``mac32`` or
-# ``mac64``, is what the keyswitch MAC, the plaintext MAC, BConv and the
-# TFHE external product run on, and it holds the TFHE gadget decomposition
-# below 2^32 (:func:`_decompose32`).  Without the library every transform
-# and multiply-accumulate, at either word size, is the golden kernel
-# (``super()``): there are no transform tables then.  The fixed-scalar
-# products (:func:`_fixed_mul`), the element-wise kernels and the int64
-# gadget decomposition stay numpy either way.
+# The library's entry of the word size is picked in one place per family:
+# :func:`_native_transform` for the transforms, :meth:`NumpyBackend._scale`
+# for the fixed-scalar products ``(x - y) * s`` (``scale32`` / ``scale64``:
+# ModDown, Rescale, BConv's source scaling, ``limbs_scalar_mul`` and the
+# centred lift's Garner digits), :func:`_mac` for the multiply-accumulate
+# (``mac32`` / ``mac64``: the keyswitch MAC, the plaintext MAC, BConv and the
+# TFHE external product); :func:`_eval_mul` branches for eval-domain
+# products, and the TFHE gadget decomposition below 2^32 is
+# :func:`_decompose32`.  Without the library every transform, fixed-scalar
+# product and multiply-accumulate, at either word size, is the golden kernel
+# (``super()``): there are no transform tables then.  The element-wise
+# kernels and the int64 gadget decomposition stay numpy either way.
 
 if _np is not None:
-    _M32 = _np.uint64(0xFFFFFFFF)
-    _S32 = _np.uint64(32)
-
     def _word(moduli) -> int:
-        """Word size of the fixed-operand constants for these moduli."""
+        """Word size of the library entry points for these moduli."""
         return 32 if all(int(q).bit_length() <= 32 for q in moduli) else 64
-
-    def _shoup32_mul(y, w, s32, q_u):
-        """``w * y mod q`` for ``q < 2^32`` via *direct* single-word products.
-
-        ``s32 = floor(w * 2^32 / q)``.  Every product fits one 64-bit word,
-        and the result comes out fully reduced into ``[0, q)``.  Precondition:
-        ``y < 2^32`` (holds whenever the operands stay reduced below ``q``).
-        """
-        t = (y * s32) >> _S32
-        r = y * w - t * q_u          # true value in [0, 2q); wraps cancel
-        return _np.minimum(r, r - q_u)
-
-    def _shoup_mul_relaxed(y, w, ws_lo, ws_hi, q_u):
-        """``w * y mod q`` up to THREE extra ``q``: result in ``[0, 4q)``,
-        for any uint64 ``y`` (the word-64 fixed-scalar multiply).
-
-        ``ws = floor(w * 2^64 / q)`` comes split into 32-bit halves.  The
-        high word of ``y * ws`` is estimated without the low-low partial
-        product: with ``t' = hi*hi + (hi*lo >> 32) + (lo*hi >> 32)`` the
-        exact quotient satisfies ``t' <= t <= t' + 2``, so the remainder
-        picks up at most ``2q`` beyond the lazy ``[0, 2q)`` bound; callers
-        reduce from ``[0, 4q)`` (requires ``4q < 2^64``).
-        """
-        y_lo = y & _M32
-        y_hi = y >> _S32
-        mid1 = y_hi * ws_lo
-        mid2 = y_lo * ws_hi
-        mid1 >>= _S32
-        mid2 >>= _S32
-        t = y_hi * ws_hi
-        t += mid1
-        t += mid2
-        t *= q_u
-        result = y * w
-        result -= t
-        return result               # wraps mod 2^64; true value is < 4q
-
-    def _fixed_operand(rows, moduli, word: int) -> tuple:
-        """Fixed multiplicands with their Shoup constants, one row per modulus.
-
-        ``rows[i]`` holds the operands used under ``moduli[i]`` (reduced
-        here).  Returns the ``(L, len(rows[i]))`` uint64 arrays the Shoup
-        multiplies take after ``y``: ``(w, floor(w * 2^32 / q))`` for word
-        32, and ``(w, lo, hi)`` — ``floor(w * 2^64 / q)`` pre-split into
-        32-bit halves so the hot loops skip two mask/shift ops — for word 64.
-        """
-        w, shoup = [], []
-        for row, q in zip(rows, moduli):
-            for v in row:
-                v = int(v) % q
-                w.append(v)
-                shoup.append((v << word) // q)
-
-        shape = (len(moduli), len(rows[0]) if rows else 0)
-
-        def array(flat):
-            # Flat then reshaped: numpy converts nested lists far slower.
-            return _np.array(flat, dtype=_np.uint64).reshape(shape)
-
-        if word == 32:
-            return array(w), array(shoup)
-        return (
-            array(w),
-            array([s & 0xFFFFFFFF for s in shoup]),
-            array([s >> 32 for s in shoup]),
-        )
-
-    def _fixed_mul(y, operand, q, word: int):
-        """``y * w mod q`` against a :func:`_fixed_operand`, fully reduced.
-
-        The one place a fixed-operand product branches on the word size.
-        Word 32 needs ``y < 2^32`` (reduced inputs); word 64 takes any
-        uint64 ``y``.
-        """
-        if word == 32:
-            return _shoup32_mul(y, *operand, q)
-        v = _shoup_mul_relaxed(y, *operand, q)
-        v = _np.minimum(v, v - (q + q))
-        return _np.minimum(v, v - q)
 
     def _shoup_table(context, word: int):
         """The native core's constants for one ``(N, q)``: one array of
@@ -1030,7 +949,7 @@ if _np is not None:
         for twiddles in (context._fwd_twiddles, context._inv_twiddles):
             w = _np.array(twiddles, dtype=_np.uint64)
             # floor(w 2^64 / q) needs 128 bits: python ints.
-            shoup = ((w << _S32) // _np.uint64(q) if word == 32
+            shoup = ((w << _np.uint64(32)) // _np.uint64(q) if word == 32
                      else [(int(v) << 64) // q for v in twiddles])
             parts += [w, _np.array(shoup, dtype=_np.uint64)]
         return _np.concatenate(parts).astype(f"uint{word}")
@@ -1170,8 +1089,8 @@ if _np is not None:
 
 
 class NumpyBackend(PythonBackend):
-    """Vectorized uint64 backend (direct-word or Shoup reduction, and the
-    native library's transforms and multiply-accumulates).
+    """Vectorized uint64 backend (direct-word reduction, and the native
+    library's transforms, fixed-scalar products and multiply-accumulates).
 
     Every kernel it cannot vectorize falls back to the golden one it
     inherits, through ``super()``.  ``min_vector_length`` /
@@ -1190,11 +1109,15 @@ class NumpyBackend(PythonBackend):
 
     Every transform-carrying kernel goes through :func:`_ntt` / :func:`_intt`:
     the C loops of :mod:`repro.fhe.native` at the word size of the moduli.
-    Each transform and multiply-accumulate kernel has one fast body, the
+    Each transform, fixed-scalar product (``batched_sub_scaled``,
+    ``limbs_scalar_mul``, BConv's source scaling, the centred lift's Garner
+    digits) and multiply-accumulate kernel has one fast body, the
     library's: where it did not load they are the golden kernels, at either
     word size.  That is the price of an install without a compiler: the
     transform-bound workloads of ``benchmarks/e2e`` run 50-110x fewer
-    operations per second than with the library (2-core x86 container).
+    operations per second than with the library, and a ModDown-shaped
+    ``batched_sub_scaled`` (9 limbs, N = 2^11, 30-bit) takes ≈ 100x longer
+    (``benchmarks/bench_pairs.py``; 2-core x86 container).
     Tables are cached per context tuple in :meth:`_tables`; what costs
     memory is held once per ``(N, q)``.
     """
@@ -1284,11 +1207,32 @@ class NumpyBackend(PythonBackend):
         lib = _native.library()
         return None if lib is None else _product(lib, x, y, self._q_col(moduli))
 
-    def _scale(self, x, scalars, moduli):
-        """Row ``i`` of ``x`` times the fixed ``scalars[i]``, fully reduced."""
-        word = _word(moduli)
-        operand = _fixed_operand([[s] for s in scalars], moduli, word)
-        return _fixed_mul(x, operand, self._q_col(moduli), word)
+    def _scale(self, lib, x, scalars, moduli, y=None):
+        """``(x - y) * scalars[l] mod moduli[l]`` for each ``(..., L, n)``
+        row, ``l`` its limb (``y`` ``None``: ``x * scalars[l]``), fully
+        reduced, as a fresh uint64 array: the library's fixed-scalar product
+        of the word size, ``scale32`` / ``scale64``, in one pass.
+
+        ``x`` and ``y`` (which broadcasts to ``x``) hold reduced values; the
+        scalars are any integers, reduced here.
+        """
+        if x.ndim < 2 or not x.shape[-2] == len(scalars) == len(moduli):
+            raise ValueError(f"{x.shape} is not rows over {len(moduli)} limbs "
+                             f"and {len(scalars)} scalars")
+        x = _np.ascontiguousarray(x, dtype=_np.uint64)
+        if y is not None:
+            # broadcast_to costs as much as the rest of the call's set-up.
+            y = _np.ascontiguousarray(
+                y if y.shape == x.shape else _np.broadcast_to(y, x.shape),
+                dtype=_np.uint64)
+        s = _np.array([int(v) % int(q) for v, q in zip(scalars, moduli)],
+                      dtype=_np.uint64)
+        out = _np.empty(x.shape, dtype=_np.uint64)
+        getattr(lib, f"scale{_word(moduli)}")(
+            out.ctypes.data, x.ctypes.data, None if y is None else y.ctypes.data,
+            math.prod(x.shape[:-1]), x.shape[-1], len(moduli), s.ctypes.data,
+            self._q_col(moduli).ctypes.data)
+        return out
 
     @staticmethod
     def _perm_arrays(spec: "PermSpec"):
@@ -1467,14 +1411,14 @@ class NumpyBackend(PythonBackend):
         # the golden CRT.
         moduli = tuple(moduli)
         x = self._matrix(store) if self._moduli_fit(moduli) else None
-        if not self._limbs_ok(moduli, x) or len(x) != len(moduli):
+        lib = _native.library()
+        if lib is None or not self._limbs_ok(moduli, x) or len(x) != len(moduli):
             return super().limbs_centered_lift(store, moduli)
         prefix, steps = _garner_prefix(moduli)
         value = x[0]
         for row, q, (radix, inverse) in zip(x[1:], moduli[1:], steps):
-            q_u = _np.uint64(q)
-            digit = self._scale(
-                self._sub(row, value % q_u, q_u)[None, :], (inverse,), (q,))[0]
+            digit = self._scale(lib, row[None, :], (inverse,), (q,),
+                                value[None, :] % _np.uint64(q))[0]
             value = value + digit * _np.uint64(radix)
         value = value.view(_np.int64)                    # in [0, P), P < 2^62
         lifted = _np.where(value > prefix // 2, value - prefix, value)
@@ -1612,38 +1556,36 @@ class NumpyBackend(PythonBackend):
 
     def limbs_scalar_mul(self, a, scalars, moduli):
         x = self._matrix(a)
-        if not self._limbs_ok(moduli, x):
+        lib = _native.library()
+        if lib is None or not self._limbs_ok(moduli, x):
             return super().limbs_scalar_mul(a, scalars, moduli)
-        return self._scale(x, scalars, moduli)
+        return self._scale(lib, x, scalars, moduli)
 
     def batched_sub_scaled(self, a, b, scalars, moduli, b_modulus=None):
         x = self._matrix(a)
         y = self._matrix(b)
-        if y is None or not self._limbs_ok(moduli, x):
+        lib = _native.library()
+        if lib is None or y is None or not self._limbs_ok(moduli, x):
             return super().batched_sub_scaled(a, b, scalars, moduli, b_modulus)
-        q = self._q_col(moduli)
         if y.ndim == 1:
             # One row shared by every limb: re-reduce it per target modulus.
+            q = self._q_col(moduli)
             if b_modulus is not None and all(b_modulus <= 2 * int(qi) for qi in moduli):
                 # Similar-magnitude moduli: one conditional subtraction per row.
                 y = _np.minimum(y, y - q)
             else:
                 y = y % q
-        return self._scale(self._sub(x, y, q), scalars, moduli)
+        return self._scale(lib, x, scalars, moduli, y)
 
     def _bconv_tables(self, plan: "BConvPlan"):
         tables = plan.cache.get("numpy")
         if tables is None:
-            word = _word(plan.source_moduli + plan.target_moduli)
-            inverses = _fixed_operand(
-                [[inv] for inv in plan.inverses], plan.source_moduli, word
-            )
             # The (targets, sources) weights, reduced, and the address of
             # each: what the native MAC reads.
             matrix = _np.array(plan.weights, dtype=_np.uint64)
             cells = matrix.ctypes.data + _np.arange(
                 matrix.size, dtype=_np.uintp).reshape(matrix.shape) * _np.uintp(8)
-            tables = (word, inverses, matrix, cells)
+            tables = (_word(plan.source_moduli + plan.target_moduli), matrix, cells)
             plan.cache["numpy"] = tables
         return tables
 
@@ -1659,14 +1601,15 @@ class NumpyBackend(PythonBackend):
             or not self._moduli_fit(plan.source_moduli + plan.target_moduli)
         ):
             return super().bconv_matmul(stores, plan)
-        word, inverses, matrix, cells = self._bconv_tables(plan)
+        word, matrix, cells = self._bconv_tables(plan)
         q_tgt = self._q_col(plan.target_moduli)
-        # Step 1, for the whole wave at once: x_i * (Q/q_i)^{-1} mod q_i,
-        # fully reduced — the weighted sum needs the canonical residue in
-        # [0, q_i), not a lazy representative (a different representative
-        # would shift the result by k * q_i * w mod p_j).
-        scaled = _fixed_mul(_np.stack(mats), inverses,
-                            self._q_col(plan.source_moduli), word)
+        # Step 1, for the whole wave at once, one (members * sources, n)
+        # pass: x_i * (Q/q_i)^{-1} mod q_i, fully reduced — the weighted sum
+        # needs the canonical residue in [0, q_i), not a lazy representative
+        # (a different representative would shift the result by k * q_i * w
+        # mod p_j).
+        scaled = self._scale(lib, _np.stack(mats), plan.inverses,
+                             plan.source_moduli)
         members, sources, n = scaled.shape
         # Output (member m, target t) sums member m's scaled rows, row i
         # times the scalar weight (t, i).
@@ -1780,21 +1723,17 @@ class NumpyBackend(PythonBackend):
         return idx
 
     def stacked_gather(self, stores, spec):
-        if (
-            not stores
-            or not all(isinstance(s, _np.ndarray) for s in stores)
-            or len({s.shape for s in stores}) != 1
-        ):
+        if not all(isinstance(s, _np.ndarray) for s in stores):
             return super().stacked_gather(stores, spec)
-        # One gather for all stores.
-        mats = [self._matrix(s) for s in stores]
-        return list(_np.stack(mats)[..., self._gather_index(spec)])
+        # One take per store: stacking them first would copy every store.
+        index = self._gather_index(spec)
+        return [_np.take(self._matrix(s), index, axis=-1) for s in stores]
 
     def limbs_gather(self, store, spec):
         x = self._matrix(store)
         if x is None or x.size < self.min_vector_length:
             return super().limbs_gather(store, spec)
-        return x[..., self._gather_index(spec)]
+        return _np.take(x, self._gather_index(spec), axis=-1)
 
     def limbs_signed_permute(self, store, moduli, spec):
         x = self._matrix(store)

@@ -397,8 +397,8 @@ def _accumulate(hoisted: HoistedDigits, keyswitch_key, galois_element):
     contexts = hoisted.contexts
     digit_stores = hoisted.digits
     if galois_element is not None:
-        # All digits permute under one gather — a single stacked
-        # (beta, L, N) dispatch instead of one gather per digit.
+        # All digits permute under one gather — a single dispatch for
+        # the beta digits instead of one per digit.
         spec = galois_eval_spec(n, galois_element)
         digit_stores = backend.stacked_gather(digit_stores, spec)
     handles = _eval_key_handles(keyswitch_key, backend, contexts)

@@ -1,7 +1,8 @@
 /*
- * The numpy backend's native library: the negacyclic NTT / INTT and one
- * multiply-accumulate at two word sizes, and the TFHE gadget decomposition.
- * Word 32 takes every modulus below 2^32, word 64 every modulus below 2^62.
+ * The numpy backend's native library: the negacyclic NTT / INTT, one
+ * fixed-scalar product and one multiply-accumulate at two word sizes, and
+ * the TFHE gadget decomposition.  Word 32 takes every modulus below 2^32,
+ * word 64 every modulus below 2^62.
  *
  * The transforms run in place over a contiguous (rows, n) uint64 array.
  * Row r runs under tables[r % limbs], each one array laid out by
@@ -21,6 +22,12 @@
  * sum below 2q and feeds x + 2q - y < 4q to the Shoup product.  Both leave
  * every value fully reduced.
  *
+ * scale32 / scale64 compute (a - b) s mod q row by row, a and b reduced
+ * below q.  Word 32: d = a + q - b is in (0, 2q), one correction brings it
+ * below q < 2^32, which is what shoup_mul needs, and shoup_mul reduces
+ * fully.  Word 64: a + q - b < 2q < 2^63, shoup64 takes any input and
+ * returns [0, 2q), and one correction follows.
+ *
  * decompose32's quotients floor((2 res + f) / (2 f)) are a truncated double
  * product with one integer correction.  The residual stays in [-q/2, q/2]
  * and 0 < f < q < 2^32, so 2 res + f and 2 f (below 2^34) are exact doubles,
@@ -39,10 +46,14 @@
  * butterflies of one group and the group loop vectorizes instead, and a
  * transform runs 1.6-1.9x faster (2-vCPU AVX-512 x86).  gcc 12, -O3
  * -march=native -fopt-info-vec-optimized reports there, per direction:
- *   native.c:90:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:101:26: optimized: loop vectorized using 64 byte vectors
  * three times (the group loop at t = 4, 2, 1) and
- *   native.c:93:30: optimized: loop vectorized using 64 byte vectors
- * once (the j-loop, t >= 8).
+ *   native.c:104:30: optimized: loop vectorized using 64 byte vectors
+ * once (the j-loop, t >= 8).  It reports scale32's two row loops (without
+ * and with b) vectorized too:
+ *   native.c:245:34: optimized: loop vectorized using 64 byte vectors
+ *   native.c:250:30: optimized: loop vectorized using 64 byte vectors
+ * scale64's are not: the 64 x 64 -> 128-bit product has no vector form.
  *
  * Every reduction and correction step carries a unique step tag; removing
  * the step it marks makes a test in tests/test_native.py fail.
@@ -212,6 +223,64 @@ void ntt64_inverse(uint64_t *x, size_t rows, size_t n, size_t limbs,
 {
     for (size_t r = 0; r < rows; r++)
         inverse_row64(x + r * n, n, tables[r % limbs]);
+}
+
+/*
+ * out[r] = (a[r] - b[r]) s mod q, fully reduced, with s = scalars[r % limbs]
+ * and q = moduli[r % limbs] (ModDown, Rescale, BConv's source scaling), over
+ * contiguous (rows, n) uint64 arrays whose rows are reduced under their own
+ * modulus, as is each scalar; b NULL means no subtraction (out[r] = a[r] s).
+ * The Shoup constant of s is made once per row.
+ */
+void scale32(uint64_t *out, const uint64_t *a, const uint64_t *b, size_t rows,
+             size_t n, size_t limbs, const uint64_t *scalars,
+             const uint64_t *moduli)
+{
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t q = moduli[r % limbs], s = scalars[r % limbs];
+        const uint64_t ss = (s << 32) / q;
+        const uint64_t *x = a + r * n;
+        uint64_t *z = out + r * n;
+        if (b == NULL) {
+            for (size_t j = 0; j < n; j++)
+                z[j] = shoup_mul(x[j], s, ss, q);
+            continue;
+        }
+        const uint64_t *y = b + r * n;
+        for (size_t j = 0; j < n; j++) {
+            uint64_t d = x[j] + q - y[j];                           /* (0, 2q) */
+            d = d >= q ? d - q : d;                     /* step: scale32-difference */
+            z[j] = shoup_mul(d, s, ss, q);
+        }
+    }
+}
+
+/* shoup64 of any y < 2^64, corrected from [0, 2q) into [0, q). */
+static inline uint64_t scale64_one(uint64_t y, uint64_t s, uint64_t ss, uint64_t q)
+{
+    const uint64_t r = shoup64(y, s, ss, q);
+    return r >= q ? r - q : r;                          /* step: scale64-correct */
+}
+
+/* scale32's contract for moduli below 2^62. */
+void scale64(uint64_t *out, const uint64_t *a, const uint64_t *b, size_t rows,
+             size_t n, size_t limbs, const uint64_t *scalars,
+             const uint64_t *moduli)
+{
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t q = moduli[r % limbs], s = scalars[r % limbs];
+        const uint64_t ss = (uint64_t)(((u128)s << 64) / q);
+        const uint64_t *x = a + r * n;
+        uint64_t *z = out + r * n;
+        if (b == NULL) {
+            for (size_t j = 0; j < n; j++)
+                z[j] = scale64_one(x[j], s, ss, q);
+            continue;
+        }
+        const uint64_t *y = b + r * n;
+        for (size_t j = 0; j < n; j++)
+            z[j] = scale64_one(x[j] + q - y[j], s, ss, q);         /* (0, 2q) */
+    }
 }
 
 /* w * y mod q up to one extra q ([0, 2q)), for y < 2^32 and w < q. */

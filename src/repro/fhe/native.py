@@ -1,12 +1,14 @@
 """The numpy backend's library of ``native.c``, compiled on first use
-(stdlib only): the negacyclic NTT / INTT and one multiply-accumulate
-(keyswitch MAC, plaintext MAC, BConv, the TFHE external product) at word
-32 (moduli below 2^32) and word 64 (below 2^62), and the TFHE gadget
-decomposition.
+(stdlib only): the negacyclic NTT / INTT, one fixed-scalar product
+(ModDown, Rescale, BConv's source scaling, ``limbs_scalar_mul``) and one
+multiply-accumulate (keyswitch MAC, plaintext MAC, BConv, the TFHE external
+product) at word 32 (moduli below 2^32) and word 64 (below 2^62), and the
+TFHE gadget decomposition.
 
 :func:`library` is the one entry point; ``None`` means the numpy backend's
-transforms and multiply-accumulates fall back to the golden kernels at
-either word size, and its gadget decomposition runs its int64 numpy body.
+transforms, fixed-scalar products and multiply-accumulates fall back to the
+golden kernels at either word size, and its gadget decomposition runs its
+int64 numpy body.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-#: The C source: a forward and an inverse transform and a multiply-accumulate
-#: per word size, one gadget decomposition.
+#: The C source: a forward and an inverse transform, a fixed-scalar product
+#: and a multiply-accumulate per word size, one gadget decomposition.
 SOURCE = Path(__file__).with_name("native.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -129,9 +131,11 @@ _P, _N = ctypes.c_void_p, ctypes.c_size_t
 SIGNATURES = {
     "ntt32_forward": (_P, _N, _N, _N, _P),
     "ntt32_inverse": (_P, _N, _N, _N, _P),
+    "scale32": (_P, _P, _P, _N, _N, _N, _P, _P),
     "mac32": (_P, _N, _N, _N, _P, _P, _N, _P),
     "ntt64_forward": (_P, _N, _N, _N, _P),
     "ntt64_inverse": (_P, _N, _N, _N, _P),
+    "scale64": (_P, _P, _P, _N, _N, _N, _P, _P),
     "mac64": (_P, _N, _N, _N, _P, _P, _N, _P),
     "decompose32": (_P, _P, _N, _N, ctypes.c_uint64, _N, _P),
 }

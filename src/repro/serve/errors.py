@@ -334,13 +334,21 @@ class ExecutionError(ServeError):
     """
 
     code = 50
+    details = ("cause",)
 
-    def wire_details(self) -> Dict[str, Any]:
-        # The chained kernel exception cannot cross the wire, but its type
-        # name is worth a remote operator's while.
-        if self.__cause__ is not None:
-            return {"cause": type(self.__cause__).__name__}
-        return {}
+    @property
+    def cause(self) -> Optional[str]:
+        """The chained exception's type name: the chained exception cannot
+        cross the wire, but its name is worth a remote operator's while.
+        Given on construction (an error rebuilt from the wire), else read
+        off ``__cause__``."""
+        if self._cause is None and self.__cause__ is not None:
+            return type(self.__cause__).__name__
+        return self._cause
+
+    @cause.setter
+    def cause(self, value: Optional[str]) -> None:
+        self._cause = value
 
 
 class CorruptResultError(ExecutionError):

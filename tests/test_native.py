@@ -1,5 +1,6 @@
-"""The compiled native library (transforms and multiply-accumulates at word
-32 and word 64, the gadget decomposition) and its loader.
+"""The compiled native library (transforms, fixed-scalar products and
+multiply-accumulates at word 32 and word 64, the gadget decomposition) and
+its loader.
 
 ``repro.fhe.native`` is standard library only, so the loader tests run on
 every CI leg; the parity tests need numpy and a library that built here
@@ -12,12 +13,15 @@ hand them; the three multiply-accumulate kernels (``limbs_eval_mac``,
 ``external_product_mac`` must equal the golden ones on the same moduli, at
 every term count the accumulator has an edge at, in the C loop and in the
 golden kernels an install without the library runs on numpy stores (every
-operand a uint64 scalar, at ``q - 1`` too); the gadget decomposition
-``gadget_decompose_rows`` must, at every modulus below 2^32, factor and
-value its float quotient has an edge at, in the C loop and in the int64
-numpy body an install without the library runs.  Whatever the loader
-returns, the results stay golden, and every reduction step of the C source
-carries a step tag (``tests/test_native_mutation.py`` removes each in turn).
+operand a uint64 scalar, at ``q - 1`` too); so must the fixed-scalar
+products ``batched_sub_scaled`` and ``limbs_scalar_mul`` on every chain, at
+``q - 1`` under the largest primes below 2^32 and 2^62, and for any integer
+scalar; the gadget decomposition ``gadget_decompose_rows`` must, at every
+modulus below 2^32, factor and value its float quotient has an edge at, in
+the C loop and in the int64 numpy body an install without the library runs.
+Whatever the loader returns, the results stay golden, and every reduction
+step of the C source carries a step tag (``tests/test_native_mutation.py``
+removes each in turn).
 """
 
 import collections
@@ -246,7 +250,8 @@ class TestCachedLibrary:
 #: backend runs these golden bodies through ``super()``.
 GOLDEN_WITHOUT_LIBRARY = ("ntt_forward_batch", "ntt_inverse_batch",
                           "limbs_eval_mac", "stacked_pmult_mac", "bconv_matmul",
-                          "external_product_mac")
+                          "external_product_mac", "batched_sub_scaled",
+                          "limbs_scalar_mul", "limbs_centered_lift")
 
 
 def _counting(body, name, calls):
@@ -264,9 +269,9 @@ def _counting(body, name, calls):
                                   "missing-entry-point"])
 def test_the_transforms_stay_golden_whatever_the_loader_returns(
         case, cache, failing_compiler, request, monkeypatch):
-    """The transforms, and the multiply-accumulate and TFHE wave kernels
-    with them: without a library there are no transform tables at either
-    word size, and each of those kernels is the golden body."""
+    """The transforms, and the fixed-scalar, multiply-accumulate and TFHE
+    wave kernels with them: without a library there are no transform tables
+    at either word size, and each of those kernels is the golden body."""
     compiler = {"no-compiler": None, "failing-compiler": failing_compiler}.get(
         case, native._compiler())
     if case in ("writable-file", "truncated-file", "missing-entry-point"):
@@ -298,6 +303,12 @@ def test_the_transforms_stay_golden_whatever_the_loader_returns(
     assert forward == PYTHON.ntt_forward_batch(context, rows)
     assert backend.ntt_inverse_batch(context, forward) == rows
     _check_macs(backend, 256, modmath.find_ntt_primes(32, 256, 4), 3, seed=5)
+    _scale_chain(backend, 256, modmath.find_ntt_primes(32, 256, 3), seed=5)
+    # Small coefficients, which the numpy lift certifies without the golden CRT.
+    moduli = tuple(modmath.find_ntt_primes(30, 256, 3))
+    values = list(range(-128, 128))
+    lifted = backend.limbs_centered_lift(backend.reduce_limbs(values, moduli, 256), moduli)
+    assert lifted == values
     q = context.modulus
     _decompose(backend, backend.pack_limbs(rows, (q,) * 3), q,
                gadget_factors(q, 64, 5))
@@ -308,6 +319,7 @@ def test_the_transforms_stay_golden_whatever_the_loader_returns(
     rows = [[rng.randrange(wide.modulus) for _ in range(64)] for _ in range(3)]
     assert backend.ntt_forward_batch(wide, rows) == PYTHON.ntt_forward_batch(wide, rows)
     _check_macs(backend, 64, modmath.find_ntt_primes(40, 64, 4), 3, seed=5)
+    _scale_chain(backend, 64, modmath.find_ntt_primes(40, 64, 3), seed=5)
     if lib is None:
         assert set(golden) == set(GOLDEN_WITHOUT_LIBRARY)
     else:
@@ -633,6 +645,22 @@ def _external_product(backend, q, n, members, levels, k, seed=0, edge=False):
     return expected
 
 
+def _sub_scaled(backend, moduli, a, b, scalars, b_modulus=None):
+    """``backend.batched_sub_scaled`` of ``a`` and ``b`` (a store, or one row
+    shared by every limb) and ``backend.limbs_scalar_mul`` of ``a`` against
+    the golden ones, leaving both inputs as they were; returns the golden
+    ``batched_sub_scaled``."""
+    np = pytest.importorskip("numpy")
+    before = [np.array(a, copy=True), np.array(b, copy=True)]
+    expected = PYTHON.batched_sub_scaled(_rows(a), _rows(b), scalars, moduli, b_modulus)
+    actual = backend.batched_sub_scaled(a, b, scalars, moduli, b_modulus)
+    assert _rows(actual) == expected
+    scaled = PYTHON.limbs_scalar_mul(_rows(a), scalars, moduli)
+    assert _rows(backend.limbs_scalar_mul(a, scalars, moduli)) == scaled
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+    return expected
+
+
 class _Route:
     """Which body ran: ``native`` says whether the C library should have,
     ``calls`` counts the calls of its entry points by name."""
@@ -672,7 +700,7 @@ def route(request, monkeypatch):
     """The C library where it built, counting its calls; and the numpy
     backend of an install without it (``no_native_library``): the int64
     numpy body of the gadget decomposition, and the golden kernels, on numpy
-    stores, of every multiply-accumulate."""
+    stores, of every fixed-scalar product and multiply-accumulate."""
     if request.param == "numpy":
         request.getfixturevalue("no_native_library")
     elif native.library() is None:
@@ -855,6 +883,126 @@ class TestNativeMacParity:
         n, moduli = chain
         _check_macs(NumpyBackend(min_vector_length=0, min_ntt_length=0), n, moduli,
                     terms, seed=seed, edge=edge)
+
+
+# ---------------------------------------------------------------------------
+# Native fixed-scalar parity: batched_sub_scaled and limbs_scalar_mul
+# ---------------------------------------------------------------------------
+
+#: The fixed-scalar product of each word size.
+SCALE = {32: "scale32", 64: "scale64"}
+
+
+def _scale_chain(backend, n, moduli, seed, edge=False):
+    """A full ``b`` store, then one shared ``b`` row (reduced under the last
+    modulus, Rescale's dropped limb) with and without ``b_modulus``, under
+    uniform scalars and their negatives."""
+    a, b = _stores(moduli, n, 2, seed, edge)
+    rng = random.Random(seed)
+    scalars = [rng.randrange(q) for q in moduli]
+    _sub_scaled(backend, moduli, a, b, scalars)
+    for hint in (moduli[-1], None):
+        _sub_scaled(backend, moduli, a, b[-1], [-s for s in scalars], hint)
+
+
+@needs_numpy
+class TestNativeScaleParity:
+    """ModDown's and Rescale's ``(a - b) * s`` and ``limbs_scalar_mul``'s
+    ``a * s`` (BConv's source scaling rides the MAC parity above): in the C
+    loop, and in the golden kernels an install without the library runs."""
+
+    @pytest.mark.parametrize("n,moduli", _chains(_word32_rings()),
+                             ids=lambda v: str(v) if isinstance(v, int) else f"{len(v)}q")
+    def test_every_word32_chain(self, route, n, moduli):
+        _scale_chain(route.backend(), n, moduli, seed=n)
+        route.check("scale32")
+
+    @pytest.mark.parametrize("n,moduli", _chains(_word64_rings()),
+                             ids=lambda v: str(v) if isinstance(v, int) else f"{len(v)}q")
+    def test_every_word64_chain(self, route, n, moduli):
+        _scale_chain(route.backend(), n, moduli, seed=n)
+        route.check("scale64")
+
+    @pytest.mark.parametrize("bits", [32, 62])
+    def test_the_largest_primes_at_q_minus_one(self, route, bits):
+        """Operands and scalars at ``q - 1``: ``a - b`` is then ``q - 1``
+        (``a + q - b = 2q - 1``, past 2^32 under the 32-bit primes) or
+        ``1 - q``, so each product is ``(q - 1)^2 = 1`` or ``q - 1``."""
+        np = pytest.importorskip("numpy")
+        n = 64
+        moduli = tuple(modmath.find_ntt_primes(bits, n, 3))
+        top = _stores(moduli, n, 1, seed=0, edge=True)[0]
+        zero = np.zeros_like(top)
+        scalars = [q - 1 for q in moduli]
+        backend = route.backend()
+        assert _sub_scaled(backend, moduli, top, zero, scalars) == [[1] * n] * 3
+        assert _sub_scaled(backend, moduli, zero, top, scalars) == [
+            [q - 1] * n for q in moduli]
+        assert _sub_scaled(backend, moduli, top, top[0], scalars, moduli[0]) == [
+            [0] * n] + [[(q - 1) * (q - moduli[0]) % q] * n for q in moduli[1:]]
+        _scale_chain(backend, n, moduli, seed=bits)
+        route.check(SCALE[32 if bits <= 32 else 64])
+
+    @pytest.mark.parametrize("bits", [30, 40])
+    def test_any_integer_scalar(self, route, bits):
+        """The golden kernels reduce ``s % q``: negative scalars, multiples
+        of ``q`` and scalars far above 2^64 read the same."""
+        n = 64
+        moduli = tuple(modmath.find_ntt_primes(bits, n, 3))
+        a, b = _stores(moduli, n, 2, seed=bits)
+        backend = route.backend()
+        for scalars in ([-1, -moduli[1], -(1 << 70) - 3],
+                        [(1 << 100) + 7, moduli[1], moduli[2] + 1],
+                        [0, 1, (1 << 64) + 1]):
+            _sub_scaled(backend, moduli, a, b, scalars)
+            _sub_scaled(backend, moduli, a, b[0], scalars, moduli[0])
+        route.check(SCALE[32 if bits <= 32 else 64])
+
+    @pytest.mark.parametrize("bits", [32, 40])
+    def test_layouts(self, route, bits):
+        """uint32 (wire-decoded), strided, Fortran-ordered and empty
+        ``(L, 0)`` stores read the same and are left as they were."""
+        np = pytest.importorskip("numpy")
+        n = 128
+        moduli = tuple(modmath.find_ntt_primes(bits, n, 3))
+        backend = route.backend()
+        # Values below 2^32, so every store has a uint32 copy.
+        a, b = (s & np.uint64(0xFFFFFFFF) for s in _stores(moduli, 2 * n, 2, seed=5))
+        scalars = [q // 3 for q in moduli]
+        empty = np.zeros((3, 0), dtype=np.uint64)
+        for x, y in ((a.astype(np.uint32), b.astype(np.uint32)),
+                     (a[:, ::2], b[:, 1::2]),
+                     (np.asfortranarray(a), np.asfortranarray(b)),
+                     (empty, empty)):
+            assert _sub_scaled(backend, moduli, x, y, scalars) == [
+                [(u - v) * s % q for u, v in zip(row_x, row_y)]
+                for row_x, row_y, s, q in zip(_rows(x), _rows(y), scalars, moduli)]
+            _sub_scaled(backend, moduli, x, y[-1], scalars, moduli[-1])
+        route.check(SCALE[32 if bits <= 32 else 64])
+
+    @needs_library
+    def test_rows_that_do_not_match_the_moduli_are_refused(self):
+        backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        moduli = tuple(modmath.find_ntt_primes(30, 64, 3))
+        a, b = _stores(moduli[:2], 64, 2, seed=6)
+        for kernel in (lambda: backend.limbs_scalar_mul(a, [1, 2, 3], moduli),
+                       lambda: backend.batched_sub_scaled(a, b, [1, 2, 3], moduli),
+                       lambda: backend.limbs_scalar_mul(a, [1], moduli[:2]),
+                       lambda: backend.batched_sub_scaled(a, b[0], [1], moduli[:2])):
+            with pytest.raises(ValueError, match="rows over"):
+                kernel()
+
+    @needs_library
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([c for c in _chains(_word32_rings()) + _chains(_word64_rings())
+                            if c[0] <= 256]),
+           st.integers(0, 1 << 16), st.booleans())
+    def test_sweep(self, chain, seed, edge):
+        """Chains of both word sizes up to N = 256, on the library (without
+        it, the kernels are golden against golden)."""
+        n, moduli = chain
+        _scale_chain(NumpyBackend(min_vector_length=0, min_ntt_length=0), n, moduli,
+                     seed=seed, edge=edge)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ CONDITIONAL = re.compile(r"[\w\[\]]+ (?:>=|>|<) [\w *]+? \? ([^:]+?) : ([\w\[\]]
 TAGS = STEP_TAG.findall(native.SOURCE.read_text())
 #: The native parity classes, in the order they run.
 PARITY = [f"{TESTS / 'test_native.py'}::{name}" for name in
-          ("TestNativeParity", "TestNativeMacParity", "TestNativeDecomposeParity")]
+          ("TestNativeParity", "TestNativeMacParity", "TestNativeScaleParity",
+           "TestNativeDecomposeParity")]
 
 
 def without_step(text, tag):
@@ -91,7 +92,7 @@ def run_parity(source, tmp_path, monkeypatch):
 
 
 def test_every_step_is_tagged_once():
-    assert len(TAGS) == len(set(TAGS)) == 19
+    assert len(TAGS) == len(set(TAGS)) == 21
 
 
 @pytest.mark.parametrize("tag", TAGS)

@@ -47,6 +47,7 @@ from repro.serve import (
     AdmissionController,
     CircuitOpenError,
     ConnectionClosedError,
+    CorruptResultError,
     DeadlineExceededError,
     ExecutionError,
     FaultInjectingBackend,
@@ -413,7 +414,13 @@ def test_error_wire_roundtrips_preserve_details():
 
     failure = ExecutionError("kernel down")
     failure.__cause__ = RuntimeError("boom")
+    assert failure.cause == "RuntimeError"
     assert failure.to_wire()["details"] == {"cause": "RuntimeError"}
+    # The client-side error names the cause it never saw raised.
+    back = Error.from_exception(failure, request_id=6).to_exception()
+    assert type(back) is ExecutionError and back.__cause__ is None
+    assert back.cause == "RuntimeError"
+    assert back.to_wire() == failure.to_wire()
 
 
 # Sample details for every class that declares some; the rest carry none.
@@ -422,6 +429,8 @@ _SAMPLE_DETAILS = {
     SchemeMismatchError: {"expected": "hybrid", "got": "ckks"},
     RateLimitedError: {"retry_after_seconds": 0.75},
     CircuitOpenError: {"retry_after_seconds": 2.0},
+    ExecutionError: {"cause": "RuntimeError"},
+    CorruptResultError: {"cause": "ValueError"},
 }
 
 
