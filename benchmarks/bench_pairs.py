@@ -19,20 +19,21 @@ the speed-up (the fast path reads ``(1.0)``):
   ``_multiply_coeff`` through multiply -> rescale -> multiply (same ring);
 * planned vs eager ``PackedBootstrap.refresh`` (N = 2^10, L = 13, 30-bit) —
   no e2e workload bootstraps;
-* the native (C) vs the golden word-32 transform on one ``stacked_ntt`` of
-  36 rows (N = 2^11, 30-bit) — the e2e workloads run only what the box
-  built, so this is the per-kernel price of an install without a compiler;
-* the native (C) vs the golden word-64 transform on one ``stacked_ntt`` of
+* the numpy backend's native (C) word-32 transform vs the python backend's
+  on one ``stacked_ntt`` of 36 rows (N = 2^11, 30-bit) — the e2e workloads
+  run only the numpy backend, and an install without a compiler runs the
+  python one, so this is that install's per-kernel price;
+* the native (C) vs the python word-64 transform on one ``stacked_ntt`` of
   the hybrid query's repack shape (16 stores of its 40/42-bit extended
   basis, N = 64) — the same;
-* the native (C) vs the golden word-32 multiply-accumulate on one keyswitch
+* the native (C) vs the python word-32 multiply-accumulate on one keyswitch
   ``limbs_eval_mac`` (N = 2^11, 12 limbs, 3 digits x 2 components) — the
   same;
-* the native (C) vs the golden word-32 fixed-scalar product on one ModDown
+* the native (C) vs the python word-32 fixed-scalar product on one ModDown
   ``batched_sub_scaled`` (N = 2^11, 9 limbs, 30-bit) — the same;
-* the native (C) vs the numpy TFHE gadget decomposition on one blind-rotation
-  wave's ``gadget_decompose_rows`` (32 rows, N = 256, 5 levels, the hybrid
-  31-bit modulus) — the same.
+* the native (C) vs the python TFHE gadget decomposition on one
+  blind-rotation wave's ``gadget_decompose_rows`` (32 rows, N = 256, 5
+  levels, the hybrid 31-bit modulus) — the same.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -46,21 +47,28 @@ import random
 
 import pytest
 
-pytest.importorskip("numpy")
-
-from repro.fhe import modmath, native
-from repro.fhe.backend import NumpyBackend, use_backend
+from repro.fhe import modmath
+from repro.fhe.backend import (
+    NumpyBackend,
+    PythonBackend,
+    available_backends,
+    use_backend,
+)
 from repro.fhe.ckks import CKKSContext, PackedBootstrap
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.tfhe.ggsw import gadget_factors
 from repro.workloads.hybrid_workloads import hybrid_query_parameters
 
+if "numpy" not in available_backends():
+    pytest.skip("no numpy backend here (it needs numpy and the native library)",
+                allow_module_level=True)
+
 
 @pytest.fixture(scope="module", autouse=True)
 def numpy_backend():
     """Every pair runs on the numpy backend whatever ``REPRO_BACKEND`` says;
-    only the python rows of the first family switch away from it."""
+    only the python rows switch away from it."""
     with use_backend("numpy"):
         yield
 
@@ -222,7 +230,7 @@ def test_bootstrap_eager(benchmark, bootstrap):
 
 
 # ---------------------------------------------------------------------------
-# native vs golden word-32 transform, N = 2^11, 36 rows
+# native vs python word-32 transform, N = 2^11, 36 rows
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -240,22 +248,17 @@ def limb_stack():
 
 
 @pytest.mark.benchmark(
-    group="native vs golden: word-32 stacked_ntt (N=2^11, 36 rows, 30-bit)")
-@pytest.mark.parametrize("core", ["native", "golden"])
-def test_word32_transform_core(benchmark, limb_stack, core, monkeypatch):
-    if core == "native" and native.library() is None:
-        pytest.skip("the native library did not build on this box")
-    if core == "golden":
-        # Without the library the transforms are the golden ones.
-        monkeypatch.setattr(native, "library", lambda: None)
-    backend = NumpyBackend()
+    group="native vs python: word-32 stacked_ntt (N=2^11, 36 rows, 30-bit)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_word32_transform_core(benchmark, limb_stack, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
     contexts, stores = limb_stack
     backend.stacked_ntt(contexts, stores)          # tables outside the timing
     benchmark(backend.stacked_ntt, contexts, stores)
 
 
 # ---------------------------------------------------------------------------
-# native vs golden word-64 transform, the hybrid query's repack shape
+# native vs python word-64 transform, the hybrid query's repack shape
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -273,22 +276,18 @@ def repack_stack():
 
 
 @pytest.mark.benchmark(
-    group="native vs golden: word-64 stacked_ntt (N=64, 16 stores, 40/42-bit)")
-@pytest.mark.parametrize("core", ["native", "golden"])
-def test_word64_transform_core(benchmark, repack_stack, core, monkeypatch):
-    if core == "native" and native.library() is None:
-        pytest.skip("the native library did not build on this box")
-    if core == "golden":
-        # Without the library the word-64 transforms are the golden ones.
-        monkeypatch.setattr(native, "library", lambda: None)
-    backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
+    group="native vs python: word-64 stacked_ntt (N=64, 16 stores, 40/42-bit)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_word64_transform_core(benchmark, repack_stack, core):
+    backend = (NumpyBackend(min_vector_length=0, min_ntt_length=0)
+               if core == "native" else PythonBackend())
     contexts, stores = repack_stack
     backend.stacked_ntt(contexts, stores)          # tables outside the timing
     benchmark(backend.stacked_ntt, contexts, stores)
 
 
 # ---------------------------------------------------------------------------
-# native vs golden word-32 multiply-accumulate, N = 2^11, 12 limbs
+# native vs python word-32 multiply-accumulate, N = 2^11, 12 limbs
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -307,25 +306,20 @@ def eval_mac_operands():
 
 
 @pytest.mark.benchmark(
-    group="native vs golden: word-32 limbs_eval_mac (N=2^11, 12 limbs, 3x2 terms)")
-@pytest.mark.parametrize("core", ["native", "golden"])
-def test_word32_eval_mac(benchmark, eval_mac_operands, core, monkeypatch):
-    if core == "native" and native.library() is None:
-        pytest.skip("the native library did not build on this box")
-    if core == "golden":
-        # Without the library the multiply-accumulate is the golden one.
-        monkeypatch.setattr(native, "library", lambda: None)
-    backend = NumpyBackend()
+    group="native vs python: word-32 limbs_eval_mac (N=2^11, 12 limbs, 3x2 terms)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_word32_eval_mac(benchmark, eval_mac_operands, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
     contexts, digits, keys = eval_mac_operands
     handles = [tuple(backend.limbs_eval_key(contexts, key) for key in pair)
                for pair in keys]
-    # Key images outside the timing (the golden handle takes them on first use).
+    # Key images outside the timing (the python handle takes them on first use).
     backend.limbs_eval_mac(contexts, digits, handles)
     benchmark(backend.limbs_eval_mac, contexts, digits, handles)
 
 
 # ---------------------------------------------------------------------------
-# native vs golden word-32 fixed-scalar product, ModDown's shape
+# native vs python word-32 fixed-scalar product, ModDown's shape
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -345,19 +339,15 @@ def mod_down_operands():
 
 
 @pytest.mark.benchmark(
-    group="native vs golden: word-32 batched_sub_scaled (N=2^11, 9 limbs, 30-bit)")
-@pytest.mark.parametrize("core", ["native", "golden"])
-def test_word32_sub_scaled(benchmark, mod_down_operands, core, monkeypatch):
-    if core == "native" and native.library() is None:
-        pytest.skip("the native library did not build on this box")
-    if core == "golden":
-        # Without the library the fixed-scalar product is the golden one.
-        monkeypatch.setattr(native, "library", lambda: None)
-    benchmark(NumpyBackend().batched_sub_scaled, *mod_down_operands)
+    group="native vs python: word-32 batched_sub_scaled (N=2^11, 9 limbs, 30-bit)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_word32_sub_scaled(benchmark, mod_down_operands, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
+    benchmark(backend.batched_sub_scaled, *mod_down_operands)
 
 
 # ---------------------------------------------------------------------------
-# native vs numpy gadget decomposition, one blind-rotation wave
+# native vs python gadget decomposition, one blind-rotation wave
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -374,11 +364,8 @@ def wave_rows():
 
 
 @pytest.mark.benchmark(
-    group="native vs numpy: gadget_decompose_rows (32 rows, N=256, 5 levels, 31-bit)")
-@pytest.mark.parametrize("core", ["native", "numpy"])
-def test_gadget_decompose_rows(benchmark, wave_rows, core, monkeypatch):
-    if core == "native" and native.library() is None:
-        pytest.skip("the native library did not build on this box")
-    if core == "numpy":
-        monkeypatch.setattr(native, "library", lambda: None)
-    benchmark(NumpyBackend().gadget_decompose_rows, *wave_rows)
+    group="native vs python: gadget_decompose_rows (32 rows, N=256, 5 levels, 31-bit)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_gadget_decompose_rows(benchmark, wave_rows, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
+    benchmark(backend.gadget_decompose_rows, *wave_rows)

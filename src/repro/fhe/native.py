@@ -5,10 +5,9 @@ multiply-accumulate (keyswitch MAC, plaintext MAC, BConv, the TFHE external
 product) at word 32 (moduli below 2^32) and word 64 (below 2^62), and the
 TFHE gadget decomposition.
 
-:func:`library` is the one entry point; ``None`` means the numpy backend's
-transforms, fixed-scalar products and multiply-accumulates fall back to the
-golden kernels at either word size, and its gadget decomposition runs its
-int64 numpy body.
+:func:`library` is the one entry point; ``None`` means there is no numpy
+backend in this process: :func:`repro.fhe.backend.get_backend` resolves
+``"numpy"`` to the python backend, with a warning.
 """
 
 from __future__ import annotations

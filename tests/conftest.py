@@ -42,34 +42,6 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-@pytest.fixture
-def no_native_library(request, monkeypatch):
-    """The numpy backend as on a box where the native library did not build
-    or load: every transform and multiply-accumulate is the golden kernel
-    (there are no transform tables), and the gadget decomposition runs its
-    int64 numpy body.
-
-    A test substitution, not a switch (production takes what the platform
-    gives it): ``repro.fhe.native.library`` reads as ``None`` for the test,
-    and the transform-table caches of the registered numpy backends and of
-    those the test module holds are emptied on the way in and out, so no
-    table built with the library serves a test without it, or the reverse.
-    """
-    from repro.fhe import backend, native
-
-    def clear_tables():
-        held = [*vars(request.module).values(), *backend._INSTANCES.values()]
-        held += [v for d in held if isinstance(d, dict) for v in d.values()]
-        for value in held:
-            if isinstance(value, backend.NumpyBackend):
-                value._ntt_tables.clear()
-
-    monkeypatch.setattr(native, "library", lambda: None)
-    clear_tables()
-    yield
-    clear_tables()
-
-
 _TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")
 _HAS_ALARM = hasattr(signal, "SIGALRM")
 

@@ -19,7 +19,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 try:
@@ -28,7 +28,7 @@ except ImportError:  # the whole module is skipped below
     np = None
 
 from repro.fhe import backend as backend_module
-from repro.fhe import modmath
+from repro.fhe import modmath, native
 from repro.fhe.backend import (
     KERNELS,
     ArithmeticBackend,
@@ -245,13 +245,6 @@ class TestNTTParity:
         assert [_rows(store) for store in NUMPY.stacked_intt(contexts, out)] == stores
         golden = PYTHON.limbs_convolution(contexts, stores[0], stores[1])
         assert _rows(NUMPY.limbs_convolution(contexts, packed[0], packed[1])) == golden
-
-
-@pytest.mark.usefixtures("no_native_library")
-class TestNTTParityWithoutTheLibrary(TestNTTParity):
-    """Every :class:`TestNTTParity` leg again on a box where the native
-    library did not build: no transform tables, so each numpy transform
-    kernel is the golden one, handed numpy stores."""
 
 
 def _unreduced_entry_points(backend, n, q, a, b):
@@ -742,23 +735,14 @@ class TestCenteredLiftParity:
                 assert big.infinity_norm() == product // 2
 
 
-@pytest.fixture(params=["library", "no-library"])
-def library(request):
-    """Where it built, the native library; and an install without it
-    (``no_native_library``): the int64 numpy body of the gadget
-    decomposition, and the golden multiply-accumulates on numpy stores."""
-    if request.param == "no-library":
-        request.getfixturevalue("no_native_library")
-
-
-@pytest.mark.usefixtures("library")
 class TestReductionBudget:
     """``stacked_pmult_mac`` and ``bconv_matmul`` sum unreduced products and
     reduce once per output element: operands at ``q - 1`` past the term
     counts where 30-, 31- and 32-bit products would fill a word, and BConv
     around the 64 bits one ``weight * scaled`` sum would need, in the native
-    loop and in the golden kernels on numpy stores.
-    (``external_product_mac``'s edges ride its own wave-kernel test below.)"""
+    loop.  (``external_product_mac``'s edges ride its own wave-kernel test
+    below; the golden bodies on numpy stores at ``q - 1``,
+    ``TestSingleRowIsStackOfOne::test_below_the_crossovers_the_golden_backend_answers``.)"""
 
     def _pmult_mac(self, bits, terms, seed=0):
         moduli = _primes(bits, 2)
@@ -792,9 +776,7 @@ class TestReductionBudget:
     def test_bconv_around_a_64_bit_sum(self, source_bits, target_bits, sources):
         self._bconv(source_bits, target_bits, sources)
 
-    # ``library`` holds for every example: no state to reset between them.
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=60, deadline=None)
     @given(st.integers(28, 32), st.integers(28, 32), st.integers(1, 20),
            st.integers(0, 1 << 16))
     def test_sweep(self, bits, target_bits, terms, seed):
@@ -838,7 +820,6 @@ class TestWaveKernelParity:
             with pytest.raises(ValueError, match="do not split"):
                 backend.rows_monomial_multiply(rows, q, [1, 2], 2)
 
-    @pytest.mark.usefixtures("library")
     def test_gadget_decompose_rows_is_stacked_gadget_decompose(self, q, n):
         rows = _wave_store(q, n, 4, 3)
         rows[0][:3] = [0, q - 1, q // 2]
@@ -850,7 +831,6 @@ class TestWaveKernelParity:
         packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
         assert _rows(NUMPY.gadget_decompose_rows(packed, q, factors)) == expected
 
-    @pytest.mark.usefixtures("library")
     def test_external_product_mac_is_a_sum_per_member_and_component(self, q, n):
         members, per_member, width = 3, 4, 2
         fwd = _wave_store(q, n, members * per_member, 4)
@@ -1040,27 +1020,85 @@ class TestSingleRowIsStackOfOne:
                 assert _rows(out) == expected
                 assert _rows(stacked((context,) * count, given_rows)) == expected
 
-    def test_below_the_crossovers_the_golden_backend_answers(self, q):
+    def test_below_the_crossovers_the_golden_backend_answers(self, q, monkeypatch):
+        """Below the size thresholds the default numpy backend answers with
+        the golden body, handed lists or numpy stores: no library entry point
+        runs and no array comes back.  The multiply-accumulates and the
+        fixed-scalar products get every operand at ``q - 1`` — on numpy
+        stores, each a uint64 scalar the golden body must not multiply in
+        64 bits."""
+
+        class NoEntryPoints:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} ran below the crossovers")
+
+        monkeypatch.setattr(native, "library", NoEntryPoints)
         default = NumpyBackend()
         assert self.N < default.min_ntt_length < default.min_vector_length
         _, (a, b) = self._inputs(q, 5)
+        top = [q - 1] * self.N
         context = NTTContext(self.N, q)
+        contexts = (context,)
         spec = monomial_spec(self.N, 3)
         factors = [q // (1 << 6), q // (1 << 12)]
         moduli = (q,)
-        for name, args in (
-            ("limbs_add", ([a], [b], moduli)), ("limbs_sub", ([a], [b], moduli)),
-            ("limbs_neg", ([a], moduli)), ("limbs_mul", ([a], [b], moduli)),
-            ("limbs_scalar_mul", ([a], [-7], moduli)),
-            ("limbs_signed_permute", ([a], moduli, spec)),
-            ("gadget_decompose_rows", ([a], q, factors)),
-            ("ntt_forward_batch", (context, [a])), ("ntt_inverse_batch", (context, [a])),
-            ("limbs_convolution", ((context,), [a], [b])),
-        ):
-            out = getattr(default, name)(*args)
-            assert isinstance(out, list), name
-            assert out == getattr(PYTHON, name)(*args), name
-            assert out == _rows(getattr(NUMPY, name)(*args)), name
+        others = tuple(p for p in STACK_OF_ONE_PRIMES if p != q)
+        plan = _bconv_plan(RNSBasis(moduli), RNSBasis(others))
+
+        def eval_mac(k, s):
+            handles = [(k.limbs_eval_key(contexts, s([top])),
+                        k.limbs_eval_key(contexts, s([a]))) for _ in range(2)]
+            return k.limbs_eval_mac(contexts, [s([top]), s([top])], handles)
+
+        cases = {
+            "limbs_add": lambda k, s: k.limbs_add(s([a]), s([b]), moduli),
+            "limbs_sub": lambda k, s: k.limbs_sub(s([a]), s([b]), moduli),
+            "limbs_neg": lambda k, s: k.limbs_neg(s([a]), moduli),
+            "limbs_mul": lambda k, s: k.limbs_mul(s([a]), s([b]), moduli),
+            "limbs_scalar_mul": lambda k, s: [
+                k.limbs_scalar_mul(s([a]), [-7], moduli),
+                k.limbs_scalar_mul(s([top]), [q - 1], moduli)],
+            "limbs_signed_permute": lambda k, s: k.limbs_signed_permute(
+                s([a]), moduli, spec),
+            "gadget_decompose_rows": lambda k, s: k.gadget_decompose_rows(
+                s([a, top]), q, factors),
+            "ntt_forward_batch": lambda k, s: k.ntt_forward_batch(context, s([a])),
+            "ntt_inverse_batch": lambda k, s: k.ntt_inverse_batch(context, s([a])),
+            "limbs_convolution": lambda k, s: k.limbs_convolution(
+                contexts, s([a]), s([b])),
+            "limbs_eval_mac": eval_mac,
+            "stacked_pmult_mac": lambda k, s: k.stacked_pmult_mac(
+                [s([top])] * 3, [s([a])] * 3, [s([top])] * 3, moduli),
+            "bconv_matmul": lambda k, s: k.bconv_matmul([s([top]), s([a])], plan),
+            "external_product_mac": lambda k, s: k.external_product_mac(
+                s([top] * 4), s([top] * 4), 2, q),
+            "batched_sub_scaled": lambda k, s: [
+                k.batched_sub_scaled(s([top]), s([b]), [q - 1], moduli),
+                k.batched_sub_scaled(s([b]), s([top])[0], [q - 1], moduli, q)],
+            "limbs_centered_lift": lambda k, s: k.limbs_centered_lift(
+                s([top, [others[0] - 1] * self.N]), (q, others[0])),
+        }
+
+        def lists(rows):
+            return rows
+
+        def store(rows):
+            return np.array(rows, dtype=np.uint64)
+
+        for name, run in cases.items():
+            golden = _plain(run(PYTHON, lists))
+            assert golden == _plain(run(NUMPY, store)), name
+            for pack in (lists, store):
+                out = run(default, pack)
+                assert not _holds_array(out), name
+                assert _plain(out) == golden, name
+
+
+def _holds_array(value):
+    """``value`` is or holds (in nested lists and tuples) a numpy array."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_array, value))
+    return isinstance(value, np.ndarray)
 
 
 def test_every_public_kernel_has_a_caller():

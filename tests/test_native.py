@@ -3,25 +3,23 @@ multiply-accumulates at word 32 and word 64, the gadget decomposition) and
 its loader.
 
 ``repro.fhe.native`` is standard library only, so the loader tests run on
-every CI leg; the parity tests need numpy and a library that built here
-(the numpy CI leg fails when it did not).  The native transforms must equal
-the golden python ones on every ``(N, q)`` of the parameter sets, on the
-largest NTT-friendly primes below 2^32 for N = 2 ... 4096 and below 2^62
-and 2^61 for N = 64, 128 and 2048, and on every store layout the kernels
-hand them; the three multiply-accumulate kernels (``limbs_eval_mac``,
-``stacked_pmult_mac``, ``bconv_matmul``) and the TFHE external product
-``external_product_mac`` must equal the golden ones on the same moduli, at
-every term count the accumulator has an edge at, in the C loop and in the
-golden kernels an install without the library runs on numpy stores (every
-operand a uint64 scalar, at ``q - 1`` too); so must the fixed-scalar
-products ``batched_sub_scaled`` and ``limbs_scalar_mul`` on every chain, at
-``q - 1`` under the largest primes below 2^32 and 2^62, and for any integer
-scalar; the gadget decomposition ``gadget_decompose_rows`` must, at every
-modulus below 2^32, factor and value its float quotient has an edge at, in
-the C loop and in the int64 numpy body an install without the library runs.
-Whatever the loader returns, the results stay golden, and every reduction
-step of the C source carries a step tag (``tests/test_native_mutation.py``
-removes each in turn).
+every CI leg; the parity tests need the numpy backend, which exists only
+where numpy imports and the library loaded (the numpy CI leg fails when it
+did not).  The native transforms must equal the golden python ones on
+every ``(N, q)`` of the parameter sets, on the largest NTT-friendly primes
+below 2^32 for N = 2 ... 4096 and below 2^62 and 2^61 for N = 64, 128 and
+2048, and on every store layout the kernels hand them; the three
+multiply-accumulate kernels (``limbs_eval_mac``, ``stacked_pmult_mac``,
+``bconv_matmul``) and the TFHE external product ``external_product_mac``
+must equal the golden ones on the same moduli, at every term count the
+accumulator has an edge at; so must the fixed-scalar products
+``batched_sub_scaled`` and ``limbs_scalar_mul`` on every chain, at ``q - 1``
+under the largest primes below 2^32 and 2^62, and for any integer scalar;
+the gadget decomposition ``gadget_decompose_rows`` must, at every modulus
+below 2^32, factor and value its float quotient has an edge at.  Whatever
+the loader returns, the python backend is the one fallback, and every
+reduction step of the C source carries a step tag
+(``tests/test_native_mutation.py`` removes each in turn).
 """
 
 import collections
@@ -30,6 +28,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,7 +36,13 @@ from hypothesis import strategies as st
 
 from repro.fhe import backend as backend_module
 from repro.fhe import modmath, native
-from repro.fhe.backend import NumpyBackend, PythonBackend, available_backends
+from repro.fhe.backend import (
+    NumpyBackend,
+    PythonBackend,
+    active_backend,
+    available_backends,
+    get_backend,
+)
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
 from repro.fhe.rns import RNSBasis, _bconv_plan
@@ -246,86 +251,72 @@ class TestCachedLibrary:
         assert native._intact(built)
 
 
-#: The kernels whose only fast body is the library's: without it the numpy
-#: backend runs these golden bodies through ``super()``.
-GOLDEN_WITHOUT_LIBRARY = ("ntt_forward_batch", "ntt_inverse_batch",
-                          "limbs_eval_mac", "stacked_pmult_mac", "bconv_matmul",
-                          "external_product_mac", "batched_sub_scaled",
-                          "limbs_scalar_mul", "limbs_centered_lift")
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """The backend registry as a new process finds it: no instances, no
+    active backend, no fallback warning given yet, no ``REPRO_BACKEND``."""
+    monkeypatch.setattr(backend_module, "_INSTANCES", {})
+    monkeypatch.setattr(backend_module, "_ACTIVE", None)
+    monkeypatch.setattr(backend_module, "_WARNED_FALLBACK", False)
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
 
-def _counting(body, name, calls):
-    """``body`` counting in ``calls`` the calls a numpy backend makes."""
-    def call(self, *args):
-        if isinstance(self, NumpyBackend):
-            calls[name] += 1
-        return body(self, *args)
-    return call
-
-
-@needs_numpy
-@pytest.mark.parametrize("case", ["no-compiler", "failing-compiler",
-                                  "writable-file", "truncated-file",
-                                  "missing-entry-point"])
-def test_the_transforms_stay_golden_whatever_the_loader_returns(
-        case, cache, failing_compiler, request, monkeypatch):
-    """The transforms, and the fixed-scalar, multiply-accumulate and TFHE
-    wave kernels with them: without a library there are no transform tables
-    at either word size, and each of those kernels is the golden body."""
-    compiler = {"no-compiler": None, "failing-compiler": failing_compiler}.get(
-        case, native._compiler())
-    if case in ("writable-file", "truncated-file", "missing-entry-point"):
-        if native.library() is None:
-            pytest.skip("the native library did not build here")
-    if case == "missing-entry-point":
-        request.getfixturevalue("source_without_mac")
-    if case.endswith("-file"):
-        native.build(cache, compiler)
-        (path,) = cache.iterdir()
-        if case == "writable-file":
-            path.chmod(0o722)
-        else:
-            _replace(path, path.read_bytes()[:100])
-    lib = native.build(cache, compiler)
-    assert (lib is None) == (case != "truncated-file")
-    monkeypatch.setattr(native, "library", lambda: lib)
-    golden = collections.Counter()
-    for name in GOLDEN_WITHOUT_LIBRARY:
-        monkeypatch.setattr(PythonBackend, name,
-                            _counting(getattr(PythonBackend, name), name, golden))
-    backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
-    context = NTTContext(256, TFHEParameters.hybrid().modulus)
-    tables = backend._tables((context,))
-    assert tables is None if lib is None else tables.native is lib
-    rng = random.Random(5)
-    rows = [[rng.randrange(context.modulus) for _ in range(256)] for _ in range(3)]
-    forward = backend.ntt_forward_batch(context, rows)
-    assert forward == PYTHON.ntt_forward_batch(context, rows)
-    assert backend.ntt_inverse_batch(context, forward) == rows
-    _check_macs(backend, 256, modmath.find_ntt_primes(32, 256, 4), 3, seed=5)
-    _scale_chain(backend, 256, modmath.find_ntt_primes(32, 256, 3), seed=5)
-    # Small coefficients, which the numpy lift certifies without the golden CRT.
-    moduli = tuple(modmath.find_ntt_primes(30, 256, 3))
-    values = list(range(-128, 128))
-    lifted = backend.limbs_centered_lift(backend.reduce_limbs(values, moduli, 256), moduli)
-    assert lifted == values
-    q = context.modulus
-    _decompose(backend, backend.pack_limbs(rows, (q,) * 3), q,
-               gadget_factors(q, 64, 5))
-    _external_product(backend, q, 256, members=2, levels=5, k=1)
-    # Word 64: the library's, or golden without it.
-    wide = NTTContext(64, modmath.find_ntt_prime(40, 64))
-    assert (backend._tables((wide,)) is None) == (lib is None)
-    rows = [[rng.randrange(wide.modulus) for _ in range(64)] for _ in range(3)]
-    assert backend.ntt_forward_batch(wide, rows) == PYTHON.ntt_forward_batch(wide, rows)
-    _check_macs(backend, 64, modmath.find_ntt_primes(40, 64, 4), 3, seed=5)
-    _scale_chain(backend, 64, modmath.find_ntt_primes(40, 64, 3), seed=5)
-    if lib is None:
-        assert set(golden) == set(GOLDEN_WITHOUT_LIBRARY)
+@pytest.mark.parametrize("case", ["numpy-missing", "no-compiler",
+                                  "failing-compiler", "writable-file",
+                                  "missing-entry-point", "truncated-file"])
+def test_python_is_the_one_fallback(case, cache, failing_compiler, fresh_registry,
+                                    request, monkeypatch):
+    """The numpy backend is offered only where numpy imports and the library
+    loads.  Without numpy (the compiler is then never run) or after any
+    loader failure it is not offered, its constructor raises, and
+    ``"numpy"`` asked for by name, by ``REPRO_BACKEND`` or by default is the
+    python instance, with one warning naming what is missing.  A truncated
+    cached file is rebuilt, and the library it loads serves."""
+    if case == "numpy-missing":
+        monkeypatch.setattr(backend_module, "_np", None)
+        monkeypatch.setattr(native, "library",
+                            lambda: pytest.fail("the loader ran without numpy"))
     else:
-        # BConv's bare store and the external product's count errors are
-        # the golden kernel's to unwrap and raise, library or not.
-        assert set(golden) <= {"bconv_matmul", "external_product_mac"}
+        compiler = {"no-compiler": None, "failing-compiler": failing_compiler}.get(
+            case, native._compiler())
+        if case in ("writable-file", "truncated-file", "missing-entry-point"):
+            if native.library() is None:
+                pytest.skip("the native library did not build here")
+        if case == "missing-entry-point":
+            request.getfixturevalue("source_without_mac")
+        if case.endswith("-file"):
+            native.build(cache, compiler)
+            (path,) = cache.iterdir()
+            if case == "writable-file":
+                path.chmod(0o722)
+            else:
+                _replace(path, path.read_bytes()[:100])
+        lib = native.build(cache, compiler)
+        assert (lib is None) == (case != "truncated-file")
+        monkeypatch.setattr(native, "library", lambda: lib)
+        if lib is not None and backend_module._np is not None:
+            assert available_backends() == ["python", "numpy"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                numpy_backend = get_backend("numpy")
+            assert numpy_backend.name == "numpy" and numpy_backend._lib is lib
+            context = NTTContext(256, HYBRID_Q)
+            rows = [[(7 * i + r) % HYBRID_Q for i in range(256)] for r in range(3)]
+            assert (numpy_backend.ntt_forward_batch(context, rows)
+                    == PYTHON.ntt_forward_batch(context, rows))
+            return
+    missing = "numpy is not installed" if backend_module._np is None else "native library"
+    assert available_backends() == ["python"]
+    with pytest.raises(RuntimeError, match=missing):
+        NumpyBackend(min_vector_length=0, min_ntt_length=0)
+    python = get_backend("python")
+    with pytest.warns(UserWarning, match=missing) as warned:
+        assert get_backend("numpy") is python
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert active_backend() is python
+        monkeypatch.delenv("REPRO_BACKEND")
+        assert get_backend() is python
+    assert len(warned) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,6 @@ def _moduli_column(contexts, rows):
 
 
 @needs_numpy
-@needs_library
 class TestNativeParity:
     @staticmethod
     def _check(contexts, x, backend=None):
@@ -662,11 +652,10 @@ def _sub_scaled(backend, moduli, a, b, scalars, b_modulus=None):
 
 
 class _Route:
-    """Which body ran: ``native`` says whether the C library should have,
-    ``calls`` counts the calls of its entry points by name."""
+    """The numpy backend on the C library; ``calls`` counts the calls of its
+    entry points by name, so a test proves which ones ran."""
 
-    def __init__(self, native_route):
-        self.native = native_route
+    def __init__(self):
         self.calls = collections.Counter()
 
     def backend(self):
@@ -674,7 +663,7 @@ class _Route:
 
     def check(self, *entries):
         for entry in entries or ("mac32",):
-            assert (self.calls[entry] > 0) == self.native, entry
+            assert self.calls[entry] > 0, entry
 
 
 class _CountedLibrary:
@@ -695,20 +684,13 @@ class _CountedLibrary:
         return call
 
 
-@pytest.fixture(params=["native", "numpy"])
-def route(request, monkeypatch):
-    """The C library where it built, counting its calls; and the numpy
-    backend of an install without it (``no_native_library``): the int64
-    numpy body of the gadget decomposition, and the golden kernels, on numpy
-    stores, of every fixed-scalar product and multiply-accumulate."""
-    if request.param == "numpy":
-        request.getfixturevalue("no_native_library")
-    elif native.library() is None:
-        pytest.skip("the native library did not build here")
-    chosen = _Route(request.param == "native")
-    if chosen.native:
-        counted = _CountedLibrary(native.library(), chosen.calls)
-        monkeypatch.setattr(native, "library", lambda: counted)
+@pytest.fixture
+def route(monkeypatch):
+    """The C library, counting its calls (the backends the test builds read
+    it at construction)."""
+    chosen = _Route()
+    counted = _CountedLibrary(native.library(), chosen.calls)
+    monkeypatch.setattr(native, "library", lambda: counted)
     return chosen
 
 
@@ -873,13 +855,11 @@ class TestNativeMacParity:
             assert out == [[levels * (k + 1)] * 64] * (members * (k + 1))
         route.check("mac32", "mac64")
 
-    @needs_library
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([c for c in _chains(_word64_rings()) if c[0] <= 256]),
            st.integers(1, 20), st.integers(0, 1 << 16), st.booleans())
     def test_word64_sweep(self, chain, terms, seed, edge):
-        """Chains up to N = 256, term counts on both sides of the fold, on
-        the library (without it, word 64 is golden against golden)."""
+        """Chains up to N = 256, term counts on both sides of the fold."""
         n, moduli = chain
         _check_macs(NumpyBackend(min_vector_length=0, min_ntt_length=0), n, moduli,
                     terms, seed=seed, edge=edge)
@@ -908,8 +888,8 @@ def _scale_chain(backend, n, moduli, seed, edge=False):
 @needs_numpy
 class TestNativeScaleParity:
     """ModDown's and Rescale's ``(a - b) * s`` and ``limbs_scalar_mul``'s
-    ``a * s`` (BConv's source scaling rides the MAC parity above): in the C
-    loop, and in the golden kernels an install without the library runs."""
+    ``a * s`` (BConv's source scaling rides the MAC parity above) in the C
+    loop."""
 
     @pytest.mark.parametrize("n,moduli", _chains(_word32_rings()),
                              ids=lambda v: str(v) if isinstance(v, int) else f"{len(v)}q")
@@ -980,7 +960,6 @@ class TestNativeScaleParity:
             _sub_scaled(backend, moduli, x, y[-1], scalars, moduli[-1])
         route.check(SCALE[32 if bits <= 32 else 64])
 
-    @needs_library
     def test_rows_that_do_not_match_the_moduli_are_refused(self):
         backend = NumpyBackend(min_vector_length=0, min_ntt_length=0)
         moduli = tuple(modmath.find_ntt_primes(30, 64, 3))
@@ -992,14 +971,12 @@ class TestNativeScaleParity:
             with pytest.raises(ValueError, match="rows over"):
                 kernel()
 
-    @needs_library
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([c for c in _chains(_word32_rings()) + _chains(_word64_rings())
                             if c[0] <= 256]),
            st.integers(0, 1 << 16), st.booleans())
     def test_sweep(self, chain, seed, edge):
-        """Chains of both word sizes up to N = 256, on the library (without
-        it, the kernels are golden against golden)."""
+        """Chains of both word sizes up to N = 256."""
         n, moduli = chain
         _scale_chain(NumpyBackend(min_vector_length=0, min_ntt_length=0), n, moduli,
                      seed=seed, edge=edge)
@@ -1112,8 +1089,9 @@ class TestNativeDecomposeParity:
             _decompose(route.backend(), store, q, factors)
         route.check("decompose32")
 
-    def test_what_the_library_does_not_take_runs_the_numpy_body(self, route):
-        """A factor outside ``[0, q)``, and moduli of 2^32 and above."""
+    def test_what_the_library_does_not_take_is_golden(self, route):
+        """A factor outside ``[0, q)``, and moduli of 2^32 and above, take
+        the golden body."""
         backend = route.backend()
         q = HYBRID_Q
         rows = _edge_rows(q, 64, 2, seed=3)
