@@ -357,6 +357,18 @@ class ArithmeticBackend:
             return ndim == 2
         return len(rows) > 0 and not isinstance(rows[0], int)
 
+    @staticmethod
+    def _refuse_misfits(stores, limbs: int, n: "int | None" = None) -> None:
+        """``ValueError`` unless every store is ``limbs`` rows of ``n``
+        values (``None``: the first row's width), as the native loops
+        require: the golden loops zip rows and values, so a misfit store
+        would otherwise lose its excess silently."""
+        if n is None:
+            n = next((len(row) for row in stores[0]), 0)
+        for store in stores:
+            if len(store) != limbs or any(len(row) != n for row in store):
+                raise ValueError(f"a store is not {limbs} rows of {n} values")
+
     def pack_limbs(self, rows, moduli) -> object:
         """Pack already-reduced coefficient rows into this backend's store."""
         return self.store_rows(rows)
@@ -594,6 +606,8 @@ class ArithmeticBackend:
         component instead of one per digit.
         """
         moduli = tuple(ctx.modulus for ctx in contexts)
+        self._refuse_misfits(digit_stores, len(moduli),
+                             contexts[0].ring_degree if contexts else 0)
         accs = None
         for store, handles in zip(digit_stores, key_handles):
             terms = []
@@ -672,6 +686,7 @@ class ArithmeticBackend:
             len(c0_stores) == len(c1_stores) == len(pt_stores)
         ):
             raise ValueError("stacked_pmult_mac needs matching non-empty stores")
+        self._refuse_misfits([*c0_stores, *c1_stores, *pt_stores], len(moduli))
         acc0 = acc1 = None
         for c0, c1, pt in zip(c0_stores, c1_stores, pt_stores):
             t0 = self.limbs_mul(c0, pt, moduli)

@@ -19,7 +19,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -68,6 +68,27 @@ pytestmark = pytest.mark.skipif(numpy_missing, reason="numpy backend unavailable
 PYTHON = PythonBackend()
 #: Thresholds at 0: force the vectorized path at every size.
 NUMPY = None if numpy_missing else NumpyBackend(min_vector_length=0, min_ntt_length=0)
+#: Crossovers above every store and ring these tests build.
+ABOVE_EVERY_SIZE = 1 << 62
+
+
+class _NoEntryPoints:
+    """A library whose every entry point fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} ran below the crossovers")
+
+
+@pytest.fixture
+def below_the_crossovers(monkeypatch):
+    """``NUMPY`` with its crossovers above every size, for the test: each
+    store kernel is the golden body, handed numpy stores, and no library
+    entry point is reachable (its transform tables start empty, so none
+    built at the zero crossovers serves the test)."""
+    monkeypatch.setattr(NUMPY, "min_vector_length", ABOVE_EVERY_SIZE)
+    monkeypatch.setattr(NUMPY, "min_ntt_length", ABOVE_EVERY_SIZE)
+    monkeypatch.setattr(NUMPY, "_ntt_tables", {})
+    monkeypatch.setattr(NUMPY, "_lib", _NoEntryPoints())
 
 
 def _parameter_set_moduli():
@@ -245,6 +266,13 @@ class TestNTTParity:
         assert [_rows(store) for store in NUMPY.stacked_intt(contexts, out)] == stores
         golden = PYTHON.limbs_convolution(contexts, stores[0], stores[1])
         assert _rows(NUMPY.limbs_convolution(contexts, packed[0], packed[1])) == golden
+
+
+@pytest.mark.usefixtures("below_the_crossovers")
+class TestNTTParityBelowTheCrossovers(TestNTTParity):
+    """Every :class:`TestNTTParity` leg again below the crossovers: no
+    transform tables, so each numpy transform kernel is the golden one,
+    handed numpy stores, and no library entry point runs."""
 
 
 def _unreduced_entry_points(backend, n, q, a, b):
@@ -735,14 +763,22 @@ class TestCenteredLiftParity:
                 assert big.infinity_norm() == product // 2
 
 
+@pytest.fixture(params=["library", "golden"])
+def library(request):
+    """The native loops; and the golden kernels, on numpy stores, that the
+    numpy backend runs below its crossovers (``below_the_crossovers``)."""
+    if request.param == "golden":
+        request.getfixturevalue("below_the_crossovers")
+
+
+@pytest.mark.usefixtures("library")
 class TestReductionBudget:
     """``stacked_pmult_mac`` and ``bconv_matmul`` sum unreduced products and
     reduce once per output element: operands at ``q - 1`` past the term
     counts where 30-, 31- and 32-bit products would fill a word, and BConv
     around the 64 bits one ``weight * scaled`` sum would need, in the native
-    loop.  (``external_product_mac``'s edges ride its own wave-kernel test
-    below; the golden bodies on numpy stores at ``q - 1``,
-    ``TestSingleRowIsStackOfOne::test_below_the_crossovers_the_golden_backend_answers``.)"""
+    loop and in the golden kernels on numpy stores.
+    (``external_product_mac``'s edges ride its own wave-kernel test below.)"""
 
     def _pmult_mac(self, bits, terms, seed=0):
         moduli = _primes(bits, 2)
@@ -776,7 +812,9 @@ class TestReductionBudget:
     def test_bconv_around_a_64_bit_sum(self, source_bits, target_bits, sources):
         self._bconv(source_bits, target_bits, sources)
 
-    @settings(max_examples=60, deadline=None)
+    # ``library`` holds for every example: no state to reset between them.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.integers(28, 32), st.integers(28, 32), st.integers(1, 20),
            st.integers(0, 1 << 16))
     def test_sweep(self, bits, target_bits, terms, seed):
@@ -820,6 +858,7 @@ class TestWaveKernelParity:
             with pytest.raises(ValueError, match="do not split"):
                 backend.rows_monomial_multiply(rows, q, [1, 2], 2)
 
+    @pytest.mark.usefixtures("library")
     def test_gadget_decompose_rows_is_stacked_gadget_decompose(self, q, n):
         rows = _wave_store(q, n, 4, 3)
         rows[0][:3] = [0, q - 1, q // 2]
@@ -831,6 +870,7 @@ class TestWaveKernelParity:
         packed = NUMPY.pack_limbs(rows, (q,) * len(rows))
         assert _rows(NUMPY.gadget_decompose_rows(packed, q, factors)) == expected
 
+    @pytest.mark.usefixtures("library")
     def test_external_product_mac_is_a_sum_per_member_and_component(self, q, n):
         members, per_member, width = 3, 4, 2
         fwd = _wave_store(q, n, members * per_member, 4)
@@ -1027,12 +1067,7 @@ class TestSingleRowIsStackOfOne:
         fixed-scalar products get every operand at ``q - 1`` — on numpy
         stores, each a uint64 scalar the golden body must not multiply in
         64 bits."""
-
-        class NoEntryPoints:
-            def __getattr__(self, name):
-                raise AssertionError(f"{name} ran below the crossovers")
-
-        monkeypatch.setattr(native, "library", NoEntryPoints)
+        monkeypatch.setattr(native, "library", _NoEntryPoints)
         default = NumpyBackend()
         assert self.N < default.min_ntt_length < default.min_vector_length
         _, (a, b) = self._inputs(q, 5)

@@ -651,17 +651,27 @@ def _sub_scaled(backend, moduli, a, b, scalars, b_modulus=None):
     return expected
 
 
-class _Route:
-    """The numpy backend on the C library; ``calls`` counts the calls of its
-    entry points by name, so a test proves which ones ran."""
+#: Crossovers above every store and ring these tests build.
+ABOVE_EVERY_SIZE = 1 << 62
 
-    def __init__(self):
+
+class _Route:
+    """Which body ran: ``native`` says whether the C library should have
+    (crossovers at 0) or the golden kernels, on numpy stores, below the
+    crossovers; ``calls`` counts the calls of its entry points by name."""
+
+    def __init__(self, native_route):
+        self.native = native_route
         self.calls = collections.Counter()
 
     def backend(self):
-        return NumpyBackend(min_vector_length=0, min_ntt_length=0)
+        crossover = 0 if self.native else ABOVE_EVERY_SIZE
+        return NumpyBackend(min_vector_length=crossover, min_ntt_length=crossover)
 
     def check(self, *entries):
+        if not self.native:
+            assert not self.calls, self.calls
+            return
         for entry in entries or ("mac32",):
             assert self.calls[entry] > 0, entry
 
@@ -684,11 +694,12 @@ class _CountedLibrary:
         return call
 
 
-@pytest.fixture
-def route(monkeypatch):
+@pytest.fixture(params=["native", "golden"])
+def route(request, monkeypatch):
     """The C library, counting its calls (the backends the test builds read
-    it at construction)."""
-    chosen = _Route()
+    it at construction); and the golden kernels the numpy backend runs on
+    numpy stores below its crossovers, where no entry point may run."""
+    chosen = _Route(request.param == "native")
     counted = _CountedLibrary(native.library(), chosen.calls)
     monkeypatch.setattr(native, "library", lambda: counted)
     return chosen
@@ -820,23 +831,27 @@ class TestNativeMacParity:
 
     @staticmethod
     def _misfits(route, bits):
+        """A digit, ciphertext or plaintext store a limb or half its values
+        short raises: on the route's backend, and on the python backend's
+        lists."""
         n = 64
         moduli = tuple(modmath.find_ntt_primes(bits, n, 3))
         contexts = tuple(NTTContext(n, q) for q in moduli)
-        backend = route.backend()
-        stores = _stores(moduli, n, 4, seed=9)
-        handles = [(backend.limbs_eval_key(contexts, stores[0]),)] * 2
-        short, narrow = stores[1][:2], stores[2][:, :n // 2]
-        with pytest.raises(ValueError):
-            backend.limbs_eval_mac(contexts, [stores[1], short], handles)
-        with pytest.raises(ValueError):
-            backend.limbs_eval_mac(contexts, [stores[1], narrow], handles)
-        with pytest.raises(ValueError):
-            backend.stacked_pmult_mac([stores[1]] * 2, [stores[2]] * 2,
-                                      [stores[3], narrow], moduli)
-        with pytest.raises(ValueError):
-            backend.stacked_pmult_mac([stores[1], short], [stores[2]] * 2,
-                                      [stores[3]] * 2, moduli)
+        raw = _stores(moduli, n, 4, seed=9)
+        for backend, pack in ((route.backend(), lambda s: s), (PYTHON, _rows)):
+            stores = [pack(s) for s in raw]
+            handles = [(backend.limbs_eval_key(contexts, stores[0]),)] * 2
+            short, narrow = pack(raw[1][:2]), pack(raw[2][:, :n // 2])
+            with pytest.raises(ValueError):
+                backend.limbs_eval_mac(contexts, [stores[1], short], handles)
+            with pytest.raises(ValueError):
+                backend.limbs_eval_mac(contexts, [stores[1], narrow], handles)
+            with pytest.raises(ValueError):
+                backend.stacked_pmult_mac([stores[1]] * 2, [stores[2]] * 2,
+                                          [stores[3], narrow], moduli)
+            with pytest.raises(ValueError):
+                backend.stacked_pmult_mac([stores[1], short], [stores[2]] * 2,
+                                          [stores[3]] * 2, moduli)
 
     @pytest.mark.parametrize("members", [1, 2, 16])
     @pytest.mark.parametrize("levels", [1, 5])
