@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are ten families of fast-path /
+exactness is asserted in tier-1; left here are eleven families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -33,7 +33,10 @@ the speed-up (the fast path reads ``(1.0)``):
   ``batched_sub_scaled`` (N = 2^11, 9 limbs, 30-bit) — the same;
 * the native (C) vs the python TFHE gadget decomposition on one
   blind-rotation wave's ``gadget_decompose_rows`` (32 rows, N = 256, 5
-  levels, the hybrid 31-bit modulus) — the same.
+  levels, the hybrid 31-bit modulus) — the same;
+* the native (C) vs the python blind rotation on one wave's whole CMux loop,
+  ``blind_rotate_rows`` (16 members, N = 256, 5 levels, 16 steps, the
+  hybrid 31-bit modulus) — the same.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -369,3 +372,33 @@ def wave_rows():
 def test_gadget_decompose_rows(benchmark, wave_rows, core):
     backend = NumpyBackend() if core == "native" else PythonBackend()
     benchmark(backend.gadget_decompose_rows, *wave_rows)
+
+
+# ---------------------------------------------------------------------------
+# native vs python blind rotation, one wave's whole CMux loop
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def wave_loop():
+    """``blind_rotate_rows``' arguments at ``lib_hybrid_query``'s wave shape:
+    16 members x 2 GLWE components of the hybrid ring (N = 256), 16 steps
+    against a random 16 x 20-row evaluation-domain key, 5 gadget levels."""
+    import numpy as np
+
+    params = TFHEParameters.hybrid()
+    n, q, group = params.polynomial_size, params.modulus, 2
+    factors = gadget_factors(q, 1 << params.bsk_base_log, params.bsk_levels)
+    rng = np.random.default_rng(0xC0C)
+    accumulator = rng.integers(0, q, size=(16 * group, n), dtype=np.uint64)
+    key = rng.integers(0, q, size=(16 * group * len(factors) * group, n),
+                       dtype=np.uint64)
+    degrees = rng.integers(0, 2 * n, size=(16, 16)).tolist()
+    return NTTContext(n, q), accumulator, degrees, key, factors, group
+
+
+@pytest.mark.benchmark(
+    group="native vs python: blind_rotate_rows (16 members, N=256, 5 levels, 16 steps)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_blind_rotate_rows(benchmark, wave_loop, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
+    benchmark(backend.blind_rotate_rows, *wave_loop)

@@ -733,9 +733,10 @@ class ArithmeticBackend:
     # TFHE modulus (``moduli = (q,) * rows``), member-major: rows
     # ``[m * (k + 1), (m + 1) * (k + 1))`` are member ``m``'s GLWE
     # components.  The kernels below, with ``limbs_add`` / ``limbs_sub``,
-    # are one CMux step on the whole wave; every one of them maps a store
-    # to a store, so the accumulator never becomes Python lists between
-    # the initial rotation and SampleExtract.
+    # are one CMux step on the whole wave, and ``blind_rotate_rows`` is all
+    # of the steps; every one of them maps a store to a store, so the
+    # accumulator never becomes Python lists between the initial rotation
+    # and SampleExtract.
 
     def ntt_forward_batch(self, context, rows):
         """Independent forward NTTs of several rows under one modulus.
@@ -828,6 +829,52 @@ class ArithmeticBackend:
                 products = [map(operator.mul, row, key[r * width + c])
                             for r, row in enumerate(rows)]
                 out.append([sum(terms) % q for terms in zip(*products)])
+        return out
+
+    def blind_rotate_rows(self, context, accumulator, degrees, key_rows, factors,
+                          group: int):
+        """A wave's whole CMux loop: for each GGSW ``i`` of the key,
+        ``acc += bsk_i ⊡ (X^{degrees[i][m]} * acc - acc)`` on every member
+        ``m`` of the ``(M * group, N)`` accumulator (``group = k + 1`` rows
+        per member) under ``context``'s modulus.
+
+        ``key_rows`` is the evaluation-domain key of
+        :meth:`~repro.fhe.tfhe.pbs.BootstrappingKey.eval_store`: GGSW ``i``
+        is its slice of ``group * len(factors) * group`` rows at ``i`` times
+        that, which :meth:`external_product_mac` contracts.  Returns a fresh
+        store; the accumulator and the key are only read.
+
+        Each step composes the wave kernels: rotate, subtract, decompose,
+        forward NTT, MAC, inverse NTT, add.  A step whose degrees are all
+        zero is skipped: ``X^0 * acc - acc`` is zero, and so is its product.
+        """
+        q = context.modulus
+        moduli = (q,) * len(accumulator)
+        span = group * len(factors) * group
+        if len(key_rows) != len(degrees) * span:
+            raise ValueError(
+                f"{len(key_rows)} key rows are not {len(degrees)} GGSW slices "
+                f"of {span}")
+        if any(len(step) * group != len(accumulator) for step in degrees):
+            raise ValueError(
+                f"{len(accumulator)} rows are not one block of {group} per degree")
+        members = len(accumulator) // group
+        out = accumulator
+        for i, step in enumerate(degrees):
+            if not any(step):
+                continue
+            rotated = self.rows_monomial_multiply(out, q, step, group)
+            digits = self.gadget_decompose_rows(
+                self.limbs_sub(rotated, out, moduli), q, factors
+            )
+            product = self.external_product_mac(
+                self.ntt_forward_batch(context, digits),
+                key_rows[i * span:(i + 1) * span], members, q,
+            )
+            out = self.limbs_add(out, self.ntt_inverse_batch(context, product), moduli)
+        if out is accumulator:
+            # No step ran: a copy, so the result aliases nothing.
+            out = self.pack_limbs(self.store_rows(accumulator), moduli)
         return out
 
     def mat_mulmod(self, rows, matrix, q: int):
@@ -946,12 +993,14 @@ for _kernel in KERNELS:
 # centred lift's Garner digits), :func:`_mac` for the multiply-accumulate
 # (``mac32`` / ``mac64``: the keyswitch MAC, the plaintext MAC, BConv and the
 # TFHE external product); :func:`_eval_mul` branches for eval-domain
-# products, and the TFHE gadget decomposition below 2^32 is
-# :func:`_decompose32`.  The backend exists only where the library loaded
-# (:class:`NumpyBackend` reads it once, at construction), so none of these
-# asks whether it did; what the library does not take (a modulus of 2^62 or
-# more, a ring below the crossover, a decomposition modulus of 2^32 or more)
-# is the golden kernel (``super()``).
+# products, the TFHE gadget decomposition below 2^51 is :func:`_decompose32`,
+# and a blind rotation's whole CMux loop below 2^32 is one ``cmux32``
+# (:meth:`NumpyBackend.blind_rotate_rows`).  The backend exists only where
+# the library loaded (:class:`NumpyBackend` reads it once, at construction),
+# so none of these asks whether it did; what the library does not take (a
+# modulus of 2^62 or more, a ring below the crossover, a decomposition
+# modulus of 2^51 or more, a CMux loop at 2^32 or more) is the golden kernel
+# (``super()``).
 
 if _np is not None:
     def _word(moduli) -> int:
@@ -1094,7 +1143,7 @@ if _np is not None:
 
     def _decompose32(lib, x, q: int, factors):
         """The golden signed gadget decomposition of every row of the
-        ``(rows, n)`` uint64 array ``x`` (values below ``q < 2^32``, every
+        ``(rows, n)`` uint64 array ``x`` (values below ``q < 2^51``, every
         factor in ``[0, q)``) in the native library, as a fresh
         ``(rows * len(factors), n)`` uint64 array, level-innermost."""
         x = _np.ascontiguousarray(x)
@@ -1128,11 +1177,11 @@ class NumpyBackend(PythonBackend):
     the C loops of :mod:`repro.fhe.native` at the word size of the moduli.
     Each transform, fixed-scalar product (``batched_sub_scaled``,
     ``limbs_scalar_mul``, BConv's source scaling, the centred lift's Garner
-    digits), multiply-accumulate and the gadget decomposition below 2^32
-    has one fast body, the library's.  The library is read once, here at
-    construction: without numpy or without the library the constructor
-    raises ``RuntimeError`` (:func:`get_backend` then resolves to the
-    python backend).
+    digits), multiply-accumulate, the gadget decomposition below 2^51 and
+    the CMux loop below 2^32 has one fast body, the library's.  The library
+    is read once, here at construction: without numpy or without the
+    library the constructor raises ``RuntimeError`` (:func:`get_backend`
+    then resolves to the python backend).
     Tables are cached per context tuple in :meth:`_tables`; what costs
     memory is held once per ``(N, q)``.
     """
@@ -1759,7 +1808,7 @@ class NumpyBackend(PythonBackend):
     def gadget_decompose_rows(self, store, q, factors):
         x = self._matrix(store)
         if (
-            not 0 < q < 1 << 32 or not self._limbs_ok((q,), x)
+            not 0 < q < 1 << 51 or not self._limbs_ok((q,), x)
             or not all(0 <= f < q for f in factors)
         ):
             return super().gadget_decompose_rows(store, q, factors)
@@ -1786,6 +1835,36 @@ class NumpyBackend(PythonBackend):
         b = _np.broadcast_to(b.reshape(per_member, -1).T, shape)
         return _mac(self._lib, _word((q,)), a, b, _np.uint64(q), n, 1,
                     (digits, keys)).reshape(-1, n)
+
+    def blind_rotate_rows(self, context, accumulator, degrees, key_rows, factors,
+                          group):
+        n, q = context.ring_degree, context.modulus
+        tabs = self._tables((context,))
+        x = self._matrix(accumulator)
+        keys = self._matrix(key_rows)
+        members = len(degrees[0]) if len(degrees) else 0
+        if (
+            tabs is None or tabs.word != 32 or keys is None
+            or not self._limbs_ok((q,), x)
+            or not all(0 <= f < q for f in factors)
+            # Every count mismatch is the golden kernel's error to raise.
+            or x.shape != (members * group, n)
+            or keys.shape != (len(degrees) * group * len(factors) * group, n)
+            or any(len(step) != members for step in degrees)
+        ):
+            return super().blind_rotate_rows(context, accumulator, degrees,
+                                             key_rows, factors, group)
+        shifts = _np.array([[int(d) % (2 * n) for d in step] for step in degrees],
+                           dtype=_np.uint64)
+        out = _np.array(x, dtype=_np.uint64, order="C")
+        keys = _np.ascontiguousarray(keys)
+        table = _np.array(factors, dtype=_np.uint64)
+        scratch = _np.empty(group * (len(factors) + 1) * n, dtype=_np.uint64)
+        self._lib.cmux32(out.ctypes.data, members, group, n, len(degrees),
+                         shifts.ctypes.data, keys.ctypes.data, len(factors),
+                         table.ctypes.data, tabs.shoup[0].ctypes.data,
+                         scratch.ctypes.data)
+        return out
 
 
 # ---------------------------------------------------------------------------

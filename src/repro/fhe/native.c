@@ -1,8 +1,10 @@
 /*
- * The numpy backend's native library: the negacyclic NTT / INTT, one
- * fixed-scalar product and one multiply-accumulate at two word sizes, and
- * the TFHE gadget decomposition.  Word 32 takes every modulus below 2^32,
- * word 64 every modulus below 2^62.
+ * The numpy backend's native library: the negacyclic NTT / INTT
+ * (ntt32_*, ntt64_*), one fixed-scalar product (scale32, scale64) and one
+ * multiply-accumulate (mac32, mac64) at two word sizes, the TFHE gadget
+ * decomposition (decompose32) and a blind rotation's whole CMux loop
+ * (cmux32).  Word 32 takes every modulus below 2^32, word 64 every modulus
+ * below 2^62; decompose32 takes moduli below 2^51.
  *
  * The transforms run in place over a contiguous (rows, n) uint64 array.
  * Row r runs under tables[r % limbs], each one array laid out by
@@ -30,12 +32,23 @@
  *
  * decompose32's quotients floor((2 res + f) / (2 f)) are a truncated double
  * product with one integer correction.  The residual stays in [-q/2, q/2]
- * and 0 < f < q < 2^32, so 2 res + f and 2 f (below 2^34) are exact doubles,
- * and the product with the rounded 1 / (2 f) is within 2^-52 of the quotient
- * relatively: within 2^-18 / (2 f) of it, below the 1 / (2 f) spacing of such
- * quotients.  So the estimate never passes an integer the quotient does not
- * reach, its truncation is within one of the floor, and the sign of the
- * remainder num - d 2 f says which way.
+ * and 0 < f < q < 2^51, so |2 res + f| < 2q <= 2^52 and 2 f are exact
+ * doubles, and the product with the rounded 1 / (2 f) is within
+ * 2^-52 + 2^-106 of the quotient relatively: within (2^52 - 2) (2^-52 +
+ * 2^-106) / (2 f) < 1 / (2 f) of it, the spacing of such quotients.  So the
+ * estimate never passes an integer the quotient does not reach, its
+ * truncation is within one of the floor, and the sign of the remainder
+ * num - d 2 f (|d 2 f| stays near |num|, far below 2^63) says which way.
+ *
+ * cmux32 composes the pieces above and needs no bound of its own.  A
+ * rotated row minus the accumulator row is a negation that keeps a zero
+ * zero, then one correction from (0, 2q): the decomposition gets values
+ * below q, as decompose_row asks.  Its digits are below q, as forward_row
+ * asks; the MAC sums group * levels < 2^32 products in split halves and
+ * reduces them with mac32_reduce, as mac32 does; inverse_row returns values
+ * below q, and the add back is one correction from [0, 2q).  A member
+ * whose degree is 0 is skipped, which is exact: its difference, digits,
+ * their transforms and its product are all 0.
  *
  * A word-32 stage (stage32) pairs the two halves of each group of 2t values
  * under the group's twiddle.  gcc vectorizes a loop nest's innermost loop,
@@ -46,14 +59,22 @@
  * butterflies of one group and the group loop vectorizes instead, and a
  * transform runs 1.6-1.9x faster (2-vCPU AVX-512 x86).  gcc 12, -O3
  * -march=native -fopt-info-vec-optimized reports there, per direction:
- *   native.c:101:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:122:26: optimized: loop vectorized using 64 byte vectors
  * three times (the group loop at t = 4, 2, 1) and
- *   native.c:104:30: optimized: loop vectorized using 64 byte vectors
+ *   native.c:125:30: optimized: loop vectorized using 64 byte vectors
  * once (the j-loop, t >= 8).  It reports scale32's two row loops (without
  * and with b) vectorized too:
- *   native.c:245:34: optimized: loop vectorized using 64 byte vectors
- *   native.c:250:30: optimized: loop vectorized using 64 byte vectors
+ *   native.c:266:34: optimized: loop vectorized using 64 byte vectors
+ *   native.c:271:30: optimized: loop vectorized using 64 byte vectors
  * scale64's are not: the 64 x 64 -> 128-bit product has no vector form.
+ * Every loop of cmux32 over a row's values vectorizes too: rotate_sub's
+ * (once per stretch and sign), the MAC's accumulation (mac32_add) and
+ * reduction, and the add back:
+ *   native.c:522:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:331:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:583:42: optimized: loop vectorized using 64 byte vectors
+ *   native.c:588:38: optimized: loop vectorized using 64 byte vectors
+ * and so do decompose_row's two, in decompose32 and in cmux32.
  *
  * Every reduction and correction step carries a unique step tag; removing
  * the step it marks makes a test in tests/test_native.py fail.
@@ -289,6 +310,44 @@ static inline uint64_t shoup_lazy(uint64_t y, uint64_t w, uint64_t ws, uint64_t 
     return (uint64_t)(uint32_t)y * w - (((uint64_t)(uint32_t)y * ws) >> 32) * q;
 }
 
+/* What mac32_reduce needs of q: 2^32 and 2^64 mod q with their Shoup
+ * constants, and floor(2^32 / q), the Shoup constant of 1. */
+struct mac32_consts {
+    uint64_t q, c32, c32s, c64, c64s, ones;
+};
+
+static inline struct mac32_consts mac32_constants(uint64_t q)
+{
+    const uint64_t c32 = ((uint64_t)1 << 32) % q, c64 = c32 * c32 % q;
+    const struct mac32_consts k = {q, c32, (c32 << 32) / q, c64, (c64 << 32) / q,
+                                   ((uint64_t)1 << 32) / q};
+    return k;
+}
+
+/* lo[j], hi[j] += the low and high 32-bit halves of x[j] y[j], j < len. */
+static inline void mac32_add(uint64_t *lo, uint64_t *hi, const uint64_t *x,
+                             const uint64_t *y, size_t len)
+{
+    for (size_t j = 0; j < len; j++) {
+        uint64_t p = (uint64_t)(uint32_t)x[j] * (uint32_t)y[j];
+        lo[j] += p & 0xFFFFFFFFu;
+        hi[j] += p >> 32;
+    }
+}
+
+/* One sum of split halves lo + hi 2^32, fully reduced: three Shoup products
+ * of its 32-bit digits (below 6q), then the corrections. */
+static inline uint64_t mac32_reduce(uint64_t lo, uint64_t hi, struct mac32_consts k)
+{
+    const uint64_t q = k.q, high = hi + (lo >> 32);
+    uint64_t r = shoup_lazy(high >> 32, k.c64, k.c64s, q)
+                 + shoup_lazy(high, k.c32, k.c32s, q)
+                 + shoup_lazy(lo, 1, k.ones, q);
+    r = r >= 4 * q ? r - 4 * q : r;                     /* step: mac32-correct-4q */
+    r = r >= 2 * q ? r - 2 * q : r;                     /* step: mac32-correct-2q */
+    return r >= q ? r - q : r;                          /* step: mac32-correct-q */
+}
+
 #define MAC_BLOCK 256
 
 /* The length of a block: size, or the rest of the row if it is shorter. */
@@ -313,45 +372,30 @@ void mac32(uint64_t *out, size_t outputs, size_t terms, size_t n,
            const uint64_t *const *a, const uint64_t *const *b, size_t b_step,
            const uint64_t *moduli)
 {
-    const uint64_t mask = 0xFFFFFFFFu;
     uint64_t lo[MAC_BLOCK], hi[MAC_BLOCK];
     for (size_t o = 0; o < outputs; o++) {
-        const uint64_t q = moduli[o], c32 = (mask + 1) % q, c64 = c32 * c32 % q;
-        const uint64_t c32s = (c32 << 32) / q, c64s = (c64 << 32) / q;
-        const uint64_t ones = (mask + 1) / q;
+        const struct mac32_consts k = mac32_constants(moduli[o]);
         const uint64_t *const *ao = a + o * terms, *const *bo = b + o * terms;
         for (size_t start = 0; start < n; start += MAC_BLOCK) {
             const size_t len = block_len(n - start, MAC_BLOCK);
             for (size_t j = 0; j < len; j++)
                 lo[j] = hi[j] = 0;
-            for (size_t k = 0; k < terms; k++) {
-                const uint64_t *x = ao[k] + start;
+            for (size_t t = 0; t < terms; t++) {
+                const uint64_t *x = ao[t] + start;
                 if (b_step) {
-                    const uint64_t *y = bo[k] + start;
-                    for (size_t j = 0; j < len; j++) {
-                        uint64_t p = (uint64_t)(uint32_t)x[j] * (uint32_t)y[j];
-                        lo[j] += p & mask;
-                        hi[j] += p >> 32;
-                    }
+                    mac32_add(lo, hi, x, bo[t] + start, len);
                 } else {
-                    const uint64_t w = (uint32_t)*bo[k];
+                    const uint64_t w = (uint32_t)*bo[t];
                     for (size_t j = 0; j < len; j++) {
                         uint64_t p = (uint64_t)(uint32_t)x[j] * w;
-                        lo[j] += p & mask;
+                        lo[j] += p & 0xFFFFFFFFu;
                         hi[j] += p >> 32;
                     }
                 }
             }
             uint64_t *z = out + o * n + start;
-            for (size_t j = 0; j < len; j++) {
-                uint64_t high = hi[j] + (lo[j] >> 32);
-                uint64_t r = shoup_lazy(high >> 32, c64, c64s, q)
-                             + shoup_lazy(high, c32, c32s, q)
-                             + shoup_lazy(lo[j], 1, ones, q);
-                r = r >= 4 * q ? r - 4 * q : r;         /* step: mac32-correct-4q */
-                r = r >= 2 * q ? r - 2 * q : r;         /* step: mac32-correct-2q */
-                z[j] = r >= q ? r - q : r;              /* step: mac32-correct-q */
-            }
+            for (size_t j = 0; j < len; j++)
+                z[j] = mac32_reduce(lo[j], hi[j], k);
         }
     }
 }
@@ -420,42 +464,130 @@ void mac64(uint64_t *out, size_t outputs, size_t terms, size_t n,
 #define DECOMPOSE_BLOCK 256
 
 /*
- * The golden signed gadget walk of every value of a contiguous (rows, n)
- * uint64 x reduced below q < 2^32 (a store): centre the residual into
- * (-q/2, q/2], then per factor f (each in [0, q); 0 gives digit 0)
- * digit = floor((2 res + f) / (2 f)) and res -= digit f.  Digits are
- * reduced into [0, q) and laid out level-innermost: row r's digit for
- * factors[l] is out row r * levels + l.
+ * The golden signed gadget walk of one row of n values reduced below
+ * q < 2^51: centre the residual into (-q/2, q/2], then per factor f (each in
+ * [0, q); 0 gives digit 0) digit = floor((2 res + f) / (2 f)) and
+ * res -= digit f.  Digits are reduced into [0, q); the one for factors[l]
+ * is out row l.
+ */
+static inline void decompose_row(uint64_t *out, const uint64_t *row, size_t n,
+                                 uint64_t q, size_t levels, const uint64_t *factors)
+{
+    int64_t res[DECOMPOSE_BLOCK];
+    const int64_t q64 = (int64_t)q, half = (int64_t)(q / 2);
+    for (size_t start = 0; start < n; start += DECOMPOSE_BLOCK) {
+        const size_t len = block_len(n - start, DECOMPOSE_BLOCK);
+        for (size_t j = 0; j < len; j++) {
+            const int64_t v = (int64_t)row[start + j];
+            res[j] = v > half ? v - q64 : v;            /* step: decompose32-centre */
+        }
+        for (size_t l = 0; l < levels; l++) {
+            uint64_t *z = out + l * n + start;
+            const int64_t f = (int64_t)factors[l], f2 = 2 * f;
+            if (f == 0) {
+                for (size_t j = 0; j < len; j++)
+                    z[j] = 0;
+                continue;
+            }
+            const double inv = 1.0 / (double)f2;
+            for (size_t j = 0; j < len; j++) {
+                const int64_t num = 2 * res[j] + f;
+                int64_t d = (int64_t)((double)num * inv);
+                const int64_t rem = num - d * f2;
+                d += (rem >= f2) - (rem < 0);           /* step: decompose32-quotient */
+                res[j] -= d * f;
+                z[j] = (uint64_t)(d < 0 ? d + q64 : d);     /* step: decompose32-digit */
+            }
+        }
+    }
+}
+
+/*
+ * decompose_row over every row of a contiguous (rows, n) uint64 x reduced
+ * below q < 2^51 (a store), level-innermost: row r's digit for factors[l]
+ * is out row r * levels + l.
  */
 void decompose32(uint64_t *out, const uint64_t *x, size_t rows, size_t n,
                  uint64_t q, size_t levels, const uint64_t *factors)
 {
-    int64_t res[DECOMPOSE_BLOCK];
-    const int64_t q64 = (int64_t)q, half = (int64_t)(q / 2);
-    for (size_t r = 0; r < rows; r++) {
-        for (size_t start = 0; start < n; start += DECOMPOSE_BLOCK) {
-            const size_t len = block_len(n - start, DECOMPOSE_BLOCK);
-            const uint64_t *row = x + r * n + start;
-            for (size_t j = 0; j < len; j++) {
-                const int64_t v = (int64_t)row[j];
-                res[j] = v > half ? v - q64 : v;        /* step: decompose32-centre */
+    for (size_t r = 0; r < rows; r++)
+        decompose_row(out + r * levels * n, x + r * n, n, q, levels, factors);
+}
+
+/* out[j] = (v[j], negated if negate) - a[j] mod q, j < len: one stretch of
+ * a rotated row minus the row.  The negation keeps a zero zero. */
+static inline void rotate_sub(uint64_t *out, const uint64_t *v, const uint64_t *a,
+                              size_t len, int negate, uint64_t q)
+{
+    for (size_t j = 0; j < len; j++) {
+        uint64_t x = v[j];
+        if (negate)
+            x = x > 0 ? q - x : x;                      /* step: cmux32-rotate-negate */
+        const uint64_t d = x + q - a[j];                            /* (0, 2q) */
+        out[j] = d >= q ? d - q : d;                    /* step: cmux32-difference */
+    }
+}
+
+/*
+ * A wave's whole blind rotation after its initial rotation, in place: acc
+ * is members blocks of group = k + 1 contiguous rows of n values below
+ * q < 2^32, and for each step i, member m (iteration-outer, so GGSW i's key
+ * slice stays in cache across the members):
+ *   acc_m += bsk_i [x] (X^{degrees[i * members + m]} acc_m - acc_m),
+ * every degree in [0, 2n).  key holds steps slices of group * levels *
+ * group evaluation-domain rows: row r * group + c of slice i is component
+ * c of GGSW i's GLWE row r, where digit row r = g * levels + l is level l
+ * of difference row g.  table is the ring's word-32 transform table;
+ * scratch holds group * (levels + 1) rows (the digits, then the
+ * differences, whose rows take the products once they are decomposed).
+ * key is only read.  A member whose degree is 0 is skipped: its difference
+ * is 0, so are its digits, their transforms and its product, and adding 0
+ * leaves it as it was.
+ */
+void cmux32(uint64_t *acc, size_t members, size_t group, size_t n, size_t steps,
+            const uint64_t *degrees, const uint64_t *key, size_t levels,
+            const uint64_t *factors, const uint32_t *table, uint64_t *scratch)
+{
+    const struct mac32_consts k = mac32_constants(table[0]);
+    const uint64_t q = k.q;
+    const size_t terms = group * levels;
+    uint64_t *digits = scratch, *diff = scratch + terms * n;
+    uint64_t lo[MAC_BLOCK], hi[MAC_BLOCK];
+    for (size_t i = 0; i < steps; i++) {
+        const uint64_t *slice = key + i * terms * group * n;
+        for (size_t m = 0; m < members; m++) {
+            const size_t d = degrees[i * members + m], t = d % n;
+            if (d == 0)
+                continue;
+            uint64_t *a = acc + m * group * n;
+            /* X^d row: out[j] = +-row[(j - d) mod 2n], minus where the
+             * source wrapped past X^n an odd number of times. */
+            for (size_t g = 0; g < group; g++) {
+                const uint64_t *row = a + g * n;
+                uint64_t *z = diff + g * n;
+                rotate_sub(z, row + n - t, row, t, d < n, q);
+                rotate_sub(z + t, row, row + t, n - t, d >= n, q);
+                decompose_row(digits + g * levels * n, z, n, q, levels, factors);
             }
-            for (size_t l = 0; l < levels; l++) {
-                uint64_t *z = out + (r * levels + l) * n + start;
-                const int64_t f = (int64_t)factors[l], f2 = 2 * f;
-                if (f == 0) {
+            for (size_t r = 0; r < terms; r++)
+                forward_row(digits + r * n, n, table);
+            for (size_t c = 0; c < group; c++) {
+                uint64_t *z = diff + c * n;
+                for (size_t start = 0; start < n; start += MAC_BLOCK) {
+                    const size_t len = block_len(n - start, MAC_BLOCK);
                     for (size_t j = 0; j < len; j++)
-                        z[j] = 0;
-                    continue;
+                        lo[j] = hi[j] = 0;
+                    for (size_t r = 0; r < terms; r++)
+                        mac32_add(lo, hi, digits + r * n + start,
+                                  slice + (r * group + c) * n + start, len);
+                    for (size_t j = 0; j < len; j++)
+                        z[start + j] = mac32_reduce(lo[j], hi[j], k);
                 }
-                const double inv = 1.0 / (double)f2;
-                for (size_t j = 0; j < len; j++) {
-                    const int64_t num = 2 * res[j] + f;
-                    int64_t d = (int64_t)((double)num * inv);
-                    const int64_t rem = num - d * f2;
-                    d += (rem >= f2) - (rem < 0);       /* step: decompose32-quotient */
-                    res[j] -= d * f;
-                    z[j] = (uint64_t)(d < 0 ? d + q64 : d);  /* step: decompose32-digit */
+                inverse_row(z, n, table);
+                uint64_t *y = a + c * n;
+                for (size_t j = 0; j < n; j++) {
+                    const uint64_t s = y[j] + z[j];
+                    y[j] = s >= q ? s - q : s;                  /* step: cmux32-add */
                 }
             }
         }

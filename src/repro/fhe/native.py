@@ -2,8 +2,9 @@
 (stdlib only): the negacyclic NTT / INTT, one fixed-scalar product
 (ModDown, Rescale, BConv's source scaling, ``limbs_scalar_mul``) and one
 multiply-accumulate (keyswitch MAC, plaintext MAC, BConv, the TFHE external
-product) at word 32 (moduli below 2^32) and word 64 (below 2^62), and the
-TFHE gadget decomposition.
+product) at word 32 (moduli below 2^32) and word 64 (below 2^62), the TFHE
+gadget decomposition (moduli below 2^51), and a blind rotation's whole CMux
+loop in one call (``cmux32``, ``blind_rotate_rows`` below 2^32).
 
 :func:`library` is the one entry point; ``None`` means there is no numpy
 backend in this process: :func:`repro.fhe.backend.get_backend` resolves
@@ -25,7 +26,8 @@ from pathlib import Path
 from typing import Optional
 
 #: The C source: a forward and an inverse transform, a fixed-scalar product
-#: and a multiply-accumulate per word size, one gadget decomposition.
+#: and a multiply-accumulate per word size, one gadget decomposition, one
+#: CMux loop.
 SOURCE = Path(__file__).with_name("native.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -137,6 +139,7 @@ SIGNATURES = {
     "scale64": (_P, _P, _P, _N, _N, _N, _P, _P),
     "mac64": (_P, _N, _N, _N, _P, _P, _N, _P),
     "decompose32": (_P, _P, _N, _N, ctypes.c_uint64, _N, _P),
+    "cmux32": (_P, _N, _N, _N, _N, _P, _P, _N, _P, _P, _P),
 }
 
 

@@ -4,8 +4,8 @@ The planner groups independent ``pbs``/``gate_bootstrap`` nodes into one
 dispatch (``attrs["pbs_group"]``); this module is the execution side.  All
 members share the bootstrapping key, so the wave's ``M * (k + 1)``
 accumulator rows ride :func:`~repro.fhe.tfhe.pbs.blind_rotate_wave` as a
-single store — every CMux iteration is a fixed handful of whole-wave kernel
-dispatches — and the tail stays in the backend too: SampleExtract at index 0
+single store — all ``n_lwe`` CMux iterations are one ``blind_rotate_rows``
+dispatch — and the tail stays in the backend too: SampleExtract at index 0
 is one signed permutation of the mask rows, and the keyswitch decomposes
 that store and multiplies it against the cached flattened key in one
 ``digits @ ksk`` product (:func:`batched_lwe_keyswitch` is the same product

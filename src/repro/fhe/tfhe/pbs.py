@@ -159,20 +159,19 @@ def blind_rotate_wave(
     components of ``X^{-phase_m} * tv_m``.
 
     The store is created once from the test vectors and never leaves the
-    backend: each CMux step ``acc += bsk_i ⊡ (X^{a_i} * acc - acc)`` is
-    seven whole-wave dispatches (rotate, subtract, decompose, forward NTT,
-    MAC against GGSW ``i``'s slice of the evaluation-domain key, inverse
-    NTT, add).  A member whose ``a_i`` is zero rotates by ``X^0``: its
-    difference rows are zero and so is its external product, so the step
-    leaves it unchanged bit for bit, exactly as if it had been skipped; an
-    iteration is skipped outright when every member's ``a_i`` is zero.
+    backend: three dispatches once the key is transformed (pack, the initial
+    rotation by ``-b``, the loop).  The whole CMux loop, ``n_lwe`` steps
+    ``acc += bsk_i ⊡ (X^{a_i} * acc - acc)`` against the evaluation-domain
+    key, is one :meth:`~repro.fhe.backend.ArithmeticBackend.blind_rotate_rows`
+    (on the numpy backend one pass of the native ``cmux32`` for every
+    modulus below 2^32).  A member whose ``a_i`` is zero rotates by
+    ``X^0``: its difference rows are zero and so is its external product,
+    so the step leaves it unchanged bit for bit, exactly as if it had been
+    skipped.
 
-    Each transform of a step returns a fresh store (the C transform runs in
-    place on one copy of its input, the golden one builds new rows), and no
-    work buffer is kept on the backend, a table or a module.  Nothing may
-    alias an earlier result: each step's product is still being read when
-    the next transform runs, and :meth:`BootstrappingKey.eval_store` caches
-    a transform's result for good.
+    The kernel returns a fresh store and only reads the key, which
+    :meth:`BootstrappingKey.eval_store` caches for good; no work buffer is
+    kept on the backend, a table or a module.
     """
     first = test_vectors[0]
     n, q, group = first.ring_degree, first.modulus, first.glwe_dimension + 1
@@ -184,35 +183,21 @@ def blind_rotate_wave(
                 f"{2 * n}, got dimension {lwe.dimension} and modulus {lwe.modulus}"
             )
     backend = active_backend()
-    moduli = (q,) * (len(switched) * group)
     context = _ntt_context(n, q)
     ggsw = bootstrapping_key.ggsw_rows[0]
-    factors = gadget_factors(q, ggsw.base, ggsw.levels)
-    span = group * ggsw.levels * group
     key = bootstrapping_key.eval_store(context, backend)
     accumulator = backend.pack_limbs(
-        [row for tv in test_vectors for row in tv.store()], moduli
+        [row for tv in test_vectors for row in tv.store()],
+        (q,) * (len(switched) * group),
     )
     accumulator = backend.rows_monomial_multiply(
         accumulator, q, [-lwe.b for lwe in switched], group
     )
-    for i in range(bootstrapping_key.lwe_dimension):
-        degrees = [lwe.a[i] for lwe in switched]
-        if not any(degrees):
-            continue
-        rotated = backend.rows_monomial_multiply(accumulator, q, degrees, group)
-        digits = backend.gadget_decompose_rows(
-            backend.limbs_sub(rotated, accumulator, moduli), q, factors
-        )
-        product = backend.external_product_mac(
-            backend.ntt_forward_batch(context, digits),
-            key[i * span:(i + 1) * span], len(switched), q,
-        )
-        accumulator = backend.limbs_add(
-            accumulator, backend.ntt_inverse_batch(context, product),
-            moduli,
-        )
-    return accumulator
+    return backend.blind_rotate_rows(
+        context, accumulator,
+        [[lwe.a[i] for lwe in switched] for i in range(bootstrapping_key.lwe_dimension)],
+        key, gadget_factors(q, ggsw.base, ggsw.levels), group,
+    )
 
 
 def blind_rotate(

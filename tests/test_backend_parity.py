@@ -1189,6 +1189,7 @@ def _width_cases(moduli, n, seed):
     q = moduli[0]
     wave = (q,) * 4
     w, v = rows(wave), rows(wave)
+    key = rows((q,) * 24)
     matrix = [[rng.randrange(min(q, 1 << 32)) for _ in range(3)] for _ in range(n)]
     scalars = [rng.randrange(m) for m in moduli]
     perm, gather = automorphism_spec(n, 5), galois_eval_spec(n, 5)
@@ -1237,6 +1238,8 @@ def _width_cases(moduli, n, seed):
             s(w), q, [3, n + 5], 2),
         "gadget_decompose_rows": lambda k, s: k.gadget_decompose_rows(s(w), q, factors),
         "external_product_mac": lambda k, s: k.external_product_mac(s(w), s(v), 2, q),
+        "blind_rotate_rows": lambda k, s: k.blind_rotate_rows(
+            contexts[0], s(w), [[3, n + 5], [0, 7]], s(key), factors, 2),
         "mat_mulmod": lambda k, s: k.mat_mulmod(s(w), s(matrix), q),
     }
 

@@ -1,11 +1,16 @@
-"""Tests for the kernel IR, operation counts, and kernel flows."""
+"""Tests for the kernel IR, operation counts, and kernel flows, and the
+library's transform rows per CKKS operation against those flows."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fhe.backend import WrappedBackend, available_backends, get_backend
+from repro.fhe.ckks import CKKSCiphertext, CKKSEvaluator, CKKSKeyGenerator, CKKSPlaintext
+from repro.fhe.rns import RNSPolynomial
 from repro.fhe.params import CKKS_DEFAULT, CKKS_KEYSWITCH_BREAKDOWN, CKKSParameters, TFHE_SET_I, TFHE_SET_III
 from repro.kernels import (
     KERNEL_CLASS,
@@ -262,3 +267,123 @@ class TestWorkloadBreakdown:
         assert 0.4 < ks_ntt_share < 0.7
         assert 0.65 < pbs_ntt_share < 0.9
         assert pbs_ntt_share > ks_ntt_share
+
+
+# ---------------------------------------------------------------------------
+# The library's transform rows per CKKS operation against the flows
+# ---------------------------------------------------------------------------
+
+#: Forward and inverse transform rows of one top-level dispatch, per kernel
+#: that transforms; ``args[1]`` is the store (or the list of stores).
+TRANSFORM_ROWS = {
+    "batched_ntt": lambda args: (len(args[1]), 0),
+    "ntt_forward_batch": lambda args: (len(args[1]), 0),
+    "limbs_eval_key": lambda args: (len(args[1]), 0),
+    "stacked_ntt": lambda args: (sum(map(len, args[1])), 0),
+    "batched_intt": lambda args: (0, len(args[1])),
+    "ntt_inverse_batch": lambda args: (0, len(args[1])),
+    "stacked_intt": lambda args: (0, sum(map(len, args[1]))),
+    "limbs_convolution": lambda args: (2 * len(args[1]), len(args[1])),
+}
+#: Every other kernel the operations below dispatch: none transforms.
+TRANSFORM_FREE = {
+    "limbs_add", "limbs_sub", "limbs_mul", "limbs_neg", "limbs_tensor_product",
+    "limbs_eval_mac", "bconv_matmul", "batched_sub_scaled", "limbs_gather",
+    "limbs_signed_permute", "stacked_gather", "replicate_row", "pack_limbs",
+}
+
+
+class _TransformCensus(WrappedBackend):
+    """Counts forward and inverse transform rows of the top-level dispatches."""
+
+    prefix = "census"
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.reset()
+
+    def reset(self):
+        self.rows, self.kernels = [0, 0], set()
+
+    def _dispatch(self, kernel, func, args, kwargs):
+        self.kernels.add(kernel)
+        if kernel in TRANSFORM_ROWS:
+            forward, inverse = TRANSFORM_ROWS[kernel](args)
+            self.rows = [self.rows[0] + forward, self.rows[1] + inverse]
+        return func(*args, **kwargs)
+
+
+#: Why the library's rows differ from the flows, as ``(reason, rows)`` with
+#: ``rows(l) = (forward, inverse)`` added at level ``l`` (``l + 1`` limbs).
+DECOMPOSE_INPUT = ("the keyswitched polynomial returns to coefficients for "
+                   "Decompose, a step the model omits", lambda l: (0, l + 1))
+EVAL_MODDOWN = ("ModDown in the evaluation domain: the P part's BConv image is "
+                "forward-transformed onto both outputs' l + 1 limbs, which the "
+                "model inverse-transforms instead", lambda l: (2 * (l + 1), -2 * (l + 1)))
+OPERANDS_TO_EVAL = ("both coefficient operands go to the evaluation domain, "
+                    "where the model takes them to be", lambda l: (4 * (l + 1), 0))
+BACK_TO_COEFF = ("the result returns to its source's coefficient domain",
+                 lambda l: (0, 2 * (l + 1)))
+COEFF_PMULT = ("two negacyclic convolutions: the model's operands are "
+               "evaluation-resident", lambda l: (4 * (l + 1), 2 * (l + 1)))
+COEFF_RESCALE = ("a coefficient-resident rescale needs no transform",
+                 lambda l: (-2 * l, -2))
+#: ``(operation, input domain)`` -> its deviations; a pair not named has none.
+DEVIATIONS = {
+    ("HMult", "eval"): (DECOMPOSE_INPUT, EVAL_MODDOWN),
+    ("HMult", "coeff"): (OPERANDS_TO_EVAL, DECOMPOSE_INPUT, EVAL_MODDOWN),
+    ("HRotate", "eval"): (DECOMPOSE_INPUT, EVAL_MODDOWN),
+    ("HRotate", "coeff"): (EVAL_MODDOWN, BACK_TO_COEFF),
+    ("PMult", "coeff"): (COEFF_PMULT,),
+    ("Rescale", "coeff"): (COEFF_RESCALE,),
+}
+
+
+def _model_rows(name, params, level):
+    trace = ckks_operation_flow(name, params, level)
+    return [sum(k.count for k in trace.kernels() if k.kind == kind)
+            for kind in (KernelKind.NTT, KernelKind.INTT)]
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_ckks_transform_census_matches_the_flows(backend):
+    """Per operation and level of ``CKKSParameters.toy()``, on evaluation-
+    resident inputs (what the planner feeds) and coefficient ones (eager),
+    the library's forward / inverse transform rows equal the flow's NTT /
+    INTT counts plus the named ``DEVIATIONS``.  Each operation runs twice
+    and the second run is counted, so cached key and plaintext images are
+    not."""
+    params = CKKSParameters.toy()
+    census = _TransformCensus(get_backend(backend))
+    ev = CKKSEvaluator(params, CKKSKeyGenerator(params, seed=3, backend=census).generate(),
+                       backend=census)
+    rotation = ev.galois_element_for_rotation(1)
+    rng = random.Random(3)
+    seen = set()
+    for level in range(params.max_level + 1):
+        # Uniform rows stand in for encryptions: the rows a kernel
+        # transforms do not depend on the values.
+        def poly():
+            return RNSPolynomial.sample_uniform(params.ring_degree, params.basis(level), rng)
+        a, b = (CKKSCiphertext(c0=poly(), c1=poly(), level=level, scale=params.scale)
+                for _ in range(2))
+        plaintext = CKKSPlaintext(poly=poly(), level=level, scale=params.scale)
+        for domain in ("eval", "coeff"):
+            x, y = (ev.to_eval(a), ev.to_eval(b)) if domain == "eval" else (a, b)
+            ops = {"HMult": lambda: ev.multiply(x, y),
+                   "HRotate": lambda: ev.galois_wave([(x, rotation)]),
+                   "PMult": lambda: ev.multiply_plain(x, plaintext),
+                   "HAdd": lambda: ev.add(x, y)}
+            if level:
+                ops["Rescale"] = lambda: ev.rescale(x)
+            for name, op in ops.items():
+                op()
+                census.reset()
+                op()
+                assert census.kernels <= TRANSFORM_FREE | set(TRANSFORM_ROWS)
+                expected = _model_rows(name, params, level)
+                for _, rows in DEVIATIONS.get((name, domain), ()):
+                    expected = [e + d for e, d in zip(expected, rows(level))]
+                assert census.rows == expected, (name, domain, level)
+                seen.add((name, domain))
+    assert set(DEVIATIONS) <= seen

@@ -1,6 +1,6 @@
 """The compiled native library (transforms, fixed-scalar products and
-multiply-accumulates at word 32 and word 64, the gadget decomposition) and
-its loader.
+multiply-accumulates at word 32 and word 64, the gadget decomposition, the
+CMux loop) and its loader.
 
 ``repro.fhe.native`` is standard library only, so the loader tests run on
 every CI leg; the parity tests need the numpy backend, which exists only
@@ -16,7 +16,9 @@ accumulator has an edge at; so must the fixed-scalar products
 ``batched_sub_scaled`` and ``limbs_scalar_mul`` on every chain, at ``q - 1``
 under the largest primes below 2^32 and 2^62, and for any integer scalar;
 the gadget decomposition ``gadget_decompose_rows`` must, at every modulus
-below 2^32, factor and value its float quotient has an edge at.  Whatever
+below 2^51, factor and value its float quotient has an edge at; and the
+blind rotation ``blind_rotate_rows`` must equal the golden composition of
+the wave kernels on every TFHE set below 2^32, at every degree edge.  Whatever
 the loader returns, the python backend is the one fallback, and every
 reduction step of the C source carries a step tag
 (``tests/test_native_mutation.py`` removes each in turn).
@@ -1003,6 +1005,8 @@ class TestNativeScaleParity:
 
 #: The two largest primes below 2^32 and the largest odd modulus below it.
 WIDE_MODULI = (4294967291, 4294967279, 4294967295)
+#: The largest prime below 2^51, the widest modulus the decomposition takes.
+PRIME_BELOW_2_51 = 2251799813685119
 
 
 def _tfhe_chains():
@@ -1074,7 +1078,7 @@ class TestNativeDecomposeParity:
         search): its truncation is 0, and only the upward correction lifts it."""
         np = pytest.importorskip("numpy")
         assert int(196 * (1.0 / 196)) == 0
-        for q in (HYBRID_Q, WIDE_MODULI[0]):
+        for q in (HYBRID_Q, WIDE_MODULI[0], PRIME_BELOW_2_51):
             factors = (1 << 26, 1 << 20, 1 << 14, 98, 2)
             values = sorted({sign * (k * f + f // 2) % q for f in factors
                              for k in range(4) for sign in (1, -1)})
@@ -1104,15 +1108,34 @@ class TestNativeDecomposeParity:
             _decompose(route.backend(), store, q, factors)
         route.check("decompose32")
 
+    @pytest.mark.parametrize("bits", [33, 36, 40, 44, 48, 50, 51])
+    def test_moduli_up_to_2_51(self, route, bits):
+        """Past 2^32 the residual and ``2 res + f`` are still exact doubles
+        (``|2 res + f| < 2q <= 2^52``): the prime below ``2^bits`` (and the
+        hybrid CKKS ``q0``, 40 bits, whose c2t keyswitch decomposes), at
+        the centring edges, under factors 1, ``q - 1`` and around ``q / 2``."""
+        q = PRIME_BELOW_2_51 if bits == 51 else max(
+            p for p in range((1 << bits) - 200, 1 << bits) if modmath.is_prime(p))
+        rows = _edge_rows(q, 64, 3, seed=bits)
+        for factors in (gadget_factors(q, 1 << 8, 5), gadget_factors(q, 3, 30),
+                        (q - 1, q // 2, q // 2 + 1, 2, 1), (1,)):
+            _decompose(route.backend(), rows, q, factors)
+        if bits == 40:
+            q0 = hybrid_query_parameters()[0].moduli[0]
+            _decompose(route.backend(), _edge_rows(q0, 16, 16, seed=0), q0,
+                       gadget_factors(q0, 1 << 4, 8))
+        route.check("decompose32")
+
     def test_what_the_library_does_not_take_is_golden(self, route):
-        """A factor outside ``[0, q)``, and moduli of 2^32 and above, take
+        """A factor outside ``[0, q)``, and moduli of 2^51 and above, take
         the golden body."""
         backend = route.backend()
         q = HYBRID_Q
         rows = _edge_rows(q, 64, 2, seed=3)
         _decompose(backend, rows, q, (q, 5))
         _decompose(backend, rows, q, (q + 7, q // 64))
-        for wide in ((1 << 32) + 15, modmath.find_ntt_prime(36, 64)):
+        for wide in ((1 << 51) + 15, modmath.find_ntt_prime(52, 64),
+                     modmath.find_ntt_prime(62, 64)):
             _decompose(backend, _edge_rows(wide, 64, 2, seed=4), wide,
                        gadget_factors(wide, 1 << 6, 5))
         assert route.calls["decompose32"] == 0
@@ -1125,3 +1148,121 @@ class TestNativeDecomposeParity:
         _decompose(route.backend(), _edge_rows(q, 37, 3, seed), q,
                    gadget_factors(q, base, levels))
         route.check("decompose32")
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1 << 32, (1 << 51) - 1), st.integers(2, 1 << 20),
+           st.integers(1, 12), st.integers(0, 1 << 16))
+    def test_wide_sweep(self, route, q, base, levels, seed):
+        _decompose(route.backend(), _edge_rows(q, 37, 3, seed), q,
+                   gadget_factors(q, base, levels))
+        route.check("decompose32")
+
+
+# ---------------------------------------------------------------------------
+# Native blind-rotation parity: blind_rotate_rows against golden
+# ---------------------------------------------------------------------------
+
+def _edge_degrees(n):
+    """Degrees every wave below meets: 0, 1, N - 1, N, N + 1, 2N - 1, and
+    integers outside [0, 2N), which the golden kernel takes modulo 2N."""
+    return [0, 1, n - 1, n, n + 1, 2 * n - 1, -5, 2 * n + 3]
+
+
+def _wave(params, members, k, steps, seed, edge=False):
+    """``(context, accumulator, degrees, key, factors, group)`` for
+    ``blind_rotate_rows``: ``members`` accumulators of ``k + 1`` rows under
+    ``params``' ring and bsk gadget, ``steps`` random key slices (the first
+    half of every row at ``q - 1``; ``edge``: all of it), and per step one
+    degree per member.  Step 1 is all zero, member 0 of a wave of several
+    is zero in every step, and the other degrees are random or run through
+    :func:`_edge_degrees`."""
+    n, q, group = params.polynomial_size, params.modulus, k + 1
+    factors = tuple(gadget_factors(q, 1 << params.bsk_base_log, params.bsk_levels))
+    span = group * len(factors) * group
+    accumulator = _stores((q,) * (members * group), n, 1, seed, edge)[0]
+    key = _stores((q,) * (steps * span), n, 1, seed + 1, edge)[0]
+    rng = random.Random(seed)
+    edges = _edge_degrees(n)
+    degrees = [[0 if (m == 0 and members > 1) or i == 1 else
+                edges[(i * members + m) % len(edges)] if rng.random() < 0.5 else
+                rng.randrange(2 * n) for m in range(members)] for i in range(steps)]
+    return NTTContext(n, q), accumulator, degrees, key, factors, group
+
+
+def _blind_rotate(backend, context, accumulator, degrees, key, factors, group):
+    """``backend.blind_rotate_rows`` against the golden one: equal, both
+    inputs as they were, and the result aliasing neither."""
+    np = pytest.importorskip("numpy")
+    before = accumulator.copy(), key.copy()
+    expected = PYTHON.blind_rotate_rows(context, _rows(accumulator), degrees,
+                                        _rows(key), factors, group)
+    out = backend.blind_rotate_rows(context, accumulator, degrees, key, factors, group)
+    assert _rows(out) == expected
+    assert np.array_equal(accumulator, before[0]) and np.array_equal(key, before[1])
+    assert not np.shares_memory(out, accumulator) and not np.shares_memory(out, key)
+    return expected
+
+
+#: The TFHE sets whose moduli the native loop takes (32 and 31 bits).
+BLIND_ROTATE_SETS = {"toy": TFHEParameters.toy(), "hybrid": TFHEParameters.hybrid()}
+
+
+@needs_numpy
+class TestNativeBlindRotateParity:
+    """The whole CMux loop of a wave in one ``cmux32`` call, against the
+    golden composition of the seven wave kernels."""
+
+    @pytest.mark.parametrize("members", [1, 16])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BLIND_ROTATE_SETS))
+    def test_every_tfhe_set(self, route, name, k, members):
+        wave = _wave(BLIND_ROTATE_SETS[name], members, k, steps=3, seed=members + k)
+        _blind_rotate(route.backend(), *wave)
+        route.check("cmux32")
+
+    @pytest.mark.parametrize("name", sorted(BLIND_ROTATE_SETS))
+    def test_accumulators_and_keys_at_q_minus_one(self, route, name):
+        _blind_rotate(route.backend(), *_wave(BLIND_ROTATE_SETS[name], 4, 1, steps=2,
+                                              seed=3, edge=True))
+        route.check("cmux32")
+
+    def test_zero_degrees_leave_a_member_as_it_was(self, route):
+        """Member 0's degrees are zero in every step, and step 1's are zero
+        for everyone: member 0 comes back unchanged, and a wave whose every
+        step is zero comes back as a copy."""
+        context, acc, degrees, key, factors, group = _wave(
+            BLIND_ROTATE_SETS["hybrid"], 3, 1, steps=3, seed=4)
+        out = _blind_rotate(route.backend(), context, acc, degrees, key, factors, group)
+        assert out[:group] == _rows(acc)[:group]
+        assert _blind_rotate(route.backend(), context, acc, [[0] * 3] * 3, key,
+                             factors, group) == _rows(acc)
+        route.check("cmux32")
+
+    def test_no_step_is_a_copy(self, route):
+        np = pytest.importorskip("numpy")
+        context, acc, _, key, factors, group = _wave(
+            BLIND_ROTATE_SETS["toy"], 2, 1, steps=1, seed=5)
+        out = route.backend().blind_rotate_rows(context, acc, [], key[:0], factors, group)
+        assert _rows(out) == _rows(acc) and not np.shares_memory(out, acc)
+
+    def test_counts_that_do_not_fit_are_refused(self, route):
+        """A key that is not one slice per step, or a step with a degree per
+        member too few, is the golden kernel's ``ValueError``."""
+        context, acc, degrees, key, factors, group = _wave(
+            BLIND_ROTATE_SETS["toy"], 2, 1, steps=2, seed=6)
+        backend = route.backend()
+        for args in ((acc, degrees, key[:-1]), (acc, degrees[:1], key),
+                     (acc, [degrees[0], degrees[1][:1]], key), (acc[:-1], degrees, key)):
+            with pytest.raises(ValueError):
+                backend.blind_rotate_rows(context, args[0], args[1], args[2],
+                                          factors, group)
+
+    def test_what_the_library_does_not_take_is_golden(self, route):
+        """Moduli of 2^32 and above take the golden composition."""
+        params = TFHEParameters(
+            polynomial_size=64, lwe_dimension=2, bsk_levels=3, bsk_base_log=8,
+            modulus_bits=36, noise_stddev=0.0, security_bits=0, name="tfhe-36")
+        assert params.modulus >= 1 << 32
+        _blind_rotate(route.backend(), *_wave(params, 2, 1, steps=2, seed=7))
+        assert route.calls["cmux32"] == 0

@@ -43,7 +43,7 @@ TAGS = STEP_TAG.findall(native.SOURCE.read_text())
 #: The native parity classes, in the order they run.
 PARITY = [f"{TESTS / 'test_native.py'}::{name}" for name in
           ("TestNativeParity", "TestNativeMacParity", "TestNativeScaleParity",
-           "TestNativeDecomposeParity")]
+           "TestNativeDecomposeParity", "TestNativeBlindRotateParity")]
 
 
 def without_step(text, tag):
@@ -92,7 +92,7 @@ def run_parity(source, tmp_path, monkeypatch):
 
 
 def test_every_step_is_tagged_once():
-    assert len(TAGS) == len(set(TAGS)) == 21
+    assert len(TAGS) == len(set(TAGS)) == 24
 
 
 @pytest.mark.parametrize("tag", TAGS)
