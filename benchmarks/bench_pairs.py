@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are eleven families of fast-path /
+exactness is asserted in tier-1; left here are twelve families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -36,7 +36,10 @@ the speed-up (the fast path reads ``(1.0)``):
   levels, the hybrid 31-bit modulus) — the same;
 * the native (C) vs the python blind rotation on one wave's whole CMux loop,
   ``blind_rotate_rows`` (16 members, N = 256, 5 levels, 16 steps, the
-  hybrid 31-bit modulus) — the same.
+  hybrid 31-bit modulus) — the same;
+* the native (C) vs the python per-key phase of one keyswitch wave,
+  ``keyswitch_rows`` (8 Galois members of one hoist, N = 2^10, L = 8,
+  ``serve_wire_dense``'s 30/32-bit chain) — the same.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -402,3 +405,52 @@ def wave_loop():
 def test_blind_rotate_rows(benchmark, wave_loop, core):
     backend = NumpyBackend() if core == "native" else PythonBackend()
     benchmark(backend.blind_rotate_rows, *wave_loop)
+
+
+# ---------------------------------------------------------------------------
+# native vs python per-key phase of a keyswitch wave
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def keyswitch_wave_operands():
+    """``keyswitch_rows``' arguments at ``serve_wire_dense``'s shape: N =
+    2^10, L = 8 (9 Q limbs, its 32-bit P), the digits of one hoist and 8
+    Galois members, each with its own random evaluation-domain key."""
+    import numpy as np
+
+    from repro.fhe.ckks.keyswitch import _mod_down_constants
+    from repro.fhe.polynomial import galois_eval_spec
+    from repro.fhe.rns import _bconv_plan, _limb_contexts
+
+    params = CKKSParameters(ring_degree=1 << 10, max_level=8, dnum=3, scale_bits=26,
+                            modulus_bits=30, special_modulus_bits=32, security_bits=0)
+    level, n = params.max_level, params.ring_degree
+    extended = params.extended_basis(level)
+    contexts = _limb_contexts(n, extended)
+    column = np.array(extended.moduli, dtype=np.uint64)[:, None]
+    rng = np.random.default_rng(0x4B5)
+    digits = len(params.digit_slices(level))
+
+    def stores(count):
+        return [rng.integers(0, 1 << 62, size=(len(extended), n), dtype=np.uint64)
+                % column for _ in range(count)]
+
+    hoist = stores(digits)
+    keys = [[tuple(stores(2)) for _ in range(digits)] for _ in range(8)]
+    specs = [galois_eval_spec(n, pow(5, step, 2 * n)) for step in range(1, 9)]
+    return (contexts, hoist, keys, specs,
+            _bconv_plan(params.special_basis(), params.basis(level)),
+            _mod_down_constants(params, level))
+
+
+@pytest.mark.benchmark(
+    group="native vs python: keyswitch_rows (8 Galois members, N=2^10, L=8)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_keyswitch_rows(benchmark, keyswitch_wave_operands, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
+    contexts, hoist, keys, specs, plan, scalars = keyswitch_wave_operands
+    members = [(hoist, [tuple(backend.limbs_eval_key(contexts, image) for image in pair)
+                        for pair in key], spec) for key, spec in zip(keys, specs)]
+    # Key images outside the timing (the python handle takes them on first use).
+    backend.keyswitch_rows(contexts, members, plan, scalars)
+    benchmark(backend.keyswitch_rows, contexts, members, plan, scalars)

@@ -177,7 +177,7 @@ def main() -> None:
                   f"(retry after {exc.retry_after_seconds:.1f}s)")
 
     schedule = FaultSchedule(
-        [FaultSpec("limbs_eval_mac", "raise", max_injections=2)])
+        [FaultSpec("keyswitch_rows", "raise", max_injections=2)])
     resilient = InferenceServer(
         params, backend=FaultInjectingBackend(get_backend("numpy"), schedule),
         max_batch_size=4, batch_window=0.001, clock=clock,

@@ -662,13 +662,74 @@ class ArithmeticBackend:
         """Forward counterpart of :meth:`stacked_intt` (one stacked dispatch)."""
         return [self.batched_ntt(contexts, store) for store in stores]
 
-    def stacked_gather(self, stores, spec):
-        """Apply one sign-free gather to several limb stores at once.
+    def keyswitch_rows(self, contexts, members, plan: "BConvPlan", scalars):
+        """The per-key phase of a hoisted keyswitch wave (Algorithm 1's inner
+        product and ModDown) for every member, in the evaluation domain.
 
-        The batched form of :meth:`limbs_gather` — hoisted keyswitch uses it
-        to permute all decomposition digits of a rotation in one dispatch.
+        ``contexts`` are the NTT contexts of the extended basis C_l ∪ P, the
+        ``len(scalars)`` limbs of Q_l first; ``plan`` is the BConv from P
+        onto Q_l and ``scalars[i]`` is ``P^{-1} mod q_i``.  A member is
+        ``(digit_stores, key_handles, spec)``: the evaluation-domain digits
+        of a hoist (stores over ``contexts``), each digit's two prepared key
+        components (handles of :meth:`limbs_eval_key`, as
+        :meth:`limbs_eval_mac` takes them) and a :class:`GatherSpec` (the
+        digits' Galois automorphism) or ``None``.  Per member, with
+        ``acc_c = sum_j spec(digit_j) * key_j[c]`` over C_l ∪ P::
+
+            f_c = (acc_c[Q] - NTT(BConv(INTT(acc_c[P])))) * P^{-1}  over Q_l
+
+        and one evaluation-domain ``(f0, f1)`` pair of stores comes back per
+        member, in order.  A count or shape that does not fit raises
+        ``ValueError`` before any work; the inputs are only read.
+
+        The body composes the kernels: a gather and a MAC per member, then
+        one inverse transform of the ``|P|`` rows of every accumulator, one
+        BConv, one forward transform of the lifted rows and a
+        subtract-and-scale per accumulator.
         """
-        return [self.limbs_gather(store, spec) for store in stores]
+        num_q = len(scalars)
+        self._refuse_keyswitch_misfits(contexts, members, plan, num_q)
+        if not members:
+            return []
+        accs = []
+        for digit_stores, key_handles, spec in members:
+            if spec is not None:
+                digit_stores = [self.limbs_gather(store, spec) for store in digit_stores]
+            accs.extend(self.limbs_eval_mac(contexts, digit_stores, key_handles))
+        p_parts = self.stacked_intt(contexts[num_q:], [acc[num_q:] for acc in accs])
+        lifted = self.stacked_ntt(contexts[:num_q], self.bconv_matmul(p_parts, plan))
+        moduli = plan.target_moduli
+        out = [self.batched_sub_scaled(acc[:num_q], conv, scalars, moduli)
+               for acc, conv in zip(accs, lifted)]
+        return list(zip(out[0::2], out[1::2]))
+
+    @classmethod
+    def _refuse_keyswitch_misfits(cls, contexts, members, plan, num_q: int) -> None:
+        """``ValueError`` unless :meth:`keyswitch_rows`' arguments fit: the
+        plan converts the P limbs of ``contexts`` onto its ``num_q`` Q limbs,
+        and every member has as many two-component keys as digits (one at
+        least), digit and key stores of ``len(contexts)`` rows of ``N`` and a
+        gather over ``N`` values."""
+        moduli = tuple(ctx.modulus for ctx in contexts)
+        if (plan.target_moduli != moduli[:num_q] or plan.source_moduli != moduli[num_q:]
+                or not 0 < num_q < len(moduli)):
+            raise ValueError(
+                f"the BConv {plan.source_moduli} -> {plan.target_moduli} is not "
+                f"P -> Q_l of {moduli} with {num_q} Q limbs")
+        n = contexts[0].ring_degree
+        for index, (digit_stores, key_handles, spec) in enumerate(members):
+            if not 0 < len(digit_stores) == len(key_handles) or any(
+                    len(handles) != 2 for handles in key_handles):
+                raise ValueError(
+                    f"keyswitch member {index}: {len(digit_stores)} digits need as "
+                    f"many two-component keys, got {[len(h) for h in key_handles]}")
+            if spec is not None and len(spec.src) != n:
+                raise ValueError(f"keyswitch member {index}: a gather of "
+                                 f"{len(spec.src)} values in a ring of {n}")
+            cls._refuse_misfits(
+                [*digit_stores, *(handle[1] if handle[0] == "eval" else handle[2]
+                                  for handles in key_handles for handle in handles)],
+                len(moduli), n)
 
     def stacked_pmult_mac(self, c0_stores, c1_stores, pt_stores, moduli):
         """Fused multi-ciphertext plaintext MAC (one ``(2, C, L, N)`` dispatch).
@@ -994,13 +1055,15 @@ for _kernel in KERNELS:
 # (``mac32`` / ``mac64``: the keyswitch MAC, the plaintext MAC, BConv and the
 # TFHE external product); :func:`_eval_mul` branches for eval-domain
 # products, the TFHE gadget decomposition below 2^51 is :func:`_decompose32`,
-# and a blind rotation's whole CMux loop below 2^32 is one ``cmux32``
-# (:meth:`NumpyBackend.blind_rotate_rows`).  The backend exists only where
-# the library loaded (:class:`NumpyBackend` reads it once, at construction),
-# so none of these asks whether it did; what the library does not take (a
+# a blind rotation's whole CMux loop below 2^32 is one ``cmux32``
+# (:meth:`NumpyBackend.blind_rotate_rows`), and a keyswitch wave chunk's
+# whole per-key phase below 2^32 is one ``keyswitch32``
+# (:meth:`NumpyBackend.keyswitch_rows`).  The backend exists only where the
+# library loaded (:class:`NumpyBackend` reads it once, at construction), so
+# none of these asks whether it did; what the library does not take (a
 # modulus of 2^62 or more, a ring below the crossover, a decomposition
-# modulus of 2^51 or more, a CMux loop at 2^32 or more) is the golden kernel
-# (``super()``).
+# modulus of 2^51 or more, a CMux loop or a keyswitch at 2^32 or more) is
+# the golden kernel (``super()``).
 
 if _np is not None:
     def _word(moduli) -> int:
@@ -1177,8 +1240,9 @@ class NumpyBackend(PythonBackend):
     the C loops of :mod:`repro.fhe.native` at the word size of the moduli.
     Each transform, fixed-scalar product (``batched_sub_scaled``,
     ``limbs_scalar_mul``, BConv's source scaling, the centred lift's Garner
-    digits), multiply-accumulate, the gadget decomposition below 2^51 and
-    the CMux loop below 2^32 has one fast body, the library's.  The library
+    digits), multiply-accumulate, the gadget decomposition below 2^51, the
+    CMux loop and a keyswitch wave's per-key phase below 2^32 has one fast
+    body, the library's.  The library
     is read once, here at construction: without numpy or without the
     library the constructor raises ``RuntimeError`` (:func:`get_backend`
     then resolves to the python backend).
@@ -1714,6 +1778,88 @@ class NumpyBackend(PythonBackend):
         return list(_mac(tabs.native, tabs.word, _np.broadcast_to(a.T, b.shape),
                          b, tabs.q[:, 0], tabs.n, 1, (digits, keys)))
 
+    def keyswitch_rows(self, contexts, members, plan, scalars):
+        num_q, limbs = len(scalars), len(contexts)
+        tabs = self._tables(tuple(contexts))
+        moduli = tuple(ctx.modulus for ctx in contexts)
+        rows = self._keyswitch_rows_table(tabs, members, limbs) if (
+            tabs is not None and tabs.word == 32 and 0 < num_q < limbs
+            and plan.target_moduli == moduli[:num_q]
+            and plan.source_moduli == moduli[num_q:]
+        ) else None
+        if rows is None:
+            # Every count or shape mismatch is the golden kernel's to raise.
+            return super().keyswitch_rows(contexts, members, plan, scalars)
+        held, table, gathers = rows
+        count, terms = len(members), table.shape[1] // 3
+        digits = _np.ascontiguousarray(table[:, :terms])
+        keys = _np.ascontiguousarray(table[:, terms:])
+        _, weights, _ = self._bconv_tables(plan)
+        inverses = _np.array([v % q for v, q in zip(plan.inverses, plan.source_moduli)],
+                             dtype=_np.uint64)
+        s = _np.array([int(v) % q for v, q in zip(scalars, plan.target_moduli)],
+                      dtype=_np.uint64)
+        n = tabs.n
+        out = _np.empty((count, 2, num_q, n), dtype=_np.uint64)
+        scratch = _np.empty((terms + 3 * limbs, n), dtype=_np.uint64)
+        self._lib.keyswitch32(
+            out.ctypes.data, count, terms, num_q, limbs - num_q, n,
+            digits.ctypes.data, keys.ctypes.data, gathers.ctypes.data,
+            tabs.addresses.ctypes.data, inverses.ctypes.data, weights.ctypes.data,
+            s.ctypes.data, scratch.ctypes.data)
+        return [(pair[0], pair[1]) for pair in out]
+
+    def _keyswitch_rows_table(self, tabs, members, limbs: int):
+        """What ``keyswitch32`` reads of ``members``: the arrays it reads
+        (held until the call returns), the ``(members, 3 * terms)`` row
+        addresses (each member's digits, then its keys digit-major,
+        component-minor) and each member's gather address (0: none); or
+        ``None`` when a member does not fit (the golden kernel's case)."""
+        if not members:
+            return None
+        n, terms = tabs.n, len(members[0][0])
+        held, addresses, rows, gathers = [], {}, [], []
+        for digit_stores, key_handles, spec in members:
+            if (
+                not 0 < len(digit_stores) == len(key_handles) == terms
+                or any(len(handles) != 2 or handle[0] != "eval"
+                       for handles in key_handles for handle in handles)
+            ):
+                return None
+            gather = 0 if spec is None else self._gather_address(spec, n)
+            if gather is None:
+                return None
+            gathers.append(gather)
+            for store in (*digit_stores, *(handle[1] for handles in key_handles
+                                           for handle in handles)):
+                # The digits of a hoist are shared by its members' rows.
+                address = addresses.get(id(store))
+                if address is None:
+                    x = self._matrix(store)
+                    if x is None or x.shape != (limbs, n):
+                        return None
+                    x = _np.ascontiguousarray(x)
+                    held.append(x)
+                    address = addresses[id(store)] = x.ctypes.data
+                rows.append(address)
+        return (held, _np.array(rows, dtype=_np.uintp).reshape(len(members), 3 * terms),
+                _np.array(gathers, dtype=_np.uintp))
+
+    @staticmethod
+    def _gather_address(spec: "GatherSpec", n: int):
+        """The address of ``spec``'s index as ``keyswitch32`` reads it (n
+        uint64 entries, cached on the spec), or ``None`` unless it gathers
+        ``n`` values from ``[0, n)``."""
+        cached = spec.cache.get("numpy-native")
+        if cached is None:
+            index = _np.array(spec.src, dtype=_np.int64)
+            fits = len(index) and index.min() >= 0 and index.max() < len(index)
+            index = index.astype(_np.uint64) if fits else None
+            cached = spec.cache["numpy-native"] = (
+                index, None if index is None else index.ctypes.data)
+        index, address = cached
+        return address if index is not None and len(index) == n else None
+
     def limbs_tensor_product(self, a0, a1, b0, b1, moduli):
         mats = [self._matrix(store) for store in (a0, a1, b0, b1)]
         if any(m is None for m in mats) or not self._limbs_ok(moduli, mats[0]):
@@ -1748,13 +1894,6 @@ class NumpyBackend(PythonBackend):
         if idx is None:
             idx = spec.cache["numpy"] = _np.array(spec.src, dtype=_np.intp)
         return idx
-
-    def stacked_gather(self, stores, spec):
-        if not all(isinstance(s, _np.ndarray) for s in stores):
-            return super().stacked_gather(stores, spec)
-        # One take per store: stacking them first would copy every store.
-        index = self._gather_index(spec)
-        return [_np.take(self._matrix(s), index, axis=-1) for s in stores]
 
     def limbs_gather(self, store, spec):
         x = self._matrix(store)

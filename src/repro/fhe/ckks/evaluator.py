@@ -174,19 +174,21 @@ class CKKSEvaluator:
         transforms beyond encoding the plaintext into the NTT domain, and
         even that is cached per (plaintext, level, backend), so repeated
         products against the same plaintext (the BSGS inner loop, a reused
-        program constant) skip the forward NTT entirely.
+        program constant) skip the forward NTT entirely.  A
+        coefficient-resident ciphertext stays so: the plaintext is
+        forward-transformed once for both products, each component goes to
+        the evaluation domain, is multiplied pointwise and comes back (one
+        component at a time, so no more than a few stores are alive).
         """
         with self._arith():
             if a.domain == "eval":
                 poly = self._plaintext_eval_at_level(plaintext, a.level)
+                c0, c1 = a.c0 * poly, a.c1 * poly
             else:
-                poly = self._plaintext_at_level(plaintext, a.level)
-            return CKKSCiphertext(
-                c0=a.c0 * poly,
-                c1=a.c1 * poly,
-                level=a.level,
-                scale=a.scale * plaintext.scale,
-            )
+                poly = self._plaintext_at_level(plaintext, a.level).to_eval()
+                c0, c1 = ((c.to_eval() * poly).to_coeff() for c in (a.c0, a.c1))
+            return CKKSCiphertext(c0=c0, c1=c1, level=a.level,
+                                  scale=a.scale * plaintext.scale)
 
     def multiply_scalar(self, a: CKKSCiphertext, scalar: int) -> CKKSCiphertext:
         """Multiply by a small integer scalar without consuming scale."""

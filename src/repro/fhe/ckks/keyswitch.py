@@ -22,11 +22,14 @@ across keys, and runs steps 3-4 without leaving the evaluation domain:
 ModDown inverse-transforms only the ``|P|`` special rows it has to BConv.
 It has one body per phase, each over a *list* — :func:`hoist_wave` and
 :func:`keyswitch_wave` — so the rotations of a hoist group, and of every
-request in a joint batch, share one stacked transform per phase; a single
-keyswitch (:func:`hoist_decompose` + :func:`keyswitch_hoisted`) is a wave
-of one.  The naive keyswitch is a wave of one too: :func:`_hybrid_keyswitch`
-runs a list of polynomials under one key (a level of the PackLWEs merge
-tree) with one stacked transform each way.
+request in a joint batch, share one stacked transform in the hoist phase
+and one backend dispatch, ``keyswitch_rows``, for the whole per-key phase
+(gather, MAC and ModDown of every member; on the numpy backend one native
+pass); a single keyswitch (:func:`hoist_decompose` +
+:func:`keyswitch_hoisted`) is a wave of one.  The naive keyswitch is a
+wave of one too: :func:`_hybrid_keyswitch` runs a list of polynomials
+under one key (a level of the PackLWEs merge tree) with one stacked
+transform each way.
 """
 
 from __future__ import annotations
@@ -75,30 +78,28 @@ def _digit_basis(params: CKKSParameters, start: int, stop: int) -> RNSBasis:
 def mod_down(poly: RNSPolynomial, params: CKKSParameters, level: int) -> RNSPolynomial:
     """Divide a C_l ∪ P polynomial by P (with rounding) and return it in C_l.
 
-    The result stays in ``poly``'s residency domain; see :func:`_mod_down`.
+    The result stays in ``poly``'s residency domain: an evaluation-resident
+    ``poly`` is divided in coefficients and transformed back (a keyswitch
+    wave's own ModDown never leaves the evaluation domain; it is part of
+    :meth:`~repro.fhe.backend.ArithmeticBackend.keyswitch_rows`).
     """
+    if poly.domain == "eval":
+        return _mod_down([poly.to_coeff()], params, level)[0].to_eval()
     return _mod_down([poly], params, level)[0]
 
 
 def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
-    """ModDown of several same-domain C_l ∪ P polynomials (the ``2k``
-    accumulators of a keyswitch wave chunk) in their own residency domain.
+    """ModDown of several coefficient-resident C_l ∪ P polynomials (the
+    ``2k`` accumulators of a naive keyswitch chunk).
 
-    BConv is a coefficient-wise map, so only the ``|P|`` special rows have
-    to be coefficients: one BConv dispatch for all polynomials lifts them
-    into C_l, and one fused ``batched_sub_scaled`` dispatch per polynomial
-    applies ``(x_i - conv_i) * P^{-1} mod q_i`` to its Q rows.  Evaluation-resident
-    input never leaves the evaluation domain — its P rows alone are
-    inverse-transformed (one stacked dispatch for all polynomials) and the
-    lifted ``(level+1, N)`` stores forward-transformed (one more), the same
-    shape as :meth:`RNSPolynomial.rescale`'s eval branch.  Bit-identical to
-    the coefficient route after conversion: subtract-and-scale is linear
-    and the per-limb NTT a bijection on canonical residues.
+    BConv is a coefficient-wise map: one BConv dispatch for all polynomials
+    lifts their ``|P|`` special rows into C_l, and one fused
+    ``batched_sub_scaled`` dispatch per polynomial applies
+    ``(x_i - conv_i) * P^{-1} mod q_i`` to its Q rows.
     """
     num_q = level + 1
     extended = params.extended_basis(level)
     target_basis = params.basis(level)
-    domain = polys[0].domain
     for poly in polys:
         if poly.basis != extended:
             raise ValueError(
@@ -108,14 +109,8 @@ def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
     n = polys[0].ring_degree
     backend = active_backend()
     stores = [poly.store() for poly in polys]
-    p_parts = [store[num_q:] for store in stores]
-    if domain == "eval":
-        contexts = _limb_contexts(n, extended)
-        p_parts = backend.stacked_intt(contexts[num_q:], p_parts)
-    plan = _bconv_plan(params.special_basis(), target_basis)
-    lifted = backend.bconv_matmul(p_parts, plan)
-    if domain == "eval":
-        lifted = backend.stacked_ntt(contexts[:num_q], lifted)
+    lifted = backend.bconv_matmul([store[num_q:] for store in stores],
+                                  _bconv_plan(params.special_basis(), target_basis))
     return [
         RNSPolynomial._from_store(
             n, target_basis,
@@ -123,7 +118,6 @@ def _mod_down(polys, params: CKKSParameters, level: int) -> List[RNSPolynomial]:
                 store[:num_q], conv, _mod_down_constants(params, level),
                 tuple(target_basis.moduli),
             ),
-            domain=domain,
         )
         for store, conv in zip(stores, lifted)
     ]
@@ -352,11 +346,12 @@ def keyswitch_wave(members) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
 
     Unlike the naive path, which inverse-transforms its accumulators at
     full width, the digit MACs accumulate *in the evaluation domain* and
-    ModDown finishes there (:func:`_mod_down`) for the whole
-    wave: per :data:`WAVE_ELEMENTS` chunk of ``k`` members, ``k`` gathers
-    and ``k`` MACs, then one stacked inverse NTT over the ``|P|`` special
-    rows of all ``2k`` accumulators and one stacked forward NTT over their
-    lifted ``(level+1, N)`` stores.  Pairs are returned
+    ModDown finishes there: per :data:`WAVE_ELEMENTS` chunk of members, one
+    :meth:`~repro.fhe.backend.ArithmeticBackend.keyswitch_rows` dispatch
+    runs each member's gather and MAC, the inverse transform of its ``|P|``
+    special rows only, the BConv, the forward transform of the lifted
+    ``(level+1, N)`` rows and the subtract-and-scale (on the numpy backend
+    one native pass, member by member).  Pairs are returned
     **evaluation-resident** (a coefficient-resident caller converts with
     ``to_coeff()``).  Results are bit-identical to the naive pipeline
     for ``galois_element=None`` (the transforms are linear bijections), and
@@ -381,29 +376,19 @@ def keyswitch_wave(members) -> List[Tuple[RNSPolynomial, RNSPolynomial]]:
                 f"wave member {index}: keyswitch key has {key.num_digits} "
                 f"digits, expected {hoisted.num_digits}"
             )
+    params, level, n = shape
+    backend, contexts, target = active_backend(), first.contexts, params.basis(level)
+    plan = _bconv_plan(params.special_basis(), target)
+    scalars = _mod_down_constants(params, level)
     pairs = []
-    for chunk in _chunks(members, 2 * len(first.extended) * first.ring_degree):
-        accs = [acc for member in chunk for acc in _accumulate(*member)]
-        reduced = _mod_down(accs, first.params, first.level)
-        pairs.extend(zip(reduced[0::2], reduced[1::2]))
+    for chunk in _chunks(members, 2 * len(first.extended) * n):
+        rows = backend.keyswitch_rows(contexts, [
+            (hoisted.digits, _eval_key_handles(key, backend, contexts),
+             None if galois_element is None else galois_eval_spec(n, galois_element))
+            for hoisted, key, galois_element in chunk
+        ], plan, scalars)
+        pairs.extend(
+            tuple(RNSPolynomial._from_store(n, target, store, domain="eval")
+                  for store in pair)
+            for pair in rows)
     return pairs
-
-
-def _accumulate(hoisted: HoistedDigits, keyswitch_key, galois_element):
-    """The two C_l ∪ P accumulators ``sum_j sigma_g(digit_j) * key_j`` of one
-    wave member, evaluation-resident."""
-    n = hoisted.ring_degree
-    backend = active_backend()
-    contexts = hoisted.contexts
-    digit_stores = hoisted.digits
-    if galois_element is not None:
-        # All digits permute under one gather — a single dispatch for
-        # the beta digits instead of one per digit.
-        spec = galois_eval_spec(n, galois_element)
-        digit_stores = backend.stacked_gather(digit_stores, spec)
-    handles = _eval_key_handles(keyswitch_key, backend, contexts)
-    # The accumulators stay evaluation-resident through ModDown.
-    return [
-        RNSPolynomial._from_store(n, hoisted.extended, store, domain="eval")
-        for store in backend.limbs_eval_mac(contexts, digit_stores, handles)
-    ]

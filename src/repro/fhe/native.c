@@ -2,9 +2,10 @@
  * The numpy backend's native library: the negacyclic NTT / INTT
  * (ntt32_*, ntt64_*), one fixed-scalar product (scale32, scale64) and one
  * multiply-accumulate (mac32, mac64) at two word sizes, the TFHE gadget
- * decomposition (decompose32) and a blind rotation's whole CMux loop
- * (cmux32).  Word 32 takes every modulus below 2^32, word 64 every modulus
- * below 2^62; decompose32 takes moduli below 2^51.
+ * decomposition (decompose32), a blind rotation's whole CMux loop (cmux32)
+ * and a CKKS keyswitch wave's whole per-key phase (keyswitch32: gather, MAC
+ * and ModDown per member).  Word 32 takes every modulus below 2^32, word 64
+ * every modulus below 2^62; decompose32 takes moduli below 2^51.
  *
  * The transforms run in place over a contiguous (rows, n) uint64 array.
  * Row r runs under tables[r % limbs], each one array laid out by
@@ -50,6 +51,19 @@
  * whose degree is 0 is skipped, which is exact: its difference, digits,
  * their transforms and its product are all 0.
  *
+ * keyswitch32 composes them too and needs no bound of its own.  The gather
+ * moves reduced values.  The MAC sums terms < 2^32 products of values below
+ * 2^32 in split halves and reduces them with mac32_reduce, as mac32 does, so
+ * every accumulator row is fully reduced under its limb's modulus.
+ * inverse_row takes and returns values below q.  BConv scales with
+ * scale_row32 and no subtraction (an inverse below p < 2^32), sums the lp
+ * scaled rows times weights below q_t with mac32's scalar-weight terms
+ * (mac32_add_scalar) and reduces with mac32_reduce.  forward_row takes the
+ * lifted rows below q_t, and the subtract-and-scale is scale_row32 of two
+ * rows below q_t.  So each step is its golden kernel on canonical residues,
+ * and out is the golden composition (gather, MAC, INTT of the P rows, BConv,
+ * NTT, subtract-and-scale) bit for bit.
+ *
  * A word-32 stage (stage32) pairs the two halves of each group of 2t values
  * under the group's twiddle.  gcc vectorizes a loop nest's innermost loop,
  * the j-loop over t butterflies, which for the three shortest spans t = 4,
@@ -59,22 +73,29 @@
  * butterflies of one group and the group loop vectorizes instead, and a
  * transform runs 1.6-1.9x faster (2-vCPU AVX-512 x86).  gcc 12, -O3
  * -march=native -fopt-info-vec-optimized reports there, per direction:
- *   native.c:122:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:143:26: optimized: loop vectorized using 64 byte vectors
  * three times (the group loop at t = 4, 2, 1) and
- *   native.c:125:30: optimized: loop vectorized using 64 byte vectors
- * once (the j-loop, t >= 8).  It reports scale32's two row loops (without
- * and with b) vectorized too:
- *   native.c:266:34: optimized: loop vectorized using 64 byte vectors
- *   native.c:271:30: optimized: loop vectorized using 64 byte vectors
+ *   native.c:146:30: optimized: loop vectorized using 64 byte vectors
+ * once (the j-loop, t >= 8).  It reports scale_row32's two row loops
+ * (without and with a subtraction) vectorized, in scale32 and in keyswitch32:
+ *   native.c:278:30: optimized: loop vectorized using 64 byte vectors
+ *   native.c:282:26: optimized: loop vectorized using 64 byte vectors
  * scale64's are not: the 64 x 64 -> 128-bit product has no vector form.
  * Every loop of cmux32 over a row's values vectorizes too: rotate_sub's
  * (once per stretch and sign), the MAC's accumulation (mac32_add) and
  * reduction, and the add back:
- *   native.c:522:26: optimized: loop vectorized using 64 byte vectors
- *   native.c:331:26: optimized: loop vectorized using 64 byte vectors
- *   native.c:583:42: optimized: loop vectorized using 64 byte vectors
- *   native.c:588:38: optimized: loop vectorized using 64 byte vectors
- * and so do decompose_row's two, in decompose32 and in cmux32.
+ *   native.c:556:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:359:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:617:42: optimized: loop vectorized using 64 byte vectors
+ *   native.c:622:38: optimized: loop vectorized using 64 byte vectors
+ * and so do decompose_row's two, in decompose32 and in cmux32.  So does
+ * every loop of keyswitch32 over a row's values: the gather (gather_row),
+ * the scalar-weight terms (mac32_add_scalar, in mac32 too), the two
+ * reductions (the MAC's and BConv's) and scale_row32's, above:
+ *   native.c:636:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:371:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:688:42: optimized: loop vectorized using 64 byte vectors
+ *   native.c:712:42: optimized: loop vectorized using 64 byte vectors
  *
  * Every reduction and correction step carries a unique step tag; removing
  * the step it marks makes a test in tests/test_native.py fail.
@@ -246,33 +267,40 @@ void ntt64_inverse(uint64_t *x, size_t rows, size_t n, size_t limbs,
         inverse_row64(x + r * n, n, tables[r % limbs]);
 }
 
+/* z[j] = (x[j] - y[j]) s mod q, fully reduced, j < n, for x, y reduced
+ * below q < 2^32 and s < q; y NULL means no subtraction (z[j] = x[j] s):
+ * one row of scale32.  The Shoup constant of s is made once per row. */
+static inline void scale_row32(uint64_t *z, const uint64_t *x, const uint64_t *y,
+                               size_t n, uint64_t s, uint64_t q)
+{
+    const uint64_t ss = (s << 32) / q;
+    if (y == NULL) {
+        for (size_t j = 0; j < n; j++)
+            z[j] = shoup_mul(x[j], s, ss, q);
+        return;
+    }
+    for (size_t j = 0; j < n; j++) {
+        uint64_t d = x[j] + q - y[j];                               /* (0, 2q) */
+        d = d >= q ? d - q : d;                         /* step: scale32-difference */
+        z[j] = shoup_mul(d, s, ss, q);
+    }
+}
+
 /*
  * out[r] = (a[r] - b[r]) s mod q, fully reduced, with s = scalars[r % limbs]
  * and q = moduli[r % limbs] (ModDown, Rescale, BConv's source scaling), over
  * contiguous (rows, n) uint64 arrays whose rows are reduced under their own
  * modulus, as is each scalar; b NULL means no subtraction (out[r] = a[r] s).
- * The Shoup constant of s is made once per row.
  */
 void scale32(uint64_t *out, const uint64_t *a, const uint64_t *b, size_t rows,
              size_t n, size_t limbs, const uint64_t *scalars,
              const uint64_t *moduli)
 {
     for (size_t r = 0; r < rows; r++) {
-        const uint64_t q = moduli[r % limbs], s = scalars[r % limbs];
-        const uint64_t ss = (s << 32) / q;
-        const uint64_t *x = a + r * n;
-        uint64_t *z = out + r * n;
-        if (b == NULL) {
-            for (size_t j = 0; j < n; j++)
-                z[j] = shoup_mul(x[j], s, ss, q);
-            continue;
-        }
-        const uint64_t *y = b + r * n;
-        for (size_t j = 0; j < n; j++) {
-            uint64_t d = x[j] + q - y[j];                           /* (0, 2q) */
-            d = d >= q ? d - q : d;                     /* step: scale32-difference */
-            z[j] = shoup_mul(d, s, ss, q);
-        }
+        const uint64_t *y = NULL;
+        if (b != NULL)
+            y = b + r * n;
+        scale_row32(out + r * n, a + r * n, y, n, scalars[r % limbs], moduli[r % limbs]);
     }
 }
 
@@ -335,6 +363,18 @@ static inline void mac32_add(uint64_t *lo, uint64_t *hi, const uint64_t *x,
     }
 }
 
+/* lo[j], hi[j] += the low and high 32-bit halves of x[j] w, j < len: one
+ * scalar-weight term (BConv's). */
+static inline void mac32_add_scalar(uint64_t *lo, uint64_t *hi, const uint64_t *x,
+                                    uint64_t w, size_t len)
+{
+    for (size_t j = 0; j < len; j++) {
+        uint64_t p = (uint64_t)(uint32_t)x[j] * (uint32_t)w;
+        lo[j] += p & 0xFFFFFFFFu;
+        hi[j] += p >> 32;
+    }
+}
+
 /* One sum of split halves lo + hi 2^32, fully reduced: three Shoup products
  * of its 32-bit digits (below 6q), then the corrections. */
 static inline uint64_t mac32_reduce(uint64_t lo, uint64_t hi, struct mac32_consts k)
@@ -382,16 +422,10 @@ void mac32(uint64_t *out, size_t outputs, size_t terms, size_t n,
                 lo[j] = hi[j] = 0;
             for (size_t t = 0; t < terms; t++) {
                 const uint64_t *x = ao[t] + start;
-                if (b_step) {
+                if (b_step)
                     mac32_add(lo, hi, x, bo[t] + start, len);
-                } else {
-                    const uint64_t w = (uint32_t)*bo[t];
-                    for (size_t j = 0; j < len; j++) {
-                        uint64_t p = (uint64_t)(uint32_t)x[j] * w;
-                        lo[j] += p & 0xFFFFFFFFu;
-                        hi[j] += p >> 32;
-                    }
-                }
+                else
+                    mac32_add_scalar(lo, hi, x, *bo[t], len);
             }
             uint64_t *z = out + o * n + start;
             for (size_t j = 0; j < len; j++)
@@ -589,6 +623,98 @@ void cmux32(uint64_t *acc, size_t members, size_t group, size_t n, size_t steps,
                     const uint64_t s = y[j] + z[j];
                     y[j] = s >= q ? s - q : s;                  /* step: cmux32-add */
                 }
+            }
+        }
+    }
+}
+
+/* out[i] = row[index[i]], i < n: one row read through a Galois
+ * automorphism's evaluation-domain index (every entry below n). */
+static inline void gather_row(uint64_t *restrict out, const uint64_t *restrict row,
+                              const uint64_t *restrict index, size_t n)
+{
+    for (size_t i = 0; i < n; i++)
+        out[i] = row[index[i]];
+}
+
+/*
+ * The per-key phase of a keyswitch wave, member by member in scratch reused
+ * across members.  A member m has terms digits over the limbs = lq + lp
+ * rows of C_l ∪ P (Q_l first) and a two-component key per digit:
+ * digits[m * terms + j] points at digit j's (limbs, n) rows and
+ * keys[(m * terms + j) * 2 + c] at component c of its key, all values
+ * reduced under their limb's modulus.  gathers[m] is NULL or an index of n
+ * entries in [0, n): the digits' values are read through it (a Galois
+ * automorphism in the evaluation domain).  Per member and component c:
+ *   acc_c = sum_j sigma(digit_j) key_jc, pointwise per limb;
+ *   out_mc[t] = (acc_c[t] - NTT_t(BConv(INTT(acc_c[P])))[t]) scalars[t] mod q_t
+ * for t < lq, where BConv scales P row i by p_inverses[i] and sums the rows
+ * times weights[t * lp + i] mod q_t.  tables[i] is limb i's word-32
+ * transform table (q first).  out is members * 2 * lq rows of n, member
+ * major; scratch holds terms + 2 * limbs + lp + lq rows.  Inputs are only
+ * read.
+ */
+void keyswitch32(uint64_t *out, size_t members, size_t terms, size_t lq, size_t lp,
+                 size_t n, const uint64_t *const *digits, const uint64_t *const *keys,
+                 const uint64_t *const *gathers, const uint32_t *const *tables,
+                 const uint64_t *p_inverses, const uint64_t *weights,
+                 const uint64_t *scalars, uint64_t *scratch)
+{
+    const size_t limbs = lq + lp;
+    uint64_t *gathered = scratch, *acc = gathered + terms * n;
+    uint64_t *scaled = acc + 2 * limbs * n, *lifted = scaled + lp * n;
+    uint64_t lo[MAC_BLOCK], hi[MAC_BLOCK];
+    for (size_t m = 0; m < members; m++) {
+        const uint64_t *const *dm = digits + m * terms, *const *km = keys + m * terms * 2;
+        const uint64_t *index = gathers[m];
+        /* 1-2: gather each digit row, then the MAC of both components. */
+        for (size_t l = 0; l < limbs; l++) {
+            const struct mac32_consts k = mac32_constants(tables[l][0]);
+            if (index != NULL)
+                for (size_t j = 0; j < terms; j++)
+                    gather_row(gathered + j * n, dm[j] + l * n, index, n);
+            for (size_t c = 0; c < 2; c++) {
+                uint64_t *z = acc + (c * limbs + l) * n;
+                for (size_t start = 0; start < n; start += MAC_BLOCK) {
+                    const size_t len = block_len(n - start, MAC_BLOCK);
+                    for (size_t j = 0; j < len; j++)
+                        lo[j] = hi[j] = 0;
+                    for (size_t j = 0; j < terms; j++) {
+                        const uint64_t *x = dm[j] + l * n;
+                        if (index != NULL)
+                            x = gathered + j * n;
+                        mac32_add(lo, hi, x + start, km[2 * j + c] + l * n + start, len);
+                    }
+                    for (size_t j = 0; j < len; j++)
+                        z[start + j] = mac32_reduce(lo[j], hi[j], k);
+                }
+            }
+        }
+        /* 3-6: ModDown of each accumulator, in the evaluation domain. */
+        for (size_t c = 0; c < 2; c++) {
+            uint64_t *a = acc + c * limbs * n;
+            for (size_t i = 0; i < lp; i++) {
+                const uint32_t *table = tables[lq + i];
+                inverse_row(a + (lq + i) * n, n, table);
+                scale_row32(scaled + i * n, a + (lq + i) * n, NULL, n, p_inverses[i],
+                            table[0]);
+            }
+            for (size_t t = 0; t < lq; t++) {
+                const struct mac32_consts k = mac32_constants(tables[t][0]);
+                uint64_t *z = lifted + t * n;
+                for (size_t start = 0; start < n; start += MAC_BLOCK) {
+                    const size_t len = block_len(n - start, MAC_BLOCK);
+                    for (size_t j = 0; j < len; j++)
+                        lo[j] = hi[j] = 0;
+                    for (size_t i = 0; i < lp; i++)
+                        mac32_add_scalar(lo, hi, scaled + i * n + start,
+                                         weights[t * lp + i], len);
+                    for (size_t j = 0; j < len; j++)
+                        z[start + j] = mac32_reduce(lo[j], hi[j], k);
+                }
+                forward_row(z, n, tables[t]);
+                scale_row32(out + ((m * 2 + c) * lq + t) * n, a + t * n, z, n,
+                            scalars[t], tables[t][0]);
             }
         }
     }

@@ -3,8 +3,10 @@
 (ModDown, Rescale, BConv's source scaling, ``limbs_scalar_mul``) and one
 multiply-accumulate (keyswitch MAC, plaintext MAC, BConv, the TFHE external
 product) at word 32 (moduli below 2^32) and word 64 (below 2^62), the TFHE
-gadget decomposition (moduli below 2^51), and a blind rotation's whole CMux
-loop in one call (``cmux32``, ``blind_rotate_rows`` below 2^32).
+gadget decomposition (moduli below 2^51), a blind rotation's whole CMux
+loop in one call (``cmux32``, ``blind_rotate_rows`` below 2^32) and a CKKS
+keyswitch wave's whole per-key phase in one call (``keyswitch32``,
+``keyswitch_rows`` below 2^32).
 
 :func:`library` is the one entry point; ``None`` means there is no numpy
 backend in this process: :func:`repro.fhe.backend.get_backend` resolves
@@ -27,7 +29,7 @@ from typing import Optional
 
 #: The C source: a forward and an inverse transform, a fixed-scalar product
 #: and a multiply-accumulate per word size, one gadget decomposition, one
-#: CMux loop.
+#: CMux loop, one keyswitch per-key phase.
 SOURCE = Path(__file__).with_name("native.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -140,6 +142,7 @@ SIGNATURES = {
     "mac64": (_P, _N, _N, _N, _P, _P, _N, _P),
     "decompose32": (_P, _P, _N, _N, ctypes.c_uint64, _N, _P),
     "cmux32": (_P, _N, _N, _N, _N, _P, _P, _N, _P, _P, _P),
+    "keyswitch32": (_P, _N, _N, _N, _N, _N, _P, _P, _P, _P, _P, _P, _P, _P),
 }
 
 

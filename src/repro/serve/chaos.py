@@ -7,7 +7,7 @@ makes the failure modes injectable at every layer the service touches:
 * **Kernel faults** — :class:`FaultInjectingBackend` wraps any
   :class:`~repro.fhe.backend.ArithmeticBackend` and, under a seeded
   :class:`FaultSchedule`, makes chosen kernels (``batched_ntt``,
-  ``limbs_eval_mac``, ``stacked_pmult_mac``, ...) **raise** a synthetic
+  ``keyswitch_rows``, ``stacked_pmult_mac``, ...) **raise** a synthetic
   :class:`InjectedFault`, **stall** (via an injectable sleep, so tests can
   advance a manual clock instead of wall time), or **return corrupted
   stores** (one residue perturbed, still in range — only detectable by an
@@ -64,6 +64,8 @@ _CORRUPT_MODULI: Dict[str, Callable[[Sequence[Any]], List[int]]] = {
     "stacked_ntt": _MODULI_FROM_CONTEXTS,
     "stacked_intt": _MODULI_FROM_CONTEXTS,
     "limbs_eval_mac": _MODULI_FROM_CONTEXTS,
+    # Pairs over Q_l: the contexts before the P limbs (one scalar per Q limb).
+    "keyswitch_rows": lambda args: [ctx.modulus for ctx in args[0][:len(args[3])]],
     "limbs_mul": lambda args: list(args[2]),
     "limbs_add": lambda args: list(args[2]),
     "limbs_tensor_product": lambda args: list(args[4]),
@@ -197,6 +199,10 @@ def _corrupt_result(kernel: str, args, result, backend: ArithmeticBackend):
     if kernel in ("stacked_ntt", "stacked_intt", "limbs_eval_mac"):
         # A list of stores: corrupt the first one.
         return [_corrupt_store(result[0], moduli, backend)] + list(result[1:])
+    if kernel == "keyswitch_rows":
+        # A list of (f0, f1) pairs: corrupt the first member's f0.
+        (f0, f1), rest = result[0], list(result[1:])
+        return [(_corrupt_store(f0, moduli, backend), f1)] + rest
     return _corrupt_store(result, moduli, backend)
 
 

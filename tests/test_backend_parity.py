@@ -1201,6 +1201,16 @@ def _width_cases(moduli, n, seed):
                    for _ in range(2)]
         return k.limbs_eval_mac(contexts, [s(a), s(b)], handles)
 
+    def keyswitch(k, s):
+        # Q_l is the first two moduli, P the other two.
+        handles = [(k.limbs_eval_key(contexts, s(c)), k.limbs_eval_key(contexts, s(d)))
+                   for _ in range(2)]
+        special = math.prod(moduli[2:])
+        return k.keyswitch_rows(
+            contexts, [([s(a), s(b)], handles, gather), ([s(e), s(f)], handles, None)],
+            _bconv_plan(RNSBasis(moduli[2:]), RNSBasis(moduli[:2])),
+            [modmath.mod_inverse(special % m, m) for m in moduli[:2]])
+
     return {
         "store_rows": lambda k, s: k.store_rows(s(a)),
         "pack_limbs": lambda k, s: k.pack_limbs(s(a), moduli),
@@ -1226,7 +1236,7 @@ def _width_cases(moduli, n, seed):
         "limbs_eval_mac": eval_mac,
         "limbs_tensor_product": lambda k, s: k.limbs_tensor_product(
             s(a), s(b), s(c), s(d), moduli),
-        "stacked_gather": lambda k, s: k.stacked_gather([s(a), s(b), s(c)], gather),
+        "keyswitch_rows": keyswitch,
         "stacked_pmult_mac": lambda k, s: k.stacked_pmult_mac(
             [s(a), s(b)], [s(c), s(d)], [s(e), s(f)], moduli),
         "replicate_row": lambda k, s: k.replicate_row(s(a)[0], moduli),

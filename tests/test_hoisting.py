@@ -328,10 +328,35 @@ class _CountingBackend(WrappedBackend):
         return [args for name, args in self.log if name == kernel]
 
 
+class _NestedLog(PythonBackend):
+    """The golden backend, logging ``(kernel, args)`` of the kernels the
+    golden ``keyswitch_rows`` composes, top-level or nested (a
+    ``WrappedBackend`` sees only the top level)."""
+
+    def __init__(self):
+        self.log = []
+
+    def args_of(self, kernel):
+        return [args for name, args in self.log if name == kernel]
+
+
+def _logged(kernel):
+    def call(self, *args):
+        self.log.append((kernel, args))
+        return getattr(PythonBackend, kernel)(self, *args)
+    return call
+
+
+for _kernel in ("stacked_intt", "stacked_ntt", "bconv_matmul", "limbs_gather",
+                "limbs_eval_mac", "batched_sub_scaled"):
+    setattr(_NestedLog, _kernel, _logged(_kernel))
+
+
 class TestHoistedResidency:
     """What a keyswitch wave may dispatch, counted: a hoist is one stacked
-    forward transform, and the per-key phase never leaves the evaluation
-    domain — one ModDown (two stacked transforms) per wave chunk."""
+    forward transform, and the per-key phase is one ``keyswitch_rows`` per
+    wave chunk, whose golden body never leaves the evaluation domain — one
+    ModDown (two stacked transforms) for all its members."""
 
     @staticmethod
     def _rows_of(call):
@@ -340,23 +365,39 @@ class TestHoistedResidency:
         return len(contexts) * len(stores)
 
     def test_keyswitch_hoisted_transforms_only_the_special_rows(self, keyed):
+        """One ``keyswitch_rows`` dispatch and nothing else; inside the
+        golden body, one inverse transform of both accumulators' ``|P|``
+        special rows and one forward transform of their lifted ``level+1``
+        rows."""
         params, _keys, relin, ct = keyed
-        level = params.max_level
+        level, special = params.max_level, len(params.special_moduli)
         for inner in BACKENDS:
             counting = _CountingBackend(inner)
             with use_backend(counting):
                 hoisted = hoist_decompose(ct.c1, params, level)
+                keyswitch_hoisted(hoisted, relin)      # the key's transform
                 counting.log.clear()
                 f0, f1 = keyswitch_hoisted(hoisted, relin)
             assert f0.domain == f1.domain == "eval"
-            (contexts, stores), = counting.args_of("stacked_intt")
-            assert len(contexts) == len(params.special_moduli)
-            assert [len(store) for store in stores] == [len(contexts)] * 2
-            (contexts, stores), = counting.args_of("stacked_ntt")
-            assert len(contexts) == level + 1
-            assert [len(store) for store in stores] == [level + 1] * 2
-            assert not counting.args_of("batched_intt")
-            assert not counting.args_of("batched_ntt")
+            assert [name for name, _ in counting.log] == ["keyswitch_rows"]
+            (contexts, members, plan, scalars), = counting.args_of("keyswitch_rows")
+            assert len(members) == 1 and len(scalars) == level + 1
+            assert len(contexts) - len(scalars) == len(plan.source_moduli) == special
+        nested = _NestedLog()
+        with use_backend(nested):
+            hoisted = hoist_decompose(ct.c1, params, level)
+            keyswitch_hoisted(hoisted, relin)          # the key's transform
+            nested.log.clear()
+            keyswitch_hoisted(hoisted, relin)
+        assert [name for name, _ in nested.log] == [
+            "limbs_eval_mac", "stacked_intt", "bconv_matmul", "stacked_ntt",
+            "batched_sub_scaled", "batched_sub_scaled"]
+        (contexts, stores), = nested.args_of("stacked_intt")
+        assert len(contexts) == special
+        assert [len(store) for store in stores] == [special] * 2
+        (contexts, stores), = nested.args_of("stacked_ntt")
+        assert len(contexts) == level + 1
+        assert [len(store) for store in stores] == [level + 1] * 2
 
     @pytest.mark.parametrize("resident", [False, True], ids=["coeff", "eval"])
     @pytest.mark.parametrize("sources", [1, 3])
@@ -410,35 +451,40 @@ class TestHoistedResidency:
         return counting, members
 
     def test_a_wave_of_k_keyswitches_pays_one_mod_down(self, keyed):
-        """``k`` MACs (a gather per Galois member), then one ``stacked_intt``
-        of ``2k x |P|`` rows, one BConv of all ``2k`` polynomials, one
-        ``stacked_ntt`` of ``2k x (level+1)`` rows and ``2k``
-        subtract-and-scales."""
-        params = keyed[0]
+        """One ``keyswitch_rows`` dispatch for the ``k`` members; inside the
+        golden body, ``k`` MACs (a gather of every digit per Galois member),
+        then one ``stacked_intt`` of ``2k x |P|`` rows, one BConv of all
+        ``2k`` polynomials, one ``stacked_ntt`` of ``2k x (level+1)`` rows
+        and ``2k`` subtract-and-scales."""
+        params, _keys, relin, _ct = keyed
         level, special = params.max_level, len(params.special_moduli)
-        for inner in BACKENDS:
+        for inner in [*BACKENDS, _NestedLog()]:
             counting, members = self._wave(keyed, inner)
             k = len(members)
             with use_backend(counting):
+                getattr(inner, "log", []).clear()
                 pairs = keyswitch_wave(members)
                 assert all(f.domain == "eval" for pair in pairs for f in pair)
                 wave_log, counting.log = counting.log, []
+                nested = list(getattr(inner, "log", []))
                 singles = [keyswitch_hoisted(*member) for member in members]
-            assert sorted(name for name, _ in wave_log) == sorted(
-                ["stacked_gather"] * (k - 1) + ["limbs_eval_mac"] * k
-                + ["stacked_intt", "stacked_ntt", "bconv_matmul"]
-                + ["batched_sub_scaled"] * 2 * k)
-            inverse, = [args for name, args in wave_log if name == "stacked_intt"]
-            forward, = [args for name, args in wave_log if name == "stacked_ntt"]
-            assert self._rows_of(inverse) == 2 * k * special
-            assert self._rows_of(forward) == 2 * k * (level + 1)
-            assert len(counting.args_of("stacked_intt")) == k    # one per call
+            assert [name for name, _ in wave_log] == ["keyswitch_rows"]
+            assert len(wave_log[0][1][1]) == k
+            assert [name for name, _ in counting.log] == ["keyswitch_rows"] * k
             assert [tuple(map(_rows, pair)) for pair in pairs] == [
                 tuple(map(_rows, pair)) for pair in singles]
+        assert sorted(name for name, _ in nested) == sorted(
+            ["limbs_gather"] * (k - 1) * relin.num_digits + ["limbs_eval_mac"] * k
+            + ["stacked_intt", "stacked_ntt", "bconv_matmul"]
+            + ["batched_sub_scaled"] * 2 * k)
+        inverse, = [args for name, args in nested if name == "stacked_intt"]
+        forward, = [args for name, args in nested if name == "stacked_ntt"]
+        assert self._rows_of(inverse) == 2 * k * special
+        assert self._rows_of(forward) == 2 * k * (level + 1)
 
     def test_the_budget_cuts_a_wave_into_chunks(self, keyed, monkeypatch):
         """With the budget at one member's two accumulators every member is
-        its own chunk: ``k`` ModDowns, the same residues."""
+        its own chunk: ``k`` dispatches of one member, the same residues."""
         params = keyed[0]
         member_elements = 2 * params.ring_degree * (
             params.max_level + 1 + len(params.special_moduli))
@@ -446,14 +492,14 @@ class TestHoistedResidency:
             counting, members = self._wave(keyed, inner)
             with use_backend(counting):
                 whole = keyswitch_wave(members)
+                assert [len(args[1]) for args in counting.args_of("keyswitch_rows")] \
+                    == [len(members)]
                 counting.log.clear()
                 monkeypatch.setattr(keyswitch_module, "WAVE_ELEMENTS", member_elements)
                 cut = keyswitch_wave(members)
                 monkeypatch.undo()
-            assert [len(stores) for _, stores in counting.args_of("stacked_intt")] \
-                == [2] * len(members)
-            assert [len(stores) for _, stores in counting.args_of("stacked_ntt")] \
-                == [2] * len(members)
+            assert [len(args[1]) for args in counting.args_of("keyswitch_rows")] \
+                == [1] * len(members)
             assert [tuple(map(_rows, pair)) for pair in cut] == [
                 tuple(map(_rows, pair)) for pair in whole]
 
@@ -474,21 +520,20 @@ class TestHoistedResidency:
             kernels = [name for name, _ in counting.log]
             assert "batched_ntt" not in kernels and "batched_intt" not in kernels
             # The hoist: c1 back to coefficients, then every lifted digit
-            # forward in one stacked dispatch.
-            hoist = kernels[:kernels.index("limbs_eval_mac")]
+            # forward in one stacked dispatch; then both rotations' per-key
+            # phase (their one evaluation-domain ModDown) in one dispatch.
+            hoist = kernels[:kernels.index("keyswitch_rows")]
             assert sorted(hoist) == sorted(
                 ["stacked_intt"] + ["bconv_matmul"] * relin.num_digits
-                + ["stacked_ntt", "stacked_gather"])
-            inverse, after_inverse = counting.args_of("stacked_intt")
-            forward, after_forward = counting.args_of("stacked_ntt")
+                + ["stacked_ntt"])
+            (inverse,) = counting.args_of("stacked_intt")
+            (forward,) = counting.args_of("stacked_ntt")
             assert self._rows_of(inverse) == level + 1
             assert self._rows_of(forward) == relin.num_digits * (
                 level + 1 + special)
-            # Both rotations share the one evaluation-domain ModDown, and
-            # its one BConv lifts all four accumulators.
-            assert self._rows_of(after_inverse) == 2 * 2 * special
-            assert self._rows_of(after_forward) == 2 * 2 * (level + 1)
-            assert kernels.count("bconv_matmul") == relin.num_digits + 1
+            (contexts, members, _plan, scalars), = counting.args_of("keyswitch_rows")
+            assert len(members) == 2
+            assert (len(contexts), len(scalars)) == (level + 1 + special, level + 1)
 
 
 @needs_numpy

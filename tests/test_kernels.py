@@ -284,12 +284,16 @@ TRANSFORM_ROWS = {
     "ntt_inverse_batch": lambda args: (0, len(args[1])),
     "stacked_intt": lambda args: (0, sum(map(len, args[1]))),
     "limbs_convolution": lambda args: (2 * len(args[1]), len(args[1])),
+    # Per member, the two accumulators' |P| special rows (contexts beyond
+    # the len(scalars) Q limbs) inverse and their lifted Q rows forward.
+    "keyswitch_rows": lambda args: (2 * len(args[3]) * len(args[1]),
+                                    2 * (len(args[0]) - len(args[3])) * len(args[1])),
 }
 #: Every other kernel the operations below dispatch: none transforms.
 TRANSFORM_FREE = {
     "limbs_add", "limbs_sub", "limbs_mul", "limbs_neg", "limbs_tensor_product",
     "limbs_eval_mac", "bconv_matmul", "batched_sub_scaled", "limbs_gather",
-    "limbs_signed_permute", "stacked_gather", "replicate_row", "pack_limbs",
+    "limbs_signed_permute", "replicate_row", "pack_limbs",
 }
 
 
@@ -324,8 +328,9 @@ OPERANDS_TO_EVAL = ("both coefficient operands go to the evaluation domain, "
                     "where the model takes them to be", lambda l: (4 * (l + 1), 0))
 BACK_TO_COEFF = ("the result returns to its source's coefficient domain",
                  lambda l: (0, 2 * (l + 1)))
-COEFF_PMULT = ("two negacyclic convolutions: the model's operands are "
-               "evaluation-resident", lambda l: (4 * (l + 1), 2 * (l + 1)))
+COEFF_PMULT = ("both components and the plaintext go to the evaluation domain "
+               "and the products return: the model's operands are "
+               "evaluation-resident", lambda l: (3 * (l + 1), 2 * (l + 1)))
 COEFF_RESCALE = ("a coefficient-resident rescale needs no transform",
                  lambda l: (-2 * l, -2))
 #: ``(operation, input domain)`` -> its deviations; a pair not named has none.

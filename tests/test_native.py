@@ -25,6 +25,7 @@ reduction step of the C source carries a step tag
 """
 
 import collections
+import math
 import os
 import random
 import re
@@ -47,6 +48,7 @@ from repro.fhe.backend import (
 )
 from repro.fhe.ntt import NTTContext
 from repro.fhe.params import CKKSParameters, TFHEParameters
+from repro.fhe.polynomial import galois_eval_spec
 from repro.fhe.rns import RNSBasis, _bconv_plan
 from repro.fhe.tfhe.ggsw import gadget_factors
 from repro.workloads.hybrid_workloads import hybrid_query_parameters
@@ -1266,3 +1268,136 @@ class TestNativeBlindRotateParity:
         assert params.modulus >= 1 << 32
         _blind_rotate(route.backend(), *_wave(params, 2, 1, steps=2, seed=7))
         assert route.calls["cmux32"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Native keyswitch parity: keyswitch_rows against golden
+# ---------------------------------------------------------------------------
+
+def _keyswitch_chain(n, moduli):
+    """``moduli`` and primes below 2^31 up to three, so every ring has a
+    Q_l and a P."""
+    extra = [q for q in modmath.find_ntt_primes(31, n, 3) if q not in moduli]
+    return tuple(moduli) + tuple(extra[:max(0, 3 - len(moduli))])
+
+
+def _keyswitch_wave(backend, n, moduli, seed, digits=2, edge=False):
+    """``(contexts, members, golden members, plan, scalars)`` for
+    ``keyswitch_rows`` over ``moduli``, the last third (one at least) P:
+    two hoists of ``digits`` random stores and three keys, whose
+    evaluation-domain images are random (the first half of every row at
+    ``q - 1``; ``edge``: all of it), in four members — two Galois members
+    and a relinearisation sharing the first hoist, a Galois member of the
+    second.  The golden members hold the same values as lists."""
+    special = max(1, len(moduli) // 3)
+    contexts = tuple(NTTContext(n, q) for q in moduli)
+    q_moduli, p_moduli = moduli[:-special], moduli[-special:]
+    plan = _bconv_plan(RNSBasis(p_moduli), RNSBasis(q_moduli))
+    scalars = [modmath.mod_inverse(math.prod(p_moduli) % q, q) for q in q_moduli]
+    stores = _stores(moduli, n, 2 * digits + 6 * digits, seed, edge)
+    hoists = [stores[:digits], stores[digits:2 * digits]]
+    images = [[stores[2 * digits + 2 * (digits * k + j):][:2] for j in range(digits)]
+              for k in range(3)]
+    keys = [[tuple(backend.limbs_eval_key(contexts, backend.batched_intt(contexts, image))
+                   for image in pair) for pair in key] for key in images]
+    golden = [[tuple(["eval", _rows(image), None] for image in pair) for pair in key]
+              for key in images]
+    specs = [galois_eval_spec(n, g) for g in (5, 2 * n - 1, 25)]
+    shape = [(0, 0, specs[0]), (0, 1, specs[1]), (0, 2, None), (1, 0, specs[2])]
+    members = [(hoists[h], keys[k], spec) for h, k, spec in shape]
+    golden_members = [([_rows(d) for d in hoists[h]], golden[k], spec)
+                      for h, k, spec in shape]
+    return contexts, members, golden_members, plan, scalars
+
+
+def _keyswitch(backend, contexts, members, golden_members, plan, scalars):
+    """``backend.keyswitch_rows`` against the golden one: equal, the inputs
+    as they were, and no output sharing memory with an input or with
+    another output."""
+    np = pytest.importorskip("numpy")
+    inputs = [store for digits, key, _ in members for store in (
+        *digits, *(handle[1] for pair in key for handle in pair))]
+    before = [np.array(store, copy=True) for store in inputs]
+    expected = PYTHON.keyswitch_rows(contexts, golden_members, plan, scalars)
+    out = backend.keyswitch_rows(contexts, members, plan, scalars)
+    assert [tuple(map(_rows, pair)) for pair in out] == [
+        tuple(map(_rows, pair)) for pair in expected]
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+    outputs = [f for pair in out for f in pair]
+    for i, f in enumerate(outputs):
+        assert not any(np.shares_memory(f, store) for store in inputs
+                       if isinstance(store, np.ndarray))
+        assert not any(np.shares_memory(f, g) for g in outputs[i + 1:])
+    return expected
+
+
+@needs_numpy
+class TestNativeKeyswitchParity:
+    """A keyswitch wave's per-key phase in one ``keyswitch32`` call
+    (gather, MAC, ModDown per member), against the golden composition of
+    the kernels."""
+
+    @pytest.mark.parametrize("n,moduli", _chains(_word32_rings()),
+                             ids=lambda v: str(v) if isinstance(v, int) else f"{len(v)}q")
+    def test_every_word32_chain(self, route, n, moduli):
+        backend = route.backend()
+        _keyswitch(backend, *_keyswitch_wave(backend, n, _keyswitch_chain(n, moduli),
+                                             seed=n))
+        route.check("keyswitch32")
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_operands_at_q_minus_one(self, route, n):
+        (moduli,) = [chain for degree, chain in _chains(_word32_rings()) if degree == n]
+        backend = route.backend()
+        _keyswitch(backend, *_keyswitch_wave(backend, n, moduli, seed=1, digits=3,
+                                             edge=True))
+        route.check("keyswitch32")
+
+    def test_one_member_and_none(self, route):
+        """A wave of one is its member's pair; a wave of none is empty."""
+        backend = route.backend()
+        contexts, members, golden, plan, scalars = _keyswitch_wave(
+            backend, 256, _keyswitch_chain(256, ()), seed=2)
+        for index in range(len(members)):
+            _keyswitch(backend, contexts, members[index:index + 1],
+                       golden[index:index + 1], plan, scalars)
+        assert backend.keyswitch_rows(contexts, [], plan, scalars) == []
+        route.check("keyswitch32")
+
+    def test_counts_and_shapes_that_do_not_fit_are_refused(self, route):
+        """A member whose keys do not match its digits, a key of one
+        component, a store of a row too few or too short, a gather of
+        another ring, a plan that is not P -> Q_l: ``ValueError`` before
+        any entry point runs."""
+        backend = route.backend()
+        n = 64
+        contexts, members, _, plan, scalars = _keyswitch_wave(
+            backend, n, _keyswitch_chain(n, ()), seed=3)
+        digits, key, spec = members[0]
+        other = _bconv_plan(RNSBasis([c.modulus for c in contexts[-1:]]),
+                            RNSBasis([c.modulus for c in contexts[:1]]))
+        cases = [
+            ([(digits, key[:-1], spec)], plan, scalars),
+            ([(digits, [pair[:1] for pair in key], spec)], plan, scalars),
+            ([(digits[:-1] + [digits[-1][:-1]], key, spec)], plan, scalars),
+            ([(digits[:-1] + [digits[-1][:, :-1]], key, spec)], plan, scalars),
+            ([(digits, key, galois_eval_spec(2 * n, 5))], plan, scalars),
+            ([(digits, key, spec)], other, scalars),
+            ([(digits, key, spec)], plan, scalars[:-1]),
+            ([(digits, key, spec)], plan, []),
+        ]
+        route.calls.clear()
+        for wave, bconv, constants in cases:
+            with pytest.raises(ValueError):
+                backend.keyswitch_rows(contexts, members[1:] + wave, bconv, constants)
+        assert not route.calls
+
+    def test_what_the_library_does_not_take_is_golden(self, route):
+        """A modulus of 2^32 or more, in Q or in P, takes the golden body."""
+        backend = route.backend()
+        n = 64
+        wide = modmath.find_ntt_prime(36, n)
+        for moduli in (_keyswitch_chain(n, (wide,)),
+                       _keyswitch_chain(n, ())[:-1] + (wide,)):
+            _keyswitch(backend, *_keyswitch_wave(backend, n, moduli, seed=4))
+        assert route.calls["keyswitch32"] == 0

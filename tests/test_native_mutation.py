@@ -43,7 +43,8 @@ TAGS = STEP_TAG.findall(native.SOURCE.read_text())
 #: The native parity classes, in the order they run.
 PARITY = [f"{TESTS / 'test_native.py'}::{name}" for name in
           ("TestNativeParity", "TestNativeMacParity", "TestNativeScaleParity",
-           "TestNativeDecomposeParity", "TestNativeBlindRotateParity")]
+           "TestNativeDecomposeParity", "TestNativeBlindRotateParity",
+           "TestNativeKeyswitchParity")]
 
 
 def without_step(text, tag):

@@ -990,7 +990,7 @@ def test_connection_loss_fails_pending_futures():
 def test_wire_chaos_soak_resolves_every_request_with_stable_codes():
     clock = ManualClock()
     schedule = FaultSchedule(
-        [FaultSpec("limbs_eval_mac", "raise", start_call=40,
+        [FaultSpec("keyswitch_rows", "raise", start_call=40,
                    max_injections=4)], seed=9)
     chaos = FaultInjectingBackend(PYTHON, schedule)
     tenants = ["org-a", "org-b", "org-c/free", "org-d"]

@@ -8,9 +8,10 @@
   rescale/mod_down waterline, pmult_mac batching (including the mixed-tree
   BSGS shape), and the lowered ``HomomorphicOp`` histogram cross-checked
   against ``bootstrap.linear_transform_plan``'s accounting.
-* **Kernels**: the new stacked backend entry points
-  (``stacked_intt``/``stacked_ntt``/``stacked_gather``/``stacked_pmult_mac``)
-  are bit-exact against their per-store loops and across backends.
+* **Kernels**: the stacked backend entry points
+  (``stacked_intt``/``stacked_ntt``/``stacked_pmult_mac``) and a keyswitch
+  wave's ``keyswitch_rows`` are bit-exact against their per-store (or
+  per-member) runs and across backends.
 * **Fix regression**: ``rotate_hoisted`` validates rotation keys *before*
   hoisting and raises the same ``KeyError`` shape as ``rotate``.
 
@@ -37,10 +38,14 @@ from repro.fhe.program import executor as executor_module
 from repro.fhe.ckks.bootstrap import linear_transform_plan
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
-from repro.fhe.ckks.keys import CKKSKeyGenerator, CKKSKeySet
+from repro.fhe.ckks.keys import (
+    CKKSKeyGenerator,
+    CKKSKeySet,
+    galois_element_for_rotation,
+)
+from repro.fhe.ckks.keyswitch import hoist_wave, keyswitch_wave
 from repro.fhe.conversion.bridge import SchemeBridge
 from repro.fhe.params import CKKSParameters, TFHEParameters
-from repro.fhe.polynomial import galois_eval_spec
 from repro.fhe.program import (
     HETrace,
     ProgramExecutor,
@@ -694,28 +699,32 @@ class TestKeyswitchWaves:
             with use_backend(backend):
                 inputs = self._inputs(3)
                 executor.run(planned, inputs)          # rotation keys: first use
-                warm = counting.calls["stacked_ntt"]
+                warm = dict(counting.calls)
                 whole = executor.run(planned, inputs)
-                uncut = counting.calls["stacked_ntt"]
+                uncut = dict(counting.calls)
                 monkeypatch.setattr(keyswitch_module, "WAVE_ELEMENTS", 1)
                 cut = executor.run(planned, inputs)
                 monkeypatch.undo()
-            members = counting.calls["limbs_eval_mac"] // 3     # 30 keyswitches
-            # Per run: the stacked input conversion, then a forward dispatch
-            # per hoist chunk and per ModDown chunk.
-            assert uncut - warm == 1 + 2 + 2
-            assert counting.calls["stacked_ntt"] - uncut == 1 + 12 + members
+            calls = counting.calls
+            # Per run: the stacked input conversion and a forward dispatch
+            # per hoist chunk; the per-key phase is one dispatch per chunk.
+            assert uncut["stacked_ntt"] - warm["stacked_ntt"] == 1 + 2
+            assert uncut["keyswitch_rows"] - warm["keyswitch_rows"] == 2
+            assert calls["stacked_ntt"] - uncut["stacked_ntt"] == 1 + 12
+            assert calls["keyswitch_rows"] - uncut["keyswitch_rows"] == 30  # keyswitches
             assert {n: _rows(ct) for n, ct in cut.items()} == {
                 n: _rows(ct) for n, ct in whole.items()}
 
     def test_transform_dispatches_per_batch_are_pinned(self):
         """The census that guards the gain without a timer: the planned
-        width-8 joint dense trace issues nine transform dispatches (the
+        width-8 joint dense trace issues five transform dispatches (the
         budget never cuts at this ring) — the stacked conversion of the
         eight inputs, then per wave a source inverse and a digit forward
-        transform for the hoists and an inverse/forward pair for the one
-        ModDown.  One keyswitch per node would be 80 of each again."""
-        transforms = ("batched_ntt", "batched_intt", "stacked_ntt", "stacked_intt")
+        transform for the hoists — and per wave one ``keyswitch_rows``,
+        whose ModDown transforms only inside it.  One keyswitch per node
+        would be 80 of each again."""
+        transforms = ("batched_ntt", "batched_intt", "stacked_ntt", "stacked_intt",
+                      "keyswitch_rows")
         planned = plan_program(_dense_joint_program(self.PARAMS, 8))
         for backend in BACKENDS:
             counting = WrappedBackend(backend)
@@ -728,7 +737,7 @@ class TestKeyswitchWaves:
             after = counting.calls
             per_batch = [after.get(kernel, 0) - before.get(kernel, 0)
                          for kernel in transforms]
-            assert per_batch == [0, 0, 5, 4], backend.name
+            assert per_batch == [0, 0, 3, 2, 2], backend.name
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), which=st.integers(0, 2))
@@ -1053,18 +1062,31 @@ class TestStackedKernels:
                 for got, poly in zip(inv, polys):
                     assert backend.store_rows(got) == poly.coefficient_rows()
 
-    def test_stacked_gather_matches_per_store(self, params):
-        spec = galois_eval_spec(params.ring_degree, 5)
+    def test_keyswitch_rows_matches_per_member(self, params):
+        """A wave's per-key phase (Galois members and a relinearisation
+        sharing hoists) equals its members run one at a time, on every
+        backend and across backends."""
+        keys = _keyed(params)
+        level = params.max_level
+        g1, g2 = (galois_element_for_rotation(params.ring_degree, r) for r in (1, 2))
+
+        def rows(pairs):
+            return [tuple(tuple(map(tuple, f.to_coeff().coefficient_rows()))
+                          for f in pair) for pair in pairs]
+
+        reference = None
         for backend in BACKENDS:
             with use_backend(backend):
-                stores = [
-                    _random_poly(params, 210 + i).to_eval().store()
-                    for i in range(3)
-                ]
-                stacked = backend.stacked_gather(stores, spec)
-                for got, store in zip(stacked, stores):
-                    expected = backend.limbs_gather(store, spec)
-                    assert backend.store_rows(got) == backend.store_rows(expected)
+                first, second = hoist_wave(
+                    [_random_poly(params, 210 + i) for i in range(2)], params, level)
+                members = [(first, keys.galois_key(g1, level), g1),
+                           (first, keys.galois_key(g2, level), g2),
+                           (second, keys.galois_key(g1, level), g1),
+                           (first, keys.relinearization_key(level), None)]
+                wave = rows(keyswitch_wave(members))
+                assert wave == rows(keyswitch_wave([member])[0] for member in members)
+            assert reference in (None, wave)
+            reference = wave
 
     def test_stacked_pmult_mac_matches_mul_add_chain(self, params):
         moduli = tuple(params.basis().moduli)

@@ -31,10 +31,12 @@ from repro.fhe.backend import (
     NumpyBackend,
     PythonBackend,
     available_backends,
+    use_backend,
 )
 from repro.fhe.ckks.ciphertext import CKKSCiphertext, CKKSPlaintext
 from repro.fhe.ckks.evaluator import CKKSEvaluator
 from repro.fhe.ckks.keys import CKKSKeyGenerator
+from repro.fhe.ckks.keyswitch import hoist_wave, keyswitch_wave
 from repro.fhe.params import CKKSParameters
 from repro.fhe.program import HETrace, ProgramExecutor
 from repro.fhe.rns import RNSPolynomial
@@ -631,6 +633,33 @@ def test_fault_backend_corrupts_one_residue_in_range():
     assert corrupted[0][0] == (clean[0][0] + 1) % moduli[0]  # still reduced
 
 
+def test_fault_backend_corrupts_one_keyswitch_residue_in_range():
+    """``keyswitch_rows`` returns ``(f0, f1)`` pairs: a corruption perturbs
+    one residue of the first member's ``f0`` and nothing else."""
+    level = TOY.max_level
+    keygen = CKKSKeyGenerator(TOY, seed=5, error_stddev=0.0)
+    relin = keygen.make_relinearization_key(keygen.generate(), level)
+    chaos = FaultInjectingBackend(PYTHON, FaultSchedule(
+        [FaultSpec("keyswitch_rows", "corrupt", max_injections=1)]))
+    with use_backend(PYTHON):
+        hoists = hoist_wave([_random_ct(TOY, 71).c1, _random_ct(TOY, 72).c1],
+                            TOY, level)
+        clean = keyswitch_wave([(h, relin, None) for h in hoists])
+    with use_backend(chaos):
+        corrupted = keyswitch_wave([(h, relin, None) for h in hoists])
+    rows = ArithmeticBackend.store_rows
+    diffs = [(m, c, i, j)
+             for m, (got, want) in enumerate(zip(corrupted, clean))
+             for c in range(2)
+             for i, (gr, wr) in enumerate(zip(rows(got[c].store()),
+                                              rows(want[c].store())))
+             for j, (x, y) in enumerate(zip(gr, wr)) if x != y]
+    assert diffs == [(0, 0, 0, 0)]  # exactly one residue perturbed
+    q = TOY.moduli[0]
+    assert rows(corrupted[0][0].store())[0][0] == \
+        (rows(clean[0][0].store())[0][0] + 1) % q  # still reduced
+
+
 def test_fault_backend_stall_uses_injected_sleep():
     recorder = _SleepRecorder()
     schedule = FaultSchedule([FaultSpec("limbs_add", "stall",
@@ -648,7 +677,7 @@ def test_fault_backend_stall_uses_injected_sleep():
 def test_server_on_chaos_backend_serves_bit_exact_through_faults():
     """Injected kernel raises become retries; responses stay bit-exact."""
     schedule = FaultSchedule(
-        [FaultSpec("limbs_eval_mac", "raise", max_injections=2)])
+        [FaultSpec("keyswitch_rows", "raise", max_injections=2)])
     chaos = FaultInjectingBackend(PYTHON, schedule)
     server, keys, tracer = _dense_server(
         TOY, chaos,
@@ -738,14 +767,14 @@ def test_output_validator_exhaustion_is_a_corrupt_result_error():
 
 @pytest.mark.parametrize(
     "backend, kernel, raises, corruptions, attempts, threshold", [
-        pytest.param(PYTHON, "limbs_eval_mac", 3, 0, 1, 1, id="python-raise"),
+        pytest.param(PYTHON, "keyswitch_rows", 3, 0, 1, 1, id="python-raise"),
         # The fault lands in a keyswitch wave's stacked transform: it takes
         # the whole batch's wave down, and every request still resolves.
         pytest.param(PYTHON, "stacked_ntt", 3, 0, 1, 1,
                      id="python-raise-in-a-wave-transform"),
         # Silent store corruption that only the output validator can catch,
         # behind a retrying policy, on the vectorized kernels.
-        pytest.param(PACKED, "limbs_eval_mac", 5, 2, 3, 2,
+        pytest.param(PACKED, "keyswitch_rows", 5, 2, 3, 2,
                      id="numpy-raise-corrupt-validate-retry", marks=needs_numpy),
     ])
 def test_chaos_soak_gate_end_to_end(backend, kernel, raises, corruptions,
