@@ -1,7 +1,7 @@
 """The speed ratios no other instrument in the repo reports, as benchmark pairs.
 
 End-to-end speed is measured by the repo benchmark (``benchmarks/e2e``) and
-exactness is asserted in tier-1; left here are twelve families of fast-path /
+exactness is asserted in tier-1; left here are thirteen families of fast-path /
 reference-path pairs whose ratio neither shows.  Each pair is a
 pytest-benchmark group of two rows, so the grouped table's ratio column *is*
 the speed-up (the fast path reads ``(1.0)``):
@@ -39,7 +39,11 @@ the speed-up (the fast path reads ``(1.0)``):
   hybrid 31-bit modulus) — the same;
 * the native (C) vs the python per-key phase of one keyswitch wave,
   ``keyswitch_rows`` (8 Galois members of one hoist, N = 2^10, L = 8,
-  ``serve_wire_dense``'s 30/32-bit chain) — the same.
+  ``serve_wire_dense``'s 30/32-bit chain) — the same;
+* the native (C) vs the python draws of one evaluation-key group,
+  ``sample_limbs`` (7 keys x 3 digits, a mask and an error each, over the
+  12 limbs of N = 2^10, L = 8: ``client_keygen_encrypt``'s shape) — the
+  same.
 
 One fixed size per pair and no thresholds: the numbers are read, not gated
 (``--benchmark-json`` is the CI artifact).  A pair leaves this module when
@@ -454,3 +458,30 @@ def test_keyswitch_rows(benchmark, keyswitch_wave_operands, core):
     # Key images outside the timing (the python handle takes them on first use).
     backend.keyswitch_rows(contexts, members, plan, scalars)
     benchmark(backend.keyswitch_rows, contexts, members, plan, scalars)
+
+
+# ---------------------------------------------------------------------------
+# native vs python draws of one key group
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def key_group_draws():
+    """One evaluation-key group's draws at ``client_keygen_encrypt``'s
+    shape: 7 keys x 3 digits, each a uniform mask and a sigma = 3.2 error
+    over the 12 limbs of N = 2^10, L = 8 (30/32-bit), key by key."""
+    params = CKKSParameters(ring_degree=1 << 10, max_level=8, dnum=3, scale_bits=26,
+                            modulus_bits=30, special_modulus_bits=32, security_bits=0)
+    moduli = tuple(params.extended_basis(params.max_level).moduli)
+    digits = len(params.digit_slices(params.max_level))
+    draws = [(moduli, stddev) for _ in range(7 * digits) for stddev in (None, 3.2)]
+    return draws, params.ring_degree
+
+
+@pytest.mark.benchmark(
+    group="native vs python: sample_limbs (one key group: 7 keys x 3 digits, 12 limbs, N=2^10)")
+@pytest.mark.parametrize("core", ["native", "python"])
+def test_key_group_draws(benchmark, key_group_draws, core):
+    backend = NumpyBackend() if core == "native" else PythonBackend()
+    draws, n = key_group_draws
+    rng = random.Random(0x6E7)
+    benchmark(backend.sample_limbs, rng, draws, n)

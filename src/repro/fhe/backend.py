@@ -41,6 +41,7 @@ warning naming what is missing; the python backend is the one fallback.
 
 from __future__ import annotations
 
+import array
 import math
 import operator
 import os
@@ -91,6 +92,9 @@ _GAUSS_GUARD = 2.0 ** -20
 #: ... which holds while the draws stay small: at ``|z * sigma| <= 8.6 * 2^16``
 #: a float64 ulp is 2^-33.  A wider ``sigma`` takes the scalar loop.
 _GAUSS_MAX_STDDEV = float(1 << 16)
+#: The ``array`` type code of a 32-bit word, the width of the Mersenne
+#: Twister state ``NumpyBackend.sample_limbs`` hands to ``mt_sample``.
+_MT_WORD = next((code for code in "IL" if array.array(code).itemsize == 4), None)
 
 
 @lru_cache(maxsize=64)
@@ -313,15 +317,20 @@ class ArithmeticBackend:
     # codec: the only path without numpy and for moduli above the
     # vectorised word cap.
     #
-    # Three more kernels *create* stores, so key generation and encryption
+    # Four more kernels *create* stores, so key generation and encryption
     # never build per-coefficient Python lists around the arithmetic:
-    # ``reduce_limbs`` (signed integers -> residue rows, one dispatch) and the
+    # ``reduce_limbs`` (signed integers -> residue rows, one dispatch), the
     # two samplers ``sample_uniform_limbs`` / ``sample_error_limbs`` (uniform
     # residues, a rounded-gaussian polynomial, drawn from a
-    # ``random.Random``).  A sampler's contract is stronger than bit-exact
-    # output: every override must also leave the generator in the state the
-    # golden scalar loop leaves it in, so keys and ciphertexts are identical
-    # across backends for one seed.  One kernel goes the other way —
+    # ``random.Random``) and their batch ``sample_limbs`` (a list of such
+    # draws, in order: a key group's masks and errors, an encryption's
+    # ``v``, ``e0`` and ``e1``).  A sampler's contract is stronger than
+    # bit-exact output: every override must also leave the generator in the
+    # state the golden scalar loop leaves it in, so keys and ciphertexts are
+    # identical across backends for one seed.  The per-draw samplers serve
+    # small draws (an LWE mask), where a batch's fixed cost — handing the
+    # generator's state to C and back, ≈ 40 µs — would dominate; the batch
+    # pays it once for every draw it holds.  One kernel goes the other way —
     # ``limbs_centered_lift``, residue rows -> signed integers — and is the
     # only place a decode boundary reconstructs anything.
     #
@@ -470,6 +479,22 @@ class ArithmeticBackend:
         """
         draws = [round(rng.gauss(0.0, stddev)) for _ in range(length)]
         return self.reduce_limbs(draws, moduli, length)
+
+    def sample_limbs(self, rng, draws, length: int) -> list:
+        """One store per draw of ``draws``, drawn from ``rng`` in order.
+
+        A draw is ``(moduli, stddev)``: ``stddev`` ``None`` is
+        :meth:`sample_uniform_limbs`' draw, a number
+        :meth:`sample_error_limbs`'.  The golden path is exactly that loop,
+        so the order contract holds by construction; overrides return the
+        same stores and leave ``rng`` in the same state, as the two
+        samplers' overrides do.
+        """
+        return [
+            self.sample_uniform_limbs(rng, moduli, length) if stddev is None
+            else self.sample_error_limbs(rng, moduli, length, stddev)
+            for moduli, stddev in draws
+        ]
 
     def limbs_add(self, a, b, moduli):
         return [
@@ -1241,8 +1266,9 @@ class NumpyBackend(PythonBackend):
     Each transform, fixed-scalar product (``batched_sub_scaled``,
     ``limbs_scalar_mul``, BConv's source scaling, the centred lift's Garner
     digits), multiply-accumulate, the gadget decomposition below 2^51, the
-    CMux loop and a keyswitch wave's per-key phase below 2^32 has one fast
-    body, the library's.  The library
+    CMux loop and a keyswitch wave's per-key phase below 2^32, and a batch
+    of random draws (``sample_limbs``: CPython's Mersenne Twister) has one
+    fast body, the library's.  The library
     is read once, here at construction: without numpy or without the
     library the constructor raises ``RuntimeError`` (:func:`get_backend`
     then resolves to the python backend).
@@ -1267,6 +1293,11 @@ class NumpyBackend(PythonBackend):
     def _moduli_fit(moduli) -> bool:
         """Every modulus is within the vectorized word cap."""
         return all(int(q).bit_length() <= NUMPY_MAX_MODULUS_BITS for q in moduli)
+
+    @classmethod
+    def _sample_fit(cls, moduli) -> bool:
+        """Every modulus is a range ``randrange`` takes and within the cap."""
+        return all(q >= 1 for q in moduli) and cls._moduli_fit(moduli)
 
     def _limbs_ok(self, moduli, matrix) -> bool:
         if matrix is None:
@@ -1545,7 +1576,8 @@ class NumpyBackend(PythonBackend):
         # at, so the block draw below consumes the identical stream — the
         # rejected share (< 1/2, far less for near-power-of-two primes) is
         # simply re-drawn in ever smaller blocks.
-        if type(rng) is not random.Random or not self._moduli_fit(moduli):
+        if type(rng) is not random.Random or not self._sample_fit(moduli):
+            # A modulus below 1 is ``randrange``'s ``ValueError`` to raise.
             return super().sample_uniform_limbs(rng, moduli, length)
         out = _np.empty((len(moduli), length), dtype=_np.uint64)
         for row, q in zip(out, moduli):
@@ -1603,13 +1635,20 @@ class NumpyBackend(PythonBackend):
         uniform = (
             (words[:, 0::2] >> 5) * 67108864.0 + (words[:, 1::2] >> 6)
         ) / 9007199254740992.0
+        return NumpyBackend._gauss_round(uniform, _np.full(pairs, float(stddev)))
+
+    @staticmethod
+    def _gauss_round(uniform, sigma):
+        """``round(0.0 + z * sigma[p])`` for the two draws ``z`` of
+        ``rng.gauss``'s pair ``p`` whose two ``random()`` values are
+        ``uniform[p]`` (a ``(pairs, 2)`` float64 array), as ``2 * pairs``
+        int64 in stream order."""
         # Products, the division and ``sqrt`` are correctly rounded in numpy
         # and in ``math`` alike; ``1 - u1 > 0``, so ``log`` raises nothing.
         x2pi = uniform[:, 0] * random.TWOPI
         g2rad = _np.sqrt(-2.0 * _np.log(1.0 - uniform[:, 1]))
-        z = _np.stack(
-            [_np.cos(x2pi) * g2rad, _np.sin(x2pi) * g2rad], axis=1
-        ).reshape(-1) * stddev                      # ``0.0 + x`` is exact
+        z = (_np.stack([_np.cos(x2pi) * g2rad, _np.sin(x2pi) * g2rad], axis=1)
+             * sigma[:, None]).reshape(-1)          # ``0.0 + x`` is exact
         rounded = _np.rint(z)                       # half-even, as ``round``
         # ``log`` / ``cos`` / ``sin`` may differ from libm in the last bits:
         # whatever lands near a rounding boundary is redone the scalar way
@@ -1619,8 +1658,74 @@ class NumpyBackend(PythonBackend):
             u0, u1 = uniform[index // 2].tolist()
             wave = math.sin if index % 2 else math.cos
             exact = wave(u0 * random.TWOPI) * math.sqrt(-2.0 * math.log(1.0 - u1))
-            rounded[index] = round(0.0 + exact * stddev)
+            rounded[index] = round(0.0 + exact * float(sigma[index // 2]))
         return rounded.astype(_np.int64)
+
+    def sample_limbs(self, rng, draws, length):
+        # One state handoff, one native pass over the whole batch in stream
+        # order (``mt_sample``: CPython's generator, word for word), one
+        # vectorized gaussian float step over every pair of the batch, then
+        # each error draw's reduction.  What it cannot take is the golden
+        # loop: a generator that is not a stock ``random.Random`` in state
+        # version 3, a pending ``gauss_next`` or an odd length before an
+        # error draw (the pairs would not be whole), a ``stddev`` beyond
+        # ``_GAUSS_MAX_STDDEV``, a modulus outside ``[1, 2^62)``, or a batch
+        # below the crossover.
+        draws = [(tuple(int(q) for q in moduli), stddev) for moduli, stddev in draws]
+        errors = [stddev for _, stddev in draws if stddev is not None]
+        rows = [q for moduli, stddev in draws
+                for q in (moduli if stddev is None else (0,))]
+        if (
+            type(rng) is not random.Random or _MT_WORD is None
+            or len(rows) * length < max(self.min_vector_length, 1)
+            or not all(moduli and self._sample_fit(moduli) for moduli, _ in draws)
+            or errors and (length % 2 or rng.gauss_next is not None
+                           or not all(abs(s) <= _GAUSS_MAX_STDDEV for s in errors))
+        ):
+            return super().sample_limbs(rng, draws, length)
+        version, internal, pending = rng.getstate()
+        if version != 3 or len(internal) != 625:
+            return super().sample_limbs(rng, draws, length)
+        state = array.array(_MT_WORD, internal)
+        uniform = _np.empty((len(rows) - len(errors), length), dtype=_np.uint64)
+        raw = _np.empty((len(errors), length), dtype=_np.uint64)
+        spec = _np.array(rows, dtype=_np.uint64)
+        self._lib.mt_sample(state.buffer_info()[0], len(rows), spec.ctypes.data,
+                            length, uniform.ctypes.data, raw.ctypes.data)
+        rng.setstate((version, tuple(state), pending))
+        noise = iter(self._reduce_errors(raw, errors, [
+            moduli for moduli, stddev in draws if stddev is not None]))
+        out, used = [], 0
+        for moduli, stddev in draws:
+            if stddev is None:
+                out.append(uniform[used:used + len(moduli)])
+                used += len(moduli)
+            else:
+                out.append(next(noise))
+        return out
+
+    def _reduce_errors(self, raw, errors, bases):
+        """Row ``i`` of ``raw`` (``mt_sample``'s gaussian words) as its
+        rounded-gaussian draw at ``errors[i]``, reduced under ``bases[i]``:
+        one store per row."""
+        pairs = raw.shape[1] // 2
+        uniform = raw.reshape(-1, 2).astype(_np.float64) / 9007199254740992.0
+        draws = self._gauss_round(uniform, _np.repeat(
+            _np.array(errors, dtype=_np.float64), pairs)).reshape(raw.shape)
+        peak = max(-int(draws.min(initial=0)), int(draws.max(initial=0)))
+        small = peak < min((min(moduli) for moduli in bases), default=0)
+        out = []
+        for row, moduli in zip(draws, bases):
+            q = self._q_col(moduli).view(_np.int64)
+            if small:
+                # Below every modulus in magnitude, ``%`` is one conditional
+                # add: ``row >> 63`` is all ones where ``row`` is negative.
+                residues = (row >> 63) & q
+                residues += row
+            else:
+                residues = row % q      # non-negative, like python's ``%``
+            out.append(residues.view(_np.uint64))
+        return out
 
     def replicate_row(self, row, moduli):
         arr = self._matrix(row) if self._moduli_fit(moduli) else None

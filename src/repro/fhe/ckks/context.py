@@ -11,14 +11,17 @@ from typing import List, Sequence
 
 from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import CKKSParameters
-from ..polynomial import sample_ternary
-from ..rns import RNSPolynomial, _limb_contexts
+from ..polynomial import TERNARY_MODULI, ternary_coefficients
+from ..rns import RNSBasis, RNSPolynomial, _limb_contexts, sample_batch
 from .ciphertext import CKKSCiphertext, CKKSPlaintext
 from .encoder import CKKSEncoder
 from .evaluator import CKKSEvaluator
-from .keys import CKKSKeyGenerator, CKKSKeySet, CKKSSecretKey, sample_error
+from .keys import CKKSKeyGenerator, CKKSKeySet, CKKSSecretKey
 
 __all__ = ["CKKSContext", "measure_noise"]
+
+#: The one-limb "basis" an encryption's dense ternary ``v`` is drawn under.
+_TERNARY = RNSBasis(TERNARY_MODULI)
 
 
 def _phase(ciphertext: CKKSCiphertext, secret: CKKSSecretKey) -> RNSPolynomial:
@@ -87,10 +90,11 @@ class CKKSContext:
         # Restrict the public key to the plaintext's level.
         pk_b = self.keys.public.b.keep_limbs(plaintext.level + 1)
         pk_a = self.keys.public.a.keep_limbs(plaintext.level + 1)
+        # ``v``, ``e0``, ``e1`` in one batch, in that order.
+        ternary, e0, e1 = sample_batch(n, self.rng, [
+            (_TERNARY, None), (basis, self.error_stddev), (basis, self.error_stddev)])
         v = RNSPolynomial.from_integer_coefficients(
-            n, basis, sample_ternary(n, self.rng))
-        e0 = sample_error(n, basis, self.rng, self.error_stddev)
-        e1 = sample_error(n, basis, self.rng, self.error_stddev)
+            n, basis, ternary_coefficients(ternary.store()))
         # One stacked forward transform (v serves both products) and one
         # stacked inverse, instead of a dispatch per polynomial.
         b_eval, a_eval, v_eval = backend.stacked_ntt(
@@ -112,8 +116,8 @@ class CKKSContext:
         basis = params.basis(plaintext.level)
         with use_backend(self.backend):
             s = self.keys.secret.as_rns(n, basis)
-            a = RNSPolynomial.sample_uniform(n, basis, self.rng)
-            e = sample_error(n, basis, self.rng, self.error_stddev)
+            a, e = sample_batch(
+                n, self.rng, [(basis, None), (basis, self.error_stddev)])
             c0 = -(a * s) + e + plaintext.poly
         return CKKSCiphertext(c0=c0, c1=a, level=plaintext.level, scale=plaintext.scale)
 

@@ -22,9 +22,12 @@ source secret never exists as coefficients: ``f_j * t_eval`` is the sign-free
 evaluation-domain gather ``(f_j * s_eval).automorphism(g)`` for a Galois key
 and ``(f_j * s_eval) * s_eval`` for relinearization.
 
-Order contract: only the draws touch the generator's ``rng``, and they happen
-key by key, digit by digit, mask then error — exactly the order of making the
-keys one at a time.  :meth:`CKKSKeySet.ensure_galois_keys` batches only runs of
+Order contract: only the draws touch the generator's ``rng``, one
+``sample_limbs`` batch per group, and within it they run key by key, digit by
+digit, mask then error — exactly the order of making the keys one at a time.
+One batch per group is what makes the draws cheap: the numpy backend hands the
+generator's state to its native Mersenne Twister and back once per batch, not
+once per draw.  :meth:`CKKSKeySet.ensure_galois_keys` batches only runs of
 consecutive missing keys at one level and never reorders a request, so key
 material does not depend on how keys were grouped (nor on the backend:
 ``tests/test_backend_parity.py::TestKeyMaterialPinned``).
@@ -41,7 +44,7 @@ from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..modmath import mod_inverse
 from ..params import CKKSParameters
 from ..polynomial import sample_ternary
-from ..rns import RNSBasis, RNSPolynomial, _limb_contexts, sample_error
+from ..rns import RNSBasis, RNSPolynomial, _limb_contexts, sample_batch, sample_error
 
 __all__ = [
     "CKKSSecretKey",
@@ -69,12 +72,19 @@ def galois_element_for_conjugation(ring_degree: int) -> int:
 
 #: Residues one stacked transform of evaluation-key generation may carry; a
 #: group is as many whole keys (``digits * limbs * N`` residues each) as fit,
-#: at least one.  Stacks amortise the per-call overhead of a ``(12, 1024)``
-#: transform, and what a group holds in flight is resident memory.  Sized on
-#: ``client_keygen_encrypt`` (10 Galois keys of 3 x 12 x 1024 residues per op;
-#: parent 9.4 ops/s, 74.4 MB), medians of five 15 s runs, ``ops_per_s`` /
-#: ``peak_rss_mb`` by keys per group: 1 -> 15.2 / 76.9, 2 -> 16.8 / 76.8,
-#: 4 -> 16.4 / 76.6, 7 (this budget) -> 17.7 / 75.4, 10 -> 17.6 / 77.4.
+#: at least one, and its draws are one ``sample_limbs`` batch.  What a group
+#: holds in flight is resident memory.  Sized on ``client_keygen_encrypt``
+#: (10 Galois keys of 3 x 12 x 1024 residues per op) with the batch sampler,
+#: medians of eight 15 s runs (three for 4 and 10 keys), 2-vCPU x86,
+#: ``ops_per_s`` / ``peak_rss_mb`` by keys per group: 1 -> 41.2 / 68.7, 2 ->
+#: 41.1 / 69.2, 4 -> 40.2 / 71.4, 7 (this budget) -> 40.3 / 72.0, 10 ->
+#: 38.9 / 72.7.  Once the draws cost one state handoff per batch, a bigger
+#: stack buys no speed there (at per-draw sampling, 7 keys ran 16% faster
+#: than 1) and costs ≈ 0.5 MB per key in flight.  The budget stays: with
+#: one key per group (2^16), ``lib_ckks_inference`` read 48.1 ops/s against
+#: 49.9 at this budget (four alternating 10 s runs), because its set-up then
+#: frees no block as large as its loop's temporaries, so glibc's malloc
+#: keeps mapping and unmapping them: 574 minor faults per op against 1.
 GROUP_RESIDUES = 1 << 18
 
 
@@ -276,8 +286,8 @@ class CKKSKeyGenerator:
         basis = params.basis()
         n = params.ring_degree
         s = secret.as_rns(n, basis)
-        a = RNSPolynomial.sample_uniform(n, basis, self.rng)
-        error = sample_error(n, basis, self.rng, self.error_stddev)
+        a, error = sample_batch(
+            n, self.rng, [(basis, None), (basis, self.error_stddev)])
         b = -(a * s) + error
         return CKKSPublicKey(b=b, a=a)
 
@@ -322,11 +332,12 @@ class CKKSKeyGenerator:
             contexts = _limb_contexts(n, extended)
             for first in range(0, len(sources), group):
                 members = sources[first:first + group]
-                # The only statements that touch ``rng``.
-                masks, errors = [], []
-                for _ in range(len(members) * digits):
-                    masks.append(RNSPolynomial.sample_uniform(n, extended, self.rng))
-                    errors.append(sample_error(n, extended, self.rng, self.error_stddev))
+                # The only statement that touches ``rng``: one batch per group.
+                drawn = sample_batch(n, self.rng, [
+                    (extended, stddev) for _ in range(len(members) * digits)
+                    for stddev in (None, self.error_stddev)
+                ])
+                masks, errors = drawn[0::2], drawn[1::2]
                 targets = (
                     multiple * secret_eval if source is None
                     else multiple.automorphism(source)

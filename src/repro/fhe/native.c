@@ -2,10 +2,12 @@
  * The numpy backend's native library: the negacyclic NTT / INTT
  * (ntt32_*, ntt64_*), one fixed-scalar product (scale32, scale64) and one
  * multiply-accumulate (mac32, mac64) at two word sizes, the TFHE gadget
- * decomposition (decompose32), a blind rotation's whole CMux loop (cmux32)
- * and a CKKS keyswitch wave's whole per-key phase (keyswitch32: gather, MAC
- * and ModDown per member).  Word 32 takes every modulus below 2^32, word 64
- * every modulus below 2^62; decompose32 takes moduli below 2^51.
+ * decomposition (decompose32), a blind rotation's whole CMux loop (cmux32),
+ * a CKKS keyswitch wave's whole per-key phase (keyswitch32: gather, MAC
+ * and ModDown per member) and a batch of draws from CPython's Mersenne
+ * Twister (mt_sample: a key group's masks and errors in one pass).  Word 32
+ * takes every modulus below 2^32, word 64 every modulus below 2^62;
+ * decompose32 takes moduli below 2^51, mt_sample moduli in [1, 2^62).
  *
  * The transforms run in place over a contiguous (rows, n) uint64 array.
  * Row r runs under tables[r % limbs], each one array laid out by
@@ -73,29 +75,54 @@
  * butterflies of one group and the group loop vectorizes instead, and a
  * transform runs 1.6-1.9x faster (2-vCPU AVX-512 x86).  gcc 12, -O3
  * -march=native -fopt-info-vec-optimized reports there, per direction:
- *   native.c:143:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:170:26: optimized: loop vectorized using 64 byte vectors
  * three times (the group loop at t = 4, 2, 1) and
- *   native.c:146:30: optimized: loop vectorized using 64 byte vectors
+ *   native.c:173:30: optimized: loop vectorized using 64 byte vectors
  * once (the j-loop, t >= 8).  It reports scale_row32's two row loops
  * (without and with a subtraction) vectorized, in scale32 and in keyswitch32:
- *   native.c:278:30: optimized: loop vectorized using 64 byte vectors
- *   native.c:282:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:305:30: optimized: loop vectorized using 64 byte vectors
+ *   native.c:309:26: optimized: loop vectorized using 64 byte vectors
  * scale64's are not: the 64 x 64 -> 128-bit product has no vector form.
  * Every loop of cmux32 over a row's values vectorizes too: rotate_sub's
  * (once per stretch and sign), the MAC's accumulation (mac32_add) and
  * reduction, and the add back:
- *   native.c:556:26: optimized: loop vectorized using 64 byte vectors
- *   native.c:359:26: optimized: loop vectorized using 64 byte vectors
- *   native.c:617:42: optimized: loop vectorized using 64 byte vectors
- *   native.c:622:38: optimized: loop vectorized using 64 byte vectors
+ *   native.c:583:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:386:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:644:42: optimized: loop vectorized using 64 byte vectors
+ *   native.c:649:38: optimized: loop vectorized using 64 byte vectors
  * and so do decompose_row's two, in decompose32 and in cmux32.  So does
  * every loop of keyswitch32 over a row's values: the gather (gather_row),
  * the scalar-weight terms (mac32_add_scalar, in mac32 too), the two
  * reductions (the MAC's and BConv's) and scale_row32's, above:
- *   native.c:636:26: optimized: loop vectorized using 64 byte vectors
- *   native.c:371:26: optimized: loop vectorized using 64 byte vectors
- *   native.c:688:42: optimized: loop vectorized using 64 byte vectors
- *   native.c:712:42: optimized: loop vectorized using 64 byte vectors
+ *   native.c:663:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:398:26: optimized: loop vectorized using 64 byte vectors
+ *   native.c:715:42: optimized: loop vectorized using 64 byte vectors
+ *   native.c:739:42: optimized: loop vectorized using 64 byte vectors
+ * mt_twist's first two loops (623 of its 624 words) vectorize; mt_sample's
+ * draws are a serial walk of the stream.  gcc 12 on a second 2-vCPU AVX-512
+ * x86 model picks 32 byte vectors for every loop above and reports these:
+ *   native.c:765:14: optimized: loop vectorized using 32 byte vectors
+ *   native.c:767:14: optimized: loop vectorized using 32 byte vectors
+ *
+ * mt_sample is exact by transcription, and every step of it is integer.
+ * Its generator (mt_twist, mt_word) is genrand_uint32 of CPython's
+ * Modules/_randommodule.c: the same twist of 624 words, the same tempering,
+ * and the read index kept as the 625th state word, as random.getstate()
+ * reports it, so from one state the two give one stream of 32-bit words.
+ * What it draws from the stream is Lib/random.py's: randrange(q) is
+ * _randbelow_with_getrandbits, k = bit_length(q) bits per candidate, until
+ * one is below q (the mt-*-reject steps).  getrandbits(k) is one word
+ * shifted right by 32 - k for k <= 32; for 32 < k <= 64 it is the low word
+ * whole, then the next word shifted right by 64 - k as the high half.
+ * random() is ((a >> 5) 2^26 + (b >> 6)) / 2^53 of two consecutive words;
+ * mt_sample hands over the numerator, below 2^53 and so exact in a double,
+ * and gauss()'s float step (log, cos, sin) runs in numpy.  It stays there
+ * because its exactness is an argument about libm, not about integers:
+ * numpy's log / cos / sin may differ from CPython's math.* in the last
+ * bits, so the backend redoes with math.* every draw that lands near a
+ * rounding boundary.  Here the floats would also hang on the compiler's
+ * contraction of products into fused multiply-adds and on the libm the
+ * library links, neither of which this build pins.
  *
  * Every reduction and correction step carries a unique step tag; removing
  * the step it marks makes a test in tests/test_native.py fail.
@@ -718,4 +745,89 @@ void keyswitch32(uint64_t *out, size_t members, size_t terms, size_t lq, size_t 
             }
         }
     }
+}
+
+/* CPython's Mersenne Twister (Modules/_randommodule.c): 624 state words and
+ * the read index, kept as the 625th word as random.getstate() reports it. */
+#define MT_N 624
+#define MT_M 397
+
+static inline uint32_t mt_mix(uint32_t upper, uint32_t lower, uint32_t far)
+{
+    const uint32_t y = (upper & 0x80000000u) | (lower & 0x7fffffffu);
+    return far ^ (y >> 1) ^ (-(y & 1u) & 0x9908b0dfu);
+}
+
+/* genrand_uint32's refill: the next 624 words, in place. */
+static void mt_twist(uint32_t *mt)
+{
+    size_t k = 0;
+    for (; k < MT_N - MT_M; k++)
+        mt[k] = mt_mix(mt[k], mt[k + 1], mt[k + MT_M]);
+    for (; k < MT_N - 1; k++)
+        mt[k] = mt_mix(mt[k], mt[k + 1], mt[k + MT_M - MT_N]);
+    mt[MT_N - 1] = mt_mix(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+}
+
+/* genrand_uint32: the next word of the stream, tempered.  The refill test
+ * carries no step tag: without it the walk would read past the state, and
+ * any change to the generator changes every word after it, which the
+ * sampler parity tests see from every read index. */
+static inline uint32_t mt_word(uint32_t *mt, size_t *index)
+{
+    if (*index >= MT_N) {
+        mt_twist(mt);
+        *index = 0;
+    }
+    uint32_t y = mt[(*index)++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+}
+
+/*
+ * A batch of draws from one generator, in stream order.  state is the 625
+ * words of random.getstate()[1] (index last, at most 624) and is advanced
+ * in place.  Row r of the batch is, by spec[r]:
+ *   q >= 1 (below 2^62): length values of randrange(q), written to the next
+ *     length slots of uniform;
+ *   0: length / 2 pairs of gauss()'s two random() calls (length even),
+ *     written to the next length slots of gauss as the integers
+ *     (a >> 5) 2^26 + (b >> 6) below 2^53 that random() divides by 2^53.
+ */
+void mt_sample(uint32_t *state, size_t rows, const uint64_t *spec, size_t length,
+               uint64_t *uniform, uint64_t *gauss)
+{
+    size_t index = state[MT_N];
+    for (size_t r = 0; r < rows; r++) {
+        const uint64_t q = spec[r];
+        if (q == 0) {
+            for (size_t j = 0; j < length; j++) {
+                const uint64_t a = mt_word(state, &index) >> 5;
+                gauss[j] = a << 26 | mt_word(state, &index) >> 6;
+            }
+            gauss += length;
+            continue;
+        }
+        const unsigned bits = 64 - (unsigned)__builtin_clzll(q);
+        if (bits <= 32) {
+            const unsigned shift = 32 - bits;
+            for (size_t j = 0; j < length;) {
+                const uint64_t v = mt_word(state, &index) >> shift;
+                uniform[j] = v;
+                j += v < q ? 1 : 0;                     /* step: mt-narrow-reject */
+            }
+        } else {
+            const unsigned shift = 64 - bits;
+            for (size_t j = 0; j < length;) {
+                const uint64_t low = mt_word(state, &index);
+                const uint64_t v = low | (uint64_t)(mt_word(state, &index) >> shift) << 32;
+                uniform[j] = v;
+                j += v < q ? 1 : 0;                     /* step: mt-wide-reject */
+            }
+        }
+        uniform += length;
+    }
+    state[MT_N] = (uint32_t)index;
 }

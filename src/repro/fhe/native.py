@@ -4,9 +4,23 @@
 multiply-accumulate (keyswitch MAC, plaintext MAC, BConv, the TFHE external
 product) at word 32 (moduli below 2^32) and word 64 (below 2^62), the TFHE
 gadget decomposition (moduli below 2^51), a blind rotation's whole CMux
-loop in one call (``cmux32``, ``blind_rotate_rows`` below 2^32) and a CKKS
+loop in one call (``cmux32``, ``blind_rotate_rows`` below 2^32), a CKKS
 keyswitch wave's whole per-key phase in one call (``keyswitch32``,
-``keyswitch_rows`` below 2^32).
+``keyswitch_rows`` below 2^32) and a batch of random draws in one call
+(``mt_sample``, ``sample_limbs`` below 2^62).
+
+``mt_sample`` is CPython's Mersenne Twister (``genrand_uint32`` of
+``_randommodule.c``) transcribed, with ``randrange``'s rejection loop and
+``random()``'s two-word numerator on top: from the state
+``random.Random.getstate()`` reports it gives the words, candidates and
+rejections the python calls would, so the stores and the state handed back
+through ``setstate`` are the golden ones.  Only integers are computed in C.
+``gauss()``'s float step stays in numpy, where the backend checks numpy's
+``log`` / ``cos`` / ``sin`` against ``math.*`` near every rounding boundary;
+in C it would also depend on the compiler's fused multiply-adds and on the
+libm the library links.  The handoff (``getstate``, a word array,
+``setstate``) costs ≈ 40 µs, several small draws' worth, so it is paid once
+per batch: the numpy backend's per-draw samplers stay in numpy.
 
 :func:`library` is the one entry point; ``None`` means there is no numpy
 backend in this process: :func:`repro.fhe.backend.get_backend` resolves
@@ -29,7 +43,7 @@ from typing import Optional
 
 #: The C source: a forward and an inverse transform, a fixed-scalar product
 #: and a multiply-accumulate per word size, one gadget decomposition, one
-#: CMux loop, one keyswitch per-key phase.
+#: CMux loop, one keyswitch per-key phase, one batch of random draws.
 SOURCE = Path(__file__).with_name("native.c")
 #: Compiler flags; part of the cache key.
 FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
@@ -143,6 +157,7 @@ SIGNATURES = {
     "decompose32": (_P, _P, _N, _N, ctypes.c_uint64, _N, _P),
     "cmux32": (_P, _N, _N, _N, _N, _P, _P, _N, _P, _P, _P),
     "keyswitch32": (_P, _N, _N, _N, _N, _N, _P, _P, _P, _P, _P, _P, _P, _P),
+    "mt_sample": (_P, _N, _P, _N, _P, _P),
 }
 
 

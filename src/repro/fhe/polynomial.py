@@ -11,7 +11,9 @@ This module holds what every ring element shares:
   multiplication ``P(X) * X^r`` (TFHE rotations), the automorphism
   ``X -> X^k`` (CKKS HRotate, the field trace) and its evaluation-domain
   gather,
-* :func:`sample_ternary`, the secret and encryption-randomness sampler.
+* :func:`sample_ternary`, the secret and encryption-randomness sampler,
+  and :func:`ternary_coefficients`, its dense draw read back from a store
+  (an encryption draws that row in one batch with its errors).
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ __all__ = [
     "automorphism_spec",
     "galois_eval_spec",
     "sample_ternary",
+    "ternary_coefficients",
+    "TERNARY_MODULI",
 ]
+
+#: ``rng.choice((-1, 0, 1))`` is ``randrange(3) - 1``: a dense ternary
+#: polynomial is a uniform draw under this one modulus, shifted down by one.
+TERNARY_MODULI = (3,)
 
 # NTT contexts are cached per (N, q): building twiddle tables is the expensive
 # part and both CKKS limbs and TFHE rings reuse the same few moduli heavily.
@@ -124,14 +132,19 @@ def sample_ternary(ring_degree: int, rng: random.Random,
     non-zero (the sparse-ternary secrets used by CKKS bootstrapping papers).
     """
     if hamming_weight is None:
-        # ``rng.choice((-1, 0, 1))`` is ``randrange(3) - 1``: the block
-        # sampler draws the same values from the same stream.
-        backend = active_backend()
-        draws = backend.sample_uniform_limbs(rng, (3,), ring_degree)
-        return [draw - 1 for draw in backend.store_rows(draws)[0]]
+        # The block sampler draws the values ``rng.choice`` would, from the
+        # same stream.
+        return ternary_coefficients(active_backend().sample_uniform_limbs(
+            rng, TERNARY_MODULI, ring_degree))
     coeffs = [0] * ring_degree
     hamming_weight = min(hamming_weight, ring_degree)
     positions = rng.sample(range(ring_degree), hamming_weight)
     for pos in positions:
         coeffs[pos] = rng.choice((-1, 1))
     return coeffs
+
+
+def ternary_coefficients(store) -> List[int]:
+    """The dense ternary coefficients of a uniform draw under
+    :data:`TERNARY_MODULI` (a one-row store)."""
+    return [draw - 1 for draw in active_backend().store_rows(store)[0]]

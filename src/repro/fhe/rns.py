@@ -50,8 +50,8 @@ from .polynomial import (
 )
 
 __all__ = [
-    "RNSBasis", "RNSPolynomial", "sample_error", "fast_basis_conversion",
-    "exact_basis_conversion",
+    "RNSBasis", "RNSPolynomial", "sample_error", "sample_batch",
+    "fast_basis_conversion", "exact_basis_conversion",
 ]
 
 
@@ -500,6 +500,27 @@ def sample_error(ring_degree: int, basis: RNSBasis, rng,
         rng, tuple(basis.moduli), ring_degree, stddev
     )
     return RNSPolynomial._from_store(ring_degree, basis, store)
+
+
+def sample_batch(ring_degree: int, rng, draws) -> List[RNSPolynomial]:
+    """One polynomial per ``(basis, stddev)`` of ``draws``, drawn from ``rng``
+    in order as one ``sample_limbs`` batch.
+
+    ``stddev`` ``None`` draws what :meth:`RNSPolynomial.sample_uniform`
+    draws, a number what :func:`sample_error` draws (zero, and no draw, when
+    ``<= 0``): the same polynomials and the same stream as those calls one
+    after another, for one fixed cost per batch instead of one per draw.
+    """
+    _check_degree(ring_degree)
+    stores = iter(active_backend().sample_limbs(rng, [
+        (tuple(basis.moduli), stddev) for basis, stddev in draws
+        if stddev is None or stddev > 0
+    ], ring_degree))
+    return [
+        RNSPolynomial(ring_degree, basis) if stddev is not None and stddev <= 0
+        else RNSPolynomial._from_store(ring_degree, basis, next(stores))
+        for basis, stddev in draws
+    ]
 
 
 def exact_basis_conversion(

@@ -23,6 +23,7 @@ from ..backend import ArithmeticBackend, active_backend, use_backend
 from ..params import TFHEParameters
 from ..polynomial import monomial_spec
 from ..rns import RNSBasis, RNSPolynomial, sample_error
+from .lwe import sample_mask
 
 __all__ = ["GLWESecretKey", "GLWECiphertext", "GLWEContext"]
 
@@ -165,7 +166,7 @@ class GLWEContext:
         self.secret = GLWESecretKey(
             tuple(
                 RNSPolynomial.from_integer_coefficients(
-                    n, self.basis, [self.rng.randrange(2) for _ in range(n)])
+                    n, self.basis, sample_mask(self.rng, 2, n))
                 for _ in range(params.glwe_dimension)
             )
         )

@@ -86,7 +86,8 @@ class LWECiphertext:
 
 
 def sample_mask(rng: random.Random, modulus: int, dimension: int) -> List[int]:
-    """A uniform LWE mask, drawn by the active backend's block sampler.
+    """A uniform LWE mask (a binary secret at ``modulus`` 2), drawn by the
+    active backend's block sampler.
 
     Consumes ``rng`` exactly like ``dimension`` calls of
     ``rng.randrange(modulus)`` (the sampler's contract), so key material is
@@ -103,9 +104,7 @@ class LWEContext:
     def __init__(self, params: TFHEParameters, seed: int = 0):
         self.params = params
         self.rng = random.Random(seed ^ 0x1F3E)
-        self.secret = LWESecretKey(
-            tuple(self.rng.randrange(2) for _ in range(params.lwe_dimension))
-        )
+        self.secret = LWESecretKey(tuple(sample_mask(self.rng, 2, params.lwe_dimension)))
 
     # -- encoding -----------------------------------------------------------------
     def encode(self, message: int) -> int:

@@ -58,6 +58,7 @@ from repro.fhe.rns import (
     _bconv_plan,
     exact_basis_conversion,
     fast_basis_conversion,
+    sample_batch,
     sample_error,
 )
 from repro.fhe.tfhe.pbs import TFHEContext
@@ -532,6 +533,72 @@ class TestErrorSamplerParity:
                 rng = random.Random(8)
                 assert sample_error(64, RNSBasis([q]), rng, 3.2) == expected
                 assert rng.getstate() == golden_rng.getstate()
+
+
+#: Bases of the batch sampler's parity: both word sizes, the ternary draw's
+#: modulus and one 63-bit modulus, above the numpy backend's word cap.
+_BATCH_BASES = [
+    (modmath.find_ntt_prime(30, 64), modmath.find_ntt_prime(32, 64)),
+    (modmath.find_ntt_prime(40, 64),), (3,), ((1 << 62) + 57,),
+]
+
+
+class TestSampleBatchParity:
+    """``sample_limbs``: one store per draw, the golden loop's, and the
+    generator left where that loop leaves it — through the native pass and
+    through every fallback to the golden loop: a ``random.Random``
+    subclass, a pending ``gauss_next``, an odd length before an error draw,
+    a ``stddev`` above 2^16 and a 63-bit modulus."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(0, 40),
+           subclassed=st.booleans(), pending=st.booleans(),
+           draws=st.lists(st.tuples(
+               st.sampled_from(_BATCH_BASES),
+               st.sampled_from([None, None, 3.2, 0.5, 19.5, float(1 << 17)])),
+               max_size=6))
+    def test_any_batch(self, seed, length, subclassed, pending, draws):
+        rng_type = _SubclassedRandom if subclassed else random.Random
+        fast_rng, golden_rng = rng_type(seed), rng_type(seed)
+        if pending:
+            assert fast_rng.gauss(0.0, 1.0) == golden_rng.gauss(0.0, 1.0)
+        actual = NUMPY.sample_limbs(fast_rng, draws, length)
+        expected = PYTHON.sample_limbs(golden_rng, draws, length)
+        assert [_rows(store) for store in actual] == expected
+        assert fast_rng.getstate() == golden_rng.getstate()
+
+    def test_a_key_group_is_its_draws_one_by_one(self):
+        """At ``client_keygen_encrypt``'s shape (masks and errors over 12
+        limbs of N = 1024, key by key), the batch returns what the per-draw
+        samplers return, in the same stream, on the numpy backend."""
+        params = CKKSParameters(ring_degree=1024, max_level=8, dnum=3, scale_bits=26,
+                                modulus_bits=30, special_modulus_bits=32,
+                                security_bits=0)
+        moduli = tuple(params.extended_basis(params.max_level).moduli)
+        draws = [(moduli, stddev) for _ in range(6) for stddev in (None, 3.2)]
+        fast_rng, golden_rng = random.Random(9), random.Random(9)
+        actual = NUMPY.sample_limbs(fast_rng, draws, 1024)
+        for store, (basis, stddev) in zip(actual, draws):
+            expected = (NUMPY.sample_uniform_limbs(golden_rng, basis, 1024)
+                        if stddev is None
+                        else NUMPY.sample_error_limbs(golden_rng, basis, 1024, stddev))
+            assert np.array_equal(store, expected)
+        assert fast_rng.getstate() == golden_rng.getstate()
+
+    def test_polynomial_batch_is_the_per_draw_calls(self):
+        """``sample_batch`` draws what ``RNSPolynomial.sample_uniform`` and
+        ``sample_error`` draw one after another; an error at ``stddev <= 0``
+        is zero and draws nothing."""
+        basis = RNSBasis(list(_BATCH_BASES[0]))
+        draws = [(basis, None), (basis, 0.0), (basis, 3.2), (basis, -1.0), (basis, None)]
+        for backend in (PYTHON, NUMPY):
+            with use_backend(backend):
+                rng, golden = random.Random(4), random.Random(4)
+                expected = [RNSPolynomial.sample_uniform(64, basis, golden)
+                            if stddev is None else sample_error(64, basis, golden, stddev)
+                            for _, stddev in draws]
+                assert sample_batch(64, rng, draws) == expected
+                assert rng.getstate() == golden.getstate()
 
 
 class TestReduceLimbsParity:
@@ -1171,7 +1238,7 @@ def test_every_public_kernel_has_a_caller():
 #: out of something else.
 STORELESS_KERNELS = {
     "limbs_zero", "reduce_limbs", "sample_uniform_limbs", "sample_error_limbs",
-    "limbs_from_words",
+    "sample_limbs", "limbs_from_words",
 }
 
 

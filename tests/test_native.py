@@ -1401,3 +1401,107 @@ class TestNativeKeyswitchParity:
                        _keyswitch_chain(n, ())[:-1] + (wide,)):
             _keyswitch(backend, *_keyswitch_wave(backend, n, moduli, seed=4))
         assert route.calls["keyswitch32"] == 0
+
+
+#: Moduli of the sampler parity.  ``randrange(q)`` reads one word shifted
+#: right up to 2^32 and two words (the low one whole) above it; 2, 3 and
+#: each 2^k + 1 reject close to half their candidates, the primes near a
+#: word's top almost none.
+SAMPLE_MODULI = (
+    2, 3, (1 << 29) + 11, modmath.find_ntt_prime(30, 1024),
+    modmath.find_ntt_prime(32, 1024), 1 << 32, modmath.find_ntt_prime(36, 64),
+    modmath.find_ntt_prime(40, 64), modmath.find_ntt_prime(62, 64),
+    (1 << 16) + 1, (1 << 31) + 1, (1 << 33) + 1, (1 << 47) + 1,
+)
+
+
+def _sample(backend, draws, length, rng=None, golden=None):
+    """``backend.sample_limbs`` against the golden loop from two generators
+    in one state (``random.Random(length)`` by default): the same stores and
+    the same generator state after."""
+    rng = random.Random(length) if rng is None else rng
+    golden = random.Random(length) if golden is None else golden
+    actual = backend.sample_limbs(rng, draws, length)
+    expected = PYTHON.sample_limbs(golden, draws, length)
+    assert len(actual) == len(expected)
+    assert [_rows(store) for store in actual] == expected
+    assert rng.getstate() == golden.getstate()
+    return expected
+
+
+@needs_numpy
+class TestNativeSampleParity:
+    """A batch of draws in one ``mt_sample`` pass (CPython's Mersenne
+    Twister in C): every store and the generator state equal the golden
+    loop of ``randrange`` / ``gauss`` calls."""
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 1024])
+    @pytest.mark.parametrize("q", SAMPLE_MODULI, ids=lambda q: f"{q.bit_length()}b-{q % 1000}")
+    def test_every_modulus_and_length(self, route, q, length):
+        _sample(route.backend(), [((q,), None), ((q, 3), None)], length)
+        route.check("mt_sample")
+
+    @pytest.mark.parametrize("length", [2, 64, 1024])
+    def test_mixed_batches(self, route, length):
+        """Uniform and gaussian draws interleaved, under bases of both word
+        sizes, at stddevs whose errors stay below every modulus and one
+        whose errors do not."""
+        narrow = SAMPLE_MODULI[3:5]
+        wide = SAMPLE_MODULI[7:9]
+        draws = [(narrow, None), (narrow, 3.2), (wide, 3.2), (wide, None),
+                 ((3,), None), (narrow + wide, 0.5), ((2, 7), 4096.0),
+                 (wide, None), (narrow, 3.2)]
+        _sample(route.backend(), draws, length)
+        route.check("mt_sample")
+
+    def test_a_long_run_crosses_many_twists(self, route):
+        """More than 2^20 generator words in one call: 2 per candidate of a
+        62-bit modulus, 2 per value of a gaussian draw."""
+        q62, q40 = SAMPLE_MODULI[8], SAMPLE_MODULI[7]
+        _sample(route.backend(), [((q62,), None), ((q40,), 3.2), ((3,), None)], 1 << 18)
+        route.check("mt_sample")
+
+    @pytest.mark.parametrize("skip", [0, 1, 311, 623, 624, 625])
+    def test_any_read_index(self, route, skip):
+        """A generator part-way through its 624 words: the C pass starts
+        where the python one would."""
+        rng, golden = random.Random(skip), random.Random(skip)
+        for _ in range(skip):
+            assert rng.getrandbits(32) == golden.getrandbits(32)
+        draws = [((SAMPLE_MODULI[4],), None), ((SAMPLE_MODULI[8],), 3.2)]
+        _sample(route.backend(), draws, 1024, rng, golden)
+        route.check("mt_sample")
+
+    def test_no_draw_and_no_length(self, route):
+        backend = route.backend()
+        rng, golden = random.Random(1), random.Random(1)
+        assert backend.sample_limbs(rng, [], 1024) == []
+        assert [_rows(s) for s in backend.sample_limbs(rng, [((5,), None)], 0)] == [[[]]]
+        assert rng.getstate() == golden.getstate()
+
+    @pytest.mark.parametrize("case", ["subclass", "pending", "odd", "wide-stddev",
+                                      "63-bit", "zero-modulus"])
+    def test_what_the_library_does_not_take_is_golden(self, route, case):
+        """A generator that is not a stock ``random.Random``, a pending
+        ``gauss_next``, an odd length before an error draw, a ``stddev``
+        beyond 2^16 or a modulus outside ``[1, 2^62)`` takes the golden
+        loop: the same stores (or the same error) and no ``mt_sample``."""
+        q = SAMPLE_MODULI[3]
+        rng_type, draws, length = random.Random, [((q,), None), ((q,), 3.2)], 64
+        if case == "subclass":
+            rng_type = type("Subclassed", (random.Random,), {})
+        elif case == "odd":
+            length = 63
+        elif case == "wide-stddev":
+            draws = [((q,), None), ((q,), float(1 << 17))]
+        elif case == "63-bit":
+            draws = [(((1 << 62) + 57, q), None)]
+        rng, golden = rng_type(3), rng_type(3)
+        if case == "pending":
+            assert rng.gauss(0.0, 1.0) == golden.gauss(0.0, 1.0)
+        if case == "zero-modulus":
+            with pytest.raises(ValueError):
+                route.backend().sample_limbs(rng, [((q,), None), ((0,), None)], length)
+        else:
+            _sample(route.backend(), draws, length, rng, golden)
+        assert route.calls["mt_sample"] == 0

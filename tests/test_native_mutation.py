@@ -44,7 +44,7 @@ TAGS = STEP_TAG.findall(native.SOURCE.read_text())
 PARITY = [f"{TESTS / 'test_native.py'}::{name}" for name in
           ("TestNativeParity", "TestNativeMacParity", "TestNativeScaleParity",
            "TestNativeDecomposeParity", "TestNativeBlindRotateParity",
-           "TestNativeKeyswitchParity")]
+           "TestNativeKeyswitchParity", "TestNativeSampleParity")]
 
 
 def without_step(text, tag):
@@ -93,7 +93,7 @@ def run_parity(source, tmp_path, monkeypatch):
 
 
 def test_every_step_is_tagged_once():
-    assert len(TAGS) == len(set(TAGS)) == 24
+    assert len(TAGS) == len(set(TAGS)) == 26
 
 
 @pytest.mark.parametrize("tag", TAGS)
